@@ -6,17 +6,18 @@
 //! front-end re-execs its own binary N times in the hidden
 //! `serve-worker` mode ([`crate::worker`]) and speaks the
 //! [`crate::proto`] frame protocol over each worker's stdin/stdout
-//! pipes. The client-facing contract is unchanged — LDJSON requests in,
-//! LDJSON responses out, same error classes — with three extra fields on
-//! `status:"ok"` lines (`worker`, `attempts`, `solve_micros`) so clients
-//! and the chaos harness can see routing and retry behaviour.
+//! pipes. Everything else is shared with `--shards`: the ingress loop,
+//! the answer path (so the same lines and error classes, plus `worker`,
+//! `attempts` and `solve_micros` on `status:"ok"` lines), and the
+//! worker-side stream solver. What stays per mode is the supervisor
+//! below and its crash semantics: a dead worker's requests replay.
 //!
 //! # Event loop
 //!
 //! One thread owns all fleet state (no locks around routing decisions):
 //!
-//! * the **stdin reader** (the calling thread) parses request lines and
-//!   forwards admissions and control lines as events;
+//! * the **stdin reader** (the calling thread) runs the shared ingress
+//!   loop and forwards admissions and resize lines as events;
 //! * per worker, a **pipe reader thread** decodes frames into events; a
 //!   truncated, oversized, or unparseable frame is a protocol violation
 //!   and the worker is treated exactly as if it had crashed;
@@ -72,30 +73,32 @@ use aa_core::fleet::{
     read_frame, write_frame, Backoff, FleetRouter, ParkedQueues, PendingMap, RouteDecision,
     DEFAULT_DRAIN_TIMEOUT_MS, DEFAULT_HEARTBEAT_INTERVAL_MS, DEFAULT_HEARTBEAT_MISS_LIMIT,
     DEFAULT_MAX_RETRIES, DEFAULT_RETRY_BACKOFF_BASE_MS, DEFAULT_RETRY_BACKOFF_MAX_MS,
-    DEFAULT_SLO_P99_MS, MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES,
 };
 use aa_obs::export::{chrome_trace_merged, LaneEvent, TraceLane};
 use aa_core::ring::{splitmix64, Ring};
 use aa_core::tiered::Tier;
-use aa_core::{Budget, TieredSolver};
+use aa_core::{Budget, Problem, TieredSolver};
 use aa_sim::{
-    analyze_fleet, FleetChaosConfig, FleetChaosReport, FleetObservation, FleetObservations,
-    ProcessChaosPlan,
+    analyze_fleet, balanced_keys, FleetChaosConfig, FleetChaosReport, FleetObservation,
+    FleetObservations, ProcessChaosPlan,
 };
 use aa_utility::UtilitySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::proto::{FromWorker, SpanBinding, ToWorker, TraceCtx, WireSpan, WorkerResult};
-use crate::serve::{
-    estimated_drain_ms, read_bounded_line, respond, LineRead, ServeCounters, ServeMetrics,
-    ServeRequest, ServeResponse,
+use crate::proto::{
+    FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan, WorkerResult,
 };
+use crate::serve::{ingress, Admission, Admit, Answers, Outcome, ServeCounters, ServeMetrics};
 use crate::{build_problem, CliError, ProblemFile};
 
 /// Default restart budget per worker before it is retired.
 pub const DEFAULT_MAX_RESTARTS: u64 = 8;
+
+/// The answer for requests stranded when every worker has retired.
+const ALL_RETIRED: &str = "all fleet workers retired; safe to retry elsewhere";
 
 /// Parse a `--ladder` flag value: comma-separated [`Tier`] names in
 /// descending order, e.g. `"exact-bb,algo2,uu"`.
@@ -165,7 +168,7 @@ pub struct FleetOpts {
     /// at shutdown.
     pub trace: Option<PathBuf>,
     /// End-to-end p99 latency objective, milliseconds (`--slo-p99-ms`);
-    /// `None` uses [`DEFAULT_SLO_P99_MS`].
+    /// `None` uses [`aa_core::fleet::DEFAULT_SLO_P99_MS`].
     pub slo_p99_ms: Option<u64>,
     /// Worker executable override; `None` re-execs the current binary.
     /// A testing hook (`--worker-cmd`): the malformed-frame binary test
@@ -202,53 +205,15 @@ impl Default for FleetOpts {
     }
 }
 
-/// The payload [`PendingMap`] carries for every admitted request —
-/// everything needed to replay it on another worker or answer it.
-struct Job {
-    id: serde_json::Value,
-    deadline_ms: Option<u64>,
-    arrived: Instant,
-    deadline: Option<Instant>,
-    problem: ProblemFile,
-}
-
-/// A parsed request line, carried from the stdin reader to the event
-/// loop.
-struct Admit {
-    id: serde_json::Value,
-    stream: Option<u64>,
-    deadline_ms: Option<u64>,
-    arrived: Instant,
-    problem: ProblemFile,
-}
-
-/// Everything the event loop reacts to.
+/// Everything the event loop reacts to. An [`Admit`] is also the
+/// payload [`PendingMap`] carries for every admitted request — all that
+/// is needed to replay it on another worker or answer it.
 enum Event {
     Admit(Box<Admit>),
     Resize { workers: usize, id: serde_json::Value },
     FromWorker { worker: usize, incarnation: u64, msg: FromWorker },
     WorkerGone { worker: usize, incarnation: u64 },
     Eof,
-}
-
-/// A `status:"ok"` fleet response: the [`ServeResponse::Ok`] fields plus
-/// `worker` (which process answered), `attempts` (dispatches the request
-/// took; >1 means it survived a worker crash), and `solve_micros`
-/// (worker-side solve wall time). Single-process serve omits the extras;
-/// every field it does emit is produced identically here.
-#[derive(Debug, Clone, Serialize)]
-struct FleetOk {
-    status: String,
-    id: serde_json::Value,
-    tier: String,
-    degraded: bool,
-    utility: f64,
-    server: Vec<usize>,
-    allocation: Vec<f64>,
-    latency_ms: f64,
-    worker: usize,
-    attempts: u32,
-    solve_micros: u64,
 }
 
 /// Acknowledgement line for a `{"control":"resize",...}` request.
@@ -258,17 +223,6 @@ struct ResizeAck {
     id: serde_json::Value,
     fleet: usize,
     was: usize,
-}
-
-/// Write one JSON line. [`ServeResponse`] lines go through [`respond`];
-/// this is the same code path for the fleet-specific shapes.
-fn emit<W: Write, T: Serialize>(out: &Mutex<W>, v: &T) {
-    let line = serde_json::to_string(v).expect("responses always serialize");
-    let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-    // A dead output pipe is not fatal mid-drain: the loop still owes
-    // every worker an orderly shutdown.
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
 }
 
 /// Per-worker registry handles (`aa_fleet_*{worker=…}`).
@@ -694,12 +648,11 @@ fn retire_worker_export(registry: &aa_obs::Registry, fm: &FleetMetrics, w: usize
 struct FleetCore<'a, W: Write> {
     opts: &'a FleetOpts,
     registry: &'a aa_obs::Registry,
-    out: &'a Mutex<W>,
-    metrics: &'a ServeMetrics,
+    answers: &'a Answers<'a, W>,
     fm: FleetMetrics,
     tx: Sender<Event>,
     router: FleetRouter,
-    pending: PendingMap<Job>,
+    pending: PendingMap<Admit>,
     parked: ParkedQueues<u64>,
     /// Requests admitted while no worker is routable (transient
     /// all-down); drained on the next hello.
@@ -723,16 +676,14 @@ impl<'a, W: Write> FleetCore<'a, W> {
     fn new(
         opts: &'a FleetOpts,
         registry: &'a aa_obs::Registry,
-        out: &'a Mutex<W>,
-        metrics: &'a ServeMetrics,
+        answers: &'a Answers<'a, W>,
         tx: Sender<Event>,
     ) -> Result<Self, CliError> {
         let workers = opts.workers.max(1);
         let mut core = FleetCore {
             opts,
             registry,
-            out,
-            metrics,
+            answers,
             fm: FleetMetrics::new(registry, workers),
             tx,
             router: FleetRouter::new(workers),
@@ -825,7 +776,10 @@ impl<'a, W: Write> FleetCore<'a, W> {
                     break;
                 }
                 if self.drain_deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.flush_shutdown();
+                    self.answer_all(
+                        "shutdown",
+                        "front-end shutting down before the request was answered; safe to retry",
+                    );
                     break;
                 }
             }
@@ -952,10 +906,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
                         if let Some(obs) = &mut self.obs {
                             obs.on_worker_clock(worker, incarnation, None, now_micros);
                         }
-                        if let Some(snap) = metrics {
-                            self.registry
-                                .merge_worker_snapshot(&worker.to_string(), snap.into_federated());
-                        }
+                        self.federate(worker, metrics);
                     }
                     FromWorker::Resp { seq, result } => self.on_resp(worker, seq, result),
                     FromWorker::Obs { now_micros, spans, bindings, dropped, metrics } => {
@@ -963,10 +914,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
                             obs.on_worker_clock(worker, incarnation, None, now_micros);
                             obs.on_obs(worker, incarnation, spans, bindings, dropped);
                         }
-                        if let Some(snap) = metrics {
-                            self.registry
-                                .merge_worker_snapshot(&worker.to_string(), snap.into_federated());
-                        }
+                        self.federate(worker, metrics);
                     }
                 }
             }
@@ -982,37 +930,25 @@ impl<'a, W: Write> FleetCore<'a, W> {
         }
     }
 
+    /// Fold a worker's shipped registry snapshot into the front-end's.
+    fn federate(&self, worker: usize, snapshot: Option<MetricsSnapshot>) {
+        if let Some(snap) = snapshot {
+            self.registry.merge_worker_snapshot(&worker.to_string(), snap.into_federated());
+        }
+    }
+
     fn on_admit(&mut self, admit: Admit) {
         let cap = self.opts.queue.max(1) * self.router.workers().max(1);
         if self.pending.len() >= cap {
-            self.metrics.shed.inc();
-            #[allow(clippy::cast_possible_truncation)]
-            self.metrics
-                .observe_e2e("overloaded", (admit.arrived.elapsed().as_micros() as u64).max(1));
-            respond(
-                self.out,
-                &ServeResponse::Overloaded {
-                    id: admit.id,
-                    retry_after_ms: estimated_drain_ms(self.metrics, self.opts.queue),
-                },
-            )
-            .ok();
+            // A dead output pipe is not fatal mid-drain: the loop still
+            // owes every worker an orderly shutdown.
+            self.answers.send(admit.ticket, Outcome::Overloaded).ok();
             return;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let deadline = admit
-            .deadline_ms
-            .map(|d| admit.arrived + Duration::from_millis(d));
-        let job = Job {
-            id: admit.id,
-            deadline_ms: admit.deadline_ms,
-            arrived: admit.arrived,
-            deadline,
-            problem: admit.problem,
-        };
         self.pending
-            .insert(seq, admit.stream, job)
+            .insert(seq, admit.stream, admit)
             .expect("front-end seqs are unique by construction");
         if let Some(obs) = &mut self.obs {
             obs.admit(seq);
@@ -1020,16 +956,13 @@ impl<'a, W: Write> FleetCore<'a, W> {
         self.dispatch(seq);
     }
 
-    /// Request-completion accounting shared by every answer path: the
-    /// per-class SLO histogram and burn-rate tracker, plus (when
-    /// tracing) the request span closing out the end-to-end timeline.
-    fn observe_completion(&mut self, seq: u64, arrived: Instant, class: &str) {
-        #[allow(clippy::cast_possible_truncation)]
-        let latency = (arrived.elapsed().as_micros() as u64).max(1);
-        self.metrics.observe_e2e(class, latency);
+    /// Answer a request that left `pending`: close its trace (when
+    /// tracing) and hand the outcome to the shared answer path.
+    fn answer(&mut self, seq: u64, job: Admit, outcome: Outcome) {
         if let Some(obs) = &mut self.obs {
-            obs.finish(seq, arrived);
+            obs.finish(seq, job.ticket.arrived);
         }
+        self.answers.send(job.ticket, outcome).ok();
     }
 
     /// Route and send one pending, unassigned request.
@@ -1041,20 +974,11 @@ impl<'a, W: Write> FleetCore<'a, W> {
             return;
         }
         let stream = entry.stream;
-        if entry.job.deadline.is_some_and(|d| Instant::now() >= d) {
+        if entry.job.ticket.deadline().is_some_and(|d| Instant::now() >= d) {
             let e = self.pending.complete(seq).expect("just observed pending");
-            self.metrics.expired_in_queue.inc();
-            self.observe_completion(seq, e.job.arrived, "deadline");
-            let d = e.job.deadline_ms.unwrap_or(0);
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id: e.job.id,
-                    class: "deadline".to_string(),
-                    error: format!("deadline ({d} ms) expired before dispatch"),
-                },
-            )
-            .ok();
+            let d = e.job.ticket.deadline_ms.unwrap_or(0);
+            let error = format!("deadline ({d} ms) expired before dispatch");
+            self.answer(seq, e.job, Outcome::Expired(error));
             return;
         }
         match stream {
@@ -1086,7 +1010,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
         #[allow(clippy::cast_possible_truncation)]
         let budget_ms = entry
             .job
-            .deadline
+            .ticket
+            .deadline()
             .map(|d| d.saturating_duration_since(now).as_millis() as u64);
         let problem = entry.job.problem.clone();
         let stream = entry.stream;
@@ -1103,18 +1028,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
     fn no_workers(&mut self, seq: u64) {
         if self.all_retired() {
             if let Some(e) = self.pending.complete(seq) {
-                self.metrics.internal_errors.inc();
-                self.observe_completion(seq, e.job.arrived, "internal");
-                respond(
-                    self.out,
-                    &ServeResponse::Error {
-                        id: e.job.id,
-                        class: "internal".to_string(),
-                        error: "no live fleet workers (all retired); safe to retry elsewhere"
-                            .to_string(),
-                    },
-                )
-                .ok();
+                let error = "no live fleet workers (all retired); safe to retry elsewhere";
+                self.answer(seq, e.job, Outcome::error("internal", error));
             }
         } else {
             self.pen.push_back(seq);
@@ -1145,66 +1060,34 @@ impl<'a, W: Write> FleetCore<'a, W> {
             self.fm.duplicates.inc();
             return;
         };
-        let job = entry.job;
-        let attempts = entry.attempts;
-        match result {
+        let outcome = match result {
             WorkerResult::Ok { tier, degraded, utility, server, allocation, solve_micros } => {
-                self.metrics.solved.inc();
-                self.observe_completion(seq, job.arrived, "ok");
-                let latency_ms = job.arrived.elapsed().as_secs_f64() * 1e3;
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                self.metrics.latency.record_micros(((latency_ms * 1e3) as u64).max(1));
-                // Tier names come from the wire here, so look up safely
-                // instead of `ServeMetrics::tier` (which asserts the name
-                // is pre-registered).
-                if let Some((_, h)) = self.metrics.per_tier.iter().find(|(n, _)| *n == tier) {
-                    h.record_micros(solve_micros.max(1));
+                Outcome::Ok {
+                    tier,
+                    degraded,
+                    utility,
+                    server,
+                    allocation,
+                    solve_micros,
+                    routed: Some((w, entry.attempts)),
                 }
-                if let Some(d) = job.deadline_ms {
-                    #[allow(clippy::cast_precision_loss)]
-                    if latency_ms > (d + self.opts.grace_ms) as f64 {
-                        self.metrics.deadline_misses.inc();
-                    }
-                }
-                emit(
-                    self.out,
-                    &FleetOk {
-                        status: "ok".to_string(),
-                        id: job.id,
-                        tier,
-                        degraded,
-                        utility,
-                        server,
-                        allocation,
-                        latency_ms,
-                        worker: w,
-                        attempts,
-                        solve_micros,
-                    },
-                );
             }
             WorkerResult::Err { class, error, queue_expired, .. } => {
-                match class.as_str() {
-                    "deadline" if queue_expired => self.metrics.expired_in_queue.inc(),
-                    "deadline" | "solve" | "problem" => self.metrics.solve_errors.inc(),
-                    "solve_panic" => {
-                        self.metrics.solve_errors.inc();
-                        self.metrics.solve_panics.inc();
-                    }
-                    "shutdown" => self.fm.shutdown_answers.inc(),
-                    _ => self.metrics.internal_errors.inc(),
+                if class == "shutdown" {
+                    self.fm.shutdown_answers.inc();
                 }
-                self.observe_completion(seq, job.arrived, &class);
-                respond(self.out, &ServeResponse::Error { id: job.id, class, error }).ok();
-            }
-        }
-        if let Some(strm) = entry.stream {
-            for released in self.router.complete(strm, w) {
-                let queue = self.parked.release(released);
-                for parked_seq in queue {
-                    self.dispatch(parked_seq);
+                if class == "deadline" && queue_expired {
+                    Outcome::Expired(error)
+                } else {
+                    Outcome::Error { class, error }
                 }
             }
+        };
+        let stream = entry.stream;
+        self.answer(seq, entry.job, outcome);
+        if let Some(strm) = stream {
+            let released = self.router.complete(strm, w);
+            self.release(released);
         }
         self.maybe_close_draining(w);
     }
@@ -1230,12 +1113,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
 
         // Reroute: streams the dead worker held release to their ring
         // successor immediately.
-        for strm in self.router.worker_down(w) {
-            let queue = self.parked.release(strm);
-            for seq in queue {
-                self.dispatch(seq);
-            }
-        }
+        let released = self.router.worker_down(w);
+        self.release(released);
 
         // Replay in-flight requests — reinsert-then-complete, so the
         // pending map stays the sole exactly-once bookkeeper.
@@ -1252,21 +1131,11 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 .expect("taken seqs are no longer in the map");
             if exhausted {
                 let e = self.pending.complete(seq).expect("just reinserted");
-                self.metrics.internal_errors.inc();
                 self.fm.exhausted.inc();
-                self.observe_completion(seq, e.job.arrived, "internal");
-                respond(
-                    self.out,
-                    &ServeResponse::Error {
-                        id: e.job.id,
-                        class: "internal".to_string(),
-                        error: format!(
-                            "request lost {attempts} dispatch attempts to worker crashes; \
-                             safe to retry"
-                        ),
-                    },
-                )
-                .ok();
+                let error = format!(
+                    "request lost {attempts} dispatch attempts to worker crashes; safe to retry"
+                );
+                self.answer(seq, e.job, Outcome::error("internal", error));
             } else {
                 self.fm.retries.inc();
                 let delay = self.retry_backoff.delay(attempts.max(1), &mut self.rng);
@@ -1285,12 +1154,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             retire_worker_export(self.registry, &self.fm, w);
             return;
         }
-        if self.slots[w].deaths > self.opts.max_restarts {
-            self.slots[w].retired = true;
-            retire_worker_export(self.registry, &self.fm, w);
-            if self.all_retired() {
-                self.fail_all_pending();
-            }
+        if self.retire_if_spent(w) {
             return;
         }
         // Next incarnation's chaos offset: the plan's fault seq for this
@@ -1306,10 +1170,40 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 .map_or(fallback, |&(seq, _)| seq),
             None => fallback,
         };
+        self.schedule_respawn(w);
+    }
+
+    /// Dispatch the requests parked behind `streams` (handoffs released
+    /// by a completion or a worker going down).
+    fn release(&mut self, streams: Vec<u64>) {
+        for strm in streams {
+            for seq in self.parked.release(strm) {
+                self.dispatch(seq);
+            }
+        }
+    }
+
+    /// Retire slot `w` once its deaths exceed `--max-restarts`; when that
+    /// leaves no live slot, everything pending is answered `internal`.
+    /// True when the slot is retired.
+    fn retire_if_spent(&mut self, w: usize) -> bool {
+        if self.slots[w].deaths <= self.opts.max_restarts {
+            return false;
+        }
+        self.slots[w].retired = true;
+        retire_worker_export(self.registry, &self.fm, w);
+        if self.all_retired() {
+            self.answer_all("internal", ALL_RETIRED);
+        }
+        true
+    }
+
+    /// Respawn slot `w` after the backoff its death count earns.
+    fn schedule_respawn(&mut self, w: usize) {
         #[allow(clippy::cast_possible_truncation)]
         let attempt = self.slots[w].deaths.min(u64::from(u32::MAX)) as u32;
         let delay = self.spawn_backoff.delay(attempt, &mut self.rng);
-        self.slots[w].respawn_at = Some(now + delay);
+        self.slots[w].respawn_at = Some(Instant::now() + delay);
     }
 
     fn respawn(&mut self, w: usize) {
@@ -1321,38 +1215,19 @@ impl<'a, W: Write> FleetCore<'a, W> {
             // an instant death and keep backing off until the restart
             // budget retires the slot.
             self.slots[w].deaths += 1;
-            if self.slots[w].deaths > self.opts.max_restarts {
-                self.slots[w].retired = true;
-                retire_worker_export(self.registry, &self.fm, w);
-                if self.all_retired() {
-                    self.fail_all_pending();
-                }
-            } else {
-                #[allow(clippy::cast_possible_truncation)]
-                let attempt = self.slots[w].deaths.min(u64::from(u32::MAX)) as u32;
-                let delay = self.spawn_backoff.delay(attempt, &mut self.rng);
-                self.slots[w].respawn_at = Some(Instant::now() + delay);
+            if !self.retire_if_spent(w) {
+                self.schedule_respawn(w);
             }
         }
     }
 
     /// Membership change by control request: growing spawns, shrinking
     /// drains and hands the removed ring ranges to the survivors.
+    /// `n >= 1` by construction: the ingress answers a zero-size resize
+    /// as an unsupported control line.
     fn on_resize(&mut self, n: usize, id: serde_json::Value) {
         let was = self.router.workers();
         self.fm.resizes.inc();
-        if n == 0 {
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id,
-                    class: "control".to_string(),
-                    error: "cannot resize the fleet to zero workers".to_string(),
-                },
-            )
-            .ok();
-            return;
-        }
         if n > was {
             self.fm.ensure(self.registry, n);
             while self.slots.len() < n {
@@ -1367,8 +1242,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
                     // Grow is best-effort at runtime: the slot stays
                     // down and the respawn path keeps trying.
                     self.slots[w].deaths = 1;
-                    self.slots[w].respawn_at =
-                        Some(Instant::now() + self.spawn_backoff.delay(1, &mut self.rng));
+                    self.schedule_respawn(w);
                 }
             }
         } else if n < was {
@@ -1378,12 +1252,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
             for w in n..was {
                 self.slots[w].draining = true;
                 self.slots[w].respawn_at = None;
-                for strm in self.router.worker_down(w) {
-                    let queue = self.parked.release(strm);
-                    for seq in queue {
-                        self.dispatch(seq);
-                    }
-                }
+                let released = self.router.worker_down(w);
+                self.release(released);
             }
             self.router.resize(n);
             for w in n..was {
@@ -1397,58 +1267,22 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 }
             }
         }
-        emit(self.out, &ResizeAck { status: "resized".to_string(), id, fleet: n, was });
+        let ack = ResizeAck { status: "resized".to_string(), id, fleet: n, was };
+        self.answers.write(&ack).ok();
     }
 
-    /// Every live slot is retired: nothing can ever be dispatched again.
-    fn fail_all_pending(&mut self) {
+    /// Answer everything still pending with one retryable error: every
+    /// slot retired (`internal`), or the drain timed out at shutdown
+    /// (`shutdown`). Nothing can be dispatched after this.
+    fn answer_all(&mut self, class: &str, error: &str) {
         self.pen.clear();
         self.retries.clear();
         self.parked = ParkedQueues::new();
         for e in self.pending.drain_all() {
-            self.metrics.internal_errors.inc();
-            #[allow(clippy::cast_possible_truncation)]
-            self.metrics
-                .observe_e2e("internal", (e.job.arrived.elapsed().as_micros() as u64).max(1));
-            if let Some(obs) = &mut self.obs {
-                obs.finish(e.seq, e.job.arrived);
+            if class == "shutdown" {
+                self.fm.shutdown_answers.inc();
             }
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id: e.job.id,
-                    class: "internal".to_string(),
-                    error: "all fleet workers retired; safe to retry elsewhere".to_string(),
-                },
-            )
-            .ok();
-        }
-    }
-
-    /// Drain-timeout at shutdown: answer what's left as retryable.
-    fn flush_shutdown(&mut self) {
-        self.pen.clear();
-        self.retries.clear();
-        self.parked = ParkedQueues::new();
-        for e in self.pending.drain_all() {
-            self.fm.shutdown_answers.inc();
-            #[allow(clippy::cast_possible_truncation)]
-            self.metrics
-                .observe_e2e("shutdown", (e.job.arrived.elapsed().as_micros() as u64).max(1));
-            if let Some(obs) = &mut self.obs {
-                obs.finish(e.seq, e.job.arrived);
-            }
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id: e.job.id,
-                    class: "shutdown".to_string(),
-                    error: "front-end shutting down before the request was answered; \
-                            safe to retry"
-                        .to_string(),
-                },
-            )
-            .ok();
+            self.answer(e.seq, e.job, Outcome::error(class, error));
         }
     }
 
@@ -1492,128 +1326,32 @@ impl<'a, W: Write> FleetCore<'a, W> {
     }
 }
 
-/// Parse stdin lines into admission and control events. Parse and
-/// problem errors are answered inline, exactly like single-process
-/// serve; unknown control lines get `class:"control"`.
-fn fleet_reader_loop<R: BufRead, W: Write>(
-    mut input: R,
-    tx: &Sender<Event>,
-    out: &Mutex<W>,
-    metrics: &ServeMetrics,
-    opts: &FleetOpts,
-) -> std::io::Result<()> {
-    let mut buf = Vec::new();
-    loop {
-        match read_bounded_line(&mut input, &mut buf, opts.max_line_bytes)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::Oversized => {
-                metrics.received.inc();
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: format!(
-                            "request line exceeds the {} byte cap (--max-line-bytes)",
-                            opts.max_line_bytes
-                        ),
-                    },
-                )?;
-                continue;
+/// `--fleet` admission: forward requests and resize lines to the event
+/// loop. The ingress has already validated the problem, so
+/// `class:"problem"` answers don't burn a round trip to a worker.
+struct FleetAdmission<'a> {
+    tx: &'a Sender<Event>,
+}
+
+impl Admission for FleetAdmission<'_> {
+    fn admit(&mut self, req: Admit, _: Problem) -> std::io::Result<bool> {
+        Ok(self.tx.send(Event::Admit(Box::new(req))).is_ok())
+    }
+
+    fn control(
+        &mut self,
+        line: &serde_json::Value,
+        id: &serde_json::Value,
+    ) -> Result<bool, &'static str> {
+        let control = line.get("control").and_then(serde_json::Value::as_str);
+        match (control, line.get("fleet").and_then(serde_json::Value::as_u64)) {
+            (Some("resize"), Some(n)) if n >= 1 => {
+                #[allow(clippy::cast_possible_truncation)]
+                let workers = n as usize;
+                Ok(self.tx.send(Event::Resize { workers, id: id.clone() }).is_ok())
             }
-            LineRead::Line => {}
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request stream is not valid UTF-8",
-            ));
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        metrics.received.inc();
-        let value = match serde_json::from_str::<serde_json::Value>(line) {
-            Err(e) => {
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: e.to_string(),
-                    },
-                )?;
-                continue;
-            }
-            Ok(v) => v,
-        };
-        if let Some(control) = value.get("control") {
-            let id = value.get("id").cloned().unwrap_or(serde_json::Value::Null);
-            let fleet = value.get("fleet").and_then(serde_json::Value::as_u64);
-            match (control.as_str(), fleet) {
-                (Some("resize"), Some(n)) if n >= 1 => {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let workers = n as usize;
-                    if tx.send(Event::Resize { workers, id }).is_err() {
-                        return Ok(());
-                    }
-                }
-                _ => {
-                    metrics.parse_errors.inc();
-                    respond(
-                        out,
-                        &ServeResponse::Error {
-                            id,
-                            class: "control".to_string(),
-                            error: "unsupported control line; expected \
-                                    {\"control\":\"resize\",\"fleet\":N} with N >= 1"
-                                .to_string(),
-                        },
-                    )?;
-                }
-            }
-            continue;
-        }
-        let req = match <ServeRequest as Deserialize>::from_value(&value) {
-            Err(e) => {
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: e,
-                    },
-                )?;
-                continue;
-            }
-            Ok(req) => req,
-        };
-        // Validate up front so `class:"problem"` answers don't burn a
-        // round trip to a worker (parity with single-process serve).
-        if let Err(e) = build_problem(&req.problem) {
-            metrics.solve_errors.inc();
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id: req.id,
-                    class: "problem".to_string(),
-                    error: e.to_string(),
-                },
-            )?;
-            continue;
-        }
-        let admit = Admit {
-            id: req.id,
-            stream: req.stream,
-            deadline_ms: req.deadline_ms.or(opts.default_deadline_ms),
-            arrived: Instant::now(),
-            problem: req.problem,
-        };
-        if tx.send(Event::Admit(Box::new(admit))).is_err() {
-            return Ok(());
+            _ => Err("unsupported control line; expected \
+                      {\"control\":\"resize\",\"fleet\":N} with N >= 1"),
         }
     }
 }
@@ -1633,15 +1371,16 @@ pub fn run_fleet_serve<R: BufRead, W: Write + Send>(
     registry: &aa_obs::Registry,
 ) -> Result<ServeCounters, CliError> {
     let out = Mutex::new(output);
-    let metrics = ServeMetrics::with_slo_target(
-        registry,
-        opts.slo_p99_ms.unwrap_or(DEFAULT_SLO_P99_MS).saturating_mul(1000),
-    );
+    let metrics = ServeMetrics::new(registry, opts.slo_p99_ms);
+    let answers =
+        Answers { out: &out, metrics: &metrics, grace_ms: opts.grace_ms, queue: opts.queue };
     let (tx, rx) = mpsc::channel::<Event>();
     std::thread::scope(|s| -> Result<(), CliError> {
-        let core = FleetCore::new(opts, registry, &out, &metrics, tx.clone())?;
+        let core = FleetCore::new(opts, registry, &answers, tx.clone())?;
         let event_loop = s.spawn(move || core.run(&rx));
-        let read_result = fleet_reader_loop(input, &tx, &out, &metrics, opts);
+        let mut admission = FleetAdmission { tx: &tx };
+        let read_result =
+            ingress(input, opts.max_line_bytes, opts.default_deadline_ms, &answers, &mut admission);
         let _ = tx.send(Event::Eof);
         drop(tx);
         event_loop.join().expect("fleet event loop does not panic");
@@ -1734,24 +1473,6 @@ impl Write for LineSink {
     }
 }
 
-/// Stream keys covering every worker `per` times under the fleet ring.
-fn balanced_streams(workers: usize, per: usize) -> Vec<u64> {
-    let ring = Ring::new(workers);
-    let mut need = vec![per; workers];
-    let mut out = Vec::with_capacity(workers * per);
-    let mut key = 0u64;
-    while out.len() < workers * per && key < 1_000_000 {
-        if let Some(w) = ring.owner(key) {
-            if need[w] > 0 {
-                need[w] -= 1;
-                out.push(key);
-            }
-        }
-        key += 1;
-    }
-    out
-}
-
 /// Deterministic per-stream problem: one fixed problem per stream (the
 /// same every round, so worker warm state is exercised and the expected
 /// utility bits are a pure function of `(seed, stream)`).
@@ -1838,7 +1559,7 @@ fn chaos_ladder() -> Vec<Tier> {
 /// `serve-worker` mode.
 pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliError> {
     let plan = ProcessChaosPlan::from_config(cfg);
-    let streams = balanced_streams(cfg.workers, cfg.streams_per_worker);
+    let streams = balanced_keys(cfg.workers, cfg.streams_per_worker);
     let files: Vec<ProblemFile> = streams.iter().map(|&s| stream_problem(cfg.seed, s)).collect();
 
     // Single-process reference: the same ladder, unlimited budget, cold
@@ -1886,42 +1607,33 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
             run_fleet_serve(LineSource::new(rx_in), LineSink::new(tx_out), &opts, &registry)
         });
 
-        let send_round =
-            |admitted: &mut u64, seq_stream: &mut Vec<u64>| -> bool {
-                for (file, &stream) in files.iter().zip(&streams) {
-                    let line = ChaosRequestLine { id: *admitted, stream, problem: file.clone() };
-                    let json = serde_json::to_string(&line).expect("requests serialize");
-                    if tx_in.send(json).is_err() {
-                        return false;
-                    }
-                    seq_stream.push(stream);
-                    *admitted += 1;
+        // One closed-loop round: a request per stream, then every answer
+        // before the next, so parked/outstanding state never exceeds one
+        // request per stream. A `probe` round also checks that each
+        // stream answered from its ring owner.
+        let ring = Ring::new(cfg.workers);
+        let mut round = |probe: bool| -> bool {
+            for (file, &stream) in files.iter().zip(&streams) {
+                let line = ChaosRequestLine { id: admitted, stream, problem: file.clone() };
+                let json = serde_json::to_string(&line).expect("requests serialize");
+                if tx_in.send(json).is_err() {
+                    return false;
                 }
-                true
-            };
-
-        // Closed-loop storm: one request per stream per round, wait for
-        // the full round before the next, so parked/outstanding state
-        // never exceeds one request per stream.
-        'rounds: for _ in 0..cfg.rounds {
-            if !send_round(&mut admitted, &mut seq_stream) {
-                survived = false;
-                break;
+                seq_stream.push(stream);
+                admitted += 1;
             }
             for _ in 0..streams.len() {
-                match rx_out.recv_timeout(response_timeout) {
-                    Ok(line) => {
-                        if let Some((obs, _)) = parse_chaos_line(&line, &seq_stream) {
-                            completions.push(obs);
-                        }
+                let Ok(line) = rx_out.recv_timeout(response_timeout) else { return false };
+                if let Some((obs, worker)) = parse_chaos_line(&line, &seq_stream) {
+                    if probe && worker != ring.owner(obs.stream) {
+                        rebalanced = false;
                     }
-                    Err(_) => {
-                        survived = false;
-                        break 'rounds;
-                    }
+                    completions.push(obs);
                 }
             }
-        }
+            true
+        };
+        survived = (0..cfg.rounds).all(|_| round(false));
 
         // Quiesce: the storm is over once every worker is back up.
         if survived {
@@ -1946,25 +1658,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
 
         // Probe round: with the fleet whole again, every stream must
         // route back to its ring owner (rebalance after recovery).
-        if survived && send_round(&mut admitted, &mut seq_stream) {
-            let ring = Ring::new(cfg.workers);
-            for _ in 0..streams.len() {
-                match rx_out.recv_timeout(response_timeout) {
-                    Ok(line) => {
-                        if let Some((obs, worker)) = parse_chaos_line(&line, &seq_stream) {
-                            if worker != ring.owner(obs.stream) {
-                                rebalanced = false;
-                            }
-                            completions.push(obs);
-                        }
-                    }
-                    Err(_) => {
-                        survived = false;
-                        break;
-                    }
-                }
-            }
-        }
+        survived = survived && round(true);
 
         drop(tx_in);
         handle.join().expect("fleet serve thread does not panic")
@@ -2081,7 +1775,7 @@ mod tests {
 
     #[test]
     fn balanced_streams_cover_every_worker() {
-        let streams = balanced_streams(4, 2);
+        let streams = balanced_keys(4, 2);
         assert_eq!(streams.len(), 8);
         let ring = Ring::new(4);
         let mut per_worker = vec![0usize; 4];
@@ -2090,12 +1784,12 @@ mod tests {
         }
         assert_eq!(per_worker, vec![2, 2, 2, 2]);
         // Deterministic.
-        assert_eq!(streams, balanced_streams(4, 2));
+        assert_eq!(streams, balanced_keys(4, 2));
     }
 
     #[test]
     fn stream_problems_are_deterministic_and_valid() {
-        for stream in balanced_streams(3, 2) {
+        for stream in balanced_keys(3, 2) {
             let a = stream_problem(2016, stream);
             let b = stream_problem(2016, stream);
             assert_eq!(a, b, "same (seed, stream) must give the same problem");

@@ -194,20 +194,21 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Fai
     }
 }
 
-fn parsed_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, Failure>
+/// Parse `--flag VALUE` when present (`None` when absent).
+fn optional_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Failure>
 where
     T::Err: std::fmt::Display,
 {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|e| Failure::Usage(format!("bad {flag}: {e}"))),
-    }
+    flag_value(args, flag)?
+        .map(|raw| raw.parse().map_err(|e| Failure::Usage(format!("bad {flag}: {e}"))))
+        .transpose()
+}
+
+fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, Failure>
+where
+    T::Err: std::fmt::Display,
+{
+    Ok(optional_flag(args, flag)?.unwrap_or(default))
 }
 
 /// Read a file, classifying failures as i/o errors (exit 6) with the
@@ -453,37 +454,33 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
+/// `serve`: one entry for both modes. The flags they share parse once
+/// into [`ServeOpts`]; `--fleet N` swaps the in-process shard pool for N
+/// worker processes. Setup (`--metrics-addr`) and teardown (the summary
+/// log, `--counters`, `--metrics-dump`) are the same for both.
 fn cmd_serve(args: &[String]) -> Result<(), Failure> {
-    if flag_value(args, "--fleet")?.is_some() {
-        return cmd_fleet_serve(args);
-    }
     let defaults = ServeOpts::default();
     let opts = ServeOpts {
         queue: parsed_flag(args, "--queue", defaults.queue)?,
-        default_deadline_ms: match flag_value(args, "--deadline-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --deadline-ms: {e}")))?,
-            ),
-        },
+        default_deadline_ms: optional_flag(args, "--deadline-ms")?,
         grace_ms: parsed_flag(args, "--grace-ms", defaults.grace_ms)?,
         breaker_threshold: parsed_flag(args, "--breaker", defaults.breaker_threshold)?,
         breaker_cooldown: parsed_flag(args, "--cooldown", defaults.breaker_cooldown)?,
         shards: parsed_flag(args, "--shards", defaults.shards)?,
         max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
-        slo_p99_ms: match flag_value(args, "--slo-p99-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --slo-p99-ms: {e}")))?,
-            ),
-        },
+        slo_p99_ms: optional_flag(args, "--slo-p99-ms")?,
         chaos: None,
     };
+    let fleet = match optional_flag::<usize>(args, "--fleet")? {
+        Some(0) => return Err(Failure::Usage("--fleet needs at least 1 worker".into())),
+        Some(workers) => Some(fleet_opts(args, workers, &opts)?),
+        None => None,
+    };
+    // The fleet front-end merges worker span batches into its own trace
+    // at shutdown; only the in-process mode records spans here.
+    let trace_path = if fleet.is_none() { trace_flag(args)? } else { None };
     let counters_path = flag_value(args, "--counters")?;
     let metrics_dump = flag_value(args, "--metrics-dump")?;
-    let trace_path = trace_flag(args)?;
     let registry = aa_obs::global();
     if let Some(addr) = flag_value(args, "--metrics-addr")? {
         let local = aa_obs::export::spawn_metrics_server(addr, registry).map_err(|e| {
@@ -495,11 +492,18 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
         aa_obs::obs_info!("serve", "metrics: http://{local}/metrics");
     }
 
-    let counters = run_serve(std::io::stdin().lock(), std::io::stdout(), &opts, registry)?;
+    let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout());
+    let (counters, mode) = match &fleet {
+        Some(f) => {
+            let counters = run_fleet_serve(stdin, stdout, f, registry)?;
+            (counters, format!("fleet: workers={} ", f.workers))
+        }
+        None => (run_serve(stdin, stdout, &opts, registry)?, "serve: ".to_string()),
+    };
 
     aa_obs::obs_info!(
         "serve",
-        "serve: received={} solved={} shed={} expired_in_queue={} parse_errors={} \
+        "{mode}received={} solved={} shed={} expired_in_queue={} parse_errors={} \
          solve_errors={} solve_panics={} internal_errors={} deadline_misses={}",
         counters.received,
         counters.solved,
@@ -511,12 +515,9 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
         counters.internal_errors,
         counters.deadline_misses
     );
+    // The snapshot lists only tiers that answered, so `answered >= 1`.
     for (tier, c) in &counters.per_tier {
-        let mean_ms = if c.answered > 0 {
-            c.total_micros as f64 / c.answered as f64 / 1e3
-        } else {
-            0.0
-        };
+        let mean_ms = c.total_micros as f64 / c.answered as f64 / 1e3;
         aa_obs::obs_info!(
             "serve",
             "  tier {tier}: answered={} mean={mean_ms:.3}ms max={:.3}ms",
@@ -534,90 +535,37 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `serve --fleet N`: the multi-process front-end.
-fn cmd_fleet_serve(args: &[String]) -> Result<(), Failure> {
+/// `--ladder exact-bb,algo2,…`, when given.
+fn ladder_flag(args: &[String]) -> Result<Option<Vec<aa_core::Tier>>, Failure> {
+    flag_value(args, "--ladder")?
+        .map(|raw| parse_ladder(raw).map_err(|e| Failure::Usage(format!("bad --ladder: {e}"))))
+        .transpose()
+}
+
+/// `serve --fleet N`: the shared serve flags plus the fleet-only ones.
+fn fleet_opts(args: &[String], workers: usize, shared: &ServeOpts) -> Result<FleetOpts, Failure> {
     let defaults = FleetOpts::default();
-    let workers: usize = parsed_flag(args, "--fleet", defaults.workers)?;
-    if workers == 0 {
-        return Err(Failure::Usage("--fleet needs at least 1 worker".into()));
-    }
-    let ladder = match flag_value(args, "--ladder")? {
-        None => None,
-        Some(raw) => Some(parse_ladder(raw).map_err(|e| Failure::Usage(format!("bad --ladder: {e}")))?),
-    };
-    let opts = FleetOpts {
+    Ok(FleetOpts {
         workers,
-        queue: parsed_flag(args, "--queue", defaults.queue)?,
-        default_deadline_ms: match flag_value(args, "--deadline-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --deadline-ms: {e}")))?,
-            ),
-        },
-        grace_ms: parsed_flag(args, "--grace-ms", defaults.grace_ms)?,
-        max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
+        queue: shared.queue,
+        default_deadline_ms: shared.default_deadline_ms,
+        grace_ms: shared.grace_ms,
+        max_line_bytes: shared.max_line_bytes,
         heartbeat_ms: parsed_flag(args, "--heartbeat-ms", defaults.heartbeat_ms)?,
         heartbeat_miss_limit: parsed_flag(args, "--heartbeat-miss", defaults.heartbeat_miss_limit)?,
         max_retries: parsed_flag(args, "--max-retries", defaults.max_retries)?,
         max_restarts: parsed_flag(args, "--max-restarts", defaults.max_restarts)?,
         drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
         max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
-        breaker_threshold: parsed_flag(args, "--breaker", defaults.breaker_threshold)?,
-        breaker_cooldown: parsed_flag(args, "--cooldown", defaults.breaker_cooldown)?,
-        ladder,
+        breaker_threshold: shared.breaker_threshold,
+        breaker_cooldown: shared.breaker_cooldown,
+        ladder: ladder_flag(args)?,
         seed: parsed_flag(args, "--seed", defaults.seed)?,
         worker_cmd: flag_value(args, "--worker-cmd")?.map(std::path::PathBuf::from),
-        // The fleet front-end merges worker span batches and writes the
-        // trace itself at shutdown; the single-process write_trace path
-        // must stay out of the way here.
         trace: flag_value(args, "--trace")?.map(std::path::PathBuf::from),
-        slo_p99_ms: match flag_value(args, "--slo-p99-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --slo-p99-ms: {e}")))?,
-            ),
-        },
+        slo_p99_ms: shared.slo_p99_ms,
         chaos: None,
-    };
-    let counters_path = flag_value(args, "--counters")?;
-    let metrics_dump = flag_value(args, "--metrics-dump")?;
-    let registry = aa_obs::global();
-    if let Some(addr) = flag_value(args, "--metrics-addr")? {
-        let local = aa_obs::export::spawn_metrics_server(addr, registry).map_err(|e| {
-            Failure::App(CliError::MetricsBind(std::io::Error::new(
-                e.kind(),
-                format!("{addr}: {e}"),
-            )))
-        })?;
-        aa_obs::obs_info!("serve", "metrics: http://{local}/metrics");
-    }
-
-    let counters = run_fleet_serve(std::io::stdin().lock(), std::io::stdout(), &opts, registry)?;
-
-    aa_obs::obs_info!(
-        "serve",
-        "fleet: workers={} received={} solved={} shed={} expired_in_queue={} parse_errors={} \
-         solve_errors={} solve_panics={} internal_errors={} deadline_misses={}",
-        opts.workers,
-        counters.received,
-        counters.solved,
-        counters.shed,
-        counters.expired_in_queue,
-        counters.parse_errors,
-        counters.solve_errors,
-        counters.solve_panics,
-        counters.internal_errors,
-        counters.deadline_misses
-    );
-    if let Some(path) = counters_path {
-        write_file(path, &to_json(&counters, true)?)?;
-    }
-    if let Some(path) = metrics_dump {
-        write_file(path, &aa_obs::export::json_snapshot(registry))?;
-    }
-    Ok(())
+    })
 }
 
 /// Hidden `serve-worker` mode: one fleet worker process, speaking the
@@ -625,10 +573,6 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), Failure> {
 /// hand.
 fn cmd_serve_worker(args: &[String]) -> Result<(), Failure> {
     let defaults = WorkerOpts::default();
-    let ladder = match flag_value(args, "--ladder")? {
-        None => None,
-        Some(raw) => Some(parse_ladder(raw).map_err(|e| Failure::Usage(format!("bad --ladder: {e}")))?),
-    };
     let chaos = match flag_value(args, "--chaos-faults")? {
         None => None,
         Some(raw) => {
@@ -643,13 +587,24 @@ fn cmd_serve_worker(args: &[String]) -> Result<(), Failure> {
         max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
         breaker_threshold: parsed_flag(args, "--breaker-threshold", defaults.breaker_threshold)?,
         breaker_cooldown: parsed_flag(args, "--breaker-cooldown", defaults.breaker_cooldown)?,
-        ladder,
+        ladder: ladder_flag(args)?,
         drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
         trace_spans: args.iter().any(|a| a == "--obs-spans"),
         chaos,
     };
     run_worker(std::io::stdin(), std::io::stdout(), &opts)
         .map_err(|e| Failure::App(CliError::Io(e)))
+}
+
+/// Print a chaos report as JSON on stdout (`--pretty` to indent) and to
+/// `--out PATH` when given.
+fn print_report<T: serde::Serialize>(args: &[String], report: &T) -> Result<(), Failure> {
+    let json = to_json(report, args.iter().any(|a| a == "--pretty"))?;
+    println!("{json}");
+    match flag_value(args, "--out")? {
+        Some(path) => write_file(path, &json),
+        None => Ok(()),
+    }
 }
 
 /// Run the deterministic chaos storm from `aa-sim` against a real shard
@@ -675,11 +630,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
         ));
     }
     let report = aa_sim::run_chaos(&cfg);
-    let json = to_json(&report, args.iter().any(|a| a == "--pretty"))?;
-    println!("{json}");
-    if let Some(path) = flag_value(args, "--out")? {
-        write_file(path, &json)?;
-    }
+    print_report(args, &report)?;
     aa_obs::obs_info!(
         "chaos",
         "chaos: admitted={} completed={} ok={} crashed={} drained={} solve_panics={} \
@@ -737,11 +688,7 @@ fn cmd_fleet_chaos(args: &[String]) -> Result<(), Failure> {
         ));
     }
     let report = run_fleet_chaos(&cfg)?;
-    let json = to_json(&report, args.iter().any(|a| a == "--pretty"))?;
-    println!("{json}");
-    if let Some(path) = flag_value(args, "--out")? {
-        write_file(path, &json)?;
-    }
+    print_report(args, &report)?;
     aa_obs::obs_info!(
         "chaos",
         "fleet chaos: admitted={} completed={} ok={} internal={} restarts={:?} \

@@ -1,32 +1,34 @@
-//! `aa-solve serve` — a deadline-aware LDJSON request loop over a
-//! supervised pool of crash-isolated worker shards.
+//! `aa-solve serve` — a deadline-aware LDJSON request loop, and the
+//! front-end both serving modes share.
 //!
 //! Requests arrive one JSON object per line on stdin; responses leave
 //! one JSON object per line on stdout, in completion order (clients
-//! correlate by echoed `id`). The loop is a reader thread, a writer
-//! thread, and an [`aa_core::ShardPool`] between them:
+//! correlate by echoed `id`). `--shards N` ([`run_serve`]) and `--fleet
+//! N` ([`crate::fleet::run_fleet_serve`]) differ only in their executor
+//! and its supervisor. What a client sees comes from one implementation:
 //!
-//! * the **reader** parses lines (bounded by `--max-line-bytes`; an
-//!   oversized line is answered with a `class:"parse"` error instead of
-//!   growing the buffer without bound) and admits jobs with a
-//!   non-blocking submit. A full queue is answered immediately with
-//!   `{"status":"overloaded","retry_after_ms":…}` — load is shed at the
-//!   door instead of growing an unbounded backlog that makes every
-//!   deadline unmeetable. Requests carrying a `stream` key route to a
-//!   fixed shard by consistent hashing, so that stream's incremental
-//!   [`WarmState`](aa_core::WarmState) stays hot; key-less requests go
-//!   to a shared cold queue any idle shard steals from;
-//! * each **shard** solves with its own [`TieredSolver`](aa_core::TieredSolver)
-//!   behind a `catch_unwind` boundary: a panicking solve yields
-//!   `{"status":"error","class":"solve_panic"}` and the shard keeps
-//!   serving. If a shard thread itself dies, the pool's supervisor
-//!   answers its in-flight request, drains its queued requests with
-//!   `class:"internal"` errors (serving continues from surviving
-//!   shards — a shard death never tears down the loop), and restarts
-//!   the shard with exponential backoff; a shard that keeps crashing is
-//!   retired and its streams reroute;
-//! * the **writer** turns pool completions back into response lines and
-//!   owns all latency/deadline accounting.
+//! * the **ingress loop** (`ingress`) reads lines bounded by
+//!   `--max-line-bytes` (an oversized line is answered `class:"parse"`
+//!   instead of growing the buffer), parses them, answers control lines
+//!   the mode rejects with `class:"control"`, validates the problem, and
+//!   hands the request to the mode's `Admission`;
+//! * the **answer path** (`Answers`) turns every outcome — solved,
+//!   failed with a class, expired in a queue, or shed at the door with
+//!   `{"status":"overloaded","retry_after_ms":…}` — into its response
+//!   line and all of its `aa_serve_*` accounting;
+//! * the **stream solver** ([`aa_core::StreamSolver`]) owns the tiered
+//!   solver and per-stream warm state in each shard thread and each
+//!   fleet worker process.
+//!
+//! Under `--shards`, admission submits to an [`aa_core::ShardPool`]:
+//! keyed requests route to a fixed shard by consistent hashing (so the
+//! stream's warm state stays hot), key-less ones to a cold queue any
+//! idle shard steals from, and a writer thread answers completions. The
+//! pool's supervisor sets the crash semantics: a panicking solve answers
+//! `class:"solve_panic"`; a dead shard answers its in-flight request
+//! `solve_panic`, drains its queue as `class:"internal"`, and restarts
+//! with backoff (or retires, rerouting its streams). A dead `--fleet`
+//! worker instead has its requests replayed (see [`crate::fleet`]).
 //!
 //! All accounting flows through an [`aa_obs::Registry`] (the
 //! `aa_serve_*` family, plus the pool's `aa_shard_*` / `aa_supervisor_*`
@@ -36,14 +38,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::DEFAULT_SLO_P99_MS;
 use aa_core::shard::{ChaosHook, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool};
 use aa_core::tiered::Tier;
-use aa_core::{SolveError, SubmitError};
+use aa_core::{Problem, SubmitError};
 use serde::{Deserialize, Serialize};
 
 use crate::{build_problem, CliError, ProblemFile};
@@ -246,39 +248,29 @@ impl std::fmt::Debug for ServeOpts {
     }
 }
 
-/// Reader-side bookkeeping for an admitted request, keyed by the job's
-/// pool sequence number until its completion arrives. Exactly-once at
-/// the serve layer: every entry is inserted before submit and removed by
-/// exactly one completion.
-struct Pending {
-    id: serde_json::Value,
-    deadline_ms: Option<u64>,
-    arrived: Instant,
-}
-
 /// Registry handles for one serve session. Every count the loop keeps
 /// lives in the metrics registry; [`ServeCounters`] is derived from
 /// these handles at EOF.
 pub(crate) struct ServeMetrics {
-    pub(crate) received: aa_obs::Counter,
-    pub(crate) solved: aa_obs::Counter,
-    pub(crate) shed: aa_obs::Counter,
-    pub(crate) expired_in_queue: aa_obs::Counter,
-    pub(crate) parse_errors: aa_obs::Counter,
-    pub(crate) solve_errors: aa_obs::Counter,
-    pub(crate) solve_panics: aa_obs::Counter,
-    pub(crate) internal_errors: aa_obs::Counter,
-    pub(crate) deadline_misses: aa_obs::Counter,
+    received: aa_obs::Counter,
+    solved: aa_obs::Counter,
+    shed: aa_obs::Counter,
+    expired_in_queue: aa_obs::Counter,
+    parse_errors: aa_obs::Counter,
+    solve_errors: aa_obs::Counter,
+    solve_panics: aa_obs::Counter,
+    internal_errors: aa_obs::Counter,
+    deadline_misses: aa_obs::Counter,
     /// End-to-end latency of `status: ok` responses.
-    pub(crate) latency: aa_obs::Histogram,
+    latency: aa_obs::Histogram,
     /// Solve wall time per answering tier
     /// (`aa_serve_tier_solve_micros{tier=…}`).
-    pub(crate) per_tier: Vec<(&'static str, aa_obs::Histogram)>,
+    per_tier: Vec<(&'static str, aa_obs::Histogram)>,
     /// End-to-end latency per response class
     /// (`aa_slo_e2e_micros{class=…}`).
-    pub(crate) per_class_e2e: Vec<(&'static str, aa_obs::Histogram)>,
+    per_class_e2e: Vec<(&'static str, aa_obs::Histogram)>,
     /// Burn-rate tracker against the p99 latency objective (`aa_slo_*`).
-    pub(crate) slo: aa_obs::SloTracker,
+    slo: aa_obs::SloTracker,
 }
 
 /// Response classes with end-to-end latency semantics; each gets a
@@ -287,7 +279,10 @@ const SLO_CLASSES: [&str; 8] =
     ["ok", "overloaded", "deadline", "solve", "solve_panic", "problem", "internal", "shutdown"];
 
 impl ServeMetrics {
-    pub(crate) fn with_slo_target(registry: &aa_obs::Registry, target_micros: u64) -> Self {
+    /// Register the session's handles; `slo_p99_ms` is the end-to-end
+    /// objective (`None`: [`DEFAULT_SLO_P99_MS`]).
+    pub(crate) fn new(registry: &aa_obs::Registry, slo_p99_ms: Option<u64>) -> Self {
+        let target_micros = slo_p99_ms.unwrap_or(DEFAULT_SLO_P99_MS).saturating_mul(1000);
         ServeMetrics {
             received: registry.counter("aa_serve_received_total"),
             solved: registry.counter("aa_serve_solved_total"),
@@ -319,20 +314,12 @@ impl ServeMetrics {
     /// Record one finished request against the SLO layer: the per-class
     /// end-to-end histogram plus the burn-rate tracker (only `ok`
     /// responses under the target count as good).
-    pub(crate) fn observe_e2e(&self, class: &str, latency_micros: u64) {
+    fn observe_e2e(&self, class: &str, latency_micros: u64) {
         let latency = latency_micros.max(1);
         if let Some((_, h)) = self.per_class_e2e.iter().find(|(n, _)| *n == class) {
             h.record_micros(latency);
         }
         self.slo.observe(latency, class == "ok");
-    }
-
-    pub(crate) fn tier(&self, name: &str) -> &aa_obs::Histogram {
-        self.per_tier
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, h)| h)
-            .expect("every ladder tier has a pre-registered histogram")
     }
 
     /// The EOF snapshot. Tiers that never answered are omitted, matching
@@ -369,6 +356,257 @@ impl ServeMetrics {
     }
 }
 
+/// An admitted request's identity and clock: everything its answer
+/// needs besides the outcome.
+pub(crate) struct Ticket {
+    pub(crate) id: serde_json::Value,
+    pub(crate) arrived: Instant,
+    pub(crate) deadline_ms: Option<u64>,
+}
+
+impl Ticket {
+    /// The absolute deadline, if the request has one.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.deadline_ms.map(|d| self.arrived + Duration::from_millis(d))
+    }
+}
+
+/// A parsed, validated request on its way to the mode's executor.
+pub(crate) struct Admit {
+    pub(crate) ticket: Ticket,
+    pub(crate) stream: Option<u64>,
+    pub(crate) problem: ProblemFile,
+}
+
+/// How one request ended.
+pub(crate) enum Outcome {
+    /// Solved. `routed` is the fleet's `(worker, attempts)`: when set,
+    /// the line gains `worker`, `attempts` and `solve_micros` fields.
+    Ok {
+        tier: String,
+        degraded: bool,
+        utility: f64,
+        server: Vec<usize>,
+        allocation: Vec<f64>,
+        solve_micros: u64,
+        routed: Option<(usize, u32)>,
+    },
+    /// Failed with a stable error class and its text.
+    Error { class: String, error: String },
+    /// The deadline lapsed before a solve started.
+    Expired(String),
+    /// Shed at admission; nothing was attempted.
+    Overloaded,
+}
+
+impl Outcome {
+    pub(crate) fn error(class: &str, error: impl Into<String>) -> Self {
+        Outcome::Error { class: class.to_string(), error: error.into() }
+    }
+}
+
+/// A fleet `ok` line: the [`ServeResponse::Ok`] fields plus `worker`,
+/// `attempts` and `solve_micros`, built in one pass.
+struct RoutedOk {
+    line: ServeResponse,
+    worker: usize,
+    attempts: u32,
+    solve_micros: u64,
+}
+
+impl Serialize for RoutedOk {
+    fn to_value(&self) -> serde::Value {
+        let mut v = self.line.to_value();
+        if let serde::Value::Obj(fields) = &mut v {
+            fields.push(("worker".to_string(), self.worker.to_value()));
+            fields.push(("attempts".to_string(), self.attempts.to_value()));
+            fields.push(("solve_micros".to_string(), self.solve_micros.to_value()));
+        }
+        v
+    }
+}
+
+/// The one answer path: writes each request's response line and does
+/// all of its [`ServeMetrics`] accounting.
+pub(crate) struct Answers<'a, W> {
+    pub(crate) out: &'a Mutex<W>,
+    pub(crate) metrics: &'a ServeMetrics,
+    /// Slack before a solved request counts as a deadline miss, ms.
+    pub(crate) grace_ms: u64,
+    /// Admission depth, for the overload retry hint.
+    pub(crate) queue: usize,
+}
+
+impl<W: Write> Answers<'_, W> {
+    /// Answer an admitted request: the response line, the per-class
+    /// counters, and the end-to-end latency the SLO layer tracks.
+    pub(crate) fn send(&self, ticket: Ticket, outcome: Outcome) -> std::io::Result<()> {
+        let latency_ms = ticket.arrived.elapsed().as_secs_f64() * 1e3;
+        // Floor at 1 µs so percentile snapshots of sub-microsecond
+        // responses stay nonzero.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let latency_micros = ((latency_ms * 1e3) as u64).max(1);
+        let m = self.metrics;
+        let id = ticket.id;
+        match outcome {
+            Outcome::Ok { tier, degraded, utility, server, allocation, solve_micros, routed } => {
+                m.solved.inc();
+                m.latency.record_micros(latency_micros);
+                m.observe_e2e("ok", latency_micros);
+                if let Some((_, h)) = m.per_tier.iter().find(|(n, _)| *n == tier) {
+                    h.record_micros(solve_micros.max(1));
+                }
+                #[allow(clippy::cast_precision_loss)]
+                if ticket.deadline_ms.is_some_and(|d| latency_ms > (d + self.grace_ms) as f64) {
+                    m.deadline_misses.inc();
+                }
+                let line =
+                    ServeResponse::Ok { id, tier, degraded, utility, server, allocation, latency_ms };
+                match routed {
+                    Some((worker, attempts)) => {
+                        self.write(&RoutedOk { line, worker, attempts, solve_micros })
+                    }
+                    None => self.write(&line),
+                }
+            }
+            Outcome::Overloaded => {
+                m.shed.inc();
+                m.observe_e2e("overloaded", latency_micros);
+                let retry_after_ms = estimated_drain_ms(m, self.queue);
+                self.write(&ServeResponse::Overloaded { id, retry_after_ms })
+            }
+            Outcome::Expired(error) => {
+                m.expired_in_queue.inc();
+                m.observe_e2e("deadline", latency_micros);
+                self.write(&ServeResponse::Error { id, class: "deadline".to_string(), error })
+            }
+            Outcome::Error { class, error } => {
+                m.observe_e2e(&class, latency_micros);
+                self.reject(id, &class, error)
+            }
+        }
+    }
+
+    /// Answer an error by class. Lines that were never admitted (parse,
+    /// control and problem errors) come here directly: counted, but
+    /// outside the end-to-end latency layer.
+    pub(crate) fn reject(&self, id: serde_json::Value, class: &str, error: String) -> std::io::Result<()> {
+        let m = self.metrics;
+        match class {
+            "parse" | "control" => m.parse_errors.inc(),
+            "problem" | "deadline" | "solve" => m.solve_errors.inc(),
+            "solve_panic" => {
+                m.solve_errors.inc();
+                m.solve_panics.inc();
+            }
+            // Fleet drain answers; counted by the fleet's own metrics.
+            "shutdown" => {}
+            _ => m.internal_errors.inc(),
+        }
+        self.write(&ServeResponse::Error { id, class: class.to_string(), error })
+    }
+
+    /// Write one JSON line — the only place response bytes are written.
+    pub(crate) fn write<T: Serialize>(&self, line: &T) -> std::io::Result<()> {
+        let line = serde_json::to_string(line).expect("responses always serialize");
+        let mut w = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        writeln!(w, "{line}")?;
+        w.flush()
+    }
+}
+
+/// A serving mode's half of the ingress loop.
+pub(crate) trait Admission {
+    /// Route one validated request to the executor. `Ok(false)` stops
+    /// reading (the executor is gone).
+    fn admit(&mut self, req: Admit, problem: Problem) -> std::io::Result<bool>;
+
+    /// Act on a `{"control":…}` line. `Err(why)` answers it with
+    /// `class:"control"`; `Ok(false)` stops reading.
+    fn control(&mut self, line: &serde_json::Value, id: &serde_json::Value) -> Result<bool, &'static str>;
+}
+
+/// The ingress loop both serving modes run on the calling thread:
+/// bounded read → UTF-8 check → JSON parse → control-line check →
+/// [`ServeRequest`] → problem validation → `admission`. Every line that
+/// does not reach admission is answered here. Returns at EOF.
+pub(crate) fn ingress<R: BufRead, W: Write>(
+    mut input: R,
+    max_line_bytes: usize,
+    default_deadline_ms: Option<u64>,
+    answers: &Answers<'_, W>,
+    admission: &mut impl Admission,
+) -> std::io::Result<()> {
+    let mut buf = Vec::new();
+    loop {
+        match read_bounded_line(&mut input, &mut buf, max_line_bytes)? {
+            LineRead::Eof => return Ok(()),
+            LineRead::Oversized => {
+                answers.metrics.received.inc();
+                let error = format!(
+                    "request line exceeds the {max_line_bytes} byte cap (--max-line-bytes)"
+                );
+                answers.reject(serde_json::Value::Null, "parse", error)?;
+                continue;
+            }
+            LineRead::Line => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "request stream is not valid UTF-8",
+            ));
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        answers.metrics.received.inc();
+        let value = match serde_json::from_str::<serde_json::Value>(line) {
+            Ok(v) => v,
+            Err(e) => {
+                answers.reject(serde_json::Value::Null, "parse", e.to_string())?;
+                continue;
+            }
+        };
+        if value.get("control").is_some() {
+            let id = value.get("id").cloned().unwrap_or(serde_json::Value::Null);
+            match admission.control(&value, &id) {
+                Ok(true) => {}
+                Ok(false) => return Ok(()),
+                Err(why) => answers.reject(id, "control", why.to_string())?,
+            }
+            continue;
+        }
+        let req = ServeRequest::from_value(&value);
+        // Free the parse tree before building the problem, as a direct
+        // parse into `ServeRequest` would.
+        drop(value);
+        let req = match req {
+            Ok(req) => req,
+            Err(e) => {
+                answers.reject(serde_json::Value::Null, "parse", e)?;
+                continue;
+            }
+        };
+        let problem = match build_problem(&req.problem) {
+            Ok(p) => p,
+            Err(e) => {
+                answers.reject(req.id, "problem", e.to_string())?;
+                continue;
+            }
+        };
+        let ticket = Ticket {
+            id: req.id,
+            arrived: Instant::now(),
+            deadline_ms: req.deadline_ms.or(default_deadline_ms),
+        };
+        let admit = Admit { ticket, stream: req.stream, problem: req.problem };
+        if !admission.admit(admit, problem)? {
+            return Ok(());
+        }
+    }
+}
+
 /// Run the request loop until `input` reaches EOF, then drain the pool
 /// (every admitted request still gets its one response) and return the
 /// session counters. Responses go to `output` one JSON object per line;
@@ -387,11 +625,12 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
     registry: &aa_obs::Registry,
 ) -> Result<ServeCounters, CliError> {
     let out = Mutex::new(output);
-    let metrics = ServeMetrics::with_slo_target(
-        registry,
-        opts.slo_p99_ms.unwrap_or(DEFAULT_SLO_P99_MS).saturating_mul(1000),
-    );
-    let pending: Mutex<HashMap<u64, Pending>> = Mutex::new(HashMap::new());
+    let metrics = ServeMetrics::new(registry, opts.slo_p99_ms);
+    let answers =
+        Answers { out: &out, metrics: &metrics, grace_ms: opts.grace_ms, queue: opts.queue };
+    // Exactly-once at the serve layer: every ticket is inserted before
+    // submit and removed by exactly one completion.
+    let pending: Mutex<HashMap<u64, Ticket>> = Mutex::new(HashMap::new());
     let (ctx, crx) = mpsc::channel::<ShardCompletion>();
     let pool = ShardPool::new(
         ShardConfig {
@@ -413,9 +652,30 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
     );
 
     let io_result = std::thread::scope(|s| {
-        let (out, metrics, pending) = (&out, &metrics, &pending);
-        let writer = s.spawn(move || writer_loop(crx, out, pending, metrics, opts));
-        let read_result = reader_loop(input, &pool, out, pending, metrics, opts);
+        let (answers, pending) = (&answers, &pending);
+        let writer = s.spawn(move || {
+            for c in crx {
+                // Exactly-once is enforced by the pool; an unknown seq
+                // would mean a duplicate completion. Don't answer it twice.
+                let Some(t) = pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&c.seq)
+                else {
+                    continue;
+                };
+                if write_completion(answers, c, t).is_err() {
+                    // Output pipe is gone: stop writing. The pool keeps
+                    // draining into the dead channel and run_serve
+                    // returns the error after shutdown.
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::BrokenPipe,
+                        "response pipe closed",
+                    ));
+                }
+            }
+            Ok(())
+        });
+        let mut admission = PoolAdmission { pool: &pool, pending, answers, seq: 0 };
+        let read_result =
+            ingress(input, opts.max_line_bytes, opts.default_deadline_ms, answers, &mut admission);
         // EOF (or a dead output pipe): draining the pool completes every
         // admitted job, and dropping it closes the completion channel so
         // the writer exits after the last response.
@@ -427,8 +687,46 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
     Ok(metrics.snapshot())
 }
 
+/// `--shards` admission: submit to the pool, answering rejected submits
+/// on the spot.
+struct PoolAdmission<'a, W> {
+    pool: &'a ShardPool,
+    pending: &'a Mutex<HashMap<u64, Ticket>>,
+    answers: &'a Answers<'a, W>,
+    seq: u64,
+}
+
+impl<W: Write> Admission for PoolAdmission<'_, W> {
+    fn admit(&mut self, req: Admit, problem: Problem) -> std::io::Result<bool> {
+        let seq = self.seq;
+        self.seq += 1;
+        let t = req.ticket;
+        let (stream, deadline, arrived) = (req.stream, t.deadline(), t.arrived);
+        let job = ShardJob { seq, stream, problem, deadline, arrived };
+        // Insert before submit: a fast shard may complete before this
+        // thread runs again, and the writer must find the entry.
+        let ticket = Ticket { id: t.id.clone(), ..t };
+        self.pending.lock().unwrap_or_else(|e| e.into_inner()).insert(seq, ticket);
+        if let Err(e) = self.pool.submit(job) {
+            self.pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&seq);
+            let outcome = match e {
+                SubmitError::QueueFull { .. } => Outcome::Overloaded,
+                SubmitError::NoLiveShards | SubmitError::ShuttingDown => {
+                    Outcome::error("internal", e.to_string())
+                }
+            };
+            self.answers.send(t, outcome)?;
+        }
+        Ok(true)
+    }
+
+    fn control(&mut self, _: &serde_json::Value, _: &serde_json::Value) -> Result<bool, &'static str> {
+        Err("unsupported control line; --shards takes none (resize needs --fleet)")
+    }
+}
+
 /// Outcome of one bounded line read.
-pub(crate) enum LineRead {
+enum LineRead {
     /// End of input.
     Eof,
     /// A complete line is in the buffer (trailing newline stripped).
@@ -441,7 +739,7 @@ pub(crate) enum LineRead {
 /// Read one `\n`-terminated line into `buf`, never buffering more than
 /// `max + 1` bytes of it. The overflow tail is consumed (discarded) so
 /// the reader stays line-synchronized for the next request.
-pub(crate) fn read_bounded_line<R: BufRead>(
+fn read_bounded_line<R: BufRead>(
     input: &mut R,
     buf: &mut Vec<u8>,
     max: usize,
@@ -482,120 +780,6 @@ pub(crate) fn read_bounded_line<R: BufRead>(
     Ok(LineRead::Oversized)
 }
 
-fn reader_loop<R: BufRead, W: Write>(
-    mut input: R,
-    pool: &ShardPool,
-    out: &Mutex<W>,
-    pending: &Mutex<HashMap<u64, Pending>>,
-    metrics: &ServeMetrics,
-    opts: &ServeOpts,
-) -> std::io::Result<()> {
-    let mut buf = Vec::new();
-    let mut seq = 0u64;
-    loop {
-        match read_bounded_line(&mut input, &mut buf, opts.max_line_bytes)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::Oversized => {
-                metrics.received.inc();
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: format!(
-                            "request line exceeds the {} byte cap (--max-line-bytes)",
-                            opts.max_line_bytes
-                        ),
-                    },
-                )?;
-                continue;
-            }
-            LineRead::Line => {}
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request stream is not valid UTF-8",
-            ));
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        metrics.received.inc();
-        let req = match serde_json::from_str::<ServeRequest>(line) {
-            Err(e) => {
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: e.to_string(),
-                    },
-                )?;
-                continue;
-            }
-            Ok(req) => req,
-        };
-        let id = req.id.clone();
-        let problem = match build_problem(&req.problem) {
-            Ok(p) => p,
-            Err(e) => {
-                metrics.solve_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id,
-                        class: "problem".to_string(),
-                        error: e.to_string(),
-                    },
-                )?;
-                continue;
-            }
-        };
-        let deadline_ms = req.deadline_ms.or(opts.default_deadline_ms);
-        let arrived = Instant::now();
-        let deadline = deadline_ms.map(|d| arrived + Duration::from_millis(d));
-        // Insert before submit: a fast shard may complete before this
-        // thread runs again, and the writer must find the entry.
-        pending.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            seq,
-            Pending { id: id.clone(), deadline_ms, arrived },
-        );
-        let job = ShardJob { seq, stream: req.stream, problem, deadline, arrived };
-        match pool.submit(job) {
-            Ok(()) => {}
-            Err(e) => {
-                pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&seq);
-                #[allow(clippy::cast_possible_truncation)]
-                let waited_micros = (arrived.elapsed().as_micros() as u64).max(1);
-                match e {
-                    SubmitError::QueueFull { .. } => {
-                        metrics.shed.inc();
-                        metrics.observe_e2e("overloaded", waited_micros);
-                        let retry_after_ms = estimated_drain_ms(metrics, opts.queue);
-                        respond(out, &ServeResponse::Overloaded { id, retry_after_ms })?;
-                    }
-                    SubmitError::NoLiveShards | SubmitError::ShuttingDown => {
-                        metrics.internal_errors.inc();
-                        metrics.observe_e2e("internal", waited_micros);
-                        respond(
-                            out,
-                            &ServeResponse::Error {
-                                id,
-                                class: "internal".to_string(),
-                                error: e.to_string(),
-                            },
-                        )?;
-                    }
-                }
-            }
-        }
-        seq += 1;
-    }
-}
-
 /// Backoff hint for a shed request: queue depth × the mean solve time
 /// observed so far. Pure so its invariants are property-tested: the
 /// hint is monotone (non-decreasing) in queue depth and strictly
@@ -607,7 +791,7 @@ pub fn drain_hint_ms(answered: u64, total_micros: u64, queue: usize) -> u64 {
 }
 
 /// [`drain_hint_ms`] fed from the per-tier histograms.
-pub(crate) fn estimated_drain_ms(metrics: &ServeMetrics, queue: usize) -> u64 {
+fn estimated_drain_ms(metrics: &ServeMetrics, queue: usize) -> u64 {
     let (answered, micros) = metrics
         .per_tier
         .iter()
@@ -615,144 +799,37 @@ pub(crate) fn estimated_drain_ms(metrics: &ServeMetrics, queue: usize) -> u64 {
     drain_hint_ms(answered, micros, queue)
 }
 
-fn writer_loop<W: Write>(
-    crx: Receiver<ShardCompletion>,
-    out: &Mutex<W>,
-    pending: &Mutex<HashMap<u64, Pending>>,
-    metrics: &ServeMetrics,
-    opts: &ServeOpts,
-) -> std::io::Result<()> {
-    while let Ok(completion) = crx.recv() {
-        let Some(p) = pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&completion.seq)
-        else {
-            // Exactly-once is enforced by the pool; an unknown seq would
-            // mean a duplicate completion. Don't answer it twice.
-            continue;
-        };
-        if write_completion(completion, p, out, metrics, opts).is_err() {
-            // Output pipe is gone: stop writing. The pool keeps
-            // draining into the dead channel and run_serve returns the
-            // error after shutdown.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "response pipe closed",
-            ));
-        }
-    }
-    Ok(())
-}
-
+/// Map one pool completion onto the shared answer path.
 fn write_completion<W: Write>(
-    completion: ShardCompletion,
-    p: Pending,
-    out: &Mutex<W>,
-    metrics: &ServeMetrics,
-    opts: &ServeOpts,
+    answers: &Answers<'_, W>,
+    c: ShardCompletion,
+    ticket: Ticket,
 ) -> std::io::Result<()> {
-    let id = p.id;
-    let latency_ms = p.arrived.elapsed().as_secs_f64() * 1e3;
-    // Floor at 1 µs so percentile snapshots of sub-microsecond
-    // responses stay nonzero.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let latency_micros = ((latency_ms * 1e3) as u64).max(1);
-    match completion.outcome {
-        Ok(solved) => {
-            metrics.solved.inc();
-            metrics.latency.record_micros(latency_micros);
-            metrics.observe_e2e("ok", latency_micros);
-            metrics
-                .tier(solved.degradation.tier.name())
-                .record_micros(completion.solve_micros.max(1));
-            if let Some(d) = p.deadline_ms {
-                if latency_ms > (d + opts.grace_ms) as f64 {
-                    metrics.deadline_misses.inc();
-                }
-            }
-            respond(
-                out,
-                &ServeResponse::Ok {
-                    id,
-                    tier: solved.degradation.tier.name().to_string(),
-                    degraded: solved.degradation.degraded,
-                    utility: solved.utility,
-                    server: solved.assignment.server,
-                    allocation: solved.assignment.amount,
-                    latency_ms,
-                },
-            )
-        }
-        Err(ShardError::Expired) => {
-            metrics.expired_in_queue.inc();
-            metrics.observe_e2e("deadline", latency_micros);
-            let d = p.deadline_ms.unwrap_or(0);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: "deadline".to_string(),
-                    error: format!(
-                        "deadline ({d} ms) expired after {:.1} ms in queue",
-                        completion.waited_micros as f64 / 1e3
-                    ),
-                },
-            )
-        }
-        Err(ShardError::Solve(e)) => {
-            metrics.solve_errors.inc();
-            let class = match &e {
-                SolveError::Panicked(_) => {
-                    metrics.solve_panics.inc();
-                    "solve_panic"
-                }
-                SolveError::DeadlineExceeded | SolveError::Cancelled => "deadline",
-                _ => "solve",
+    let outcome = match c.outcome {
+        Ok(s) => Outcome::Ok {
+            tier: s.degradation.tier.name().to_string(),
+            degraded: s.degradation.degraded,
+            utility: s.utility,
+            server: s.assignment.server,
+            allocation: s.assignment.amount,
+            solve_micros: c.solve_micros,
+            routed: None,
+        },
+        Err(ShardError::Expired) => Outcome::Expired(format!(
+            "deadline ({} ms) expired after {:.1} ms in queue",
+            ticket.deadline_ms.unwrap_or(0),
+            c.waited_micros as f64 / 1e3
+        )),
+        Err(e) => {
+            let hint = match e {
+                ShardError::Crashed => "; the shard is restarting",
+                ShardError::Drained => "; safe to retry",
+                _ => "",
             };
-            metrics.observe_e2e(class, latency_micros);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: class.to_string(),
-                    error: e.to_string(),
-                },
-            )
+            Outcome::error(e.class(), format!("{e}{hint}"))
         }
-        Err(e @ ShardError::Crashed) => {
-            metrics.solve_errors.inc();
-            metrics.solve_panics.inc();
-            metrics.observe_e2e("solve_panic", latency_micros);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: "solve_panic".to_string(),
-                    error: format!("{e}; the shard is restarting"),
-                },
-            )
-        }
-        Err(e @ ShardError::Drained) => {
-            metrics.internal_errors.inc();
-            metrics.observe_e2e("internal", latency_micros);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: "internal".to_string(),
-                    error: format!("{e}; safe to retry"),
-                },
-            )
-        }
-    }
-}
-
-pub(crate) fn respond<W: Write>(out: &Mutex<W>, response: &ServeResponse) -> std::io::Result<()> {
-    let line = serde_json::to_string(response).expect("responses always serialize");
-    let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-    writeln!(w, "{line}")?;
-    w.flush()
+    };
+    answers.send(ticket, outcome)
 }
 
 #[cfg(test)]

@@ -2,16 +2,15 @@
 //!
 //! A worker is the same binary as the front-end, re-executed with the
 //! internal `serve-worker` subcommand. It speaks the [`crate::proto`]
-//! frame protocol on stdin/stdout and solves with its own
-//! [`TieredSolver`] and warm-state map — the process-level analogue of
-//! one shard thread in [`aa_core::shard`], with the same structure:
+//! frame protocol on stdin/stdout and solves with the same
+//! [`StreamSolver`] a shard thread in [`aa_core::shard`] runs — the
+//! process-level analogue of one shard, with the same structure:
 //!
 //! * a **reader thread** pulls frames off stdin, answering heartbeat
 //!   pings immediately (even mid-solve) and queueing solve requests;
-//! * the **solve loop** pops requests FIFO, charges per-request budgets
-//!   from worker arrival time, runs every solve behind the tiered
-//!   solver's `catch_unwind` boundary, and keeps per-stream
-//!   [`WarmState`](aa_core::WarmState) with FIFO eviction;
+//! * the **solve loop** pops requests FIFO and solves each through the
+//!   stream solver: budget from worker arrival time, `catch_unwind`
+//!   boundary, per-stream warm state with FIFO eviction;
 //! * on stdin **EOF** the worker drains: it keeps solving what it
 //!   already holds for up to `drain_timeout_ms`, answers the remainder
 //!   with retryable `class:"shutdown"` errors, and exits 0.
@@ -21,7 +20,7 @@
 //! counter persists across incarnations and a scheduled storm fires
 //! each fault exactly once, deterministically.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -29,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use aa_core::fleet::{read_frame, write_frame, MAX_FRAME_BYTES};
 use aa_core::tiered::Tier;
-use aa_core::{Budget, SolveError, TieredSolver, WarmState};
+use aa_core::{ShardError, SolveError, StreamSolver};
 use aa_obs::trace::SpanGuard;
 use aa_obs::Collector;
 use aa_sim::ProcessFault;
@@ -223,13 +222,12 @@ fn solve_loop<W: Write>(
     opts: &WorkerOpts,
     epoch: Instant,
 ) -> std::io::Result<()> {
-    let solver = match &opts.ladder {
-        Some(ladder) => TieredSolver::with_ladder(ladder.clone()),
-        None => TieredSolver::new(),
-    }
-    .breaker(opts.breaker_threshold, opts.breaker_cooldown);
-    let mut warm: HashMap<Option<u64>, WarmState> = HashMap::new();
-    let mut warm_order: VecDeque<Option<u64>> = VecDeque::new();
+    let mut streams = StreamSolver::new(
+        opts.ladder.clone(),
+        opts.breaker_threshold,
+        opts.breaker_cooldown,
+        opts.max_streams,
+    );
     let mut solve_seq = 0u64;
     let mut obs = WorkerObsState::new(opts.trace_spans);
 
@@ -288,19 +286,11 @@ fn solve_loop<W: Write>(
             }
         }
 
-        let started = Instant::now();
-        let result = if req.deadline.is_some_and(|d| started >= d) {
-            WorkerResult::Err {
-                class: "deadline".to_string(),
-                error: "budget expired while queued in worker".to_string(),
-                solve_micros: 0,
-                queue_expired: true,
-            }
-        } else {
+        let result = {
             // The guard must drop before `ship` so the solve root (and
             // the pipeline spans nested under it) are in the buffer.
             let _root = obs.enter_solve(req.trace);
-            solve_one(&solver, &mut warm, &mut warm_order, opts, shared, &req, started)
+            solve_one(&mut streams, shared, &req)
         };
         obs.observe(&result);
         send(out, &FromWorker::Resp { seq: req.seq, result })?;
@@ -431,40 +421,16 @@ fn inject<W: Write>(fault: ProcessFault, out: &Mutex<W>, shared: &Shared, epoch:
     }
 }
 
-fn solve_one(
-    solver: &TieredSolver,
-    warm: &mut HashMap<Option<u64>, WarmState>,
-    warm_order: &mut VecDeque<Option<u64>>,
-    opts: &WorkerOpts,
-    shared: &Shared,
-    req: &QueuedReq,
-    started: Instant,
-) -> WorkerResult {
+fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> WorkerResult {
+    let started = Instant::now();
+    let err = |class: &str, error: String, solve_micros: u64, queue_expired: bool| {
+        WorkerResult::Err { class: class.to_string(), error, solve_micros, queue_expired }
+    };
     let problem = match build_problem(&req.problem) {
         Ok(p) => p,
-        Err(e) => {
-            return WorkerResult::Err {
-                class: "problem".to_string(),
-                error: e.to_string(),
-                solve_micros: started.elapsed().as_micros() as u64,
-                queue_expired: false,
-            }
-        }
+        Err(e) => return err("problem", e.to_string(), started.elapsed().as_micros() as u64, false),
     };
-    let budget = match req.deadline {
-        Some(d) => Budget::with_deadline(d.saturating_duration_since(started)),
-        None => Budget::unlimited(),
-    };
-    if warm.len() >= opts.max_streams.max(1) && !warm.contains_key(&req.stream) {
-        if let Some(old) = warm_order.pop_front() {
-            warm.remove(&old);
-        }
-    }
-    let state = warm.entry(req.stream).or_insert_with(|| {
-        warm_order.push_back(req.stream);
-        WarmState::new()
-    });
-    match solver.try_solve_within_caught(&problem, &budget, Some(state)) {
+    match streams.solve(req.stream, &problem, req.deadline, started, None) {
         Ok(solved) => {
             shared.solves.fetch_add(1, Ordering::AcqRel);
             WorkerResult::Ok {
@@ -476,21 +442,14 @@ fn solve_one(
                 solve_micros: started.elapsed().as_micros() as u64,
             }
         }
-        Err(err) => {
-            let class = match &err {
-                SolveError::Panicked(_) => {
-                    shared.solve_panics.fetch_add(1, Ordering::AcqRel);
-                    "solve_panic"
-                }
-                SolveError::DeadlineExceeded | SolveError::Cancelled => "deadline",
-                _ => "solve",
-            };
-            WorkerResult::Err {
-                class: class.to_string(),
-                error: err.to_string(),
-                solve_micros: started.elapsed().as_micros() as u64,
-                queue_expired: false,
+        Err(ShardError::Expired) => {
+            err("deadline", "budget expired while queued in worker".to_string(), 0, true)
+        }
+        Err(e) => {
+            if matches!(e, ShardError::Solve(SolveError::Panicked(_))) {
+                shared.solve_panics.fetch_add(1, Ordering::AcqRel);
             }
+            err(e.class(), e.to_string(), started.elapsed().as_micros() as u64, false)
         }
     }
 }

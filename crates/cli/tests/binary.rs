@@ -804,6 +804,71 @@ fn serve_with_shards_answers_keyed_streams() {
     assert!(err.contains("serve: received=8"), "missing summary: {err}");
 }
 
+/// Run `aa-solve serve <mode…>` over `input`, returning the exit status
+/// and the response lines.
+fn serve_lines(mode: &[&str], input: String) -> (std::process::Output, Vec<serde_json::Value>) {
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    let mut child = bin()
+        .arg("serve")
+        .args(mode)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        stdin.write_all(input.as_bytes()).unwrap();
+    });
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap();
+    let responses = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    (out, responses)
+}
+
+#[test]
+fn serve_answers_a_deeply_nested_line_with_a_parse_error_in_every_mode() {
+    // 200 KB of `[` is well under the 1 MiB line cap; without a nesting
+    // limit the parser's recursion overflows the stack and aborts.
+    let input = format!("{}\n{}\n", "[".repeat(200 * 1024), serve_request(1, None, 4));
+    for mode in [&[][..], &["--shards", "2"], &["--fleet", "2"]] {
+        let (out, responses) = serve_lines(mode, input.clone());
+        assert!(out.status.success(), "{mode:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(responses.len(), 2, "{mode:?}: {responses:?}");
+        let parse = responses.iter().find(|r| r["status"] == "error").unwrap();
+        assert_eq!(parse["class"], "parse", "{mode:?}: {parse:?}");
+        assert_eq!(parse["id"], serde_json::Value::Null);
+        assert!(
+            responses.iter().any(|r| r["status"] == "ok" && r["id"].as_u64() == Some(1)),
+            "{mode:?}: {responses:?}"
+        );
+    }
+}
+
+#[test]
+fn shards_answer_control_lines_with_the_control_class() {
+    let input = format!(
+        "{}\n{}\n",
+        r#"{"control":"resize","fleet":3,"id":9}"#,
+        serve_request(1, None, 4)
+    );
+    let (out, responses) = serve_lines(&["--shards", "2"], input);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    let control = responses.iter().find(|r| r["id"].as_u64() == Some(9)).unwrap();
+    assert_eq!(control["status"], "error", "{control:?}");
+    assert_eq!(control["class"], "control", "{control:?}");
+    assert!(
+        responses.iter().any(|r| r["status"] == "ok" && r["id"].as_u64() == Some(1)),
+        "{responses:?}"
+    );
+}
+
 #[test]
 fn metrics_addr_bind_failure_exits_8() {
     // Occupy a port, then ask serve to bind it: the distinct exit code

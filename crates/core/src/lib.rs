@@ -74,7 +74,7 @@ pub use problem::{Assignment, AssignmentError, Problem, ProblemBuilder, ProblemE
 pub use ring::Ring;
 pub use shard::{
     ChaosHook, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
-    SubmitError,
+    StreamSolver, SubmitError,
 };
 pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver, SolverBackend};
 pub use tiered::{Degradation, Tier, TierOutcome, TierStatus, TieredSolve, TieredSolver};

@@ -1,8 +1,9 @@
 //! Supervised worker-shard pool for the serving tier.
 //!
 //! The pool runs `N` worker threads ("shards"), each owning a
-//! [`TieredSolver`] and a per-stream [`WarmState`] map. Requests carry an
-//! optional *stream id*; keyed requests are routed to a shard by a
+//! [`StreamSolver`] — a [`TieredSolver`] plus a per-stream [`WarmState`]
+//! map, the same solve state every fleet worker process runs. Requests
+//! carry an optional *stream id*; keyed requests are routed to a shard by a
 //! consistent-hash ring (so a stream's warm state stays on one shard),
 //! while key-less "cold" requests land on a shared steal queue that any
 //! idle shard drains.
@@ -40,7 +41,6 @@
 //! matter how threads interleave.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -206,6 +206,90 @@ impl std::fmt::Display for ShardError {
 }
 
 impl std::error::Error for ShardError {}
+
+impl ShardError {
+    /// The stable wire class a serve answer carries for this error — the
+    /// one `SolveError` → class map both serving modes use.
+    pub fn class(&self) -> &'static str {
+        match self {
+            ShardError::Solve(SolveError::Panicked(_)) | ShardError::Crashed => "solve_panic",
+            ShardError::Solve(SolveError::DeadlineExceeded | SolveError::Cancelled)
+            | ShardError::Expired => "deadline",
+            ShardError::Solve(_) => "solve",
+            ShardError::Drained => "internal",
+        }
+    }
+}
+
+/// One executor's solve state, shared by shard threads and fleet worker
+/// processes: a [`TieredSolver`] plus the per-stream [`WarmState`] map
+/// (FIFO eviction beyond `max_streams`; key-less requests share the
+/// `None` entry).
+pub struct StreamSolver {
+    solver: TieredSolver,
+    warm: HashMap<Option<u64>, WarmState>,
+    order: VecDeque<Option<u64>>,
+    max_streams: usize,
+}
+
+impl StreamSolver {
+    /// A fresh solver over `ladder` (`None`: the full default ladder)
+    /// with the given tier-breaker settings and warm-stream cap.
+    pub fn new(
+        ladder: Option<Vec<crate::tiered::Tier>>,
+        breaker_threshold: u32,
+        breaker_cooldown: u64,
+        max_streams: usize,
+    ) -> Self {
+        let solver = match ladder {
+            Some(ladder) => TieredSolver::with_ladder(ladder),
+            None => TieredSolver::new(),
+        }
+        .breaker(breaker_threshold, breaker_cooldown);
+        StreamSolver { solver, warm: HashMap::new(), order: VecDeque::new(), max_streams }
+    }
+
+    /// Solve one request on `stream`'s warm state, behind the tiered
+    /// solver's `catch_unwind` boundary. A `deadline` already past at
+    /// `started` answers [`ShardError::Expired`] without solving; a live
+    /// one becomes the solve's budget. `inject_panic` (chaos only) panics
+    /// with that message inside the caught region instead of solving.
+    pub fn solve(
+        &mut self,
+        stream: Option<u64>,
+        problem: &Problem,
+        deadline: Option<Instant>,
+        started: Instant,
+        inject_panic: Option<String>,
+    ) -> Result<TieredSolve, ShardError> {
+        let budget = match deadline {
+            Some(d) if started >= d => return Err(ShardError::Expired),
+            Some(d) => Budget::with_deadline(d - started),
+            None => Budget::unlimited(),
+        };
+        if self.warm.len() >= self.max_streams.max(1) && !self.warm.contains_key(&stream) {
+            if let Some(old) = self.order.pop_front() {
+                self.warm.remove(&old);
+            }
+        }
+        let order = &mut self.order;
+        let state = self.warm.entry(stream).or_insert_with(|| {
+            order.push_back(stream);
+            WarmState::new()
+        });
+        match inject_panic {
+            Some(msg) => std::panic::catch_unwind(|| -> Result<TieredSolve, SolveError> {
+                std::panic::panic_any(msg)
+            })
+            .unwrap_or_else(|payload| {
+                state.invalidate();
+                Err(SolveError::Panicked(panic_message(payload.as_ref())))
+            }),
+            None => self.solver.try_solve_within_caught(problem, &budget, Some(state)),
+        }
+        .map_err(ShardError::Solve)
+    }
+}
 
 /// Why [`ShardPool::submit`] rejected a job (the job was *not* admitted;
 /// no completion will be delivered).
@@ -539,16 +623,6 @@ impl ShardPool {
         self.inner.route(stream)
     }
 
-    /// Queued jobs on each shard (diagnostics; racy by nature).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.inner.shards.iter().map(|s| s.queue.len()).collect()
-    }
-
-    /// Depth of the shared cold queue.
-    pub fn cold_depth(&self) -> usize {
-        self.inner.cold.len()
-    }
-
     /// Restart count per shard.
     pub fn restarts(&self) -> Vec<u32> {
         self.inner
@@ -601,13 +675,13 @@ fn spawn_worker(inner: &Arc<PoolInner>, shard: usize) {
 fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
     // Fresh per incarnation: tier breakers and warm state reset on
     // restart, so a restarted shard cold-solves its way back to warmth.
-    let solver = match &inner.cfg.ladder {
-        Some(ladder) => TieredSolver::with_ladder(ladder.clone()),
-        None => TieredSolver::new(),
-    }
-    .breaker(inner.cfg.breaker_threshold, inner.cfg.breaker_cooldown);
-    let mut warm: HashMap<Option<u64>, WarmState> = HashMap::new();
-    let mut warm_order: VecDeque<Option<u64>> = VecDeque::new();
+    let cfg = &inner.cfg;
+    let mut streams = StreamSolver::new(
+        cfg.ladder.clone(),
+        cfg.breaker_threshold,
+        cfg.breaker_cooldown,
+        cfg.max_streams,
+    );
     loop {
         let popped = loop {
             if let Some(job) = me.queue.try_pop() {
@@ -637,11 +711,13 @@ fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
             });
         }
         let solve_seq = me.solve_seq.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut inject_panic = false;
-        if let Some(chaos) = &inner.cfg.chaos {
+        let mut inject_panic = None;
+        if let Some(chaos) = &cfg.chaos {
             match chaos(me.index, solve_seq) {
                 FaultAction::None => {}
-                FaultAction::PanicSolve => inject_panic = true,
+                FaultAction::PanicSolve => {
+                    inject_panic = Some(format!("chaos: injected solve panic on shard {}", me.index));
+                }
                 FaultAction::Stall(d) => std::thread::sleep(d),
                 FaultAction::KillShard => {
                     // In-flight slot stays populated: the supervisor
@@ -655,43 +731,13 @@ fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
         }
         let started = Instant::now();
         let waited = started.duration_since(job.arrived);
-        let outcome = if job.deadline.is_some_and(|d| started >= d) {
-            me.metrics.expired.inc();
-            Err(ShardError::Expired)
-        } else {
-            let budget = match job.deadline {
-                Some(d) => Budget::with_deadline(d - started),
-                None => Budget::unlimited(),
-            };
-            if warm.len() >= inner.cfg.max_streams.max(1) && !warm.contains_key(&job.stream) {
-                if let Some(old) = warm_order.pop_front() {
-                    warm.remove(&old);
-                }
-            }
-            let state = warm.entry(job.stream).or_insert_with(|| {
-                warm_order.push_back(job.stream);
-                WarmState::new()
-            });
-            let solved = if inject_panic {
-                std::panic::catch_unwind(AssertUnwindSafe(
-                    || -> Result<TieredSolve, SolveError> {
-                        panic!("chaos: injected solve panic on shard {}", me.index)
-                    },
-                ))
-                .unwrap_or_else(|payload| {
-                    state.invalidate();
-                    Err(SolveError::Panicked(panic_message(payload.as_ref())))
-                })
-            } else {
-                solver.try_solve_within_caught(&job.problem, &budget, Some(state))
-            };
-            match &solved {
-                Ok(_) => me.metrics.solves.inc(),
-                Err(SolveError::Panicked(_)) => me.metrics.panics.inc(),
-                Err(_) => {}
-            }
-            solved.map_err(ShardError::Solve)
-        };
+        let outcome = streams.solve(job.stream, &job.problem, job.deadline, started, inject_panic);
+        match &outcome {
+            Ok(_) => me.metrics.solves.inc(),
+            Err(ShardError::Expired) => me.metrics.expired.inc(),
+            Err(ShardError::Solve(SolveError::Panicked(_))) => me.metrics.panics.inc(),
+            Err(_) => {}
+        }
         let completion = ShardCompletion {
             seq: job.seq,
             stream: job.stream,
@@ -775,7 +821,7 @@ fn supervisor_loop(inner: Arc<PoolInner>) {
         if shutting && idle {
             // Workers normally drain the cold queue on the way out; jobs
             // are left behind only if every worker died first.
-            drain_cold(&inner, 0);
+            drain(&inner, &inner.cold, &inner.cold_depth, 0);
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -785,10 +831,7 @@ fn supervisor_loop(inner: Arc<PoolInner>) {
 /// Deliver a [`ShardError::Crashed`] completion for the job the dead
 /// worker had in flight, if any.
 fn answer_inflight(inner: &Arc<PoolInner>, shard: &ShardState) {
-    let meta = {
-        let mut slot = shard.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        slot.take()
-    };
+    let meta = shard.inflight.lock().unwrap_or_else(|e| e.into_inner()).take();
     if let Some(m) = meta {
         inner.sup_crash_answers.inc();
         (inner.complete)(ShardCompletion {
@@ -803,26 +846,10 @@ fn answer_inflight(inner: &Arc<PoolInner>, shard: &ShardState) {
     }
 }
 
-/// Answer everything queued on a dead or retiring shard with
-/// [`ShardError::Drained`].
-fn drain_queue(inner: &Arc<PoolInner>, shard: &ShardState) {
-    for job in shard.queue.drain_all() {
-        inner.sup_drained.inc();
-        (inner.complete)(ShardCompletion {
-            seq: job.seq,
-            stream: job.stream,
-            shard: shard.index,
-            stolen: false,
-            waited_micros: job.arrived.elapsed().as_micros() as u64,
-            solve_micros: 0,
-            outcome: Err(ShardError::Drained),
-        });
-    }
-    shard.metrics.queue_depth.set(shard.queue.len() as f64);
-}
-
-fn drain_cold(inner: &Arc<PoolInner>, blame: usize) {
-    for job in inner.cold.drain_all() {
+/// Answer everything in `queue` with [`ShardError::Drained`], blamed on
+/// `blame`, and zero its depth gauge.
+fn drain(inner: &PoolInner, queue: &JobQueue, depth: &Gauge, blame: usize) {
+    for job in queue.drain_all() {
         inner.sup_drained.inc();
         (inner.complete)(ShardCompletion {
             seq: job.seq,
@@ -834,7 +861,12 @@ fn drain_cold(inner: &Arc<PoolInner>, blame: usize) {
             outcome: Err(ShardError::Drained),
         });
     }
-    inner.cold_depth.set(inner.cold.len() as f64);
+    depth.set(queue.len() as f64);
+}
+
+/// Answer everything queued on a dead or retiring shard.
+fn drain_queue(inner: &Arc<PoolInner>, shard: &ShardState) {
+    drain(inner, &shard.queue, &shard.metrics.queue_depth, shard.index);
 }
 
 /// Trip the shard's breaker: stop routing to it, reject queued submits,
@@ -847,7 +879,7 @@ fn retire(inner: &Arc<PoolInner>, shard: &ShardState) {
     drain_queue(inner, shard);
     if inner.live_count() == 0 {
         inner.cold.close();
-        drain_cold(inner, shard.index);
+        drain(inner, &inner.cold, &inner.cold_depth, shard.index);
     }
 }
 
@@ -924,6 +956,32 @@ mod tests {
         let out = f();
         std::panic::set_hook(prev);
         out
+    }
+
+    #[test]
+    fn stream_solver_evicts_the_oldest_stream_at_max_streams() {
+        use crate::incremental::SolveMode;
+        use crate::tiered::Tier;
+
+        let mut streams = StreamSolver::new(Some(vec![Tier::Algo2, Tier::Uu]), 3, 64, 2);
+        let problems: Vec<Problem> = (0..3).map(|k| mixed_problem(2, 6, k)).collect();
+        let solve = |streams: &mut StreamSolver, s: u64| {
+            let solved = streams
+                .solve(Some(s), &problems[s as usize], None, Instant::now(), None)
+                .expect("healthy solve");
+            assert!(streams.warm.len() <= 2, "cap exceeded");
+            (streams.warm[&Some(s)].last_stats().mode, solved.utility.to_bits())
+        };
+        let (mode, cold0) = solve(&mut streams, 0);
+        assert_eq!(mode, SolveMode::Cold);
+        assert_eq!(solve(&mut streams, 1).0, SolveMode::Cold);
+        assert_eq!(solve(&mut streams, 0), (SolveMode::Identical, cold0), "retained stays warm");
+        // A third stream evicts the oldest (stream 0, FIFO by first use).
+        assert_eq!(solve(&mut streams, 2).0, SolveMode::Cold);
+        assert!(!streams.warm.contains_key(&Some(0)));
+        assert_eq!(solve(&mut streams, 1).0, SolveMode::Identical, "retained stays warm");
+        // The evicted stream starts over from a fresh warm state.
+        assert_eq!(solve(&mut streams, 0), (SolveMode::Cold, cold0), "evicted rebuilds cold");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod perf;
 pub mod trace;
 
 pub use chaos::{
-    analyze_fleet, run_chaos, run_load, ChaosConfig, ChaosReport, FleetChaosConfig,
+    analyze_fleet, balanced_keys, run_chaos, run_load, ChaosConfig, ChaosReport, FleetChaosConfig,
     FleetChaosReport, FleetObservation, FleetObservations, LoadConfig, LoadReport,
     ProcessChaosPlan, ProcessFault,
 };
