@@ -1,25 +1,38 @@
-//! Galil-style allocation by bisection on the marginal value λ.
+//! The λ-search: the one root-finder for `D(λ) = supply` in the workspace.
 //!
 //! For concave utilities, the optimal single-pool allocation equalizes
 //! marginal utilities: there is a "price" `λ*` such that every thread takes
 //! `x_i(λ*) = sup { x ≤ cap_i : f_i′(x) ≥ λ* }` and the demands sum to the
 //! budget. Total demand `D(λ) = Σ x_i(λ)` is nonincreasing in λ, so `λ*`
-//! is found by binary search — the `O(n (log B)²)`-flavor algorithm the
-//! paper cites as \[16\] (Galil).
+//! is found by search over λ — the `O(n (log B)²)`-flavor algorithm the
+//! paper cites as \[16\] (Galil). Algorithm 2's super-optimal step and
+//! the price-discovery backend (`aa_core::price`) both solve this
+//! equation over the same compiled [`DemandTable`], through the three
+//! pieces below:
 //!
-//! The search produces a bracket `[λ_hi-demand ≤ B ≤ λ_lo-demand]`
-//! collapsed to floating-point resolution; the leftover `B − D(λ_hi)` is
-//! then spread over the threads that are *marginal* at the final price
-//! (their demand jumps across the bracket — piecewise-linear utilities hit
-//! this case at every kink). For strictly concave smooth utilities the
-//! bracket collapse alone reaches machine precision.
+//! * **one sweep** — [`sweep`] evaluates `x_i(λ)` for every thread of a
+//!   [`Market`] into a caller buffer and sums it in index order, on the
+//!   calling thread or in contiguous chunks over the pool ([`Fan`]);
+//! * **one cold Exact search, the reference** — the ladder flip for
+//!   all-discrete tables, else bracket growth from `[0, 1]` plus up to
+//!   128 halvings, then the leftover epilogue. It answers [`allocate`]
+//!   and friends, and every warm call that cannot prove its own answer;
+//! * **one probe loop** — [`search`] walks from a start bracket
+//!   ([`Bracket`]) to a fresh one, geometrically in either direction,
+//!   then closes it by Illinois false position. The stop rule ([`Stop`])
+//!   is the only per-caller input: `Exact` collapses to adjacent floats
+//!   (the warm Algo2 path), `Relative(tol)` accepts the first probe
+//!   within `tol·supply` (the price backend).
 //!
-//! [`allocate`] and [`allocate_par`] share every line of algorithmic
-//! logic — the parallel entry point only swaps the per-thread map
-//! (`inverse_derivative`, `cap`, `value`) from a sequential loop to a
-//! pool fan-out, and the vendored `rayon`'s determinism contract
-//! (order-stable collect, sequential reduction) makes the two
-//! **bit-identical** for every thread count.
+//! The Exact answer is the bracket `[λ_lo, λ_hi]` with
+//! `D(λ_lo) > B ≥ D(λ_hi)` collapsed to floating-point resolution; the
+//! leftover `B − D(λ_hi)` is then spread over the threads that are
+//! *marginal* at the final price (their demand jumps across the bracket —
+//! piecewise-linear utilities hit this case at every kink).
+//!
+//! Sequential and pooled sweeps write the same per-index values and sum
+//! them in the same order, so [`allocate`], [`allocate_par`] and the
+//! warm path are **bit-identical** for every thread count.
 
 use aa_utility::{DemandTable, Utility};
 use rayon::prelude::*;
@@ -45,22 +58,32 @@ fn obs_counters() -> &'static (aa_obs::Counter, aa_obs::Counter, aa_obs::Counter
 
 /// Number of bisection iterations. 128 halvings shrink any initial bracket
 /// below f64 resolution; the budget-repair step mops up whatever remains.
+/// Also the Exact probe loop's refinement cap: past it the loop has
+/// stalled and the cold search answers.
 const MAX_ITERS: u32 = 128;
 
-/// Thread-count threshold past which [`allocate_par`] fans the per-λ
-/// demand evaluation out over the thread pool. Below it the sequential
-/// path is faster (the fork-join overhead exceeds the work); results are
-/// identical either way.
+/// Probe cap of one `Relative` search; past it the search settles for
+/// the best feasible price seen.
+pub const MAX_RELATIVE_PROBES: u32 = 64;
+
+/// Ceiling of the probe loop's upward walk. A `Relative` search that
+/// finds no finite price with `D(λ) ≤ supply` below it (staircase floors
+/// whose demand never drops under supply) answers `LAMBDA_MAX`,
+/// unconverged; an `Exact` walk hands over to the cold search.
+pub const LAMBDA_MAX: f64 = 1e18;
+
+/// Thread-count threshold past which a pooled [`sweep`] fans out over the
+/// thread pool. Below it the sequential path is faster (the fork-join
+/// overhead exceeds the work); results are identical either way.
 ///
 /// This is the shared workspace crossover from [`crate::tuning`]
 /// (env-overridable via `AA_PAR_THRESHOLD`, parsed once); the
-/// linearizer and the price-discovery sweeps gate on the same value, so
-/// the crossover can no longer diverge between crates.
+/// linearizer gates on the same value.
 pub use crate::tuning::par_threshold;
 
 /// Marker error: an interruptible allocation was abandoned because its
 /// cancel token fired *between* two check-closure calls (the pool
-/// observed the token mid-map). Callers with richer error enums convert
+/// observed the token mid-sweep). Callers with richer error enums convert
 /// it via their `From<Interrupted>` impl.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interrupted;
@@ -73,133 +96,394 @@ impl std::fmt::Display for Interrupted {
 
 impl std::error::Error for Interrupted {}
 
-/// Per-thread evaluation strategy: everything the bisection needs from
-/// the utility slice, as whole-slice maps so the parallel strategy can
-/// fan each one out. Each map is a pure per-element function, so the
-/// sequential and parallel strategies return identical vectors.
+/// Where a [`sweep`] runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Fan<'t> {
+    /// On the calling thread.
+    Seq,
+    /// Over the pool once the slice reaches [`par_threshold`], abandoning
+    /// unclaimed chunks when the optional token fires.
+    Pool(Option<&'t CancelToken>),
+}
+
+/// One demand sweep of a market: `out[k] = x(λ)` of its `k`-th thread
+/// through the compiled kernel, resized to the market, and the
+/// index-order sum. The pooled path fills contiguous chunks of `out` on
+/// the pool; every slot gets the same value either way and the sum is
+/// the same additions in the same order, so the result is bit-identical
+/// at any pool width. `None` means the token fired mid-sweep. The
+/// sequential path allocates nothing once `out` has grown to the market.
+pub fn sweep<U: Utility>(m: &Market<'_, U>, lambda: f64, out: &mut Vec<f64>) -> Option<f64> {
+    let n = m.rows.map_or(m.utils.len(), <[usize]>::len);
+    out.resize(n, 0.0);
+    // Fill `slots`, the chunk of `out` starting at thread `start`.
+    let fill = |start: usize, slots: &mut [f64]| match m.rows {
+        None => m.table.batch_range(m.utils, lambda, start, slots),
+        Some(rows) => {
+            for (slot, &i) in slots.iter_mut().zip(&rows[start..]) {
+                *slot = m.table.eval(m.utils, i, lambda);
+            }
+        }
+    };
+    match m.fan {
+        Fan::Pool(token) if n >= par_threshold() => {
+            let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
+            let chunks: Vec<(usize, &mut [f64])> = out.chunks_mut(chunk).enumerate().collect();
+            let run = |(c, slots): (usize, &mut [f64])| fill(c * chunk, slots);
+            match token {
+                Some(t) => chunks.into_par_iter().for_each_cancellable(t, run).ok()?,
+                None => chunks.into_par_iter().for_each(run),
+            }
+        }
+        _ => fill(0, out),
+    }
+    Some(out.iter().sum())
+}
+
+/// How a [`search`] stops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stop {
+    /// Collapse the bracket to the unique adjacent-float pair around the
+    /// flip of `D(λ) > supply`: the cold search's answer, bit for bit.
+    Exact,
+    /// Accept the first probe with `|D(λ) − supply| ≤ tol·supply`.
+    Relative(f64),
+}
+
+/// The search state a market carries between solves: the prices the
+/// next search starts from. An Exact market carries its collapsed
+/// adjacent-float pair; a `Relative` market its accepted price as a
+/// point (`lo == hi`), or the pair around a demand jump it could not
+/// resolve.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Bracket {
+    /// Low edge: `D(lo) > supply` when the bracket was found.
+    pub lo: f64,
+    /// High edge: `D(hi) ≤ supply` when the bracket was found.
+    pub hi: f64,
+}
+
+impl Bracket {
+    /// The degenerate bracket at one price.
+    pub fn at(lambda: f64) -> Self {
+        Bracket { lo: lambda, hi: lambda }
+    }
+}
+
+/// One market: its threads in a compiled kernel, where its sweeps run,
+/// and its supply. `total_cap = Σ cap_i = D(0)` must exceed `supply`
+/// for a [`search`] (callers answer the saturated market without one);
+/// it is the λ = 0 low edge a `Relative` walk falls back to without a
+/// sweep.
+#[derive(Debug)]
+pub struct Market<'a, U> {
+    /// The kernel compiled over `utils`.
+    pub table: &'a DemandTable,
+    /// The utilities `table` was compiled from.
+    pub utils: &'a [U],
+    /// The market's threads as indices into `utils`, in order; `None`
+    /// for all of them.
+    pub rows: Option<&'a [usize]>,
+    /// Where its sweeps run.
+    pub fan: Fan<'a>,
+    /// The supply `D(λ)` must meet.
+    pub supply: f64,
+    /// `Σ cap_i`, the demand at λ = 0.
+    pub total_cap: f64,
+}
+
+/// The three sweep buffers of a search: demand at the low edge, at the
+/// high edge, and at the current probe (swapped into an edge as the
+/// bracket moves).
+#[derive(Debug)]
+pub struct Demands<'b> {
+    /// `D` per thread at the bracket's low edge.
+    pub lo: &'b mut Vec<f64>,
+    /// `D` per thread at the high edge — and at the answer, on return.
+    pub hi: &'b mut Vec<f64>,
+    /// Scratch for the probe in flight.
+    pub probe: &'b mut Vec<f64>,
+}
+
+/// Where a [`search`] ended. `Demands::hi` holds `x_i(price)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Landing {
+    /// The final bracket. Exact: the collapsed adjacent-float pair.
+    pub bracket: Bracket,
+    /// The answer: the bracket's high edge (Exact), the accepted probe,
+    /// or — unconverged — the best feasible price seen or [`LAMBDA_MAX`].
+    pub price: f64,
+    /// `D(price)`, the sum of `Demands::hi`.
+    pub demand: f64,
+    /// The stop rule accepted `price`.
+    pub converged: bool,
+    /// False-position / midpoint steps after the walk.
+    pub iterations: u32,
+}
+
+/// Converts a sweep-level `None` into the caller's error: prefer the
+/// check's own diagnosis (it knows *why* the token fired), fall back to
+/// the bare marker.
+fn interrupted<E: From<Interrupted>>(check: &mut dyn FnMut() -> Result<(), E>) -> E {
+    match check() {
+        Err(e) => e,
+        Ok(()) => Interrupted.into(),
+    }
+}
+
+/// `check`, then one counted sweep of `m` at `lambda` into `out`.
+fn probe<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    lambda: f64,
+    out: &mut Vec<f64>,
+    probes: &mut u32,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<f64, E> {
+    check()?;
+    *probes += 1;
+    match sweep(m, lambda, out) {
+        Some(d) => Ok(d),
+        None => Err(interrupted(check)),
+    }
+}
+
+/// The probe loop: from `start`, find `D(lo) > supply ≥ D(hi)` and close
+/// it under `stop`. Every sweep is counted in `probes`; `check` runs
+/// before each. `swept = Some(s)` says `d.hi` already holds
+/// `D(start.hi)`, summing to `s`, so the first sweep is skipped.
 ///
-/// The demand map goes through the compiled [`DemandTable`] — the
-/// struct-of-arrays kernel — rather than per-element virtual dispatch;
-/// the table's bit-identity contract keeps all strategies exact.
+/// 1. Sweep `start.hi`, then — if it fits the supply and the bracket is
+///    not a point — `start.lo`. An Exact pair that still separates the
+///    demand curve is already the answer (two sweeps).
+/// 2. Otherwise walk: up from `start.hi` by a step sized by how far over
+///    supply it landed, doubling; or down from `start.lo` by a shrink
+///    factor sized by how far under supply it landed, doubling until the
+///    walk halves the price per probe. λ = 0 is a known low edge
+///    (`D(0) = total_cap`) a `Relative` walk falls back to without a
+///    sweep.
+/// 3. Close the bracket by Illinois false position — a secant whose
+///    stagnant endpoint has its weight halved — with a plain midpoint
+///    every fourth probe.
 ///
-/// `None` means the strategy's pool observed a cancel token mid-map; the
-/// infallible strategies ([`Seq`], [`Par`]) always return `Some`.
-trait EvalStrategy<U: Utility> {
-    /// `cap_i` for every thread.
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>>;
-    /// One demand sweep: `out[i] = x_i(λ)` into the reused buffer, plus
-    /// the index-order sum (the same additions, in the same order, for
-    /// every strategy — the bit-identity backbone).
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64>;
-    /// `Σ f_i(x_i)` (summed in index order).
-    fn total_utility(&self, utils: &[U], amounts: &[f64]) -> Option<f64> {
-        Some(
-            self.values(utils, amounts)?
-                .into_iter()
-                .sum(),
-        )
+/// `Relative(tol)` returns at the first probe within `tol·supply`; with
+/// none, the best feasible price seen (the high edge) or [`LAMBDA_MAX`],
+/// unconverged, after [`MAX_RELATIVE_PROBES`] or a collapsed bracket.
+/// `Exact` returns the collapsed pair, or `None` when only the cold
+/// search can prove the answer: the walk dives under [`WARM_MIN_PRICE`]
+/// or climbs past [`LAMBDA_MAX`], the refinement stalls at 128 steps, or
+/// the pair lands under [`WARM_MIN_PRICE`].
+pub fn search<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    start: Bracket,
+    swept: Option<f64>,
+    stop: Stop,
+    d: &mut Demands<'_>,
+    probes: &mut u32,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<Option<Landing>, E> {
+    let supply = m.supply;
+    let first = *probes;
+    let spent = |probes: u32, iters: u32| match stop {
+        Stop::Exact => iters >= MAX_ITERS,
+        Stop::Relative(_) => probes - first >= MAX_RELATIVE_PROBES,
+    };
+    // Out of probes or out of bracket: Exact hands over to the cold
+    // search; Relative settles for the best feasible price, `hi`.
+    let give_up = |lo: f64, hi: f64, demand: f64, iterations: u32| match stop {
+        Stop::Exact => None,
+        Stop::Relative(_) => Some(Landing {
+            bracket: Bracket { lo, hi },
+            price: hi,
+            demand,
+            converged: false,
+            iterations,
+        }),
+    };
+    let accepts = |s: f64| matches!(stop, Stop::Relative(tol) if (s - supply).abs() <= tol * supply);
+    let accepted = |price: f64, demand: f64, iterations: u32| {
+        Some(Landing {
+            bracket: Bracket::at(price),
+            price,
+            demand,
+            converged: true,
+            iterations,
+        })
+    };
+    // Sweep a price into `d.probe`; return it if the stop rule accepts.
+    macro_rules! sweep_at {
+        ($lambda:expr, $iters:expr) => {{
+            let s = probe(m, $lambda, d.probe, probes, check)?;
+            if accepts(s) {
+                std::mem::swap(d.hi, d.probe);
+                return Ok(accepted($lambda, s, $iters));
+            }
+            s
+        }};
     }
-    /// `f_i(x_i)` per thread, in index order (the `total_utility`
-    /// helper: materializing before folding keeps the sum sequential
-    /// and therefore bit-identical across strategies).
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>>;
-}
 
-/// Plain sequential loops.
-struct Seq;
+    let mut s_hi = match swept {
+        Some(s) => s,
+        None => probe(m, start.hi, d.hi, probes, check)?,
+    };
+    if accepts(s_hi) {
+        return Ok(accepted(start.hi, s_hi, 0));
+    }
+    // D(lo) ≥ D(hi), so the low edge needs a sweep only if the high one
+    // fits.
+    let pair = start.lo < start.hi && s_hi <= supply;
+    let mut s_lo = s_hi;
+    if pair {
+        s_lo = sweep_at!(start.lo, 0);
+        std::mem::swap(d.lo, d.probe);
+    }
+    let mut lo = start.lo;
+    let mut hi = start.hi;
 
-impl<U: Utility> EvalStrategy<U> for Seq {
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>> {
-        Some(utils.iter().map(|f| f.cap()).collect())
+    if s_hi > supply {
+        // Demand over supply: the price rises. Walk up from the start
+        // with a step sized by the overshoot, doubling geometrically —
+        // the cold growth loop, started near λ*.
+        lo = start.hi;
+        s_lo = s_hi;
+        std::mem::swap(d.lo, d.hi);
+        let rel = ((s_lo - supply) / supply.max(f64::MIN_POSITIVE)).clamp(1e-6, 1.0);
+        let mut step = start.hi * rel;
+        loop {
+            let mut cand = lo + step;
+            while cand <= lo {
+                step *= 2.0;
+                cand = lo + step;
+            }
+            if cand > LAMBDA_MAX {
+                if stop == Stop::Exact {
+                    return Ok(None);
+                }
+                cand = LAMBDA_MAX;
+            }
+            if lo >= LAMBDA_MAX || spent(*probes, 0) {
+                // No feasible price seen: settle for the ceiling.
+                let demand = probe(m, LAMBDA_MAX, d.hi, probes, check)?;
+                return Ok(give_up(LAMBDA_MAX, LAMBDA_MAX, demand, 0));
+            }
+            let s = sweep_at!(cand, 0);
+            if s > supply {
+                lo = cand;
+                s_lo = s;
+                std::mem::swap(d.lo, d.probe);
+                step *= 2.0;
+            } else {
+                hi = cand;
+                s_hi = s;
+                std::mem::swap(d.hi, d.probe);
+                break;
+            }
+        }
+    } else if s_lo <= supply {
+        // Demand under supply: the price falls. Walk down from the start
+        // with a shrink factor sized by the undershoot, widening
+        // geometrically. Under the trusted floor, Exact hands over to
+        // the cold search and Relative keeps the λ = 0 edge.
+        hi = start.lo;
+        s_hi = s_lo;
+        if pair {
+            std::mem::swap(d.hi, d.lo);
+        }
+        lo = 0.0;
+        s_lo = m.total_cap;
+        let mut shrink = ((supply - s_hi) / supply.max(f64::MIN_POSITIVE)).clamp(1e-6, 0.5);
+        loop {
+            let mut cand = hi * (1.0 - shrink);
+            while cand >= hi && cand > 0.0 {
+                shrink *= 2.0;
+                cand = hi * (1.0 - shrink);
+            }
+            if shrink >= 1.0 {
+                cand = 0.5 * hi; // past the widening: halve per probe
+            }
+            if cand.is_nan() || cand < WARM_MIN_PRICE {
+                if stop == Stop::Exact {
+                    return Ok(None);
+                }
+                break;
+            }
+            if spent(*probes, 0) {
+                return Ok(give_up(lo, hi, s_hi, 0));
+            }
+            let s = sweep_at!(cand, 0);
+            if s > supply {
+                lo = cand;
+                s_lo = s;
+                std::mem::swap(d.lo, d.probe);
+                break;
+            }
+            hi = cand;
+            s_hi = s;
+            std::mem::swap(d.hi, d.probe);
+            shrink *= 2.0;
+        }
     }
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64> {
-        Some(table_demands_into(table, utils, lambda, out))
-    }
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>> {
-        Some(utils.iter().zip(amounts).map(|(f, &x)| f.value(x)).collect())
-    }
-}
 
-/// Pool fan-out per map. Requires `U: Sync`; bit-identical to [`Seq`]:
-/// the demand sweep writes each slot by index in parallel, then the sum
-/// folds sequentially on the calling thread in index order.
-struct Par;
-
-impl<U: Utility + Sync> EvalStrategy<U> for Par {
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>> {
-        Some(utils.par_iter().map(|f| f.cap()).collect())
+    // Close the bracket by Illinois-style false position — a damped
+    // secant (finite-difference Newton on the demand curve): when one
+    // endpoint stagnates its interpolation weight is halved, so the
+    // probe accelerates across demand kinks and jumps instead of inching
+    // at them. Every fourth probe is a plain midpoint as a worst-case
+    // safeguard. Invariant throughout: D(lo) > supply ≥ D(hi).
+    let mut iters: u32 = 0;
+    let mut g_lo = s_lo - supply; // > 0, may be damped below
+    let mut g_hi = s_hi - supply; // ≤ 0, may be damped below
+    let mut last_side: i8 = 0;
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break; // collapsed to the unique adjacent pair
+        }
+        if spent(*probes, iters) {
+            return Ok(give_up(lo, hi, s_hi, iters));
+        }
+        let denom = g_lo - g_hi;
+        let mut cand = if iters % 4 == 3 || denom.is_nan() || denom <= 0.0 {
+            mid
+        } else {
+            (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        };
+        if !(cand > lo && cand < hi) {
+            cand = mid;
+        }
+        let s = sweep_at!(cand, iters + 1);
+        iters += 1;
+        if s > supply {
+            lo = cand;
+            g_lo = s - supply;
+            std::mem::swap(d.lo, d.probe);
+            if last_side == -1 {
+                g_hi *= 0.5; // hi stagnated twice: damp its weight
+            }
+            last_side = -1;
+        } else {
+            hi = cand;
+            s_hi = s;
+            g_hi = s - supply;
+            std::mem::swap(d.hi, d.probe);
+            if last_side == 1 {
+                g_lo *= 0.5; // lo stagnated twice: damp its weight
+            }
+            last_side = 1;
+        }
     }
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64> {
-        out.clear();
-        out.resize(utils.len(), 0.0);
-        out.par_iter_mut()
-            .zip(0..utils.len())
-            .for_each(|(slot, i)| *slot = table.eval(utils, i, lambda));
-        Some(out.iter().sum())
+    if stop == Stop::Exact && lo >= WARM_MIN_PRICE {
+        return Ok(Some(Landing {
+            bracket: Bracket { lo, hi },
+            price: hi,
+            demand: s_hi,
+            converged: true,
+            iterations: iters,
+        }));
     }
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>> {
-        Some(
-            utils
-                .par_iter()
-                .zip(amounts)
-                .map(|(f, &x)| f.value(x))
-                .collect(),
-        )
-    }
-}
-
-/// [`Par`] with every fan-out driven through a [`CancelToken`]: the pool
-/// abandons unclaimed chunks when the token fires and the map reports
-/// `None`. While the token stays clear, results are bit-identical to
-/// [`Par`] (and hence [`Seq`]) — same maps, same index order, same
-/// sequential folds.
-struct ParCancel<'t>(&'t CancelToken);
-
-impl<U: Utility + Sync> EvalStrategy<U> for ParCancel<'_> {
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>> {
-        utils.par_iter().map(|f| f.cap()).collect_cancellable(self.0).ok()
-    }
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64> {
-        out.clear();
-        out.resize(utils.len(), 0.0);
-        out.par_iter_mut()
-            .zip(0..utils.len())
-            .for_each_cancellable(self.0, |(slot, i)| *slot = table.eval(utils, i, lambda))
-            .ok()?;
-        Some(out.iter().sum())
-    }
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>> {
-        utils
-            .par_iter()
-            .zip(amounts)
-            .map(|(f, &x)| f.value(x))
-            .collect_cancellable(self.0)
-            .ok()
-    }
+    // Exact: the cold search may not have collapsed down here, so only
+    // it knows its answer. Relative: the demand jumps across the
+    // tolerance band at this price.
+    Ok(give_up(lo, hi, s_hi, iters))
 }
 
 /// The next float above a positive finite `x`.
@@ -226,41 +510,20 @@ fn next_up(x: f64) -> f64 {
 /// below [`WARM_MIN_PRICE`], or the float gap at `t` too small for 128
 /// halvings from the generic starting bracket. Callers fall back to the
 /// generic loop, never emulate it.
-fn discrete_flip<U, S, E>(
-    table: &DemandTable,
-    utils: &[U],
-    budget: f64,
-    strategy: &S,
-    probe: &mut Vec<f64>,
+fn discrete_flip<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    out: &mut Vec<f64>,
     sweeps: &mut u32,
     check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Option<(f64, f64)>, E>
-where
-    U: Utility,
-    S: EvalStrategy<U>,
-    E: From<Interrupted>,
-{
-    let ladder = table.ladder();
+) -> Result<Option<(f64, f64)>, E> {
+    let ladder = m.table.ladder();
     if ladder.is_empty() {
         return Ok(None);
     }
-    let mut demand = |lambda: f64,
-                      sweeps: &mut u32,
-                      check: &mut dyn FnMut() -> Result<(), E>|
-     -> Result<f64, E> {
-        check()?;
-        *sweeps += 1;
-        match strategy.demands_into(table, utils, lambda, probe) {
-            Some(d) => Ok(d),
-            None => Err(match check() {
-                Err(e) => e,
-                Ok(()) => Interrupted.into(),
-            }),
-        }
-    };
+    let budget = m.supply;
     // D is maximal over positive prices at the smallest knot; if even
     // that fits the budget, no positive knot flips the predicate.
-    if demand(ladder[0], sweeps, check)? <= budget {
+    if probe(m, ladder[0], out, sweeps, check)? <= budget {
         return Ok(None);
     }
     // Largest index with D(ladder[i]) > budget: ladder[0] is known true,
@@ -269,7 +532,7 @@ where
     let mut hi_i = ladder.len();
     while hi_i - lo_i > 1 {
         let mid = lo_i + (hi_i - lo_i) / 2;
-        if demand(ladder[mid], sweeps, check)? > budget {
+        if probe(m, ladder[mid], out, sweeps, check)? > budget {
             lo_i = mid;
         } else {
             hi_i = mid;
@@ -277,8 +540,8 @@ where
     }
     let t = ladder[lo_i];
     if t < WARM_MIN_PRICE {
-        // The generic search may not collapse this low (see the warm
-        // module notes); only it knows its own answer.
+        // The generic search may not collapse this low (see
+        // WARM_MIN_PRICE); only it knows its own answer.
         return Ok(None);
     }
     let hi = next_up(t);
@@ -294,178 +557,235 @@ where
     // Verification sweep: the flip really is at (t, nextafter(t)). The
     // encodings guarantee it (demand past the top knot is the zero
     // level), but one sweep buys insurance against a miscompiled table.
-    if demand(hi, sweeps, check)? > budget {
+    if probe(m, hi, out, sweeps, check)? > budget {
         return Ok(None);
     }
     Ok(Some((t, hi)))
 }
 
-/// The full algorithm, generic over the evaluation strategy and an
-/// interruption check. `check` is consulted once up front, once per
-/// bracket-growth step, once per bisection iteration, and once before the
-/// leftover spread — so a firing deadline overshoots by at most ~one
-/// demand map. A strategy returning `None` (pool-level cancellation)
-/// aborts with whatever `check` reports, falling back to
-/// [`Interrupted`] when `check` still says `Ok` (an external cancel that
-/// raced ahead of the caller's own bookkeeping).
-///
-/// The utility slice is compiled into a [`DemandTable`] once up front;
-/// every demand sweep then runs through the struct-of-arrays kernel.
-/// With `use_ladder`, an all-discrete table routes through
-/// [`discrete_flip`] before falling back to the generic search; either
-/// way the final bracket is the same unique adjacent-float pair, so the
-/// results are bit-identical.
-fn allocate_impl<U, S, E>(
-    utils: &[U],
-    budget: f64,
-    strategy: &S,
-    use_ladder: bool,
+/// The cold Exact search, the reference every other Exact path
+/// reproduces: the ladder flip for all-discrete tables (with `ladder`),
+/// else bracket growth from `[0, 1]` and up to [`MAX_ITERS`] halvings;
+/// then the epilogue at the final bracket. `check` runs before each
+/// sweep of the search and once before the epilogue. Returns the
+/// bracket the next warm call may start from.
+fn cold<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    ladder: bool,
+    d: &mut Demands<'_>,
+    caps: &[f64],
+    stats: &mut WarmStats,
+    amounts: &mut Vec<f64>,
     check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Allocation, E>
-where
-    U: Utility,
-    S: EvalStrategy<U>,
-    E: From<Interrupted>,
-{
-    assert!(budget >= 0.0 && budget.is_finite(), "budget must be finite and ≥ 0");
-    let _span = aa_obs::span!("bisection");
-    if aa_obs::record_enabled() {
-        obs_counters().0.inc();
-    }
-    check()?;
-    let n = utils.len();
-    if n == 0 {
-        return Ok(Allocation {
-            amounts: vec![],
-            utility: 0.0,
-        });
-    }
-
-    // Converts a strategy-level `None` into the caller's error: prefer
-    // the check's own diagnosis (it knows *why* the token fired), fall
-    // back to the bare marker.
-    fn interrupted<E: From<Interrupted>>(check: &mut dyn FnMut() -> Result<(), E>) -> E {
-        match check() {
-            Err(e) => e,
-            Ok(()) => Interrupted.into(),
-        }
-    }
-
-    // Ample budget: everyone saturates.
-    let caps: Vec<f64> = match strategy.caps(utils) {
-        Some(v) => v,
-        None => return Err(interrupted(check)),
-    };
-    let total_cap: f64 = caps.iter().sum();
-    if budget >= total_cap {
-        let amounts = caps;
-        let utility = match strategy.total_utility(utils, &amounts) {
-            Some(u) => u,
-            None => return Err(interrupted(check)),
-        };
-        return Ok(Allocation { amounts, utility });
-    }
-
-    // Compile the struct-of-arrays demand kernel for this slice: one
-    // pass now buys ~130 virtual-dispatch-free sweeps below.
-    let mut table = DemandTable::new();
-    table.compile(utils);
-    let mut sweeps: u32 = 0;
-    let mut probe: Vec<f64> = Vec::with_capacity(n);
-
-    let ladder_bracket = if use_ladder && table.all_discrete() {
-        discrete_flip(&table, utils, budget, strategy, &mut probe, &mut sweeps, check)?
+) -> Result<Option<Bracket>, E> {
+    stats.mode = WarmMode::Cold;
+    let budget = m.supply;
+    let flip = if ladder && m.table.all_discrete() {
+        discrete_flip(m, d.probe, &mut stats.demand_maps, check)?
     } else {
         None
     };
-
-    let (lo, hi) = match ladder_bracket {
+    let (lo, hi) = match flip {
+        // The ladder bracket IS the generic search's collapsed pair.
         Some(pair) => pair,
         None => {
-            // Bracket the price. At λ = 0 demand is Σ caps > budget
-            // (checked above). Grow λ_hi geometrically until demand fits
-            // under the budget; derivatives may be +∞ at x = 0 but are
-            // finite for x > 0, so demand eventually drops below any
-            // positive budget... except when some utility has infinite
-            // derivative on a set of positive measure, which no concave
-            // function has.
+            // Bracket the price. At λ = 0 demand is Σ caps > budget.
+            // Grow λ_hi geometrically until demand fits under the
+            // budget; derivatives may be +∞ at x = 0 but are finite for
+            // x > 0, so demand eventually drops below any positive
+            // budget — no concave function has an infinite derivative on
+            // a set of positive measure.
             let mut lo = 0.0_f64;
             let mut hi = 1.0_f64;
             let mut grow = 0;
-            loop {
-                check()?;
-                sweeps += 1;
-                match strategy.demands_into(&table, utils, hi, &mut probe) {
-                    None => return Err(interrupted(check)),
-                    Some(d) if d > budget => {
-                        lo = hi;
-                        hi *= 2.0;
-                        grow += 1;
-                        assert!(
-                            grow < 1100,
-                            "could not bracket the marginal price; utility derivatives do not decay"
-                        );
-                    }
-                    Some(_) => break,
-                }
+            while probe(m, hi, d.probe, &mut stats.demand_maps, check)? > budget {
+                lo = hi;
+                hi *= 2.0;
+                grow += 1;
+                assert!(
+                    grow < 1100,
+                    "could not bracket the marginal price; utility derivatives do not decay"
+                );
             }
-
             // Invariant: demand(lo) > budget ≥ demand(hi).
             for _ in 0..MAX_ITERS {
                 let mid = 0.5 * (lo + hi);
                 if mid <= lo || mid >= hi {
                     break; // bracket collapsed to adjacent floats
                 }
-                check()?;
-                sweeps += 1;
-                match strategy.demands_into(&table, utils, mid, &mut probe) {
-                    None => return Err(interrupted(check)),
-                    Some(d) if d > budget => lo = mid,
-                    Some(_) => hi = mid,
+                stats.iterations += 1;
+                if probe(m, mid, d.probe, &mut stats.demand_maps, check)? > budget {
+                    lo = mid;
+                } else {
+                    hi = mid;
                 }
             }
             (lo, hi)
         }
     };
 
-    // Base allocation at the high price (fits in the budget), then spread
-    // the leftover over threads whose demand is elastic across the bracket
-    // — the marginal threads sitting exactly at the price.
+    // Base allocation at the high price (fits in the budget), then the
+    // leftover spread over the threads elastic across the bracket.
     check()?;
-    let spent = match strategy.demands_into(&table, utils, hi, &mut probe) {
-        Some(s) => s,
-        None => return Err(interrupted(check)),
+    let swept = |lambda: f64, out: &mut Vec<f64>, check: &mut dyn FnMut() -> Result<(), E>| {
+        sweep(m, lambda, out).ok_or_else(|| interrupted(check))
     };
-    sweeps += 1;
-    let mut amounts: Vec<f64> = probe.clone();
+    let spent = swept(hi, d.hi, check)?;
+    stats.demand_maps += 1;
+    if budget - spent > 0.0 {
+        swept(lo, d.lo, check)?;
+        stats.demand_maps += 1;
+    }
+    finish(amounts, d, spent, caps, budget);
+    let mid = 0.5 * (lo + hi);
+    let collapsed = mid <= lo || mid >= hi;
+    Ok((collapsed && lo >= WARM_MIN_PRICE).then_some(Bracket { lo, hi }))
+}
+
+/// The epilogue on a final bracket: the base allocation `x(λ_hi)` from
+/// `d.hi` (summing to `spent`), plus the leftover spread across the
+/// bracket using `d.lo`.
+fn finish(amounts: &mut Vec<f64>, d: &Demands<'_>, spent: f64, caps: &[f64], budget: f64) {
+    amounts.clear();
+    amounts.extend_from_slice(d.hi);
     let leftover = budget - spent;
     if leftover > 0.0 {
-        match strategy.demands_into(&table, utils, lo, &mut probe) {
-            Some(_) => {}
-            None => return Err(interrupted(check)),
+        spread_leftover(amounts, d.lo, caps, leftover);
+    }
+}
+
+/// Spread `leftover` over the threads whose demand is elastic across the
+/// final bracket (proportionally to their slack), then pour numerical
+/// crumbs into any remaining cap in index order.
+fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut leftover: f64) {
+    let mut total_slack = 0.0;
+    for (&a, &b) in lo_amounts.iter().zip(amounts.iter()) {
+        total_slack += (a - b).max(0.0);
+    }
+    if total_slack > 0.0 {
+        let frac = (leftover / total_slack).min(1.0);
+        for (amt, &a) in amounts.iter_mut().zip(lo_amounts) {
+            let s = (a - *amt).max(0.0);
+            *amt += frac * s;
         }
-        sweeps += 1;
-        spread_leftover(&mut amounts, &probe, &caps, leftover);
+        leftover -= frac * total_slack;
+    }
+    if leftover > 0.0 {
+        for (amt, &cap) in amounts.iter_mut().zip(caps) {
+            let room = cap - *amt;
+            if room > 0.0 {
+                let add = room.min(leftover);
+                *amt += add;
+                leftover -= add;
+                if leftover <= 0.0 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// Every Exact solve: fresh caps (everyone saturates when the budget
+/// covers them), the table compiled for this slice, then the probe loop
+/// from the cache's bracket — or the cold search when there is none or
+/// the loop cannot prove its answer. The bracket is taken out of the
+/// cache up front, so an aborted call leaves none behind.
+fn exact<U: Utility, E: From<Interrupted>>(
+    utils: &[U],
+    budget: f64,
+    cache: &mut WarmCache,
+    amounts: &mut Vec<f64>,
+    ladder: bool,
+    fan: Fan<'_>,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<WarmStats, E> {
+    assert!(budget >= 0.0 && budget.is_finite(), "budget must be finite and ≥ 0");
+    let carried = cache.bracket.take();
+    cache.stats = WarmStats::default();
+    check()?;
+    // Fresh caps on every call: `cap()` is a cheap accessor for every
+    // utility in the workspace, and stale caps would poison the crumb
+    // pour.
+    cache.caps.clear();
+    let mut total_cap = 0.0;
+    for f in utils {
+        let c = f.cap();
+        cache.caps.push(c);
+        total_cap += c;
+    }
+    if budget >= total_cap {
+        amounts.clear();
+        amounts.extend_from_slice(&cache.caps);
+        cache.stats.mode = WarmMode::Saturated; // a saturated solve pins no bracket
+        return Ok(cache.stats);
     }
 
-    // Per-sweep accounting: one increment per whole-slice demand map,
-    // matching the warm wrappers' granularity.
-    if aa_obs::record_enabled() {
-        obs_counters().2.add(u64::from(sweeps));
-    }
-
-    let utility = match strategy.total_utility(utils, &amounts) {
-        Some(u) => u,
-        None => return Err(interrupted(check)),
+    // The table's pools retain their capacity across calls, so
+    // steady-state recompiles are allocation-free scans of the slice.
+    cache.table.compile(utils);
+    let m = Market {
+        table: &cache.table,
+        utils,
+        rows: None,
+        fan,
+        supply: budget,
+        total_cap,
     };
+    let mut d = Demands {
+        lo: &mut cache.d_lo,
+        hi: &mut cache.d_hi,
+        probe: &mut cache.d_probe,
+    };
+    let stats = &mut cache.stats;
+    if let Some(start) = carried {
+        let found = search(&m, start, None, Stop::Exact, &mut d, &mut stats.demand_maps, check)?;
+        if let Some(l) = found {
+            // The cold epilogue on the same unique boundary pair.
+            check()?;
+            finish(amounts, &d, l.demand, &cache.caps, budget);
+            stats.mode = if l.bracket == start {
+                WarmMode::Revalidated
+            } else {
+                WarmMode::Refined
+            };
+            stats.iterations = l.iterations;
+            cache.bracket = Some(l.bracket);
+            return Ok(*stats);
+        }
+    }
+    cache.bracket = cold(&m, ladder, &mut d, &cache.caps, stats, amounts, check)?;
+    Ok(*stats)
+}
+
+/// [`exact`] behind the cold entry points: a throwaway cache, then the
+/// index-order utility sum.
+fn allocate_impl<U: Utility, E: From<Interrupted>>(
+    utils: &[U],
+    budget: f64,
+    ladder: bool,
+    fan: Fan<'_>,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<Allocation, E> {
+    let _span = aa_obs::span!("bisection");
+    if aa_obs::record_enabled() {
+        obs_counters().0.inc();
+    }
+    let mut cache = WarmCache::new();
+    let mut amounts = Vec::new();
+    let stats = exact(utils, budget, &mut cache, &mut amounts, ladder, fan, check)?;
+    // Per-sweep accounting: one increment per whole-slice demand sweep.
+    if aa_obs::record_enabled() {
+        obs_counters().2.add(u64::from(stats.demand_maps));
+    }
+    let utility = utils.iter().zip(&amounts).map(|(f, &x)| f.value(x)).sum();
     Ok(Allocation { amounts, utility })
 }
 
-/// Unwrap an allocation whose strategy and check are both infallible.
-fn expect_complete(result: Result<Allocation, Interrupted>) -> Allocation {
+/// Unwrap an allocation whose check is infallible and token absent.
+fn expect_complete<T>(result: Result<T, Interrupted>) -> T {
     match result {
         Ok(a) => a,
-        Err(Interrupted) => unreachable!("infallible strategy cannot be interrupted"),
+        Err(Interrupted) => unreachable!("infallible check cannot interrupt"),
     }
 }
 
@@ -497,7 +817,7 @@ fn expect_complete(result: Result<Allocation, Interrupted>) -> Allocation {
 /// assert!((alloc.amounts[1] - 4.0).abs() < 1e-6);
 /// ```
 pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, &Seq, true, &mut || Ok(())))
+    expect_complete(allocate_impl(utils, budget, true, Fan::Seq, &mut || Ok(())))
 }
 
 /// [`allocate`] with the all-discrete ladder fast path disabled: always
@@ -506,7 +826,7 @@ pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
 /// bracket the generic search would collapse to); exists as the reference
 /// arm for differential tests and benchmarks of the discrete path.
 pub fn allocate_generic<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, &Seq, false, &mut || Ok(())))
+    expect_complete(allocate_impl(utils, budget, false, Fan::Seq, &mut || Ok(())))
 }
 
 /// Diagnostic: the adjacent-float bracket the all-discrete ladder fast
@@ -528,29 +848,25 @@ pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(
     if budget >= total_cap {
         return None; // saturation answers before any bracket search
     }
-    let mut probe = Vec::with_capacity(utils.len());
-    let mut sweeps = 0_u32;
-    match discrete_flip::<U, Seq, Interrupted>(
-        &table,
+    let m = Market {
+        table: &table,
         utils,
-        budget,
-        &Seq,
-        &mut probe,
-        &mut sweeps,
-        &mut || Ok(()),
-    ) {
-        Ok(b) => b,
-        Err(Interrupted) => unreachable!("infallible check cannot interrupt"),
-    }
+        rows: None,
+        fan: Fan::Seq,
+        supply: budget,
+        total_cap,
+    };
+    let mut out = Vec::with_capacity(utils.len());
+    expect_complete(discrete_flip(&m, &mut out, &mut 0, &mut || Ok(())))
 }
 
 /// [`allocate`] with a cooperative interruption check, the building
 /// block for deadline-budgeted solving. `check` is called at iteration
-/// granularity (once up front, per bracket-growth step, per bisection
-/// iteration, and before the leftover spread); its first `Err` aborts
-/// the allocation and is returned verbatim. With a check that never
-/// fires the result is **bit-identical** to [`allocate`] — same code
-/// path, the checks do not touch the numerics.
+/// granularity (once up front, before each demand sweep of the search,
+/// and before the leftover spread); its first `Err` aborts the
+/// allocation and is returned verbatim. With a check that never fires
+/// the result is **bit-identical** to [`allocate`] — same code path, the
+/// checks do not touch the numerics.
 pub fn allocate_interruptible<U, E>(
     utils: &[U],
     budget: f64,
@@ -560,35 +876,30 @@ where
     U: Utility,
     E: From<Interrupted>,
 {
-    allocate_impl(utils, budget, &Seq, true, check)
+    allocate_impl(utils, budget, true, Fan::Seq, check)
 }
 
-/// [`allocate`] with the per-λ demand evaluation fanned out over the
-/// thread pool once `utils.len() ≥ `[`par_threshold`]. **Bit-identical**
-/// to [`allocate`] for every thread count (`AA_NUM_THREADS`, or a scoped
-/// `rayon::with_threads`): the two share one implementation, and the
-/// vendored pool materializes per-thread values in index order and sums
-/// them sequentially.
+/// [`allocate`] with each demand sweep fanned out over the thread pool
+/// once `utils.len() ≥ `[`par_threshold`]. **Bit-identical** to
+/// [`allocate`] for every thread count (`AA_NUM_THREADS`, or a scoped
+/// `rayon::with_threads`): the two share one implementation, and
+/// [`sweep`] writes the same values and sums them in the same order.
 ///
-/// The bisection performs ~130 demand evaluations, each an independent
-/// map over all threads — embarrassingly parallel at web-scale instance
-/// sizes (`n` in the hundreds of thousands), where the super-optimal
-/// allocation is the entire running time of Algorithm 2.
-pub fn allocate_par<U: Utility + Sync>(utils: &[U], budget: f64) -> Allocation {
-    if utils.len() < par_threshold() {
-        return allocate(utils, budget);
-    }
-    expect_complete(allocate_impl(utils, budget, &Par, true, &mut || Ok(())))
+/// The search performs ~130 sweeps, each an independent map over all
+/// threads — embarrassingly parallel at web-scale instance sizes (`n` in
+/// the hundreds of thousands), where the super-optimal allocation is the
+/// entire running time of Algorithm 2.
+pub fn allocate_par<U: Utility>(utils: &[U], budget: f64) -> Allocation {
+    expect_complete(allocate_impl(utils, budget, true, Fan::Pool(None), &mut || Ok(())))
 }
 
 /// [`allocate_par`] with a cooperative interruption check *and* a
 /// pool-level [`CancelToken`]: between `check` calls, the fanned-out
-/// demand maps themselves watch `token` and abandon unclaimed chunks
-/// when it fires (reported as `Err` via `check`'s diagnosis, or
-/// [`Interrupted`] if `check` still says `Ok`). While neither fires the
-/// result is **bit-identical** to [`allocate_par`] and [`allocate`] for
-/// every thread count: the cancellable collect is order-stable and the
-/// folds stay sequential.
+/// sweeps themselves watch `token` and abandon unclaimed chunks when it
+/// fires (reported as `Err` via `check`'s diagnosis, or [`Interrupted`]
+/// if `check` still says `Ok`). While neither fires the result is
+/// **bit-identical** to [`allocate_par`] and [`allocate`] for every
+/// thread count.
 pub fn allocate_par_interruptible<U, E>(
     utils: &[U],
     budget: f64,
@@ -596,13 +907,10 @@ pub fn allocate_par_interruptible<U, E>(
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Allocation, E>
 where
-    U: Utility + Sync,
+    U: Utility,
     E: From<Interrupted>,
 {
-    if utils.len() < par_threshold() {
-        return allocate_interruptible(utils, budget, check);
-    }
-    allocate_impl(utils, budget, &ParCancel(token), true, check)
+    allocate_impl(utils, budget, true, Fan::Pool(Some(token)), check)
 }
 
 // ---- warm-started allocation ----
@@ -612,12 +920,12 @@ where
 // depart, utilities shift a little, the budget stays put. The marginal
 // price λ* then barely moves, so re-running the full cold search — a
 // geometric bracket growth plus up to 128 halvings, each a whole-slice
-// demand map — wastes almost all of its work rediscovering a bracket we
-// already hold. [`allocate_warm_into`] keeps the previous collapsed
-// bracket in a [`WarmCache`] and answers the next call with a few demand
-// maps: revalidate the old adjacent-float pair (2 maps), or re-bracket
-// around the previous water level with a delta-derived margin and
-// collapse by secant (finite-difference Newton) steps.
+// demand sweep — wastes almost all of its work rediscovering a bracket
+// we already hold. [`allocate_warm_into`] keeps the previous collapsed
+// bracket in a [`WarmCache`] and answers the next call through the
+// probe loop ([`search`] under [`Stop::Exact`]): revalidate the old
+// adjacent-float pair (2 sweeps), or walk from it and collapse by
+// Illinois false position.
 //
 // **Bit-identity contract.** Total demand `D(λ)` is nonincreasing in λ —
 // each thread's `inverse_derivative` is nonincreasing and the sum is
@@ -626,55 +934,54 @@ where
 // validated by the differential tests). The predicate `D(λ) > budget`
 // therefore flips at one unique pair of adjacent floats `(lo*, hi*)`,
 // and *any* bracket refinement that fully collapses lands on that pair:
-// the cold halving and the warm secant produce the same final bracket,
-// the same `demands(hi*)` base allocation, and the same leftover spread
-// — bit-identical results. The warm fast paths only trust themselves
-// when the collapsed price is at least [`WARM_MIN_PRICE`]; below it the
-// cold search may run out of iterations before collapsing (its bracket
-// starts at `[0, 1]` and the low edge stays 0 until a midpoint demand
-// exceeds the budget), so the warm path replays the cold search verbatim
-// to reproduce whatever it would have produced.
+// the cold halving and the warm probe loop produce the same final
+// bracket, the same `x(hi*)` base allocation, and the same leftover
+// spread — bit-identical results. The warm path only trusts a collapsed
+// price of at least [`WARM_MIN_PRICE`]; below it the cold search may run
+// out of iterations before collapsing (its bracket starts at `[0, 1]`
+// and the low edge stays 0 until a midpoint demand exceeds the budget),
+// so the cold search itself answers there.
 
-/// Smallest collapsed price the warm fast paths trust. Below ~1e-18
-/// (≈ 2⁻⁶⁰) a cold bisection starting from `[0, 1]` may exhaust its 128
+/// Smallest collapsed price the warm path trusts. Below ~1e-18 (≈ 2⁻⁶⁰)
+/// a cold bisection starting from `[0, 1]` may exhaust its 128
 /// iterations before its bracket collapses to adjacent floats, so the
-/// warm path cannot prove it matches cold output and falls back to an
-/// exact cold replay. At or above it, cold needs at most ~61 iterations
-/// to make the low edge positive plus ~53 to collapse — comfortably
-/// inside the budget — so a collapsed warm bracket is *the* cold answer.
+/// warm path cannot prove it matches cold output and runs the cold
+/// search. At or above it, cold needs at most ~61 iterations to make the
+/// low edge positive plus ~53 to collapse — comfortably inside the
+/// budget — so a collapsed warm bracket is *the* cold answer.
 pub const WARM_MIN_PRICE: f64 = 1e-18;
 
 /// How a warm allocation was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmMode {
-    /// Full cold search replayed inside the arena buffers: no usable
-    /// bracket (first call, previous solve saturated or interrupted),
-    /// the previous bracket never collapsed, or the collapsed price sat
-    /// below [`WARM_MIN_PRICE`].
+    /// The cold search, inside the cache's buffers: no usable bracket
+    /// (first call, previous solve saturated or interrupted, or its
+    /// bracket never collapsed or sat below [`WARM_MIN_PRICE`]), or the
+    /// probe loop could not prove its answer.
     #[default]
     Cold,
     /// `budget ≥ Σ caps`: everyone saturates, no search at all.
     Saturated,
     /// The previous adjacent-float bracket still separates the demand
-    /// curve of the new instance: answered with two demand maps.
+    /// curve of the new instance: answered with two demand sweeps.
     Revalidated,
-    /// Re-bracketed around the previous water level (delta-derived
-    /// margin, geometric growth) and collapsed by safeguarded secant.
+    /// Walked from the previous bracket and collapsed by false position.
     Refined,
 }
 
 /// Telemetry for one warm allocation, kept in the cache and returned by
 /// [`allocate_warm_into`]. The benchmark's cold-vs-warm comparison
-/// reports `demand_maps` — the whole-slice evaluations that dominate
-/// the allocator's running time.
+/// reports `demand_maps` — the whole-slice sweeps that dominate the
+/// allocator's running time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
     /// Which path answered the call.
     pub mode: WarmMode,
-    /// Whole-slice demand maps evaluated (each is `O(n)`).
+    /// Whole-slice demand sweeps evaluated (each is `O(n)`), including
+    /// those of a probe loop that handed over to the cold search.
     pub demand_maps: u32,
-    /// Bracket-refinement iterations (secant or halving steps; for a
-    /// cold replay, the bisection iterations).
+    /// Bracket-refinement iterations (false-position or midpoint steps;
+    /// for the cold search, the bisection iterations).
     pub iterations: u32,
 }
 
@@ -684,13 +991,9 @@ pub struct WarmStats {
 /// refilled within their retained capacity).
 #[derive(Debug, Clone, Default)]
 pub struct WarmCache {
-    /// The bracket below came from a completed solve.
-    valid: bool,
-    /// That solve's bracket collapsed to adjacent floats (the unique
-    /// boundary pair) rather than timing out at [`MAX_ITERS`].
-    collapsed: bool,
-    lo: f64,
-    hi: f64,
+    /// The bracket the next call starts from: set by a completed solve
+    /// whose bracket collapsed at or above [`WARM_MIN_PRICE`].
+    bracket: Option<Bracket>,
     caps: Vec<f64>,
     d_lo: Vec<f64>,
     d_hi: Vec<f64>,
@@ -703,17 +1006,17 @@ pub struct WarmCache {
 }
 
 impl WarmCache {
-    /// An empty cache: the first allocation through it replays the cold
+    /// An empty cache: the first allocation through it runs the cold
     /// search (and records its bracket for the calls after).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Drop the bracket: the next call replays the cold search. Called
-    /// automatically when an interruptible warm allocation aborts
-    /// mid-search (the bracket may be half-updated).
+    /// Drop the bracket: the next call runs the cold search. An
+    /// interruptible warm allocation that aborts mid-search leaves the
+    /// cache in this state.
     pub fn invalidate(&mut self) {
-        self.valid = false;
+        self.bracket = None;
     }
 
     /// Telemetry of the most recent call through this cache.
@@ -723,382 +1026,35 @@ impl WarmCache {
 
     /// The held bracket `(lo, hi)`, if a completed solve pinned one.
     pub fn bracket(&self) -> Option<(f64, f64)> {
-        self.valid.then_some((self.lo, self.hi))
+        self.bracket.map(|b| (b.lo, b.hi))
     }
 }
 
-/// Sequential demand sweep through the compiled kernel into a reused
-/// buffer; returns the index-order sum — the same additions, in the same
-/// order, as every other strategy. The table's bit-identity contract
-/// makes each element equal `utils[i].inverse_derivative(lambda)`
-/// exactly.
-fn table_demands_into<U: Utility>(
-    table: &DemandTable,
-    utils: &[U],
-    lambda: f64,
-    out: &mut Vec<f64>,
-) -> f64 {
-    out.clear();
-    let mut sum = 0.0;
-    for i in 0..utils.len() {
-        let d = table.eval(utils, i, lambda);
-        out.push(d);
-        sum += d;
-    }
-    sum
-}
-
-/// The cold epilogue, verbatim: spread `leftover` over the threads whose
-/// demand is elastic across the final bracket (proportionally to their
-/// slack), then pour numerical crumbs into any remaining cap in index
-/// order. Same element-wise operations as [`allocate_impl`], so the
-/// results agree bit for bit.
-fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut leftover: f64) {
-    let mut total_slack = 0.0;
-    for (&a, &b) in lo_amounts.iter().zip(amounts.iter()) {
-        total_slack += (a - b).max(0.0);
-    }
-    if total_slack > 0.0 {
-        let frac = (leftover / total_slack).min(1.0);
-        for (amt, &a) in amounts.iter_mut().zip(lo_amounts) {
-            let s = (a - *amt).max(0.0);
-            *amt += frac * s;
-        }
-        leftover -= frac * total_slack;
-    }
-    if leftover > 0.0 {
-        for (amt, &cap) in amounts.iter_mut().zip(caps) {
-            let room = cap - *amt;
-            if room > 0.0 {
-                let add = room.min(leftover);
-                *amt += add;
-                leftover -= add;
-                if leftover <= 0.0 {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// The cold search transcribed into the cache's buffers: identical
-/// bracket growth, identical halving, identical epilogue — only the
-/// allocations are gone. All-discrete instances first try the ladder
-/// flip ([`discrete_flip`]), which lands on the same collapsed bracket
-/// in `O(log k)` sweeps. Records the final bracket (and whether it
-/// collapsed) so the *next* call can go warm.
-fn cold_replay<U, E>(
+/// [`allocate_warm_into_interruptible`] behind the warm span and
+/// counters.
+fn warm_impl<U: Utility, E: From<Interrupted>>(
     utils: &[U],
     budget: f64,
     cache: &mut WarmCache,
     amounts: &mut Vec<f64>,
     check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<(), E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    cache.stats.mode = WarmMode::Cold;
-    let ladder_bracket = if cache.table.all_discrete() {
-        discrete_flip(
-            &cache.table,
-            utils,
-            budget,
-            &Seq,
-            &mut cache.d_probe,
-            &mut cache.stats.demand_maps,
-            check,
-        )?
-    } else {
-        None
-    };
-
-    let (lo, hi, collapsed) = match ladder_bracket {
-        // The ladder bracket IS the generic search's collapsed pair.
-        Some((lo, hi)) => (lo, hi, true),
-        None => {
-            let mut lo = 0.0_f64;
-            let mut hi = 1.0_f64;
-            let mut grow = 0;
-            loop {
-                check()?;
-                let d = table_demands_into(&cache.table, utils, hi, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                if d > budget {
-                    lo = hi;
-                    hi *= 2.0;
-                    grow += 1;
-                    assert!(
-                        grow < 1100,
-                        "could not bracket the marginal price; utility derivatives do not decay"
-                    );
-                } else {
-                    break;
-                }
-            }
-
-            for _ in 0..MAX_ITERS {
-                let mid = 0.5 * (lo + hi);
-                if mid <= lo || mid >= hi {
-                    break;
-                }
-                check()?;
-                let d = table_demands_into(&cache.table, utils, mid, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                cache.stats.iterations += 1;
-                if d > budget {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mid = 0.5 * (lo + hi);
-            (lo, hi, mid <= lo || mid >= hi)
-        }
-    };
-
-    check()?;
-    let spent = table_demands_into(&cache.table, utils, hi, &mut cache.d_hi);
-    cache.stats.demand_maps += 1;
-    amounts.clear();
-    amounts.extend_from_slice(&cache.d_hi);
-    let leftover = budget - spent;
-    if leftover > 0.0 {
-        let _ = table_demands_into(&cache.table, utils, lo, &mut cache.d_lo);
-        cache.stats.demand_maps += 1;
-        spread_leftover(amounts, &cache.d_lo, &cache.caps, leftover);
-    }
-
-    cache.lo = lo;
-    cache.hi = hi;
-    cache.collapsed = collapsed;
-    cache.valid = true;
-    Ok(())
-}
-
-fn warm_impl<U, E>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<WarmStats, E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    assert!(budget >= 0.0 && budget.is_finite(), "budget must be finite and ≥ 0");
+) -> Result<WarmStats, E> {
     let _span = aa_obs::span!("bisection_warm");
     if aa_obs::record_enabled() {
         obs_counters().1.inc();
     }
-    check()?;
-    cache.stats = WarmStats::default();
-    if utils.is_empty() {
-        amounts.clear();
-        cache.valid = false;
-        cache.stats.mode = WarmMode::Saturated;
-        return Ok(cache.stats);
+    let stats = exact(utils, budget, cache, amounts, true, Fan::Seq, check)?;
+    if aa_obs::record_enabled() {
+        obs_counters().2.add(u64::from(stats.demand_maps));
     }
-
-    // Fresh caps on every call: `cap()` is a cheap accessor for every
-    // utility in the workspace, and stale caps would poison the crumb
-    // pour. Same early-saturation branch as the cold path.
-    cache.caps.clear();
-    let mut total_cap = 0.0;
-    for f in utils {
-        let c = f.cap();
-        cache.caps.push(c);
-        total_cap += c;
-    }
-    if budget >= total_cap {
-        amounts.clear();
-        amounts.extend_from_slice(&cache.caps);
-        cache.valid = false; // a saturated solve pins no bracket
-        cache.stats.mode = WarmMode::Saturated;
-        return Ok(cache.stats);
-    }
-
-    // Recompile the demand table for this instance. The pools retain
-    // their capacity across calls, so steady-state recompiles are
-    // allocation-free scans over the utility slice.
-    cache.table.compile(utils);
-
-    if !(cache.valid && cache.collapsed && cache.lo >= WARM_MIN_PRICE) {
-        cold_replay(utils, budget, cache, amounts, check)?;
-        return Ok(cache.stats);
-    }
-
-    // Revalidate the previous adjacent-float bracket against the new
-    // instance: two demand maps decide everything.
-    let (prev_lo, prev_hi) = (cache.lo, cache.hi);
-    check()?;
-    let mut s_hi = table_demands_into(&cache.table, utils, prev_hi, &mut cache.d_hi);
-    let mut s_lo = table_demands_into(&cache.table, utils, prev_lo, &mut cache.d_lo);
-    cache.stats.demand_maps += 2;
-    let mut lo = prev_lo;
-    let mut hi = prev_hi;
-
-    if s_lo > budget && s_hi <= budget {
-        // Still the unique boundary pair: the search is already over.
-        cache.stats.mode = WarmMode::Revalidated;
-    } else {
-        cache.stats.mode = WarmMode::Refined;
-        if s_hi > budget {
-            // Demand grew: the price rises. Walk up from the previous
-            // water level with a step sized by how far over budget the
-            // old price landed (the delta-derived margin), doubling
-            // geometrically — the cold growth loop, started near λ*.
-            lo = prev_hi;
-            s_lo = s_hi;
-            std::mem::swap(&mut cache.d_lo, &mut cache.d_hi);
-            let rel = ((s_lo - budget) / budget.max(f64::MIN_POSITIVE)).clamp(1e-6, 1.0);
-            let mut step = prev_hi * rel;
-            let mut grow = 0;
-            loop {
-                let mut cand = lo + step;
-                while cand <= lo {
-                    step *= 2.0;
-                    cand = lo + step;
-                }
-                check()?;
-                let s = table_demands_into(&cache.table, utils, cand, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                if s > budget {
-                    lo = cand;
-                    s_lo = s;
-                    std::mem::swap(&mut cache.d_lo, &mut cache.d_probe);
-                    step *= 2.0;
-                    grow += 1;
-                    assert!(
-                        grow < 1100,
-                        "could not bracket the marginal price; utility derivatives do not decay"
-                    );
-                } else {
-                    hi = cand;
-                    s_hi = s;
-                    std::mem::swap(&mut cache.d_hi, &mut cache.d_probe);
-                    break;
-                }
-            }
-        } else {
-            // Demand shrank: the price falls. Walk down from the
-            // previous low edge with a delta-derived shrink factor,
-            // widening geometrically; if the walk dives under the
-            // trusted floor the cold search is the only provable answer.
-            hi = prev_lo;
-            s_hi = s_lo;
-            std::mem::swap(&mut cache.d_hi, &mut cache.d_lo);
-            let mut shrink =
-                ((budget - s_hi) / budget.max(f64::MIN_POSITIVE)).clamp(1e-6, 0.5);
-            loop {
-                let mut cand = hi * (1.0 - shrink);
-                while cand >= hi && cand > 0.0 {
-                    shrink *= 2.0;
-                    cand = hi * (1.0 - shrink);
-                }
-                if cand.is_nan() || cand < WARM_MIN_PRICE {
-                    cold_replay(utils, budget, cache, amounts, check)?;
-                    return Ok(cache.stats);
-                }
-                check()?;
-                let s = table_demands_into(&cache.table, utils, cand, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                if s > budget {
-                    lo = cand;
-                    s_lo = s;
-                    std::mem::swap(&mut cache.d_lo, &mut cache.d_probe);
-                    break;
-                }
-                hi = cand;
-                s_hi = s;
-                std::mem::swap(&mut cache.d_hi, &mut cache.d_probe);
-                shrink *= 2.0;
-            }
-        }
-
-        // Collapse the fresh bracket by Illinois-style false position —
-        // a damped secant (finite-difference Newton on the demand
-        // curve): when one endpoint stagnates its interpolation weight
-        // is halved, so the probe accelerates across demand kinks and
-        // jumps instead of inching at them. Every fourth probe is a
-        // plain midpoint as a worst-case safeguard. Invariant
-        // throughout: demand(lo) > budget ≥ demand(hi).
-        let mut iters: u32 = 0;
-        let mut g_lo = s_lo - budget; // > 0, may be damped below
-        let mut g_hi = s_hi - budget; // ≤ 0, may be damped below
-        let mut last_side: i8 = 0;
-        loop {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break; // collapsed to the unique adjacent pair
-            }
-            if iters >= MAX_ITERS {
-                // Stalled: reproduce the cold answer instead of guessing.
-                cold_replay(utils, budget, cache, amounts, check)?;
-                return Ok(cache.stats);
-            }
-            check()?;
-            let denom = g_lo - g_hi;
-            let mut probe = if iters % 4 == 3 || denom.is_nan() || denom <= 0.0 {
-                mid
-            } else {
-                (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            };
-            if !(probe > lo && probe < hi) {
-                probe = mid;
-            }
-            let s = table_demands_into(&cache.table, utils, probe, &mut cache.d_probe);
-            cache.stats.demand_maps += 1;
-            iters += 1;
-            if s > budget {
-                lo = probe;
-                g_lo = s - budget;
-                std::mem::swap(&mut cache.d_lo, &mut cache.d_probe);
-                if last_side == -1 {
-                    g_hi *= 0.5; // hi stagnated twice: damp its weight
-                }
-                last_side = -1;
-            } else {
-                hi = probe;
-                s_hi = s;
-                g_hi = s - budget;
-                std::mem::swap(&mut cache.d_hi, &mut cache.d_probe);
-                if last_side == 1 {
-                    g_lo *= 0.5; // lo stagnated twice: damp its weight
-                }
-                last_side = 1;
-            }
-        }
-        cache.stats.iterations = iters;
-        if lo < WARM_MIN_PRICE {
-            // Cold may not have collapsed down here; replay it exactly.
-            cold_replay(utils, budget, cache, amounts, check)?;
-            return Ok(cache.stats);
-        }
-    }
-
-    // The cold epilogue on the same unique boundary pair: base
-    // allocation at the high price, leftover spread across the bracket.
-    check()?;
-    amounts.clear();
-    amounts.extend_from_slice(&cache.d_hi);
-    let leftover = budget - s_hi;
-    if leftover > 0.0 {
-        spread_leftover(amounts, &cache.d_lo, &cache.caps, leftover);
-    }
-    cache.lo = lo;
-    cache.hi = hi;
-    cache.collapsed = true;
-    cache.valid = true;
-    Ok(cache.stats)
+    Ok(stats)
 }
 
 /// [`allocate`], warm-started from `cache` and writing the amounts into
 /// a caller-owned buffer: **bit-identical** to [`allocate`] on the same
 /// slice and budget (see the module notes on the unique boundary pair),
-/// near-constant demand maps when successive instances drift slowly, and
-/// zero heap allocation once the buffers have grown to the instance
+/// near-constant demand sweeps when successive instances drift slowly,
+/// and zero heap allocation once the buffers have grown to the instance
 /// size. The utility sum is *not* computed — callers on the assignment
 /// hot path only consume the amounts; use [`allocate`] when the pooled
 /// utility value itself is needed.
@@ -1108,22 +1064,14 @@ pub fn allocate_warm_into<U: Utility>(
     cache: &mut WarmCache,
     amounts: &mut Vec<f64>,
 ) -> WarmStats {
-    match warm_impl::<U, Interrupted>(utils, budget, cache, amounts, &mut || Ok(())) {
-        Ok(stats) => {
-            if aa_obs::record_enabled() {
-                obs_counters().2.add(u64::from(stats.demand_maps));
-            }
-            stats
-        }
-        Err(Interrupted) => unreachable!("infallible check cannot interrupt"),
-    }
+    expect_complete(warm_impl(utils, budget, cache, amounts, &mut || Ok(())))
 }
 
 /// [`allocate_warm_into`] with a cooperative interruption check (same
-/// granularity as [`allocate_interruptible`]: up front, per bracket
-/// step, per refinement probe, before the spread). An abort invalidates
-/// the cache — the bracket may be half-updated — so the next call
-/// through it replays the cold search.
+/// granularity as [`allocate_interruptible`]: up front, before each
+/// sweep, before the spread). An abort leaves the cache without a
+/// bracket — it may have been half-updated — so the next call through
+/// it runs the cold search.
 pub fn allocate_warm_into_interruptible<U, E>(
     utils: &[U],
     budget: f64,
@@ -1135,25 +1083,14 @@ where
     U: Utility,
     E: From<Interrupted>,
 {
-    match warm_impl(utils, budget, cache, amounts, check) {
-        Ok(stats) => {
-            if aa_obs::record_enabled() {
-                obs_counters().2.add(u64::from(stats.demand_maps));
-            }
-            Ok(stats)
-        }
-        Err(e) => {
-            cache.valid = false;
-            Err(e)
-        }
-    }
+    warm_impl(utils, budget, cache, amounts, check)
 }
 
 /// [`allocate`], but writing into caller-owned buffers: the amounts land
 /// in `amounts`, the search scratch lives in `cache`, and only the
 /// utility sum is returned. **Bit-identical** to [`allocate`] — the cache
-/// is invalidated first, so this always runs the exact cold search — with
-/// no per-call heap allocation once the buffers have grown to the working
+/// is invalidated first, so this always runs the cold search — with no
+/// per-call heap allocation once the buffers have grown to the working
 /// size. This is the arena building block for repeated independent solves
 /// (e.g. the churn repair's per-server re-splits), where a warm bracket
 /// would never revalidate but the allocation churn still matters.
@@ -1166,7 +1103,7 @@ pub fn allocate_utility_into<U: Utility>(
     cache.invalidate();
     allocate_warm_into(utils, budget, cache, amounts);
     // Index-order sum of f_i(x_i): the same additions, in the same order,
-    // as the sequential strategy behind `allocate`.
+    // as `allocate`.
     utils.iter().zip(amounts.iter()).map(|(f, &x)| f.value(x)).sum()
 }
 
@@ -1636,6 +1573,24 @@ mod warm_tests {
     }
 
     #[test]
+    fn rescaling_across_the_price_floor_matches_cold() {
+        // Scaling every utility by 10^k moves λ* by the same factor: long
+        // walks both ways, and prices under WARM_MIN_PRICE, where the
+        // cold search may stop short of collapsing and so answers itself.
+        let budget = 300.0;
+        let mut cache = WarmCache::new();
+        let mut amounts = Vec::new();
+        for k in [0, 6, -6, -30, -40, 0, 12, -12, 0] {
+            let utils: Vec<aa_utility::Scaled<Box<dyn Utility>>> = pool(24, 0.0)
+                .into_iter()
+                .map(|u| aa_utility::Scaled::new(u, 10f64.powi(k)))
+                .collect();
+            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("scale 1e{k}"));
+        }
+    }
+
+    #[test]
     fn thread_churn_keeps_identity() {
         // Add/remove threads between solves: the bracket survives because
         // revalidation maps the *new* slice, never cached per-thread data.
@@ -1715,5 +1670,84 @@ mod warm_tests {
             cache.d_probe.capacity(),
         );
         assert_eq!(caps_before, caps_after);
+    }
+}
+
+#[cfg(test)]
+mod relative_tests {
+    use super::*;
+    use aa_utility::{CappedLinear, Power};
+
+    /// Run one `Relative(1e-3)` search from a point start; returns the
+    /// landing and the sum of the buffer that holds `D` at its price.
+    fn run<U: Utility>(utils: &[U], supply: f64, start: f64) -> (Landing, f64) {
+        let mut table = DemandTable::new();
+        table.compile(utils);
+        let m = Market {
+            table: &table,
+            utils,
+            rows: None,
+            fan: Fan::Seq,
+            supply,
+            total_cap: utils.iter().map(|u| u.cap()).sum(),
+        };
+        let (mut lo, mut hi, mut probe) = (Vec::new(), Vec::new(), Vec::new());
+        let mut d = Demands { lo: &mut lo, hi: &mut hi, probe: &mut probe };
+        let start = Bracket::at(start);
+        let found = search(&m, start, None, Stop::Relative(1e-3), &mut d, &mut 0, &mut || Ok(()));
+        let landing = expect_complete(found).expect("relative searches always land");
+        (landing, hi.iter().sum())
+    }
+
+    #[test]
+    fn relative_search_accepts_within_tolerance_from_either_side() {
+        let utils: Vec<Power> = (0..32).map(|i| Power::new(1.0 + 0.1 * i as f64, 0.5, 50.0)).collect();
+        let supply = 400.0;
+        for start in [1e-4, 1.0, 1e4] {
+            let (l, held) = run(&utils, supply, start);
+            assert!(l.converged, "start {start}");
+            assert!((l.demand - supply).abs() <= 1e-3 * supply, "start {start}: {}", l.demand);
+            assert_eq!(held, l.demand, "start {start}: buffer is not D(price)");
+            assert_eq!(l.bracket, Bracket::at(l.price));
+        }
+    }
+
+    #[test]
+    fn a_known_start_demand_within_tolerance_costs_no_sweep() {
+        let utils: Vec<Power> = (0..8).map(|i| Power::new(1.0 + i as f64, 0.5, 50.0)).collect();
+        let mut table = DemandTable::new();
+        table.compile(&utils);
+        let mut m = Market {
+            table: &table,
+            utils: &utils,
+            rows: None,
+            fan: Fan::Seq,
+            supply: 0.0,
+            total_cap: 400.0,
+        };
+        let mut hi = Vec::new();
+        let at = sweep(&m, 0.2, &mut hi).expect("no token");
+        m.supply = at * (1.0 + 5e-4);
+        let (mut lo, mut probe, mut probes) = (Vec::new(), Vec::new(), 0);
+        let mut d = Demands { lo: &mut lo, hi: &mut hi, probe: &mut probe };
+        let start = Bracket::at(0.2);
+        let found = search(&m, start, Some(at), Stop::Relative(1e-3), &mut d, &mut probes, &mut || {
+            Ok::<(), Interrupted>(())
+        });
+        let l = found.unwrap().expect("relative searches always land");
+        assert!(l.converged && l.price == 0.2 && l.demand == at, "{l:?}");
+        assert_eq!(probes, 0);
+    }
+
+    #[test]
+    fn relative_search_over_a_demand_jump_settles_for_the_best_feasible_price() {
+        // Demand is 10 up to λ = 1 and 0 past it: no price lands within
+        // tolerance of 6.
+        let utils = vec![CappedLinear::new(1.0, 5.0, 5.0), CappedLinear::new(1.0, 5.0, 5.0)];
+        let (l, held) = run(&utils, 6.0, 0.3);
+        assert!(!l.converged);
+        assert!(l.price > 1.0 && l.bracket.lo <= 1.0, "{l:?}");
+        assert_eq!(l.price, l.bracket.hi);
+        assert_eq!((l.demand, held), (0.0, 0.0));
     }
 }

@@ -10,10 +10,11 @@
 //! that subroutine — and the independent reference implementations used to
 //! validate it — from scratch:
 //!
-//! * [`bisection`] — the production allocator: binary search on the common
+//! * [`bisection`] — the production allocator: search on the common
 //!   marginal value λ, querying each utility's
 //!   [`inverse_derivative`](aa_utility::Utility::inverse_derivative)
-//!   (a thread's "demand at price λ"). Matches Galil's asymptotics.
+//!   (a thread's "demand at price λ"). Matches Galil's asymptotics. Its
+//!   λ-search also clears the markets of `aa-core`'s price backend.
 //! * [`greedy`] — Fox's marginal-gain greedy over discrete resource units
 //!   (`O(k log n)` for `k` units), optimal for concave utilities at the
 //!   chosen granularity.

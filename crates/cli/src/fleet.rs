@@ -106,18 +106,11 @@ pub fn parse_ladder(s: &str) -> Result<Vec<Tier>, String> {
     let mut tiers = Vec::new();
     for name in s.split(',') {
         let name = name.trim();
-        tiers.push(match name {
-            "exact-bb" => Tier::BranchAndBound,
-            "algo2-refined" => Tier::Algo2Refined,
-            "algo2" => Tier::Algo2,
-            "price" => Tier::Price,
-            "uu" => Tier::Uu,
-            other => {
-                return Err(format!(
-                    "unknown ladder tier {other:?}; expected exact-bb, algo2-refined, algo2, price, or uu"
-                ))
-            }
-        });
+        tiers.push(Tier::parse(name).ok_or_else(|| {
+            format!(
+                "unknown ladder tier {name:?}; expected exact-bb, algo2-refined, algo2, price, or uu"
+            )
+        })?);
     }
     if tiers.is_empty() {
         return Err("ladder must name at least one tier".to_string());

@@ -177,43 +177,49 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// The solver registry: stable names → instances. Boxed `Send + Sync`
-/// so the instance can drive the parallel batch/churn entry points.
-pub fn solver_by_name(name: &str) -> Result<Box<dyn Solver + Send + Sync>, CliError> {
-    Ok(match name {
-        "algo1" => Box::new(Algo1),
-        "algo2" => Box::new(Algo2),
-        "algo2-refined" => Box::new(Algo2Refined),
-        "price" => Box::new(PriceSolver),
-        "algo2-single-sort" => Box::new(Algo2SingleSort),
-        "algo2-fair-share" => Box::new(Algo2FairShare),
-        "uu" => Box::new(Uu),
-        "ur" => Box::new(Ur),
-        "ru" => Box::new(Ru),
-        "rr" => Box::new(Rr),
-        "exact" => Box::new(BruteForce),
-        "exact-bb" => Box::new(BranchAndBound),
-        "tiered" => Box::new(TieredSolver::new()),
-        other => return Err(CliError::UnknownSolver(other.to_string())),
-    })
+/// A boxed solver, `Send + Sync` so it can drive the parallel
+/// batch/churn entry points.
+type BoxedSolver = Box<dyn Solver + Send + Sync>;
+
+/// One registry row: a stable name and its constructor.
+type SolverEntry = (&'static str, fn() -> BoxedSolver);
+
+/// The solver registry, in help order.
+const SOLVERS: &[SolverEntry] = &[
+    ("algo2", || Box::new(Algo2)),
+    ("algo2-refined", || Box::new(Algo2Refined)),
+    ("price", || Box::new(PriceSolver)),
+    ("algo1", || Box::new(Algo1)),
+    ("uu", || Box::new(Uu)),
+    ("ur", || Box::new(Ur)),
+    ("ru", || Box::new(Ru)),
+    ("rr", || Box::new(Rr)),
+    ("exact", || Box::new(BruteForce)),
+    ("exact-bb", || Box::new(BranchAndBound)),
+    ("tiered", || Box::new(TieredSolver::new())),
+    ("algo2-single-sort", || Box::new(Algo2SingleSort)),
+    ("algo2-fair-share", || Box::new(Algo2FairShare)),
+];
+
+/// Build the solver registered under `name`.
+pub fn solver_by_name(name: &str) -> Result<BoxedSolver, CliError> {
+    SOLVERS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, make)| make())
+        .ok_or_else(|| CliError::UnknownSolver(name.to_string()))
 }
 
 /// Names accepted by [`solver_by_name`], in help order.
-pub const SOLVER_NAMES: &[&str] = &[
-    "algo2",
-    "algo2-refined",
-    "price",
-    "algo1",
-    "uu",
-    "ur",
-    "ru",
-    "rr",
-    "exact",
-    "exact-bb",
-    "tiered",
-    "algo2-single-sort",
-    "algo2-fair-share",
-];
+pub const SOLVER_NAMES: &[&str] = &{
+    let mut names = [""; SOLVERS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = SOLVERS[i].0;
+        i += 1;
+    }
+    names
+};
 
 /// Build the live [`Problem`] from a parsed file.
 pub fn build_problem(file: &ProblemFile) -> Result<Problem, CliError> {
@@ -1008,14 +1014,14 @@ fn scale_entry(
     reps: usize,
     entry_seed: u64,
 ) -> Result<ScaleEntry, CliError> {
-    use aa_core::price::{self, PriceOpts, PriceWarmState};
+    use aa_allocator::bisection::{sweep, Fan, Market};
+    use aa_core::price::{self, PriceWarmState};
     use aa_utility::DemandTable;
 
     let mut rng = StdRng::seed_from_u64(entry_seed);
     let problem = spec.generate(&mut rng).map_err(CliError::Problem)?;
     let n = problem.len();
     let reps = if n >= 500_000 { 1 } else { reps.max(1) };
-    let price_opts = PriceOpts::default();
 
     let (algo2_millis, a2) = time_best(reps, || algo2::solve_par(&problem));
     let mut price_millis = f64::INFINITY;
@@ -1023,7 +1029,7 @@ fn scale_entry(
     let mut stats = aa_core::PriceStats::default();
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
-        let (a, s) = price::solve_with_opts(&problem, &price_opts, None, None)
+        let (a, s) = price::solve_with(&problem, None, None)
             .expect("unbudgeted price solve cannot fail");
         price_millis = price_millis.min(t0.elapsed().as_secs_f64() * 1e3);
         price_a = Some(a);
@@ -1040,20 +1046,32 @@ fn scale_entry(
     let utils = problem.capped_threads();
     let mut table = DemandTable::new();
     table.compile(&utils);
-    let mut out = vec![0.0; n];
+    let seq = Market {
+        table: &table,
+        utils: &utils,
+        rows: None,
+        fan: Fan::Seq,
+        supply: 0.0,
+        total_cap: 0.0,
+    };
+    let pool = Market {
+        fan: Fan::Pool(None),
+        ..seq
+    };
+    let mut out = Vec::with_capacity(n);
     let lambdas: [f64; 4] = [1e-2, 0.1, 1.0, 10.0];
     let mut sweep_seq_micros = f64::INFINITY;
     let mut sweep_par_micros = f64::INFINITY;
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
         for &l in &lambdas {
-            table.batch_inverse_derivative(&utils, l, &mut out);
+            sweep(&seq, l, &mut out);
         }
         sweep_seq_micros =
             sweep_seq_micros.min(t0.elapsed().as_secs_f64() * 1e6 / lambdas.len() as f64);
         let t1 = std::time::Instant::now();
         for &l in &lambdas {
-            price::par_sweep(&table, &utils, l, &mut out);
+            sweep(&pool, l, &mut out);
         }
         sweep_par_micros =
             sweep_par_micros.min(t1.elapsed().as_secs_f64() * 1e6 / lambdas.len() as f64);

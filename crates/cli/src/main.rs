@@ -160,6 +160,13 @@ fn run() -> Result<(), Failure> {
     let Some(command) = args.first() else {
         return Err(Failure::Usage("missing command".into()));
     };
+    // `<command> --help` prints the usage and does nothing else: the
+    // subcommands ignore flags they do not know, so without this check
+    // `bench --help` would run the benchmark.
+    if args[1..].iter().any(|a| a == "-h" || a == "--help") {
+        print!("{USAGE}");
+        return Ok(());
+    }
     match command.as_str() {
         "solve" => cmd_solve(&args[1..]),
         "generate" => cmd_generate(&args[1..]),

@@ -193,6 +193,24 @@ fn missing_command_prints_usage() {
 }
 
 #[test]
+fn subcommand_help_prints_usage_and_runs_nothing() {
+    // `bench` writes BENCH_solver.json into its working directory and
+    // `chaos` runs a storm: with --help neither may do anything.
+    let dir = tempdir().join("subcommand-help");
+    std::fs::create_dir_all(&dir).unwrap();
+    for command in ["bench", "chaos"] {
+        for flag in ["--help", "-h"] {
+            let out = bin().current_dir(&dir).args([command, flag]).output().unwrap();
+            assert_eq!(out.status.code(), Some(0), "{command} {flag}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.starts_with("usage:"), "{command} {flag}: {stdout}");
+        }
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "help created files: {left:?}");
+}
+
+#[test]
 fn pretty_flag_pretty_prints() {
     let out = bin()
         .args(["generate", "--servers", "2", "--beta", "1", "--capacity", "5", "--pretty"])
@@ -204,6 +222,7 @@ fn pretty_flag_pretty_prints() {
 }
 
 #[test]
+#[ignore = "timing gate (par ≥ 0.95× seq); flaky beside other tests, CI's timing-gates job runs it alone"]
 fn bench_small_writes_valid_schema_with_matching_utilities() {
     let dir = tempdir();
     let out_path = dir.join("BENCH_solver.json");
@@ -894,6 +913,7 @@ fn metrics_addr_bind_failure_exits_8() {
 // ---- chaos ----
 
 #[test]
+#[ignore = "timing gate (trailing-p99 recovery); flaky beside other tests, CI's timing-gates job runs it alone"]
 fn chaos_command_gates_on_robustness_invariants() {
     let dir = tempdir();
     let report_path = dir.join("chaos-report.json");

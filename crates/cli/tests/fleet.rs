@@ -253,6 +253,7 @@ fn shutdown_drain_answers_stuck_requests_with_shutdown_class() {
 }
 
 #[test]
+#[ignore = "timing gate (trailing-p99 recovery); flaky beside other tests, CI's timing-gates job runs it alone"]
 fn fleet_chaos_reports_are_deterministic_and_healthy() {
     let run = || {
         let out = bin()

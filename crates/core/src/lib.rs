@@ -69,14 +69,14 @@ pub use incremental::{IncrementalStats, SolveMode, SolverArena, WarmState};
 pub use fleet::{
     Backoff, FleetRouter, FrameError, PendingEntry, PendingMap, RouteDecision,
 };
-pub use price::{PriceOpts, PriceStats, PriceWarmState};
+pub use price::{PriceStats, PriceWarmState};
 pub use problem::{Assignment, AssignmentError, Problem, ProblemBuilder, ProblemError};
 pub use ring::Ring;
 pub use shard::{
     ChaosHook, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
     StreamSolver, SubmitError,
 };
-pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver, SolverBackend};
+pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver};
 pub use tiered::{Degradation, Tier, TierOutcome, TierStatus, TieredSolve, TieredSolver};
 
 /// The approximation ratio `α = 2(√2 − 1) ≈ 0.8284` guaranteed by

@@ -1,38 +1,39 @@
 //! Price-discovery solver backend (Agrawal–Boyd style tâtonnement).
 //!
-//! Algo2's λ-bisection is sequential in λ and re-walks the full
-//! superopt → linearize → assign pipeline every solve; it tops out
-//! around the paper's 16×8192 matrix. This module trades the bisection
-//! for **price discovery**: iterate a price, let every thread respond
-//! with its demand-at-price, and damp the price toward market clearing.
-//! Each iteration is one cache-friendly, pool-parallel sweep over all
-//! `n` threads through the batched SoA demand kernel
-//! ([`aa_utility::demand::DemandTable`]) — the parallelism lands on the
-//! *iteration*, not the outer loop, which is what opens the `n = 10⁶`
-//! regime.
+//! Algo2's λ-search re-walks the full superopt → linearize → assign
+//! pipeline every solve; it tops out around the paper's 16×8192
+//! matrix. This module trades the exact search for **price discovery**:
+//! set a price, let every thread respond with its demand-at-price, and
+//! move the price toward market clearing. Each probe is one
+//! cache-friendly, pool-parallel sweep over all `n` threads through the
+//! batched SoA demand kernel ([`aa_utility::demand::DemandTable`]) — the
+//! parallelism lands on the *probe*, not the outer loop, which is what
+//! opens the `n = 10⁶` regime.
 //!
 //! # Protocol (three phases)
 //!
 //! 1. **Global discovery** — clear the pooled market (supply `m·C`,
-//!    demand `D(λ) = Σ xᵢ(λ)` over capped views) with a damped
-//!    multiplicative update `λ ← λ·(D(λ)/mC)^κ` inside a maintained
-//!    bracket; bisection-midpoint fallback whenever the proposal leaves
-//!    the bracket, so convergence is never worse than plain bisection.
-//!    Accepts the cheapest price with `mC·(1−tol) ≤ D(λ) ≤ mC`.
+//!    demand `D(λ) = Σ xᵢ(λ)` over capped views) with the allocator's
+//!    λ-search ([`aa_allocator::bisection::search`], the same probe loop
+//!    Algo2's warm path runs) under the relative stop rule: walk from a
+//!    start price to a bracket, close it by Illinois false position, and
+//!    accept the first probe with `|D(λ) − mC| ≤ tol·mC`.
 //! 2. **Placement** — threads are placed on the server with the most
 //!    remaining capacity (deterministic argmax), clipping `cᵢ` to what
 //!    remains; feasibility is exact by construction.
 //! 3. **Per-server refinement** — each server independently re-clears
-//!    its own market over its residents (supply `C`, same damped loop,
-//!    warm-started from the global price), then spreads any leftover.
-//!    The refined allocation is kept only when it does not lose utility
+//!    its own market over its residents (supply `C`, same search,
+//!    started from the global price, whose resident demands phase 1
+//!    already swept), then spreads any leftover. The
+//!    refined allocation is kept only when it does not lose utility
 //!    versus the clipped placement, so phase 3 can only help. Servers
 //!    refine in parallel.
 //!
-//! Prices are the natural warm state: a [`PriceWarmState`] carries the
-//! accepted global price and the per-server prices, so a drifted
-//! re-solve starts its brackets where the last solve converged and
-//! typically accepts within a couple of sweeps.
+//! The global market carries the bracket its search ended on
+//! ([`Bracket`]: the accepted price as a point, or the pair around a
+//! demand jump it could not resolve) and the demands there in a
+//! [`PriceWarmState`], so a drifted re-solve starts where the last
+//! solve converged, with its first probe already swept.
 //!
 //! # Determinism
 //!
@@ -43,21 +44,22 @@
 //!
 //! # Tolerance
 //!
-//! The documented convergence tolerance is [`PriceOpts::tol`] (default
-//! `1e-3`), applied **two-sided**: a price is accepted when demand is
-//! within `tol·supply` of supply on *either* side. Undershoot leaves at
-//! most `tol·mC` of the pooled supply unsold (recovered by leftover
-//! spreading); overshoot is clipped by placement and proportionally
-//! rescaled during per-server refinement, so feasibility is always
-//! exact. The resulting total utility lands within a few percent of
-//! Algo2's on the paper distributions (the differential suite pins 5%
-//! relative); the gap versus the superopt *bound* is recorded
-//! per-instance by `aa bench --mode scale`.
+//! The convergence tolerance is [`TOL`] = `1e-3`, applied
+//! **two-sided**: a price is accepted when demand is within `tol·supply`
+//! of supply on *either* side. Undershoot leaves at most `tol·mC` of the
+//! pooled supply unsold (recovered by leftover spreading); overshoot is
+//! clipped by placement and proportionally rescaled during per-server
+//! refinement, so feasibility is always exact. The resulting total
+//! utility lands within a few percent of Algo2's on the paper
+//! distributions (the differential suite pins 5% relative); the gap
+//! versus the superopt *bound* is recorded per-instance by
+//! `aa bench --mode scale`.
 
 use rayon::prelude::*;
 
 use std::sync::Arc;
 
+use aa_allocator::bisection::{search, sweep, Bracket, Demands, Fan, Landing, Market, Stop};
 use aa_utility::demand::DemandTable;
 use aa_utility::{DynUtility, Utility};
 
@@ -67,69 +69,39 @@ use crate::solver::SolveError;
 
 pub use aa_allocator::tuning::par_threshold;
 
-/// Hard ceiling for price escalation when no finite price clears the
-/// market (e.g. staircase floors whose demand never drops below
-/// supply). Past this the loop gives up and lets placement clip.
-const LAMBDA_MAX: f64 = 1e18;
-
-/// Tuning knobs for the price-discovery loop.
-#[derive(Debug, Clone, Copy)]
-pub struct PriceOpts {
-    /// Relative clearing tolerance: accept price λ once
-    /// `|D(λ) − supply| ≤ tol·supply` (two-sided; overshoot is clipped
-    /// at placement and rescaled during refinement).
-    pub tol: f64,
-    /// Iteration cap per market (global and per-server alike); the loop
-    /// then settles for the best feasible price seen.
-    pub max_iters: u32,
-    /// Damping exponent κ of the multiplicative update
-    /// `λ ← λ·(D/supply)^κ`. `0 < κ ≤ 1`; smaller is more cautious.
-    pub damping: f64,
-}
-
-impl Default for PriceOpts {
-    fn default() -> Self {
-        PriceOpts {
-            tol: 1e-3,
-            max_iters: 64,
-            damping: 0.5,
-        }
-    }
-}
+/// Relative clearing tolerance: a market clears at price λ once
+/// `|D(λ) − supply| ≤ TOL·supply` (two-sided; overshoot is clipped at
+/// placement and rescaled during refinement).
+pub const TOL: f64 = 1e-3;
 
 /// Observability snapshot of one price-discovery solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PriceStats {
-    /// Global price-update iterations (phase 1 demand evaluations).
+    /// Global price probes (phase 1 demand sweeps).
     pub iterations: u64,
-    /// Per-server refinement iterations summed over servers (phase 3).
+    /// Per-server refinement probes summed over servers (phase 3).
     pub refine_iterations: u64,
     /// Total demand sweeps (global full-width sweeps plus per-server
     /// resident sweeps).
     pub sweeps: u64,
-    /// Whether the global market cleared within tolerance before the
-    /// iteration cap.
+    /// Whether the global market cleared within tolerance.
     pub converged: bool,
     /// Whether the solve started from a carried [`PriceWarmState`].
     pub warm: bool,
 }
 
-/// Converged prices carried between solves: the warm state of the
-/// price backend. Embedded in [`crate::incremental::WarmState`] so the
-/// serve layer's per-stream warm maps carry prices with no extra
-/// plumbing.
+/// The bracket and demand table carried between solves: the warm state
+/// of the price backend. Embedded in [`crate::incremental::WarmState`] so the serve
+/// layer's per-stream warm maps carry prices with no extra plumbing.
 #[derive(Debug, Clone, Default)]
 pub struct PriceWarmState {
     valid: bool,
-    lambda: f64,
-    /// Demand slope dD/dλ observed at the global clearing point (NaN =
-    /// unknown): lets the next warm solve take a Newton first step
-    /// instead of waiting two evaluations for the secant.
-    slope: f64,
-    server_prices: Vec<f64>,
-    /// Per-server clearing slopes, parallel to `server_prices` (NaN =
-    /// unknown).
-    server_slopes: Vec<f64>,
+    /// Where the global market's last search ended.
+    global: Bracket,
+    /// Each thread's demand at `global.hi`, the last solve's price:
+    /// patched with the table, it makes the next warm search's first
+    /// probe cost no sweep.
+    demand: Vec<f64>,
     prev_servers: usize,
     prev_capacity: f64,
     /// Compiled demand table carried between solves, so a drifted
@@ -154,10 +126,9 @@ impl PriceWarmState {
     /// Drop the carried prices; the next solve runs cold.
     pub fn invalidate(&mut self) {
         self.valid = false;
-        self.server_prices.clear();
-        self.server_slopes.clear();
         self.table = DemandTable::new();
         self.cached.clear();
+        self.demand.clear();
     }
 
     /// Whether the state currently carries usable prices.
@@ -172,14 +143,13 @@ impl PriceWarmState {
 
     /// The carried global clearing price, if warm.
     pub fn lambda(&self) -> Option<f64> {
-        self.valid.then_some(self.lambda)
+        self.valid.then_some(self.global.hi)
     }
 
     fn usable_for(&self, problem: &Problem) -> bool {
         self.valid
             && self.prev_servers == problem.servers()
             && self.prev_capacity == problem.capacity()
-            && self.server_prices.len() == problem.servers()
     }
 }
 
@@ -204,143 +174,47 @@ fn record_stats(stats: &PriceStats) {
     }
 }
 
-/// One full-width demand sweep `out[i] = xᵢ(λ)`, fanned over the pool
-/// in disjoint contiguous chunks once `n` clears
-/// [`par_threshold`]. Bit-identical to the sequential sweep at any
-/// thread count.
-pub fn par_sweep(table: &DemandTable, utils: &[CappedView], lambda: f64, out: &mut [f64]) {
-    let n = out.len();
-    if n < par_threshold() {
-        table.batch_inverse_derivative(utils, lambda, out);
-        return;
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-    out.chunks_mut(chunk)
-        .zip(starts)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .for_each(|(slot, start)| table.batch_range(utils, lambda, start, slot));
-}
-
-/// Damped price search on one market. `demand(λ)` must be
-/// non-increasing in λ; each call counts one iteration. Acceptance is
-/// **two-sided** — `|D(λ) − supply| ≤ tol·supply` — because callers
-/// tolerate a small overshoot (placement clips, per-server refinement
-/// rescales), and one-sided acceptance would creep toward the clearing
-/// point in tiny damped steps exactly when a warm start lands near it.
-/// Without acceptance, returns the best *feasible* price seen (demand
-/// ≤ supply); when no finite price is feasible (demand floors above
-/// supply) the returned price is [`LAMBDA_MAX`] with
-/// `converged = false` — callers clip at placement.
-///
-/// `slope0` is an optional dD/dλ estimate from a previous solve of a
-/// nearby market (warm start): when present and negative, the very
-/// first proposal is a Newton step instead of the damped update, so a
-/// warm market typically clears in two evaluations. The returned slope
-/// is this run's last observed finite-difference slope (or `slope0`
-/// when the first evaluation already cleared), for the caller to carry
-/// forward.
-#[allow(clippy::too_many_arguments)]
-fn clear_market<F: FnMut(f64) -> f64>(
-    mut demand: F,
-    supply: f64,
-    sum_caps: f64,
-    lambda0: f64,
-    slope0: Option<f64>,
-    opts: &PriceOpts,
+/// Clear one market from `start` under the relative stop rule, checking
+/// `budget` before each sweep. `swept = Some(s)` says `bufs[1]` already
+/// holds the demand at `start.hi`, summing to `s`. A market whose caps
+/// fit its supply clears at λ = 0 in one sweep. On return `bufs[1]`
+/// holds the demand at the landing price; the second value is the sweep
+/// count.
+fn clear<U: Utility>(
+    m: &Market<'_, U>,
+    start: Bracket,
+    swept: Option<f64>,
+    bufs: &mut [Vec<f64>; 3],
     budget: Option<&Budget>,
-) -> Result<(f64, bool, u64, f64), SolveError> {
-    // Unsaturated fast path: everyone gets their cap at price zero.
-    if sum_caps <= supply * (1.0 + 1e-12) {
-        return Ok((0.0, true, 0, f64::NAN));
+) -> Result<(Landing, u64), SolveError> {
+    let [lo, hi, probe] = bufs;
+    if m.total_cap <= m.supply {
+        let demand = sweep(m, 0.0, hi).expect("untokened sweeps complete");
+        let landing = Landing {
+            bracket: Bracket::at(0.0),
+            price: 0.0,
+            demand,
+            converged: true,
+            iterations: 0,
+        };
+        return Ok((landing, 1));
     }
-    let hint = slope0.filter(|s| s.is_finite() && *s < 0.0);
-    let mut lo = 0.0_f64; // demand(lo) > supply
-    let mut hi = f64::INFINITY; // demand(hi) ≤ supply once finite
-    let mut best: Option<f64> = None;
-    let mut lambda = if lambda0.is_finite() && lambda0 > 0.0 {
-        lambda0
+    // Searches start at a positive price: the carried bracket, else its
+    // high edge, else 1.
+    let (start, swept) = if start.lo > 0.0 {
+        (start, swept)
+    } else if start.hi > 0.0 {
+        (Bracket::at(start.hi), swept)
     } else {
-        1.0
+        (Bracket::at(1.0), None)
     };
-    let mut iters = 0u64;
-    let mut prev: Option<(f64, f64)> = None; // last (λ, D(λ)) evaluated
-    let slope_from = |prev: Option<(f64, f64)>, l: f64, d: f64| -> f64 {
-        match prev {
-            Some((pl, pd)) if pl != l && (d - pd).is_finite() => (d - pd) / (l - pl),
-            _ => hint.unwrap_or(f64::NAN),
-        }
-    };
-    while iters < opts.max_iters as u64 {
-        if let Some(b) = budget {
-            b.check()?;
-        }
-        iters += 1;
-        let d = demand(lambda);
-        if (d - supply).abs() <= opts.tol * supply {
-            let slope = slope_from(prev, lambda, d);
-            return Ok((lambda, true, iters, slope));
-        }
-        if d > supply {
-            lo = lo.max(lambda);
-        } else {
-            hi = hi.min(lambda);
-            best = Some(match best {
-                Some(b) => b.min(lambda),
-                None => lambda,
-            });
-        }
-        if hi.is_finite() && hi - lo <= 1e-12 * hi.max(1.0) {
-            break;
-        }
-        // Safeguarded secant: once two evaluations exist, shoot for the
-        // root of D(λ) − supply through them — superlinear near the
-        // clearing point, where the damped multiplicative step would
-        // otherwise creep by ~(D/supply)^κ per iteration. Falls back to
-        // the damped proposal, then bisection midpoint (or geometric
-        // growth while the bracket is half-open), whenever degenerate
-        // or escaping the bracket.
-        let mut next = f64::NAN;
-        if let Some((pl, pd)) = prev {
-            if pd != d && pl != lambda {
-                next = lambda - (d - supply) * (lambda - pl) / (d - pd);
-            }
-        } else if let Some(s) = hint {
-            // Warm start: Newton step off the carried clearing slope.
-            next = lambda - (d - supply) / s;
-        }
-        // Trust region: a near-flat finite-difference slope (plateaued
-        // demand) would fling the proposal orders of magnitude away,
-        // opening a bracket the arithmetic midpoint then closes only
-        // linearly. One bounded step per iteration still reaches any
-        // magnitude quickly.
-        next = next.clamp(lambda / 8.0, lambda * 8.0);
-        if !next.is_finite() || next <= lo || next >= hi {
-            next = if d > 0.0 && d.is_finite() {
-                lambda * (d / supply).powf(opts.damping)
-            } else {
-                f64::NAN
-            };
-        }
-        if !next.is_finite() || next <= lo || next >= hi {
-            next = if hi.is_finite() {
-                0.5 * (lo + hi)
-            } else {
-                (lambda * 4.0).max(1.0)
-            };
-        }
-        if next > LAMBDA_MAX {
-            break;
-        }
-        prev = Some((lambda, d));
-        lambda = next;
-    }
-    match best {
-        Some(b) => Ok((b, false, iters, f64::NAN)),
-        None => Ok((LAMBDA_MAX, false, iters, f64::NAN)),
-    }
+    let mut probes = 0_u32;
+    let mut d = Demands { lo, hi, probe };
+    let landing = search(m, start, swept, Stop::Relative(TOL), &mut d, &mut probes, &mut || {
+        budget.map_or(Ok(()), Budget::check)
+    })?
+    .expect("a relative search always lands");
+    Ok((landing, u64::from(probes)))
 }
 
 /// Deterministic max-remaining placement: thread `i` (in `order`) goes
@@ -390,51 +264,28 @@ fn place(
     (server, out)
 }
 
-/// Per-server refinement: re-clear server `j`'s market over its
-/// residents, spread leftovers, and keep the refined allocation only
-/// if it does not lose utility against the clipped placement. Returns
-/// the refined per-resident amounts, the accepted server price, the
-/// iteration count, and the observed clearing slope (for the warm
-/// state).
-#[allow(clippy::too_many_arguments)]
+/// Per-server refinement: re-clear one server's market `m` (its
+/// residents, supply `C`) from the global price — whose resident demands
+/// `global_demand` already holds, so the first probe costs no sweep —
+/// spread leftovers, and keep the refined allocation only if it does not
+/// lose utility against the clipped placement. Returns the refined
+/// per-resident amounts and the market's sweep count.
 fn refine_server(
-    table: &DemandTable,
-    utils: &[CappedView],
+    m: &Market<'_, CappedView>,
     residents: &[usize],
     clipped: &[f64],
-    capacity: f64,
     global_lambda: f64,
-    lambda0: f64,
-    slope0: Option<f64>,
-    opts: &PriceOpts,
+    global_demand: &[f64],
     budget: Option<&Budget>,
-) -> Result<(Vec<f64>, f64, u64, f64), SolveError> {
-    let sum_caps: f64 = residents.iter().map(|&i| utils[i].cap()).sum();
-    // The closure keeps the per-resident demands of its latest
-    // evaluation so the accepting iteration's work is reused below.
-    let mut vals = vec![0.0f64; residents.len()];
-    let mut last_l = f64::NAN;
-    let mut demand = |l: f64| -> f64 {
-        let mut d = 0.0;
-        for (k, &i) in residents.iter().enumerate() {
-            let v = table.eval(utils, i, l);
-            vals[k] = v;
-            d += v;
-        }
-        last_l = l;
-        d
-    };
-    let (price, _, iters, slope) =
-        clear_market(&mut demand, capacity, sum_caps, lambda0, slope0, opts, budget)?;
-    let mut refined: Vec<f64> = if last_l == price {
-        vals
-    } else {
-        residents
-            .iter()
-            .map(|&i| table.eval(utils, i, price))
-            .collect()
-    };
-    let mut used: f64 = refined.iter().sum();
+) -> Result<(Vec<f64>, u64), SolveError> {
+    let capacity = m.supply;
+    let mut bufs: [Vec<f64>; 3] = Default::default();
+    bufs[1] = residents.iter().map(|&i| global_demand[i]).collect();
+    let swept = bufs[1].iter().sum();
+    let start = Bracket::at(global_lambda);
+    let (landing, sweeps) = clear(m, start, Some(swept), &mut bufs, budget)?;
+    let [_, mut refined, _] = bufs;
+    let mut used = landing.demand;
     let mut rescaled = false;
     if used > capacity {
         // The two-sided accept lets demand overshoot supply by up to
@@ -455,7 +306,7 @@ fn refine_server(
         if leftover <= 0.0 {
             break;
         }
-        let room = (utils[i].cap() - refined[k]).max(0.0);
+        let room = (m.utils[i].cap() - refined[k]).max(0.0);
         let give = room.min(leftover);
         refined[k] += give;
         leftover -= give;
@@ -468,34 +319,23 @@ fn refine_server(
     // and leftover spreading only adds — with `value` nondecreasing
     // (trait contract) the refined allocation provably scores at least
     // as high, so the two value sweeps below are skipped.
-    if !rescaled && price <= global_lambda {
-        return Ok((refined, price, iters, slope));
+    if rescaled || landing.price > global_lambda {
+        // Keep whichever allocation scores higher on this server, so
+        // refinement can only help.
+        let score = |amounts: &[f64]| -> f64 {
+            residents.iter().zip(amounts).map(|(&i, &c)| m.utils[i].value(c)).sum()
+        };
+        if score(&refined) < score(clipped) {
+            refined = clipped.to_vec();
+        }
     }
-    // Keep whichever allocation scores higher on this server, so
-    // refinement can only help.
-    let util_old: f64 = residents
-        .iter()
-        .zip(clipped)
-        .map(|(&i, &c)| utils[i].value(c))
-        .sum();
-    let util_new: f64 = residents
-        .iter()
-        .zip(&refined)
-        .map(|(&i, &c)| utils[i].value(c))
-        .sum();
-    if util_new >= util_old {
-        Ok((refined, price, iters, slope))
-    } else {
-        Ok((clipped.to_vec(), price, iters, slope))
-    }
+    Ok((refined, sweeps))
 }
 
-/// Full price-discovery solve with explicit options, optional budget
-/// and optional warm state. Returns the assignment and the solve's
-/// [`PriceStats`].
-pub fn solve_with_opts(
+/// Full price-discovery solve with an optional budget and optional warm
+/// state. Returns the assignment and the solve's [`PriceStats`].
+pub fn solve_with(
     problem: &Problem,
-    opts: &PriceOpts,
     budget: Option<&Budget>,
     warm: Option<&mut PriceWarmState>,
 ) -> Result<(Assignment, PriceStats), SolveError> {
@@ -515,18 +355,22 @@ pub fn solve_with_opts(
     // Table acquisition: a warm state carries the previous solve's
     // compiled table plus the `Arc` behind each row, so only rows whose
     // utility object changed are recompiled — at 1% drift that turns
-    // the largest O(n) fixed cost into an O(n) pointer scan.
+    // the largest O(n) fixed cost into an O(n) pointer scan. The demands
+    // at the carried price are patched on the same rows.
+    let mut bufs: [Vec<f64>; 3] = Default::default();
     let mut cache_used = false;
     let table = match warm.as_deref_mut().filter(|w| {
-        warm_usable && w.cached.len() == n && w.table.len() == n
+        warm_usable && w.cached.len() == n && w.table.len() == n && w.demand.len() == n
     }) {
         Some(w) => {
             cache_used = true;
             let mut t = std::mem::take(&mut w.table);
+            bufs[1] = std::mem::take(&mut w.demand);
             let mut patched = false;
             for i in 0..n {
                 if !Arc::ptr_eq(&w.cached[i], &threads[i]) {
                     t.patch(i, &utils[i]);
+                    bufs[1][i] = t.eval(&utils, i, w.global.hi);
                     w.cached[i] = threads[i].clone();
                     patched = true;
                 }
@@ -542,37 +386,31 @@ pub fn solve_with_opts(
             t
         }
     };
-    let sum_caps: f64 = utils.iter().map(|u| u.cap()).sum();
-    let (lambda0, slope0) = if warm_usable {
-        let w = warm.as_ref().expect("warm_usable implies Some");
-        (w.lambda, Some(w.slope))
-    } else {
-        (1.0, None)
+    let start = match warm.as_deref() {
+        Some(w) if warm_usable => w.global,
+        _ => Bracket::at(1.0),
     };
 
-    // Phase 1: global price discovery — one parallel sweep per
-    // iteration, total summed sequentially for determinism.
-    let mut buf = vec![0.0f64; n];
-    let mut sweeps = 0u64;
-    let mut last_swept = f64::NAN;
-    let (lambda, converged, iters, slope) = {
-        let _d = aa_obs::span!("price_discovery");
-        let demand = |l: f64| -> f64 {
-            par_sweep(&table, &utils, l, &mut buf);
-            sweeps += 1;
-            last_swept = l;
-            buf.iter().sum()
-        };
-        clear_market(demand, supply, sum_caps, lambda0, slope0, opts, budget)?
+    // Phase 1: global price discovery — one parallel sweep per probe,
+    // total summed sequentially for determinism. `bufs[1]` ends up
+    // holding the demand at the accepted price.
+    let market = Market {
+        table: &table,
+        utils: &utils,
+        rows: None,
+        fan: Fan::Pool(None),
+        supply,
+        total_cap: utils.iter().map(|u| u.cap()).sum(),
     };
-    stats.iterations = iters;
-    stats.converged = converged;
-    // Demand at the accepted price: the accepting evaluation usually
-    // was the last sweep, in which case `buf` already holds it.
-    if last_swept != lambda {
-        par_sweep(&table, &utils, lambda, &mut buf);
-        sweeps += 1;
-    }
+    let swept = cache_used.then(|| bufs[1].iter().sum());
+    let (global, sweeps) = {
+        let _d = aa_obs::span!("price_discovery");
+        clear(&market, start, swept, &mut bufs, budget)?
+    };
+    let lambda = global.price;
+    stats.iterations = sweeps;
+    stats.converged = global.converged;
+    let buf = &bufs[1];
 
     // Phase 2: placement. Sorting by demand improves first-fit quality
     // but costs O(n log n); past the parallel crossover the per-server
@@ -586,9 +424,12 @@ pub fn solve_with_opts(
     } else {
         (0..n).collect()
     };
-    let (server, clipped) = place(problem, &buf, &order);
+    let (server, clipped) = place(problem, buf, &order);
 
-    // Phase 3: per-server refinement, parallel over servers.
+    // Phase 3: per-server refinement, parallel over servers. A server's
+    // market starts from the global price rather than from where its own
+    // last search ended: placement reshuffles the residents between
+    // solves, so that price is stale.
     let groups = {
         let mut g: Vec<Vec<usize>> = vec![Vec::new(); m];
         for (i, &j) in server.iter().enumerate() {
@@ -597,71 +438,40 @@ pub fn solve_with_opts(
         g
     };
     let refine_span = aa_obs::span!("price_refine");
-    let warm_prices: Option<(&[f64], &[f64])> = if warm_usable {
-        warm.as_ref()
-            .map(|w| (w.server_prices.as_slice(), w.server_slopes.as_slice()))
-    } else {
-        None
-    };
-    let old_server_slopes: Option<Vec<f64>> = warm_prices.map(|(_, s)| s.to_vec());
-    type Refined = Result<(Vec<f64>, f64, u64, f64), SolveError>;
-    let refined: Vec<Refined> = groups
+    let refined: Vec<Result<(Vec<f64>, u64), SolveError>> = groups
         .par_iter()
         .map(|residents| {
-            let j = match residents.first() {
-                Some(&i) => server[i],
-                None => return Ok((Vec::new(), lambda, 0, f64::NAN)),
-            };
-            let (start, s0) = match warm_prices {
-                Some((p, s)) => (p[j], s.get(j).copied()),
-                None => (lambda, None),
+            if residents.is_empty() {
+                return Ok((Vec::new(), 0));
+            }
+            let server = Market {
+                rows: Some(residents),
+                fan: Fan::Seq,
+                supply: capacity,
+                total_cap: residents.iter().map(|&i| utils[i].cap()).sum(),
+                ..market
             };
             let local: Vec<f64> = residents.iter().map(|&i| clipped[i]).collect();
-            refine_server(
-                &table, &utils, residents, &local, capacity, lambda, start, s0, opts,
-                budget,
-            )
+            refine_server(&server, residents, &local, lambda, buf, budget)
         })
         .collect();
     drop(refine_span);
 
     let mut amount = clipped;
-    let mut server_prices = vec![lambda; m];
-    let mut server_slopes = vec![f64::NAN; m];
     for (j, res) in refined.into_iter().enumerate() {
-        let (vals, price, r_iters, r_slope) = res?;
-        stats.refine_iterations += r_iters;
-        sweeps += r_iters;
-        server_prices[j] = price;
-        server_slopes[j] = r_slope;
+        let (vals, sweeps) = res?;
+        stats.refine_iterations += sweeps;
         for (k, &i) in groups[j].iter().enumerate() {
             amount[i] = vals[k];
         }
     }
-    stats.sweeps = sweeps;
+    stats.sweeps = stats.iterations + stats.refine_iterations;
     record_stats(&stats);
 
     if let Some(w) = warm {
         w.valid = true;
-        w.lambda = lambda;
-        // Keep the previous slope when this solve accepted on its first
-        // evaluation (no fresh finite-difference pair).
-        if slope.is_finite() {
-            w.slope = slope;
-        } else if !warm_usable {
-            w.slope = f64::NAN;
-        }
-        for (j, s) in server_slopes.iter_mut().enumerate() {
-            if !s.is_finite() {
-                if let Some(old) = old_server_slopes.as_ref() {
-                    if let Some(&o) = old.get(j) {
-                        *s = o;
-                    }
-                }
-            }
-        }
-        w.server_prices = server_prices;
-        w.server_slopes = server_slopes;
+        w.global = global.bracket;
+        w.demand = std::mem::take(&mut bufs[1]);
         w.prev_servers = m;
         w.prev_capacity = capacity;
         w.table = table;
@@ -674,28 +484,28 @@ pub fn solve_with_opts(
     Ok((Assignment { server, amount }, stats))
 }
 
-/// Cold price-discovery solve with default options; never fails.
+/// Cold price-discovery solve; never fails.
 pub fn solve(problem: &Problem) -> Assignment {
-    match solve_with_opts(problem, &PriceOpts::default(), None, None) {
+    match solve_with(problem, None, None) {
         Ok((a, _)) => a,
         Err(_) => unreachable!("unbudgeted price solve cannot fail"),
     }
 }
 
-/// Cold budgeted solve: cooperative budget checks once per price
-/// iteration, global and per-server alike.
+/// Cold budgeted solve: cooperative budget checks before every demand
+/// sweep, global and per-server alike.
 pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
-    solve_with_opts(problem, &PriceOpts::default(), Some(budget), None).map(|(a, _)| a)
+    solve_with(problem, Some(budget), None).map(|(a, _)| a)
 }
 
-/// Warm solve through a carried [`PriceWarmState`]: brackets start at
-/// the previous solve's converged prices, and the state is updated with
-/// this solve's accepted prices on success.
+/// Warm solve through a carried [`PriceWarmState`]: the global search
+/// starts where the previous solve's ended, and the state is updated
+/// with this solve's bracket on success.
 pub fn solve_warm(
     problem: &Problem,
     state: &mut PriceWarmState,
 ) -> Result<Assignment, SolveError> {
-    solve_with_opts(problem, &PriceOpts::default(), None, Some(state)).map(|(a, _)| a)
+    solve_with(problem, None, Some(state)).map(|(a, _)| a)
 }
 
 /// [`solve_warm`] with a cooperative budget.
@@ -704,7 +514,7 @@ pub fn solve_warm_budgeted(
     state: &mut PriceWarmState,
     budget: &Budget,
 ) -> Result<Assignment, SolveError> {
-    solve_with_opts(problem, &PriceOpts::default(), Some(budget), Some(state)).map(|(a, _)| a)
+    solve_with(problem, Some(budget), Some(state)).map(|(a, _)| a)
 }
 
 #[cfg(test)]
@@ -740,8 +550,7 @@ mod tests {
             .threads((0..3).map(|_| Arc::new(Power::new(1.0, 0.5, 2.0)) as _))
             .build()
             .unwrap();
-        let (a, stats) =
-            solve_with_opts(&p, &PriceOpts::default(), None, None).unwrap();
+        let (a, stats) = solve_with(&p, None, None).unwrap();
         assert!(stats.converged);
         for &c in &a.amount {
             assert!((c - 2.0).abs() < 1e-9);
@@ -769,7 +578,8 @@ mod tests {
         let warm = solve_warm(&p, &mut state).unwrap();
         assert!(state.last_stats().warm);
         assert!(
-            state.last_stats().iterations <= PriceOpts::default().max_iters as u64
+            state.last_stats().iterations
+                <= aa_allocator::bisection::MAX_RELATIVE_PROBES as u64
         );
         warm.validate(&p).unwrap();
         // Same problem, warm prices: utilities agree tightly.
@@ -795,6 +605,32 @@ mod tests {
         cold.validate(&drifted).unwrap();
         let (wu, cu) = (warm.total_utility(&drifted), cold.total_utility(&drifted));
         assert!(wu >= 0.95 * cu, "warm utility {wu} too far below cold {cu}");
+    }
+
+    #[test]
+    fn warm_search_starts_on_carried_demands_patched_by_row() {
+        let p = mixed_problem(96, 6, 10.0);
+        let mut state = PriceWarmState::new();
+        let cold = solve_warm(&p, &mut state).unwrap();
+        // Unchanged problem: the carried demands answer the first probe,
+        // so the global search sweeps nothing and lands where cold did.
+        let again = solve_warm(&p, &mut state).unwrap();
+        assert_eq!(state.last_stats().iterations, 0);
+        assert_eq!(again, cold);
+        // A new object with a nudged scale: its row must be re-evaluated
+        // (demand moves far less than tol, so the first probe accepts and
+        // the carried vector is what the state keeps).
+        let mut threads: Vec<DynUtility> = p.threads().to_vec();
+        threads[3] = Arc::new(Power::new(4.0 + 1e-3, 0.5, 20.0));
+        let drifted = Problem::new(6, 10.0, threads).unwrap();
+        solve_warm(&drifted, &mut state).unwrap();
+        assert_eq!(state.last_stats().iterations, 0);
+        let utils = drifted.capped_threads();
+        let mut table = DemandTable::new();
+        table.compile(&utils);
+        let mut fresh = vec![0.0; utils.len()];
+        table.batch_inverse_derivative(&utils, state.global.hi, &mut fresh);
+        assert_eq!(state.demand, fresh);
     }
 
     #[test]

@@ -440,50 +440,6 @@ impl Solver for PriceSolver {
     }
 }
 
-/// Backend selector for facade-level construction: callers that don't
-/// care which concrete solver type they hold pick a backend and get a
-/// boxed [`Solver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// The paper's Algorithm 2: λ-bisection superopt → linearize →
-    /// greedy assignment. The default; strongest guarantee
-    /// (`α = 2(√2 − 1)`).
-    #[default]
-    Algo2,
-    /// Price discovery ([`crate::price`]): parallel demand sweeps per
-    /// iteration, tolerance-based convergence, warm prices. Preferred
-    /// at very large `n` and for drifting re-solve streams.
-    Price,
-}
-
-impl SolverBackend {
-    /// The backend's stable identifier (`"algo2"` / `"price"`), equal to
-    /// the produced solver's [`Solver::name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverBackend::Algo2 => "algo2",
-            SolverBackend::Price => "price",
-        }
-    }
-
-    /// Parse a backend name (the inverse of [`SolverBackend::name`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "algo2" => Some(SolverBackend::Algo2),
-            "price" => Some(SolverBackend::Price),
-            _ => None,
-        }
-    }
-
-    /// Construct the backend's solver behind the common facade.
-    pub fn solver(self) -> Box<dyn Solver + Send + Sync> {
-        match self {
-            SolverBackend::Algo2 => Box::new(Algo2),
-            SolverBackend::Price => Box::new(PriceSolver),
-        }
-    }
-}
-
 /// All solvers the experiments compare (Algorithm 2 plus the four paper
 /// baselines), in the paper's reporting order.
 pub fn paper_lineup() -> Vec<Box<dyn Solver>> {

@@ -60,15 +60,24 @@ pub enum Tier {
 }
 
 impl Tier {
+    /// Every tier with its name and span name, in declaration order (so
+    /// `tier as usize` indexes it).
+    const TABLE: [(Tier, &'static str, &'static str); 5] = [
+        (Tier::BranchAndBound, "exact-bb", "tier_exact_bb"),
+        (Tier::Algo2Refined, "algo2-refined", "tier_algo2_refined"),
+        (Tier::Algo2, "algo2", "tier_algo2"),
+        (Tier::Price, "price", "tier_price"),
+        (Tier::Uu, "uu", "tier_uu"),
+    ];
+
     /// Stable identifier matching the corresponding [`Solver::name`].
     pub fn name(self) -> &'static str {
-        match self {
-            Tier::BranchAndBound => "exact-bb",
-            Tier::Algo2Refined => "algo2-refined",
-            Tier::Algo2 => "algo2",
-            Tier::Price => "price",
-            Tier::Uu => "uu",
-        }
+        Self::TABLE[self as usize].1
+    }
+
+    /// The tier named `name` (the inverse of [`Tier::name`]).
+    pub fn parse(name: &str) -> Option<Tier> {
+        Self::TABLE.iter().find(|row| row.1 == name).map(|row| row.0)
     }
 }
 
@@ -186,15 +195,10 @@ enum TierRun {
 }
 
 /// Span name for one ladder rung. Spans carry `&'static str` names, so
-/// the per-tier names are enumerated rather than formatted at runtime.
+/// the per-tier names live in the tier table rather than being formatted
+/// at runtime.
 fn tier_span_name(tier: Tier) -> &'static str {
-    match tier {
-        Tier::BranchAndBound => "tier_exact_bb",
-        Tier::Algo2Refined => "tier_algo2_refined",
-        Tier::Algo2 => "tier_algo2",
-        Tier::Price => "tier_price",
-        Tier::Uu => "tier_uu",
-    }
+    Tier::TABLE[tier as usize].2
 }
 
 /// Registry handles for `aa_tier_attempts_total{tier}` /
@@ -203,22 +207,15 @@ fn tier_span_name(tier: Tier) -> &'static str {
 fn tier_counters(tier: Tier) -> &'static (aa_obs::Counter, aa_obs::Counter) {
     static HANDLES: std::sync::OnceLock<[(aa_obs::Counter, aa_obs::Counter); 5]> =
         std::sync::OnceLock::new();
-    let idx = match tier {
-        Tier::BranchAndBound => 0,
-        Tier::Algo2Refined => 1,
-        Tier::Algo2 => 2,
-        Tier::Price => 3,
-        Tier::Uu => 4,
-    };
     &HANDLES.get_or_init(|| {
-        [Tier::BranchAndBound, Tier::Algo2Refined, Tier::Algo2, Tier::Price, Tier::Uu].map(|t| {
+        Tier::TABLE.map(|(_, name, _)| {
             let r = aa_obs::global();
             (
-                r.counter_labeled("aa_tier_attempts_total", "tier", t.name()),
-                r.counter_labeled("aa_tier_completed_total", "tier", t.name()),
+                r.counter_labeled("aa_tier_attempts_total", "tier", name),
+                r.counter_labeled("aa_tier_completed_total", "tier", name),
             )
         })
-    })[idx]
+    })[tier as usize]
 }
 
 impl TieredSolver {
@@ -603,6 +600,17 @@ mod tests {
 
     fn arc<U: Utility + 'static>(u: U) -> DynUtility {
         Arc::new(u)
+    }
+
+    #[test]
+    fn tier_table_rows_sit_at_their_tier_index_and_names_round_trip() {
+        for (i, &(tier, name, span)) in Tier::TABLE.iter().enumerate() {
+            assert_eq!(tier as usize, i, "{name}");
+            assert_eq!(tier.name(), name);
+            assert_eq!(Tier::parse(name), Some(tier));
+            assert_eq!(tier_span_name(tier), span);
+        }
+        assert_eq!(Tier::parse("algo1"), None);
     }
 
     fn mixed_problem(m: usize, n: usize, seed: u64) -> Problem {

@@ -2,10 +2,10 @@
 //!
 //! The contract under test (see `aa_core::incremental`): for *any*
 //! edit script — adding, removing, and mutating threads, resizing the
-//! cluster, rescaling capacity — `solve_incremental` driven through one
-//! persistent [`WarmState`] returns an assignment **bit-identical** to
-//! a cold `algo2::solve` of the same instance, at every step, at every
-//! rayon pool size. And an expired [`Budget`] mid-script is
+//! cluster, rescaling capacity or every utility — `solve_incremental`
+//! driven through one persistent [`WarmState`] returns an assignment
+//! **bit-identical** to a cold `algo2::solve` of the same instance, at
+//! every step, at every rayon pool size. And an expired [`Budget`] mid-script is
 //! cancellation-safe: the typed error invalidates the warm state, and
 //! the next solve recovers to the exact cold answer.
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use aa_core::incremental::{solve_incremental_budgeted, WarmState};
 use aa_core::{algo2, Budget, Problem, SolveError};
-use aa_utility::{CappedLinear, DynUtility, LogUtility, Power};
+use aa_utility::{CappedLinear, DynUtility, LogUtility, Power, Scaled};
 use proptest::prelude::*;
 
 /// Strategy: a random concave utility of a random family.
@@ -42,6 +42,10 @@ enum Edit {
     Servers(usize),
     /// Rescale the per-server capacity (forces a structural rebuild).
     Capacity(f64),
+    /// Multiply every utility by `10^k`. The clearing price moves by the
+    /// same factor, so the warm search walks far in either direction —
+    /// past the trusted price floor on the way down.
+    Rescale(i32),
 }
 
 fn any_edit() -> impl Strategy<Value = Edit> {
@@ -59,6 +63,7 @@ fn any_edit() -> impl Strategy<Value = Edit> {
         mutate,
         (1usize..7).prop_map(Edit::Servers),
         (0.5..2.0f64).prop_map(Edit::Capacity),
+        (-6i32..=6).prop_map(Edit::Rescale),
     ]
 }
 
@@ -85,6 +90,12 @@ impl Instance {
             }
             Edit::Servers(m) => self.servers = *m,
             Edit::Capacity(f) => self.capacity *= f,
+            Edit::Rescale(k) => {
+                let weight = 10f64.powi(*k);
+                for t in &mut self.threads {
+                    *t = Arc::new(Scaled::new(t.clone(), weight));
+                }
+            }
         }
     }
 

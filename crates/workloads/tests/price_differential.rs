@@ -143,3 +143,53 @@ fn warm_is_bit_identical_across_pool_widths() {
         }
     }
 }
+
+/// `|D(λ) − mC| / mC` at the carried global price, from one demand
+/// sweep over the problem's capped views.
+fn clearing_gap(p: &Problem, lambda: f64) -> f64 {
+    let utils = p.capped_threads();
+    let mut table = aa_utility::DemandTable::new();
+    table.compile(&utils);
+    let mut out = vec![0.0; utils.len()];
+    table.batch_inverse_derivative(&utils, lambda, &mut out);
+    let supply = p.servers() as f64 * p.capacity();
+    (out.iter().sum::<f64>() - supply).abs() / supply
+}
+
+#[test]
+fn converged_global_price_clears_within_tolerance_cold_and_warm() {
+    for (name, dist) in paper_distributions() {
+        let spec = InstanceSpec::paper(dist, 24);
+        let mut rng = StdRng::seed_from_u64(51);
+        let p = spec.generate(&mut rng).unwrap();
+        let mut state = price::PriceWarmState::new();
+        let _ = price::solve_warm(&p, &mut state).unwrap();
+
+        let mut threads = p.threads().to_vec();
+        for g in generate_many(&spec.dist, spec.capacity, 8, &mut rng) {
+            let at = (rng.next_u64() % threads.len() as u64) as usize;
+            threads[at] = g.utility;
+        }
+        let drifted = Problem::new(spec.servers, spec.capacity, threads).unwrap();
+
+        let mut checked = 0;
+        for (phase, problem) in [("cold", &p), ("warm", &drifted)] {
+            if phase == "warm" {
+                let _ = price::solve_warm(problem, &mut state).unwrap();
+            }
+            assert_eq!(state.last_stats().warm, phase == "warm", "{name} {phase}");
+            if !state.last_stats().converged {
+                continue;
+            }
+            let lambda = state.lambda().expect("a solved state carries its price");
+            let gap = clearing_gap(problem, lambda);
+            assert!(
+                gap <= price::TOL,
+                "{name} {phase}: D({lambda}) misses supply by {gap:.2e} > {}",
+                price::TOL
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "{name}: neither solve converged");
+    }
+}
