@@ -101,15 +101,15 @@ pub const DEFAULT_MAX_RESTARTS: u64 = 8;
 const ALL_RETIRED: &str = "all fleet workers retired; safe to retry elsewhere";
 
 /// Parse a `--ladder` flag value: comma-separated [`Tier`] names in
-/// descending order, e.g. `"exact-bb,algo2,uu"`.
+/// descending order, e.g. `"exact-bb,algo2,uu"`. Any registered
+/// algorithm is a rung.
 pub fn parse_ladder(s: &str) -> Result<Vec<Tier>, String> {
     let mut tiers = Vec::new();
     for name in s.split(',') {
         let name = name.trim();
         tiers.push(Tier::parse(name).ok_or_else(|| {
-            format!(
-                "unknown ladder tier {name:?}; expected exact-bb, algo2-refined, algo2, price, or uu"
-            )
+            let known: Vec<&str> = Tier::ALL.iter().map(|t| t.name()).collect();
+            format!("unknown ladder tier {name:?}; expected one of {}", known.join(", "))
         })?);
     }
     if tiers.is_empty() {

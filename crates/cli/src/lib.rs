@@ -26,10 +26,7 @@ pub mod serve;
 pub mod worker;
 
 use aa_core::churn::ClusterEvent;
-use aa_core::solver::{
-    batch_seed, Algo1, Algo2, Algo2FairShare, Algo2Refined, Algo2SingleSort, BranchAndBound,
-    BruteForce, PriceSolver, Rr, Ru, SolveError, Solver, Ur, Uu,
-};
+use aa_core::solver::{batch_seed, Algorithm, SolveError, Solver};
 use aa_core::{algo2, superopt, Problem, TieredSolver, ALPHA};
 use aa_sim::controller::RepairPolicy;
 use aa_sim::faults::{
@@ -181,41 +178,24 @@ impl From<std::io::Error> for CliError {
 /// batch/churn entry points.
 type BoxedSolver = Box<dyn Solver + Send + Sync>;
 
-/// One registry row: a stable name and its constructor.
-type SolverEntry = (&'static str, fn() -> BoxedSolver);
-
-/// The solver registry, in help order.
-const SOLVERS: &[SolverEntry] = &[
-    ("algo2", || Box::new(Algo2)),
-    ("algo2-refined", || Box::new(Algo2Refined)),
-    ("price", || Box::new(PriceSolver)),
-    ("algo1", || Box::new(Algo1)),
-    ("uu", || Box::new(Uu)),
-    ("ur", || Box::new(Ur)),
-    ("ru", || Box::new(Ru)),
-    ("rr", || Box::new(Rr)),
-    ("exact", || Box::new(BruteForce)),
-    ("exact-bb", || Box::new(BranchAndBound)),
-    ("tiered", || Box::new(TieredSolver::new())),
-    ("algo2-single-sort", || Box::new(Algo2SingleSort)),
-    ("algo2-fair-share", || Box::new(Algo2FairShare)),
-];
-
-/// Build the solver registered under `name`.
+/// Build the solver registered under `name`: `"tiered"` (the default
+/// degradation ladder) or an [`Algorithm`].
 pub fn solver_by_name(name: &str) -> Result<BoxedSolver, CliError> {
-    SOLVERS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, make)| make())
+    if name == "tiered" {
+        return Ok(Box::new(TieredSolver::new()));
+    }
+    Algorithm::parse(name)
+        .map(|a| Box::new(a) as BoxedSolver)
         .ok_or_else(|| CliError::UnknownSolver(name.to_string()))
 }
 
-/// Names accepted by [`solver_by_name`], in help order.
+/// Names accepted by [`solver_by_name`], in help order: the
+/// [`Algorithm`] registry, then `tiered`.
 pub const SOLVER_NAMES: &[&str] = &{
-    let mut names = [""; SOLVERS.len()];
+    let mut names = ["tiered"; Algorithm::ALL.len() + 1];
     let mut i = 0;
-    while i < names.len() {
-        names[i] = SOLVERS[i].0;
+    while i < Algorithm::ALL.len() {
+        names[i] = Algorithm::ALL[i].name();
         i += 1;
     }
     names

@@ -33,8 +33,8 @@ usage:
                  [--slo-p99-ms P] [--trace out.json]
                  fleet only: [--heartbeat-ms H] [--heartbeat-miss K]
                  [--max-retries R] [--max-restarts N] [--drain-timeout-ms D]
-                 [--max-streams N] [--ladder exact-bb,algo2-refined,algo2,uu]
-                 [--seed S] [--worker-cmd PATH]
+                 [--max-streams N] [--ladder NAME,…] [--seed S]
+                 [--worker-cmd PATH]
   aa-solve chaos [--shards N] [--rounds N] [--kills N]
                  [--streams-per-shard N] [--seed S] [--out PATH] [--pretty]
   aa-solve chaos --fleet [--workers N] [--streams-per-worker N] [--rounds N]
@@ -71,7 +71,10 @@ ranges hand off to the survivors. On stdin EOF the fleet drains for
 --drain-timeout-ms, then answers the remainder with retryable
 \"shutdown\" errors. ok responses gain \"worker\", \"attempts\", and
 \"solve_micros\" fields; bad control lines are answered with class
-\"control\". Fleet metrics appear as aa_fleet_* series (per-worker
+\"control\". --ladder NAME,… sets the workers' degradation ladder, top
+rung first: any name from `aa-solve solvers` except tiered (default
+exact-bb,algo2-refined,algo2,uu). The fleet-only flags are usage errors
+without --fleet. Fleet metrics appear as aa_fleet_* series (per-worker
 series labeled {worker=…}); each worker also federates its own
 registry to the front-end over heartbeats, so /metrics re-exports
 worker series with a worker= label plus a worker=\"fleet\" merged
@@ -481,7 +484,12 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     let fleet = match optional_flag::<usize>(args, "--fleet")? {
         Some(0) => return Err(Failure::Usage("--fleet needs at least 1 worker".into())),
         Some(workers) => Some(fleet_opts(args, workers, &opts)?),
-        None => None,
+        None => {
+            if let Some(flag) = FLEET_ONLY.iter().find(|f| args.iter().any(|a| a == *f)) {
+                return Err(Failure::Usage(format!("{flag} needs --fleet")));
+            }
+            None
+        }
     };
     // The fleet front-end merges worker span batches into its own trace
     // at shutdown; only the in-process mode records spans here.
@@ -548,6 +556,20 @@ fn ladder_flag(args: &[String]) -> Result<Option<Vec<aa_core::Tier>>, Failure> {
         .map(|raw| parse_ladder(raw).map_err(|e| Failure::Usage(format!("bad --ladder: {e}"))))
         .transpose()
 }
+
+/// The flags [`fleet_opts`] reads; without `--fleet` they are usage
+/// errors rather than silently ignored.
+const FLEET_ONLY: [&str; 9] = [
+    "--ladder",
+    "--max-streams",
+    "--seed",
+    "--heartbeat-ms",
+    "--heartbeat-miss",
+    "--max-retries",
+    "--max-restarts",
+    "--drain-timeout-ms",
+    "--worker-cmd",
+];
 
 /// `serve --fleet N`: the shared serve flags plus the fleet-only ones.
 fn fleet_opts(args: &[String], workers: usize, shared: &ServeOpts) -> Result<FleetOpts, Failure> {

@@ -294,7 +294,7 @@ impl ServeMetrics {
             internal_errors: registry.counter("aa_serve_internal_errors_total"),
             deadline_misses: registry.counter("aa_serve_deadline_misses_total"),
             latency: registry.histogram("aa_serve_latency_micros"),
-            per_tier: [Tier::BranchAndBound, Tier::Algo2Refined, Tier::Algo2, Tier::Price, Tier::Uu]
+            per_tier: Tier::ALL
                 .iter()
                 .map(|t| {
                     (

@@ -211,6 +211,38 @@ fn subcommand_help_prints_usage_and_runs_nothing() {
 }
 
 #[test]
+fn serve_rejects_fleet_only_flags_without_fleet() {
+    // Without --fleet these flags used to be ignored silently: a
+    // `--ladder algo2,uu` under --shards answered from exact-bb.
+    for (flag, value) in [
+        ("--ladder", "algo2,uu"),
+        ("--ladder", "nonsense"),
+        ("--max-streams", "4"),
+        ("--seed", "7"),
+        ("--heartbeat-ms", "50"),
+        ("--heartbeat-miss", "3"),
+        ("--max-retries", "2"),
+        ("--max-restarts", "2"),
+        ("--drain-timeout-ms", "100"),
+        ("--worker-cmd", "/bin/true"),
+    ] {
+        for mode in [&["--shards", "2"][..], &[]] {
+            let out = bin()
+                .arg("serve")
+                .args(mode)
+                .args([flag, value])
+                .stdin(std::process::Stdio::null())
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{mode:?} {flag} {value}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(flag), "{mode:?} {flag}: {stderr}");
+            assert!(out.stdout.is_empty(), "{mode:?} {flag}: answered anyway");
+        }
+    }
+}
+
+#[test]
 fn pretty_flag_pretty_prints() {
     let out = bin()
         .args(["generate", "--servers", "2", "--beta", "1", "--capacity", "5", "--pretty"])

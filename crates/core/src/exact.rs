@@ -23,68 +23,14 @@ use crate::solver::SolveError;
 pub const MAX_THREADS: usize = 14;
 
 /// Find an optimal assignment by exhaustive search over placements with
-/// per-server optimal allocations.
+/// per-server optimal allocations: [`solve_budgeted`] at an unlimited
+/// budget.
 ///
 /// # Panics
 /// If `problem.len() > MAX_THREADS` — use the approximation algorithms.
 pub fn solve(problem: &Problem) -> Assignment {
-    let n = problem.len();
-    assert!(
-        n <= MAX_THREADS,
-        "exact solver is exponential: {n} threads > limit {MAX_THREADS}"
-    );
-    let m = problem.servers();
-    let views: Vec<CappedView> = problem.capped_threads();
-
-    let best_utility = f64::NEG_INFINITY;
-    let best_server = vec![0_usize; n];
-    let mut server = vec![0_usize; n];
-
-    // DFS over restricted growth strings.
-    struct Search<'a> {
-        problem: &'a Problem,
-        views: &'a [CappedView],
-        n: usize,
-        m: usize,
-        best_utility: f64,
-        best_server: Vec<usize>,
-    }
-
-    impl Search<'_> {
-        fn dfs(&mut self, i: usize, used: usize, server: &mut Vec<usize>) {
-            if i == self.n {
-                let utility = grouped_utility(self.problem, self.views, server, used);
-                if utility > self.best_utility {
-                    self.best_utility = utility;
-                    self.best_server.clone_from(server);
-                }
-                return;
-            }
-            let limit = (used + 1).min(self.m);
-            for j in 0..limit {
-                server[i] = j;
-                self.dfs(i + 1, used.max(j + 1), server);
-            }
-        }
-    }
-
-    let mut search = Search {
-        problem,
-        views: &views,
-        n,
-        m,
-        best_utility,
-        best_server,
-    };
-    search.dfs(0, 0, &mut server);
-    let best_server = search.best_server;
-
-    // Rebuild the winning allocation.
-    let amount = allocate_groups(problem, &views, &best_server);
-    Assignment {
-        server: best_server,
-        amount,
-    }
+    solve_budgeted(problem, &Budget::unlimited())
+        .unwrap_or_else(|e| panic!("exact solver is exponential: {e}"))
 }
 
 /// The optimal total utility (convenience wrapper).
@@ -179,21 +125,11 @@ fn grouped_utility(
     total
 }
 
-/// Optimal per-server allocation amounts for a given placement.
+/// Optimal per-server allocation amounts for a given placement:
+/// [`allocate_groups_budgeted`] at an unlimited budget.
 pub fn allocate_groups(problem: &Problem, views: &[CappedView], server: &[usize]) -> Vec<f64> {
-    let mut amount = vec![0.0_f64; server.len()];
-    for j in 0..problem.servers() {
-        let idx: Vec<usize> = (0..server.len()).filter(|&i| server[i] == j).collect();
-        if idx.is_empty() {
-            continue;
-        }
-        let group: Vec<&CappedView> = idx.iter().map(|&i| &views[i]).collect();
-        let alloc = bisection::allocate(&group, problem.capacity());
-        for (&i, &c) in idx.iter().zip(&alloc.amounts) {
-            amount[i] = c;
-        }
-    }
-    amount
+    allocate_groups_budgeted(problem, views, server, &Budget::unlimited())
+        .expect("an unlimited budget never expires")
 }
 
 /// [`allocate_groups`] under a solve [`Budget`], checked once per server

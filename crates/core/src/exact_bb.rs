@@ -31,112 +31,17 @@ use crate::solver::SolveError;
 /// seconds-to-minutes depending on instance structure.
 pub const MAX_THREADS: usize = 18;
 
-/// Exact optimum by branch-and-bound. Produces the same utility as
+/// Exact optimum by branch-and-bound: [`solve_budgeted`] at an
+/// unlimited budget. Produces the same utility as
 /// [`exact::solve`](crate::exact::solve), typically orders of magnitude
 /// faster on instances past ~8 threads.
 ///
 /// # Panics
 /// If `problem.len() > MAX_THREADS`.
 pub fn solve(problem: &Problem) -> Assignment {
-    let _span = aa_obs::span!("exact_bb");
-    let n = problem.len();
-    assert!(
-        n <= MAX_THREADS,
-        "branch-and-bound is still exponential: {n} threads > limit {MAX_THREADS}"
-    );
-    let m = problem.servers();
-    let views: Vec<CappedView> = problem.capped_threads();
-
-    // Branch on the biggest threads first: they change the bound most.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        views[b]
-            .max_value()
-            .total_cmp(&views[a].max_value())
-            .then_with(|| a.cmp(&b))
-    });
-
-    // Suffix sums of the optimistic "private server" values in branch
-    // order: unassigned_bound[k] = Σ_{t ≥ k} max_value(order[t]).
-    let mut unassigned_bound = vec![0.0_f64; n + 1];
-    for k in (0..n).rev() {
-        unassigned_bound[k] = unassigned_bound[k + 1] + views[order[k]].max_value();
-    }
-
-    // Seed the incumbent with Algorithm 2 (+ exact re-split): a strong
-    // initial lower bound prunes from the first node.
-    let seed = crate::refine::solve_refined(problem);
-    let mut best_utility = seed.total_utility(problem);
-    let mut best_server = seed.server.clone();
-
-    struct Search<'a> {
-        problem: &'a Problem,
-        views: &'a [CappedView],
-        order: &'a [usize],
-        unassigned_bound: &'a [f64],
-        m: usize,
-        /// Threads currently on each server (branch-order indices resolved
-        /// to thread ids).
-        groups: Vec<Vec<usize>>,
-        /// Optimal utility of each server's current group (budget C).
-        group_opt: Vec<f64>,
-        server_of: Vec<usize>,
-        best_utility: f64,
-        best_server: Vec<usize>,
-    }
-
-    impl Search<'_> {
-        fn dfs(&mut self, k: usize, used: usize) {
-            if k == self.order.len() {
-                let total: f64 = self.group_opt.iter().sum();
-                if total > self.best_utility + 1e-12 {
-                    self.best_utility = total;
-                    self.best_server.clone_from(&self.server_of);
-                }
-                return;
-            }
-            let assigned_now: f64 = self.group_opt.iter().sum();
-            if assigned_now + self.unassigned_bound[k] <= self.best_utility + 1e-12 {
-                return; // even the optimistic completion can't win
-            }
-            let t = self.order[k];
-            let limit = (used + 1).min(self.m);
-            for j in 0..limit {
-                let saved_opt = self.group_opt[j];
-                self.groups[j].push(t);
-                let group: Vec<&CappedView> =
-                    self.groups[j].iter().map(|&i| &self.views[i]).collect();
-                self.group_opt[j] =
-                    bisection::allocate(&group, self.problem.capacity()).utility;
-                self.server_of[t] = j;
-                self.dfs(k + 1, used.max(j + 1));
-                self.groups[j].pop();
-                self.group_opt[j] = saved_opt;
-            }
-        }
-    }
-
-    let mut search = Search {
-        problem,
-        views: &views,
-        order: &order,
-        unassigned_bound: &unassigned_bound,
-        m,
-        groups: vec![Vec::new(); m],
-        group_opt: vec![0.0; m],
-        server_of: vec![0; n],
-        best_utility,
-        best_server: best_server.clone(),
-    };
-    search.dfs(0, 0);
-    best_utility = search.best_utility;
-    best_server = search.best_server;
-    debug_assert!(best_utility.is_finite());
-
-    let amount = crate::exact::allocate_groups(problem, &views, &best_server);
-    Assignment {
-        server: best_server,
-        amount,
+    match solve_budgeted(problem, &Budget::unlimited()) {
+        Ok(b) => b.assignment,
+        Err(e) => panic!("branch-and-bound is still exponential: {e}"),
     }
 }
 
@@ -179,6 +84,7 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
     let m = problem.servers();
     let views: Vec<CappedView> = problem.capped_threads();
 
+    // Branch on the biggest threads first: they change the bound most.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
         views[b]
@@ -186,6 +92,8 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
             .total_cmp(&views[a].max_value())
             .then_with(|| a.cmp(&b))
     });
+    // Suffix sums of the optimistic "private server" values in branch
+    // order: unassigned_bound[k] = Σ_{t ≥ k} max_value(order[t]).
     let mut unassigned_bound = vec![0.0_f64; n + 1];
     for k in (0..n).rev() {
         unassigned_bound[k] = unassigned_bound[k + 1] + views[order[k]].max_value();
@@ -203,7 +111,10 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
         unassigned_bound: &'a [f64],
         budget: &'a Budget,
         m: usize,
+        /// Threads currently on each server (branch-order indices resolved
+        /// to thread ids).
         groups: Vec<Vec<usize>>,
+        /// Optimal utility of each server's current group (budget C).
         group_opt: Vec<f64>,
         server_of: Vec<usize>,
         best_utility: f64,
@@ -223,7 +134,7 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
             }
             let assigned_now: f64 = self.group_opt.iter().sum();
             if assigned_now + self.unassigned_bound[k] <= self.best_utility + 1e-12 {
-                return Ok(());
+                return Ok(()); // even the optimistic completion can't win
             }
             let t = self.order[k];
             let limit = (used + 1).min(self.m);

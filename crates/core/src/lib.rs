@@ -22,7 +22,7 @@
 //! | [`exact_bb`] | branch-and-bound exact solver (larger instances) |
 //! | [`reduction`] | Theorem IV.1 — PARTITION → AA NP-hardness reduction |
 //! | [`tightness`] | Theorem V.17 — the 5/6-ratio tight instance |
-//! | [`solver`] | uniform [`Solver`](solver::Solver) interface over all of the above |
+//! | [`solver`] | uniform [`Solver`](solver::Solver) interface over all of the above, and the [`Algorithm`] registry |
 //! | [`ablation`] | design-choice ablations (not in the paper) |
 //! | [`refine`] | exact per-server re-split post-pass (not in the paper) |
 //! | [`discrete`] | integer-unit allocations with optimal per-server rounding (not in the paper) |
@@ -76,7 +76,7 @@ pub use shard::{
     ChaosHook, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
     StreamSolver, SubmitError,
 };
-pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver};
+pub use solver::{batch_seed, solve_batch, try_solve_batch, Algorithm, SolveError, Solver};
 pub use tiered::{Degradation, Tier, TierOutcome, TierStatus, TieredSolve, TieredSolver};
 
 /// The approximation ratio `α = 2(√2 − 1) ≈ 0.8284` guaranteed by

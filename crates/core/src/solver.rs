@@ -1,16 +1,21 @@
-//! A uniform [`Solver`] interface over every assignment algorithm.
+//! A uniform [`Solver`] interface over every assignment algorithm, and
+//! the one registry ([`Algorithm`]) that names them.
 //!
 //! The experiment harness and benchmarks treat Algorithm 1, Algorithm 2,
-//! the four baseline heuristics and the exact solver interchangeably
+//! the four baseline heuristics and the exact solvers interchangeably
 //! through this trait; randomized solvers draw from the caller's RNG so
-//! trials are reproducible from a seed.
+//! trials are reproducible from a seed. The CLI's `--solver` and
+//! `--ladder` names and the ladder's rungs all come from [`Algorithm`].
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
+use serde::Serialize;
 
+use crate::budget::Budget;
+use crate::incremental::{self, WarmState};
 use crate::problem::{Assignment, AssignmentError, Problem};
-use crate::{ablation, algo1, algo2, exact, exact_bb, heuristics, refine};
+use crate::{ablation, algo1, algo2, exact, exact_bb, heuristics, price, refine};
 
 /// Typed failure from the panic-free solve path ([`Solver::try_solve`]).
 ///
@@ -35,7 +40,7 @@ pub enum SolveError {
     /// The solver produced an infeasible assignment (solver bug or
     /// numerically hostile input); the offending check is attached.
     Infeasible(AssignmentError),
-    /// The solve's [`Budget`](crate::budget::Budget) ran out (wall-clock
+    /// The solve's [`Budget`] ran out (wall-clock
     /// deadline or fuel) before the solver finished. Degradable: the
     /// tiered solver falls back to a cheaper tier on this error.
     DeadlineExceeded,
@@ -111,13 +116,13 @@ pub trait Solver {
 
     /// Solve with a fixed default seed (deterministic convenience).
     fn solve(&self, problem: &Problem) -> Assignment {
-        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut rng = StdRng::seed_from_u64(DEFAULT_SEED);
         self.solve_with(problem, &mut rng)
     }
 
     /// Panic-free solve: screens hostile input (non-finite utility
-    /// curves), applies solver-specific limits (see the exact solvers'
-    /// overrides), and checks the output's feasibility, returning a
+    /// curves), applies solver-specific limits (the exact solvers'
+    /// thread limits), and checks the output's feasibility, returning a
     /// typed [`SolveError`] instead of aborting. Controllers driving
     /// live clusters should prefer this entry point.
     fn try_solve_with(
@@ -133,45 +138,22 @@ pub trait Solver {
 
     /// [`Solver::try_solve_with`] under the fixed default seed.
     fn try_solve(&self, problem: &Problem) -> Result<Assignment, SolveError> {
-        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut rng = StdRng::seed_from_u64(DEFAULT_SEED);
         self.try_solve_with(problem, &mut rng)
     }
 
     /// Panic-free solve through a persistent
-    /// [`WarmState`](crate::incremental::WarmState): solvers with an
-    /// incremental path (see [`Algo2`]'s override) reuse the state's
-    /// warm bracket, linearizations and arena across calls, returning
-    /// output bit-identical to [`Solver::try_solve`]. The default simply
-    /// ignores the state, so epoch controllers can thread one through
-    /// any solver.
+    /// [`WarmState`]: solvers with an incremental path ([`Algo2`],
+    /// [`Price`]) reuse the state's warm bracket, linearizations and
+    /// arena across calls, returning output bit-identical to
+    /// [`Solver::try_solve`]. The default simply ignores the state, so
+    /// epoch controllers can thread one through any solver.
     fn try_solve_warm(
         &self,
         problem: &Problem,
-        _state: &mut crate::incremental::WarmState,
+        _state: &mut WarmState,
     ) -> Result<Assignment, SolveError> {
         self.try_solve(problem)
-    }
-
-    /// Solve every instance, fanning the batch out over the thread pool.
-    /// See [`solve_batch`] (the free function) for the determinism and
-    /// seeding contract.
-    fn solve_batch(&self, problems: &[Problem], seed: u64) -> Vec<Assignment>
-    where
-        Self: Sized + Sync,
-    {
-        solve_batch(self, problems, seed)
-    }
-
-    /// Panic-free batched solve; see [`try_solve_batch`].
-    fn try_solve_batch(
-        &self,
-        problems: &[Problem],
-        seed: u64,
-    ) -> Vec<Result<Assignment, SolveError>>
-    where
-        Self: Sized + Sync,
-    {
-        try_solve_batch(self, problems, seed)
     }
 }
 
@@ -226,230 +208,222 @@ pub fn try_solve_batch<S: Solver + Sync + ?Sized>(
         .collect()
 }
 
-/// Algorithm 1 (paper §V): `O(mn² + n(log mC)²)`, α-approximation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Algo1;
+/// The seed of [`Solver::solve`] and [`Solver::try_solve`], and of the
+/// randomized baselines when they answer on a ladder rung.
+pub const DEFAULT_SEED: u64 = 0x5eed;
 
-impl Solver for Algo1 {
-    fn name(&self) -> &'static str {
-        "algo1"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        algo1::solve(problem)
-    }
+/// The solver registry: every algorithm the experiments, the CLI and the
+/// degradation ladder can name.
+///
+/// Each variant is also re-exported from this module under its own name
+/// (`Algo2`, `Uu`, …), so `Algo2.solve(&p)` and `&Algo2 as &dyn Solver`
+/// read as before. [`Algorithm::run`] is the one dispatch behind every
+/// [`Solver`] method and every [`TieredSolver`](crate::tiered::TieredSolver)
+/// rung.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Algorithm {
+    /// Algorithm 2 (paper §VI): `O(n(log mC)²)`, α-approximation; warm
+    /// through [`incremental`] when given a state.
+    Algo2,
+    /// Algorithm 2 plus the exact per-server re-split post-pass: same
+    /// guarantee, never worse, asymptotically free.
+    Algo2Refined,
+    /// Price discovery ([`crate::price`]): tolerance-converged, cheaper
+    /// per solve at very large `n`; warm through the state's price
+    /// compartment when given one.
+    Price,
+    /// Algorithm 1 (paper §V): `O(mn² + n(log mC)²)`, α-approximation.
+    Algo1,
+    /// Uniform-uniform baseline: round-robin placement, equal split. The
+    /// `O(n)` floor of the default ladders.
+    Uu,
+    /// Uniform-random baseline: round-robin placement, random allocation.
+    Ur,
+    /// Random-uniform baseline: random placement, equal allocation.
+    Ru,
+    /// Random-random baseline: random placement, random allocation.
+    Rr,
+    /// Exhaustive exact solver (at most [`exact::MAX_THREADS`] threads).
+    BruteForce,
+    /// Anytime branch-and-bound exact solver (at most
+    /// [`exact_bb::MAX_THREADS`] threads).
+    BranchAndBound,
+    /// Ablation: Algorithm 2 without the density re-sort of the tail.
+    Algo2SingleSort,
+    /// Ablation: Algorithm 2 with fair-share demands instead of the
+    /// super-optimal allocation.
+    Algo2FairShare,
 }
 
-/// Algorithm 2 (paper §VI): `O(n(log mC)²)`, α-approximation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Algo2;
+pub use Algorithm::{
+    Algo1, Algo2, Algo2FairShare, Algo2Refined, Algo2SingleSort, BranchAndBound, BruteForce,
+    Price, Rr, Ru, Ur, Uu,
+};
 
-impl Solver for Algo2 {
-    fn name(&self) -> &'static str {
-        "algo2"
+impl Algorithm {
+    /// Every algorithm with its registry name (also its ladder rung name
+    /// and metric label) and its ladder span name, in registry order.
+    /// Rows sit at their variant's index, so `self as usize` finds one.
+    const TABLE: [(Algorithm, &'static str, &'static str); 12] = [
+        (Algo2, "algo2", "tier_algo2"),
+        (Algo2Refined, "algo2-refined", "tier_algo2_refined"),
+        (Price, "price", "tier_price"),
+        (Algo1, "algo1", "tier_algo1"),
+        (Uu, "uu", "tier_uu"),
+        (Ur, "ur", "tier_ur"),
+        (Ru, "ru", "tier_ru"),
+        (Rr, "rr", "tier_rr"),
+        (BruteForce, "exact", "tier_exact"),
+        (BranchAndBound, "exact-bb", "tier_exact_bb"),
+        (Algo2SingleSort, "algo2-single-sort", "tier_algo2_single_sort"),
+        (Algo2FairShare, "algo2-fair-share", "tier_algo2_fair_share"),
+    ];
+
+    /// Every algorithm, in registry order.
+    pub const ALL: [Algorithm; Self::TABLE.len()] = {
+        let mut all = [Algo2; Self::TABLE.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = Self::TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
+
+    /// The registry name ("algo2", "exact-bb", …).
+    pub const fn name(self) -> &'static str {
+        Self::TABLE[self as usize].1
     }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        algo2::solve(problem)
+
+    /// The span a ladder rung records (`tier_algo2`, …). Spans carry
+    /// `&'static str` names, so these live in the table rather than
+    /// being formatted at run time.
+    pub(crate) const fn span_name(self) -> &'static str {
+        Self::TABLE[self as usize].2
     }
-    fn try_solve_warm(
-        &self,
+
+    /// The algorithm registered as `name` (the inverse of [`Self::name`]).
+    pub fn parse(name: &str) -> Option<Algorithm> {
+        Self::TABLE.iter().find(|row| row.1 == name).map(|row| row.0)
+    }
+
+    /// The one dispatch: solve `problem` under `budget`.
+    ///
+    /// Returns the answer and whether it is *partial* — an anytime
+    /// incumbent cut short by the budget (only branch-and-bound has one).
+    /// `warm` is the caller's per-stream state; rows with a warm path
+    /// ([`Algo2`], [`Price`]) solve through it, bit-identically to the
+    /// cold solve, and the rest ignore it. `rng` feeds the randomized
+    /// baselines; `None` seeds them with [`DEFAULT_SEED`], and the other
+    /// rows build no RNG.
+    ///
+    /// Rows without a budgeted path (the baselines and the ablations)
+    /// ignore expiry, so an exhausted budget still gets an answer from
+    /// them, but honour an external cancel. The rest return
+    /// [`SolveError::DeadlineExceeded`] on expiry and the exact solvers
+    /// [`SolveError::TooLarge`] past their limit.
+    pub fn run(
+        self,
         problem: &Problem,
-        state: &mut crate::incremental::WarmState,
+        budget: &Budget,
+        warm: Option<&mut WarmState>,
+        rng: Option<&mut dyn RngCore>,
+    ) -> Result<(Assignment, bool), SolveError> {
+        let assignment = match (self, warm) {
+            (Algo2, Some(state)) => {
+                incremental::solve_incremental_budgeted(problem, state, budget)?
+            }
+            (Algo2, None) => algo2::solve_budgeted(problem, budget)?,
+            (Price, Some(state)) => price::solve_warm_budgeted(problem, state.price_mut(), budget)?,
+            (Price, None) => price::solve_budgeted(problem, budget)?,
+            (Algo2Refined, _) => refine::solve_refined_budgeted(problem, budget)?,
+            (Algo1, _) => algo1::solve_budgeted(problem, budget)?,
+            (BruteForce, _) => exact::solve_budgeted(problem, budget)?,
+            (BranchAndBound, _) => {
+                let b = exact_bb::solve_budgeted(problem, budget)?;
+                return Ok((b.assignment, !b.optimal));
+            }
+            _ if budget.check() == Err(SolveError::Cancelled) => return Err(SolveError::Cancelled),
+            (Uu, _) => heuristics::uu(problem),
+            (Ur, _) => with_rng(rng, |r| heuristics::ur(problem, r)),
+            (Ru, _) => with_rng(rng, |r| heuristics::ru(problem, r)),
+            (Rr, _) => with_rng(rng, |r| heuristics::rr(problem, r)),
+            (Algo2SingleSort, _) => ablation::algo2_single_sort(problem),
+            (Algo2FairShare, _) => ablation::algo2_fair_share(problem),
+        };
+        Ok((assignment, false))
+    }
+
+    /// The panic-free solve behind [`Solver::try_solve_with`] and
+    /// [`Solver::try_solve_warm`]: size limit, input screening, an
+    /// unlimited [`Self::run`], then the feasibility check.
+    fn screened(
+        self,
+        problem: &Problem,
+        warm: Option<&mut WarmState>,
+        rng: Option<&mut dyn RngCore>,
     ) -> Result<Assignment, SolveError> {
+        let limit = match self {
+            BruteForce => exact::MAX_THREADS,
+            BranchAndBound => exact_bb::MAX_THREADS,
+            _ => usize::MAX,
+        };
+        if problem.len() > limit {
+            return Err(SolveError::TooLarge { threads: problem.len(), limit });
+        }
         check_finite_utilities(problem)?;
-        let a = crate::incremental::solve_incremental(problem, state);
+        let (a, _) = self.run(problem, &Budget::unlimited(), warm, rng)?;
         a.validate(problem).map_err(SolveError::Infeasible)?;
         Ok(a)
     }
 }
 
-/// Uniform-uniform baseline: round-robin placement, equal allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Uu;
-
-impl Solver for Uu {
-    fn name(&self) -> &'static str {
-        "uu"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        heuristics::uu(problem)
+/// Run `solve` on the caller's RNG, or on one seeded with
+/// [`DEFAULT_SEED`] when there is none.
+fn with_rng<T>(rng: Option<&mut dyn RngCore>, solve: impl FnOnce(&mut dyn RngCore) -> T) -> T {
+    match rng {
+        Some(r) => solve(r),
+        None => solve(&mut StdRng::seed_from_u64(DEFAULT_SEED)),
     }
 }
 
-/// Uniform-random baseline: round-robin placement, random allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ur;
-
-impl Solver for Ur {
+impl Solver for Algorithm {
     fn name(&self) -> &'static str {
-        "ur"
+        Algorithm::name(*self)
     }
+
+    /// # Panics
+    /// If an exact solver gets an instance past its limit.
     fn solve_with(&self, problem: &Problem, rng: &mut dyn RngCore) -> Assignment {
-        heuristics::ur(problem, rng)
+        match self.run(problem, &Budget::unlimited(), None, Some(rng)) {
+            Ok((a, _)) => a,
+            Err(e) => panic!("{}: {e}", self.name()),
+        }
     }
-}
 
-/// Random-uniform baseline: random placement, equal allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ru;
-
-impl Solver for Ru {
-    fn name(&self) -> &'static str {
-        "ru"
-    }
-    fn solve_with(&self, problem: &Problem, rng: &mut dyn RngCore) -> Assignment {
-        heuristics::ru(problem, rng)
-    }
-}
-
-/// Random-random baseline: random placement, random allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rr;
-
-impl Solver for Rr {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-    fn solve_with(&self, problem: &Problem, rng: &mut dyn RngCore) -> Assignment {
-        heuristics::rr(problem, rng)
-    }
-}
-
-/// Exhaustive exact solver (small instances only).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BruteForce;
-
-impl Solver for BruteForce {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        exact::solve(problem)
-    }
     fn try_solve_with(
         &self,
         problem: &Problem,
         rng: &mut dyn RngCore,
     ) -> Result<Assignment, SolveError> {
-        if problem.len() > exact::MAX_THREADS {
-            return Err(SolveError::TooLarge {
-                threads: problem.len(),
-                limit: exact::MAX_THREADS,
-            });
-        }
-        check_finite_utilities(problem)?;
-        let a = self.solve_with(problem, rng);
-        a.validate(problem).map_err(SolveError::Infeasible)?;
-        Ok(a)
+        self.screened(problem, None, Some(rng))
     }
-}
 
-/// Ablation: Algorithm 2 without the density re-sort of the tail.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Algo2SingleSort;
-
-impl Solver for Algo2SingleSort {
-    fn name(&self) -> &'static str {
-        "algo2-single-sort"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        ablation::algo2_single_sort(problem)
-    }
-}
-
-/// Ablation: Algorithm 2 with fair-share demands instead of the
-/// super-optimal allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Algo2FairShare;
-
-impl Solver for Algo2FairShare {
-    fn name(&self) -> &'static str {
-        "algo2-fair-share"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        ablation::algo2_fair_share(problem)
-    }
-}
-
-/// Branch-and-bound exact solver (instances up to ~18 threads).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BranchAndBound;
-
-impl Solver for BranchAndBound {
-    fn name(&self) -> &'static str {
-        "exact-bb"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        exact_bb::solve(problem)
-    }
-    fn try_solve_with(
-        &self,
-        problem: &Problem,
-        rng: &mut dyn RngCore,
-    ) -> Result<Assignment, SolveError> {
-        if problem.len() > exact_bb::MAX_THREADS {
-            return Err(SolveError::TooLarge {
-                threads: problem.len(),
-                limit: exact_bb::MAX_THREADS,
-            });
-        }
-        check_finite_utilities(problem)?;
-        let a = self.solve_with(problem, rng);
-        a.validate(problem).map_err(SolveError::Infeasible)?;
-        Ok(a)
-    }
-}
-
-/// Algorithm 2 plus the exact per-server re-split post-pass: same
-/// guarantee, never worse, asymptotically free.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Algo2Refined;
-
-impl Solver for Algo2Refined {
-    fn name(&self) -> &'static str {
-        "algo2-refined"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        refine::solve_refined(problem)
-    }
-}
-
-/// The price-discovery backend (see [`crate::price`]): damped
-/// tâtonnement on a clearing price with pool-parallel demand sweeps,
-/// per-server refinement, and prices as warm state. Same facade as
-/// [`Algo2`]; built for the `n = 10⁵..10⁶` regime the bisection
-/// pipeline cannot reach.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PriceSolver;
-
-impl Solver for PriceSolver {
-    fn name(&self) -> &'static str {
-        "price"
-    }
-    fn solve_with(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Assignment {
-        crate::price::solve(problem)
-    }
     fn try_solve_warm(
         &self,
         problem: &Problem,
-        state: &mut crate::incremental::WarmState,
+        state: &mut WarmState,
     ) -> Result<Assignment, SolveError> {
-        check_finite_utilities(problem)?;
-        let a = crate::price::solve_warm(problem, state.price_mut())?;
-        a.validate(problem).map_err(SolveError::Infeasible)?;
-        Ok(a)
+        self.screened(problem, Some(state), None)
     }
 }
 
-/// All solvers the experiments compare (Algorithm 2 plus the four paper
-/// baselines), in the paper's reporting order.
-pub fn paper_lineup() -> Vec<Box<dyn Solver>> {
-    vec![
-        Box::new(Algo2),
-        Box::new(Uu),
-        Box::new(Ur),
-        Box::new(Ru),
-        Box::new(Rr),
-    ]
+impl Serialize for Algorithm {
+    /// The registry name, the one spelling answers, spans, metric labels
+    /// and `--ladder` use.
+    fn to_value(&self) -> serde::Value {
+        self.name().to_value()
+    }
 }
 
 #[cfg(test)]
@@ -471,21 +445,7 @@ mod tests {
     #[test]
     fn every_solver_is_feasible() {
         let p = problem();
-        let solvers: Vec<Box<dyn Solver>> = vec![
-            Box::new(Algo1),
-            Box::new(Algo2),
-            Box::new(Uu),
-            Box::new(Ur),
-            Box::new(Ru),
-            Box::new(Rr),
-            Box::new(BruteForce),
-            Box::new(Algo2SingleSort),
-            Box::new(Algo2FairShare),
-            Box::new(Algo2Refined),
-            Box::new(BranchAndBound),
-            Box::new(PriceSolver),
-        ];
-        for s in &solvers {
+        for s in Algorithm::ALL {
             let a = s.solve(&p);
             a.validate(&p)
                 .unwrap_or_else(|e| panic!("{} produced infeasible assignment: {e}", s.name()));
@@ -494,36 +454,16 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let solvers: Vec<Box<dyn Solver>> = vec![
-            Box::new(Algo1),
-            Box::new(Algo2),
-            Box::new(Uu),
-            Box::new(Ur),
-            Box::new(Ru),
-            Box::new(Rr),
-            Box::new(BruteForce),
-            Box::new(Algo2SingleSort),
-            Box::new(Algo2FairShare),
-            Box::new(Algo2Refined),
-            Box::new(BranchAndBound),
-            Box::new(PriceSolver),
-        ];
-        let mut names: Vec<&str> = solvers.iter().map(|s| s.name()).collect();
+        let mut names: Vec<&str> = Algorithm::ALL.iter().map(|s| s.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), solvers.len());
+        assert_eq!(names.len(), Algorithm::ALL.len());
     }
 
     #[test]
     fn default_seed_is_reproducible() {
         let p = problem();
         assert_eq!(Rr.solve(&p), Rr.solve(&p));
-    }
-
-    #[test]
-    fn paper_lineup_order() {
-        let names: Vec<&str> = paper_lineup().iter().map(|s| s.name()).collect();
-        assert_eq!(names, vec!["algo2", "uu", "ur", "ru", "rr"]);
     }
 
     #[test]
@@ -681,12 +621,6 @@ mod tests {
                 assert_eq!(expected, got, "{} at {threads} threads", s.name());
             }
         }
-    }
-
-    #[test]
-    fn solve_batch_trait_method_delegates() {
-        let problems = batch(4);
-        assert_eq!(Algo2.solve_batch(&problems, 3), solve_batch(&Algo2, &problems, 3));
     }
 
     #[test]

@@ -25,61 +25,27 @@
 //! branch-and-bound without a breaker penalty — [`TierStatus::TooLarge`]
 //! is a property of the instance, not a sign the tier is slow.
 //!
+//! Any registered [`Algorithm`] may be a rung; [`Algorithm::run`] is
+//! the one dispatch. Rungs without a budgeted path (the four baselines
+//! and the two ablations) ignore expiry, as the `uu` floor does.
+//!
 //! External cancellation ([`SolveError::Cancelled`]) aborts the whole
 //! ladder: the caller no longer wants *any* answer, so there is nothing
 //! to degrade to.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use rand::RngCore;
 use serde::Serialize;
 
 use crate::budget::Budget;
+use crate::incremental::WarmState;
 use crate::problem::{Assignment, Problem};
-use crate::solver::{SolveError, Solver};
-use crate::{algo2, exact_bb, heuristics, refine};
+use crate::solver::{Algorithm, SolveError, Solver};
 
-/// One rung of the degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-#[serde(rename_all = "snake_case")]
-pub enum Tier {
-    /// Anytime branch-and-bound (exact when it completes).
-    BranchAndBound,
-    /// Algorithm 2 plus the exact per-server re-split.
-    Algo2Refined,
-    /// Algorithm 2 alone.
-    Algo2,
-    /// Price discovery ([`crate::price`]): tolerance-converged, cheaper
-    /// per solve at very large `n`. Not in the default ladder; opt in
-    /// via [`TieredSolver::with_ladder`] for scale-heavy streams.
-    Price,
-    /// Round-robin placement, equal split: the unbudgeted `O(n)` floor.
-    Uu,
-}
-
-impl Tier {
-    /// Every tier with its name and span name, in declaration order (so
-    /// `tier as usize` indexes it).
-    const TABLE: [(Tier, &'static str, &'static str); 5] = [
-        (Tier::BranchAndBound, "exact-bb", "tier_exact_bb"),
-        (Tier::Algo2Refined, "algo2-refined", "tier_algo2_refined"),
-        (Tier::Algo2, "algo2", "tier_algo2"),
-        (Tier::Price, "price", "tier_price"),
-        (Tier::Uu, "uu", "tier_uu"),
-    ];
-
-    /// Stable identifier matching the corresponding [`Solver::name`].
-    pub fn name(self) -> &'static str {
-        Self::TABLE[self as usize].1
-    }
-
-    /// The tier named `name` (the inverse of [`Tier::name`]).
-    pub fn parse(name: &str) -> Option<Tier> {
-        Self::TABLE.iter().find(|row| row.1 == name).map(|row| row.0)
-    }
-}
+/// One rung of the degradation ladder: any registered [`Algorithm`].
+pub type Tier = Algorithm;
 
 /// How a tier's attempt (or non-attempt) ended.
 ///
@@ -177,8 +143,6 @@ pub struct TieredSolver {
     breaker_cooldown: u64,
     state: Vec<BreakerState>,
     requests: AtomicU64,
-    /// Opt-in warm state for the [`Tier::Algo2`] rung (see [`Self::warm`]).
-    warm: Option<Mutex<crate::incremental::WarmState>>,
 }
 
 impl Default for TieredSolver {
@@ -187,32 +151,18 @@ impl Default for TieredSolver {
     }
 }
 
-/// Result of one tier's attempt, before breaker/report bookkeeping.
-enum TierRun {
-    Answer { assignment: Assignment, partial: bool },
-    Expired,
-    TooLarge,
-}
-
-/// Span name for one ladder rung. Spans carry `&'static str` names, so
-/// the per-tier names live in the tier table rather than being formatted
-/// at runtime.
-fn tier_span_name(tier: Tier) -> &'static str {
-    Tier::TABLE[tier as usize].2
-}
-
 /// Registry handles for `aa_tier_attempts_total{tier}` /
 /// `aa_tier_completed_total{tier}`, cached so the record path never
 /// takes the registry lock.
 fn tier_counters(tier: Tier) -> &'static (aa_obs::Counter, aa_obs::Counter) {
-    static HANDLES: std::sync::OnceLock<[(aa_obs::Counter, aa_obs::Counter); 5]> =
+    static HANDLES: std::sync::OnceLock<[(aa_obs::Counter, aa_obs::Counter); Tier::ALL.len()]> =
         std::sync::OnceLock::new();
     &HANDLES.get_or_init(|| {
-        Tier::TABLE.map(|(_, name, _)| {
+        Tier::ALL.map(|t| {
             let r = aa_obs::global();
             (
-                r.counter_labeled("aa_tier_attempts_total", "tier", name),
-                r.counter_labeled("aa_tier_completed_total", "tier", name),
+                r.counter_labeled("aa_tier_attempts_total", "tier", t.name()),
+                r.counter_labeled("aa_tier_completed_total", "tier", t.name()),
             )
         })
     })[tier as usize]
@@ -247,34 +197,7 @@ impl TieredSolver {
             breaker_cooldown: DEFAULT_BREAKER_COOLDOWN,
             state,
             requests: AtomicU64::new(0),
-            warm: None,
         }
-    }
-
-    /// Enable the warm incremental path for the [`Tier::Algo2`] rung:
-    /// the tier solves through
-    /// [`incremental::solve_incremental_budgeted`](crate::incremental::solve_incremental_budgeted)
-    /// with a [`WarmState`](crate::incremental::WarmState) that persists
-    /// across requests. Answers stay **bit-identical** to the cold
-    /// `algo2` path (the incremental engine's contract); only the
-    /// latency changes when consecutive requests drift slowly. Off by
-    /// default so existing ladders are byte-for-byte unchanged.
-    ///
-    /// The state sits behind a `Mutex`, so a shared solver serving
-    /// concurrent streams serializes its Algo2 rung; give each stream
-    /// its own warm `TieredSolver` (as `aa serve` does) to keep the
-    /// warm cache coherent per stream.
-    pub fn warm(mut self) -> Self {
-        self.warm = Some(Mutex::new(crate::incremental::WarmState::new()));
-        self
-    }
-
-    /// Stats from the most recent warm Algo2 solve, or `None` when the
-    /// warm path is not enabled.
-    pub fn warm_stats(&self) -> Option<crate::incremental::IncrementalStats> {
-        self.warm
-            .as_ref()
-            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).last_stats())
     }
 
     /// Override the circuit breaker: open after `threshold` consecutive
@@ -304,41 +227,37 @@ impl TieredSolver {
         problem: &Problem,
         budget: &Budget,
     ) -> Result<TieredSolve, SolveError> {
-        self.solve_within_impl(problem, budget, None)
+        self.walk(problem, budget, None)
     }
 
-    /// [`Self::solve_within`] with a caller-owned [`WarmState`] for the
-    /// [`Tier::Algo2`] rung instead of the solver's internal one (if
-    /// any). This is the per-stream entry point: a shard holding one
-    /// `WarmState` per request stream threads the right state through a
-    /// *shared* `TieredSolver`, keeping breaker state per shard while
-    /// warm brackets stay per stream. Answers are **bit-identical** to
-    /// the cold path regardless of the state passed (the incremental
-    /// engine's contract).
-    pub fn solve_within_warm(
+    /// [`Self::solve_within`] with the same input/output screening as
+    /// [`Solver::try_solve_with`]: rejects non-finite utility curves up
+    /// front and validates the answer's feasibility. The entry point for
+    /// callers feeding untrusted problems under real deadlines (e.g.
+    /// `aa serve`).
+    pub fn try_solve_within(
         &self,
         problem: &Problem,
         budget: &Budget,
-        warm: &mut crate::incremental::WarmState,
     ) -> Result<TieredSolve, SolveError> {
-        self.solve_within_impl(problem, budget, Some(warm))
+        self.screened(problem, budget, None)
     }
 
-    /// [`Self::solve_within_warm`] with the same input/output screening
-    /// as [`Self::try_solve_within`].
+    /// [`Self::try_solve_within`] with a caller-owned [`WarmState`]
+    /// that rungs with a warm path ([`Tier::Algo2`], [`Tier::Price`])
+    /// solve through. This is the per-stream entry point: a shard holding
+    /// one `WarmState` per request stream threads the right state through
+    /// a *shared* `TieredSolver`, keeping breaker state per shard while
+    /// warm brackets stay per stream. Answers are **bit-identical** to
+    /// the cold path regardless of the state passed (the incremental
+    /// engine's contract).
     pub fn try_solve_within_warm(
         &self,
         problem: &Problem,
         budget: &Budget,
-        warm: &mut crate::incremental::WarmState,
+        warm: &mut WarmState,
     ) -> Result<TieredSolve, SolveError> {
-        crate::solver::check_finite_utilities(problem)?;
-        let solved = self.solve_within_impl(problem, budget, Some(warm))?;
-        solved
-            .assignment
-            .validate(problem)
-            .map_err(SolveError::Infeasible)?;
-        Ok(solved)
+        self.screened(problem, budget, Some(warm))
     }
 
     /// Panic-containing solve entry: [`Self::try_solve_within`] (or the
@@ -348,40 +267,46 @@ impl TieredSolver {
     /// unwinding into (and killing) the calling worker thread.
     ///
     /// On a panic the passed warm state may have been half-updated;
-    /// this entry point [`invalidate`](crate::incremental::WarmState::invalidate)s
-    /// it before returning so the next solve through it rebuilds from
-    /// scratch rather than trusting corrupt brackets.
+    /// this entry point [`invalidate`](WarmState::invalidate)s it before
+    /// returning so the next solve through it rebuilds from scratch
+    /// rather than trusting corrupt brackets.
     pub fn try_solve_within_caught(
         &self,
         problem: &Problem,
         budget: &Budget,
-        warm: Option<&mut crate::incremental::WarmState>,
+        mut warm: Option<&mut WarmState>,
     ) -> Result<TieredSolve, SolveError> {
-        match warm {
-            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.try_solve_within(problem, budget)
-            }))
-            .unwrap_or_else(|payload| Err(SolveError::Panicked(panic_message(&*payload)))),
-            Some(state) => {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.try_solve_within_warm(problem, budget, &mut *state)
-                }));
-                match result {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        state.invalidate();
-                        Err(SolveError::Panicked(panic_message(&*payload)))
-                    }
-                }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.screened(problem, budget, warm.as_deref_mut())
+        }));
+        result.unwrap_or_else(|payload| {
+            if let Some(state) = warm {
+                state.invalidate();
             }
-        }
+            Err(SolveError::Panicked(panic_message(&*payload)))
+        })
     }
 
-    fn solve_within_impl(
+    fn screened(
         &self,
         problem: &Problem,
         budget: &Budget,
-        mut external: Option<&mut crate::incremental::WarmState>,
+        warm: Option<&mut WarmState>,
+    ) -> Result<TieredSolve, SolveError> {
+        crate::solver::check_finite_utilities(problem)?;
+        let solved = self.walk(problem, budget, warm)?;
+        solved
+            .assignment
+            .validate(problem)
+            .map_err(SolveError::Infeasible)?;
+        Ok(solved)
+    }
+
+    fn walk(
+        &self,
+        problem: &Problem,
+        budget: &Budget,
+        mut warm: Option<&mut WarmState>,
     ) -> Result<TieredSolve, SolveError> {
         let req = self.requests.fetch_add(1, Ordering::AcqRel) + 1;
         let mut outcomes: Vec<TierOutcome> = Vec::with_capacity(self.ladder.len());
@@ -395,15 +320,15 @@ impl TieredSolver {
                 });
                 continue;
             }
-            let _tier_span = aa_obs::span!(tier_span_name(tier));
+            let _tier_span = aa_obs::span!(tier.span_name());
             if aa_obs::record_enabled() {
                 tier_counters(tier).0.inc();
             }
             let start = Instant::now();
-            let run = run_tier(tier, problem, budget, self.warm.as_ref(), external.as_deref_mut())?;
+            let run = tier.run(problem, budget, warm.as_deref_mut(), None);
             let micros = start.elapsed().as_micros() as u64;
-            match run {
-                TierRun::Answer { assignment, partial } => {
+            let status = match run {
+                Ok((assignment, partial)) => {
                     if aa_obs::record_enabled() {
                         tier_counters(tier).1.inc();
                     }
@@ -430,45 +355,18 @@ impl TieredSolver {
                         degradation: Degradation { tier, degraded, outcomes },
                     });
                 }
-                TierRun::Expired => {
+                // A property of the instance, not a sign the tier is
+                // slow: no breaker penalty.
+                Err(SolveError::TooLarge { .. }) => TierStatus::TooLarge,
+                Err(SolveError::DeadlineExceeded) => {
                     self.record_failure(idx, req);
-                    outcomes.push(TierOutcome {
-                        tier,
-                        status: TierStatus::Expired,
-                        micros,
-                        utility: None,
-                    });
+                    TierStatus::Expired
                 }
-                TierRun::TooLarge => {
-                    outcomes.push(TierOutcome {
-                        tier,
-                        status: TierStatus::TooLarge,
-                        micros,
-                        utility: None,
-                    });
-                }
-            }
+                Err(e) => return Err(e),
+            };
+            outcomes.push(TierOutcome { tier, status, micros, utility: None });
         }
         Err(SolveError::DeadlineExceeded)
-    }
-
-    /// [`Self::solve_within`] with the same input/output screening as
-    /// [`Solver::try_solve_with`]: rejects non-finite utility curves up
-    /// front and validates the answer's feasibility. The entry point for
-    /// callers feeding untrusted problems under real deadlines (e.g.
-    /// `aa serve`).
-    pub fn try_solve_within(
-        &self,
-        problem: &Problem,
-        budget: &Budget,
-    ) -> Result<TieredSolve, SolveError> {
-        crate::solver::check_finite_utilities(problem)?;
-        let solved = self.solve_within(problem, budget)?;
-        solved
-            .assignment
-            .validate(problem)
-            .map_err(SolveError::Infeasible)?;
-        Ok(solved)
     }
 
     fn record_failure(&self, idx: usize, req: u64) {
@@ -489,83 +387,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-fn run_tier(
-    tier: Tier,
-    problem: &Problem,
-    budget: &Budget,
-    warm: Option<&Mutex<crate::incremental::WarmState>>,
-    external: Option<&mut crate::incremental::WarmState>,
-) -> Result<TierRun, SolveError> {
-    match tier {
-        Tier::BranchAndBound => match exact_bb::solve_budgeted(problem, budget) {
-            Ok(b) => Ok(TierRun::Answer {
-                assignment: b.assignment,
-                partial: !b.optimal,
-            }),
-            Err(SolveError::TooLarge { .. }) => Ok(TierRun::TooLarge),
-            Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-            Err(e) => Err(e),
-        },
-        Tier::Algo2Refined => match refine::solve_refined_budgeted(problem, budget) {
-            Ok(a) => Ok(TierRun::Answer { assignment: a, partial: false }),
-            Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-            Err(e) => Err(e),
-        },
-        Tier::Algo2 => {
-            // The warm incremental path is bit-identical to the cold
-            // solve (differential proptests pin this), so enabling it
-            // changes latency, never answers. A caller-owned per-stream
-            // state takes precedence over the solver's shared one.
-            let run = match (external, warm) {
-                (Some(state), _) => {
-                    crate::incremental::solve_incremental_budgeted(problem, state, budget)
-                }
-                (None, Some(w)) => {
-                    let mut state = w.lock().unwrap_or_else(|e| e.into_inner());
-                    crate::incremental::solve_incremental_budgeted(problem, &mut state, budget)
-                }
-                (None, None) => algo2::solve_budgeted(problem, budget),
-            };
-            match run {
-                Ok(a) => Ok(TierRun::Answer { assignment: a, partial: false }),
-                Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-                Err(e) => Err(e),
-            }
-        }
-        Tier::Price => {
-            // Same warm-state precedence as Algo2; the price backend
-            // reads its own compartment of the shared container.
-            let run = match (external, warm) {
-                (Some(state), _) => {
-                    crate::price::solve_warm_budgeted(problem, state.price_mut(), budget)
-                }
-                (None, Some(w)) => {
-                    let mut state = w.lock().unwrap_or_else(|e| e.into_inner());
-                    crate::price::solve_warm_budgeted(problem, state.price_mut(), budget)
-                }
-                (None, None) => crate::price::solve_budgeted(problem, budget),
-            };
-            match run {
-                Ok(a) => Ok(TierRun::Answer { assignment: a, partial: false }),
-                Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-                Err(e) => Err(e),
-            }
-        }
-        Tier::Uu => {
-            // The floor ignores expiry — it exists precisely so an
-            // exhausted budget still yields a feasible answer — but an
-            // external cancel means nobody wants even that.
-            if let Err(SolveError::Cancelled) = budget.check() {
-                return Err(SolveError::Cancelled);
-            }
-            Ok(TierRun::Answer {
-                assignment: heuristics::uu(problem),
-                partial: false,
-            })
-        }
     }
 }
 
@@ -596,6 +417,8 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    use crate::{algo2, exact_bb, heuristics, refine};
+
     use aa_utility::{CappedLinear, DynUtility, LogUtility, Power, Utility};
 
     fn arc<U: Utility + 'static>(u: U) -> DynUtility {
@@ -604,13 +427,14 @@ mod tests {
 
     #[test]
     fn tier_table_rows_sit_at_their_tier_index_and_names_round_trip() {
-        for (i, &(tier, name, span)) in Tier::TABLE.iter().enumerate() {
-            assert_eq!(tier as usize, i, "{name}");
-            assert_eq!(tier.name(), name);
-            assert_eq!(Tier::parse(name), Some(tier));
-            assert_eq!(tier_span_name(tier), span);
+        for (i, &tier) in Tier::ALL.iter().enumerate() {
+            assert_eq!(tier as usize, i, "{}", tier.name());
+            assert_eq!(Tier::parse(tier.name()), Some(tier));
+            assert_eq!(tier.span_name(), format!("tier_{}", tier.name().replace('-', "_")));
         }
-        assert_eq!(Tier::parse("algo1"), None);
+        // Every registered algorithm is a rung, algo1 included.
+        assert_eq!(Tier::parse("algo1"), Some(Tier::Algo1));
+        assert_eq!(Tier::parse("tiered"), None);
     }
 
     fn mixed_problem(m: usize, n: usize, seed: u64) -> Problem {
@@ -805,27 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_algo2_tier_is_bit_identical_and_keeps_state_across_requests() {
-        use crate::incremental::SolveMode;
-
-        let solver = TieredSolver::with_ladder(vec![Tier::Algo2, Tier::Uu]).warm();
-        for seed in 0..4 {
-            let p = mixed_problem(3, 11, seed);
-            let t = solver.solve_within(&p, &Budget::unlimited()).unwrap();
-            assert_eq!(t.assignment, algo2::solve(&p), "seed {seed}");
-        }
-        // Re-solving the *same* problem object hits the identical fast
-        // path: the warm state survived the previous requests.
-        let p = mixed_problem(3, 11, 9);
-        let first = solver.solve_within(&p, &Budget::unlimited()).unwrap();
-        let again = solver.solve_within(&p, &Budget::unlimited()).unwrap();
-        assert_eq!(first.assignment, again.assignment);
-        assert_eq!(solver.warm_stats().unwrap().mode, SolveMode::Identical);
-        // A cold solver never reports warm stats.
-        assert!(TieredSolver::new().warm_stats().is_none());
-    }
-
-    #[test]
     fn external_warm_state_is_bit_identical_and_stays_warm() {
         use crate::incremental::{SolveMode, WarmState};
 
@@ -835,9 +638,9 @@ mod tests {
         let pa = mixed_problem(3, 11, 0);
         let pb = mixed_problem(3, 13, 1);
         for _ in 0..3 {
-            let a = solver.solve_within_warm(&pa, &Budget::unlimited(), &mut stream_a).unwrap();
+            let a = solver.try_solve_within_warm(&pa, &Budget::unlimited(), &mut stream_a).unwrap();
             assert_eq!(a.assignment, algo2::solve(&pa));
-            let b = solver.solve_within_warm(&pb, &Budget::unlimited(), &mut stream_b).unwrap();
+            let b = solver.try_solve_within_warm(&pb, &Budget::unlimited(), &mut stream_b).unwrap();
             assert_eq!(b.assignment, algo2::solve(&pb));
         }
         // Each stream's state converged to the identical fast path on
@@ -903,7 +706,7 @@ mod tests {
         let healthy = mixed_problem(2, 5, 0);
         let solver2 = TieredSolver::with_ladder(vec![Tier::Algo2, Tier::Uu]);
         let again = solver2
-            .solve_within_warm(&healthy, &Budget::unlimited(), &mut warm)
+            .try_solve_within_warm(&healthy, &Budget::unlimited(), &mut warm)
             .unwrap();
         assert_eq!(again.assignment, algo2::solve(&healthy));
         assert_eq!(warm.last_stats().mode, SolveMode::Cold);
@@ -917,5 +720,33 @@ mod tests {
         let json = serde_json::to_string(&tiered.degradation).unwrap();
         assert!(json.contains("\"tier\":\"uu\""), "{json}");
         assert!(json.contains("\"status\":\"expired\""), "{json}");
+    }
+
+    #[test]
+    fn degradation_names_tiers_by_their_registry_names() {
+        // The report spells a tier the way answers, spans, metric labels
+        // and `--ladder` do.
+        let report = Degradation {
+            tier: Tier::BranchAndBound,
+            degraded: true,
+            outcomes: vec![
+                TierOutcome {
+                    tier: Tier::Algo2Refined,
+                    status: TierStatus::Expired,
+                    micros: 0,
+                    utility: None,
+                },
+                TierOutcome {
+                    tier: Tier::BranchAndBound,
+                    status: TierStatus::Partial,
+                    micros: 1,
+                    utility: Some(2.5),
+                },
+            ],
+        };
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            r#"{"tier":"exact-bb","degraded":true,"outcomes":[{"tier":"algo2-refined","status":"expired","micros":0,"utility":null},{"tier":"exact-bb","status":"partial","micros":1,"utility":2.5}]}"#
+        );
     }
 }

@@ -18,10 +18,15 @@
 
 use std::sync::Arc;
 
-use aa_core::solver::{Algo2Refined, SolveError, Solver};
-use aa_core::{algo2, exact_bb, heuristics, refine, Budget, Problem, Tier, TieredSolver};
+use aa_core::solver::{Algo2Refined, Algorithm, SolveError, Solver, DEFAULT_SEED};
+use aa_core::{
+    ablation, algo1, algo2, exact, exact_bb, heuristics, price, refine, Assignment, Budget,
+    Problem, Tier, TieredSolver,
+};
 use aa_utility::{CappedLinear, DynUtility, LogUtility, Power};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Strategy: a random concave utility of a random family.
 fn any_utility(cap: f64) -> impl Strategy<Value = DynUtility> {
@@ -33,6 +38,26 @@ fn any_utility(cap: f64) -> impl Strategy<Value = DynUtility> {
         (0.1..10.0f64, 0.05..1.0f64)
             .prop_map(move |(s, k)| Arc::new(CappedLinear::new(s, k * cap, cap)) as DynUtility),
     ]
+}
+
+/// The module function each registry row stands for, randomized rows
+/// under the `Solver` default seed.
+fn plain(a: Algorithm, p: &Problem) -> Assignment {
+    let rng = &mut StdRng::seed_from_u64(DEFAULT_SEED);
+    match a {
+        Algorithm::Algo2 => algo2::solve(p),
+        Algorithm::Algo2Refined => refine::solve_refined(p),
+        Algorithm::Price => price::solve(p),
+        Algorithm::Algo1 => algo1::solve(p),
+        Algorithm::Uu => heuristics::uu(p),
+        Algorithm::Ur => heuristics::ur(p, rng),
+        Algorithm::Ru => heuristics::ru(p, rng),
+        Algorithm::Rr => heuristics::rr(p, rng),
+        Algorithm::BruteForce => exact::solve(p),
+        Algorithm::BranchAndBound => exact_bb::solve(p),
+        Algorithm::Algo2SingleSort => ablation::algo2_single_sort(p),
+        Algorithm::Algo2FairShare => ablation::algo2_fair_share(p),
+    }
 }
 
 /// Strategy: a small random AA problem.
@@ -50,6 +75,39 @@ proptest! {
     fn algo2_budgeted_is_all_or_typed_nothing(p in small_problem(), fuel in 0u64..600) {
         let plain = algo2::solve(&p);
         match algo2::solve_budgeted(&p, &Budget::with_fuel(fuel)) {
+            Ok(a) => prop_assert_eq!(a, plain),
+            Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
+        }
+    }
+
+    /// Budgeted Algorithm 1: the exact unbudgeted answer or a typed
+    /// expiry.
+    #[test]
+    fn algo1_budgeted_is_all_or_typed_nothing(p in small_problem(), fuel in 0u64..600) {
+        let plain = algo1::solve(&p);
+        match algo1::solve_budgeted(&p, &Budget::with_fuel(fuel)) {
+            Ok(a) => prop_assert_eq!(a, plain),
+            Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
+        }
+    }
+
+    /// Budgeted exhaustive search is strict: the exact unbudgeted
+    /// answer or a typed expiry, never the best-so-far.
+    #[test]
+    fn exact_budgeted_is_all_or_typed_nothing(p in small_problem(), fuel in 0u64..5000) {
+        let plain = exact::solve(&p);
+        match exact::solve_budgeted(&p, &Budget::with_fuel(fuel)) {
+            Ok(a) => prop_assert_eq!(a, plain),
+            Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
+        }
+    }
+
+    /// Budgeted price discovery: the exact unbudgeted answer or a typed
+    /// expiry.
+    #[test]
+    fn price_budgeted_is_all_or_typed_nothing(p in small_problem(), fuel in 0u64..300) {
+        let plain = price::solve(&p);
+        match price::solve_budgeted(&p, &Budget::with_fuel(fuel)) {
             Ok(a) => prop_assert_eq!(a, plain),
             Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
         }
@@ -133,5 +191,18 @@ proptest! {
         prop_assert_eq!(tiered.assignment, Algo2Refined.solve(&p));
         prop_assert_eq!(tiered.degradation.tier, Tier::Algo2Refined);
         prop_assert!(!tiered.degradation.degraded);
+    }
+
+    /// The registry serves the `Solver` facade and the ladder from one
+    /// dispatch: for every algorithm, `try_solve`, the module function
+    /// and a one-rung ladder at an unlimited budget are bit-identical.
+    #[test]
+    fn every_registry_row_answers_alike_on_every_path(p in small_problem()) {
+        for a in Algorithm::ALL {
+            let expected = plain(a, &p);
+            prop_assert_eq!(a.try_solve(&p).unwrap(), expected, "{}", a.name());
+            let rung = TieredSolver::with_ladder(vec![a]).solve_within(&p, &Budget::unlimited());
+            prop_assert_eq!(rung.unwrap().assignment, expected, "{}", a.name());
+        }
     }
 }

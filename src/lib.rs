@@ -33,7 +33,7 @@
 //!     .unwrap();
 //!
 //! // Algorithm 2: 0.828-approximation in O(n (log mC)^2).
-//! let solution = Algo2::default().solve(&problem);
+//! let solution = Algo2.solve(&problem);
 //! let total = solution.total_utility(&problem);
 //! assert!(total > 0.0);
 //!
