@@ -78,7 +78,7 @@ use aa_core::fleet::{
 use aa_obs::export::{chrome_trace_merged, LaneEvent, TraceLane};
 use aa_core::ring::{splitmix64, Ring};
 use aa_core::tiered::Tier;
-use aa_core::{Budget, Problem, TieredSolver};
+use aa_core::{Budget, TieredSolver};
 use aa_sim::{
     analyze_fleet, balanced_keys, FleetChaosConfig, FleetChaosReport, FleetObservation,
     FleetObservations, ProcessChaosPlan,
@@ -89,7 +89,8 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::proto::{
-    FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan, WorkerResult,
+    encode_req, FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan,
+    WorkerResult,
 };
 use crate::serve::{ingress, Admission, Admit, Answers, Outcome, ServeCounters, ServeMetrics};
 use crate::{build_problem, CliError, ProblemFile};
@@ -746,8 +747,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
 
     /// Best-effort frame write; a dead pipe surfaces via the reader's
     /// `WorkerGone`, which replays whatever was assigned.
-    fn send_to(&mut self, w: usize, msg: &ToWorker) {
-        let payload = serde_json::to_string(msg).expect("requests always serialize");
+    fn send_to(&mut self, w: usize, payload: &str) {
         if let Some(stdin) = self.slots[w].stdin.as_mut() {
             let _ = write_frame(stdin, payload.as_bytes());
             let _ = stdin.flush();
@@ -854,7 +854,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             }
             self.slots[w].nonce += 1;
             let ping = ToWorker::Ping { nonce: self.slots[w].nonce };
-            self.send_to(w, &ping);
+            self.send_to(w, &serde_json::to_string(&ping).expect("pings always serialize"));
             self.slots[w].unanswered_pings += 1;
             self.maybe_close_draining(w);
         }
@@ -1006,14 +1006,12 @@ impl<'a, W: Write> FleetCore<'a, W> {
             .ticket
             .deadline()
             .map(|d| d.saturating_duration_since(now).as_millis() as u64);
-        let problem = entry.job.problem.clone();
-        let stream = entry.stream;
         let trace = self.obs.as_mut().and_then(|o| o.dispatch_ctx(seq));
-        let msg = ToWorker::Req { seq, stream, budget_ms, trace, problem };
+        let payload = encode_req(seq, entry.stream, budget_ms, trace, &entry.job.problem);
         self.slots[w].in_flight += 1;
         self.fm.dispatched.inc();
         self.fm.per_worker[w].dispatched.inc();
-        self.send_to(w, &msg);
+        self.send_to(w, &payload);
     }
 
     /// No routable worker: hold the request unless the whole fleet is
@@ -1320,24 +1318,26 @@ impl<'a, W: Write> FleetCore<'a, W> {
 }
 
 /// `--fleet` admission: forward requests and resize lines to the event
-/// loop. The ingress has already validated the problem, so
-/// `class:"problem"` answers don't burn a round trip to a worker.
+/// loop. The problem travels undecoded: its one decode is the worker's,
+/// so a malformed problem costs an admission slot and a round trip and
+/// comes back `class:"parse"` or `class:"problem"`.
 struct FleetAdmission<'a> {
     tx: &'a Sender<Event>,
 }
 
 impl Admission for FleetAdmission<'_> {
-    fn admit(&mut self, req: Admit, _: Problem) -> std::io::Result<bool> {
+    fn admit(&mut self, req: Admit) -> std::io::Result<bool> {
         Ok(self.tx.send(Event::Admit(Box::new(req))).is_ok())
     }
 
     fn control(
         &mut self,
-        line: &serde_json::Value,
+        line: &serde_json::Scan<'_>,
         id: &serde_json::Value,
     ) -> Result<bool, &'static str> {
-        let control = line.get("control").and_then(serde_json::Value::as_str);
-        match (control, line.get("fleet").and_then(serde_json::Value::as_u64)) {
+        let control = line.get("control");
+        let fleet = line.get("fleet").as_ref().and_then(serde_json::Value::as_u64);
+        match (control.as_ref().and_then(serde_json::Value::as_str), fleet) {
             (Some("resize"), Some(n)) if n >= 1 => {
                 #[allow(clippy::cast_possible_truncation)]
                 let workers = n as usize;

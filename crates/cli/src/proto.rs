@@ -18,6 +18,12 @@
 //! Anything else a worker writes — truncated frames, bad trailers,
 //! unparseable JSON — is a protocol violation and the front-end treats
 //! the worker exactly as if it had crashed.
+//!
+//! A `Req`'s `problem` is the client's own JSON text: the front-end
+//! splices it into the frame unparsed ([`encode_req`]) and the worker
+//! reads the header first ([`decode_to_worker`]), so a problem that
+//! fails its schema is answered, not a protocol violation. The frame
+//! is still a [`ToWorker::Req`] document.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +65,75 @@ pub enum ToWorker {
         /// Echoed in the pong so stale pongs are discarded.
         nonce: u64,
     },
+}
+
+/// A `Req` frame's fields besides the problem, in [`ToWorker::Req`]'s
+/// order (what [`encode_req`] serializes).
+#[derive(Serialize)]
+struct ReqHeader {
+    seq: u64,
+    stream: Option<u64>,
+    budget_ms: Option<u64>,
+    trace: Option<TraceCtx>,
+}
+
+/// The payload of a [`ToWorker::Req`] frame with `problem` — raw JSON
+/// text — spliced in verbatim. When `problem` is the serializer's own
+/// output, the bytes equal `serde_json::to_string` of the `Req`.
+pub(crate) fn encode_req(
+    seq: u64,
+    stream: Option<u64>,
+    budget_ms: Option<u64>,
+    trace: Option<TraceCtx>,
+    problem: &str,
+) -> String {
+    let header = serde_json::to_string(&ReqHeader { seq, stream, budget_ms, trace })
+        .expect("headers always serialize");
+    let fields = &header[1..header.len() - 1];
+    let mut out = String::with_capacity(fields.len() + problem.len() + 32);
+    out.push_str(r#"{"type":"req","#);
+    out.push_str(fields);
+    out.push_str(r#","problem":"#);
+    out.push_str(problem);
+    out.push('}');
+    out
+}
+
+/// A [`ToWorker`] frame as the worker reads it: header first, the
+/// problem left as raw JSON text for [`crate::serve::decode_problem`].
+#[derive(Debug)]
+pub(crate) enum Inbound<'a> {
+    /// [`ToWorker::Ping`].
+    Ping { nonce: u64 },
+    /// [`ToWorker::Req`], problem undecoded.
+    Req {
+        seq: u64,
+        stream: Option<u64>,
+        budget_ms: Option<u64>,
+        trace: Option<TraceCtx>,
+        problem: &'a str,
+    },
+}
+
+/// Read one frame payload header-first. `None` (bad JSON, an unknown
+/// type, a missing or mistyped header field) is a protocol violation;
+/// a schema-invalid problem is not.
+pub(crate) fn decode_to_worker(payload: &str) -> Option<Inbound<'_>> {
+    let doc = serde_json::scan(payload).ok()?;
+    fn field<T: Deserialize>(doc: &serde_json::Scan<'_>, key: &str) -> Option<T> {
+        T::from_value(&doc.get(key)?).ok()
+    }
+    match field::<String>(&doc, "type")?.as_str() {
+        "ping" => Some(Inbound::Ping { nonce: field(&doc, "nonce")? }),
+        "req" => Some(Inbound::Req {
+            seq: field(&doc, "seq")?,
+            stream: field(&doc, "stream")?,
+            budget_ms: field(&doc, "budget_ms")?,
+            trace: field(&doc, "trace")?,
+            problem: doc.raw("problem")?,
+        }),
+        _ => None,
+    }
 }
 
 /// Frames a worker sends to the front-end (on its stdout).
@@ -307,6 +382,71 @@ mod tests {
             ToWorker::Ping { nonce } => assert_eq!(nonce, 9),
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    fn sample_problem() -> ProblemFile {
+        ProblemFile {
+            servers: 2,
+            capacity: 100.0,
+            threads: vec![
+                UtilitySpec::Power { scale: 1.5, beta: 0.5, cap: 100.0 },
+                UtilitySpec::Log { scale: 2.0, rate: 0.9, cap: 100.0 },
+            ],
+        }
+    }
+
+    #[test]
+    fn spliced_request_frames_match_the_serializer_byte_for_byte() {
+        let problem = sample_problem();
+        let text = serde_json::to_string(&problem).unwrap();
+        let trace = Some(TraceCtx { trace_id: 9, parent_span: 31 });
+        for (seq, stream, budget_ms, trace) in
+            [(42, Some(7), Some(100), trace), (0, None, None, None), (1 << 40, Some(0), Some(0), None)]
+        {
+            let spliced = encode_req(seq, stream, budget_ms, trace, &text);
+            let msg = ToWorker::Req { seq, stream, budget_ms, trace, problem: problem.clone() };
+            assert_eq!(spliced, serde_json::to_string(&msg).unwrap());
+        }
+    }
+
+    #[test]
+    fn spliced_problem_text_decodes_like_the_canonical_frame() {
+        // Whitespace and another spelling of each number: the client's
+        // text crosses verbatim and still decodes to the same request.
+        let text = r#" { "servers" : 2.0e0, "capacity":1.0e2, "threads" : [
+            {"kind":"power","scale":15e-1,"beta":0.50,"cap":100},
+            {"cap":1E2,"kind":"log","scale":2,"rate":0.9} ] } "#;
+        let trace = Some(TraceCtx { trace_id: 3, parent_span: 4 });
+        let spliced = encode_req(5, Some(6), Some(7), trace, text.trim());
+        let canonical = serde_json::to_string(&ToWorker::Req {
+            seq: 5,
+            stream: Some(6),
+            budget_ms: Some(7),
+            trace,
+            problem: sample_problem(),
+        })
+        .unwrap();
+        let decoded: ToWorker = serde_json::from_str(&spliced).unwrap();
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), canonical);
+        // The worker's header-first read sees the same header and the
+        // client's text as the problem.
+        match decode_to_worker(&spliced) {
+            Some(Inbound::Req { seq, stream, budget_ms, trace, problem }) => {
+                assert_eq!((seq, stream, budget_ms), (5, Some(6), Some(7)));
+                assert_eq!(trace.map(|t| (t.trace_id, t.parent_span)), Some((3, 4)));
+                assert_eq!(problem, text.trim());
+            }
+            other => panic!("wrong frame: {other:?}"),
+        }
+        match decode_to_worker(&serde_json::to_string(&ToWorker::Ping { nonce: 8 }).unwrap()) {
+            Some(Inbound::Ping { nonce: 8 }) => {}
+            other => panic!("wrong frame: {other:?}"),
+        }
+        // A broken header is a protocol violation; a broken problem is
+        // not the header's business.
+        assert!(decode_to_worker(r#"{"type":"req","seq":"x","stream":null,"budget_ms":null,"trace":null,"problem":{}}"#).is_none());
+        assert!(decode_to_worker(r#"{"type":"bogus"}"#).is_none());
+        assert!(decode_to_worker(r#"{"type":"req","seq":1,"stream":null,"budget_ms":null,"trace":null,"problem":"x"}"#).is_some());
     }
 
     #[test]

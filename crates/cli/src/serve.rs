@@ -9,9 +9,14 @@
 //!
 //! * the **ingress loop** (`ingress`) reads lines bounded by
 //!   `--max-line-bytes` (an oversized line is answered `class:"parse"`
-//!   instead of growing the buffer), parses them, answers control lines
-//!   the mode rejects with `class:"control"`, validates the problem, and
-//!   hands the request to the mode's `Admission`;
+//!   instead of growing the buffer), checks their syntax with one
+//!   tree-free [`serde_json::scan`], answers control lines the mode
+//!   rejects with `class:"control"`, decodes the envelope (`id`,
+//!   `stream`, `deadline_ms`), and hands the request — its problem
+//!   still the client's raw JSON text — to the mode's `Admission`;
+//! * the **executor** decodes that text once ([`decode_problem`]): a
+//!   shard admission in process, a fleet worker after the text crossed
+//!   the pipe verbatim;
 //! * the **answer path** (`Answers`) turns every outcome — solved,
 //!   failed with a class, expired in a queue, or shed at the door with
 //!   `{"status":"overloaded","retry_after_ms":…}` — into its response
@@ -74,21 +79,60 @@ impl Deserialize for ServeRequest {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = serde::expect_obj(v, "ServeRequest")?;
         let id = v.get("id").cloned().unwrap_or(serde::Value::Null);
-        let stream = match v.get("stream") {
-            None | Some(serde::Value::Null) => None,
-            Some(s) => Some(s.as_u64().ok_or_else(|| {
-                format!("ServeRequest.stream: expected unsigned integer, found {s:?}")
-            })?),
-        };
-        let deadline_ms = match v.get("deadline_ms") {
-            None | Some(serde::Value::Null) => None,
-            Some(d) => Some(d.as_u64().ok_or_else(|| {
-                format!("ServeRequest.deadline_ms: expected unsigned integer, found {d:?}")
-            })?),
-        };
+        let stream = optional_u64(v.get("stream"), "stream")?;
+        let deadline_ms = optional_u64(v.get("deadline_ms"), "deadline_ms")?;
         let problem = serde::de_field(obj, "problem", "ServeRequest")?;
         Ok(ServeRequest { id, stream, deadline_ms, problem })
     }
+}
+
+/// An optional unsigned [`ServeRequest`] field: absent or `null` is
+/// `None`.
+fn optional_u64(v: Option<&serde::Value>, field: &str) -> Result<Option<u64>, serde::DeError> {
+    match v {
+        None | Some(serde::Value::Null) => Ok(None),
+        Some(x) => x.as_u64().map(Some).ok_or_else(|| {
+            format!("ServeRequest.{field}: expected unsigned integer, found {x:?}")
+        }),
+    }
+}
+
+/// Decode one request line's envelope from its [`serde_json::scan`],
+/// leaving the problem as raw text; the request's clock starts here.
+/// Errors are [`ServeRequest`]'s own, in its order, except a problem
+/// that breaks its schema: that surfaces later, from [`decode_problem`],
+/// with the same text.
+fn envelope(
+    line: &str,
+    doc: &serde_json::Scan<'_>,
+    default_deadline_ms: Option<u64>,
+) -> Result<Admit, serde::DeError> {
+    if !doc.is_object() {
+        // Rare: rebuild the tree so the error prints the value as
+        // `ServeRequest` does.
+        let v: serde::Value = serde_json::from_str(line).expect("scanned lines parse");
+        return Err(serde::expect_obj(&v, "ServeRequest").expect_err("not an object"));
+    }
+    let stream = optional_u64(doc.get("stream").as_ref(), "stream")?;
+    let deadline_ms = optional_u64(doc.get("deadline_ms").as_ref(), "deadline_ms")?;
+    let problem = doc.raw("problem").ok_or("ServeRequest: missing field `problem`")?;
+    let id = doc.get("id").unwrap_or(serde::Value::Null);
+    Ok(Admit {
+        ticket: Ticket { id, arrived: Instant::now(), deadline_ms: deadline_ms.or(default_deadline_ms) },
+        stream,
+        problem: Arc::from(problem),
+    })
+}
+
+/// The one decode of a request's problem from the client's JSON text:
+/// `--shards` admission calls it in process, a `--fleet` worker on the
+/// bytes the front-end forwarded. A schema error is `class:"parse"`
+/// (text as [`ServeRequest`] reports it), a failed build
+/// `class:"problem"`.
+pub(crate) fn decode_problem(text: &str) -> Result<Problem, (&'static str, String)> {
+    let file: ProblemFile = serde_json::from_str(text)
+        .map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))?;
+    build_problem(&file).map_err(|e| ("problem", e.to_string()))
 }
 
 /// One response line.
@@ -371,11 +415,13 @@ impl Ticket {
     }
 }
 
-/// A parsed, validated request on its way to the mode's executor.
+/// A request on its way to the mode's executor: envelope decoded, the
+/// problem still the client's JSON text (shared, so a fleet replay
+/// resends the same bytes).
 pub(crate) struct Admit {
     pub(crate) ticket: Ticket,
     pub(crate) stream: Option<u64>,
-    pub(crate) problem: ProblemFile,
+    pub(crate) problem: Arc<str>,
 }
 
 /// How one request ended.
@@ -480,6 +526,13 @@ impl<W: Write> Answers<'_, W> {
                 m.observe_e2e("deadline", latency_micros);
                 self.write(&ServeResponse::Error { id, class: "deadline".to_string(), error })
             }
+            // A problem refused by `decode_problem` answers like a line
+            // refused at the door: `parse` without its id, `problem`
+            // with it, and neither in the end-to-end latency layer.
+            Outcome::Error { class, error } if class == "parse" => {
+                self.reject(serde_json::Value::Null, &class, error)
+            }
+            Outcome::Error { class, error } if class == "problem" => self.reject(id, &class, error),
             Outcome::Error { class, error } => {
                 m.observe_e2e(&class, latency_micros);
                 self.reject(id, &class, error)
@@ -487,8 +540,9 @@ impl<W: Write> Answers<'_, W> {
         }
     }
 
-    /// Answer an error by class. Lines that were never admitted (parse,
-    /// control and problem errors) come here directly: counted, but
+    /// Answer an error by class. Lines refused at the door (parse and
+    /// control errors) come here directly, problems refused by
+    /// [`decode_problem`] through [`Answers::send`]: counted, but
     /// outside the end-to-end latency layer.
     pub(crate) fn reject(&self, id: serde_json::Value, class: &str, error: String) -> std::io::Result<()> {
         let m = self.metrics;
@@ -517,19 +571,20 @@ impl<W: Write> Answers<'_, W> {
 
 /// A serving mode's half of the ingress loop.
 pub(crate) trait Admission {
-    /// Route one validated request to the executor. `Ok(false)` stops
-    /// reading (the executor is gone).
-    fn admit(&mut self, req: Admit, problem: Problem) -> std::io::Result<bool>;
+    /// Route one request to the executor, which decodes its problem
+    /// with [`decode_problem`]. `Ok(false)` stops reading (the executor
+    /// is gone).
+    fn admit(&mut self, req: Admit) -> std::io::Result<bool>;
 
     /// Act on a `{"control":…}` line. `Err(why)` answers it with
     /// `class:"control"`; `Ok(false)` stops reading.
-    fn control(&mut self, line: &serde_json::Value, id: &serde_json::Value) -> Result<bool, &'static str>;
+    fn control(&mut self, line: &serde_json::Scan<'_>, id: &serde_json::Value) -> Result<bool, &'static str>;
 }
 
 /// The ingress loop both serving modes run on the calling thread:
-/// bounded read → UTF-8 check → JSON parse → control-line check →
-/// [`ServeRequest`] → problem validation → `admission`. Every line that
-/// does not reach admission is answered here. Returns at EOF.
+/// bounded read → UTF-8 check → syntax scan → control-line check →
+/// envelope → `admission`. Every line that does not reach admission is
+/// answered here. Returns at EOF.
 pub(crate) fn ingress<R: BufRead, W: Write>(
     mut input: R,
     max_line_bytes: usize,
@@ -561,47 +616,30 @@ pub(crate) fn ingress<R: BufRead, W: Write>(
             continue;
         }
         answers.metrics.received.inc();
-        let value = match serde_json::from_str::<serde_json::Value>(line) {
-            Ok(v) => v,
+        let doc = match serde_json::scan(line) {
+            Ok(doc) => doc,
             Err(e) => {
                 answers.reject(serde_json::Value::Null, "parse", e.to_string())?;
                 continue;
             }
         };
-        if value.get("control").is_some() {
-            let id = value.get("id").cloned().unwrap_or(serde_json::Value::Null);
-            match admission.control(&value, &id) {
+        if doc.raw("control").is_some() {
+            let id = doc.get("id").unwrap_or(serde_json::Value::Null);
+            match admission.control(&doc, &id) {
                 Ok(true) => {}
                 Ok(false) => return Ok(()),
                 Err(why) => answers.reject(id, "control", why.to_string())?,
             }
             continue;
         }
-        let req = ServeRequest::from_value(&value);
-        // Free the parse tree before building the problem, as a direct
-        // parse into `ServeRequest` would.
-        drop(value);
-        let req = match req {
-            Ok(req) => req,
+        let admit = match envelope(line, &doc, default_deadline_ms) {
+            Ok(admit) => admit,
             Err(e) => {
                 answers.reject(serde_json::Value::Null, "parse", e)?;
                 continue;
             }
         };
-        let problem = match build_problem(&req.problem) {
-            Ok(p) => p,
-            Err(e) => {
-                answers.reject(req.id, "problem", e.to_string())?;
-                continue;
-            }
-        };
-        let ticket = Ticket {
-            id: req.id,
-            arrived: Instant::now(),
-            deadline_ms: req.deadline_ms.or(default_deadline_ms),
-        };
-        let admit = Admit { ticket, stream: req.stream, problem: req.problem };
-        if !admission.admit(admit, problem)? {
+        if !admission.admit(admit)? {
             return Ok(());
         }
     }
@@ -697,10 +735,19 @@ struct PoolAdmission<'a, W> {
 }
 
 impl<W: Write> Admission for PoolAdmission<'_, W> {
-    fn admit(&mut self, req: Admit, problem: Problem) -> std::io::Result<bool> {
+    fn admit(&mut self, req: Admit) -> std::io::Result<bool> {
+        let problem = match decode_problem(&req.problem) {
+            Ok(problem) => problem,
+            Err((class, error)) => {
+                self.answers.send(req.ticket, Outcome::error(class, error))?;
+                return Ok(true);
+            }
+        };
+        // A shard request's clock starts once its problem is built, so
+        // an in-process decode is never charged to its deadline.
+        let t = Ticket { arrived: Instant::now(), ..req.ticket };
         let seq = self.seq;
         self.seq += 1;
-        let t = req.ticket;
         let (stream, deadline, arrived) = (req.stream, t.deadline(), t.arrived);
         let job = ShardJob { seq, stream, problem, deadline, arrived };
         // Insert before submit: a fast shard may complete before this
@@ -720,7 +767,7 @@ impl<W: Write> Admission for PoolAdmission<'_, W> {
         Ok(true)
     }
 
-    fn control(&mut self, _: &serde_json::Value, _: &serde_json::Value) -> Result<bool, &'static str> {
+    fn control(&mut self, _: &serde_json::Scan<'_>, _: &serde_json::Value) -> Result<bool, &'static str> {
         Err("unsupported control line; --shards takes none (resize needs --fleet)")
     }
 }

@@ -7,7 +7,11 @@
 //! process-level analogue of one shard, with the same structure:
 //!
 //! * a **reader thread** pulls frames off stdin, answering heartbeat
-//!   pings immediately (even mid-solve) and queueing solve requests;
+//!   pings immediately (even mid-solve), and decodes each request's
+//!   problem — the client's JSON text, forwarded verbatim — with
+//!   [`decode_problem`] before queueing it; a problem that fails its
+//!   decode is queued as that failure and answered `class:"parse"` or
+//!   `class:"problem"`;
 //! * the **solve loop** pops requests FIFO and solves each through the
 //!   stream solver: budget from worker arrival time, `catch_unwind`
 //!   boundary, per-stream warm state with FIFO eviction;
@@ -28,15 +32,16 @@ use std::time::{Duration, Instant};
 
 use aa_core::fleet::{read_frame, write_frame, MAX_FRAME_BYTES};
 use aa_core::tiered::Tier;
-use aa_core::{ShardError, SolveError, StreamSolver};
+use aa_core::{Problem, ShardError, SolveError, StreamSolver};
 use aa_obs::trace::SpanGuard;
 use aa_obs::Collector;
 use aa_sim::ProcessFault;
 
 use crate::proto::{
-    FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan, WorkerResult,
+    decode_to_worker, FromWorker, Inbound, MetricsSnapshot, SpanBinding, TraceCtx, WireSpan,
+    WorkerResult,
 };
-use crate::{build_problem, ProblemFile};
+use crate::serve::decode_problem;
 
 /// Exit code a worker uses for self-inflicted chaos deaths, distinct
 /// from clean drain (0) so the supervisor logs are unambiguous.
@@ -90,7 +95,8 @@ struct QueuedReq {
     stream: Option<u64>,
     deadline: Option<Instant>,
     trace: Option<TraceCtx>,
-    problem: ProblemFile,
+    /// The decoded problem, or the class and text it was refused with.
+    problem: Result<Problem, (&'static str, String)>,
 }
 
 /// State shared between the reader thread and the solve loop.
@@ -165,8 +171,10 @@ fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) -> std::io::Result<()> {
 }
 
 /// Pull frames off stdin until EOF or an unrecoverable error. A frame
-/// the worker cannot parse is a front-end bug; the worker treats it
-/// like EOF (drain and exit) rather than guessing.
+/// whose header the worker cannot read is a front-end bug; the worker
+/// treats it like EOF (drain and exit) rather than guessing. A request
+/// whose problem fails to decode is the client's error, and is queued
+/// to be answered like any other.
 fn reader_loop<R: Read, W: Write>(
     mut input: R,
     out: &Mutex<W>,
@@ -174,12 +182,11 @@ fn reader_loop<R: Read, W: Write>(
     epoch: Instant,
 ) {
     while let Ok(Some(payload)) = read_frame(&mut input, MAX_FRAME_BYTES) {
-        let parsed = std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|s| serde_json::from_str::<ToWorker>(s).ok());
-        let Some(msg) = parsed else { break };
+        let Some(msg) = std::str::from_utf8(&payload).ok().and_then(decode_to_worker) else {
+            break;
+        };
         match msg {
-            ToWorker::Ping { nonce } => {
+            Inbound::Ping { nonce } => {
                 let stalled_until = shared.stall_until_micros.load(Ordering::Acquire);
                 let now_micros = epoch.elapsed().as_micros() as u64;
                 if now_micros >= stalled_until {
@@ -199,7 +206,9 @@ fn reader_loop<R: Read, W: Write>(
                     );
                 }
             }
-            ToWorker::Req { seq, stream, budget_ms, trace, problem } => {
+            Inbound::Req { seq, stream, budget_ms, trace, problem } => {
+                // The budget covers the solve, not the decode.
+                let problem = decode_problem(problem);
                 let deadline =
                     budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
                 let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -426,11 +435,11 @@ fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> Wo
     let err = |class: &str, error: String, solve_micros: u64, queue_expired: bool| {
         WorkerResult::Err { class: class.to_string(), error, solve_micros, queue_expired }
     };
-    let problem = match build_problem(&req.problem) {
+    let problem = match &req.problem {
         Ok(p) => p,
-        Err(e) => return err("problem", e.to_string(), started.elapsed().as_micros() as u64, false),
+        Err((class, error)) => return err(class, error.clone(), 0, false),
     };
-    match streams.solve(req.stream, &problem, req.deadline, started, None) {
+    match streams.solve(req.stream, problem, req.deadline, started, None) {
         Ok(solved) => {
             shared.solves.fetch_add(1, Ordering::AcqRel);
             WorkerResult::Ok {
@@ -457,6 +466,8 @@ fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> Wo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{encode_req, ToWorker};
+    use crate::ProblemFile;
     use aa_utility::UtilitySpec;
 
     fn problem_file(threads: usize) -> ProblemFile {
@@ -594,6 +605,38 @@ mod tests {
             m,
             FromWorker::Resp { seq: 1, result: WorkerResult::Ok { .. } }
         )));
+    }
+
+    #[test]
+    fn schema_invalid_problem_is_answered_and_the_worker_keeps_serving() {
+        // Client bytes reach the worker verbatim, so a problem that
+        // breaks its schema must be an answer, not a protocol violation
+        // that kills the worker on every replay.
+        let mut input = Vec::new();
+        let bad = encode_req(0, None, None, None, r#"{"servers":2,"capacity":8.0,"threads":"x"}"#);
+        write_frame(&mut input, bad.as_bytes()).unwrap();
+        input.extend(frame(&ToWorker::Req {
+            seq: 1,
+            stream: None,
+            budget_ms: None,
+            trace: None,
+            problem: problem_file(4),
+        }));
+        let msgs = run(input, &WorkerOpts::default());
+        let answers: Vec<(u64, String)> = msgs
+            .iter()
+            .filter_map(|m| match m {
+                FromWorker::Resp { seq, result: WorkerResult::Err { class, error, .. } } => {
+                    assert!(error.starts_with("ServeRequest.problem: "), "{error}");
+                    Some((*seq, class.clone()))
+                }
+                FromWorker::Resp { seq, result: WorkerResult::Ok { .. } } => {
+                    Some((*seq, "ok".to_string()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(answers, vec![(0, "parse".to_string()), (1, "ok".to_string())]);
     }
 
     #[test]

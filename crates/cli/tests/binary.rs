@@ -901,6 +901,96 @@ fn serve_answers_a_deeply_nested_line_with_a_parse_error_in_every_mode() {
     }
 }
 
+/// Hostile and valid lines that every serving mode must answer alike:
+/// syntax errors (no id), schema errors (no id), problem errors (id
+/// echoed), envelope errors, a duplicate `problem` key, an escaped top-
+/// level key, a rejected control line, and valid requests in between.
+fn hostile_corpus() -> Vec<String> {
+    let valid = |id: u64| serve_request(id, None, 4);
+    let power = r#"{"kind":"power","scale":1.0,"beta":0.5,"cap":10.0}"#;
+    let with_problem = |id: u64, problem: &str| format!(r#"{{"id":{id},"problem":{problem}}}"#);
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    vec![
+        valid(100),
+        // Syntax: truncated, bad escape, 129 levels deep (the object
+        // itself is level 1), trailing garbage, a short \u escape.
+        r#"{"id":1,"problem":{"servers":2,"capacity":10.0,"thr"#.to_string(),
+        r#"{"id":"a\q","problem":{}}"#.to_string(),
+        with_problem(3, &nested(128)),
+        format!("{} x", valid(4)),
+        r#"{"id":"\u00e","problem":{}}"#.to_string(),
+        String::new(),
+        // 128 levels is legal syntax; the problem is then the wrong type.
+        with_problem(6, &nested(127)),
+        "[1,2]".to_string(),
+        // Schema: no problem, threads of the wrong type, unknown kind.
+        r#"{"id":7}"#.to_string(),
+        with_problem(8, r#"{"servers":2,"capacity":10.0,"threads":"x"}"#),
+        with_problem(
+            9,
+            r#"{"servers":2,"capacity":10.0,"threads":[{"kind":"cubic","cap":10.0}]}"#,
+        ),
+        valid(101),
+        // Problem: no servers, negative capacity, infinite capacity.
+        with_problem(10, &format!(r#"{{"servers":0,"capacity":10.0,"threads":[{power}]}}"#)),
+        with_problem(11, &format!(r#"{{"servers":2,"capacity":-5.0,"threads":[{power}]}}"#)),
+        with_problem(12, &format!(r#"{{"servers":2,"capacity":1e400,"threads":[{power}]}}"#)),
+        // Envelope: a non-integer stream, a negative deadline.
+        format!(r#"{{"id":13,"stream":"x","problem":{{"servers":2,"capacity":10.0,"threads":[{power}]}}}}"#),
+        format!(r#"{{"id":14,"deadline_ms":-1,"problem":{{"servers":2,"capacity":10.0,"threads":[{power}]}}}}"#),
+        "   ".to_string(),
+        // The first of two `problem` keys wins (this one solves).
+        format!(
+            r#"{{"id":15,"problem":{{"servers":2,"capacity":10.0,"threads":[{power}]}},"problem":{{"servers":0}}}}"#
+        ),
+        // An escaped key still names the envelope field.
+        format!(r#"{{"\u0069d":16, "problem" : {{"servers":2,"capacity":10.0,"threads":[{power}]}} }}"#),
+        r#"{"control":"bogus","id":17}"#.to_string(),
+        valid(102),
+    ]
+}
+
+#[test]
+fn hostile_lines_get_identical_answers_in_every_mode() {
+    let corpus = hostile_corpus();
+    let lines = corpus.iter().filter(|l| !l.trim().is_empty()).count();
+    let mut answers_by_mode = Vec::new();
+    for mode in [&["--queue", "64"][..], &["--shards", "2", "--queue", "64"], &["--fleet", "2", "--queue", "64"]]
+    {
+        let input: String = corpus.iter().map(|l| format!("{l}\n")).collect();
+        let (out, responses) = serve_lines(mode, input);
+        assert!(out.status.success(), "{mode:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(responses.len(), lines, "{mode:?}: one answer per line: {responses:?}");
+        let mut answers: Vec<String> = responses
+            .iter()
+            .map(|r| {
+                // A rejected control line names the mode's own control
+                // vocabulary; everything else must match word for word.
+                let error = if r["class"] == "control" {
+                    assert!(
+                        r["error"].as_str().unwrap().starts_with("unsupported control line"),
+                        "{mode:?}: {r:?}"
+                    );
+                    serde_json::Value::Null
+                } else {
+                    r["error"].clone()
+                };
+                let key = [r["id"].clone(), r["status"].clone(), r["class"].clone(), error];
+                serde_json::to_string(&key.to_vec()).unwrap()
+            })
+            .collect();
+        answers.sort();
+        answers_by_mode.push(answers);
+    }
+    assert_eq!(answers_by_mode[0], answers_by_mode[1], "serve vs --shards 2");
+    assert_eq!(answers_by_mode[0], answers_by_mode[2], "serve vs --fleet 2");
+    // Every id that was given (and parsed) is answered exactly once.
+    let ids: Vec<&String> = answers_by_mode[0].iter().filter(|a| !a.starts_with("[null")).collect();
+    let mut unique = ids.clone();
+    unique.dedup();
+    assert_eq!(ids, unique, "an id answered twice: {ids:?}");
+}
+
 #[test]
 fn shards_answer_control_lines_with_the_control_class() {
     let input = format!(
