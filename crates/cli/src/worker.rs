@@ -103,7 +103,9 @@ struct QueuedReq {
 struct Shared {
     queue: Mutex<VecDeque<QueuedReq>>,
     wake: Condvar,
-    /// stdin reached EOF (or became unreadable): drain and exit.
+    /// stdin reached EOF (or became unreadable): drain and exit. Set
+    /// under the `queue` lock, so the solve loop cannot miss the wakeup
+    /// between its empty check and its wait.
     closed: AtomicBool,
     /// When EOF happened, as the drain-deadline anchor.
     eof_at: Mutex<Option<Instant>>,
@@ -221,7 +223,9 @@ fn reader_loop<R: Read, W: Write>(
     let mut at = shared.eof_at.lock().unwrap_or_else(|e| e.into_inner());
     *at = Some(Instant::now());
     drop(at);
+    let q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     shared.closed.store(true, Ordering::Release);
+    drop(q);
     shared.wake.notify_all();
 }
 
@@ -250,11 +254,9 @@ fn solve_loop<W: Write>(
                 if shared.closed.load(Ordering::Acquire) {
                     break None;
                 }
-                let (guard, _) = shared
-                    .wake
-                    .wait_timeout(q, Duration::from_millis(5))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
+                // Blocks until the reader queues a request or closes;
+                // both happen under this lock, then notify.
+                q = shared.wake.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         let Some(req) = popped else {
@@ -544,6 +546,39 @@ mod tests {
         assert_eq!(utilities.len(), 2);
         // Warm (second) solve must be bit-identical to the cold one.
         assert_eq!(utilities[0], utilities[1]);
+    }
+
+    /// The solve loop blocks without a timeout, so a lost EOF wakeup
+    /// would hang a run instead of delaying it; the watchdog turns a
+    /// hang into a failure.
+    #[test]
+    fn worker_returns_at_eof_without_polling() {
+        let one_req = frame(&ToWorker::Req {
+            seq: 3,
+            stream: None,
+            budget_ms: None,
+            trace: None,
+            problem: problem_file(2),
+        });
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                let msgs = run(Vec::new(), &WorkerOpts::default());
+                assert_eq!(msgs.len(), 1, "only the hello: {msgs:?}");
+                let msgs = run(one_req.clone(), &WorkerOpts::default());
+                assert!(
+                    matches!(
+                        msgs[1..],
+                        [FromWorker::Resp { seq: 3, result: WorkerResult::Ok { .. } }]
+                    ),
+                    "the request must be answered: {msgs:?}"
+                );
+            }
+            done.send(()).expect("the test is waiting");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a worker run hung at EOF (or panicked)");
     }
 
     #[test]

@@ -991,6 +991,22 @@ fn hostile_lines_get_identical_answers_in_every_mode() {
     assert_eq!(ids, unique, "an id answered twice: {ids:?}");
 }
 
+/// A `\u` surrogate pair in a request id decodes to its one char and
+/// echoes back as that char in every mode; a lone half stays U+FFFD.
+#[test]
+fn escaped_surrogate_pair_ids_echo_back_in_every_mode() {
+    let line = serve_request(1, None, 3).replacen(r#""id":1"#, r#""id":"\ud83d\ude00 \ud83d""#, 1);
+    for mode in [&["--queue", "4"][..], &["--shards", "2"], &["--fleet", "2"]] {
+        let (out, responses) = serve_lines(mode, format!("{line}\n"));
+        assert!(out.status.success(), "{mode:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(responses.len(), 1, "{mode:?}: {responses:?}");
+        assert_eq!(responses[0]["status"], "ok", "{mode:?}: {responses:?}");
+        assert_eq!(responses[0]["id"], "\u{1F600} \u{FFFD}", "{mode:?}");
+        let raw = String::from_utf8_lossy(&out.stdout);
+        assert!(raw.contains("\"id\":\"\u{1F600} \u{FFFD}\""), "{mode:?}: {raw}");
+    }
+}
+
 #[test]
 fn shards_answer_control_lines_with_the_control_class() {
     let input = format!(
