@@ -49,10 +49,10 @@ serve reads LDJSON requests {\"id\":…, \"stream\":…, \"deadline_ms\":…,
 \"problem\":{…}} on stdin and writes one response per line on stdout;
 requests beyond the admission queue are shed with
 {\"status\":\"overloaded\",\"retry_after_ms\":…}. --shards N runs N
-crash-isolated worker shards under a supervisor: requests sharing a
-\"stream\" key route to a fixed shard (warm incremental state), a
-panicking solve answers {\"status\":\"error\",\"class\":\"solve_panic\"}
-and a dead shard is restarted with backoff while its queue drains as
+crash-isolated worker shard threads: requests sharing a \"stream\" key
+route to a fixed shard (warm incremental state), a panicking solve
+answers {\"status\":\"error\",\"class\":\"solve_panic\"} and a crashed
+shard restarts itself in place with backoff while its queue drains as
 \"internal\" errors. Lines beyond --max-line-bytes (default 1 MiB) are
 answered with a \"parse\" error. Counters are dumped to stderr (and
 --counters PATH as JSON) at EOF. --metrics-addr serves GET /metrics

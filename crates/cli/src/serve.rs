@@ -5,7 +5,8 @@
 //! one JSON object per line on stdout, in completion order (clients
 //! correlate by echoed `id`). `--shards N` ([`run_serve`]) and `--fleet
 //! N` ([`crate::fleet::run_fleet_serve`]) differ only in their executor
-//! and its supervisor. What a client sees comes from one implementation:
+//! and how it recovers from crashes. What a client sees comes from one
+//! implementation:
 //!
 //! * the **ingress loop** (`ingress`) reads lines bounded by
 //!   `--max-line-bytes` (an oversized line is answered `class:"parse"`
@@ -28,12 +29,14 @@
 //! Under `--shards`, admission submits to an [`aa_core::ShardPool`]:
 //! keyed requests route to a fixed shard by consistent hashing (so the
 //! stream's warm state stays hot), key-less ones to a cold queue any
-//! idle shard steals from, and a writer thread answers completions. The
-//! pool's supervisor sets the crash semantics: a panicking solve answers
-//! `class:"solve_panic"`; a dead shard answers its in-flight request
+//! idle shard steals from, and a writer thread answers completions. Each
+//! shard thread handles its own crashes: a panicking solve answers
+//! `class:"solve_panic"`; a crash outside the solve ends the shard's
+//! incarnation, and its thread answers the in-flight request
 //! `solve_panic`, drains its queue as `class:"internal"`, and restarts
-//! with backoff (or retires, rerouting its streams). A dead `--fleet`
-//! worker instead has its requests replayed (see [`crate::fleet`]).
+//! the shard in place after a backoff (or retires it, rerouting its
+//! streams). A dead `--fleet` worker instead has its requests replayed
+//! (see [`crate::fleet`]).
 //!
 //! All accounting flows through an [`aa_obs::Registry`] (the
 //! `aa_serve_*` family, plus the pool's `aa_shard_*` / `aa_supervisor_*`

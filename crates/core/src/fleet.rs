@@ -3,7 +3,7 @@
 //!
 //! This module is deliberately transport-level and policy-free: it owns
 //! the wire framing, the retry backoff math (shared with the in-process
-//! shard supervisor so both tiers back off identically), the front-end's
+//! shard restarts so both tiers back off identically), the front-end's
 //! exactly-once pending map, and the membership-aware stream router. The
 //! process plumbing (spawning, pipes, heartbeat timers) lives in the CLI
 //! crate; everything here is pure data structure and therefore unit- and
@@ -160,9 +160,10 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
     Ok(Some(buf))
 }
 
-/// Exponential backoff with seeded jitter, shared by the shard
-/// supervisor (thread restarts) and the fleet front-end (request retry
-/// and process respawn) so both tiers pace recovery identically.
+/// Exponential backoff with seeded jitter, shared by the shard pool
+/// (each shard thread's in-place restarts) and the fleet front-end
+/// (request retry and process respawn) so both tiers pace recovery
+/// identically.
 #[derive(Debug, Clone, Copy)]
 pub struct Backoff {
     /// First-attempt delay; doubles per attempt.

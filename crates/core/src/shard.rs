@@ -1,4 +1,4 @@
-//! Supervised worker-shard pool for the serving tier.
+//! Self-restarting worker-shard pool for the serving tier.
 //!
 //! The pool runs `N` worker threads ("shards"), each owning a
 //! [`StreamSolver`] — a [`TieredSolver`] plus a per-stream [`WarmState`]
@@ -12,28 +12,39 @@
 //!
 //! 1. Every solve runs behind a `catch_unwind` boundary
 //!    ([`TieredSolver::try_solve_within_caught`]); a panicking solver
-//!    yields [`SolveError::Panicked`] and the worker thread keeps going.
-//! 2. If a worker thread itself dies (a panic outside the caught region —
-//!    in production a bug, in tests an injected [`FaultAction::KillShard`]),
-//!    the supervisor thread notices via `JoinHandle::is_finished`, answers
-//!    the in-flight request with [`ShardError::Crashed`], drains the dead
-//!    shard's queue with [`ShardError::Drained`], and respawns the worker
-//!    after an exponential backoff with seeded jitter.
+//!    yields [`SolveError::Panicked`] and the shard keeps going.
+//! 2. Each shard thread supervises itself. It runs one *incarnation* — a
+//!    fresh [`StreamSolver`] draining jobs — at a time, behind a second
+//!    `catch_unwind`. When an incarnation dies (a panic outside the caught
+//!    solve — in production a bug, in tests an injected
+//!    [`FaultAction::KillShard`]), the same thread answers the in-flight
+//!    request with [`ShardError::Crashed`], drains its queue with
+//!    [`ShardError::Drained`], waits out an exponential backoff with
+//!    seeded jitter (shutdown cuts it short), and starts a new
+//!    incarnation.
 //! 3. After more than [`ShardConfig::max_restarts`] restarts the shard's
-//!    circuit breaker trips: the shard is retired, its ring points are
-//!    skipped, and its keys reroute to the surviving shards.
+//!    circuit breaker trips: the shard is retired and its thread exits,
+//!    its ring points are skipped, and its keys reroute to the surviving
+//!    shards.
 //!
-//! A restarted worker starts with a fresh warm-state map: the first
+//! A new incarnation starts with a fresh warm-state map: the first
 //! post-restart request per stream is simply a cold solve (bit-identical
 //! to the warm path by construction), after which the stream is warm again.
 //!
+//! Every queue (each shard's and the cold one), the live flags and the
+//! shutdown flag sit under one mutex, with one condvar per shard. An idle
+//! shard checks its own queue, the cold queue and shutdown under that lock
+//! and then sleeps with no timeout; every push and the shutdown notify, so
+//! no wakeup is lost and nothing polls.
+//!
 //! Exactly-once accounting: an admitted job lives in exactly one place at
-//! any time — a queue, a worker's in-flight slot, or a delivered
-//! [`ShardCompletion`]. Workers populate the in-flight slot *before* any
-//! fallible work and clear it only after the completion callback returns,
-//! so a crash at any point leaves the job discoverable by the supervisor.
-//! The completion callback must not panic; it runs on worker and
-//! supervisor threads.
+//! any time — a queue, a shard's in-flight slot, or a delivered
+//! [`ShardCompletion`]. The in-flight slot is filled *before* any fallible
+//! work and cleared only after the completion callback returns, so a crash
+//! at any point leaves the job for the shard's crash handler to answer.
+//! The completion callback must not panic; it runs on the shard threads
+//! and, for jobs left on the cold queue at shutdown, on the thread calling
+//! [`ShardPool::shutdown`].
 //!
 //! Determinism for tests comes from [`ChaosHook`]: faults are keyed on the
 //! per-shard solve sequence number (which survives restarts), not wall
@@ -41,8 +52,9 @@
 //! matter how threads interleave.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,6 +63,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::budget::Budget;
+use crate::fleet::Backoff;
 use crate::incremental::WarmState;
 use crate::problem::Problem;
 use crate::ring::Ring;
@@ -63,11 +76,11 @@ pub enum FaultAction {
     /// No fault; solve normally.
     None,
     /// Panic *inside* the caught solve region: the request is answered
-    /// with [`SolveError::Panicked`] and the worker thread survives.
+    /// with [`SolveError::Panicked`] and the incarnation survives.
     PanicSolve,
-    /// Panic *outside* the caught region, killing the worker thread. The
-    /// supervisor answers the in-flight request, drains the queue, and
-    /// restarts the shard.
+    /// Panic *outside* the caught region, ending the shard's incarnation.
+    /// Its thread answers the in-flight request, drains the queue, and
+    /// starts a new incarnation after the backoff.
     KillShard,
     /// Sleep for the given duration before solving — a slow/stalled
     /// shard. Its own queue backs up; cold traffic is stolen by others.
@@ -107,7 +120,8 @@ pub struct ShardConfig {
     pub breaker_threshold: u32,
     /// Cooldown (in requests) for each worker's tier breaker.
     pub breaker_cooldown: u64,
-    /// Seed for restart jitter.
+    /// Seed for restart jitter; each shard draws from its own RNG, seeded
+    /// from this value and the shard index.
     pub seed: u64,
     /// Tier ladder for each worker's solver; `None` uses the full
     /// default ladder. The warm incremental path only engages on the
@@ -117,7 +131,6 @@ pub struct ShardConfig {
     /// Optional deterministic fault injector.
     pub chaos: Option<ChaosHook>,
 }
-
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
@@ -186,11 +199,11 @@ pub enum ShardError {
     Solve(SolveError),
     /// The deadline passed while the job sat in a queue.
     Expired,
-    /// The worker thread died while this job was in flight; answered by
-    /// the supervisor.
+    /// The shard's incarnation died while this job was in flight;
+    /// answered by the shard's crash handler.
     Crashed,
-    /// The job was queued on a shard that died or was retired before
-    /// reaching it; answered by the supervisor.
+    /// The job was queued on a shard that crashed or was retired before
+    /// reaching it, or left on the cold queue with no shard to take it.
     Drained,
 }
 
@@ -326,108 +339,45 @@ pub struct ShardCompletion {
     pub seq: u64,
     /// The job's stream id.
     pub stream: Option<u64>,
-    /// The shard that answered (for supervisor-drained cold jobs, the
-    /// shard whose death triggered the drain).
+    /// The shard that answered (for drained cold jobs, the shard whose
+    /// retirement triggered the drain, or 0 at shutdown).
     pub shard: usize,
     /// Whether the job was stolen from the cold queue.
     pub stolen: bool,
     /// Microseconds spent queued before the solve started.
     pub waited_micros: u64,
-    /// Microseconds spent solving (0 for supervisor-answered jobs).
+    /// Microseconds spent solving (0 for crashed and drained jobs).
     pub solve_micros: u64,
     /// The solve result.
     pub outcome: Result<TieredSolve, ShardError>,
 }
 
-enum PushError {
-    Full,
-    Closed,
-}
-
-struct QueueInner {
-    jobs: VecDeque<ShardJob>,
-    open: bool,
-}
-
-/// A capacity-bounded MPMC queue that outlives the threads draining it —
-/// unlike an `mpsc` channel, a worker death leaves the queued jobs
-/// reachable by the supervisor and by the respawned worker.
-struct JobQueue {
-    cap: usize,
-    inner: Mutex<QueueInner>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new(cap: usize) -> Self {
-        JobQueue {
-            cap: cap.max(1),
-            inner: Mutex::new(QueueInner { jobs: VecDeque::new(), open: true }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn try_push(&self, job: ShardJob) -> Result<usize, (PushError, ShardJob)> {
-        let mut g = self.lock();
-        if !g.open {
-            return Err((PushError::Closed, job));
-        }
-        if g.jobs.len() >= self.cap {
-            return Err((PushError::Full, job));
-        }
-        g.jobs.push_back(job);
-        let len = g.jobs.len();
-        drop(g);
-        self.cv.notify_one();
-        Ok(len)
-    }
-
-    fn try_pop(&self) -> Option<ShardJob> {
-        self.lock().jobs.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.lock().jobs.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.lock().jobs.is_empty()
-    }
-
-    fn drain_all(&self) -> Vec<ShardJob> {
-        self.lock().jobs.drain(..).collect()
-    }
-
-    fn close(&self) {
-        self.lock().open = false;
-        self.cv.notify_all();
-    }
-
-    fn notify(&self) {
-        self.cv.notify_all();
-    }
-
-    /// Briefly block until notified or `timeout`, but only if empty.
-    fn wait_brief(&self, timeout: Duration) {
-        let g = self.lock();
-        if g.jobs.is_empty() {
-            let _ = self
-                .cv
-                .wait_timeout(g, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
+/// Metadata of a popped job, kept until its completion is delivered so
+/// that a job nobody will solve can still be answered.
 struct InflightMeta {
     seq: u64,
     stream: Option<u64>,
     arrived: Instant,
     stolen: bool,
+}
+
+impl InflightMeta {
+    fn of(job: &ShardJob, stolen: bool) -> Self {
+        InflightMeta { seq: job.seq, stream: job.stream, arrived: job.arrived, stolen }
+    }
+
+    /// The completion answering this job with `error` instead of a solve.
+    fn unsolved(&self, shard: usize, error: ShardError) -> ShardCompletion {
+        ShardCompletion {
+            seq: self.seq,
+            stream: self.stream,
+            shard,
+            stolen: self.stolen,
+            waited_micros: self.arrived.elapsed().as_micros() as u64,
+            solve_micros: 0,
+            outcome: Err(error),
+        }
+    }
 }
 
 struct ShardMetrics {
@@ -455,31 +405,34 @@ impl ShardMetrics {
     }
 }
 
+/// Everything a shard waits on, under one lock.
+struct Queues {
+    /// Each shard's own queue.
+    shard: Vec<VecDeque<ShardJob>>,
+    /// False once the breaker retires the shard: the ring skips it, so
+    /// its queue takes no more jobs.
+    live: Vec<bool>,
+    /// Key-less jobs any shard may steal.
+    cold: VecDeque<ShardJob>,
+    shutting_down: bool,
+}
+
 struct ShardState {
     index: usize,
-    queue: JobQueue,
-    /// Set before any fallible per-job work; the supervisor answers it if
-    /// the worker dies.
-    inflight: Mutex<Option<InflightMeta>>,
-    /// 1-based pop counter across restarts — the chaos key.
-    solve_seq: AtomicU64,
-    /// False once the breaker retires the shard.
-    live: AtomicBool,
-    /// True only when the worker drained and returned during shutdown.
-    exited_clean: AtomicBool,
+    /// Woken by a push to this shard's queue or to the cold queue, and by
+    /// shutdown.
+    wake: Condvar,
     restarts: AtomicU32,
     metrics: ShardMetrics,
 }
 
 struct PoolInner {
     cfg: ShardConfig,
-    shards: Vec<Arc<ShardState>>,
-    cold: JobQueue,
+    shards: Vec<ShardState>,
+    queues: Mutex<Queues>,
     /// Consistent-hash ring over shard indices.
     ring: Ring,
     complete: CompletionFn,
-    shutting_down: AtomicBool,
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     cold_depth: Gauge,
     sup_restarts: Counter,
     sup_crash_answers: Counter,
@@ -488,102 +441,145 @@ struct PoolInner {
 }
 
 impl PoolInner {
-    fn live_count(&self) -> usize {
-        self.shards.iter().filter(|s| s.live.load(Ordering::Acquire)).count()
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// First live shard on the ring at or after the stream's hash point.
-    fn route(&self, stream: u64) -> Option<usize> {
-        self.ring
-            .route(stream, |shard| self.shards[shard].live.load(Ordering::Acquire))
+    fn route(&self, q: &Queues, stream: u64) -> Option<usize> {
+        self.ring.route(stream, |shard| q.live[shard])
     }
 
     fn submit(&self, job: ShardJob) -> Result<(), SubmitError> {
-        if self.shutting_down.load(Ordering::Acquire) {
+        let mut q = self.lock();
+        if q.shutting_down {
             return Err(SubmitError::ShuttingDown);
         }
-        match job.stream {
-            Some(key) => {
-                let mut job = job;
-                // A shard can retire between `route` and `try_push`;
-                // `Closed` re-routes (the retired shard is no longer
-                // live), while `Full` is genuine backpressure and sheds.
-                for _ in 0..self.shards.len() {
-                    let Some(s) = self.route(key) else {
-                        return Err(SubmitError::NoLiveShards);
-                    };
-                    match self.shards[s].queue.try_push(job) {
-                        Ok(len) => {
-                            self.shards[s].metrics.queue_depth.set(len as f64);
-                            return Ok(());
-                        }
-                        Err((PushError::Full, _)) => {
-                            return Err(SubmitError::QueueFull { shard: Some(s) });
-                        }
-                        Err((PushError::Closed, j)) => job = j,
-                    }
-                }
-                Err(SubmitError::NoLiveShards)
-            }
-            None => {
-                if self.live_count() == 0 {
-                    return Err(SubmitError::NoLiveShards);
-                }
-                match self.cold.try_push(job) {
-                    Ok(len) => {
-                        self.cold_depth.set(len as f64);
-                        // Any idle shard may steal; wake them all.
-                        for s in &self.shards {
-                            if s.live.load(Ordering::Acquire) {
-                                s.queue.notify();
-                            }
-                        }
-                        Ok(())
-                    }
-                    Err((PushError::Full, _)) => Err(SubmitError::QueueFull { shard: None }),
-                    Err((PushError::Closed, _)) => Err(SubmitError::NoLiveShards),
-                }
-            }
+        // Retirement takes the same lock, so a routed shard stays live
+        // until the push below is done.
+        let shard = match job.stream {
+            Some(key) => Some(self.route(&q, key).ok_or(SubmitError::NoLiveShards)?),
+            None if q.live.contains(&true) => None,
+            None => return Err(SubmitError::NoLiveShards),
+        };
+        let (queue, cap, depth) = match shard {
+            Some(s) => (&mut q.shard[s], self.cfg.queue, &self.shards[s].metrics.queue_depth),
+            None => (&mut q.cold, self.cfg.cold_queue, &self.cold_depth),
+        };
+        if queue.len() >= cap.max(1) {
+            return Err(SubmitError::QueueFull { shard });
         }
+        queue.push_back(job);
+        depth.set(queue.len() as f64);
+        drop(q);
+        match shard {
+            Some(s) => self.shards[s].wake.notify_one(),
+            // Any idle shard may steal a cold job; wake them all.
+            None => self.shards.iter().for_each(|s| s.wake.notify_one()),
+        }
+        Ok(())
+    }
+
+    /// Block until `me` has a job — its own queue first, then a steal from
+    /// the cold queue — or shutdown finds both empty.
+    fn next_job(&self, me: &ShardState) -> Option<(ShardJob, bool)> {
+        let mut q = self.lock();
+        loop {
+            if let Some(job) = q.shard[me.index].pop_front() {
+                me.metrics.queue_depth.set(q.shard[me.index].len() as f64);
+                return Some((job, false));
+            }
+            if let Some(job) = q.cold.pop_front() {
+                self.cold_depth.set(q.cold.len() as f64);
+                return Some((job, true));
+            }
+            if q.shutting_down {
+                return None;
+            }
+            q = me.wake.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Wait out a restart backoff; false when shutdown cut it short.
+    fn back_off(&self, me: &ShardState, delay: Duration) -> bool {
+        let (q, _) = me
+            .wake
+            .wait_timeout_while(self.lock(), delay, |q| !q.shutting_down)
+            .unwrap_or_else(|e| e.into_inner());
+        !q.shutting_down
+    }
+
+    /// Answer `jobs` with [`ShardError::Drained`], blamed on `blame`.
+    fn drain(&self, jobs: VecDeque<ShardJob>, blame: usize) {
+        for job in jobs {
+            self.sup_drained.inc();
+            (self.complete)(InflightMeta::of(&job, false).unsolved(blame, ShardError::Drained));
+        }
+    }
+
+    /// Answer everything queued on `me`.
+    fn drain_shard(&self, me: &ShardState) {
+        let jobs = {
+            let mut q = self.lock();
+            me.metrics.queue_depth.set(0.0);
+            std::mem::take(&mut q.shard[me.index])
+        };
+        self.drain(jobs, me.index);
+    }
+
+    /// Trip the shard's breaker: stop routing to it and answer its queue.
+    /// Retiring the last live shard also answers the cold queue, which no
+    /// shard is left to steal from.
+    fn retire(&self, me: &ShardState) {
+        let cold = {
+            let mut q = self.lock();
+            q.live[me.index] = false;
+            if q.live.contains(&true) {
+                VecDeque::new()
+            } else {
+                self.cold_depth.set(0.0);
+                std::mem::take(&mut q.cold)
+            }
+        };
+        me.metrics.breaker_open.set(1.0);
+        self.sup_retired.inc();
+        // No push can reach a retired shard's queue, so this drain is final.
+        self.drain_shard(me);
+        self.drain(cold, me.index);
     }
 }
 
-/// A supervised pool of crash-isolated worker shards. See the module docs.
+/// A pool of crash-isolated, self-restarting worker shards. See the
+/// module docs.
 pub struct ShardPool {
     inner: Arc<PoolInner>,
-    supervisor: Option<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ShardPool {
-    /// Spawn `cfg.shards` workers and the supervisor thread. Completions
-    /// are delivered through `complete`, possibly from several threads
-    /// concurrently; it must not panic.
+    /// Spawn one thread per shard. Completions are delivered through
+    /// `complete`, possibly from several threads concurrently; it must not
+    /// panic.
     pub fn new(cfg: ShardConfig, registry: &Registry, complete: CompletionFn) -> Self {
         let n = cfg.shards.max(1);
-        let shards: Vec<Arc<ShardState>> = (0..n)
+        let shards: Vec<ShardState> = (0..n)
             .map(|i| {
                 let metrics = ShardMetrics::new(registry, i);
                 metrics.queue_depth.set(0.0);
                 metrics.breaker_open.set(0.0);
-                Arc::new(ShardState {
-                    index: i,
-                    queue: JobQueue::new(cfg.queue),
-                    inflight: Mutex::new(None),
-                    solve_seq: AtomicU64::new(0),
-                    live: AtomicBool::new(true),
-                    exited_clean: AtomicBool::new(false),
-                    restarts: AtomicU32::new(0),
-                    metrics,
-                })
+                ShardState { index: i, wake: Condvar::new(), restarts: AtomicU32::new(0), metrics }
             })
             .collect();
         let inner = Arc::new(PoolInner {
-            cold: JobQueue::new(cfg.cold_queue),
+            queues: Mutex::new(Queues {
+                shard: (0..n).map(|_| VecDeque::new()).collect(),
+                live: vec![true; n],
+                cold: VecDeque::new(),
+                shutting_down: false,
+            }),
             shards,
             ring: Ring::new(n),
             complete,
-            shutting_down: AtomicBool::new(false),
-            handles: Mutex::new((0..n).map(|_| None).collect()),
             cold_depth: registry.gauge("aa_shard_cold_queue_depth"),
             sup_restarts: registry.counter("aa_supervisor_restarts_total"),
             sup_crash_answers: registry.counter("aa_supervisor_crash_answers_total"),
@@ -591,15 +587,16 @@ impl ShardPool {
             sup_retired: registry.counter("aa_supervisor_retired_total"),
             cfg,
         });
-        for i in 0..n {
-            spawn_worker(&inner, i);
-        }
-        let sup_inner = Arc::clone(&inner);
-        let supervisor = std::thread::Builder::new()
-            .name("aa-shard-supervisor".into())
-            .spawn(move || supervisor_loop(sup_inner))
-            .expect("spawn supervisor thread");
-        ShardPool { inner, supervisor: Some(supervisor) }
+        let threads = (0..n)
+            .map(|i| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("aa-shard-{i}"))
+                    .spawn(move || shard_thread(&inner, &inner.shards[i]))
+                    .expect("spawn shard thread")
+            })
+            .collect();
+        ShardPool { inner, threads }
     }
 
     /// Admit a job. `Ok(())` guarantees exactly one completion later;
@@ -615,12 +612,12 @@ impl ShardPool {
 
     /// Shards whose breaker has not tripped.
     pub fn live_shards(&self) -> usize {
-        self.inner.live_count()
+        self.inner.lock().live.iter().filter(|&&live| live).count()
     }
 
     /// The shard a stream currently routes to, if any shard is live.
     pub fn route(&self, stream: u64) -> Option<usize> {
-        self.inner.route(stream)
+        self.inner.route(&self.inner.lock(), stream)
     }
 
     /// Restart count per shard.
@@ -634,7 +631,7 @@ impl ShardPool {
 
     /// Whether a shard's circuit breaker has tripped.
     pub fn breaker_open(&self, shard: usize) -> bool {
-        !self.inner.shards[shard].live.load(Ordering::Acquire)
+        !self.inner.lock().live[shard]
     }
 
     /// Stop admitting, drain every queue (each remaining admitted job
@@ -644,13 +641,21 @@ impl ShardPool {
     }
 
     fn shutdown_inner(&mut self) {
-        let Some(handle) = self.supervisor.take() else { return };
-        self.inner.shutting_down.store(true, Ordering::Release);
-        self.inner.cold.notify();
-        for s in &self.inner.shards {
-            s.queue.notify();
+        if self.threads.is_empty() {
+            return;
         }
-        let _ = handle.join();
+        self.inner.lock().shutting_down = true;
+        for s in &self.inner.shards {
+            s.wake.notify_one();
+        }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+        // Shards solve the cold queue on their way out; jobs are left on
+        // it only when no shard was running to take them.
+        let cold = std::mem::take(&mut self.inner.lock().cold);
+        self.inner.cold_depth.set(0.0);
+        self.inner.drain(cold, 0);
     }
 }
 
@@ -660,21 +665,52 @@ impl Drop for ShardPool {
     }
 }
 
-fn spawn_worker(inner: &Arc<PoolInner>, shard: usize) {
-    let state = Arc::clone(&inner.shards[shard]);
-    state.exited_clean.store(false, Ordering::Release);
-    let worker_inner = Arc::clone(inner);
-    let handle = std::thread::Builder::new()
-        .name(format!("aa-shard-{shard}"))
-        .spawn(move || worker_loop(worker_inner, state))
-        .expect("spawn shard worker thread");
-    let mut handles = inner.handles.lock().unwrap_or_else(|e| e.into_inner());
-    handles[shard] = Some(handle);
+/// One shard's thread: run incarnations until one returns at shutdown,
+/// answering each crash in place, and exit early once retired.
+fn shard_thread(inner: &PoolInner, me: &ShardState) {
+    let cfg = &inner.cfg;
+    let backoff = Backoff { base: cfg.backoff_base, max: cfg.backoff_max };
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5570_6572_7669_7365 ^ me.index as u64);
+    let mut solve_seq = 0;
+    loop {
+        let mut inflight = None;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            incarnation(inner, me, &mut inflight, &mut solve_seq)
+        }));
+        if run.is_ok() {
+            return;
+        }
+        let restarts = me.restarts.fetch_add(1, Ordering::AcqRel) + 1;
+        me.metrics.restarts.inc();
+        inner.sup_restarts.inc();
+        if let Some(job) = inflight {
+            inner.sup_crash_answers.inc();
+            (inner.complete)(job.unsolved(me.index, ShardError::Crashed));
+        }
+        if restarts > cfg.max_restarts {
+            inner.retire(me);
+            return;
+        }
+        inner.drain_shard(me);
+        if !inner.back_off(me, backoff.delay(restarts, &mut rng)) {
+            // Shutdown came first: answer what was queued meanwhile.
+            inner.drain_shard(me);
+            return;
+        }
+    }
 }
 
-fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
-    // Fresh per incarnation: tier breakers and warm state reset on
-    // restart, so a restarted shard cold-solves its way back to warmth.
+/// One incarnation: a fresh [`StreamSolver`] — tier breakers and warm
+/// state reset, so a restarted shard cold-solves its way back to warmth —
+/// draining jobs until shutdown. `inflight` holds each job from before any
+/// fallible work until its completion returns; `solve_seq` counts pops
+/// across incarnations.
+fn incarnation(
+    inner: &PoolInner,
+    me: &ShardState,
+    inflight: &mut Option<InflightMeta>,
+    solve_seq: &mut u64,
+) {
     let cfg = &inner.cfg;
     let mut streams = StreamSolver::new(
         cfg.ladder.clone(),
@@ -682,48 +718,20 @@ fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
         cfg.breaker_cooldown,
         cfg.max_streams,
     );
-    loop {
-        let popped = loop {
-            if let Some(job) = me.queue.try_pop() {
-                me.metrics.queue_depth.set(me.queue.len() as f64);
-                break Some((job, false));
-            }
-            if let Some(job) = inner.cold.try_pop() {
-                inner.cold_depth.set(inner.cold.len() as f64);
-                break Some((job, true));
-            }
-            if inner.shutting_down.load(Ordering::Acquire)
-                && me.queue.is_empty()
-                && inner.cold.is_empty()
-            {
-                break None;
-            }
-            me.queue.wait_brief(Duration::from_millis(2));
-        };
-        let Some((job, stolen)) = popped else { break };
-        {
-            let mut slot = me.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            *slot = Some(InflightMeta {
-                seq: job.seq,
-                stream: job.stream,
-                arrived: job.arrived,
-                stolen,
-            });
-        }
-        let solve_seq = me.solve_seq.fetch_add(1, Ordering::AcqRel) + 1;
+    while let Some((job, stolen)) = inner.next_job(me) {
+        *inflight = Some(InflightMeta::of(&job, stolen));
+        *solve_seq += 1;
         let mut inject_panic = None;
         if let Some(chaos) = &cfg.chaos {
-            match chaos(me.index, solve_seq) {
+            match chaos(me.index, *solve_seq) {
                 FaultAction::None => {}
                 FaultAction::PanicSolve => {
                     inject_panic = Some(format!("chaos: injected solve panic on shard {}", me.index));
                 }
                 FaultAction::Stall(d) => std::thread::sleep(d),
-                FaultAction::KillShard => {
-                    // In-flight slot stays populated: the supervisor
-                    // answers this job and restarts the shard.
-                    panic!("chaos: shard {} killed before solve", me.index);
-                }
+                // The in-flight slot stays filled: the crash handler
+                // answers this job.
+                FaultAction::KillShard => panic!("chaos: shard {} killed before solve", me.index),
             }
         }
         if stolen {
@@ -738,7 +746,7 @@ fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
             Err(ShardError::Solve(SolveError::Panicked(_))) => me.metrics.panics.inc(),
             Err(_) => {}
         }
-        let completion = ShardCompletion {
+        (inner.complete)(ShardCompletion {
             seq: job.seq,
             stream: job.stream,
             shard: me.index,
@@ -746,145 +754,9 @@ fn worker_loop(inner: Arc<PoolInner>, me: Arc<ShardState>) {
             waited_micros: waited.as_micros() as u64,
             solve_micros: started.elapsed().as_micros() as u64,
             outcome,
-        };
-        (inner.complete)(completion);
-        let mut slot = me.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = None;
-    }
-    me.exited_clean.store(true, Ordering::Release);
-}
-
-fn supervisor_loop(inner: Arc<PoolInner>) {
-    let mut rng = StdRng::seed_from_u64(inner.cfg.seed ^ 0x5570_6572_7669_7365);
-    let n = inner.shards.len();
-    let mut pending_restart: Vec<Option<Instant>> = vec![None; n];
-    let mut done = vec![false; n];
-    loop {
-        let shutting = inner.shutting_down.load(Ordering::Acquire);
-        let mut idle = true;
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            let shard = &inner.shards[i];
-            if let Some(at) = pending_restart[i] {
-                if shutting {
-                    pending_restart[i] = None;
-                    drain_queue(&inner, shard);
-                    done[i] = true;
-                } else if Instant::now() >= at {
-                    pending_restart[i] = None;
-                    spawn_worker(&inner, i);
-                } else {
-                    idle = false;
-                }
-                continue;
-            }
-            let finished = {
-                let handles = inner.handles.lock().unwrap_or_else(|e| e.into_inner());
-                handles[i].as_ref().map(|h| h.is_finished()).unwrap_or(true)
-            };
-            if !finished {
-                idle = false;
-                continue;
-            }
-            let handle = {
-                let mut handles = inner.handles.lock().unwrap_or_else(|e| e.into_inner());
-                handles[i].take()
-            };
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-            if shard.exited_clean.load(Ordering::Acquire) {
-                // Clean drain-and-exit during shutdown.
-                done[i] = true;
-                continue;
-            }
-            // The worker died. Answer its in-flight job, drain its queue,
-            // and decide between restart and retirement.
-            let restarts = shard.restarts.fetch_add(1, Ordering::AcqRel) + 1;
-            shard.metrics.restarts.inc();
-            inner.sup_restarts.inc();
-            answer_inflight(&inner, shard);
-            drain_queue(&inner, shard);
-            if shutting {
-                done[i] = true;
-            } else if restarts > inner.cfg.max_restarts {
-                retire(&inner, shard);
-                done[i] = true;
-            } else {
-                let delay = backoff_for(&inner.cfg, restarts, &mut rng);
-                pending_restart[i] = Some(Instant::now() + delay);
-                idle = false;
-            }
-        }
-        if shutting && idle {
-            // Workers normally drain the cold queue on the way out; jobs
-            // are left behind only if every worker died first.
-            drain(&inner, &inner.cold, &inner.cold_depth, 0);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Deliver a [`ShardError::Crashed`] completion for the job the dead
-/// worker had in flight, if any.
-fn answer_inflight(inner: &Arc<PoolInner>, shard: &ShardState) {
-    let meta = shard.inflight.lock().unwrap_or_else(|e| e.into_inner()).take();
-    if let Some(m) = meta {
-        inner.sup_crash_answers.inc();
-        (inner.complete)(ShardCompletion {
-            seq: m.seq,
-            stream: m.stream,
-            shard: shard.index,
-            stolen: m.stolen,
-            waited_micros: m.arrived.elapsed().as_micros() as u64,
-            solve_micros: 0,
-            outcome: Err(ShardError::Crashed),
         });
+        *inflight = None;
     }
-}
-
-/// Answer everything in `queue` with [`ShardError::Drained`], blamed on
-/// `blame`, and zero its depth gauge.
-fn drain(inner: &PoolInner, queue: &JobQueue, depth: &Gauge, blame: usize) {
-    for job in queue.drain_all() {
-        inner.sup_drained.inc();
-        (inner.complete)(ShardCompletion {
-            seq: job.seq,
-            stream: job.stream,
-            shard: blame,
-            stolen: false,
-            waited_micros: job.arrived.elapsed().as_micros() as u64,
-            solve_micros: 0,
-            outcome: Err(ShardError::Drained),
-        });
-    }
-    depth.set(queue.len() as f64);
-}
-
-/// Answer everything queued on a dead or retiring shard.
-fn drain_queue(inner: &Arc<PoolInner>, shard: &ShardState) {
-    drain(inner, &shard.queue, &shard.metrics.queue_depth, shard.index);
-}
-
-/// Trip the shard's breaker: stop routing to it, reject queued submits,
-/// and drain anything that raced in.
-fn retire(inner: &Arc<PoolInner>, shard: &ShardState) {
-    shard.live.store(false, Ordering::Release);
-    shard.queue.close();
-    shard.metrics.breaker_open.set(1.0);
-    inner.sup_retired.inc();
-    drain_queue(inner, shard);
-    if inner.live_count() == 0 {
-        inner.cold.close();
-        drain(inner, &inner.cold, &inner.cold_depth, shard.index);
-    }
-}
-
-fn backoff_for(cfg: &ShardConfig, restarts: u32, rng: &mut StdRng) -> Duration {
-    crate::fleet::Backoff { base: cfg.backoff_base, max: cfg.backoff_max }.delay(restarts, rng)
 }
 
 #[cfg(test)]
@@ -955,6 +827,17 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let out = f();
         std::panic::set_hook(prev);
+        out
+    }
+
+    /// Every completion as `(seq, "Ok" or the error variant)`, by seq.
+    fn answers(sink: &Collected) -> Vec<(u64, String)> {
+        let mut out: Vec<_> = sink
+            .take()
+            .into_iter()
+            .map(|c| (c.seq, c.outcome.map_or_else(|e| format!("{e:?}"), |_| "Ok".into())))
+            .collect();
+        out.sort_unstable();
         out
     }
 
@@ -1221,5 +1104,85 @@ mod tests {
         seqs.sort_unstable();
         seqs.dedup();
         assert_eq!(seqs.len(), admitted);
+    }
+
+    #[test]
+    fn shutdown_during_a_restart_backoff_drains_the_queue_promptly() {
+        with_quiet_panics(|| {
+            let registry = Registry::new();
+            let sink = Collected::new();
+            let chaos: ChaosHook = Arc::new(|shard, seq| {
+                if shard == 0 && seq == 1 {
+                    FaultAction::KillShard
+                } else {
+                    FaultAction::None
+                }
+            });
+            let cfg = ShardConfig {
+                shards: 1,
+                queue: 8,
+                chaos: Some(chaos),
+                backoff_base: Duration::from_secs(30),
+                backoff_max: Duration::from_secs(60),
+                ..ShardConfig::default()
+            };
+            let pool = ShardPool::new(cfg, &registry, sink.hook());
+            pool.submit(ShardJob::new(0, Some(4), mixed_problem(2, 5, 0), None)).unwrap();
+            assert!(wait_until(Duration::from_secs(10), || sink.len() == 1
+                && pool.restarts()[0] == 1));
+            // The shard is now in a 30 s backoff; these queue behind it.
+            for seq in 1..4u64 {
+                pool.submit(ShardJob::new(seq, Some(4), mixed_problem(2, 5, 0), None)).unwrap();
+            }
+            let started = Instant::now();
+            pool.shutdown();
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "shutdown waited out the backoff: {:?}",
+                started.elapsed()
+            );
+            let expected: Vec<(u64, String)> =
+                (0..4).map(|s| (s, if s == 0 { "Crashed" } else { "Drained" }.into())).collect();
+            assert_eq!(answers(&sink), expected);
+        });
+    }
+
+    #[test]
+    fn retiring_every_shard_answers_the_cold_queue_then_refuses_work() {
+        with_quiet_panics(|| {
+            let registry = Registry::new();
+            let sink = Collected::new();
+            // Hold both kills until every job is queued, so the cold queue
+            // still has jobs when the last shard retires.
+            let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let gate = Arc::clone(&go);
+            let chaos: ChaosHook = Arc::new(move |_, _| {
+                while !gate.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                FaultAction::KillShard
+            });
+            let cfg = ShardConfig {
+                shards: 2,
+                cold_queue: 16,
+                chaos: Some(chaos),
+                max_restarts: 0,
+                ..ShardConfig::default()
+            };
+            let pool = ShardPool::new(cfg, &registry, sink.hook());
+            for seq in 0..8 {
+                pool.submit(ShardJob::new(seq, None, mixed_problem(2, 5, 0), None)).unwrap();
+            }
+            go.store(true, Ordering::Release);
+            assert!(wait_until(Duration::from_secs(10), || sink.len() == 8));
+            assert_eq!(pool.live_shards(), 0);
+            let job = ShardJob::new(99, None, mixed_problem(2, 5, 0), None);
+            assert_eq!(pool.submit(job), Err(SubmitError::NoLiveShards));
+            pool.shutdown();
+            // The cold queue is FIFO: the two shards took jobs 0 and 1.
+            let expected: Vec<(u64, String)> =
+                (0..8).map(|s| (s, if s < 2 { "Crashed" } else { "Drained" }.into())).collect();
+            assert_eq!(answers(&sink), expected);
+        });
     }
 }

@@ -1,4 +1,4 @@
-//! Deterministic chaos and load harnesses for the supervised shard pool.
+//! Deterministic chaos harnesses for the shard pool and the process fleet.
 //!
 //! Mirrors the scripted-churn approach of [`crate::faults`], but the
 //! target is the *serving tier* rather than the cluster model: a seeded
@@ -22,11 +22,6 @@
 //!   [`RECOVERY_WINDOW_REQUESTS`] requests of the restart (the first
 //!   post-restart solve is a cold warm-state rebuild and is left out,
 //!   as the stream's cold first solve is before the kill).
-//!
-//! [`run_load`] is the companion seeded *open-loop* harness: it blasts a
-//! fixed request count at the pool with no pacing and no retries (a full
-//! queue sheds), reporting throughput, shed rate, and deadline misses —
-//! the basis for the multi-shard scaling comparison in CI.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -825,124 +820,6 @@ pub fn analyze_fleet(
     }
 }
 
-/// Configuration for [`run_load`].
-#[derive(Debug, Clone, Serialize)]
-pub struct LoadConfig {
-    /// Worker shards.
-    pub shards: usize,
-    /// Streams pinned per shard.
-    pub streams_per_shard: usize,
-    /// Total requests blasted at the pool, round-robin over streams.
-    pub requests: usize,
-    /// Per-shard queue capacity (shedding point).
-    pub queue: usize,
-    /// Per-request deadline in milliseconds, if any.
-    pub deadline_ms: Option<u64>,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            shards: 1,
-            streams_per_shard: 4,
-            requests: 2000,
-            queue: 64,
-            deadline_ms: Some(100),
-            seed: 2016,
-        }
-    }
-}
-
-/// What the open-loop blast observed.
-#[derive(Debug, Clone, Serialize)]
-pub struct LoadReport {
-    /// The config that produced this report.
-    pub config: LoadConfig,
-    /// Requests admitted.
-    pub admitted: usize,
-    /// Requests shed at submit time (full queue).
-    pub shed: usize,
-    /// Admitted requests answered with a solve.
-    pub ok: usize,
-    /// Admitted requests that expired (in queue or mid-solve).
-    pub deadline_misses: usize,
-    /// Wall clock from first submit to last completion (µs).
-    pub elapsed_micros: u64,
-    /// Completed-ok solves per second.
-    pub throughput_rps: f64,
-    /// shed / offered.
-    pub shed_rate: f64,
-    /// misses / admitted.
-    pub miss_rate: f64,
-}
-
-/// Open-loop load harness: submit `cfg.requests` as fast as possible —
-/// no pacing, no retries — and measure completion throughput. Run with
-/// increasing `shards` to measure scaling.
-pub fn run_load(cfg: &LoadConfig) -> LoadReport {
-    let registry = Registry::new();
-    let sink = Sink::new();
-    let pool = ShardPool::new(
-        ShardConfig {
-            shards: cfg.shards,
-            queue: cfg.queue,
-            cold_queue: cfg.queue,
-            seed: cfg.seed,
-            ladder: Some(vec![Tier::Algo2, Tier::Uu]),
-            ..ShardConfig::default()
-        },
-        &registry,
-        sink.hook(),
-    );
-    let keys = balanced_keys(pool.shard_count(), cfg.streams_per_shard);
-    let problems: Vec<Problem> =
-        keys.iter().map(|&k| stream_problem(k, cfg.seed)).collect();
-
-    let started = Instant::now();
-    let mut admitted = 0usize;
-    let mut shed = 0usize;
-    for i in 0..cfg.requests {
-        let k = i % keys.len();
-        let deadline = cfg.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let job = ShardJob::new(i as u64, Some(keys[k]), problems[k].clone(), deadline);
-        match pool.submit(job) {
-            Ok(()) => admitted += 1,
-            Err(aa_core::SubmitError::QueueFull { .. }) => shed += 1,
-            Err(e) => panic!("load harness submit failed: {e}"),
-        }
-    }
-    let drained = sink.await_count(admitted, Duration::from_secs(120));
-    let elapsed = started.elapsed();
-    pool.shutdown();
-    assert!(drained, "load harness timed out awaiting completions");
-
-    let completions = sink.take();
-    let mut ok = 0usize;
-    let mut misses = 0usize;
-    for c in &completions {
-        match &c.outcome {
-            Ok(_) => ok += 1,
-            Err(ShardError::Expired)
-            | Err(ShardError::Solve(SolveError::DeadlineExceeded)) => misses += 1,
-            Err(_) => {}
-        }
-    }
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    LoadReport {
-        config: cfg.clone(),
-        admitted,
-        shed,
-        ok,
-        deadline_misses: misses,
-        elapsed_micros: elapsed.as_micros() as u64,
-        throughput_rps: ok as f64 / secs,
-        shed_rate: shed as f64 / (cfg.requests.max(1)) as f64,
-        miss_rate: misses as f64 / admitted.max(1) as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,34 +1056,5 @@ mod tests {
         let r = analyze_fleet(&cfg, &plan, &slow);
         assert_eq!(r.unrecovered_streams, 1);
         assert!(!r.all_recovered && !r.healthy());
-    }
-
-    #[test]
-    fn load_harness_accounts_for_every_request() {
-        let cfg = LoadConfig { shards: 2, requests: 400, ..LoadConfig::default() };
-        let report = run_load(&cfg);
-        assert_eq!(report.admitted + report.shed, cfg.requests);
-        assert!(report.ok > 0);
-        assert!(report.throughput_rps > 0.0);
-        assert!(report.shed_rate >= 0.0 && report.shed_rate <= 1.0);
-    }
-
-    #[test]
-    fn load_scaling_multi_shard_is_not_slower_when_cores_allow() {
-        // The ≥5×-at-8-shards acceptance gate runs in CI where the
-        // runner's core count is known; locally we only sanity-check
-        // scaling when the hardware can express it at all.
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if cores < 4 {
-            return;
-        }
-        let base = run_load(&LoadConfig { shards: 1, requests: 1200, ..LoadConfig::default() });
-        let multi = run_load(&LoadConfig { shards: 4, requests: 1200, ..LoadConfig::default() });
-        assert!(
-            multi.throughput_rps >= base.throughput_rps * 0.8,
-            "4-shard throughput regressed: {} vs {}",
-            multi.throughput_rps,
-            base.throughput_rps
-        );
     }
 }

@@ -24,14 +24,11 @@
 //!   capacity, revenue accounting for an assignment;
 //! * [`controller`] — an epoch-driven online repartitioning controller
 //!   (the §VIII "online measurements" sketch, executable);
-//! * [`overload`] — seeded open-loop arrivals against a deadline-aware
-//!   tiered solver behind a bounded queue: shed rate, deadline-miss
-//!   rate, and per-tier utility retention under overload;
 //! * [`perf`] — a first-order IPC model turning miss ratios into
 //!   performance, for IPC-objective partitioning;
-//! * [`chaos`] — seeded kill/stall/panic storms and an open-loop load
-//!   blast against the supervised shard pool, asserting liveness,
-//!   exactly-once completion, and post-restart warm-latency recovery.
+//! * [`chaos`] — seeded kill/stall/panic storms against the shard pool,
+//!   asserting liveness, exactly-once completion, and post-restart
+//!   warm-latency recovery.
 //!
 //! Everything here is built from scratch; no external simulator is
 //! required (see DESIGN.md's substitution table).
@@ -43,16 +40,13 @@ pub mod faults;
 pub mod hosting;
 pub mod mrc;
 pub mod multicore;
-pub mod overload;
 pub mod perf;
 pub mod trace;
 
 pub use chaos::{
-    analyze_fleet, balanced_keys, run_chaos, run_load, ChaosConfig, ChaosReport, FleetChaosConfig,
-    FleetChaosReport, FleetObservation, FleetObservations, LoadConfig, LoadReport,
-    ProcessChaosPlan, ProcessFault,
+    analyze_fleet, balanced_keys, run_chaos, ChaosConfig, ChaosReport, FleetChaosConfig,
+    FleetChaosReport, FleetObservation, FleetObservations, ProcessChaosPlan, ProcessFault,
 };
 pub use controller::{Controller, EpochReport, RepairPolicy};
-pub use overload::{run_overload, OverloadConfig, OverloadReport};
 pub use multicore::{Multicore, PartitionOutcome};
 pub use trace::{Trace, TraceSpec};
