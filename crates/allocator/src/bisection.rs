@@ -13,22 +13,27 @@
 //! * **one sweep** — [`sweep`] evaluates `x_i(λ)` for every thread of a
 //!   [`Market`] into a caller buffer and sums it in index order, on the
 //!   calling thread or in contiguous chunks over the pool ([`Fan`]);
-//! * **one cold Exact search, the reference** — the ladder flip for
-//!   all-discrete tables, else bracket growth from `[0, 1]` plus up to
-//!   128 halvings, then the leftover epilogue. It answers [`allocate`]
-//!   and friends, and every warm call that cannot prove its own answer;
 //! * **one probe loop** — [`search`] walks from a start bracket
 //!   ([`Bracket`]) to a fresh one, geometrically in either direction,
 //!   then closes it by Illinois false position. The stop rule ([`Stop`])
-//!   is the only per-caller input: `Exact` collapses to adjacent floats
-//!   (the warm Algo2 path), `Relative(tol)` accepts the first probe
-//!   within `tol·supply` (the price backend).
+//!   is the only per-caller input: `Exact` collapses to adjacent floats,
+//!   with every closing probe projected so the close never costs more
+//!   than a few probes beyond halving; `Relative(tol)` accepts the first
+//!   probe within `tol·supply` (the price backend);
+//! * **one reference, the halving** — bracket growth from `[0, 1]`, then
+//!   up to 128 halvings. The cold Exact search (behind [`allocate`] and
+//!   friends, and every warm call without a provable bracket) runs it
+//!   only until its bracket is trusted, then hands the bracket to the
+//!   probe loop's bounded close; it runs to its end only under
+//!   [`WARM_MIN_PRICE`]. All-discrete tables skip it for the ladder flip.
 //!
 //! The Exact answer is the bracket `[λ_lo, λ_hi]` with
 //! `D(λ_lo) > B ≥ D(λ_hi)` collapsed to floating-point resolution; the
 //! leftover `B − D(λ_hi)` is then spread over the threads that are
 //! *marginal* at the final price (their demand jumps across the bracket —
-//! piecewise-linear utilities hit this case at every kink).
+//! piecewise-linear utilities hit this case at every kink). Where `D` is
+//! monotone to the last bit that pair is unique, so every Exact path
+//! lands on the halving's pair (see the notes above [`WARM_MIN_PRICE`]).
 //!
 //! Sequential and pooled sweeps write the same per-index values and sum
 //! them in the same order, so [`allocate`], [`allocate_par`] and the
@@ -56,10 +61,10 @@ fn obs_counters() -> &'static (aa_obs::Counter, aa_obs::Counter, aa_obs::Counter
     })
 }
 
-/// Number of bisection iterations. 128 halvings shrink any initial bracket
-/// below f64 resolution; the budget-repair step mops up whatever remains.
-/// Also the Exact probe loop's refinement cap: past it the loop has
-/// stalled and the cold search answers.
+/// Number of halvings of the reference search. 128 halvings shrink any
+/// initial bracket below f64 resolution; the budget-repair step mops up
+/// whatever remains. Also the Exact probe loop's refinement cap: past it
+/// the loop has stalled and the halving answers.
 const MAX_ITERS: u32 = 128;
 
 /// Probe cap of one `Relative` search; past it the search settles for
@@ -144,7 +149,7 @@ pub fn sweep<U: Utility>(m: &Market<'_, U>, lambda: f64, out: &mut Vec<f64>) -> 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stop {
     /// Collapse the bracket to the unique adjacent-float pair around the
-    /// flip of `D(λ) > supply`: the cold search's answer, bit for bit.
+    /// flip of `D(λ) > supply`: the halving's answer, bit for bit.
     Exact,
     /// Accept the first probe with `|D(λ) − supply| ≤ tol·supply`.
     Relative(f64),
@@ -247,6 +252,72 @@ fn probe<U: Utility, E: From<Interrupted>>(
     }
 }
 
+/// `D(lo) > supply ≥ D(hi)`: a bracket with its demand sums, whose
+/// per-thread demands sit in `Demands::lo` and `Demands::hi`.
+#[derive(Debug, Clone, Copy)]
+struct Edges {
+    lo: f64,
+    hi: f64,
+    s_lo: f64,
+    s_hi: f64,
+}
+
+impl Stop {
+    /// The stop rule takes a probe whose demand sums to `s`.
+    fn accepts(self, s: f64, supply: f64) -> bool {
+        matches!(self, Stop::Relative(tol) if (s - supply).abs() <= tol * supply)
+    }
+
+    /// Out of probes: `used` sweeps since the search began, `iters`
+    /// refinement steps.
+    fn spent(self, used: u32, iters: u32) -> bool {
+        match self {
+            Stop::Exact => iters >= MAX_ITERS,
+            Stop::Relative(_) => used >= MAX_RELATIVE_PROBES,
+        }
+    }
+
+    /// Out of probes or out of bracket: Exact hands over to the
+    /// reference search; Relative settles for the best feasible price,
+    /// `hi`.
+    fn give_up(self, lo: f64, hi: f64, demand: f64, iterations: u32) -> Option<Landing> {
+        match self {
+            Stop::Exact => None,
+            Stop::Relative(_) => Some(Landing {
+                bracket: Bracket { lo, hi },
+                price: hi,
+                demand,
+                converged: false,
+                iterations,
+            }),
+        }
+    }
+}
+
+/// The landing on a probe the stop rule accepted.
+fn accepted(price: f64, demand: f64, iterations: u32) -> Option<Landing> {
+    Some(Landing {
+        bracket: Bracket::at(price),
+        price,
+        demand,
+        converged: true,
+        iterations,
+    })
+}
+
+/// Sweep a price into `d.probe`; return from the enclosing search with
+/// it when the stop rule accepts, else evaluate to its demand sum.
+macro_rules! sweep_at {
+    ($m:expr, $stop:expr, $d:expr, $probes:expr, $check:expr, $lambda:expr, $iters:expr) => {{
+        let s = probe($m, $lambda, $d.probe, $probes, $check)?;
+        if $stop.accepts(s, $m.supply) {
+            std::mem::swap($d.hi, $d.probe);
+            return Ok(accepted($lambda, s, $iters));
+        }
+        s
+    }};
+}
+
 /// The probe loop: from `start`, find `D(lo) > supply ≥ D(hi)` and close
 /// it under `stop`. Every sweep is counted in `probes`; `check` runs
 /// before each. `swept = Some(s)` says `d.hi` already holds
@@ -261,17 +332,15 @@ fn probe<U: Utility, E: From<Interrupted>>(
 ///    walk halves the price per probe. λ = 0 is a known low edge
 ///    (`D(0) = total_cap`) a `Relative` walk falls back to without a
 ///    sweep.
-/// 3. Close the bracket by Illinois false position — a secant whose
-///    stagnant endpoint has its weight halved — with a plain midpoint
-///    every fourth probe.
+/// 3. Close the bracket ([`close`]).
 ///
 /// `Relative(tol)` returns at the first probe within `tol·supply`; with
 /// none, the best feasible price seen (the high edge) or [`LAMBDA_MAX`],
 /// unconverged, after [`MAX_RELATIVE_PROBES`] or a collapsed bracket.
-/// `Exact` returns the collapsed pair, or `None` when only the cold
-/// search can prove the answer: the walk dives under [`WARM_MIN_PRICE`]
-/// or climbs past [`LAMBDA_MAX`], the refinement stalls at 128 steps, or
-/// the pair lands under [`WARM_MIN_PRICE`].
+/// `Exact` returns the collapsed pair, or `None` when only the
+/// reference search can prove the answer: the walk dives under
+/// [`WARM_MIN_PRICE`] or climbs past [`LAMBDA_MAX`], the refinement
+/// stalls at 128 steps, or the pair lands under [`WARM_MIN_PRICE`].
 pub fn search<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     start: Bracket,
@@ -283,49 +352,11 @@ pub fn search<U: Utility, E: From<Interrupted>>(
 ) -> Result<Option<Landing>, E> {
     let supply = m.supply;
     let first = *probes;
-    let spent = |probes: u32, iters: u32| match stop {
-        Stop::Exact => iters >= MAX_ITERS,
-        Stop::Relative(_) => probes - first >= MAX_RELATIVE_PROBES,
-    };
-    // Out of probes or out of bracket: Exact hands over to the cold
-    // search; Relative settles for the best feasible price, `hi`.
-    let give_up = |lo: f64, hi: f64, demand: f64, iterations: u32| match stop {
-        Stop::Exact => None,
-        Stop::Relative(_) => Some(Landing {
-            bracket: Bracket { lo, hi },
-            price: hi,
-            demand,
-            converged: false,
-            iterations,
-        }),
-    };
-    let accepts = |s: f64| matches!(stop, Stop::Relative(tol) if (s - supply).abs() <= tol * supply);
-    let accepted = |price: f64, demand: f64, iterations: u32| {
-        Some(Landing {
-            bracket: Bracket::at(price),
-            price,
-            demand,
-            converged: true,
-            iterations,
-        })
-    };
-    // Sweep a price into `d.probe`; return it if the stop rule accepts.
-    macro_rules! sweep_at {
-        ($lambda:expr, $iters:expr) => {{
-            let s = probe(m, $lambda, d.probe, probes, check)?;
-            if accepts(s) {
-                std::mem::swap(d.hi, d.probe);
-                return Ok(accepted($lambda, s, $iters));
-            }
-            s
-        }};
-    }
-
     let mut s_hi = match swept {
         Some(s) => s,
         None => probe(m, start.hi, d.hi, probes, check)?,
     };
-    if accepts(s_hi) {
+    if stop.accepts(s_hi, supply) {
         return Ok(accepted(start.hi, s_hi, 0));
     }
     // D(lo) ≥ D(hi), so the low edge needs a sweep only if the high one
@@ -333,7 +364,7 @@ pub fn search<U: Utility, E: From<Interrupted>>(
     let pair = start.lo < start.hi && s_hi <= supply;
     let mut s_lo = s_hi;
     if pair {
-        s_lo = sweep_at!(start.lo, 0);
+        s_lo = sweep_at!(m, stop, d, probes, check, start.lo, 0);
         std::mem::swap(d.lo, d.probe);
     }
     let mut lo = start.lo;
@@ -341,8 +372,7 @@ pub fn search<U: Utility, E: From<Interrupted>>(
 
     if s_hi > supply {
         // Demand over supply: the price rises. Walk up from the start
-        // with a step sized by the overshoot, doubling geometrically —
-        // the cold growth loop, started near λ*.
+        // with a step sized by the overshoot, doubling geometrically.
         lo = start.hi;
         s_lo = s_hi;
         std::mem::swap(d.lo, d.hi);
@@ -360,12 +390,12 @@ pub fn search<U: Utility, E: From<Interrupted>>(
                 }
                 cand = LAMBDA_MAX;
             }
-            if lo >= LAMBDA_MAX || spent(*probes, 0) {
+            if lo >= LAMBDA_MAX || stop.spent(*probes - first, 0) {
                 // No feasible price seen: settle for the ceiling.
                 let demand = probe(m, LAMBDA_MAX, d.hi, probes, check)?;
-                return Ok(give_up(LAMBDA_MAX, LAMBDA_MAX, demand, 0));
+                return Ok(stop.give_up(LAMBDA_MAX, LAMBDA_MAX, demand, 0));
             }
-            let s = sweep_at!(cand, 0);
+            let s = sweep_at!(m, stop, d, probes, check, cand, 0);
             if s > supply {
                 lo = cand;
                 s_lo = s;
@@ -382,7 +412,7 @@ pub fn search<U: Utility, E: From<Interrupted>>(
         // Demand under supply: the price falls. Walk down from the start
         // with a shrink factor sized by the undershoot, widening
         // geometrically. Under the trusted floor, Exact hands over to
-        // the cold search and Relative keeps the λ = 0 edge.
+        // the reference search and Relative keeps the λ = 0 edge.
         hi = start.lo;
         s_hi = s_lo;
         if pair {
@@ -406,10 +436,10 @@ pub fn search<U: Utility, E: From<Interrupted>>(
                 }
                 break;
             }
-            if spent(*probes, 0) {
-                return Ok(give_up(lo, hi, s_hi, 0));
+            if stop.spent(*probes - first, 0) {
+                return Ok(stop.give_up(lo, hi, s_hi, 0));
             }
-            let s = sweep_at!(cand, 0);
+            let s = sweep_at!(m, stop, d, probes, check, cand, 0);
             if s > supply {
                 lo = cand;
                 s_lo = s;
@@ -422,24 +452,59 @@ pub fn search<U: Utility, E: From<Interrupted>>(
             shrink *= 2.0;
         }
     }
+    close(m, Edges { lo, hi, s_lo, s_hi }, stop, d, probes, first, check)
+}
 
-    // Close the bracket by Illinois-style false position — a damped
-    // secant (finite-difference Newton on the demand curve): when one
-    // endpoint stagnates its interpolation weight is halved, so the
-    // probe accelerates across demand kinks and jumps instead of inching
-    // at them. Every fourth probe is a plain midpoint as a worst-case
-    // safeguard. Invariant throughout: D(lo) > supply ≥ D(hi).
+/// Slack of the bounded close, in halvings: after its `k`-th probe an
+/// Exact close's bracket is at most `2^(PROJECTION_SLACK − k)` times as
+/// wide as when it began, so it never takes more than this many probes
+/// beyond plain halving.
+const PROJECTION_SLACK: i32 = 4;
+
+/// Close a bracket by Illinois false position — a damped secant
+/// (finite-difference Newton on the demand curve): when one endpoint
+/// stagnates its interpolation weight is halved, so the probe
+/// accelerates across demand kinks and jumps instead of inching at them.
+/// Every fourth probe is a plain midpoint.
+///
+/// Under `Exact` two more rules shape each candidate:
+///
+/// * a secant that rounds onto an edge probes the float next to that
+///   edge instead of the midpoint — the flip sits within one ulp of it,
+///   and one probe proves it;
+/// * the candidate is projected toward the midpoint (the projection step
+///   of the ITP method, Oliveira & Takahashi 2021), so after the `k`-th
+///   probe the bracket is at most `2^(PROJECTION_SLACK − k)` times its
+///   starting width, whatever the demand curve's shape: the close costs
+///   at most [`PROJECTION_SLACK`] probes more than halving.
+///
+/// `Relative` keeps the plain sequence. `first` is the probe count when
+/// the search began (the `Relative` probe cap counts from it).
+fn close<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    edges: Edges,
+    stop: Stop,
+    d: &mut Demands<'_>,
+    probes: &mut u32,
+    first: u32,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<Option<Landing>, E> {
+    let supply = m.supply;
+    let Edges { mut lo, mut hi, s_lo, mut s_hi } = edges;
+    // Invariant throughout: D(lo) > supply ≥ D(hi).
     let mut iters: u32 = 0;
     let mut g_lo = s_lo - supply; // > 0, may be damped below
     let mut g_hi = s_hi - supply; // ≤ 0, may be damped below
     let mut last_side: i8 = 0;
+    // Halved before each probe: the widest bracket that probe may leave.
+    let mut reach = (hi - lo) * 2f64.powi(PROJECTION_SLACK);
     loop {
         let mid = 0.5 * (lo + hi);
         if mid <= lo || mid >= hi {
             break; // collapsed to the unique adjacent pair
         }
-        if spent(*probes, iters) {
-            return Ok(give_up(lo, hi, s_hi, iters));
+        if stop.spent(*probes - first, iters) {
+            return Ok(stop.give_up(lo, hi, s_hi, iters));
         }
         let denom = g_lo - g_hi;
         let mut cand = if iters % 4 == 3 || denom.is_nan() || denom <= 0.0 {
@@ -447,10 +512,25 @@ pub fn search<U: Utility, E: From<Interrupted>>(
         } else {
             (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
         };
+        if stop == Stop::Exact {
+            // Floats lie strictly between lo and hi (mid does), and lo > 0.
+            if cand >= hi {
+                cand = next_down(hi);
+            } else if cand <= lo {
+                cand = next_up(lo);
+            }
+            reach *= 0.5;
+            let (near_hi, near_lo) = (hi - reach, lo + reach);
+            cand = if near_hi <= near_lo {
+                cand.clamp(near_hi, near_lo)
+            } else {
+                mid
+            };
+        }
         if !(cand > lo && cand < hi) {
             cand = mid;
         }
-        let s = sweep_at!(cand, iters + 1);
+        let s = sweep_at!(m, stop, d, probes, check, cand, iters + 1);
         iters += 1;
         if s > supply {
             lo = cand;
@@ -480,10 +560,10 @@ pub fn search<U: Utility, E: From<Interrupted>>(
             iterations: iters,
         }));
     }
-    // Exact: the cold search may not have collapsed down here, so only
-    // it knows its answer. Relative: the demand jumps across the
+    // Exact: the reference search may not have collapsed down here, so
+    // only it knows its answer. Relative: the demand jumps across the
     // tolerance band at this price.
-    Ok(give_up(lo, hi, s_hi, iters))
+    Ok(stop.give_up(lo, hi, s_hi, iters))
 }
 
 /// The next float above a positive finite `x`.
@@ -493,6 +573,13 @@ fn next_up(x: f64) -> f64 {
     f64::from_bits(x.to_bits() + 1)
 }
 
+/// The next float below a positive finite `x`.
+#[inline]
+fn next_down(x: f64) -> f64 {
+    debug_assert!(x.is_finite() && x > 0.0);
+    f64::from_bits(x.to_bits() - 1)
+}
+
 /// All-discrete fast path: when every element compiled to a unit-scale
 /// staircase, total demand `D(λ)` is a finite staircase whose knots all
 /// sit on the table's merged [`ladder`](DemandTable::ladder), and the
@@ -500,16 +587,17 @@ fn next_up(x: f64) -> f64 {
 /// `t` with `D(t) > budget` (per-element staircase demands are exactly
 /// nonincreasing in λ and rounded float addition is monotone in each
 /// operand, so the index-order sum inherits exact monotonicity). The
-/// generic bisection's collapsed bracket is therefore the adjacent-float
-/// pair `(t, nextafter(t))` — this routine finds it by binary search
-/// over the ladder, `O(log k)` sweeps instead of ~130.
+/// halving's collapsed bracket is therefore the adjacent-float pair
+/// `(t, nextafter(t))` — this routine finds it by binary search over
+/// the ladder, `O(log k)` sweeps instead of the generic search's growth
+/// and close (~15–60 on staircases).
 ///
-/// Returns `None` whenever it cannot *prove* the generic search would
-/// collapse onto that pair — no positive knot over budget (the generic
-/// loop then exits at [`MAX_ITERS`] with a sub-resolution bracket), `t`
-/// below [`WARM_MIN_PRICE`], or the float gap at `t` too small for 128
-/// halvings from the generic starting bracket. Callers fall back to the
-/// generic loop, never emulate it.
+/// Returns `None` whenever it cannot *prove* the halving would collapse
+/// onto that pair — no positive knot over budget (the halving then
+/// exits at [`MAX_ITERS`] with a sub-resolution bracket), `t` below
+/// [`WARM_MIN_PRICE`], or the float gap at `t` too small for 128
+/// halvings from the halving's starting bracket. Callers fall back to
+/// the generic search, never emulate it.
 fn discrete_flip<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     out: &mut Vec<f64>,
@@ -563,12 +651,16 @@ fn discrete_flip<U: Utility, E: From<Interrupted>>(
     Ok(Some((t, hi)))
 }
 
-/// The cold Exact search, the reference every other Exact path
-/// reproduces: the ladder flip for all-discrete tables (with `ladder`),
-/// else bracket growth from `[0, 1]` and up to [`MAX_ITERS`] halvings;
-/// then the epilogue at the final bracket. `check` runs before each
-/// sweep of the search and once before the epilogue. Returns the
-/// bracket the next warm call may start from.
+/// The cold Exact search: the ladder flip for all-discrete tables (with
+/// `ladder`), else the reference halving — bracket growth from `[0, 1]`,
+/// then up to [`MAX_ITERS`] halvings — whose bracket is handed to the
+/// bounded [`close`] as soon as its low edge reaches [`WARM_MIN_PRICE`].
+/// From there the halving would collapse onto the unique adjacent pair,
+/// so the close lands on the same pair in fewer sweeps, with both edges'
+/// demands already in `d`. Below the floor (or should the close stall)
+/// the halving runs to its end and the epilogue re-sweeps its bracket.
+/// `check` runs before each sweep and once before the epilogue. Returns
+/// the bracket the next warm call may start from.
 fn cold<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     ladder: bool,
@@ -580,13 +672,14 @@ fn cold<U: Utility, E: From<Interrupted>>(
 ) -> Result<Option<Bracket>, E> {
     stats.mode = WarmMode::Cold;
     let budget = m.supply;
+    let maps = &mut stats.demand_maps;
     let flip = if ladder && m.table.all_discrete() {
-        discrete_flip(m, d.probe, &mut stats.demand_maps, check)?
+        discrete_flip(m, d.probe, maps, check)?
     } else {
         None
     };
     let (lo, hi) = match flip {
-        // The ladder bracket IS the generic search's collapsed pair.
+        // The ladder bracket IS the halving's collapsed pair.
         Some(pair) => pair,
         None => {
             // Bracket the price. At λ = 0 demand is Σ caps > budget.
@@ -595,37 +688,54 @@ fn cold<U: Utility, E: From<Interrupted>>(
             // x > 0, so demand eventually drops below any positive
             // budget — no concave function has an infinite derivative on
             // a set of positive measure.
-            let mut lo = 0.0_f64;
-            let mut hi = 1.0_f64;
+            let first = *maps;
+            let mut e = Edges { lo: 0.0, hi: 1.0, s_lo: m.total_cap, s_hi: 0.0 };
+            e.s_hi = probe(m, e.hi, d.hi, maps, check)?;
             let mut grow = 0;
-            while probe(m, hi, d.probe, &mut stats.demand_maps, check)? > budget {
-                lo = hi;
-                hi *= 2.0;
+            while e.s_hi > budget {
+                (e.lo, e.s_lo) = (e.hi, e.s_hi);
+                std::mem::swap(d.lo, d.hi);
+                e.hi *= 2.0;
                 grow += 1;
                 assert!(
                     grow < 1100,
                     "could not bracket the marginal price; utility derivatives do not decay"
                 );
+                e.s_hi = probe(m, e.hi, d.hi, maps, check)?;
             }
             // Invariant: demand(lo) > budget ≥ demand(hi).
+            let mut handover = true;
             for _ in 0..MAX_ITERS {
-                let mid = 0.5 * (lo + hi);
-                if mid <= lo || mid >= hi {
+                if handover && e.lo >= WARM_MIN_PRICE {
+                    if let Some(l) = close(m, e, Stop::Exact, d, maps, first, check)? {
+                        stats.iterations += l.iterations;
+                        check()?;
+                        finish(amounts, d, l.demand, caps, budget);
+                        return Ok(Some(l.bracket));
+                    }
+                    handover = false; // stalled: halve on, re-sweep at the end
+                }
+                let mid = 0.5 * (e.lo + e.hi);
+                if mid <= e.lo || mid >= e.hi {
                     break; // bracket collapsed to adjacent floats
                 }
                 stats.iterations += 1;
-                if probe(m, mid, d.probe, &mut stats.demand_maps, check)? > budget {
-                    lo = mid;
+                let s = probe(m, mid, d.probe, maps, check)?;
+                if s > budget {
+                    (e.lo, e.s_lo) = (mid, s);
+                    std::mem::swap(d.lo, d.probe);
                 } else {
-                    hi = mid;
+                    (e.hi, e.s_hi) = (mid, s);
+                    std::mem::swap(d.hi, d.probe);
                 }
             }
-            (lo, hi)
+            (e.lo, e.hi)
         }
     };
 
-    // Base allocation at the high price (fits in the budget), then the
-    // leftover spread over the threads elastic across the bracket.
+    // The halving's own end: base allocation at the high price (fits in
+    // the budget), then the leftover spread over the threads elastic
+    // across the bracket.
     check()?;
     let swept = |lambda: f64, out: &mut Vec<f64>, check: &mut dyn FnMut() -> Result<(), E>| {
         sweep(m, lambda, out).ok_or_else(|| interrupted(check))
@@ -821,10 +931,11 @@ pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
 }
 
 /// [`allocate`] with the all-discrete ladder fast path disabled: always
-/// runs the generic bracket-growth + 128-halving search. **Bit-identical**
-/// to [`allocate`] on every input (the ladder only ever lands on the
-/// bracket the generic search would collapse to); exists as the reference
-/// arm for differential tests and benchmarks of the discrete path.
+/// runs the generic search (bracket growth, then the bounded close).
+/// **Bit-identical** to [`allocate`] on every input (the ladder only ever
+/// lands on the bracket the generic search would collapse to); exists as
+/// the reference arm for differential tests and benchmarks of the
+/// discrete path.
 pub fn allocate_generic<U: Utility>(utils: &[U], budget: f64) -> Allocation {
     expect_complete(allocate_impl(utils, budget, false, Fan::Seq, &mut || Ok(())))
 }
@@ -834,7 +945,7 @@ pub fn allocate_generic<U: Utility>(utils: &[U], budget: f64) -> Allocation {
 /// ladder disengages (mixed/non-staircase utilities, saturating budget,
 /// no positive knot over budget, or an unprovable collapse). `Some` means
 /// [`allocate`] answered — or would answer — this instance with
-/// `O(log k)` demand sweeps instead of ~130.
+/// `O(log k)` demand sweeps instead of the generic search.
 pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(f64, f64)> {
     if !(budget >= 0.0 && budget.is_finite()) {
         return None;
@@ -885,7 +996,7 @@ where
 /// `rayon::with_threads`): the two share one implementation, and
 /// [`sweep`] writes the same values and sums them in the same order.
 ///
-/// The search performs ~130 sweeps, each an independent map over all
+/// The search performs ~15–60 sweeps, each an independent map over all
 /// threads — embarrassingly parallel at web-scale instance sizes (`n` in
 /// the hundreds of thousands), where the super-optimal allocation is the
 /// entire running time of Algorithm 2.
@@ -918,10 +1029,11 @@ where
 // The online settings (serve loops, epoch controllers, churn repair)
 // re-solve instances that drift slowly: a handful of threads arrive or
 // depart, utilities shift a little, the budget stays put. The marginal
-// price λ* then barely moves, so re-running the full cold search — a
-// geometric bracket growth plus up to 128 halvings, each a whole-slice
-// demand sweep — wastes almost all of its work rediscovering a bracket
-// we already hold. [`allocate_warm_into`] keeps the previous collapsed
+// price λ* then barely moves, so re-running the cold search — growth
+// or halvings from `[0, 1]` down to λ*'s binade, then a close of a
+// dozen to fifty probes, each a whole-slice demand sweep — wastes most
+// of its work rediscovering a bracket we already hold.
+// [`allocate_warm_into`] keeps the previous collapsed
 // bracket in a [`WarmCache`] and answers the next call through the
 // probe loop ([`search`] under [`Stop::Exact`]): revalidate the old
 // adjacent-float pair (2 sweeps), or walk from it and collapse by
@@ -934,27 +1046,39 @@ where
 // validated by the differential tests). The predicate `D(λ) > budget`
 // therefore flips at one unique pair of adjacent floats `(lo*, hi*)`,
 // and *any* bracket refinement that fully collapses lands on that pair:
-// the cold halving and the warm probe loop produce the same final
-// bracket, the same `x(hi*)` base allocation, and the same leftover
-// spread — bit-identical results. The warm path only trusts a collapsed
-// price of at least [`WARM_MIN_PRICE`]; below it the cold search may run
-// out of iterations before collapsing (its bracket starts at `[0, 1]`
-// and the low edge stays 0 until a midpoint demand exceeds the budget),
-// so the cold search itself answers there.
+// the reference halving, the cold search's bounded close and the warm
+// probe loop produce the same final bracket, the same `x(hi*)` base
+// allocation, and the same leftover spread — bit-identical results.
+// Only a collapsed price of at least [`WARM_MIN_PRICE`] is trusted;
+// below it the halving may run out of iterations before collapsing (its
+// bracket starts at `[0, 1]` and the low edge stays 0 until a midpoint
+// demand exceeds the budget), so the halving itself answers there.
+//
+// The assumption fails at the last bit for PCHIP: λ enters its
+// closed-form inverse (`pchip_inverse_derivative`) twice — in `C − λ`
+// and under the square root — and the two roundings need not agree; on
+// a sampled five-knot PCHIP, 0.6% of adjacent-float steps move its
+// demand *up*. When such a
+// wiggle straddles the flip, the predicate flips more than once and two
+// searches may land on different, equally valid pairs: amounts that
+// differ in the last bits (`tests/exact_search.rs` checks that every
+// such disagreement is a genuine double flip).
 
-/// Smallest collapsed price the warm path trusts. Below ~1e-18 (≈ 2⁻⁶⁰)
-/// a cold bisection starting from `[0, 1]` may exhaust its 128
-/// iterations before its bracket collapses to adjacent floats, so the
-/// warm path cannot prove it matches cold output and runs the cold
-/// search. At or above it, cold needs at most ~61 iterations to make the
-/// low edge positive plus ~53 to collapse — comfortably inside the
-/// budget — so a collapsed warm bracket is *the* cold answer.
+/// Smallest collapsed price the Exact paths trust. Below ~1e-18 (≈ 2⁻⁶⁰)
+/// the reference halving starting from `[0, 1]` may exhaust its 128
+/// iterations before its bracket collapses to adjacent floats, so no
+/// other search can prove it matches the halving's output, and the
+/// halving runs. At or above it, the halving needs at most ~61
+/// iterations to make the low edge positive plus ~53 to collapse —
+/// comfortably inside the budget — so a collapsed bracket is *the*
+/// halving's answer.
 pub const WARM_MIN_PRICE: f64 = 1e-18;
 
 /// How a warm allocation was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmMode {
-    /// The cold search, inside the cache's buffers: no usable bracket
+    /// The cold search, inside the cache's buffers — the halving until
+    /// its bracket is trusted, then the bounded close: no usable bracket
     /// (first call, previous solve saturated or interrupted, or its
     /// bracket never collapsed or sat below [`WARM_MIN_PRICE`]), or the
     /// probe loop could not prove its answer.
@@ -980,8 +1104,9 @@ pub struct WarmStats {
     /// Whole-slice demand sweeps evaluated (each is `O(n)`), including
     /// those of a probe loop that handed over to the cold search.
     pub demand_maps: u32,
-    /// Bracket-refinement iterations (false-position or midpoint steps;
-    /// for the cold search, the bisection iterations).
+    /// Bracket-refinement iterations: false-position or midpoint steps
+    /// of the close, plus — for the cold search — the halvings before
+    /// it.
     pub iterations: u32,
 }
 
@@ -1293,8 +1418,8 @@ mod tests {
             }
         }
         let utils: Vec<Power> = (0..16).map(|i| Power::new(1.0 + i as f64, 0.5, 10.0)).collect();
-        // Exhaust "fuel" after a handful of checks: the bisection runs
-        // ~130 iterations, so this fires mid-search.
+        // Exhaust "fuel" after a handful of checks: the search runs a
+        // dozen or more sweeps, so this fires mid-search.
         let mut fuel = 5_u32;
         let result = allocate_interruptible(&utils, 40.0, &mut || {
             if fuel == 0 {
@@ -1441,6 +1566,49 @@ mod warm_tests {
             .collect()
     }
 
+    /// Sweeps of the reference halving on a market — growth from
+    /// `[0, 1]`, halvings until the bracket collapses, then one or two
+    /// epilogue maps: what a cold search cost before its close was
+    /// bounded, and the yardstick the warm path is held to.
+    fn halving_maps<U: Utility>(utils: &[U], budget: f64) -> u32 {
+        let mut table = DemandTable::new();
+        table.compile(utils);
+        let m = Market {
+            table: &table,
+            utils,
+            rows: None,
+            fan: Fan::Seq,
+            supply: budget,
+            total_cap: utils.iter().map(|u| u.cap()).sum(),
+        };
+        let mut out = Vec::new();
+        let mut maps = 0;
+        let mut demand = |lambda: f64| {
+            maps += 1;
+            sweep(&m, lambda, &mut out).expect("no token")
+        };
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        while demand(hi) > budget {
+            lo = hi;
+            hi *= 2.0;
+        }
+        for _ in 0..MAX_ITERS {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if demand(mid) > budget {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        if budget - demand(hi) > 0.0 {
+            demand(lo);
+        }
+        maps
+    }
+
     fn assert_bits_eq(cold: &Allocation, warm: &[f64], ctx: &str) {
         assert_eq!(cold.amounts.len(), warm.len(), "{ctx}");
         for (i, (a, b)) in cold.amounts.iter().zip(warm).enumerate() {
@@ -1491,14 +1659,15 @@ mod warm_tests {
     fn drifting_utilities_refine_cheaply_and_match_cold() {
         // Kink-heavy pool (1/3 CappedLinear): the demand curve is a
         // staircase near the boundary, the adversarial case for the
-        // secant. Warm must still beat cold per epoch and by ≥ 2×
-        // cumulatively — and stay bit-identical throughout.
+        // secant. Warm must still beat the reference halving per epoch
+        // and by ≥ 2× cumulatively — and stay bit-identical throughout.
         let budget = 700.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        let cold_maps = {
+        let halving = {
             let utils = pool(48, 0.0);
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts).demand_maps
+            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            halving_maps(&utils, budget)
         };
         let mut warm_total = 0;
         let epochs = 11;
@@ -1509,16 +1678,16 @@ mod warm_tests {
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert_ne!(stats.mode, WarmMode::Cold, "epoch {epoch}: fell back to cold");
             assert!(
-                stats.demand_maps < cold_maps,
-                "epoch {epoch}: warm used {} maps vs {} cold",
+                stats.demand_maps < halving,
+                "epoch {epoch}: warm used {} maps vs {} halving",
                 stats.demand_maps,
-                cold_maps
+                halving
             );
             warm_total += stats.demand_maps;
         }
         assert!(
-            warm_total * 2 < cold_maps * epochs,
-            "warm total {warm_total} vs cold {cold_maps}/epoch over {epochs} epochs"
+            warm_total * 2 < halving * epochs,
+            "warm total {warm_total} vs halving {halving}/epoch over {epochs} epochs"
         );
     }
 
@@ -1545,15 +1714,16 @@ mod warm_tests {
         let budget = 700.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        let cold_maps = allocate_warm_into(&smooth(0.0), budget, &mut cache, &mut amounts).demand_maps;
-        assert!(cold_maps > 50, "cold search should be expensive ({cold_maps} maps)");
+        allocate_warm_into(&smooth(0.0), budget, &mut cache, &mut amounts);
+        let halving = halving_maps(&smooth(0.0), budget);
+        assert!(halving > 50, "the halving should be expensive ({halving} maps)");
         for epoch in 1..12 {
             let utils = smooth(0.003 * epoch as f64);
             let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert!(
-                stats.demand_maps <= 36 && stats.demand_maps * 3 <= cold_maps * 2,
-                "epoch {epoch}: {} maps vs {cold_maps} cold is not near-constant",
+                stats.demand_maps <= 36 && stats.demand_maps * 3 <= halving * 2,
+                "epoch {epoch}: {} maps vs {halving} halving is not near-constant",
                 stats.demand_maps
             );
         }

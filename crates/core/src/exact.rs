@@ -133,10 +133,15 @@ pub fn allocate_groups(problem: &Problem, views: &[CappedView], server: &[usize]
 }
 
 /// [`allocate_groups`] under a solve [`Budget`], checked once per server
-/// and at bisection-iteration granularity inside each per-server
-/// allocation. While the budget holds the amounts are **bit-identical**
-/// to [`allocate_groups`] — the budgeted bisection shares the
-/// unbudgeted one's code path exactly.
+/// and at sweep granularity inside each per-server allocation. While the
+/// budget holds the amounts are **bit-identical** to [`allocate_groups`]
+/// — the budgeted search shares the unbudgeted one's code path exactly.
+///
+/// Every server is split through one [`bisection::WarmCache`] and one
+/// amounts buffer, so server `j`'s λ-search starts from server `j − 1`'s
+/// collapsed bracket; by the allocator's unique-boundary-pair contract
+/// each split is bit-identical to a cold [`bisection::allocate`] of that
+/// server's threads.
 pub fn allocate_groups_budgeted(
     problem: &Problem,
     views: &[CappedView],
@@ -144,19 +149,27 @@ pub fn allocate_groups_budgeted(
     budget: &Budget,
 ) -> Result<Vec<f64>, SolveError> {
     let mut amount = vec![0.0_f64; server.len()];
+    let mut cache = bisection::WarmCache::new();
+    let mut split = Vec::new();
+    let mut idx = Vec::new();
+    let mut group: Vec<&CappedView> = Vec::new();
     for j in 0..problem.servers() {
         budget.check()?;
-        let idx: Vec<usize> = (0..server.len()).filter(|&i| server[i] == j).collect();
+        idx.clear();
+        idx.extend((0..server.len()).filter(|&i| server[i] == j));
         if idx.is_empty() {
             continue;
         }
-        let group: Vec<&CappedView> = idx.iter().map(|&i| &views[i]).collect();
-        let alloc = bisection::allocate_interruptible(
+        group.clear();
+        group.extend(idx.iter().map(|&i| &views[i]));
+        bisection::allocate_warm_into_interruptible(
             &group,
             problem.capacity(),
+            &mut cache,
+            &mut split,
             &mut || budget.check(),
         )?;
-        for (&i, &c) in idx.iter().zip(&alloc.amounts) {
+        for (&i, &c) in idx.iter().zip(&split) {
             amount[i] = c;
         }
     }
@@ -271,6 +284,73 @@ mod tests {
             solve_budgeted(&p, &crate::Budget::with_fuel(10)),
             Err(SolveError::DeadlineExceeded)
         );
+    }
+
+    /// The reference the chained re-split must reproduce: one cold
+    /// allocation per server.
+    fn per_server_cold(p: &Problem, views: &[CappedView], server: &[usize]) -> Vec<f64> {
+        let mut amount = vec![0.0; server.len()];
+        for j in 0..p.servers() {
+            let idx: Vec<usize> = (0..server.len()).filter(|&i| server[i] == j).collect();
+            let group: Vec<&CappedView> = idx.iter().map(|&i| &views[i]).collect();
+            let alloc = bisection::allocate(&group, p.capacity());
+            for (&i, &c) in idx.iter().zip(&alloc.amounts) {
+                amount[i] = c;
+            }
+        }
+        amount
+    }
+
+    fn assert_bits_eq(want: &[f64], got: &[f64], ctx: &str) {
+        assert_eq!(want.len(), got.len(), "{ctx}");
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: thread {i}: {b} vs {a}");
+        }
+    }
+
+    #[test]
+    fn chained_regroup_matches_per_server_cold_splits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Families whose demand is exactly monotone in λ (the contract
+        // the chain's bit identity rests on). A 1e-21-scaled thread
+        // prices its server under WARM_MIN_PRICE; lone threads and
+        // low-cap pairs saturate theirs and pin no bracket; servers left
+        // empty are skipped without touching the chain.
+        let capacity = 10.0;
+        let mut rng = StdRng::seed_from_u64(19);
+        for case in 0..300 {
+            let servers = rng.gen_range(1..7_usize);
+            let n = rng.gen_range(1..16_usize);
+            let p = Problem::builder(servers, capacity)
+                .threads((0..n).map(|_| {
+                    let s = rng.gen_range(0.2..5.0);
+                    match rng.gen_range(0..5_u32) {
+                        0 => arc(Power::new(s, rng.gen_range(0.2..0.9), rng.gen_range(1.0..12.0))),
+                        1 => arc(LogUtility::new(s, rng.gen_range(0.1..3.0), rng.gen_range(1.0..12.0))),
+                        2 => arc(CappedLinear::new(s, rng.gen_range(0.5..6.0), 12.0)),
+                        3 => arc(Power::new(s, 0.5, rng.gen_range(0.5..3.0))),
+                        _ => arc(Power::new(s * 1e-21, 0.5, 12.0)),
+                    }
+                }))
+                .build()
+                .unwrap();
+            let views = p.capped_threads();
+            let server: Vec<usize> = (0..n).map(|_| rng.gen_range(0..servers)).collect();
+            let want = per_server_cold(&p, &views, &server);
+            assert_bits_eq(&want, &allocate_groups(&p, &views, &server), &format!("case {case}"));
+
+            // A budget that expires mid-loop is an error, never a
+            // half-split answer; the next clean call is unaffected.
+            let fuel = rng.gen_range(0..40_u64);
+            match allocate_groups_budgeted(&p, &views, &server, &Budget::with_fuel(fuel)) {
+                Ok(got) => assert_bits_eq(&want, &got, &format!("case {case}, fuel {fuel}")),
+                Err(e) => assert_eq!(e, SolveError::DeadlineExceeded, "case {case}"),
+            }
+            let again = allocate_groups_budgeted(&p, &views, &server, &Budget::unlimited()).unwrap();
+            assert_bits_eq(&want, &again, &format!("case {case}, after expiry"));
+        }
     }
 
     #[test]

@@ -23,9 +23,11 @@ pub struct SuperOptimal {
     pub utility: f64,
 }
 
-/// Compute the super-optimal allocation by running the Galil-style
-/// bisection allocator with budget `mC` and per-thread cap `min(cap_i, C)`.
-/// `O(n (log mC)²)`.
+/// Compute the super-optimal allocation by running the allocator's cold
+/// λ-search with budget `mC` and per-thread cap `min(cap_i, C)`: halvings
+/// from `[0, 1]` down to the water level's binade, then a bounded
+/// false-position close — about 15–30 demand sweeps of `O(n)` each on
+/// the paper's instances, never more than a few beyond plain bisection.
 ///
 /// # Example
 ///
@@ -105,9 +107,9 @@ pub fn super_optimal_budgeted(
 /// `amounts` buffer. When the cached bracket from the previous solve
 /// still pins the water level (slow drift), this costs two demand maps;
 /// otherwise it re-brackets from the previous level ± a delta-derived
-/// margin, and falls back to an exact cold replay whenever identity
-/// cannot be proven. **Bit-identical** to [`super_optimal`]'s amounts in
-/// every mode. `views` is scratch the caller retains across solves so
+/// margin, and falls back to the cold search whenever identity cannot
+/// be proven. **Bit-identical** to [`super_optimal`]'s amounts in every
+/// mode (up to the allocator's monotone-demand contract). `views` is scratch the caller retains across solves so
 /// the steady state allocates nothing.
 ///
 /// The utility sum `F̂` is *not* computed — the assignment phase only
