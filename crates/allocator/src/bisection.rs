@@ -377,7 +377,9 @@ pub fn search<U: Utility, E: From<Interrupted>>(
         s_lo = s_hi;
         std::mem::swap(d.lo, d.hi);
         let rel = ((s_lo - supply) / supply.max(f64::MIN_POSITIVE)).clamp(1e-6, 1.0);
-        let mut step = start.hi * rel;
+        // From a zero or subnormal start the relative step underflows to
+        // zero and could never move; the least positive step can.
+        let mut step = (start.hi * rel).max(f64::from_bits(1));
         loop {
             let mut cand = lo + step;
             while cand <= lo {
@@ -1867,6 +1869,18 @@ mod relative_tests {
         let found = search(&m, start, None, Stop::Relative(1e-3), &mut d, &mut 0, &mut || Ok(()));
         let landing = expect_complete(found).expect("relative searches always land");
         (landing, hi.iter().sum())
+    }
+
+    /// A start so low that `start · rel` underflows to zero (a carried
+    /// price that converged onto the least subnormal) still walks up
+    /// and lands instead of spinning on a zero step.
+    #[test]
+    fn an_upward_walk_from_an_underflowing_start_terminates() {
+        let utils: Vec<Power> = (0..16).map(|i| Power::new(1.0 + 0.1 * i as f64, 0.5, 50.0)).collect();
+        for start in [0.0, f64::from_bits(1), 1e-310] {
+            let (l, held) = run(&utils, 400.0, start);
+            assert_eq!(held, l.demand, "start {start}: buffer is not D(price)");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use aa_sim::controller::RepairPolicy;
 use aa_sim::faults::{
     generate_script, run_script, ChurnReport, FaultScript, FaultScriptConfig, ScriptedEvent,
 };
-use aa_utility::{SpecError, UtilitySpec};
+use aa_utility::{DynUtility, SpecError, UtilitySpec};
 use aa_workloads::{Distribution, InstanceSpec};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -203,10 +203,23 @@ pub const SOLVER_NAMES: &[&str] = &{
 
 /// Build the live [`Problem`] from a parsed file.
 pub fn build_problem(file: &ProblemFile) -> Result<Problem, CliError> {
+    build_problem_from(file, &[])
+}
+
+/// [`build_problem`] against the threads of a previous build: thread
+/// `i` reuses `previous[i]` (the same [`Arc`](std::sync::Arc)) when its
+/// spec is exactly what built that object
+/// ([`UtilitySpec::build_reusing`]); every other thread is built fresh,
+/// with the same errors. A stream's next request built against its
+/// last one keeps its unchanged curves, so the warm solve skips them.
+pub fn build_problem_from(
+    file: &ProblemFile,
+    previous: &[DynUtility],
+) -> Result<Problem, CliError> {
     let mut threads = Vec::with_capacity(file.threads.len());
     for (i, spec) in file.threads.iter().enumerate() {
         threads.push(
-            spec.build()
+            spec.build_reusing(previous.get(i))
                 .map_err(|source| CliError::Spec { thread: i, source })?,
         );
     }
@@ -899,7 +912,7 @@ fn drift_entry(
     let capacity = 1000.0;
     let mut rng = StdRng::seed_from_u64(entry_seed);
     let n = servers * beta;
-    let mut threads: Vec<aa_utility::DynUtility> =
+    let mut threads: Vec<DynUtility> =
         aa_workloads::genutil::generate_many(dist, capacity, n, &mut rng)
             .into_iter()
             .map(|g| g.utility)
@@ -1064,7 +1077,7 @@ fn scale_entry(
     let mut base_state = PriceWarmState::new();
     let _ = price::solve_warm(&problem, &mut base_state)
         .expect("unbudgeted price solve cannot fail");
-    let mut threads: Vec<aa_utility::DynUtility> = problem.threads().to_vec();
+    let mut threads: Vec<DynUtility> = problem.threads().to_vec();
     let churn = (n / 100).max(1);
     for g in aa_workloads::genutil::generate_many(&spec.dist, spec.capacity, churn, &mut rng) {
         let at = (rng.next_u64() % n as u64) as usize;

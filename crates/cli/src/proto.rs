@@ -100,7 +100,7 @@ pub(crate) fn encode_req(
 }
 
 /// A [`ToWorker`] frame as the worker reads it: header first, the
-/// problem left as raw JSON text for [`crate::serve::decode_problem`].
+/// problem left as raw JSON text for [`crate::serve::parse_problem`].
 #[derive(Debug)]
 pub(crate) enum Inbound<'a> {
     /// [`ToWorker::Ping`].

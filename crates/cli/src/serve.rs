@@ -17,7 +17,8 @@
 //!   still the client's raw JSON text — to the mode's `Admission`;
 //! * the **executor** decodes that text once ([`decode_problem`]): a
 //!   shard admission in process, a fleet worker after the text crossed
-//!   the pipe verbatim;
+//!   the pipe verbatim (its reader thread parses, its solve loop builds
+//!   against the stream's previous threads);
 //! * the **answer path** (`Answers`) turns every outcome — solved,
 //!   failed with a class, expired in a queue, or shed at the door with
 //!   `{"status":"overloaded","retry_after_ms":…}` — into its response
@@ -54,9 +55,10 @@ use aa_core::fleet::DEFAULT_SLO_P99_MS;
 use aa_core::shard::{ChaosHook, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool};
 use aa_core::tiered::Tier;
 use aa_core::{Problem, SubmitError};
+use aa_utility::DynUtility;
 use serde::{Deserialize, Serialize};
 
-use crate::{build_problem, CliError, ProblemFile};
+use crate::{build_problem_from, CliError, ProblemFile};
 
 /// One request line: an optional correlation `id` (echoed back
 /// verbatim), an optional stream key for warm-state locality, an
@@ -128,14 +130,29 @@ fn envelope(
 }
 
 /// The one decode of a request's problem from the client's JSON text:
-/// `--shards` admission calls it in process, a `--fleet` worker on the
-/// bytes the front-end forwarded. A schema error is `class:"parse"`
-/// (text as [`ServeRequest`] reports it), a failed build
-/// `class:"problem"`.
+/// `--shards` admission calls it in process, and a `--fleet` worker
+/// runs it in its two halves, [`parse_problem`] and
+/// [`build_request_problem`], with the same errors. A schema error is
+/// `class:"parse"` (text as [`ServeRequest`] reports it), a failed
+/// build `class:"problem"`.
 pub(crate) fn decode_problem(text: &str) -> Result<Problem, (&'static str, String)> {
-    let file: ProblemFile = serde_json::from_str(text)
-        .map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))?;
-    build_problem(&file).map_err(|e| ("problem", e.to_string()))
+    build_request_problem(&parse_problem(text)?, &[])
+}
+
+/// [`decode_problem`]'s parse alone: a `--fleet` worker's reader thread
+/// runs it on the bytes the front-end forwarded, and its solve loop
+/// builds the result with [`build_request_problem`].
+pub(crate) fn parse_problem(text: &str) -> Result<ProblemFile, (&'static str, String)> {
+    serde_json::from_str(text).map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))
+}
+
+/// [`decode_problem`]'s build alone, against the stream's `previous`
+/// threads ([`build_problem_from`]).
+pub(crate) fn build_request_problem(
+    file: &ProblemFile,
+    previous: &[DynUtility],
+) -> Result<Problem, (&'static str, String)> {
+    build_problem_from(file, previous).map_err(|e| ("problem", e.to_string()))
 }
 
 /// One response line.

@@ -7,13 +7,16 @@
 //! process-level analogue of one shard, with the same structure:
 //!
 //! * a **reader thread** pulls frames off stdin, answering heartbeat
-//!   pings immediately (even mid-solve), and decodes each request's
+//!   pings immediately (even mid-solve), and parses each request's
 //!   problem — the client's JSON text, forwarded verbatim — with
-//!   [`decode_problem`] before queueing it; a problem that fails its
-//!   decode is queued as that failure and answered `class:"parse"` or
-//!   `class:"problem"`;
-//! * the **solve loop** pops requests FIFO and solves each through the
-//!   stream solver: budget from worker arrival time, `catch_unwind`
+//!   [`parse_problem`] before queueing it; a problem that fails its
+//!   parse is queued as that failure and answered `class:"parse"`;
+//! * the **solve loop** pops requests FIFO, builds each problem against
+//!   its stream's previous threads ([`build_request_problem`]: an
+//!   unchanged curve keeps last request's object, so the warm solve
+//!   skips it; a failed build answers `class:"problem"`) and solves it
+//!   through the stream solver: budget from worker arrival time (queue
+//!   wait counts, the parse and the build do not), `catch_unwind`
 //!   boundary, per-stream warm state with FIFO eviction;
 //! * on stdin **EOF** the worker drains: it keeps solving what it
 //!   already holds for up to `drain_timeout_ms`, answers the remainder
@@ -32,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use aa_core::fleet::{read_frame, write_frame, MAX_FRAME_BYTES};
 use aa_core::tiered::Tier;
-use aa_core::{Problem, ShardError, SolveError, StreamSolver};
+use aa_core::{ShardError, SolveError, StreamSolver};
 use aa_obs::trace::SpanGuard;
 use aa_obs::Collector;
 use aa_sim::ProcessFault;
@@ -41,7 +44,8 @@ use crate::proto::{
     decode_to_worker, FromWorker, Inbound, MetricsSnapshot, SpanBinding, TraceCtx, WireSpan,
     WorkerResult,
 };
-use crate::serve::decode_problem;
+use crate::serve::{build_request_problem, parse_problem};
+use crate::ProblemFile;
 
 /// Exit code a worker uses for self-inflicted chaos deaths, distinct
 /// from clean drain (0) so the supervisor logs are unambiguous.
@@ -95,8 +99,8 @@ struct QueuedReq {
     stream: Option<u64>,
     deadline: Option<Instant>,
     trace: Option<TraceCtx>,
-    /// The decoded problem, or the class and text it was refused with.
-    problem: Result<Problem, (&'static str, String)>,
+    /// The parsed problem, or the class and text it was refused with.
+    problem: Result<ProblemFile, (&'static str, String)>,
 }
 
 /// State shared between the reader thread and the solve loop.
@@ -209,8 +213,8 @@ fn reader_loop<R: Read, W: Write>(
                 }
             }
             Inbound::Req { seq, stream, budget_ms, trace, problem } => {
-                // The budget covers the solve, not the decode.
-                let problem = decode_problem(problem);
+                // The budget covers the solve, not the parse.
+                let problem = parse_problem(problem);
                 let deadline =
                     budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
                 let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -433,15 +437,23 @@ fn inject<W: Write>(fault: ProcessFault, out: &Mutex<W>, shared: &Shared, epoch:
 }
 
 fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> WorkerResult {
-    let started = Instant::now();
     let err = |class: &str, error: String, solve_micros: u64, queue_expired: bool| {
         WorkerResult::Err { class: class.to_string(), error, solve_micros, queue_expired }
     };
+    let building = Instant::now();
     let problem = match &req.problem {
-        Ok(p) => p,
-        Err((class, error)) => return err(class, error.clone(), 0, false),
+        Ok(file) => build_request_problem(file, streams.previous_threads(req.stream)),
+        Err(refused) => Err(refused.clone()),
     };
-    match streams.solve(req.stream, problem, req.deadline, started, None) {
+    let problem = match problem {
+        Ok(p) => p,
+        Err((class, error)) => return err(class, error, 0, false),
+    };
+    // The build is not charged to the budget: the deadline moves out
+    // by its duration.
+    let started = Instant::now();
+    let deadline = req.deadline.map(|d| d + (started - building));
+    match streams.solve(req.stream, &problem, deadline, started, None) {
         Ok(solved) => {
             shared.solves.fetch_add(1, Ordering::AcqRel);
             WorkerResult::Ok {

@@ -115,6 +115,89 @@ fn fleet_answers_are_bit_identical_to_single_process_serve() {
     }
 }
 
+/// A drifting stream (one curve rescaled per request, with exact
+/// repeats in between) answers exactly what a cold per-request solve
+/// answers, while the worker builds each request against the stream's
+/// previous threads: the repeats take the identical fast path and the
+/// drifts the warm path, which only carried curves make possible.
+#[test]
+fn drifting_streams_answer_like_cold_solves_and_ride_the_warm_path() {
+    use aa_cli::{build_problem, generate_document, GenerateOpts, ProblemFile};
+    use aa_utility::UtilitySpec;
+
+    let dir = tempdir("drift");
+    let (trace, dump) = (dir.join("trace.json"), dir.join("metrics.json"));
+    let mut files: Vec<ProblemFile> = (0..2)
+        .map(|seed| {
+            generate_document(&GenerateOpts {
+                servers: 4,
+                beta: 8,
+                capacity: 50.0,
+                dist: aa_workloads::Distribution::Uniform,
+                seed,
+            })
+        })
+        .collect();
+    let mut sent = Vec::new();
+    let mut lines = Vec::new();
+    for k in 0..16u64 {
+        let stream = k % 2;
+        let file = &mut files[stream as usize];
+        if k >= 2 && k % 4 < 2 {
+            let i = (k as usize * 7) % file.threads.len();
+            if let UtilitySpec::Pchip { points } = &mut file.threads[i] {
+                points.iter_mut().for_each(|p| p.1 *= 1.05);
+            }
+        }
+        let problem = serde_json::to_string(&*file).unwrap();
+        lines.push(format!(r#"{{"id":{k},"stream":{stream},"problem":{problem}}}"#));
+        sent.push(file.clone());
+    }
+    let resps = run_serve(
+        &[
+            "serve", "--fleet", "2", "--ladder", "algo2,uu",
+            "--trace", trace.to_str().unwrap(),
+            "--metrics-dump", dump.to_str().unwrap(),
+        ],
+        &lines,
+    );
+    assert_eq!(resps.len(), sent.len());
+    for r in &resps {
+        let id = r["id"].as_u64().unwrap();
+        assert_eq!(r["status"].as_str(), Some("ok"), "{r:?}");
+        assert_eq!(r["tier"].as_str(), Some("algo2"), "id {id}");
+        let problem = build_problem(&sent[id as usize]).unwrap();
+        let cold = aa_core::algo2::solve(&problem);
+        let server: Vec<usize> =
+            r["server"].as_array().unwrap().iter().map(|v| v.as_u64().unwrap() as usize).collect();
+        let amount: Vec<u64> =
+            r["allocation"].as_array().unwrap().iter().map(|v| v.as_f64().unwrap().to_bits()).collect();
+        assert_eq!(server, cold.server, "assignment diverges for id {id}");
+        let cold_amount: Vec<u64> = cold.amount.iter().map(|a| a.to_bits()).collect();
+        assert_eq!(amount, cold_amount, "allocation bits diverge for id {id}");
+        assert_eq!(
+            r["utility"].as_f64().unwrap().to_bits(),
+            cold.total_utility(&problem).to_bits(),
+            "utility bits diverge for id {id}"
+        );
+    }
+    // Each worker's registry federates through the trace's per-solve
+    // frames; sum the incremental mode counters over workers.
+    let metrics: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+    let total = |name: &str| -> u64 {
+        metrics["counters"]
+            .as_object()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| k.starts_with(&format!("{name}{{")))
+            .map(|(_, v)| v.as_u64().unwrap())
+            .sum()
+    };
+    assert!(total("aa_incremental_identical_total") > 0, "no repeat took the identical path");
+    assert!(total("aa_incremental_warm_total") > 0, "no drift took the warm path");
+}
+
 #[test]
 fn resize_control_acks_and_fleet_keeps_serving() {
     let lines = vec![

@@ -109,7 +109,14 @@ impl Budget {
             return Err(SolveError::DeadlineExceeded);
         }
         if self.token.is_cancelled() {
-            return Err(SolveError::Cancelled);
+            // Expiry cancels the token too: a check racing another pool
+            // thread's `expire` can miss the flag above yet see the
+            // token, and must still report the expiry, not a cancel.
+            return Err(if self.expired.load(Ordering::Acquire) {
+                SolveError::DeadlineExceeded
+            } else {
+                SolveError::Cancelled
+            });
         }
         if let Some(fuel) = &self.fuel {
             // Saturating countdown: 0 means "this very call expires".

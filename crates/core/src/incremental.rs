@@ -28,6 +28,23 @@
 //!   performs **zero heap allocations** (verified by the allocation
 //!   counting test in `tests/arena_alloc.rs`).
 //!
+//! # Identity across requests
+//!
+//! Every per-thread cache is keyed on the thread's [`Arc`], so a
+//! caller gets the delta path only by handing back the *same objects*
+//! for the threads that did not change. A serving front-end that
+//! decodes each request afresh would make every thread new; instead it
+//! builds against [`WarmState::previous_threads`], reusing each object
+//! whose spec still matches ([`aa_utility::UtilitySpec::build_reusing`]).
+//!
+//! The same identity memoizes the finite-utility screen of the `try_*`
+//! entry points: a screened solve through a state skips thread `i` only
+//! if the very object at `i` passed the screen in an earlier screened
+//! solve through that state, at the same capacity. An unscreened commit
+//! ([`solve_incremental`] called directly), [`WarmState::invalidate`], an
+//! expired budget or a caught panic forgets that, and the next screened
+//! solve probes every thread.
+//!
 //! # Crossover heuristic (when to fall back cold)
 //!
 //! The repair path wins only while the dirty set is small. The crossover
@@ -63,7 +80,7 @@ use aa_utility::{DynUtility, Linearized, Utility};
 use crate::budget::Budget;
 use crate::linearize::linearize_one;
 use crate::problem::{Assignment, CappedView, Problem};
-use crate::solver::SolveError;
+use crate::solver::{check_finite_utilities, SolveError};
 use crate::superopt;
 
 /// Which path a [`solve_incremental`] call took.
@@ -135,6 +152,15 @@ pub struct WarmState {
     prev_servers: usize,
     prev_capacity: f64,
     has_prev: bool,
+    /// Every object in `prev_threads` passed the finite-utility screen
+    /// at `prev_capacity`: set by a commit whose solve was screened
+    /// (`screen_pending`), cleared by any other commit.
+    prev_screened: bool,
+    /// The problem being solved passed the screen: raised by
+    /// [`screened`] around the solve.
+    screen_pending: bool,
+    /// The price backend ran after the incremental engine's last commit.
+    price_newer: bool,
     stats: IncrementalStats,
     price: crate::price::PriceWarmState,
 }
@@ -156,20 +182,68 @@ impl WarmState {
         &self.price
     }
 
-    /// Mutable access for the price backend's warm solve path.
+    /// Mutable access for the price backend's warm solve path. The
+    /// price state's rows become the newer baseline for
+    /// [`Self::previous_threads`] until the incremental engine commits.
     pub fn price_mut(&mut self) -> &mut crate::price::PriceWarmState {
+        self.price_newer = true;
         &mut self.price
     }
 
     /// Drop everything cached: the next solve is a cold build. Called
     /// automatically when a budgeted solve aborts mid-flight (the arena
-    /// may be half-updated). Cascades to the carried price state.
+    /// may be half-updated). Cascades to the carried price state, and
+    /// the next screened solve screens every thread.
     pub fn invalidate(&mut self) {
         self.has_prev = false;
+        self.prev_screened = false;
+        self.screen_pending = false;
         self.prev_threads.clear();
         self.arena.cache.invalidate();
         self.price.invalidate();
     }
+
+    /// The thread objects the last warm solve through this state was
+    /// given, by index: the incremental engine's baseline or the price
+    /// backend's table rows, whichever was solved through last. Empty
+    /// when the state is cold. A caller building the next problem of
+    /// the same stream can reuse each object whose spec is unchanged
+    /// ([`aa_utility::UtilitySpec::build_reusing`]), and every cache
+    /// keyed on that object's [`Arc`] identity then skips it.
+    pub fn previous_threads(&self) -> &[DynUtility] {
+        if self.has_prev && !(self.price_newer && self.price.is_warm()) {
+            &self.prev_threads
+        } else {
+            self.price.previous_threads()
+        }
+    }
+}
+
+/// The finite-utility screen ([`check_finite_utilities`]) of `problem`,
+/// then `solve`: the input screening of every `try_*` entry point. With
+/// a warm state the screen skips each thread whose object passed an
+/// earlier screened solve through that state at the same capacity, and
+/// if `solve` commits the incremental baseline, that baseline counts as
+/// screened. Any other commit (an unscreened [`solve_incremental`]),
+/// [`WarmState::invalidate`], an expired budget or a caught panic drops
+/// the memo.
+pub(crate) fn screened<T>(
+    problem: &Problem,
+    warm: Option<&mut WarmState>,
+    solve: impl FnOnce(Option<&mut WarmState>) -> Result<T, SolveError>,
+) -> Result<T, SolveError> {
+    let Some(state) = warm else {
+        check_finite_utilities(problem, &[])?;
+        return solve(None);
+    };
+    let memo = state.has_prev
+        && state.prev_screened
+        && state.prev_capacity.to_bits() == problem.capacity().to_bits();
+    check_finite_utilities(problem, if memo { &state.prev_threads } else { &[] })?;
+    state.screen_pending = true;
+    let solved = solve(Some(&mut *state));
+    state.screen_pending = false;
+    solved
 }
 
 /// Sort-key order: `g(ĉ)` descending, index ascending. This strict total
@@ -311,6 +385,9 @@ fn solve_impl(
             .zip(&state.prev_threads)
             .all(|(a, b)| Arc::ptr_eq(a, b))
     {
+        // Same objects at the same capacity: a screen this problem
+        // passed covers the baseline too.
+        state.prev_screened |= state.screen_pending;
         state.stats = IncrementalStats {
             mode: SolveMode::Identical,
             ..IncrementalStats::default()
@@ -440,6 +517,8 @@ fn solve_impl(
     state.prev_servers = m;
     state.prev_capacity = cap;
     state.has_prev = true;
+    state.prev_screened = state.screen_pending;
+    state.price_newer = false;
     state.stats = IncrementalStats {
         mode: if structural { SolveMode::Cold } else { SolveMode::Warm },
         warm,

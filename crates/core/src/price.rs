@@ -146,6 +146,16 @@ impl PriceWarmState {
         self.valid.then_some(self.global.hi)
     }
 
+    /// The utility object behind each carried table row; empty when
+    /// cold.
+    pub(crate) fn previous_threads(&self) -> &[DynUtility] {
+        if self.valid {
+            &self.cached
+        } else {
+            &[]
+        }
+    }
+
     fn usable_for(&self, problem: &Problem) -> bool {
         self.valid
             && self.prev_servers == problem.servers()
@@ -376,7 +386,13 @@ pub fn solve_with(
                 }
             }
             if patched {
-                t.refresh_global();
+                // Each patch orphans its row's old pool region; repack
+                // before the orphans outgrow the live rows.
+                if t.fragmented() {
+                    t.compile(&utils);
+                } else {
+                    t.refresh_global();
+                }
             }
             t
         }
@@ -522,7 +538,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use aa_utility::{LogUtility, Power};
+    use aa_utility::{LogUtility, Pchip, Power};
 
     fn mixed_problem(n: usize, m: usize, capacity: f64) -> Problem {
         Problem::builder(m, capacity)
@@ -631,6 +647,43 @@ mod tests {
         let mut fresh = vec![0.0; utils.len()];
         table.batch_inverse_derivative(&utils, state.global.hi, &mut fresh);
         assert_eq!(state.demand, fresh);
+    }
+
+    #[test]
+    fn fully_churned_warm_solves_keep_the_table_bounded() {
+        // Every solve brings new PCHIP objects, so every row is patched
+        // and orphans its old knots: without a repack the pool would grow
+        // by n·3 knots per solve.
+        let pchip = |i: usize, k: usize| -> DynUtility {
+            let v = 1.0 + ((i * 7 + k * 3) % 11) as f64;
+            Arc::new(Pchip::new(&[(0.0, 0.0), (5.0, v), (10.0, 1.5 * v)]).unwrap())
+        };
+        let (n, m) = (64, 4);
+        let mut state = PriceWarmState::new();
+        let mut live = 0;
+        for k in 0..12 {
+            let p = Problem::new(m, 10.0, (0..n).map(|i| pchip(i, k)).collect()).unwrap();
+            solve_warm(&p, &mut state).unwrap().validate(&p).unwrap();
+            let utils = p.capped_threads();
+            let mut fresh = DemandTable::new();
+            fresh.compile(&utils);
+            live = fresh.pool_len();
+            assert!(
+                state.table.pool_len() <= 2 * live,
+                "solve {k}: pool {} for {live} live entries",
+                state.table.pool_len()
+            );
+            for lambda in [0.0, 0.1, 0.5, 1.0, 4.0] {
+                for i in 0..n {
+                    assert_eq!(
+                        state.table.eval(&utils, i, lambda).to_bits(),
+                        fresh.eval(&utils, i, lambda).to_bits(),
+                        "solve {k}, row {i}, λ={lambda}"
+                    );
+                }
+            }
+        }
+        assert!(live > 0, "PCHIP rows must be pool-backed");
     }
 
     #[test]

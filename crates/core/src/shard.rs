@@ -262,6 +262,13 @@ impl StreamSolver {
         StreamSolver { solver, warm: HashMap::new(), order: VecDeque::new(), max_streams }
     }
 
+    /// The thread objects `stream`'s last warm solve was given
+    /// ([`WarmState::previous_threads`]); empty for a stream with no
+    /// warm state.
+    pub fn previous_threads(&self, stream: Option<u64>) -> &[aa_utility::DynUtility] {
+        self.warm.get(&stream).map_or(&[], WarmState::previous_threads)
+    }
+
     /// Solve one request on `stream`'s warm state, behind the tiered
     /// solver's `catch_unwind` boundary. A `deadline` already past at
     /// `started` answers [`ShardError::Expired`] without solving; a live

@@ -87,8 +87,18 @@ const FINITE_PROBES: usize = 16;
 /// say) is caught as long as the sliver spans ≥ 1/15 of the domain;
 /// the old `{0, cap/2, cap}` probe missed anything off those three
 /// points and let NaN poison the solve downstream.
-pub(crate) fn check_finite_utilities(problem: &Problem) -> Result<(), SolveError> {
-    for i in 0..problem.len() {
+///
+/// Thread `i` is skipped when `passed[i]` is its very object (same
+/// [`Arc`](std::sync::Arc)), which the caller vouches already passed
+/// this screen at this problem's capacity ([`incremental::screened`]).
+pub(crate) fn check_finite_utilities(
+    problem: &Problem,
+    passed: &[aa_utility::DynUtility],
+) -> Result<(), SolveError> {
+    for (i, u) in problem.threads().iter().enumerate() {
+        if passed.get(i).is_some_and(|p| std::sync::Arc::ptr_eq(p, u)) {
+            continue;
+        }
         let cap = problem.effective_cap(i);
         if !cap.is_finite() {
             return Err(SolveError::NonFiniteUtility { thread: i });
@@ -130,7 +140,7 @@ pub trait Solver {
         problem: &Problem,
         rng: &mut dyn RngCore,
     ) -> Result<Assignment, SolveError> {
-        check_finite_utilities(problem)?;
+        check_finite_utilities(problem, &[])?;
         let a = self.solve_with(problem, rng);
         a.validate(problem).map_err(SolveError::Infeasible)?;
         Ok(a)
@@ -371,8 +381,9 @@ impl Algorithm {
         if problem.len() > limit {
             return Err(SolveError::TooLarge { threads: problem.len(), limit });
         }
-        check_finite_utilities(problem)?;
-        let (a, _) = self.run(problem, &Budget::unlimited(), warm, rng)?;
+        let (a, _) = incremental::screened(problem, warm, |warm| {
+            self.run(problem, &Budget::unlimited(), warm, rng)
+        })?;
         a.validate(problem).map_err(SolveError::Infeasible)?;
         Ok(a)
     }

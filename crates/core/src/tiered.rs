@@ -293,8 +293,8 @@ impl TieredSolver {
         budget: &Budget,
         warm: Option<&mut WarmState>,
     ) -> Result<TieredSolve, SolveError> {
-        crate::solver::check_finite_utilities(problem)?;
-        let solved = self.walk(problem, budget, warm)?;
+        let solved =
+            crate::incremental::screened(problem, warm, |warm| self.walk(problem, budget, warm))?;
         solved
             .assignment
             .validate(problem)

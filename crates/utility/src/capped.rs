@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{same_bits, UtilitySpec};
 use crate::traits::{clamp_domain, Utility};
 
 /// `f(x) = s · min(x, knee)` on `[0, cap]`, with `0 ≤ knee ≤ cap`, `s ≥ 0`.
@@ -85,6 +86,11 @@ impl Utility for CappedLinear {
     // Demand is a two-step staircase: knee for 0 < λ ≤ slope, cap at λ ≤ 0.
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.staircase(&[self.slope, 0.0], &[0.0, self.knee, self.cap]);
+    }
+
+    fn matches_spec(&self, spec: &UtilitySpec) -> bool {
+        matches!(*spec, UtilitySpec::CappedLinear { slope, knee, cap }
+            if same_bits(&[self.slope, self.knee, self.cap], &[slope, knee, cap]))
     }
 }
 

@@ -275,8 +275,9 @@ impl DemandTable {
     /// Recompile element `i` in place. Pool-backed rows (staircase,
     /// PCHIP) append fresh pool data and repoint the row's offsets; the
     /// old region is orphaned, which is harmless for evaluation but
-    /// means a table patched without bound grows — callers that churn a
-    /// large fraction should recompile from scratch instead. Call
+    /// means a table patched without bound grows — callers that patch
+    /// repeatedly should [`compile`](Self::compile) from scratch once
+    /// [`fragmented`](Self::fragmented) says so. Call
     /// [`refresh_global`](Self::refresh_global) once after a batch of
     /// patches to rebuild the discrete-ladder summary.
     pub fn patch<U: Utility>(&mut self, i: usize, u: &U) {
@@ -284,6 +285,26 @@ impl DemandTable {
         let mut sink = DemandSink::new(self);
         u.describe_demand(&mut sink);
         sink.finish_at(i);
+    }
+
+    /// Pool entries held: staircase thresholds and levels plus PCHIP
+    /// knots, live or orphaned by [`patch`](Self::patch).
+    pub fn pool_len(&self) -> usize {
+        self.stair_thresholds.len() + self.stair_levels.len() + self.pchip_xs.len()
+    }
+
+    /// Whether the pool regions orphaned by [`patch`](Self::patch)
+    /// outgrow the live ones. Recompiling then packs the pool again, so
+    /// a table patched forever stays within twice its live size.
+    pub fn fragmented(&self) -> bool {
+        let live: usize = (0..self.kinds.len())
+            .map(|i| match self.kinds[i] {
+                Kind::Staircase => 2 * self.len[i] + 1,
+                Kind::Pchip => self.len[i],
+                _ => 0,
+            })
+            .sum();
+        self.pool_len() - live > live
     }
 
     /// Rebuild the whole-table summary (the `discrete` flag and the

@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{same_bits, UtilitySpec};
 use crate::traits::{clamp_domain, Utility};
 
 /// The linearized utility `g` determined by `(ĉ, v̂ = f(ĉ))` on `[0, cap]`.
@@ -24,7 +25,8 @@ pub struct Linearized {
     c_hat: f64,
     v_hat: f64,
     cap: f64,
-    /// Value at zero allocation: `f(0)` when `ĉ = 0`, else `0`.
+    /// `f(0)` as given. Read only when `ĉ = 0`, where `g ≡ max(f(0), v̂)`;
+    /// kept as given otherwise so [`Utility::matches_spec`] can compare it.
     floor: f64,
 }
 
@@ -48,12 +50,11 @@ impl Linearized {
         );
         assert!(v_hat >= 0.0, "utility at ĉ must be nonnegative, got {v_hat}");
         assert!(floor_value >= 0.0, "f(0) must be nonnegative, got {floor_value}");
-        let floor = if c_hat == 0.0 { floor_value } else { 0.0 };
         Linearized {
             c_hat,
             v_hat,
             cap,
-            floor,
+            floor: floor_value,
         }
     }
 
@@ -135,6 +136,14 @@ impl Utility for Linearized {
         } else {
             sink.staircase(&[0.0], &[0.0, self.cap]);
         }
+    }
+
+    fn matches_spec(&self, spec: &UtilitySpec) -> bool {
+        matches!(*spec, UtilitySpec::Linearized { c_hat, v_hat, cap, floor }
+            if same_bits(
+                &[self.c_hat, self.v_hat, self.cap, self.floor],
+                &[c_hat, v_hat, cap, floor],
+            ))
     }
 }
 

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{same_bits, UtilitySpec};
 use crate::traits::{clamp_domain, Utility};
 
 /// `f(x) = scale · ln(1 + rate·x)` on `[0, cap]`, `scale, rate ≥ 0`.
@@ -69,6 +70,11 @@ impl Utility for LogUtility {
 
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.log(self.scale, self.rate, self.cap);
+    }
+
+    fn matches_spec(&self, spec: &UtilitySpec) -> bool {
+        matches!(*spec, UtilitySpec::Log { scale, rate, cap }
+            if same_bits(&[self.scale, self.rate, self.cap], &[scale, rate, cap]))
     }
 }
 

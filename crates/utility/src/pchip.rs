@@ -15,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{same_points, UtilitySpec};
 use crate::traits::{clamp_domain, Utility};
 
 /// Error raised for data PCHIP cannot interpolate as a utility.
@@ -203,6 +204,10 @@ impl Utility for Pchip {
 
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.pchip(&self.xs, &self.ys, &self.ds);
+    }
+
+    fn matches_spec(&self, spec: &UtilitySpec) -> bool {
+        matches!(spec, UtilitySpec::Pchip { points } if same_points(&self.xs, &self.ys, points))
     }
 }
 

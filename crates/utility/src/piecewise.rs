@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::num::approx_ge;
+use crate::spec::{same_points, UtilitySpec};
 use crate::traits::{clamp_domain, Utility};
 use crate::EPS;
 
@@ -170,6 +171,10 @@ impl Utility for PiecewiseLinear {
     // the breakpoint after the last segment whose slope stays ≥ λ.
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.staircase(&self.slopes, &self.xs);
+    }
+
+    fn matches_spec(&self, spec: &UtilitySpec) -> bool {
+        matches!(spec, UtilitySpec::Piecewise { points } if same_points(&self.xs, &self.ys, points))
     }
 }
 

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::spec::{same_bits, UtilitySpec};
 use crate::traits::{clamp_domain, Utility};
 
 /// `f(x) = scale · x^beta` on `[0, cap]`, `beta ∈ (0, 1]`, `scale ≥ 0`.
@@ -78,6 +79,11 @@ impl Utility for Power {
 
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.power(self.scale, self.beta, self.cap);
+    }
+
+    fn matches_spec(&self, spec: &UtilitySpec) -> bool {
+        matches!(*spec, UtilitySpec::Power { scale, beta, cap }
+            if same_bits(&[self.scale, self.beta, self.cap], &[scale, beta, cap]))
     }
 }
 

@@ -18,7 +18,7 @@ use crate::log::LogUtility;
 use crate::pchip::{Pchip, PchipError};
 use crate::piecewise::{PiecewiseError, PiecewiseLinear};
 use crate::power::Power;
-use crate::traits::DynUtility;
+use crate::traits::{DynUtility, Utility};
 
 /// A serializable description of a concave utility function.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,12 +160,37 @@ impl UtilitySpec {
             }
         }
     }
+
+    /// [`build`](Self::build), but reuse `previous` when it is exactly
+    /// what this spec builds ([`Utility::matches_spec`]). The reused
+    /// object is the same [`Arc`], so caches keyed on its identity (the
+    /// incremental solver's, the price backend's demand rows) stay hot.
+    pub fn build_reusing(&self, previous: Option<&DynUtility>) -> Result<DynUtility, SpecError> {
+        match previous {
+            Some(prev) if prev.matches_spec(self) => Ok(Arc::clone(prev)),
+            _ => self.build(),
+        }
+    }
+}
+
+/// Bitwise equality of two parameter lists: the comparison behind every
+/// [`Utility::matches_spec`](crate::Utility::matches_spec) (`-0.0` is
+/// not `0.0`; a NaN matches only its own bit pattern).
+pub(crate) fn same_bits(stored: &[f64], spec: &[f64]) -> bool {
+    stored.len() == spec.len() && stored.iter().zip(spec).all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
+/// Whether knot columns `xs`, `ys` hold exactly `points`, bit for bit.
+pub(crate) fn same_points(xs: &[f64], ys: &[f64], points: &[(f64, f64)]) -> bool {
+    xs.len() == points.len()
+        && xs.iter().zip(ys).zip(points).all(|((x, y), (px, py))| {
+            x.to_bits() == px.to_bits() && y.to_bits() == py.to_bits()
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::Utility;
 
     #[test]
     fn every_variant_builds() {

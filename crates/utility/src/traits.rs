@@ -93,6 +93,19 @@ pub trait Utility: std::fmt::Debug + Send + Sync {
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.opaque();
     }
+
+    /// Whether `spec.build()` would make exactly this function: the
+    /// spec's family is this one and every parameter this object stores
+    /// equals the spec's bit for bit (so `-0.0` does not match `0.0`).
+    /// A caller holding the previous build of a spec can then reuse that
+    /// object, and with it every per-object cache keyed on its
+    /// [`Arc`] identity, instead of building a fresh one.
+    ///
+    /// The default declines: a family that does not implement it is
+    /// simply always rebuilt.
+    fn matches_spec(&self, _spec: &crate::spec::UtilitySpec) -> bool {
+        false
+    }
 }
 
 impl<U: Utility + ?Sized> Utility for Arc<U> {
@@ -113,6 +126,9 @@ impl<U: Utility + ?Sized> Utility for Arc<U> {
     }
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         (**self).describe_demand(sink)
+    }
+    fn matches_spec(&self, spec: &crate::spec::UtilitySpec) -> bool {
+        (**self).matches_spec(spec)
     }
 }
 
@@ -135,6 +151,9 @@ impl<U: Utility + ?Sized> Utility for Box<U> {
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         (**self).describe_demand(sink)
     }
+    fn matches_spec(&self, spec: &crate::spec::UtilitySpec) -> bool {
+        (**self).matches_spec(spec)
+    }
 }
 
 impl<U: Utility + ?Sized> Utility for &U {
@@ -155,6 +174,9 @@ impl<U: Utility + ?Sized> Utility for &U {
     }
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         (**self).describe_demand(sink)
+    }
+    fn matches_spec(&self, spec: &crate::spec::UtilitySpec) -> bool {
+        (**self).matches_spec(spec)
     }
 }
 
