@@ -81,8 +81,7 @@ pub const LAMBDA_MAX: f64 = 1e18;
 /// thread pool. Below it the sequential path is faster (the fork-join
 /// overhead exceeds the work); results are identical either way.
 ///
-/// This is the shared workspace crossover from [`crate::tuning`]
-/// (env-overridable via `AA_PAR_THRESHOLD`, parsed once); the
+/// This is the shared workspace crossover from [`crate::tuning`]; the
 /// linearizer gates on the same value.
 pub use crate::tuning::par_threshold;
 
@@ -973,25 +972,6 @@ pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(
     expect_complete(discrete_flip(&m, &mut out, &mut 0, &mut || Ok(())))
 }
 
-/// [`allocate`] with a cooperative interruption check, the building
-/// block for deadline-budgeted solving. `check` is called at iteration
-/// granularity (once up front, before each demand sweep of the search,
-/// and before the leftover spread); its first `Err` aborts the
-/// allocation and is returned verbatim. With a check that never fires
-/// the result is **bit-identical** to [`allocate`] — same code path, the
-/// checks do not touch the numerics.
-pub fn allocate_interruptible<U, E>(
-    utils: &[U],
-    budget: f64,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Allocation, E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    allocate_impl(utils, budget, true, Fan::Seq, check)
-}
-
 /// [`allocate`] with each demand sweep fanned out over the thread pool
 /// once `utils.len() ≥ `[`par_threshold`]. **Bit-identical** to
 /// [`allocate`] for every thread count (`AA_NUM_THREADS`, or a scoped
@@ -1007,7 +987,11 @@ pub fn allocate_par<U: Utility>(utils: &[U], budget: f64) -> Allocation {
 }
 
 /// [`allocate_par`] with a cooperative interruption check *and* a
-/// pool-level [`CancelToken`]: between `check` calls, the fanned-out
+/// pool-level [`CancelToken`], the building block for deadline-budgeted
+/// solving. `check` is called at iteration granularity (once up front,
+/// before each demand sweep of the search, and before the leftover
+/// spread); its first `Err` aborts the allocation and is returned
+/// verbatim. Between `check` calls, the fanned-out
 /// sweeps themselves watch `token` and abandon unclaimed chunks when it
 /// fires (reported as `Err` via `check`'s diagnosis, or [`Interrupted`]
 /// if `check` still says `Ok`). While neither fires the result is
@@ -1195,7 +1179,7 @@ pub fn allocate_warm_into<U: Utility>(
 }
 
 /// [`allocate_warm_into`] with a cooperative interruption check (same
-/// granularity as [`allocate_interruptible`]: up front, before each
+/// granularity as [`allocate_par_interruptible`]: up front, before each
 /// sweep, before the spread). An abort leaves the cache without a
 /// bracket — it may have been half-updated — so the next call through
 /// it runs the cold search.
@@ -1398,8 +1382,10 @@ mod tests {
         for budget in [0.0, 0.5, 3.0, 12.0, 29.9, 100.0] {
             let plain = allocate(&utils, budget);
             let interruptible =
-                allocate_interruptible(&utils, budget, &mut || Ok::<(), Interrupted>(()))
-                    .expect("quiet check never aborts");
+                allocate_par_interruptible(&utils, budget, &CancelToken::new(), &mut || {
+                    Ok::<(), Interrupted>(())
+                })
+                .expect("quiet check never aborts");
             assert_eq!(plain.utility.to_bits(), interruptible.utility.to_bits());
             for (a, b) in plain.amounts.iter().zip(&interruptible.amounts) {
                 assert_eq!(a.to_bits(), b.to_bits(), "budget {budget}");
@@ -1423,7 +1409,7 @@ mod tests {
         // Exhaust "fuel" after a handful of checks: the search runs a
         // dozen or more sweeps, so this fires mid-search.
         let mut fuel = 5_u32;
-        let result = allocate_interruptible(&utils, 40.0, &mut || {
+        let result = allocate_par_interruptible(&utils, 40.0, &CancelToken::new(), &mut || {
             if fuel == 0 {
                 Err(E::Deadline)
             } else {
@@ -1437,7 +1423,8 @@ mod tests {
     #[test]
     fn immediately_failing_check_aborts_before_any_work() {
         let utils = vec![Power::new(1.0, 0.5, 10.0)];
-        let result = allocate_interruptible(&utils, 5.0, &mut || Err(Interrupted));
+        let result =
+            allocate_par_interruptible(&utils, 5.0, &CancelToken::new(), &mut || Err(Interrupted));
         assert_eq!(result, Err(Interrupted));
     }
 }

@@ -21,10 +21,7 @@
 //! * [`segment`] — exact optimum for piecewise-linear concave utilities by
 //!   sorting all linear segments by slope and filling greedily.
 //! * [`exact_dp`] — brute-force dynamic program over integer units, the
-//!   ground truth the others are tested against on small instances;
-//! * [`laminar`] — greedy allocation under nested (laminar) capacity
-//!   constraints: cgroup ⊂ host ⊂ rack budget trees, optimal on the grid
-//!   by the polymatroid greedy argument.
+//!   ground truth the others are tested against on small instances.
 //!
 //! All allocators consume any `[U: Utility]` slice and return an
 //! [`Allocation`]; tests assert the four agree wherever their domains
@@ -32,7 +29,6 @@
 
 pub mod bisection;
 pub mod exact_dp;
-pub mod laminar;
 pub mod greedy;
 pub mod segment;
 pub mod tuning;
@@ -42,7 +38,7 @@ use aa_utility::Utility;
 pub use bisection::{
     discrete_ladder_bracket, Interrupted, WarmCache, WarmMode, WarmStats,
 };
-pub use tuning::{par_threshold, DEFAULT_PAR_THRESHOLD};
+pub use tuning::par_threshold;
 
 /// Result of a single-pool allocation.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,34 +1,18 @@
 //! Workspace-wide performance tunables.
 //!
-//! The sequential→parallel crossover threshold used to be defined twice
-//! — once in [`crate::bisection`] for the demand-map sweeps and once in
-//! `aa-core`'s linearizer — as two independent `const`s that happened to
-//! share the value 4096. Two copies can silently diverge, and a `const`
-//! cannot be re-tuned on a given host without a rebuild. This module is
-//! now the single source of truth: every stage that fans per-element
-//! work out over the pool (bisection demand sweeps, linearization, the
-//! price-discovery demand sweeps) gates on [`par_threshold`].
-//!
-//! # Override
-//!
-//! Set `AA_PAR_THRESHOLD` to a positive integer to move the crossover
-//! for the whole process (e.g. `AA_PAR_THRESHOLD=1024 aa-solve bench`).
-//! The variable is read **once**, on first use, exactly like
-//! `AA_NUM_THREADS` in the vendored pool — a mid-run change of the
-//! environment has no effect, so every stage of every solve in a
-//! process agrees on one value. `0`, empty, or unparsable values fall
-//! through to [`DEFAULT_PAR_THRESHOLD`].
+//! Every stage that fans per-element work out over the pool (bisection
+//! demand sweeps, linearization, the price-discovery demand sweeps)
+//! gates on the one crossover, [`par_threshold`], so the stages cannot
+//! silently diverge.
 //!
 //! The threshold only gates *scheduling* (whether a sweep fans out);
 //! the vendored pool's determinism contract keeps results bit-identical
-//! on both sides of the crossover, so overriding it can never change an
-//! answer — only wall-clock time.
+//! on both sides of the crossover, so it can never change an answer —
+//! only wall-clock time.
 
-use std::sync::OnceLock;
-
-/// Default element-count threshold past which per-element sweeps fan
-/// out over the thread pool. Below it the sequential path is faster
-/// (fork-join overhead exceeds the work).
+/// Element-count threshold past which per-element sweeps fan out over
+/// the thread pool. Below it the sequential path is faster (fork-join
+/// overhead exceeds the work).
 ///
 /// Re-audited with the batched demand kernel (bench schema v4): the
 /// struct-of-arrays sweep cuts per-element cost — most sharply for
@@ -37,38 +21,6 @@ use std::sync::OnceLock;
 /// and pushes the true crossover up, not down. 4096 therefore remains a
 /// safe floor; the per-sweep `kernel_sweep_micros` bench field exists
 /// to re-measure it on real multi-core hosts.
-pub const DEFAULT_PAR_THRESHOLD: usize = 4096;
-
-/// The effective sequential→parallel crossover: `AA_PAR_THRESHOLD` if
-/// set to a positive integer, else [`DEFAULT_PAR_THRESHOLD`]. Parsed
-/// once per process; subsequent calls are a single atomic load.
 pub fn par_threshold() -> usize {
-    static THRESHOLD: OnceLock<usize> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        if let Ok(raw) = std::env::var("AA_PAR_THRESHOLD") {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        DEFAULT_PAR_THRESHOLD
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn threshold_is_stable_across_calls() {
-        // Whatever the environment says, the parsed-once contract means
-        // repeated calls agree (and equal the default when unset).
-        let first = par_threshold();
-        assert!(first >= 1);
-        assert_eq!(first, par_threshold());
-        if std::env::var("AA_PAR_THRESHOLD").is_err() {
-            assert_eq!(first, DEFAULT_PAR_THRESHOLD);
-        }
-    }
+    4096
 }

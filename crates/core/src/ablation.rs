@@ -15,7 +15,7 @@
 //!
 //! Both remain *feasible* (they only change the processing order and the
 //! target demands), so they can run on any instance for side-by-side
-//! comparison in `aa-bench`.
+//! comparison (`aa-experiments ablation`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -374,11 +374,6 @@ impl FleetRouter {
         self.up.len()
     }
 
-    /// Workers currently up.
-    pub fn up_count(&self) -> usize {
-        self.up.iter().filter(|&&u| u).count()
-    }
-
     /// Whether a slot is up.
     pub fn is_up(&self, worker: usize) -> bool {
         self.up.get(worker).copied().unwrap_or(false)

@@ -398,16 +398,13 @@ fn solve_impl(
 
     // Stage 1: super-optimal ĉ through the warm bracket.
     let a = &mut state.arena;
-    let warm = match budget {
-        None => superopt::super_optimal_warm_into(problem, &mut a.cache, &mut a.views, &mut a.amounts),
-        Some(b) => superopt::super_optimal_warm_budgeted_into(
-            problem,
-            b,
-            &mut a.cache,
-            &mut a.views,
-            &mut a.amounts,
-        )?,
-    };
+    let warm = superopt::super_optimal_warm_into(
+        problem,
+        budget,
+        &mut a.cache,
+        &mut a.views,
+        &mut a.amounts,
+    )?;
 
     // Stage 2: delta linearization. `structural` means every per-thread
     // quantity is stale (no baseline, or the capacity changed — C is an

@@ -21,9 +21,8 @@ use crate::superopt::SuperOptimal;
 /// per-thread `g_i` construction out over the pool. Each element costs a
 /// single `f.value(ĉ_i)` evaluation, so small instances are cheaper
 /// sequentially. This is the shared workspace crossover
-/// ([`aa_allocator::tuning`], env-overridable via `AA_PAR_THRESHOLD`,
-/// parsed once) — the bisection's demand sweeps gate on the same value,
-/// so the two stages can no longer silently diverge.
+/// ([`aa_allocator::tuning`]) — the bisection's demand sweeps gate on the
+/// same value, so the two stages can no longer silently diverge.
 pub use aa_allocator::tuning::par_threshold;
 
 /// Linearize thread `i` through `c_hat`: the shared per-thread kernel of

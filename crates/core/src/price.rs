@@ -59,7 +59,9 @@ use rayon::prelude::*;
 
 use std::sync::Arc;
 
-use aa_allocator::bisection::{search, sweep, Bracket, Demands, Fan, Landing, Market, Stop};
+use aa_allocator::bisection::{
+    search, sweep, Bracket, Demands, Fan, Landing, Market, Stop, WARM_MIN_PRICE,
+};
 use aa_utility::demand::DemandTable;
 use aa_utility::{DynUtility, Utility};
 
@@ -209,11 +211,13 @@ fn clear<U: Utility>(
         };
         return Ok((landing, 1));
     }
-    // Searches start at a positive price: the carried bracket, else its
-    // high edge, else 1.
-    let (start, swept) = if start.lo > 0.0 {
+    // Searches start at a trusted price: the carried bracket, else its
+    // high edge, else 1. An edge under `WARM_MIN_PRICE` is ignored: a
+    // walk up from a subnormal price doubles its step from ~5e-324 and
+    // spends every probe below ~1e-304.
+    let (start, swept) = if start.lo >= WARM_MIN_PRICE {
         (start, swept)
-    } else if start.hi > 0.0 {
+    } else if start.hi >= WARM_MIN_PRICE {
         (Bracket::at(start.hi), swept)
     } else {
         (Bracket::at(1.0), None)
@@ -538,7 +542,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use aa_utility::{LogUtility, Pchip, Power};
+    use aa_utility::{LogUtility, Pchip, Power, Scaled};
 
     fn mixed_problem(n: usize, m: usize, capacity: f64) -> Problem {
         Problem::builder(m, capacity)
@@ -705,6 +709,26 @@ mod tests {
             Err(SolveError::DeadlineExceeded) => {}
             other => panic!("expected deadline expiry, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_bracket_carried_under_the_trusted_floor_restarts_cold() {
+        // Scaled by 1e-310, the market clears far under the trusted
+        // floor and the state carries a subnormal bracket. A walk up
+        // from it to the next market's price near 1 would spend every
+        // probe under ~1e-304.
+        let base = mixed_problem(48, 4, 10.0);
+        let tiny = base.threads().iter().map(|f| Arc::new(Scaled::new(f.clone(), 1e-310)) as _);
+        let tiny = Problem::new(4, 10.0, tiny.collect()).unwrap();
+        let mut state = PriceWarmState::new();
+        solve_warm(&tiny, &mut state).unwrap();
+        assert!(state.global.lo < WARM_MIN_PRICE, "{:?}", state.global);
+        let warm = solve_warm(&base, &mut state).unwrap();
+        let stats = state.last_stats();
+        assert!(stats.warm && stats.converged, "{stats:?}");
+        warm.validate(&base).unwrap();
+        let (wu, cu) = (warm.total_utility(&base), solve(&base).total_utility(&base));
+        assert!(wu >= 0.95 * cu, "warm utility {wu} too far below cold {cu}");
     }
 
     #[test]

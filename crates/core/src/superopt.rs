@@ -108,34 +108,21 @@ pub fn super_optimal_budgeted(
 /// still pins the water level (slow drift), this costs two demand maps;
 /// otherwise it re-brackets from the previous level ± a delta-derived
 /// margin, and falls back to the cold search whenever identity cannot
-/// be proven. **Bit-identical** to [`super_optimal`]'s amounts in every
-/// mode (up to the allocator's monotone-demand contract). `views` is scratch the caller retains across solves so
+/// be proven. `views` is scratch the caller retains across solves so
 /// the steady state allocates nothing.
+///
+/// A `solve_budget` is checked at bisection-iteration granularity.
+/// Expiry invalidates the cache (the bracket may be half-updated) and
+/// surfaces as the budget's typed error. While the budget holds (or
+/// with none), the amounts are **bit-identical** to [`super_optimal`]'s
+/// in every mode (up to the allocator's monotone-demand contract).
 ///
 /// The utility sum `F̂` is *not* computed — the assignment phase only
 /// consumes `ĉ` — which is part of the warm path's speedup. Use
 /// [`super_optimal`] when the bound itself is needed.
 pub fn super_optimal_warm_into(
     problem: &Problem,
-    cache: &mut bisection::WarmCache,
-    views: &mut Vec<crate::problem::CappedView>,
-    amounts: &mut Vec<f64>,
-) -> bisection::WarmStats {
-    let _span = aa_obs::span!("warm_bisection");
-    views.clear();
-    views.extend((0..problem.len()).map(|i| problem.capped_thread(i)));
-    let pool = problem.servers() as f64 * problem.capacity();
-    bisection::allocate_warm_into(views, pool, cache, amounts)
-}
-
-/// [`super_optimal_warm_into`] under a solve [`Budget`], checked at
-/// bisection-iteration granularity. Expiry invalidates the cache (the
-/// bracket may be half-updated) and surfaces as the budget's typed
-/// error; while the budget holds the amounts are bit-identical to
-/// [`super_optimal`].
-pub fn super_optimal_warm_budgeted_into(
-    problem: &Problem,
-    solve_budget: &Budget,
+    solve_budget: Option<&Budget>,
     cache: &mut bisection::WarmCache,
     views: &mut Vec<crate::problem::CappedView>,
     amounts: &mut Vec<f64>,
@@ -145,7 +132,7 @@ pub fn super_optimal_warm_budgeted_into(
     views.extend((0..problem.len()).map(|i| problem.capped_thread(i)));
     let pool = problem.servers() as f64 * problem.capacity();
     bisection::allocate_warm_into_interruptible(views, pool, cache, amounts, &mut || {
-        solve_budget.check()
+        solve_budget.map_or(Ok(()), Budget::check)
     })
 }
 

@@ -13,7 +13,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Number of log-linear bucket boundaries: `m·10^e` for `m ∈ 1..=9`,
 /// `e ∈ 0..=8` — 1 µs up to 900 s, nine buckets per decade. Values
@@ -119,11 +118,6 @@ impl Histogram {
         inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum_micros.fetch_add(micros, Ordering::Relaxed);
         inner.max_micros.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    /// Record one observation from a [`Duration`].
-    pub fn record_duration(&self, d: Duration) {
-        self.record_micros(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     }
 
     /// Number of observations.

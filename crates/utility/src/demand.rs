@@ -467,12 +467,6 @@ impl<'a> DemandSink<'a> {
         }
     }
 
-    /// True once a family method (or a poisoning conflict) has run;
-    /// mostly useful in tests.
-    pub fn is_described(&self) -> bool {
-        self.described || self.poisoned
-    }
-
     /// Decline to describe: this element keeps virtual dispatch.
     pub fn opaque(&mut self) {
         self.poisoned = true;

@@ -103,11 +103,6 @@ impl Pchip {
         &self.ys
     }
 
-    /// Selected endpoint derivatives (one per control point).
-    pub fn endpoint_slopes(&self) -> &[f64] {
-        &self.ds
-    }
-
     fn segment_of(&self, x: f64) -> usize {
         let idx = self.xs.partition_point(|&bx| bx <= x);
         idx.saturating_sub(1).min(self.xs.len() - 2)

@@ -1,10 +1,9 @@
 //! Cross-crate integration of the extension modules through the facade:
-//! refinement, discrete rounding, heterogeneous capacities, laminar
-//! budgets, statistics — composed the way a deployment would.
+//! refinement, discrete rounding, heterogeneous capacities, statistics
+//! — composed the way a deployment would.
 
 use std::sync::Arc;
 
-use aa::allocator::laminar::{allocate_units_laminar, Node};
 use aa::core::solver::{Algo2, Algo2Refined, Solver};
 use aa::core::{discrete, exact_bb, hetero, refine, stats, superopt, Problem, ALPHA};
 use aa::utility::{CappedLinear, DynUtility, LogUtility, Power, Scaled, Utility};
@@ -91,32 +90,6 @@ fn hetero_with_priority_weights() {
         vip_alloc >= best_other - 1e-9,
         "VIPs got {vip_alloc}, someone else got {best_other}"
     );
-}
-
-#[test]
-fn laminar_budgets_compose_with_problem_utilities() {
-    // Per-server AA allocation with an extra sub-group quota inside one
-    // server — the library pieces compose without special plumbing.
-    let p = mixed_problem();
-    let views: Vec<_> = (0..4).map(|i| p.capped_thread(i)).collect();
-    // Threads 0 and 1 share a 6-unit cgroup inside a 16-unit server.
-    let tree = Node::Group {
-        budget: 16.0,
-        children: vec![
-            Node::Group {
-                budget: 6.0,
-                children: vec![Node::Leaf(0), Node::Leaf(1)],
-            },
-            Node::Leaf(2),
-            Node::Leaf(3),
-        ],
-    };
-    let alloc = allocate_units_laminar(&views, &tree, 16, 1.0).unwrap();
-    assert!(alloc.amounts[0] + alloc.amounts[1] <= 6.0 + 1e-9);
-    assert!(alloc.total_allocated() <= 16.0 + 1e-9);
-    // The quota binds: without it, threads 0+1 would take more.
-    let free = aa::allocator::greedy::allocate_units(&views, 16, 1.0);
-    assert!(free.amounts[0] + free.amounts[1] > 6.0);
 }
 
 #[test]
