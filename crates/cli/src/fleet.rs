@@ -129,9 +129,6 @@ pub struct FleetOpts {
     pub queue: usize,
     /// Deadline for requests that don't carry their own, milliseconds.
     pub default_deadline_ms: Option<u64>,
-    /// Slack added to a deadline before a completed solve counts as a
-    /// miss, milliseconds.
-    pub grace_ms: u64,
     /// Longest accepted input line, bytes.
     pub max_line_bytes: usize,
     /// Heartbeat ping interval, milliseconds.
@@ -147,10 +144,6 @@ pub struct FleetOpts {
     pub drain_timeout_ms: u64,
     /// Per-worker warm-stream cap (forwarded to workers).
     pub max_streams: usize,
-    /// Circuit-breaker trip threshold (forwarded to workers).
-    pub breaker_threshold: u32,
-    /// Circuit-breaker cooldown, in solves (forwarded to workers).
-    pub breaker_cooldown: u64,
     /// Solver ladder override (forwarded to workers); `None` is the
     /// full default ladder.
     pub ladder: Option<Vec<Tier>>,
@@ -179,7 +172,6 @@ impl Default for FleetOpts {
             workers: 4,
             queue: 16,
             default_deadline_ms: None,
-            grace_ms: 10,
             max_line_bytes: 1 << 20,
             heartbeat_ms: DEFAULT_HEARTBEAT_INTERVAL_MS,
             heartbeat_miss_limit: DEFAULT_HEARTBEAT_MISS_LIMIT,
@@ -187,8 +179,6 @@ impl Default for FleetOpts {
             max_restarts: DEFAULT_MAX_RESTARTS,
             drain_timeout_ms: DEFAULT_DRAIN_TIMEOUT_MS,
             max_streams: 1024,
-            breaker_threshold: aa_core::tiered::DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown: aa_core::tiered::DEFAULT_BREAKER_COOLDOWN,
             ladder: None,
             seed: 0,
             trace: None,
@@ -335,10 +325,6 @@ fn worker_args(opts: &FleetOpts, w: usize, chaos_offset: u64) -> Vec<String> {
         w.to_string(),
         "--max-streams".to_string(),
         opts.max_streams.to_string(),
-        "--breaker-threshold".to_string(),
-        opts.breaker_threshold.to_string(),
-        "--breaker-cooldown".to_string(),
-        opts.breaker_cooldown.to_string(),
         "--drain-timeout-ms".to_string(),
         opts.drain_timeout_ms.to_string(),
     ];
@@ -1366,7 +1352,7 @@ pub fn run_fleet_serve<R: BufRead, W: Write + Send>(
     let out = Mutex::new(output);
     let metrics = ServeMetrics::new(registry, opts.slo_p99_ms);
     let answers =
-        Answers { out: &out, metrics: &metrics, grace_ms: opts.grace_ms, queue: opts.queue };
+        Answers { out: &out, metrics: &metrics, queue: opts.queue };
     let (tx, rx) = mpsc::channel::<Event>();
     std::thread::scope(|s| -> Result<(), CliError> {
         let core = FleetCore::new(opts, registry, &answers, tx.clone())?;

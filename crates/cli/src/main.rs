@@ -27,7 +27,6 @@ usage:
                  [--out BENCH_solver.json] [--seed S] [--reps R]
                  [--threads N] [--max-threads N] [--trace out.json] [--pretty]
   aa-solve serve [--shards N | --fleet N] [--queue N] [--deadline-ms D]
-                 [--grace-ms G] [--breaker K] [--cooldown N]
                  [--max-line-bytes B] [--counters PATH]
                  [--metrics-addr HOST:PORT] [--metrics-dump PATH]
                  [--slo-p99-ms P] [--trace out.json]
@@ -49,8 +48,9 @@ serve reads LDJSON requests {\"id\":…, \"stream\":…, \"deadline_ms\":…,
 \"problem\":{…}} on stdin and writes one response per line on stdout;
 requests beyond the admission queue are shed with
 {\"status\":\"overloaded\",\"retry_after_ms\":…}. --shards N runs N
-crash-isolated worker shard threads: requests sharing a \"stream\" key
-route to a fixed shard (warm incremental state), a panicking solve
+crash-isolated worker shard threads, each decoding and solving the
+requests it takes: requests sharing a \"stream\" key route to a fixed
+shard (warm incremental state), a panicking solve
 answers {\"status\":\"error\",\"class\":\"solve_panic\"} and a crashed
 shard restarts itself in place with backoff while its queue drains as
 \"internal\" errors. Lines beyond --max-line-bytes (default 1 MiB) are
@@ -469,13 +469,11 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
 /// worker processes. Setup (`--metrics-addr`) and teardown (the summary
 /// log, `--counters`, `--metrics-dump`) are the same for both.
 fn cmd_serve(args: &[String]) -> Result<(), Failure> {
+    check_serve_flags(args)?;
     let defaults = ServeOpts::default();
     let opts = ServeOpts {
         queue: parsed_flag(args, "--queue", defaults.queue)?,
         default_deadline_ms: optional_flag(args, "--deadline-ms")?,
-        grace_ms: parsed_flag(args, "--grace-ms", defaults.grace_ms)?,
-        breaker_threshold: parsed_flag(args, "--breaker", defaults.breaker_threshold)?,
-        breaker_cooldown: parsed_flag(args, "--cooldown", defaults.breaker_cooldown)?,
         shards: parsed_flag(args, "--shards", defaults.shards)?,
         max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
         slo_p99_ms: optional_flag(args, "--slo-p99-ms")?,
@@ -557,6 +555,32 @@ fn ladder_flag(args: &[String]) -> Result<Option<Vec<aa_core::Tier>>, Failure> {
         .transpose()
 }
 
+/// The flags `serve` takes in both modes.
+const SERVE_FLAGS: [&str; 10] = [
+    "--shards",
+    "--fleet",
+    "--queue",
+    "--deadline-ms",
+    "--max-line-bytes",
+    "--counters",
+    "--metrics-addr",
+    "--metrics-dump",
+    "--slo-p99-ms",
+    "--trace",
+];
+
+/// Refuse a `serve` argument that is not one of its flags (or the
+/// global `--log-format`). Every one of them takes a value, so a flag
+/// sits at every other position.
+fn check_serve_flags(args: &[String]) -> Result<(), Failure> {
+    let known =
+        |a: &str| a == "--log-format" || SERVE_FLAGS.contains(&a) || FLEET_ONLY.contains(&a);
+    match args.iter().step_by(2).find(|a| !known(a)) {
+        Some(arg) => Err(Failure::Usage(format!("serve does not take {arg:?}"))),
+        None => Ok(()),
+    }
+}
+
 /// The flags [`fleet_opts`] reads; without `--fleet` they are usage
 /// errors rather than silently ignored.
 const FLEET_ONLY: [&str; 9] = [
@@ -578,7 +602,6 @@ fn fleet_opts(args: &[String], workers: usize, shared: &ServeOpts) -> Result<Fle
         workers,
         queue: shared.queue,
         default_deadline_ms: shared.default_deadline_ms,
-        grace_ms: shared.grace_ms,
         max_line_bytes: shared.max_line_bytes,
         heartbeat_ms: parsed_flag(args, "--heartbeat-ms", defaults.heartbeat_ms)?,
         heartbeat_miss_limit: parsed_flag(args, "--heartbeat-miss", defaults.heartbeat_miss_limit)?,
@@ -586,8 +609,6 @@ fn fleet_opts(args: &[String], workers: usize, shared: &ServeOpts) -> Result<Fle
         max_restarts: parsed_flag(args, "--max-restarts", defaults.max_restarts)?,
         drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
         max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
-        breaker_threshold: shared.breaker_threshold,
-        breaker_cooldown: shared.breaker_cooldown,
         ladder: ladder_flag(args)?,
         seed: parsed_flag(args, "--seed", defaults.seed)?,
         worker_cmd: flag_value(args, "--worker-cmd")?.map(std::path::PathBuf::from),
@@ -614,8 +635,6 @@ fn cmd_serve_worker(args: &[String]) -> Result<(), Failure> {
     let opts = WorkerOpts {
         index: parsed_flag(args, "--index", defaults.index)?,
         max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
-        breaker_threshold: parsed_flag(args, "--breaker-threshold", defaults.breaker_threshold)?,
-        breaker_cooldown: parsed_flag(args, "--breaker-cooldown", defaults.breaker_cooldown)?,
         ladder: ladder_flag(args)?,
         drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
         trace_spans: args.iter().any(|a| a == "--obs-spans"),

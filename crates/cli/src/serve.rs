@@ -15,17 +15,19 @@
 //!   rejects with `class:"control"`, decodes the envelope (`id`,
 //!   `stream`, `deadline_ms`), and hands the request — its problem
 //!   still the client's raw JSON text — to the mode's `Admission`;
-//! * the **executor** decodes that text once ([`decode_problem`]): a
-//!   shard admission in process, a fleet worker after the text crossed
-//!   the pipe verbatim (its reader thread parses, its solve loop builds
-//!   against the stream's previous threads);
+//! * the **executor** decodes that text once: [`parse_problem`], then
+//!   [`build_request_problem`] against the stream's previous threads
+//!   inside [`aa_core::StreamSolver::answer`]. A shard thread runs both
+//!   halves in its job's build hook; a fleet worker parses on its reader
+//!   thread, once the text has crossed the pipe verbatim;
 //! * the **answer path** (`Answers`) turns every outcome — solved,
 //!   failed with a class, expired in a queue, or shed at the door with
 //!   `{"status":"overloaded","retry_after_ms":…}` — into its response
 //!   line and all of its `aa_serve_*` accounting;
 //! * the **stream solver** ([`aa_core::StreamSolver`]) owns the tiered
 //!   solver and per-stream warm state in each shard thread and each
-//!   fleet worker process.
+//!   fleet worker process, and answers every admitted request: a refused
+//!   parse or build, an expired deadline, or a solve.
 //!
 //! Under `--shards`, admission submits to an [`aa_core::ShardPool`]:
 //! keyed requests route to a fixed shard by consistent hashing (so the
@@ -52,7 +54,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::DEFAULT_SLO_P99_MS;
-use aa_core::shard::{ChaosHook, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool};
+use aa_core::shard::{
+    BuildFn, ChaosHook, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
+};
 use aa_core::tiered::Tier;
 use aa_core::{Problem, SubmitError};
 use aa_utility::DynUtility;
@@ -105,8 +109,8 @@ fn optional_u64(v: Option<&serde::Value>, field: &str) -> Result<Option<u64>, se
 /// Decode one request line's envelope from its [`serde_json::scan`],
 /// leaving the problem as raw text; the request's clock starts here.
 /// Errors are [`ServeRequest`]'s own, in its order, except a problem
-/// that breaks its schema: that surfaces later, from [`decode_problem`],
-/// with the same text.
+/// that breaks its schema: that surfaces later, from [`parse_problem`]
+/// in the executor, with the same text.
 fn envelope(
     line: &str,
     doc: &serde_json::Scan<'_>,
@@ -129,25 +133,17 @@ fn envelope(
     })
 }
 
-/// The one decode of a request's problem from the client's JSON text:
-/// `--shards` admission calls it in process, and a `--fleet` worker
-/// runs it in its two halves, [`parse_problem`] and
-/// [`build_request_problem`], with the same errors. A schema error is
-/// `class:"parse"` (text as [`ServeRequest`] reports it), a failed
-/// build `class:"problem"`.
-pub(crate) fn decode_problem(text: &str) -> Result<Problem, (&'static str, String)> {
-    build_request_problem(&parse_problem(text)?, &[])
-}
-
-/// [`decode_problem`]'s parse alone: a `--fleet` worker's reader thread
-/// runs it on the bytes the front-end forwarded, and its solve loop
-/// builds the result with [`build_request_problem`].
+/// The first half of the one decode of a request's problem from the
+/// client's JSON text; a schema error is `class:"parse"`, its text as
+/// [`ServeRequest`] reports it. A shard thread runs it in its build, a
+/// `--fleet` worker's reader thread on the bytes the front-end forwarded.
 pub(crate) fn parse_problem(text: &str) -> Result<ProblemFile, (&'static str, String)> {
     serde_json::from_str(text).map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))
 }
 
-/// [`decode_problem`]'s build alone, against the stream's `previous`
-/// threads ([`build_problem_from`]).
+/// The second half of the decode: the build against the stream's
+/// `previous` threads ([`build_problem_from`]); a failure is
+/// `class:"problem"`.
 pub(crate) fn build_request_problem(
     file: &ProblemFile,
     previous: &[DynUtility],
@@ -259,13 +255,6 @@ pub struct ServeOpts {
     pub queue: usize,
     /// Deadline for requests that don't carry their own, milliseconds.
     pub default_deadline_ms: Option<u64>,
-    /// Slack added to a deadline before a completed solve counts as a
-    /// miss, milliseconds.
-    pub grace_ms: u64,
-    /// Circuit breaker: consecutive tier failures before it opens.
-    pub breaker_threshold: u32,
-    /// Circuit breaker: requests a tripped tier sits out.
-    pub breaker_cooldown: u64,
     /// Worker shards (crash domains). 1 preserves the classic
     /// single-worker loop, just supervised.
     pub shards: usize,
@@ -285,9 +274,6 @@ impl Default for ServeOpts {
         ServeOpts {
             queue: 16,
             default_deadline_ms: None,
-            grace_ms: 10,
-            breaker_threshold: aa_core::tiered::DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown: aa_core::tiered::DEFAULT_BREAKER_COOLDOWN,
             shards: 1,
             max_line_bytes: 1 << 20,
             slo_p99_ms: None,
@@ -301,9 +287,6 @@ impl std::fmt::Debug for ServeOpts {
         f.debug_struct("ServeOpts")
             .field("queue", &self.queue)
             .field("default_deadline_ms", &self.default_deadline_ms)
-            .field("grace_ms", &self.grace_ms)
-            .field("breaker_threshold", &self.breaker_threshold)
-            .field("breaker_cooldown", &self.breaker_cooldown)
             .field("shards", &self.shards)
             .field("max_line_bytes", &self.max_line_bytes)
             .field("slo_p99_ms", &self.slo_p99_ms)
@@ -492,13 +475,15 @@ impl Serialize for RoutedOk {
     }
 }
 
+/// Slack added to a deadline before a solved request counts as a
+/// deadline miss, milliseconds.
+const GRACE_MS: u64 = 10;
+
 /// The one answer path: writes each request's response line and does
 /// all of its [`ServeMetrics`] accounting.
 pub(crate) struct Answers<'a, W> {
     pub(crate) out: &'a Mutex<W>,
     pub(crate) metrics: &'a ServeMetrics,
-    /// Slack before a solved request counts as a deadline miss, ms.
-    pub(crate) grace_ms: u64,
     /// Admission depth, for the overload retry hint.
     pub(crate) queue: usize,
 }
@@ -523,7 +508,7 @@ impl<W: Write> Answers<'_, W> {
                     h.record_micros(solve_micros.max(1));
                 }
                 #[allow(clippy::cast_precision_loss)]
-                if ticket.deadline_ms.is_some_and(|d| latency_ms > (d + self.grace_ms) as f64) {
+                if ticket.deadline_ms.is_some_and(|d| latency_ms > (d + GRACE_MS) as f64) {
                     m.deadline_misses.inc();
                 }
                 let line =
@@ -546,8 +531,8 @@ impl<W: Write> Answers<'_, W> {
                 m.observe_e2e("deadline", latency_micros);
                 self.write(&ServeResponse::Error { id, class: "deadline".to_string(), error })
             }
-            // A problem refused by `decode_problem` answers like a line
-            // refused at the door: `parse` without its id, `problem`
+            // A problem refused by the executor's decode answers like a
+            // line refused at the door: `parse` without its id, `problem`
             // with it, and neither in the end-to-end latency layer.
             Outcome::Error { class, error } if class == "parse" => {
                 self.reject(serde_json::Value::Null, &class, error)
@@ -561,9 +546,9 @@ impl<W: Write> Answers<'_, W> {
     }
 
     /// Answer an error by class. Lines refused at the door (parse and
-    /// control errors) come here directly, problems refused by
-    /// [`decode_problem`] through [`Answers::send`]: counted, but
-    /// outside the end-to-end latency layer.
+    /// control errors) come here directly, problems the executor refused
+    /// through [`Answers::send`]: counted, but outside the end-to-end
+    /// latency layer.
     pub(crate) fn reject(&self, id: serde_json::Value, class: &str, error: String) -> std::io::Result<()> {
         let m = self.metrics;
         match class {
@@ -591,9 +576,8 @@ impl<W: Write> Answers<'_, W> {
 
 /// A serving mode's half of the ingress loop.
 pub(crate) trait Admission {
-    /// Route one request to the executor, which decodes its problem
-    /// with [`decode_problem`]. `Ok(false)` stops reading (the executor
-    /// is gone).
+    /// Route one request to the executor, which decodes its problem.
+    /// `Ok(false)` stops reading (the executor is gone).
     fn admit(&mut self, req: Admit) -> std::io::Result<bool>;
 
     /// Act on a `{"control":…}` line. `Err(why)` answers it with
@@ -684,8 +668,7 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
 ) -> Result<ServeCounters, CliError> {
     let out = Mutex::new(output);
     let metrics = ServeMetrics::new(registry, opts.slo_p99_ms);
-    let answers =
-        Answers { out: &out, metrics: &metrics, grace_ms: opts.grace_ms, queue: opts.queue };
+    let answers = Answers { out: &out, metrics: &metrics, queue: opts.queue };
     // Exactly-once at the serve layer: every ticket is inserted before
     // submit and removed by exactly one completion.
     let pending: Mutex<HashMap<u64, Ticket>> = Mutex::new(HashMap::new());
@@ -695,8 +678,6 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
             shards: opts.shards.max(1),
             queue: opts.queue.max(1),
             cold_queue: opts.queue.max(1),
-            breaker_threshold: opts.breaker_threshold,
-            breaker_cooldown: opts.breaker_cooldown,
             chaos: opts.chaos.clone(),
             ..ShardConfig::default()
         },
@@ -745,8 +726,8 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
     Ok(metrics.snapshot())
 }
 
-/// `--shards` admission: submit to the pool, answering rejected submits
-/// on the spot.
+/// `--shards` admission: submit the client's problem text to the pool,
+/// answering rejected submits on the spot. The shard decodes it.
 struct PoolAdmission<'a, W> {
     pool: &'a ShardPool,
     pending: &'a Mutex<HashMap<u64, Ticket>>,
@@ -756,20 +737,13 @@ struct PoolAdmission<'a, W> {
 
 impl<W: Write> Admission for PoolAdmission<'_, W> {
     fn admit(&mut self, req: Admit) -> std::io::Result<bool> {
-        let problem = match decode_problem(&req.problem) {
-            Ok(problem) => problem,
-            Err((class, error)) => {
-                self.answers.send(req.ticket, Outcome::error(class, error))?;
-                return Ok(true);
-            }
-        };
-        // A shard request's clock starts once its problem is built, so
-        // an in-process decode is never charged to its deadline.
-        let t = Ticket { arrived: Instant::now(), ..req.ticket };
+        let (t, text) = (req.ticket, req.problem);
         let seq = self.seq;
         self.seq += 1;
+        let build: BuildFn =
+            Arc::new(move |previous| build_request_problem(&parse_problem(&text)?, previous));
         let (stream, deadline, arrived) = (req.stream, t.deadline(), t.arrived);
-        let job = ShardJob { seq, stream, problem, deadline, arrived };
+        let job = ShardJob { seq, stream, build, deadline, arrived };
         // Insert before submit: a fast shard may complete before this
         // thread runs again, and the writer must find the entry.
         let ticket = Ticket { id: t.id.clone(), ..t };

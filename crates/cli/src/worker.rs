@@ -10,14 +10,17 @@
 //!   pings immediately (even mid-solve), and parses each request's
 //!   problem — the client's JSON text, forwarded verbatim — with
 //!   [`parse_problem`] before queueing it; a problem that fails its
-//!   parse is queued as that failure and answered `class:"parse"`;
-//! * the **solve loop** pops requests FIFO, builds each problem against
-//!   its stream's previous threads ([`build_request_problem`]: an
-//!   unchanged curve keeps last request's object, so the warm solve
-//!   skips it; a failed build answers `class:"problem"`) and solves it
-//!   through the stream solver: budget from worker arrival time (queue
-//!   wait counts, the parse and the build do not), `catch_unwind`
-//!   boundary, per-stream warm state with FIFO eviction;
+//!   parse is queued as that failure;
+//! * the **solve loop** pops requests FIFO and answers each through
+//!   [`StreamSolver::answer`], the entry a shard thread calls too: it
+//!   builds the problem against its stream's previous threads
+//!   ([`build_request_problem`]: an unchanged curve keeps last request's
+//!   object, so the warm solve skips it), answers a failed parse or
+//!   build with its class (`parse`, `problem`), and solves the rest with
+//!   the budget counted from worker arrival (queue wait counts, the parse
+//!   and the build do not) behind a `catch_unwind` boundary, on
+//!   per-stream warm state with FIFO eviction. The loop itself only
+//!   packs the outcome into its [`WorkerResult`];
 //! * on stdin **EOF** the worker drains: it keeps solving what it
 //!   already holds for up to `drain_timeout_ms`, answers the remainder
 //!   with retryable `class:"shutdown"` errors, and exits 0.
@@ -59,10 +62,6 @@ pub struct WorkerOpts {
     pub index: usize,
     /// Warm-stream cap (FIFO eviction beyond it).
     pub max_streams: usize,
-    /// Circuit breaker: consecutive tier failures before it opens.
-    pub breaker_threshold: u32,
-    /// Circuit breaker: requests a tripped tier sits out.
-    pub breaker_cooldown: u64,
     /// Solver ladder override; `None` is the full default ladder.
     pub ladder: Option<Vec<Tier>>,
     /// Post-EOF drain budget in milliseconds.
@@ -82,8 +81,6 @@ impl Default for WorkerOpts {
         WorkerOpts {
             index: 0,
             max_streams: 1024,
-            breaker_threshold: aa_core::tiered::DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown: aa_core::tiered::DEFAULT_BREAKER_COOLDOWN,
             ladder: None,
             drain_timeout_ms: aa_core::fleet::DEFAULT_DRAIN_TIMEOUT_MS,
             chaos: None,
@@ -239,12 +236,7 @@ fn solve_loop<W: Write>(
     opts: &WorkerOpts,
     epoch: Instant,
 ) -> std::io::Result<()> {
-    let mut streams = StreamSolver::new(
-        opts.ladder.clone(),
-        opts.breaker_threshold,
-        opts.breaker_cooldown,
-        opts.max_streams,
-    );
+    let mut streams = StreamSolver::new(opts.ladder.clone(), opts.max_streams);
     let mut solve_seq = 0u64;
     let mut obs = WorkerObsState::new(opts.trace_spans);
 
@@ -440,20 +432,12 @@ fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> Wo
     let err = |class: &str, error: String, solve_micros: u64, queue_expired: bool| {
         WorkerResult::Err { class: class.to_string(), error, solve_micros, queue_expired }
     };
-    let building = Instant::now();
-    let problem = match &req.problem {
-        Ok(file) => build_request_problem(file, streams.previous_threads(req.stream)),
+    let build = |previous: &_| match &req.problem {
+        Ok(file) => build_request_problem(file, previous),
         Err(refused) => Err(refused.clone()),
     };
-    let problem = match problem {
-        Ok(p) => p,
-        Err((class, error)) => return err(class, error, 0, false),
-    };
-    // The build is not charged to the budget: the deadline moves out
-    // by its duration.
-    let started = Instant::now();
-    let deadline = req.deadline.map(|d| d + (started - building));
-    match streams.solve(req.stream, &problem, deadline, started, None) {
+    let (outcome, solve_micros) = streams.answer(req.stream, build, req.deadline, None);
+    match outcome {
         Ok(solved) => {
             shared.solves.fetch_add(1, Ordering::AcqRel);
             WorkerResult::Ok {
@@ -462,7 +446,7 @@ fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> Wo
                 utility: solved.utility,
                 server: solved.assignment.server,
                 allocation: solved.assignment.amount,
-                solve_micros: started.elapsed().as_micros() as u64,
+                solve_micros,
             }
         }
         Err(ShardError::Expired) => {
@@ -472,7 +456,7 @@ fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> Wo
             if matches!(e, ShardError::Solve(SolveError::Panicked(_))) {
                 shared.solve_panics.fetch_add(1, Ordering::AcqRel);
             }
-            err(e.class(), e.to_string(), started.elapsed().as_micros() as u64, false)
+            err(e.class(), e.to_string(), solve_micros, false)
         }
     }
 }

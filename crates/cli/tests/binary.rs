@@ -243,6 +243,27 @@ fn serve_rejects_fleet_only_flags_without_fleet() {
 }
 
 #[test]
+fn serve_refuses_flags_it_does_not_take() {
+    // The grace window and the tier breaker are constants; their old
+    // flags (and typos of real ones) must not be ignored silently.
+    for flag in ["--grace-ms", "--breaker", "--cooldown", "--queues"] {
+        for mode in [&["--shards", "2"][..], &["--fleet", "1"]] {
+            let out = bin()
+                .arg("serve")
+                .args(mode)
+                .args([flag, "5"])
+                .stdin(std::process::Stdio::null())
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{mode:?} {flag}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(flag), "{mode:?} {flag}: {stderr}");
+            assert!(out.stdout.is_empty(), "{mode:?} {flag}: answered anyway");
+        }
+    }
+}
+
+#[test]
 fn pretty_flag_pretty_prints() {
     let out = bin()
         .args(["generate", "--servers", "2", "--beta", "1", "--capacity", "5", "--pretty"])

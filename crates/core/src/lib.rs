@@ -73,7 +73,7 @@ pub use price::{PriceStats, PriceWarmState};
 pub use problem::{Assignment, AssignmentError, Problem, ProblemBuilder, ProblemError};
 pub use ring::Ring;
 pub use shard::{
-    ChaosHook, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
+    BuildFn, ChaosHook, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
     StreamSolver, SubmitError,
 };
 pub use solver::{batch_seed, solve_batch, try_solve_batch, Algorithm, SolveError, Solver};

@@ -8,6 +8,13 @@
 //! while key-less "cold" requests land on a shared steal queue that any
 //! idle shard drains.
 //!
+//! A job carries its problem as a build hook ([`BuildFn`]), not a built
+//! [`Problem`]: the shard answers it through [`StreamSolver::answer`], the
+//! one request entry a fleet worker calls too. It builds the problem
+//! against the stream's previous thread objects (an unchanged curve keeps
+//! its object, so the warm solve skips it), answers a refused build with
+//! [`ShardError::Refused`], and does not charge the build to the deadline.
+//!
 //! Crash isolation is layered:
 //!
 //! 1. Every solve runs behind a `catch_unwind` boundary
@@ -59,6 +66,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aa_obs::{Counter, Gauge, Registry};
+use aa_utility::DynUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,6 +103,13 @@ pub type ChaosHook = Arc<dyn Fn(usize, u64) -> FaultAction + Send + Sync>;
 /// Callback invoked with every completion. Must not panic.
 pub type CompletionFn = Arc<dyn Fn(ShardCompletion) + Send + Sync>;
 
+/// A request's problem, built by its executor: called with the thread
+/// objects the stream's last warm solve was given (empty for a new
+/// stream), it returns the problem, or the answer class and text the
+/// request is refused with.
+pub type BuildFn =
+    Arc<dyn Fn(&[DynUtility]) -> Result<Problem, (&'static str, String)> + Send + Sync>;
+
 /// Configuration for a [`ShardPool`].
 #[derive(Clone)]
 pub struct ShardConfig {
@@ -115,11 +130,6 @@ pub struct ShardConfig {
     /// shard is retired. `K` restarts are allowed; the `K+1`-th crash
     /// retires it.
     pub max_restarts: u32,
-    /// Consecutive-failure threshold for each worker's tier breaker
-    /// (see [`TieredSolver::breaker`]).
-    pub breaker_threshold: u32,
-    /// Cooldown (in requests) for each worker's tier breaker.
-    pub breaker_cooldown: u64,
     /// Seed for restart jitter; each shard draws from its own RNG, seeded
     /// from this value and the shard index.
     pub seed: u64,
@@ -141,8 +151,6 @@ impl Default for ShardConfig {
             backoff_base: Duration::from_millis(5),
             backoff_max: Duration::from_millis(200),
             max_restarts: 8,
-            breaker_threshold: 3,
-            breaker_cooldown: 64,
             seed: 2016,
             ladder: None,
             chaos: None,
@@ -160,8 +168,6 @@ impl std::fmt::Debug for ShardConfig {
             .field("backoff_base", &self.backoff_base)
             .field("backoff_max", &self.backoff_max)
             .field("max_restarts", &self.max_restarts)
-            .field("breaker_threshold", &self.breaker_threshold)
-            .field("breaker_cooldown", &self.breaker_cooldown)
             .field("seed", &self.seed)
             .field("ladder", &self.ladder)
             .field("chaos", &self.chaos.is_some())
@@ -170,14 +176,14 @@ impl std::fmt::Debug for ShardConfig {
 }
 
 /// One admitted solve request.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ShardJob {
     /// Caller-assigned sequence number, echoed in the completion.
     pub seq: u64,
     /// Stream id for warm-state locality; `None` goes to the cold queue.
     pub stream: Option<u64>,
-    /// The problem to solve.
-    pub problem: Problem,
+    /// Builds the problem to solve, on the shard.
+    pub build: BuildFn,
     /// Absolute deadline; expired jobs complete with [`ShardError::Expired`].
     pub deadline: Option<Instant>,
     /// When the job was admitted (set by [`ShardJob::new`]).
@@ -185,15 +191,25 @@ pub struct ShardJob {
 }
 
 impl ShardJob {
-    /// Build a job stamped with the current time.
+    /// A job for an already built `problem` (its build ignores the
+    /// stream's previous threads), stamped with the current time.
     pub fn new(seq: u64, stream: Option<u64>, problem: Problem, deadline: Option<Instant>) -> Self {
-        ShardJob { seq, stream, problem, deadline, arrived: Instant::now() }
+        let build: BuildFn = Arc::new(move |_| Ok(problem.clone()));
+        ShardJob { seq, stream, build, deadline, arrived: Instant::now() }
     }
 }
 
 /// Why a job completed without an answer.
 #[derive(Debug)]
 pub enum ShardError {
+    /// The request's problem was refused before any solve: its build
+    /// answered this class and text.
+    Refused {
+        /// The stable wire class (`parse`, `problem`).
+        class: &'static str,
+        /// Human-readable detail.
+        error: String,
+    },
     /// The solve itself failed (including [`SolveError::Panicked`] from
     /// a contained solver panic).
     Solve(SolveError),
@@ -210,6 +226,7 @@ pub enum ShardError {
 impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ShardError::Refused { error, .. } => f.write_str(error),
             ShardError::Solve(e) => write!(f, "{e}"),
             ShardError::Expired => write!(f, "deadline expired before the solve started"),
             ShardError::Crashed => write!(f, "worker shard crashed mid-request"),
@@ -222,9 +239,10 @@ impl std::error::Error for ShardError {}
 
 impl ShardError {
     /// The stable wire class a serve answer carries for this error — the
-    /// one `SolveError` → class map both serving modes use.
+    /// one outcome → class map both serving modes use.
     pub fn class(&self) -> &'static str {
         match self {
+            ShardError::Refused { class, .. } => class,
             ShardError::Solve(SolveError::Panicked(_)) | ShardError::Crashed => "solve_panic",
             ShardError::Solve(SolveError::DeadlineExceeded | SolveError::Cancelled)
             | ShardError::Expired => "deadline",
@@ -246,35 +264,51 @@ pub struct StreamSolver {
 }
 
 impl StreamSolver {
-    /// A fresh solver over `ladder` (`None`: the full default ladder)
-    /// with the given tier-breaker settings and warm-stream cap.
-    pub fn new(
-        ladder: Option<Vec<crate::tiered::Tier>>,
-        breaker_threshold: u32,
-        breaker_cooldown: u64,
-        max_streams: usize,
-    ) -> Self {
+    /// A fresh solver over `ladder` (`None`: the full default ladder),
+    /// with the tier breaker's defaults, keeping at most `max_streams`
+    /// warm streams.
+    pub fn new(ladder: Option<Vec<crate::tiered::Tier>>, max_streams: usize) -> Self {
         let solver = match ladder {
             Some(ladder) => TieredSolver::with_ladder(ladder),
             None => TieredSolver::new(),
-        }
-        .breaker(breaker_threshold, breaker_cooldown);
+        };
         StreamSolver { solver, warm: HashMap::new(), order: VecDeque::new(), max_streams }
     }
 
-    /// The thread objects `stream`'s last warm solve was given
-    /// ([`WarmState::previous_threads`]); empty for a stream with no
-    /// warm state.
-    pub fn previous_threads(&self, stream: Option<u64>) -> &[aa_utility::DynUtility] {
-        self.warm.get(&stream).map_or(&[], WarmState::previous_threads)
+    /// Answer one request on `stream` — the entry a shard thread and a
+    /// fleet worker both call. `build` gets the thread objects the
+    /// stream's last warm solve was given ([`WarmState::previous_threads`];
+    /// empty for a new stream); a refusal answers [`ShardError::Refused`]
+    /// whatever the deadline. The build is not charged to the deadline,
+    /// which moves out by the build's duration; then the problem is
+    /// solved as [`Self::solve`] does. Returns the outcome and the
+    /// microseconds the solve alone took (0 when refused).
+    pub fn answer(
+        &mut self,
+        stream: Option<u64>,
+        build: impl FnOnce(&[DynUtility]) -> Result<Problem, (&'static str, String)>,
+        deadline: Option<Instant>,
+        inject_panic: Option<String>,
+    ) -> (Result<TieredSolve, ShardError>, u64) {
+        let building = Instant::now();
+        let previous = self.warm.get(&stream).map_or(&[][..], WarmState::previous_threads);
+        let problem = match build(previous) {
+            Ok(problem) => problem,
+            Err((class, error)) => return (Err(ShardError::Refused { class, error }), 0),
+        };
+        let started = Instant::now();
+        let deadline = deadline.map(|d| d + (started - building));
+        let outcome = self.solve(stream, &problem, deadline, started, inject_panic);
+        (outcome, started.elapsed().as_micros() as u64)
     }
 
-    /// Solve one request on `stream`'s warm state, behind the tiered
-    /// solver's `catch_unwind` boundary. A `deadline` already past at
-    /// `started` answers [`ShardError::Expired`] without solving; a live
-    /// one becomes the solve's budget. `inject_panic` (chaos only) panics
-    /// with that message inside the caught region instead of solving.
-    pub fn solve(
+    /// Solve one built problem on `stream`'s warm state, behind the
+    /// tiered solver's `catch_unwind` boundary. A `deadline` already past
+    /// at `started` answers [`ShardError::Expired`] without solving; a
+    /// live one becomes the solve's budget. `inject_panic` (chaos only)
+    /// panics with that message inside the caught region instead of
+    /// solving.
+    fn solve(
         &mut self,
         stream: Option<u64>,
         problem: &Problem,
@@ -353,7 +387,8 @@ pub struct ShardCompletion {
     pub stolen: bool,
     /// Microseconds spent queued before the solve started.
     pub waited_micros: u64,
-    /// Microseconds spent solving (0 for crashed and drained jobs).
+    /// Microseconds spent solving, the build excluded (0 for refused,
+    /// crashed and drained jobs).
     pub solve_micros: u64,
     /// The solve result.
     pub outcome: Result<TieredSolve, ShardError>,
@@ -719,12 +754,7 @@ fn incarnation(
     solve_seq: &mut u64,
 ) {
     let cfg = &inner.cfg;
-    let mut streams = StreamSolver::new(
-        cfg.ladder.clone(),
-        cfg.breaker_threshold,
-        cfg.breaker_cooldown,
-        cfg.max_streams,
-    );
+    let mut streams = StreamSolver::new(cfg.ladder.clone(), cfg.max_streams);
     while let Some((job, stolen)) = inner.next_job(me) {
         *inflight = Some(InflightMeta::of(&job, stolen));
         *solve_seq += 1;
@@ -744,9 +774,9 @@ fn incarnation(
         if stolen {
             me.metrics.stolen.inc();
         }
-        let started = Instant::now();
-        let waited = started.duration_since(job.arrived);
-        let outcome = streams.solve(job.stream, &job.problem, job.deadline, started, inject_panic);
+        let waited = job.arrived.elapsed();
+        let (outcome, solve_micros) =
+            streams.answer(job.stream, &*job.build, job.deadline, inject_panic);
         match &outcome {
             Ok(_) => me.metrics.solves.inc(),
             Err(ShardError::Expired) => me.metrics.expired.inc(),
@@ -759,7 +789,7 @@ fn incarnation(
             shard: me.index,
             stolen,
             waited_micros: waited.as_micros() as u64,
-            solve_micros: started.elapsed().as_micros() as u64,
+            solve_micros,
             outcome,
         });
         *inflight = None;
@@ -853,7 +883,7 @@ mod tests {
         use crate::incremental::SolveMode;
         use crate::tiered::Tier;
 
-        let mut streams = StreamSolver::new(Some(vec![Tier::Algo2, Tier::Uu]), 3, 64, 2);
+        let mut streams = StreamSolver::new(Some(vec![Tier::Algo2, Tier::Uu]), 2);
         let problems: Vec<Problem> = (0..3).map(|k| mixed_problem(2, 6, k)).collect();
         let solve = |streams: &mut StreamSolver, s: u64| {
             let solved = streams
@@ -1191,5 +1221,126 @@ mod tests {
                 (0..8).map(|s| (s, if s < 2 { "Crashed" } else { "Drained" }.into())).collect();
             assert_eq!(answers(&sink), expected);
         });
+    }
+
+    /// A one-shard pool over the `[Algo2, Uu]` ladder.
+    fn algo2_pool(registry: &Registry, sink: &Arc<Collected>) -> ShardPool {
+        use crate::tiered::Tier;
+        let cfg = ShardConfig {
+            queue: 8,
+            ladder: Some(vec![Tier::Algo2, Tier::Uu]),
+            ..ShardConfig::default()
+        };
+        ShardPool::new(cfg, registry, sink.hook())
+    }
+
+    /// A job answered through `build`, stamped with the current time.
+    fn hooked(
+        seq: u64,
+        stream: Option<u64>,
+        build: &BuildFn,
+        deadline: Option<Instant>,
+    ) -> ShardJob {
+        ShardJob { seq, stream, build: Arc::clone(build), deadline, arrived: Instant::now() }
+    }
+
+    /// Submit `job` and wait for its completion.
+    fn answer_one(pool: &ShardPool, sink: &Collected, job: ShardJob) -> ShardCompletion {
+        pool.submit(job).expect("an idle shard admits");
+        assert!(wait_until(Duration::from_secs(10), || sink.len() == 1));
+        sink.take().pop().expect("one completion")
+    }
+
+    #[test]
+    fn a_streams_second_request_builds_on_its_first_threads_and_rides_the_identical_path() {
+        use aa_utility::UtilitySpec;
+
+        let specs: Vec<UtilitySpec> = (0..8)
+            .map(|i| match i % 2 {
+                0 => UtilitySpec::Power { scale: 1.0 + i as f64, beta: 0.5, cap: 12.0 },
+                _ => UtilitySpec::Log { scale: 1.0 + i as f64, rate: 0.8, cap: 12.0 },
+            })
+            .collect();
+        let built: Arc<Mutex<Vec<Vec<DynUtility>>>> = Arc::default();
+        let (hook_specs, hook_built) = (specs.clone(), Arc::clone(&built));
+        let build: BuildFn = Arc::new(move |previous| {
+            let threads = hook_specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| spec.build_reusing(previous.get(i)))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| ("problem", e.to_string()))?;
+            hook_built.lock().unwrap().push(threads.clone());
+            Problem::new(2, 12.0, threads).map_err(|e| ("problem", e.to_string()))
+        });
+        let cold =
+            Problem::new(2, 12.0, specs.iter().map(|s| s.build().unwrap()).collect()).unwrap();
+        let expected = crate::algo2::solve(&cold);
+
+        let collector = aa_obs::Collector::install();
+        collector.set_enabled(true);
+        let identical = aa_obs::global().counter("aa_incremental_identical_total");
+        let registry = Registry::new();
+        let sink = Collected::new();
+        let pool = algo2_pool(&registry, &sink);
+        let first = answer_one(&pool, &sink, hooked(0, Some(5), &build, None));
+        let before = identical.get();
+        let second = answer_one(&pool, &sink, hooked(1, Some(5), &build, None));
+        let after = identical.get();
+        collector.set_enabled(false);
+        pool.shutdown();
+
+        let built = built.lock().unwrap();
+        assert_eq!(built.len(), 2);
+        assert!(
+            built[0].iter().zip(&built[1]).all(|(a, b)| Arc::ptr_eq(a, b)),
+            "the second build did not get the first request's thread objects"
+        );
+        assert!(after > before, "the repeat did not take the identical path");
+        for c in [first, second] {
+            let solved = c.outcome.expect("healthy solve");
+            assert_eq!(solved.assignment.server, expected.server);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&solved.assignment.amount), bits(&expected.amount));
+            assert_eq!(solved.utility.to_bits(), expected.total_utility(&cold).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_refused_build_is_answered_once_and_the_shard_keeps_serving() {
+        let registry = Registry::new();
+        let sink = Collected::new();
+        let pool = algo2_pool(&registry, &sink);
+        let refuse: BuildFn = Arc::new(|_| Err(("parse", "no problem here".to_string())));
+        pool.submit(hooked(0, Some(3), &refuse, None)).unwrap();
+        pool.submit(ShardJob::new(1, Some(3), mixed_problem(2, 5, 0), None)).unwrap();
+        assert!(wait_until(Duration::from_secs(10), || sink.len() == 2));
+        pool.shutdown();
+        let mut completions = sink.take();
+        completions.sort_by_key(|c| c.seq);
+        assert_eq!(completions.len(), 2, "each job is answered exactly once");
+        match &completions[0].outcome {
+            Err(e @ ShardError::Refused { .. }) => {
+                assert_eq!((e.class(), e.to_string()), ("parse", "no problem here".to_string()));
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(completions[0].solve_micros, 0);
+        assert!(completions[1].outcome.is_ok(), "{:?}", completions[1].outcome);
+    }
+
+    #[test]
+    fn a_slow_build_is_not_charged_to_the_deadline() {
+        let registry = Registry::new();
+        let sink = Collected::new();
+        let pool = algo2_pool(&registry, &sink);
+        let budget = Duration::from_millis(200);
+        let slow: BuildFn = Arc::new(move |_| {
+            std::thread::sleep(2 * budget);
+            Ok(mixed_problem(2, 5, 0))
+        });
+        let c = answer_one(&pool, &sink, hooked(0, None, &slow, Some(Instant::now() + budget)));
+        pool.shutdown();
+        assert!(c.outcome.is_ok(), "{:?}", c.outcome);
     }
 }

@@ -70,12 +70,14 @@ fn parse_args() -> Result<Opts, String> {
     Ok(Opts { command, trials, seed, out })
 }
 
-fn run_figure(fig: figures::Figure, out: &Path) {
+/// Print the figure's table, then write its CSV and JSON under `out`;
+/// the error names the files that could not be written.
+fn run_figure(fig: figures::Figure, out: &Path) -> Result<(), String> {
     print!("{}", report::to_table(&fig));
-    match report::write_files(&fig, out) {
-        Ok(()) => println!("  → {}/{}.csv, .json\n", out.display(), fig.id),
-        Err(e) => eprintln!("  (could not write files: {e})\n"),
-    }
+    let files = format!("{}/{}.csv, .json", out.display(), fig.id);
+    report::write_files(&fig, out).map_err(|e| format!("could not write {files}: {e}"))?;
+    println!("  → {files}\n");
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -109,7 +111,10 @@ fn main() -> ExitCode {
     ];
     for (name, f) in single {
         if command == *name || run_all || command == "figures" {
-            run_figure(f(trials, seed), &out);
+            if let Err(e) = run_figure(f(trials, seed), &out) {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
             matched = true;
         }
     }

@@ -37,6 +37,24 @@ fn all_writes_every_figure() {
 }
 
 #[test]
+fn unwritable_out_dir_exits_1_and_names_the_path() {
+    // A directory under a regular file cannot be created (ENOTDIR).
+    let blocker = out_dir("blocker");
+    std::fs::write(&blocker, "not a directory").unwrap();
+    let out = blocker.join("sub");
+    let run = experiments()
+        .args(["fig1a", "--trials", "1", "--out"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&blocker);
+    assert_eq!(run.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&run.stdout).contains("fig1a"), "the table still prints");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains(&out.display().to_string()), "{stderr}");
+}
+
+#[test]
 fn unknown_command_exits_1() {
     let out = out_dir("unknown");
     let run = experiments().args(["fig9z", "--out"]).arg(&out).output().unwrap();

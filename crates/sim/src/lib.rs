@@ -24,8 +24,6 @@
 //!   capacity, revenue accounting for an assignment;
 //! * [`controller`] — an epoch-driven online repartitioning controller
 //!   (the §VIII "online measurements" sketch, executable);
-//! * [`perf`] — a first-order IPC model turning miss ratios into
-//!   performance, for IPC-objective partitioning;
 //! * [`chaos`] — seeded kill/stall/panic storms against the shard pool,
 //!   asserting liveness, exactly-once completion, and post-restart
 //!   warm-latency recovery.
@@ -40,7 +38,6 @@ pub mod faults;
 pub mod hosting;
 pub mod mrc;
 pub mod multicore;
-pub mod perf;
 pub mod trace;
 
 pub use chaos::{

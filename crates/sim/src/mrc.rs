@@ -38,20 +38,6 @@ impl MissRatioCurve {
     pub fn hit_ratio(&self, lines: usize) -> f64 {
         1.0 - self.miss_ratio(lines)
     }
-
-    /// Hit-ratio samples at `0, step, 2·step, …, max_lines` lines, as
-    /// `(lines, hit_ratio)` points — ready for
-    /// [`concave_envelope`](aa_utility::concave_envelope).
-    pub fn hit_curve(&self, max_lines: usize, step: usize) -> Vec<(f64, f64)> {
-        assert!(step > 0, "step must be positive");
-        let mut pts = Vec::new();
-        let mut k = 0;
-        while k <= max_lines {
-            pts.push((k as f64, self.hit_ratio(k)));
-            k += step;
-        }
-        pts
-    }
 }
 
 /// Compute the stack-distance hit histogram of a trace.
@@ -141,20 +127,6 @@ mod tests {
             let m = mrc.miss_ratio(k);
             assert!(m <= prev + 1e-12, "miss ratio rose at size {k}");
             prev = m;
-        }
-    }
-
-    #[test]
-    fn hit_curve_points_shape() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let t = TraceSpec::Zipf { lines: 32, s: 1.0 }.generate(2000, &mut rng);
-        let mrc = stack_distances(&t);
-        let pts = mrc.hit_curve(32, 4);
-        assert_eq!(pts.len(), 9);
-        assert_eq!(pts[0], (0.0, 0.0));
-        // Nondecreasing.
-        for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-12);
         }
     }
 

@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use crate::cache::simulate_partitioned;
 use crate::mrc::stack_distances;
-use crate::perf::PerfModel;
 use crate::trace::Trace;
 
 /// A machine with `cores` cores, each owning a shared cache of
@@ -131,93 +130,6 @@ impl Multicore {
             }
         }
         total
-    }
-
-    /// Build the AA problem with an *IPC* objective instead of hit
-    /// counts: thread `i`'s utility is its modeled IPC gain over running
-    /// cache-less, per [`PerfModel`], concavified with the upper concave
-    /// envelope. Looping workloads (IPC cliffs) are where this differs
-    /// most from the raw curve.
-    pub fn build_problem_ipc(&self, traces: &[Trace], model: &PerfModel) -> Problem {
-        assert!(!traces.is_empty(), "need at least one thread");
-        let utilities: Vec<DynUtility> = traces
-            .iter()
-            .map(|t| {
-                let mrc = stack_distances(t);
-                let mut pts =
-                    model.ipc_utility_points(&mrc, self.ways_per_cache, self.lines_per_way);
-                let base = pts[0].1;
-                for p in &mut pts {
-                    p.1 -= base;
-                }
-                Arc::new(
-                    concave_envelope(&pts).expect("IPC curves are valid envelope input"),
-                ) as DynUtility
-            })
-            .collect();
-        Problem::new(self.cores, self.ways_per_cache as f64, utilities)
-            .expect("machine parameters are positive")
-    }
-
-    /// Measure aggregate modeled IPC of a concrete partition: simulate
-    /// the partitioned caches, then apply [`PerfModel`] to each thread's
-    /// *measured* miss ratio.
-    pub fn measure_ipc(
-        &self,
-        traces: &[Trace],
-        core: &[usize],
-        ways: &[usize],
-        model: &PerfModel,
-    ) -> f64 {
-        let mut total = 0.0;
-        for c in 0..self.cores {
-            let members: Vec<usize> = (0..traces.len()).filter(|&i| core[i] == c).collect();
-            if members.is_empty() {
-                continue;
-            }
-            let group: Vec<&Trace> = members.iter().map(|&i| &traces[i]).collect();
-            let group_ways: Vec<usize> = members.iter().map(|&i| ways[i]).collect();
-            let sims = simulate_partitioned(&group, &group_ways, self.lines_per_way);
-            for sim in &sims {
-                total += model.ipc(sim.miss_ratio());
-            }
-        }
-        total
-    }
-
-    /// Full pipeline with the IPC objective: profile → model → solve →
-    /// round → simulate → report aggregate IPC.
-    pub fn evaluate_ipc<S: Solver + ?Sized>(
-        &self,
-        traces: &[Trace],
-        solver: &S,
-        model: &PerfModel,
-    ) -> PartitionOutcome {
-        let problem = self.build_problem_ipc(traces, model);
-        let assignment = solver.solve(&problem);
-        assignment
-            .validate(&problem)
-            .expect("solver produced infeasible assignment");
-        let ways = self.round_ways(&problem, &assignment);
-        let rounded = Assignment {
-            server: assignment.server.clone(),
-            amount: ways.iter().map(|&w| w as f64).collect(),
-        };
-        // Predicted utility is the *gain*; add back each thread's
-        // cache-less IPC so predicted and measured share units.
-        let baseline: f64 = traces
-            .iter()
-            .map(|t| {
-                let mrc = stack_distances(t);
-                model.ipc(mrc.miss_ratio(0))
-            })
-            .sum();
-        PartitionOutcome {
-            core: assignment.server.clone(),
-            predicted: rounded.total_utility(&problem) + baseline,
-            measured: self.measure_ipc(traces, &assignment.server, &ways, model),
-            ways,
-        }
     }
 
     /// Full pipeline with a given solver.
@@ -358,85 +270,5 @@ mod tests {
         let s: Box<dyn Solver> = Box::new(Algo2);
         let out = m.evaluate(&traces, s.as_ref());
         assert!(out.measured > 0.0);
-    }
-}
-
-#[cfg(test)]
-mod ipc_tests {
-    use super::*;
-    use aa_core::solver::{Algo2, Rr};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    use crate::trace::TraceSpec;
-
-    fn machine() -> Multicore {
-        Multicore { cores: 2, ways_per_cache: 8, lines_per_way: 8 }
-    }
-
-    fn traces(seed: u64) -> Vec<Trace> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        vec![
-            TraceSpec::Zipf { lines: 48, s: 1.1 }.generate(4000, &mut rng),
-            TraceSpec::Looping { lines: 24 }.generate(4000, &mut rng),
-            TraceSpec::Looping { lines: 56 }.generate(4000, &mut rng),
-            TraceSpec::Streaming.generate(4000, &mut rng),
-            TraceSpec::Zipf { lines: 90, s: 0.9 }.generate(4000, &mut rng),
-        ]
-    }
-
-    #[test]
-    fn ipc_pipeline_runs_and_bounds_hold() {
-        let m = machine();
-        let model = PerfModel::default();
-        let out = m.evaluate_ipc(&traces(1), &Algo2, &model);
-        assert!(out.measured > 0.0);
-        // Envelope optimism: measured ≤ predicted.
-        assert!(out.measured <= out.predicted + 1e-9);
-        // Aggregate IPC can't exceed cores' worth of peak... per-thread
-        // peak actually, since threads time-share: bound by n·peak.
-        assert!(out.measured <= 5.0 * model.ipc_peak() + 1e-9);
-    }
-
-    #[test]
-    fn ipc_objective_beats_random_partitioning() {
-        let m = machine();
-        let model = PerfModel::default();
-        let smart = m.evaluate_ipc(&traces(2), &Algo2, &model);
-        let dumb = m.evaluate_ipc(&traces(2), &Rr, &model);
-        assert!(
-            smart.measured >= dumb.measured - 1e-9,
-            "algo2 {} < rr {}",
-            smart.measured,
-            dumb.measured
-        );
-    }
-
-    #[test]
-    fn ipc_and_hit_objectives_may_partition_differently() {
-        // Not asserting inequality of partitions (they can coincide), but
-        // both must be feasible and internally consistent.
-        let m = machine();
-        let model = PerfModel::default();
-        let ts = traces(3);
-        let hit = m.evaluate(&ts, &Algo2);
-        let ipc = m.evaluate_ipc(&ts, &Algo2, &model);
-        for out in [&hit, &ipc] {
-            let mut per_core = vec![0usize; m.cores];
-            for (c, w) in out.core.iter().zip(&out.ways) {
-                per_core[*c] += w;
-            }
-            assert!(per_core.iter().all(|&w| w <= m.ways_per_cache));
-        }
-    }
-
-    #[test]
-    fn streaming_thread_gains_nothing_under_ipc_model() {
-        let m = machine();
-        let model = PerfModel::default();
-        let p = m.build_problem_ipc(&traces(4), &model);
-        // Thread 3 streams: its IPC gain from cache is zero.
-        use aa_utility::Utility;
-        assert!(p.threads()[3].value(8.0) < 1e-9);
     }
 }
