@@ -1,62 +1,80 @@
-//! `aa-solve serve --fleet N` — a multi-process request loop: worker
-//! *processes*, a routing front-end, and rebalance on membership change.
+//! The serve supervisor behind every serving mode: routing,
+//! exactly-once tracking and crash recovery over N worker links.
 //!
-//! The single-process [`crate::serve`] loop isolates solve crashes with
-//! shard *threads*; this module isolates them with whole processes. The
-//! front-end re-execs its own binary N times in the hidden
-//! `serve-worker` mode ([`crate::worker`]) and speaks the
-//! [`crate::proto`] frame protocol over each worker's stdin/stdout
-//! pipes. Everything else is shared with `--shards`: the ingress loop,
-//! the answer path (so the same lines and error classes, plus `worker`,
-//! `attempts` and `solve_micros` on `status:"ok"` lines), and the
-//! worker-side stream solver. What stays per mode is the supervisor
-//! below and its crash semantics: a dead worker's requests replay.
+//! A *link* is how one supervised worker runs ([`Link`]):
 //!
-//! # Event loop
+//! * a **thread link** is a shard of one in-process
+//!   [`aa_core::ShardPool`], fed request values over its queue — no
+//!   serialization, no metric federation or span shipping (it shares the
+//!   process's registry and collector), and no heartbeat: a thread's
+//!   death is its exit. Plain `serve` and `serve --shards N` run N of
+//!   them;
+//! * a **process link** is a `serve-worker` child process
+//!   ([`crate::worker`]: a one-shard pool behind its pipe) speaking the
+//!   [`crate::proto`] frame protocol over its stdin/stdout. `serve
+//!   --fleet N` runs N of them.
 //!
-//! One thread owns all fleet state (no locks around routing decisions):
+//! Both answer every request through the same worker loop (a shard
+//! thread calling [`aa_core::StreamSolver::answer`]), and everything
+//! above the link is one implementation: the ingress loop and the answer
+//! path ([`crate::serve`]), and this supervisor.
+//!
+//! # Threads
+//!
+//! All supervisor state sits behind one lock, taken by two threads:
 //!
 //! * the **stdin reader** (the calling thread) runs the shared ingress
-//!   loop and forwards admissions and resize lines as events;
-//! * per worker, a **pipe reader thread** decodes frames into events; a
-//!   truncated, oversized, or unparseable frame is a protocol violation
-//!   and the worker is treated exactly as if it had crashed;
-//! * the **event loop** routes stream keys over
-//!   [`FleetRouter`]'s consistent-hash ring, tracks every admitted
-//!   request in a [`PendingMap`] (exactly-once: the first completion per
-//!   seq wins, later ones are dropped), heartbeats workers, and
-//!   supervises: a dead worker's in-flight requests are pulled back and
-//!   retried on survivors with exponential backoff and seeded jitter,
-//!   its ring ranges reroute, and the worker respawns with backoff.
-//!   Requests that exhaust `--max-retries` dispatches are answered with
-//!   a retryable `class:"internal"` error. After a restart the ring
-//!   rebalances back lazily: the next request per stream routes to the
-//!   restored owner, parking behind any survivor still working that
-//!   stream (drain → handoff → resume; never two workers on one stream).
-//!   Warm state is not migrated — the restored owner rebuilds it
-//!   transparently on the stream's next request.
+//!   loop and dispatches each admitted request itself, so a request
+//!   waits on no other thread to reach its worker; resize lines go to
+//!   the event loop as events;
+//! * each link reports answers and deaths as events: a thread link's
+//!   completion callback and exit hook, or a process link's **pipe
+//!   reader thread**, which decodes frames (a truncated, oversized, or
+//!   unparseable frame is a protocol violation, and the worker is
+//!   treated exactly as if it had crashed);
+//! * the **event loop** thread handles those events and the timers.
+//!
+//! Under the lock, the supervisor routes stream keys over
+//! [`FleetRouter`]'s consistent-hash ring (key-less requests go to the
+//! least-loaded worker), tracks every admitted request in a
+//! [`PendingMap`] (exactly-once: the first completion per seq wins,
+//! later ones are dropped), heartbeats process links, and supervises: a
+//! dead worker's in-flight and queued requests are pulled back and
+//! replayed on survivors with exponential backoff and seeded jitter,
+//! its ring ranges reroute, and the worker respawns with backoff — past
+//! `--max-restarts` deaths it retires instead, and when every worker
+//! has retired what is pending answers a retryable `class:"internal"`.
+//! Requests that exhaust `--max-retries` dispatches answer the same
+//! way. After a restart the ring rebalances back lazily: the next
+//! request per stream routes to the restored owner, parking behind any
+//! survivor still working that stream (drain → handoff → resume; never
+//! two workers on one stream). Warm state is not migrated — the
+//! restored owner rebuilds it transparently on the stream's next
+//! request.
 //!
 //! # Membership control
 //!
-//! A control line `{"control":"resize","fleet":N}` resizes the fleet in
-//! place. Growing spawns new workers; shrinking marks removed workers
-//! draining (they finish in-flight work, then their stdin closes and
-//! they exit cleanly) and hands their ring ranges to the survivors.
+//! Over process links, a control line `{"control":"resize","fleet":N}`
+//! (`1 <= N <=` [`MAX_WORKERS`]) resizes the fleet in place. Growing
+//! spawns new workers; shrinking marks removed workers draining (they
+//! finish in-flight work, then their stdin closes and they exit cleanly)
+//! and hands their ring ranges to the survivors. Thread links take no
+//! control lines.
 //!
 //! # Shutdown
 //!
 //! On stdin EOF the front-end stops admitting and waits up to
 //! `--drain-timeout-ms` for pending requests; whatever remains is
-//! answered with a retryable `class:"shutdown"` error. Workers then see
-//! their own stdin EOF and drain the same way.
+//! answered with a retryable `class:"shutdown"` error. Worker processes
+//! then see their own stdin EOF and drain the same way; shard threads
+//! finish what they hold.
 //!
 //! # Chaos
 //!
-//! [`run_fleet_chaos`] drives a real fleet (worker processes re-execed
-//! from the current binary) through a seeded
-//! [`ProcessChaosPlan`] storm — kills, heartbeat stalls, garbage frames
-//! — keyed on per-worker cumulative solve sequence numbers so the same
-//! seed replays the same storm. The verdict
+//! [`run_fleet_chaos`] drives a real supervisor over either link through
+//! a seeded [`ProcessChaosPlan`] storm — kills, stalls, garbage frames,
+//! contained solve panics — keyed on per-worker cumulative request
+//! counts so the same seed replays the same storm. The verdict
 //! ([`FleetChaosReport`]) contains only schedule- and invariant-derived
 //! fields, so two runs with the same seed serialize byte-identically.
 
@@ -64,24 +82,23 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::{
-    read_frame, write_frame, Backoff, FleetRouter, ParkedQueues, PendingMap, RouteDecision,
-    DEFAULT_DRAIN_TIMEOUT_MS, DEFAULT_HEARTBEAT_INTERVAL_MS, DEFAULT_HEARTBEAT_MISS_LIMIT,
-    DEFAULT_MAX_RETRIES, DEFAULT_RETRY_BACKOFF_BASE_MS, DEFAULT_RETRY_BACKOFF_MAX_MS,
-    MAX_FRAME_BYTES,
+    read_frame, write_frame, Backoff, FleetRouter, Link, ParkedQueues, PendingMap, RouteDecision,
+    DEFAULT_RETRY_BACKOFF_BASE_MS, DEFAULT_RETRY_BACKOFF_MAX_MS, MAX_FRAME_BYTES, MAX_WORKERS,
 };
-use aa_obs::export::{chrome_trace_merged, LaneEvent, TraceLane};
 use aa_core::ring::{splitmix64, Ring};
+use aa_core::shard::{BuildFn, ShardConfig, ShardJob, ShardPool};
 use aa_core::tiered::Tier;
 use aa_core::{Budget, TieredSolver};
+use aa_obs::export::{chrome_trace_merged, LaneEvent, TraceLane};
 use aa_sim::{
     analyze_fleet, balanced_keys, FleetChaosConfig, FleetChaosReport, FleetObservation,
-    FleetObservations, ProcessChaosPlan,
+    FleetObservations, ProcessChaosPlan, ProcessFault,
 };
 use aa_utility::UtilitySpec;
 use rand::rngs::StdRng;
@@ -92,11 +109,12 @@ use crate::proto::{
     encode_req, FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan,
     WorkerResult,
 };
-use crate::serve::{ingress, Admission, Admit, Answers, Outcome, ServeCounters, ServeMetrics};
+use crate::serve::{
+    build_request_problem, ingress, parse_problem, run_serve, Admission, Admit, Answers, Outcome,
+    ServeOpts,
+};
+use crate::worker::worker_result;
 use crate::{build_problem, CliError, ProblemFile};
-
-/// Default restart budget per worker before it is retired.
-pub const DEFAULT_MAX_RESTARTS: u64 = 8;
 
 /// The answer for requests stranded when every worker has retired.
 const ALL_RETIRED: &str = "all fleet workers retired; safe to retry elsewhere";
@@ -119,84 +137,17 @@ pub fn parse_ladder(s: &str) -> Result<Vec<Tier>, String> {
     Ok(tiers)
 }
 
-/// Configuration for [`run_fleet_serve`].
-#[derive(Debug, Clone)]
-pub struct FleetOpts {
-    /// Worker processes.
-    pub workers: usize,
-    /// Per-worker admission depth; the fleet sheds beyond
-    /// `queue × workers` pending requests.
-    pub queue: usize,
-    /// Deadline for requests that don't carry their own, milliseconds.
-    pub default_deadline_ms: Option<u64>,
-    /// Longest accepted input line, bytes.
-    pub max_line_bytes: usize,
-    /// Heartbeat ping interval, milliseconds.
-    pub heartbeat_ms: u64,
-    /// Consecutive unanswered pings before a worker is declared dead.
-    pub heartbeat_miss_limit: u32,
-    /// Dispatch attempts per request before it is answered with a
-    /// retryable `class:"internal"` error.
-    pub max_retries: u32,
-    /// Restarts per worker before it is retired.
-    pub max_restarts: u64,
-    /// Post-EOF drain budget, milliseconds (also forwarded to workers).
-    pub drain_timeout_ms: u64,
-    /// Per-worker warm-stream cap (forwarded to workers).
-    pub max_streams: usize,
-    /// Solver ladder override (forwarded to workers); `None` is the
-    /// full default ladder.
-    pub ladder: Option<Vec<Tier>>,
-    /// Seed for retry/respawn backoff jitter.
-    pub seed: u64,
-    /// Merged-trace output path (`--trace`). When set, workers run with
-    /// `--obs-spans`, every request carries a [`TraceCtx`], and the
-    /// front-end writes one Chrome trace with a lane per worker process
-    /// at shutdown.
-    pub trace: Option<PathBuf>,
-    /// End-to-end p99 latency objective, milliseconds (`--slo-p99-ms`);
-    /// `None` uses [`aa_core::fleet::DEFAULT_SLO_P99_MS`].
-    pub slo_p99_ms: Option<u64>,
-    /// Worker executable override; `None` re-execs the current binary.
-    /// A testing hook (`--worker-cmd`): the malformed-frame binary test
-    /// substitutes a stub worker through it.
-    pub worker_cmd: Option<PathBuf>,
-    /// Scheduled process faults, forwarded per worker. `None` in
-    /// production.
-    pub chaos: Option<ProcessChaosPlan>,
-}
-
-impl Default for FleetOpts {
-    fn default() -> Self {
-        FleetOpts {
-            workers: 4,
-            queue: 16,
-            default_deadline_ms: None,
-            max_line_bytes: 1 << 20,
-            heartbeat_ms: DEFAULT_HEARTBEAT_INTERVAL_MS,
-            heartbeat_miss_limit: DEFAULT_HEARTBEAT_MISS_LIMIT,
-            max_retries: DEFAULT_MAX_RETRIES,
-            max_restarts: DEFAULT_MAX_RESTARTS,
-            drain_timeout_ms: DEFAULT_DRAIN_TIMEOUT_MS,
-            max_streams: 1024,
-            ladder: None,
-            seed: 0,
-            trace: None,
-            slo_p99_ms: None,
-            worker_cmd: None,
-            chaos: None,
-        }
-    }
-}
-
-/// Everything the event loop reacts to. An [`Admit`] is also the
-/// payload [`PendingMap`] carries for every admitted request — all that
-/// is needed to replay it on another worker or answer it.
+/// Everything the event loop reacts to.
 enum Event {
-    Admit(Box<Admit>),
     Resize { workers: usize, id: serde_json::Value },
+    /// A process link's frame.
     FromWorker { worker: usize, incarnation: u64, msg: FromWorker },
+    /// A process link's pipe closed or broke protocol.
     WorkerGone { worker: usize, incarnation: u64 },
+    /// A thread link's answer.
+    Done(aa_core::ShardCompletion),
+    /// A thread link's thread died.
+    Exited(usize),
     Eof,
 }
 
@@ -218,9 +169,8 @@ struct WorkerMetrics {
     solve_panics: aa_obs::Gauge,
 }
 
-/// Front-end registry handles (`aa_fleet_*`), alongside the request
-/// accounting the fleet shares with single-process serve
-/// ([`ServeMetrics`], the `aa_serve_*` family).
+/// Supervisor registry handles (`aa_fleet_*`), alongside the request
+/// accounting of the shared answer path (the `aa_serve_*` family).
 struct FleetMetrics {
     dispatched: aa_obs::Counter,
     parked: aa_obs::Counter,
@@ -271,54 +221,40 @@ impl FleetMetrics {
     }
 }
 
-/// One worker slot's process-supervision state. The slot outlives its
-/// process: each respawn bumps `incarnation`, and pipe events carrying
-/// a stale incarnation are discarded.
+/// One worker slot's supervision state. The slot outlives its worker:
+/// each respawn bumps `incarnation`, and pipe events carrying a stale
+/// incarnation are discarded.
+#[derive(Default)]
 struct WorkerSlot {
-    child: Option<Child>,
-    stdin: Option<std::process::ChildStdin>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    /// The running worker process, on a process link.
+    process: Option<ProcessLink>,
     incarnation: u64,
     up: bool,
     retired: bool,
     /// Shrink handoff: finish in-flight work, then close and exit.
     draining: bool,
     deaths: u64,
-    /// Responses seen this incarnation (fallback chaos-offset estimate).
-    resp_count: u64,
-    /// Cumulative solve-seq offset handed to the next incarnation.
+    /// Requests sent this incarnation: a thread link's chaos count, and
+    /// the chaos offset after an unplanned death.
+    sent: u64,
+    /// Cumulative request count handed to the next incarnation.
     chaos_offset: u64,
     respawn_at: Option<Instant>,
-    spawned_at: Instant,
-    unanswered_pings: u32,
-    nonce: u64,
     in_flight: u64,
 }
 
-impl WorkerSlot {
-    fn empty() -> Self {
-        WorkerSlot {
-            child: None,
-            stdin: None,
-            reader: None,
-            incarnation: 0,
-            up: false,
-            retired: false,
-            draining: false,
-            deaths: 0,
-            resp_count: 0,
-            chaos_offset: 0,
-            respawn_at: None,
-            spawned_at: Instant::now(),
-            unanswered_pings: 0,
-            nonce: 0,
-            in_flight: 0,
-        }
-    }
+/// A live worker process and its pipes.
+struct ProcessLink {
+    child: Child,
+    stdin: Option<ChildStdin>,
+    reader: std::thread::JoinHandle<()>,
+    spawned_at: Instant,
+    unanswered_pings: u32,
+    nonce: u64,
 }
 
 /// Build the `serve-worker` argv for slot `w` (pure, for tests).
-fn worker_args(opts: &FleetOpts, w: usize, chaos_offset: u64) -> Vec<String> {
+fn worker_args(opts: &ServeOpts, w: usize, chaos_offset: u64) -> Vec<String> {
     let mut args = vec![
         "serve-worker".to_string(),
         "--index".to_string(),
@@ -624,18 +560,24 @@ fn retire_worker_export(registry: &aa_obs::Registry, fm: &FleetMetrics, w: usize
     }
 }
 
-/// The event loop's state. One instance, owned by one thread.
+/// The supervisor's state, behind one lock: the ingress thread admits
+/// requests, the event-loop thread handles link events and timers. An
+/// [`Admit`] is the payload [`PendingMap`] carries for every admitted
+/// request — all that is needed to replay it on another worker or
+/// answer it.
 struct FleetCore<'a, W: Write> {
-    opts: &'a FleetOpts,
+    opts: &'a ServeOpts,
     registry: &'a aa_obs::Registry,
     answers: &'a Answers<'a, W>,
     fm: FleetMetrics,
     tx: Sender<Event>,
+    /// The shard threads behind thread links; `None` on process links.
+    pool: Option<ShardPool>,
     router: FleetRouter,
     pending: PendingMap<Admit>,
     parked: ParkedQueues<u64>,
     /// Requests admitted while no worker is routable (transient
-    /// all-down); drained on the next hello.
+    /// all-down); drained when a worker comes up.
     pen: VecDeque<u64>,
     /// Replays scheduled after backoff: (due, seq).
     retries: BinaryHeap<Reverse<(Instant, u64)>>,
@@ -643,8 +585,8 @@ struct FleetCore<'a, W: Write> {
     next_seq: u64,
     next_incarnation: u64,
     rng: StdRng,
-    retry_backoff: Backoff,
-    spawn_backoff: Backoff,
+    /// Paces request replays and worker respawns.
+    backoff: Backoff,
     last_tick: Instant,
     eof: bool,
     drain_deadline: Option<Instant>,
@@ -654,32 +596,48 @@ struct FleetCore<'a, W: Write> {
 
 impl<'a, W: Write> FleetCore<'a, W> {
     fn new(
-        opts: &'a FleetOpts,
+        opts: &'a ServeOpts,
         registry: &'a aa_obs::Registry,
         answers: &'a Answers<'a, W>,
         tx: Sender<Event>,
     ) -> Result<Self, CliError> {
-        let workers = opts.workers.max(1);
+        let workers = opts.workers.clamp(1, MAX_WORKERS);
+        let pool = (opts.link == Link::Thread).then(|| {
+            let cfg = ShardConfig {
+                shards: workers,
+                max_streams: opts.max_streams,
+                ladder: opts.ladder.clone(),
+                ..ShardConfig::default()
+            };
+            let (done, exited) = (tx.clone(), tx.clone());
+            ShardPool::supervised(
+                cfg,
+                registry,
+                Arc::new(move |c| {
+                    let _ = done.send(Event::Done(c));
+                }),
+                Arc::new(move |w| {
+                    let _ = exited.send(Event::Exited(w));
+                }),
+            )
+        });
         let mut core = FleetCore {
             opts,
             registry,
             answers,
             fm: FleetMetrics::new(registry, workers),
             tx,
+            pool,
             router: FleetRouter::new(workers),
             pending: PendingMap::new(),
             parked: ParkedQueues::new(),
             pen: VecDeque::new(),
             retries: BinaryHeap::new(),
-            slots: (0..workers).map(|_| WorkerSlot::empty()).collect(),
+            slots: (0..workers).map(|_| WorkerSlot::default()).collect(),
             next_seq: 0,
             next_incarnation: 1,
             rng: StdRng::seed_from_u64(opts.seed ^ 0x666c_6565_7421),
-            retry_backoff: Backoff {
-                base: Duration::from_millis(DEFAULT_RETRY_BACKOFF_BASE_MS),
-                max: Duration::from_millis(DEFAULT_RETRY_BACKOFF_MAX_MS),
-            },
-            spawn_backoff: Backoff {
+            backoff: Backoff {
                 base: Duration::from_millis(DEFAULT_RETRY_BACKOFF_BASE_MS),
                 max: Duration::from_millis(DEFAULT_RETRY_BACKOFF_MAX_MS),
             },
@@ -699,14 +657,27 @@ impl<'a, W: Write> FleetCore<'a, W> {
         Ok(core)
     }
 
-    /// Spawn (or respawn) slot `w` and its pipe reader thread.
+    /// Start (or restart) slot `w`'s worker: a fresh shard thread, up at
+    /// once, or a child process and its pipe reader thread, up at its
+    /// hello.
     fn spawn_worker(&mut self, w: usize) -> std::io::Result<()> {
+        let inc = self.next_incarnation;
+        self.next_incarnation += 1;
+        let slot = &mut self.slots[w];
+        slot.incarnation = inc;
+        slot.up = false;
+        slot.sent = 0;
+        slot.respawn_at = None;
+        slot.in_flight = 0;
+        if let Some(pool) = &mut self.pool {
+            pool.respawn(w);
+            self.on_hello(w);
+            return Ok(());
+        }
         let program = match &self.opts.worker_cmd {
             Some(p) => p.clone(),
             None => std::env::current_exe()?,
         };
-        let inc = self.next_incarnation;
-        self.next_incarnation += 1;
         let mut child = Command::new(program)
             .args(worker_args(self.opts, w, self.slots[w].chaos_offset))
             .stdin(Stdio::piped())
@@ -714,56 +685,64 @@ impl<'a, W: Write> FleetCore<'a, W> {
             .stderr(Stdio::inherit())
             .spawn()?;
         let stdout = child.stdout.take().expect("stdout piped");
-        let stdin = child.stdin.take().expect("stdin piped");
+        let stdin = child.stdin.take();
         let tx = self.tx.clone();
         let reader = std::thread::spawn(move || reader_thread(stdout, w, inc, &tx));
-        let slot = &mut self.slots[w];
-        slot.child = Some(child);
-        slot.stdin = Some(stdin);
-        slot.reader = Some(reader);
-        slot.incarnation = inc;
-        slot.up = false;
-        slot.resp_count = 0;
-        slot.respawn_at = None;
-        slot.spawned_at = Instant::now();
-        slot.unanswered_pings = 0;
-        slot.in_flight = 0;
+        self.slots[w].process = Some(ProcessLink {
+            child,
+            stdin,
+            reader,
+            spawned_at: Instant::now(),
+            unanswered_pings: 0,
+            nonce: 0,
+        });
         Ok(())
     }
 
     /// Best-effort frame write; a dead pipe surfaces via the reader's
     /// `WorkerGone`, which replays whatever was assigned.
     fn send_to(&mut self, w: usize, payload: &str) {
-        if let Some(stdin) = self.slots[w].stdin.as_mut() {
+        if let Some(stdin) = self.slots[w].process.as_mut().and_then(|p| p.stdin.as_mut()) {
             let _ = write_frame(stdin, payload.as_bytes());
             let _ = stdin.flush();
         }
     }
 
-    fn run(mut self, rx: &Receiver<Event>) {
-        self.last_tick = Instant::now();
-        loop {
-            match rx.recv_timeout(self.next_wakeup()) {
-                Ok(ev) => self.handle(ev),
+    /// The event loop: wait for the next event or timer without the lock,
+    /// then handle it under the lock, until EOF and the drain are done.
+    fn run(core: &Mutex<Self>, rx: &Receiver<Event>) {
+        let lock = || core.lock().unwrap_or_else(|e| e.into_inner());
+        lock().last_tick = Instant::now();
+        let mut core = loop {
+            // Admissions take no timer, so a wait computed here stays
+            // valid while the ingress thread admits.
+            let wait = lock().next_wakeup();
+            let event = match wait {
+                Some(wait) => rx.recv_timeout(wait),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let mut core = lock();
+            match event {
+                Ok(ev) => core.handle(ev),
                 Err(RecvTimeoutError::Timeout) => {}
-                // Unreachable while `self.tx` lives, but harmless.
-                Err(RecvTimeoutError::Disconnected) => break,
+                // Unreachable while `core.tx` lives, but harmless.
+                Err(RecvTimeoutError::Disconnected) => break core,
             }
-            self.service_timers();
-            if self.eof {
-                if self.pending.is_empty() {
-                    break;
+            core.service_timers();
+            if core.eof {
+                if core.pending.is_empty() {
+                    break core;
                 }
-                if self.drain_deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.answer_all(
+                if core.drain_deadline.is_some_and(|d| Instant::now() >= d) {
+                    core.answer_all(
                         "shutdown",
                         "front-end shutting down before the request was answered; safe to retry",
                     );
-                    break;
+                    break core;
                 }
             }
-        }
-        self.shutdown();
+        };
+        core.shutdown();
         // A worker ships its final span batch right after the answer
         // that emptied `pending`, so those frames may still be queued
         // when the loop exits. Absorb the stragglers (Obs only —
@@ -771,31 +750,27 @@ impl<'a, W: Write> FleetCore<'a, W> {
         // trace and federated metrics cover every solve.
         while let Ok(ev) = rx.try_recv() {
             if let Event::FromWorker { msg: FromWorker::Obs { .. }, .. } = &ev {
-                self.handle(ev);
+                core.handle(ev);
             }
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &core.obs {
             obs.write();
         }
     }
 
+    fn heartbeat(&self) -> Duration {
+        Duration::from_millis(self.opts.heartbeat_ms.max(1))
+    }
+
     /// How long the loop may sleep before a timer (heartbeat, retry,
-    /// respawn, drain deadline) needs service.
-    fn next_wakeup(&self) -> Duration {
-        let now = Instant::now();
-        let mut next = self.last_tick + Duration::from_millis(self.opts.heartbeat_ms.max(1));
-        if let Some(Reverse((t, _))) = self.retries.peek() {
-            next = next.min(*t);
-        }
-        for slot in &self.slots {
-            if let Some(t) = slot.respawn_at {
-                next = next.min(t);
-            }
-        }
-        if let Some(d) = self.drain_deadline {
-            next = next.min(d);
-        }
-        next.saturating_duration_since(now)
+    /// respawn, drain deadline) needs service; `None` while none is set
+    /// (thread links are not heartbeaten).
+    fn next_wakeup(&self) -> Option<Duration> {
+        let heartbeat = self.pool.is_none().then(|| self.last_tick + self.heartbeat());
+        let retry = self.retries.peek().map(|Reverse((t, _))| *t);
+        let respawns = self.slots.iter().filter_map(|s| s.respawn_at);
+        let next = heartbeat.into_iter().chain(retry).chain(respawns).chain(self.drain_deadline);
+        next.min().map(|t| t.saturating_duration_since(Instant::now()))
     }
 
     fn service_timers(&mut self) {
@@ -810,59 +785,50 @@ impl<'a, W: Write> FleetCore<'a, W> {
             let Reverse((_, seq)) = self.retries.pop().expect("peeked");
             self.dispatch(seq);
         }
-        if now.saturating_duration_since(self.last_tick)
-            >= Duration::from_millis(self.opts.heartbeat_ms.max(1))
-        {
+        if self.pool.is_none() && now.saturating_duration_since(self.last_tick) >= self.heartbeat() {
             self.last_tick = now;
             self.tick();
         }
     }
 
-    /// One heartbeat round: declare silent workers dead, ping the rest.
+    /// One heartbeat round over the worker processes: declare silent
+    /// ones dead, ping the rest.
     fn tick(&mut self) {
-        let hello_grace = Duration::from_millis(
-            self.opts.heartbeat_ms.max(1)
-                * u64::from(self.opts.heartbeat_miss_limit.max(1) + 1),
-        );
+        let misses = self.opts.heartbeat_miss_limit.max(1);
+        let hello_grace = self.heartbeat() * (misses + 1);
         for w in 0..self.slots.len() {
-            if self.slots[w].child.is_none() || self.slots[w].retired {
+            if self.slots[w].retired {
                 continue;
             }
-            if !self.slots[w].up {
-                if self.slots[w].spawned_at.elapsed() > hello_grace {
-                    self.kill_worker(w);
-                }
+            let up = self.slots[w].up;
+            let Some(p) = self.slots[w].process.as_mut() else { continue };
+            if (!up && p.spawned_at.elapsed() > hello_grace) || (up && p.unanswered_pings >= misses) {
+                // Force-kill the wedged worker; its reader reports the death.
+                let _ = p.child.kill();
                 continue;
             }
-            if self.slots[w].unanswered_pings >= self.opts.heartbeat_miss_limit.max(1) {
-                self.kill_worker(w);
+            if !up {
                 continue;
             }
-            self.slots[w].nonce += 1;
-            let ping = ToWorker::Ping { nonce: self.slots[w].nonce };
+            p.nonce += 1;
+            p.unanswered_pings += 1;
+            let ping = ToWorker::Ping { nonce: p.nonce };
             self.send_to(w, &serde_json::to_string(&ping).expect("pings always serialize"));
-            self.slots[w].unanswered_pings += 1;
             self.maybe_close_draining(w);
-        }
-    }
-
-    /// Force-kill a wedged worker; its reader thread reports the death.
-    fn kill_worker(&mut self, w: usize) {
-        if let Some(child) = self.slots[w].child.as_mut() {
-            let _ = child.kill();
         }
     }
 
     /// A shrink-drained worker with nothing in flight gets its EOF.
     fn maybe_close_draining(&mut self, w: usize) {
         if self.slots[w].draining && self.slots[w].in_flight == 0 {
-            self.slots[w].stdin = None;
+            if let Some(p) = self.slots[w].process.as_mut() {
+                p.stdin = None;
+            }
         }
     }
 
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::Admit(admit) => self.on_admit(*admit),
             Event::Resize { workers, id } => self.on_resize(workers, id),
             Event::FromWorker { worker, incarnation, msg } => {
                 if worker >= self.slots.len() || self.slots[worker].incarnation != incarnation {
@@ -876,7 +842,9 @@ impl<'a, W: Write> FleetCore<'a, W> {
                         self.on_hello(worker);
                     }
                     FromWorker::Pong { solves, solve_panics, now_micros, metrics, .. } => {
-                        self.slots[worker].unanswered_pings = 0;
+                        if let Some(p) = self.slots[worker].process.as_mut() {
+                            p.unanswered_pings = 0;
+                        }
                         #[allow(clippy::cast_precision_loss)]
                         {
                             self.fm.per_worker[worker].solves.set(solves as f64);
@@ -898,6 +866,22 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 }
             }
             Event::WorkerGone { worker, incarnation } => self.on_gone(worker, incarnation),
+            Event::Done(c) => {
+                let result = worker_result(c.outcome, c.solve_micros);
+                let m = &self.fm.per_worker[c.shard];
+                match &result {
+                    WorkerResult::Ok { .. } => m.solves.set(m.solves.get() + 1.0),
+                    WorkerResult::Err { class, .. } if class == "solve_panic" => {
+                        m.solve_panics.set(m.solve_panics.get() + 1.0);
+                    }
+                    WorkerResult::Err { .. } => {}
+                }
+                self.on_resp(c.shard, c.seq, result);
+            }
+            // A thread reports its death after its last answer, and its
+            // slot respawns only once this event is handled, so the
+            // death is always the current incarnation's.
+            Event::Exited(worker) => self.on_gone(worker, self.slots[worker].incarnation),
             Event::Eof => {
                 self.eof = true;
                 if !self.pending.is_empty() {
@@ -983,20 +967,28 @@ impl<'a, W: Write> FleetCore<'a, W> {
     }
 
     fn send_req(&mut self, w: usize, seq: u64) {
-        let now = Instant::now();
         self.pending.assign(seq, w).expect("dispatch checked pending");
         let entry = self.pending.get(seq).expect("just assigned");
+        let trace = self.obs.as_mut().and_then(|o| o.dispatch_ctx(seq));
+        let slot = &mut self.slots[w];
+        slot.in_flight += 1;
+        slot.sent += 1;
+        self.fm.dispatched.inc();
+        self.fm.per_worker[w].dispatched.inc();
+        if let Some(pool) = &self.pool {
+            let count = slot.chaos_offset + slot.sent;
+            let plan = self.opts.chaos.as_ref().and_then(|plan| plan.faults.get(w));
+            let fault = plan.into_iter().flatten().find(|&&(s, _)| s == count).map(|&(_, f)| f);
+            let _ = pool.submit_to(w, thread_job(seq, entry, fault));
+            return;
+        }
         #[allow(clippy::cast_possible_truncation)]
         let budget_ms = entry
             .job
             .ticket
             .deadline()
-            .map(|d| d.saturating_duration_since(now).as_millis() as u64);
-        let trace = self.obs.as_mut().and_then(|o| o.dispatch_ctx(seq));
+            .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64);
         let payload = encode_req(seq, entry.stream, budget_ms, trace, &entry.job.problem);
-        self.slots[w].in_flight += 1;
-        self.fm.dispatched.inc();
-        self.fm.per_worker[w].dispatched.inc();
         self.send_to(w, &payload);
     }
 
@@ -1019,7 +1011,9 @@ impl<'a, W: Write> FleetCore<'a, W> {
 
     fn on_hello(&mut self, w: usize) {
         self.slots[w].up = true;
-        self.slots[w].unanswered_pings = 0;
+        if let Some(p) = self.slots[w].process.as_mut() {
+            p.unanswered_pings = 0;
+        }
         self.fm.per_worker[w].up.set(1.0);
         self.router.worker_up(w);
         let pen = std::mem::take(&mut self.pen);
@@ -1029,7 +1023,6 @@ impl<'a, W: Write> FleetCore<'a, W> {
     }
 
     fn on_resp(&mut self, w: usize, seq: u64, result: WorkerResult) {
-        self.slots[w].resp_count += 1;
         self.slots[w].in_flight = self.slots[w].in_flight.saturating_sub(1);
         let Some(entry) = self.pending.complete(seq) else {
             // A completion for a seq no longer pending — replayed and
@@ -1046,7 +1039,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
                     server,
                     allocation,
                     solve_micros,
-                    routed: Some((w, entry.attempts)),
+                    routed: (w, entry.attempts),
                 }
             }
             WorkerResult::Err { class, error, queue_expired, .. } => {
@@ -1075,17 +1068,13 @@ impl<'a, W: Write> FleetCore<'a, W> {
         if w >= self.slots.len() || self.slots[w].incarnation != incarnation {
             return;
         }
-        // Reap this incarnation.
-        if let Some(h) = self.slots[w].reader.take() {
-            let _ = h.join();
+        // Reap this incarnation: its reader has seen the pipe close.
+        if let Some(mut p) = self.slots[w].process.take() {
+            let _ = p.reader.join();
+            let _ = p.child.kill();
+            let _ = p.child.wait();
         }
-        if let Some(mut child) = self.slots[w].child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.slots[w].stdin = None;
         self.slots[w].up = false;
-        self.slots[w].unanswered_pings = 0;
         self.fm.per_worker[w].up.set(0.0);
 
         // Reroute: streams the dead worker held release to their ring
@@ -1115,7 +1104,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 self.answer(seq, e.job, Outcome::error("internal", error));
             } else {
                 self.fm.retries.inc();
-                let delay = self.retry_backoff.delay(attempts.max(1), &mut self.rng);
+                let delay = self.backoff.delay(attempts.max(1), &mut self.rng);
                 self.retries.push(Reverse((now + delay, seq)));
             }
         }
@@ -1134,19 +1123,16 @@ impl<'a, W: Write> FleetCore<'a, W> {
         if self.retire_if_spent(w) {
             return;
         }
-        // Next incarnation's chaos offset: the plan's fault seq for this
-        // death keeps the cumulative solve counter exact (the fault that
-        // just fired can never re-fire); unplanned deaths fall back to
-        // the observed response count.
-        let fallback = self.slots[w].chaos_offset + self.slots[w].resp_count;
-        self.slots[w].chaos_offset = match &self.opts.chaos {
-            Some(plan) => plan
-                .faults
-                .get(w)
-                .and_then(|fs| fs.get(self.slots[w].deaths as usize - 1))
-                .map_or(fallback, |&(seq, _)| seq),
-            None => fallback,
-        };
+        // Next incarnation's chaos offset: the plan's fault count for
+        // this death keeps the cumulative request counter exact (the
+        // fault that just fired can never re-fire); unplanned deaths
+        // fall back to the requests this incarnation was sent.
+        let slot = &self.slots[w];
+        let fallback = slot.chaos_offset + slot.sent;
+        let planned = self.opts.chaos.as_ref().and_then(|plan| {
+            plan.restarting(w, self.opts.link).nth(slot.deaths as usize - 1)
+        });
+        self.slots[w].chaos_offset = planned.unwrap_or(fallback);
         self.schedule_respawn(w);
     }
 
@@ -1179,7 +1165,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
     fn schedule_respawn(&mut self, w: usize) {
         #[allow(clippy::cast_possible_truncation)]
         let attempt = self.slots[w].deaths.min(u64::from(u32::MAX)) as u32;
-        let delay = self.spawn_backoff.delay(attempt, &mut self.rng);
+        let delay = self.backoff.delay(attempt, &mut self.rng);
         self.slots[w].respawn_at = Some(Instant::now() + delay);
     }
 
@@ -1199,17 +1185,16 @@ impl<'a, W: Write> FleetCore<'a, W> {
     }
 
     /// Membership change by control request: growing spawns, shrinking
-    /// drains and hands the removed ring ranges to the survivors.
-    /// `n >= 1` by construction: the ingress answers a zero-size resize
-    /// as an unsupported control line.
+    /// drains and hands the removed ring ranges to the survivors. Only
+    /// process links take it, and `1 <= n <= MAX_WORKERS` by
+    /// construction: the ingress answers any other resize as an
+    /// unsupported control line.
     fn on_resize(&mut self, n: usize, id: serde_json::Value) {
         let was = self.router.workers();
         self.fm.resizes.inc();
         if n > was {
             self.fm.ensure(self.registry, n);
-            while self.slots.len() < n {
-                self.slots.push(WorkerSlot::empty());
-            }
+            self.slots.resize_with(n.max(self.slots.len()), WorkerSlot::default);
             self.router.resize(n);
             for w in was..n {
                 self.slots[w].retired = false;
@@ -1234,7 +1219,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             }
             self.router.resize(n);
             for w in n..was {
-                if self.slots[w].child.is_none() {
+                if self.slots[w].process.is_none() {
                     // Already dead — nothing to drain.
                     self.slots[w].draining = false;
                     self.slots[w].retired = true;
@@ -1263,57 +1248,101 @@ impl<'a, W: Write> FleetCore<'a, W> {
         }
     }
 
-    /// Close every worker's stdin, give them a bounded window to drain
-    /// and exit cleanly, then force the stragglers and join the readers.
+    /// Stop every worker: shard threads finish what they hold; worker
+    /// processes get their stdin closed and a bounded window to drain and
+    /// exit cleanly, then the stragglers are killed and the readers
+    /// joined.
     fn shutdown(&mut self) {
+        if let Some(pool) = self.pool.take() {
+            pool.shutdown();
+        }
         for slot in &mut self.slots {
-            slot.stdin = None;
             slot.respawn_at = None;
+            if let Some(p) = slot.process.as_mut() {
+                p.stdin = None;
+            }
         }
         let deadline = Instant::now()
             + Duration::from_millis(self.opts.drain_timeout_ms.saturating_add(500));
-        loop {
-            let mut alive = false;
-            for slot in &mut self.slots {
-                if let Some(child) = slot.child.as_mut() {
-                    match child.try_wait() {
-                        Ok(Some(_)) | Err(_) => slot.child = None,
-                        Ok(None) => alive = true,
-                    }
-                }
-            }
-            if !alive || Instant::now() >= deadline {
+        while Instant::now() < deadline {
+            let mut alive = self.slots.iter_mut().filter_map(|s| s.process.as_mut());
+            if !alive.any(|p| matches!(p.child.try_wait(), Ok(None))) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         for (w, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
+            if let Some(mut p) = slot.process.take() {
+                let _ = p.child.kill();
+                let _ = p.child.wait();
+                // Safe to join: the child is dead, so the pipe is at EOF.
+                let _ = p.reader.join();
             }
-            // Safe to join: the child is dead, so the pipe is at EOF.
-            if let Some(h) = slot.reader.take() {
-                let _ = h.join();
-            }
-            if w < self.fm.per_worker.len() {
-                self.fm.per_worker[w].up.set(0.0);
+            if let Some(m) = self.fm.per_worker.get(w) {
+                m.up.set(0.0);
             }
         }
     }
 }
 
-/// `--fleet` admission: forward requests and resize lines to the event
-/// loop. The problem travels undecoded: its one decode is the worker's,
-/// so a malformed problem costs an admission slot and a round trip and
-/// comes back `class:"parse"` or `class:"problem"`.
-struct FleetAdmission<'a> {
-    tx: &'a Sender<Event>,
+/// Keep the panics of scheduled faults (their messages start `chaos:`)
+/// off stderr for the rest of the process; every other panic still
+/// prints.
+pub(crate) fn quiet_chaos() {
+    static QUIET: std::sync::Once = std::sync::Once::new();
+    QUIET.call_once(|| {
+        let print = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload.downcast_ref::<&str>().copied();
+            let message = message.or(payload.downcast_ref::<String>().map(String::as_str));
+            if !message.is_some_and(|m| m.starts_with("chaos:")) {
+                print(info);
+            }
+        }));
+    });
 }
 
-impl Admission for FleetAdmission<'_> {
+/// A thread link's job for `entry`: its problem decoded on the shard
+/// from the client's text, armed with the scheduled chaos `fault`, if
+/// any. A kill panics outside the caught solve, ending the thread.
+fn thread_job(seq: u64, entry: &aa_core::PendingEntry<Admit>, fault: Option<ProcessFault>) -> ShardJob {
+    let text = Arc::clone(&entry.job.problem);
+    let build: BuildFn = Arc::new(move |previous| {
+        match fault {
+            Some(ProcessFault::Kill | ProcessFault::Garbage) => panic!("chaos: thread link killed"),
+            Some(ProcessFault::Stall { millis }) => std::thread::sleep(Duration::from_millis(millis)),
+            _ => {}
+        }
+        build_request_problem(&parse_problem(&text)?, previous)
+    });
+    ShardJob {
+        seq,
+        stream: entry.stream,
+        build,
+        deadline: entry.job.ticket.deadline(),
+        arrived: Instant::now(),
+        inject_panic: (fault == Some(ProcessFault::PanicSolve))
+            .then(|| "chaos: injected solve panic".to_string()),
+    }
+}
+
+/// The supervisor's admission: dispatch each request on the ingress
+/// thread, so it waits on no other thread to reach its worker, and
+/// forward resize lines to the event loop. The problem travels
+/// undecoded: its one decode is the worker's, so a malformed problem
+/// costs an admission slot and a round trip and comes back
+/// `class:"parse"` or `class:"problem"`.
+struct FleetAdmission<'a, 'b, W: Write> {
+    core: &'a Mutex<FleetCore<'b, W>>,
+    tx: &'a Sender<Event>,
+    link: Link,
+}
+
+impl<W: Write> Admission for FleetAdmission<'_, '_, W> {
     fn admit(&mut self, req: Admit) -> std::io::Result<bool> {
-        Ok(self.tx.send(Event::Admit(Box::new(req))).is_ok())
+        self.core.lock().unwrap_or_else(|e| e.into_inner()).on_admit(req);
+        Ok(true)
     }
 
     fn control(
@@ -1321,51 +1350,48 @@ impl Admission for FleetAdmission<'_> {
         line: &serde_json::Scan<'_>,
         id: &serde_json::Value,
     ) -> Result<bool, &'static str> {
+        if self.link == Link::Thread {
+            return Err("unsupported control line; --shards takes none (resize needs --fleet)");
+        }
         let control = line.get("control");
         let fleet = line.get("fleet").as_ref().and_then(serde_json::Value::as_u64);
         match (control.as_ref().and_then(serde_json::Value::as_str), fleet) {
-            (Some("resize"), Some(n)) if n >= 1 => {
-                #[allow(clippy::cast_possible_truncation)]
-                let workers = n as usize;
-                Ok(self.tx.send(Event::Resize { workers, id: id.clone() }).is_ok())
+            #[allow(clippy::cast_possible_truncation)]
+            (Some("resize"), Some(n)) if (1..=MAX_WORKERS as u64).contains(&n) => {
+                Ok(self.tx.send(Event::Resize { workers: n as usize, id: id.clone() }).is_ok())
             }
             _ => Err("unsupported control line; expected \
-                      {\"control\":\"resize\",\"fleet\":N} with N >= 1"),
+                      {\"control\":\"resize\",\"fleet\":N} with 1 <= N <= 256"),
         }
     }
 }
 
-/// Run the fleet request loop until `input` reaches EOF, then drain
-/// (bounded by `drain_timeout_ms`) and return the session counters.
-/// Spawn failure at startup is [`CliError::WorkerSpawn`] (exit code 9).
+/// Run the supervisor until `input` reaches EOF, then drain (bounded by
+/// `drain_timeout_ms`); every answer goes through `answers`. Spawn
+/// failure at startup is [`CliError::WorkerSpawn`] (exit code 9).
 ///
-/// All accounting flows through `registry`: the same `aa_serve_*` family
-/// as single-process serve for request-level counts, plus the
-/// front-end's `aa_fleet_*` route/retry/handoff counters and the
-/// per-worker `aa_fleet_*{worker=…}` series.
-pub fn run_fleet_serve<R: BufRead, W: Write + Send>(
+/// Besides the request-level `aa_serve_*` family `answers` keeps, the
+/// supervisor's route/retry/handoff counters and per-worker series
+/// (`aa_fleet_*{worker=…}`) go to `registry`.
+pub(crate) fn supervise<R: BufRead, W: Write + Send>(
     input: R,
-    output: W,
-    opts: &FleetOpts,
+    answers: &Answers<'_, W>,
+    opts: &ServeOpts,
     registry: &aa_obs::Registry,
-) -> Result<ServeCounters, CliError> {
-    let out = Mutex::new(output);
-    let metrics = ServeMetrics::new(registry, opts.slo_p99_ms);
-    let answers =
-        Answers { out: &out, metrics: &metrics, queue: opts.queue };
+) -> Result<(), CliError> {
     let (tx, rx) = mpsc::channel::<Event>();
-    std::thread::scope(|s| -> Result<(), CliError> {
-        let core = FleetCore::new(opts, registry, &answers, tx.clone())?;
-        let event_loop = s.spawn(move || core.run(&rx));
-        let mut admission = FleetAdmission { tx: &tx };
+    let core = Mutex::new(FleetCore::new(opts, registry, answers, tx.clone())?);
+    std::thread::scope(|s| {
+        let core = &core;
+        let event_loop = s.spawn(move || FleetCore::run(core, &rx));
+        let mut admission = FleetAdmission { core, tx: &tx, link: opts.link };
         let read_result =
-            ingress(input, opts.max_line_bytes, opts.default_deadline_ms, &answers, &mut admission);
+            ingress(input, opts.max_line_bytes, opts.default_deadline_ms, answers, &mut admission);
         let _ = tx.send(Event::Eof);
         drop(tx);
-        event_loop.join().expect("fleet event loop does not panic");
+        event_loop.join().expect("the supervisor's event loop does not panic");
         read_result.map_err(CliError::Io)
-    })?;
-    Ok(metrics.snapshot())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,15 +1553,34 @@ fn chaos_ladder() -> Vec<Tier> {
     vec![Tier::Algo2, Tier::Uu]
 }
 
-/// Drive a real multi-process fleet through a seeded fault storm and
-/// fold the observations into the deterministic verdict.
+/// How many worker slots' `aa_fleet_worker_up` gauges read 1.
+fn up_count(registry: &aa_obs::Registry, workers: usize) -> usize {
+    let up = |w: usize| registry.gauge_labeled("aa_fleet_worker_up", "worker", &w.to_string());
+    (0..workers).filter(|&w| up(w).get() == 1.0).count()
+}
+
+/// Wait until every worker is up; false if that takes 30 s.
+fn await_all_up(registry: &aa_obs::Registry, workers: usize) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while up_count(registry, workers) < workers {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// Drive a real supervisor over `cfg.link` through a seeded fault storm
+/// and fold the observations into the deterministic verdict.
 ///
 /// The front-end runs in-process (sharing a private metrics registry
-/// with the driver); the workers are genuine child processes re-execed
-/// from the current binary, so kills, stalls, and garbage frames
-/// exercise the real pipes-and-supervision path. Call this from the
-/// `aa-solve` binary only — a foreign `current_exe` has no
-/// `serve-worker` mode.
+/// with the harness). Thread links are its shard threads, with scheduled
+/// kills kept off stderr; process links are genuine child
+/// processes re-execed from the current binary, so kills, stalls, and
+/// garbage frames exercise the real pipes-and-supervision path (call
+/// this from the `aa-solve` binary only: a foreign `current_exe` has no
+/// `serve-worker` mode).
 pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliError> {
     let plan = ProcessChaosPlan::from_config(cfg);
     let streams = balanced_keys(cfg.workers, cfg.streams_per_worker);
@@ -1552,11 +1597,12 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
         reference_bits.insert(stream, solve.utility.to_bits());
     }
 
-    let opts = FleetOpts {
+    let opts = ServeOpts {
+        link: cfg.link,
         workers: cfg.workers,
         queue: streams.len().max(4),
-        // Tight heartbeats so scheduled stalls (stall_millis, default
-        // 2000 ms) blow the 150 ms × 4 tolerance fast, while
+        // Tight heartbeats so scheduled process stalls (stall_millis,
+        // default 2000 ms) blow the 150 ms × 4 tolerance fast, while
         // microsecond-scale solves never miss one.
         heartbeat_ms: 150,
         heartbeat_miss_limit: 4,
@@ -1568,7 +1614,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
         seed: cfg.seed,
         slo_p99_ms: Some((cfg.slo_p99_micros / 1000).max(1)),
         chaos: Some(plan.clone()),
-        ..FleetOpts::default()
+        ..ServeOpts::default()
     };
     let registry = aa_obs::Registry::new();
     let (tx_in, rx_in) = mpsc::channel::<String>();
@@ -1580,18 +1626,25 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
     let mut admitted = 0u64;
     let mut seq_stream: Vec<u64> = Vec::new();
     let response_timeout = Duration::from_secs(60);
+    if cfg.link == Link::Thread {
+        quiet_chaos();
+    }
 
     let serve_result = std::thread::scope(|s| {
         let handle = s.spawn(|| {
-            run_fleet_serve(LineSource::new(rx_in), LineSink::new(tx_out), &opts, &registry)
+            run_serve(LineSource::new(rx_in), LineSink::new(tx_out), &opts, &registry)
         });
 
-        // One closed-loop round: a request per stream, then every answer
-        // before the next, so parked/outstanding state never exceeds one
-        // request per stream. A `probe` round also checks that each
-        // stream answered from its ring owner.
+        // One closed-loop round, once every worker is up: a request per
+        // stream, then every answer before the next, so parked and
+        // outstanding state never exceeds one request per stream and
+        // each worker takes its own streams' requests. A `probe` round
+        // also checks that each stream answered from its ring owner.
         let ring = Ring::new(cfg.workers);
         let mut round = |probe: bool| -> bool {
+            if !await_all_up(&registry, cfg.workers) {
+                return false;
+            }
             for (file, &stream) in files.iter().zip(&streams) {
                 let line = ChaosRequestLine { id: admitted, stream, problem: file.clone() };
                 let json = serde_json::to_string(&line).expect("requests serialize");
@@ -1613,36 +1666,17 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
             true
         };
         survived = (0..cfg.rounds).all(|_| round(false));
-
-        // Quiesce: the storm is over once every worker is back up.
-        if survived {
-            let deadline = Instant::now() + Duration::from_secs(30);
-            loop {
-                let all_up = (0..cfg.workers).all(|w| {
-                    registry
-                        .gauge_labeled("aa_fleet_worker_up", "worker", &w.to_string())
-                        .get()
-                        == 1.0
-                });
-                if all_up {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    survived = false;
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-
-        // Probe round: with the fleet whole again, every stream must
-        // route back to its ring owner (rebalance after recovery).
+        // Probe round: with every worker back up after the storm, every
+        // stream must route back to its ring owner (rebalance after
+        // recovery).
         survived = survived && round(true);
+        let live = up_count(&registry, cfg.workers);
 
         drop(tx_in);
-        handle.join().expect("fleet serve thread does not panic")
+        let served = handle.join().expect("the serve thread does not panic");
+        served.map(|_| live)
     });
-    serve_result?;
+    let live = serve_result?;
 
     let restarts = (0..cfg.workers)
         .map(|w| {
@@ -1659,6 +1693,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
         admitted,
         completions,
         restarts,
+        live,
         survived,
         rebalanced,
         slo_tracked,
@@ -1670,7 +1705,6 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_sim::ProcessFault;
 
     #[test]
     fn ladders_parse_by_stable_names() {
@@ -1690,11 +1724,12 @@ mod tests {
     #[test]
     fn worker_args_carry_ladder_and_chaos_schedule() {
         let plan = ProcessChaosPlan { faults: vec![vec![(5, ProcessFault::Kill)], vec![]] };
-        let opts = FleetOpts {
+        let opts = ServeOpts {
+            link: Link::Process,
             workers: 2,
             ladder: Some(vec![Tier::Algo2, Tier::Uu]),
             chaos: Some(plan),
-            ..FleetOpts::default()
+            ..ServeOpts::default()
         };
         let args = worker_args(&opts, 0, 5);
         assert_eq!(args[0], "serve-worker");
@@ -1713,12 +1748,12 @@ mod tests {
         assert!(!args1.iter().any(|a| a == "--chaos-faults"));
         // No chaos configured: plain argv, and no span shipping unless
         // the front-end is tracing.
-        let plain = worker_args(&FleetOpts::default(), 0, 0);
+        let plain = worker_args(&ServeOpts::default(), 0, 0);
         assert!(!plain
             .iter()
             .any(|a| a == "--chaos-faults" || a == "--ladder" || a == "--obs-spans"));
         let traced = worker_args(
-            &FleetOpts { trace: Some(PathBuf::from("t.json")), ..FleetOpts::default() },
+            &ServeOpts { trace: Some(PathBuf::from("t.json")), ..ServeOpts::default() },
             0,
             0,
         );
@@ -1817,5 +1852,156 @@ mod tests {
 
         // Unknown id → dropped rather than misattributed.
         assert!(parse_chaos_line(r#"{"status":"ok","id":99}"#, &seq_stream).is_none());
+    }
+
+    /// One keyed request line on `stream`; `salt` varies the problem.
+    fn line(id: u64, stream: u64, salt: u64) -> String {
+        let problem = serde_json::to_string(&stream_problem(salt, stream)).unwrap();
+        format!(r#"{{"id":{id},"stream":{stream},"problem":{problem}}}"#)
+    }
+
+    /// One answer line as `(id, status or class, answering worker,
+    /// attempts, error)`.
+    type Answer = (u64, String, Option<u64>, u64, String);
+
+    /// Serve `lines` over thread links under a chaos `plan`; the answers
+    /// in id order and the session's registry. Fails instead of hanging
+    /// when the run outlives 20 s.
+    fn serve_storm(
+        lines: &[String],
+        plan: Vec<Vec<(u64, ProcessFault)>>,
+        opts: ServeOpts,
+    ) -> (Vec<Answer>, aa_obs::Registry) {
+        let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let opts = ServeOpts { chaos: Some(ProcessChaosPlan { faults: plan }), ..opts };
+        let (done, finished) = mpsc::channel();
+        quiet_chaos();
+        std::thread::spawn(move || {
+            let registry = aa_obs::Registry::new();
+            let mut out = Vec::new();
+            run_serve(input.as_bytes(), &mut out, &opts, &registry).unwrap();
+            let _ = done.send((out, registry));
+        });
+        let (out, registry) =
+            finished.recv_timeout(Duration::from_secs(20)).expect("the supervisor hung");
+        let mut answers: Vec<_> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                let r: serde_json::Value = serde_json::from_str(l).unwrap();
+                let what = r["class"].as_str().or(r["status"].as_str()).unwrap().to_string();
+                let error = r["error"].as_str().unwrap_or("").to_string();
+                let attempts = r["attempts"].as_u64().unwrap_or(0);
+                (r["id"].as_u64().unwrap(), what, r["worker"].as_u64(), attempts, error)
+            })
+            .collect();
+        answers.sort_by_key(|a| a.0);
+        (answers, registry)
+    }
+
+    fn restarts(registry: &aa_obs::Registry, w: usize) -> u64 {
+        registry.counter_labeled("aa_fleet_restarts_total", "worker", &w.to_string()).get()
+    }
+
+    /// Mutation: on a thread's death, skip the replay of what was taken
+    /// from it — its requests then sit until the drain answers them
+    /// `shutdown`.
+    #[test]
+    fn a_killed_thread_link_respawns_and_its_inflight_request_replays_ok() {
+        let lines: Vec<String> = (0..4).map(|i| line(i, 7, 1)).collect();
+        let opts = ServeOpts { drain_timeout_ms: 500, ..ServeOpts::default() };
+        let (answers, registry) = serve_storm(&lines, vec![vec![(1, ProcessFault::Kill)]], opts);
+        let ids: Vec<u64> = answers.iter().map(|a| a.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "each request answered exactly once: {answers:?}");
+        assert!(answers.iter().all(|a| a.1 == "ok"), "{answers:?}");
+        assert_eq!(answers[0].3, 2, "the killed request replayed once: {answers:?}");
+        assert_eq!(restarts(&registry, 0), 1);
+        let up = registry.gauge_labeled("aa_fleet_worker_up", "worker", "0");
+        assert_eq!(up.get(), 0.0, "down after shutdown");
+    }
+
+    /// Mutation: never retire (respawn past `--max-restarts`) — the
+    /// stream's requests then die on worker 0 until their retries run
+    /// out and answer `internal`.
+    #[test]
+    fn a_thread_link_past_max_restarts_retires_and_its_streams_reroute() {
+        let ring = Ring::new(2);
+        let key = (0..).find(|&k| ring.owner(k) == Some(0)).unwrap();
+        let lines: Vec<String> = (0..4).map(|i| line(i, key, 2)).collect();
+        let opts = ServeOpts { workers: 2, max_restarts: 1, ..ServeOpts::default() };
+        let kill_all = (1..=64).map(|s| (s, ProcessFault::Kill)).collect();
+        let (answers, registry) = serve_storm(&lines, vec![kill_all, vec![]], opts);
+        assert_eq!(answers.len(), 4, "{answers:?}");
+        for a in &answers {
+            assert_eq!((a.1.as_str(), a.2), ("ok", Some(1)), "rerouted to worker 1: {answers:?}");
+        }
+        assert_eq!(restarts(&registry, 0), 2, "retired on its second death");
+        assert_eq!(restarts(&registry, 1), 0);
+    }
+
+    /// Mutation: never retire — requests then answer `internal` only
+    /// when their retries run out, saying so, not that every worker
+    /// retired.
+    #[test]
+    fn retiring_every_link_answers_internal_then_refuses_work() {
+        let lines: Vec<String> = (0..6).map(|i| line(i, i, 3)).collect();
+        let opts = ServeOpts { workers: 2, max_restarts: 0, max_retries: 8, ..ServeOpts::default() };
+        let kill_all: Vec<_> = (1..=64).map(|s| (s, ProcessFault::Kill)).collect();
+        let (answers, registry) = serve_storm(&lines, vec![kill_all.clone(), kill_all], opts);
+        assert_eq!(answers.iter().map(|a| a.0).collect::<Vec<_>>(), (0..6).collect::<Vec<_>>());
+        for a in &answers {
+            assert_eq!(a.1, "internal", "{answers:?}");
+            assert!(a.4.contains("retired"), "answered for a retired fleet: {answers:?}");
+        }
+        assert_eq!((restarts(&registry, 0), restarts(&registry, 1)), (1, 1));
+    }
+
+    /// Mutation: the drain deadline is never armed at EOF — the run then
+    /// waits out the kills and respawn backoffs until its retries run
+    /// out, far past the drain window.
+    #[test]
+    fn shutdown_during_a_respawn_backoff_drains_promptly() {
+        let lines: Vec<String> = (0..3).map(|i| line(i, 5, 4)).collect();
+        let opts = ServeOpts {
+            max_restarts: 64,
+            max_retries: 64,
+            drain_timeout_ms: 200,
+            ..ServeOpts::default()
+        };
+        let kill_all = (1..=256).map(|s| (s, ProcessFault::Kill)).collect();
+        let started = Instant::now();
+        let (answers, registry) = serve_storm(&lines, vec![kill_all], opts);
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(3), "the drain waited: {elapsed:?}");
+        assert_eq!(answers.len(), 3, "{answers:?}");
+        assert!(answers.iter().all(|a| a.1 == "shutdown"), "{answers:?}");
+        assert!(restarts(&registry, 0) >= 2, "the thread kept dying and respawning");
+    }
+
+    /// The thread-link storm at CI's shape, smaller: every shard killed
+    /// three times, with contained panics and stalls.
+    #[test]
+    fn chaos_storm_preserves_every_robustness_invariant() {
+        let cfg = FleetChaosConfig {
+            link: Link::Thread,
+            workers: 3,
+            rounds: 60,
+            kills: 9,
+            panics: 3,
+            stalls: 3,
+            stall_millis: 1,
+            ..FleetChaosConfig::default()
+        };
+        let report = run_fleet_chaos(&cfg).unwrap();
+        assert!(report.survived, "the supervisor wedged during the storm");
+        assert!(
+            report.exactly_once,
+            "lost {:?} / duplicated {:?}",
+            report.missing_seqs, report.duplicate_seqs
+        );
+        assert_eq!(report.restarts, vec![3, 3, 3], "{report:?}");
+        assert_eq!((report.live, report.solve_panics, report.internal), (3, 3, 0), "{report:?}");
+        assert!(report.outputs_identical && report.rebalanced, "{report:?}");
+        assert!(report.healthy(), "{report:?}");
     }
 }

@@ -1,12 +1,12 @@
 //! `aa-solve serve` — a deadline-aware LDJSON request loop, and the
-//! front-end both serving modes share.
+//! front-end every serving mode shares.
 //!
 //! Requests arrive one JSON object per line on stdin; responses leave
 //! one JSON object per line on stdout, in completion order (clients
-//! correlate by echoed `id`). `--shards N` ([`run_serve`]) and `--fleet
-//! N` ([`crate::fleet::run_fleet_serve`]) differ only in their executor
-//! and how it recovers from crashes. What a client sees comes from one
-//! implementation:
+//! correlate by echoed `id`). `serve`, `serve --shards N` and `serve
+//! --fleet N` differ only in how their N workers run — shard threads or
+//! worker processes, the supervisor's two links (see [`crate::fleet`]).
+//! What a client sees comes from one implementation:
 //!
 //! * the **ingress loop** (`ingress`) reads lines bounded by
 //!   `--max-line-bytes` (an oversized line is answered `class:"parse"`
@@ -14,51 +14,41 @@
 //!   tree-free [`serde_json::scan`], answers control lines the mode
 //!   rejects with `class:"control"`, decodes the envelope (`id`,
 //!   `stream`, `deadline_ms`), and hands the request — its problem
-//!   still the client's raw JSON text — to the mode's `Admission`;
-//! * the **executor** decodes that text once: [`parse_problem`], then
-//!   [`build_request_problem`] against the stream's previous threads
-//!   inside [`aa_core::StreamSolver::answer`]. A shard thread runs both
-//!   halves in its job's build hook; a fleet worker parses on its reader
-//!   thread, once the text has crossed the pipe verbatim;
+//!   still the client's raw JSON text — to the supervisor;
+//! * the **supervisor** ([`crate::fleet`]) routes, tracks and replays
+//!   each request over its links, and answers it exactly once;
+//! * the **worker** decodes the problem text once: [`parse_problem`],
+//!   then [`build_request_problem`] against the stream's previous threads
+//!   inside [`aa_core::StreamSolver::answer`] (a shard thread runs both
+//!   halves in its job's build hook; a worker process parses on its
+//!   reader thread, once the text has crossed the pipe verbatim), and
+//!   answers every request: a refused parse or build, an expired
+//!   deadline, or a solve — a panicking one answering
+//!   `class:"solve_panic"`;
 //! * the **answer path** (`Answers`) turns every outcome — solved,
 //!   failed with a class, expired in a queue, or shed at the door with
 //!   `{"status":"overloaded","retry_after_ms":…}` — into its response
-//!   line and all of its `aa_serve_*` accounting;
-//! * the **stream solver** ([`aa_core::StreamSolver`]) owns the tiered
-//!   solver and per-stream warm state in each shard thread and each
-//!   fleet worker process, and answers every admitted request: a refused
-//!   parse or build, an expired deadline, or a solve.
-//!
-//! Under `--shards`, admission submits to an [`aa_core::ShardPool`]:
-//! keyed requests route to a fixed shard by consistent hashing (so the
-//! stream's warm state stays hot), key-less ones to a cold queue any
-//! idle shard steals from, and a writer thread answers completions. Each
-//! shard thread handles its own crashes: a panicking solve answers
-//! `class:"solve_panic"`; a crash outside the solve ends the shard's
-//! incarnation, and its thread answers the in-flight request
-//! `solve_panic`, drains its queue as `class:"internal"`, and restarts
-//! the shard in place after a backoff (or retires it, rerouting its
-//! streams). A dead `--fleet` worker instead has its requests replayed
-//! (see [`crate::fleet`]).
+//!   line and all of its `aa_serve_*` accounting.
 //!
 //! All accounting flows through an [`aa_obs::Registry`] (the
-//! `aa_serve_*` family, plus the pool's `aa_shard_*` / `aa_supervisor_*`
-//! gauges and counters), so a live `--metrics-addr` scrape sees the same
-//! numbers the shutdown dump reports. [`ServeCounters`] is a snapshot of
-//! that registry taken at EOF.
+//! `aa_serve_*` family, plus the supervisor's `aa_fleet_*` series), so a
+//! live `--metrics-addr` scrape sees the same numbers the shutdown dump
+//! reports. [`ServeCounters`] is a snapshot of that registry taken at
+//! EOF.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::sync::mpsc;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use aa_core::fleet::DEFAULT_SLO_P99_MS;
-use aa_core::shard::{
-    BuildFn, ChaosHook, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
+use aa_core::fleet::{
+    Link, DEFAULT_DRAIN_TIMEOUT_MS, DEFAULT_HEARTBEAT_INTERVAL_MS, DEFAULT_HEARTBEAT_MISS_LIMIT,
+    DEFAULT_MAX_RETRIES, DEFAULT_SLO_P99_MS,
 };
 use aa_core::tiered::Tier;
-use aa_core::{Problem, SubmitError};
+use aa_core::Problem;
+use aa_sim::ProcessChaosPlan;
 use aa_utility::DynUtility;
 use serde::{Deserialize, Serialize};
 
@@ -135,8 +125,8 @@ fn envelope(
 
 /// The first half of the one decode of a request's problem from the
 /// client's JSON text; a schema error is `class:"parse"`, its text as
-/// [`ServeRequest`] reports it. A shard thread runs it in its build, a
-/// `--fleet` worker's reader thread on the bytes the front-end forwarded.
+/// [`ServeRequest`] reports it. A thread link runs it in its job's build,
+/// a worker process's reader on the bytes the front-end forwarded.
 pub(crate) fn parse_problem(text: &str) -> Result<ProblemFile, (&'static str, String)> {
     serde_json::from_str(text).map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))
 }
@@ -188,9 +178,10 @@ pub enum ServeResponse {
         /// Echoed request id (`null` for unparseable lines).
         id: serde_json::Value,
         /// Error class: `parse`, `problem`, `deadline`, `solve`,
-        /// `solve_panic` (a contained panic or shard crash mid-solve),
-        /// or `internal` (the request was queued on a shard that died;
-        /// safe to retry).
+        /// `solve_panic` (a contained solver panic), `internal` (every
+        /// worker retired, or the request lost `--max-retries` dispatches
+        /// to worker deaths; safe to retry), or `shutdown` (unanswered
+        /// when the drain timed out; safe to retry).
         class: String,
         /// Human-readable detail.
         error: String,
@@ -219,19 +210,18 @@ pub struct ServeCounters {
     pub solved: u64,
     /// Requests shed at admission (queue full).
     pub shed: u64,
-    /// Admitted requests whose deadline lapsed before a shard got to
+    /// Admitted requests whose deadline lapsed before a worker got to
     /// them (answered without a solve).
     pub expired_in_queue: u64,
     /// Lines that were not valid requests (including oversized lines).
     pub parse_errors: u64,
     /// Admitted requests whose solve failed (bad problem, cancellation,
-    /// contained panic, shard crash).
+    /// contained panic).
     pub solve_errors: u64,
-    /// Solves that panicked (contained) or took their shard down
-    /// mid-request; a subset of `solve_errors`.
+    /// Solves that panicked (contained); a subset of `solve_errors`.
     pub solve_panics: u64,
-    /// Admitted requests drained from a dead shard's queue and answered
-    /// with `class:"internal"`.
+    /// Admitted requests answered with `class:"internal"`: lost to
+    /// worker deaths past the retry budget, or to every worker retiring.
     pub internal_errors: u64,
     /// Solved requests whose end-to-end latency exceeded their deadline
     /// by more than the grace window.
@@ -248,52 +238,86 @@ pub struct ServeCounters {
     pub per_tier: BTreeMap<String, TierCounter>,
 }
 
-/// Configuration for [`run_serve`].
-#[derive(Clone)]
+/// Configuration for [`run_serve`]: the front-end's and the
+/// supervisor's knobs, for either link.
+#[derive(Debug, Clone)]
 pub struct ServeOpts {
-    /// Per-shard admission queue depth; requests beyond it are shed.
+    /// How the workers run: shard threads (`--shards`) or processes
+    /// (`--fleet`).
+    pub link: Link,
+    /// Workers: `--shards N` or `--fleet N`, at most
+    /// [`aa_core::fleet::MAX_WORKERS`].
+    pub workers: usize,
+    /// Per-worker admission depth; the supervisor sheds beyond
+    /// `queue × workers` pending requests.
     pub queue: usize,
     /// Deadline for requests that don't carry their own, milliseconds.
     pub default_deadline_ms: Option<u64>,
-    /// Worker shards (crash domains). 1 preserves the classic
-    /// single-worker loop, just supervised.
-    pub shards: usize,
     /// Longest accepted input line, bytes; longer lines are answered
     /// with a `class:"parse"` error and skipped.
     pub max_line_bytes: usize,
     /// End-to-end p99 latency objective, milliseconds (`--slo-p99-ms`);
     /// `None` uses [`DEFAULT_SLO_P99_MS`].
     pub slo_p99_ms: Option<u64>,
-    /// Deterministic fault injection for tests and chaos drills; `None`
-    /// in production.
-    pub chaos: Option<ChaosHook>,
+    /// Heartbeat ping interval for worker processes, milliseconds.
+    pub heartbeat_ms: u64,
+    /// Consecutive unanswered pings before a worker process is declared
+    /// dead.
+    pub heartbeat_miss_limit: u32,
+    /// Dispatch attempts per request before it is answered with a
+    /// retryable `class:"internal"` error.
+    pub max_retries: u32,
+    /// Restarts per worker before it is retired.
+    pub max_restarts: u64,
+    /// Post-EOF drain budget, milliseconds (also forwarded to worker
+    /// processes).
+    pub drain_timeout_ms: u64,
+    /// Per-worker warm-stream cap.
+    pub max_streams: usize,
+    /// Solver ladder; `None` is the full default ladder.
+    pub ladder: Option<Vec<Tier>>,
+    /// Seed for replay/respawn backoff jitter.
+    pub seed: u64,
+    /// Trace output path (`--trace`). When set, the front-end records
+    /// request spans and writes one Chrome trace at shutdown: its own
+    /// collector (shard threads record into it) plus, on process links,
+    /// a lane per worker process, whose spans every request's trace
+    /// context links back.
+    pub trace: Option<PathBuf>,
+    /// Worker executable override; `None` re-execs the current binary.
+    /// A testing hook (`--worker-cmd`): the malformed-frame binary test
+    /// substitutes a stub worker through it.
+    pub worker_cmd: Option<PathBuf>,
+    /// Scheduled faults per worker. `None` in production.
+    pub chaos: Option<ProcessChaosPlan>,
 }
 
 impl Default for ServeOpts {
     fn default() -> Self {
         ServeOpts {
+            link: Link::Thread,
+            workers: 1,
             queue: 16,
             default_deadline_ms: None,
-            shards: 1,
             max_line_bytes: 1 << 20,
             slo_p99_ms: None,
+            heartbeat_ms: DEFAULT_HEARTBEAT_INTERVAL_MS,
+            heartbeat_miss_limit: DEFAULT_HEARTBEAT_MISS_LIMIT,
+            max_retries: DEFAULT_MAX_RETRIES,
+            max_restarts: DEFAULT_MAX_RESTARTS,
+            drain_timeout_ms: DEFAULT_DRAIN_TIMEOUT_MS,
+            max_streams: 1024,
+            ladder: None,
+            seed: 0,
+            trace: None,
+            worker_cmd: None,
             chaos: None,
         }
     }
 }
 
-impl std::fmt::Debug for ServeOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeOpts")
-            .field("queue", &self.queue)
-            .field("default_deadline_ms", &self.default_deadline_ms)
-            .field("shards", &self.shards)
-            .field("max_line_bytes", &self.max_line_bytes)
-            .field("slo_p99_ms", &self.slo_p99_ms)
-            .field("chaos", &self.chaos.is_some())
-            .finish()
-    }
-}
+/// Default restart budget per worker before it is retired.
+pub const DEFAULT_MAX_RESTARTS: u64 = 8;
 
 /// Registry handles for one serve session. Every count the loop keeps
 /// lives in the metrics registry; [`ServeCounters`] is derived from
@@ -429,8 +453,8 @@ pub(crate) struct Admit {
 
 /// How one request ended.
 pub(crate) enum Outcome {
-    /// Solved. `routed` is the fleet's `(worker, attempts)`: when set,
-    /// the line gains `worker`, `attempts` and `solve_micros` fields.
+    /// Solved. `routed` is the answering `(worker, attempts)`, which the
+    /// line carries with `solve_micros`.
     Ok {
         tier: String,
         degraded: bool,
@@ -438,7 +462,7 @@ pub(crate) enum Outcome {
         server: Vec<usize>,
         allocation: Vec<f64>,
         solve_micros: u64,
-        routed: Option<(usize, u32)>,
+        routed: (usize, u32),
     },
     /// Failed with a stable error class and its text.
     Error { class: String, error: String },
@@ -454,7 +478,7 @@ impl Outcome {
     }
 }
 
-/// A fleet `ok` line: the [`ServeResponse::Ok`] fields plus `worker`,
+/// An `ok` line: the [`ServeResponse::Ok`] fields plus `worker`,
 /// `attempts` and `solve_micros`, built in one pass.
 struct RoutedOk {
     line: ServeResponse,
@@ -500,7 +524,15 @@ impl<W: Write> Answers<'_, W> {
         let m = self.metrics;
         let id = ticket.id;
         match outcome {
-            Outcome::Ok { tier, degraded, utility, server, allocation, solve_micros, routed } => {
+            Outcome::Ok {
+                tier,
+                degraded,
+                utility,
+                server,
+                allocation,
+                solve_micros,
+                routed: (worker, attempts),
+            } => {
                 m.solved.inc();
                 m.latency.record_micros(latency_micros);
                 m.observe_e2e("ok", latency_micros);
@@ -513,12 +545,7 @@ impl<W: Write> Answers<'_, W> {
                 }
                 let line =
                     ServeResponse::Ok { id, tier, degraded, utility, server, allocation, latency_ms };
-                match routed {
-                    Some((worker, attempts)) => {
-                        self.write(&RoutedOk { line, worker, attempts, solve_micros })
-                    }
-                    None => self.write(&line),
-                }
+                self.write(&RoutedOk { line, worker, attempts, solve_micros })
             }
             Outcome::Overloaded => {
                 m.shed.inc();
@@ -558,7 +585,7 @@ impl<W: Write> Answers<'_, W> {
                 m.solve_errors.inc();
                 m.solve_panics.inc();
             }
-            // Fleet drain answers; counted by the fleet's own metrics.
+            // Drain answers; counted by the supervisor's own metrics.
             "shutdown" => {}
             _ => m.internal_errors.inc(),
         }
@@ -574,7 +601,7 @@ impl<W: Write> Answers<'_, W> {
     }
 }
 
-/// A serving mode's half of the ingress loop.
+/// The supervisor's half of the ingress loop.
 pub(crate) trait Admission {
     /// Route one request to the executor, which decodes its problem.
     /// `Ok(false)` stops reading (the executor is gone).
@@ -585,7 +612,7 @@ pub(crate) trait Admission {
     fn control(&mut self, line: &serde_json::Scan<'_>, id: &serde_json::Value) -> Result<bool, &'static str>;
 }
 
-/// The ingress loop both serving modes run on the calling thread:
+/// The ingress loop every serving mode runs on the calling thread:
 /// bounded read → UTF-8 check → syntax scan → control-line check →
 /// envelope → `admission`. Every line that does not reach admission is
 /// answered here. Returns at EOF.
@@ -649,12 +676,12 @@ pub(crate) fn ingress<R: BufRead, W: Write>(
     }
 }
 
-/// Run the request loop until `input` reaches EOF, then drain the pool
-/// (every admitted request still gets its one response) and return the
-/// session counters. Responses go to `output` one JSON object per line;
-/// all accounting goes through `registry` (the `aa_serve_*` family plus
-/// the pool's `aa_shard_*` gauges), so a concurrent exporter sees live
-/// counts.
+/// Run the request loop until `input` reaches EOF, then drain (every
+/// admitted request gets its one response, a `shutdown` error past
+/// `--drain-timeout-ms`) and return the session counters. Responses go
+/// to `output` one JSON object per line; all accounting goes through
+/// `registry` (the `aa_serve_*` family plus the supervisor's
+/// `aa_fleet_*` series), so a concurrent exporter sees live counts.
 ///
 /// Handles are get-or-create: running two sessions through the same
 /// registry accumulates across both (pass a fresh [`aa_obs::Registry`]
@@ -669,101 +696,8 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
     let out = Mutex::new(output);
     let metrics = ServeMetrics::new(registry, opts.slo_p99_ms);
     let answers = Answers { out: &out, metrics: &metrics, queue: opts.queue };
-    // Exactly-once at the serve layer: every ticket is inserted before
-    // submit and removed by exactly one completion.
-    let pending: Mutex<HashMap<u64, Ticket>> = Mutex::new(HashMap::new());
-    let (ctx, crx) = mpsc::channel::<ShardCompletion>();
-    let pool = ShardPool::new(
-        ShardConfig {
-            shards: opts.shards.max(1),
-            queue: opts.queue.max(1),
-            cold_queue: opts.queue.max(1),
-            chaos: opts.chaos.clone(),
-            ..ShardConfig::default()
-        },
-        registry,
-        // The pool's completion callback must not panic; sending on an
-        // unbounded channel can't. A dropped receiver (writer bailed on
-        // a dead pipe) makes this a no-op.
-        Arc::new(move |c| {
-            let _ = ctx.send(c);
-        }),
-    );
-
-    let io_result = std::thread::scope(|s| {
-        let (answers, pending) = (&answers, &pending);
-        let writer = s.spawn(move || {
-            for c in crx {
-                // Exactly-once is enforced by the pool; an unknown seq
-                // would mean a duplicate completion. Don't answer it twice.
-                let Some(t) = pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&c.seq)
-                else {
-                    continue;
-                };
-                if write_completion(answers, c, t).is_err() {
-                    // Output pipe is gone: stop writing. The pool keeps
-                    // draining into the dead channel and run_serve
-                    // returns the error after shutdown.
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::BrokenPipe,
-                        "response pipe closed",
-                    ));
-                }
-            }
-            Ok(())
-        });
-        let mut admission = PoolAdmission { pool: &pool, pending, answers, seq: 0 };
-        let read_result =
-            ingress(input, opts.max_line_bytes, opts.default_deadline_ms, answers, &mut admission);
-        // EOF (or a dead output pipe): draining the pool completes every
-        // admitted job, and dropping it closes the completion channel so
-        // the writer exits after the last response.
-        pool.shutdown();
-        let write_result = writer.join().expect("writer thread does not panic");
-        read_result.and(write_result)
-    });
-    io_result?;
+    crate::fleet::supervise(input, &answers, opts, registry)?;
     Ok(metrics.snapshot())
-}
-
-/// `--shards` admission: submit the client's problem text to the pool,
-/// answering rejected submits on the spot. The shard decodes it.
-struct PoolAdmission<'a, W> {
-    pool: &'a ShardPool,
-    pending: &'a Mutex<HashMap<u64, Ticket>>,
-    answers: &'a Answers<'a, W>,
-    seq: u64,
-}
-
-impl<W: Write> Admission for PoolAdmission<'_, W> {
-    fn admit(&mut self, req: Admit) -> std::io::Result<bool> {
-        let (t, text) = (req.ticket, req.problem);
-        let seq = self.seq;
-        self.seq += 1;
-        let build: BuildFn =
-            Arc::new(move |previous| build_request_problem(&parse_problem(&text)?, previous));
-        let (stream, deadline, arrived) = (req.stream, t.deadline(), t.arrived);
-        let job = ShardJob { seq, stream, build, deadline, arrived };
-        // Insert before submit: a fast shard may complete before this
-        // thread runs again, and the writer must find the entry.
-        let ticket = Ticket { id: t.id.clone(), ..t };
-        self.pending.lock().unwrap_or_else(|e| e.into_inner()).insert(seq, ticket);
-        if let Err(e) = self.pool.submit(job) {
-            self.pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&seq);
-            let outcome = match e {
-                SubmitError::QueueFull { .. } => Outcome::Overloaded,
-                SubmitError::NoLiveShards | SubmitError::ShuttingDown => {
-                    Outcome::error("internal", e.to_string())
-                }
-            };
-            self.answers.send(t, outcome)?;
-        }
-        Ok(true)
-    }
-
-    fn control(&mut self, _: &serde_json::Scan<'_>, _: &serde_json::Value) -> Result<bool, &'static str> {
-        Err("unsupported control line; --shards takes none (resize needs --fleet)")
-    }
 }
 
 /// Outcome of one bounded line read.
@@ -840,46 +774,14 @@ fn estimated_drain_ms(metrics: &ServeMetrics, queue: usize) -> u64 {
     drain_hint_ms(answered, micros, queue)
 }
 
-/// Map one pool completion onto the shared answer path.
-fn write_completion<W: Write>(
-    answers: &Answers<'_, W>,
-    c: ShardCompletion,
-    ticket: Ticket,
-) -> std::io::Result<()> {
-    let outcome = match c.outcome {
-        Ok(s) => Outcome::Ok {
-            tier: s.degradation.tier.name().to_string(),
-            degraded: s.degradation.degraded,
-            utility: s.utility,
-            server: s.assignment.server,
-            allocation: s.assignment.amount,
-            solve_micros: c.solve_micros,
-            routed: None,
-        },
-        Err(ShardError::Expired) => Outcome::Expired(format!(
-            "deadline ({} ms) expired after {:.1} ms in queue",
-            ticket.deadline_ms.unwrap_or(0),
-            c.waited_micros as f64 / 1e3
-        )),
-        Err(e) => {
-            let hint = match e {
-                ShardError::Crashed => "; the shard is restarting",
-                ShardError::Drained => "; safe to retry",
-                _ => "",
-            };
-            Outcome::error(e.class(), format!("{e}{hint}"))
-        }
-    };
-    answers.send(ticket, outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_core::shard::FaultAction;
+    use aa_sim::ProcessFault;
     use aa_utility::UtilitySpec;
 
-    fn request_line(id: u64, deadline_ms: Option<u64>, threads: usize) -> String {
+    /// The problem every request line carries, as JSON text.
+    fn problem_text(threads: usize) -> String {
         let problem = ProblemFile {
             servers: 4,
             capacity: 100.0,
@@ -891,7 +793,11 @@ mod tests {
                 })
                 .collect(),
         };
-        let problem = serde_json::to_string(&problem).unwrap();
+        serde_json::to_string(&problem).unwrap()
+    }
+
+    fn request_line(id: u64, deadline_ms: Option<u64>, threads: usize) -> String {
+        let problem = problem_text(threads);
         match deadline_ms {
             Some(d) => format!(r#"{{"id":{id},"deadline_ms":{d},"problem":{problem}}}"#),
             None => format!(r#"{{"id":{id},"problem":{problem}}}"#),
@@ -899,19 +805,7 @@ mod tests {
     }
 
     fn stream_request_line(id: u64, stream: u64, threads: usize) -> String {
-        let problem = ProblemFile {
-            servers: 4,
-            capacity: 100.0,
-            threads: (0..threads)
-                .map(|i| UtilitySpec::Power {
-                    scale: 1.0 + (i % 7) as f64,
-                    beta: 0.5,
-                    cap: 100.0,
-                })
-                .collect(),
-        };
-        let problem = serde_json::to_string(&problem).unwrap();
-        format!(r#"{{"id":{id},"stream":{stream},"problem":{problem}}}"#)
+        format!(r#"{{"id":{id},"stream":{stream},"problem":{}}}"#, problem_text(threads))
     }
 
     fn run(input: &str, opts: &ServeOpts) -> (ServeCounters, Vec<serde_json::Value>) {
@@ -971,9 +865,9 @@ mod tests {
         let prom = aa_obs::export::prometheus_text(&registry);
         assert!(prom.contains("aa_serve_received_total 2"), "{prom}");
         assert!(prom.contains("aa_serve_solved_total 2"), "{prom}");
-        // The shard tier exports through the same registry.
-        assert!(prom.contains("aa_shard_solves_total"), "{prom}");
-        assert!(prom.contains("aa_supervisor_restarts_total 0"), "{prom}");
+        // The supervisor exports through the same registry.
+        assert!(prom.contains(r#"aa_fleet_worker_solves{worker="0"} 2"#), "{prom}");
+        assert!(prom.contains(r#"aa_fleet_restarts_total{worker="0"} 0"#), "{prom}");
         // The SLO layer tracked both ok responses end-to-end.
         assert!(prom.contains("aa_slo_target_p99_micros 100000"), "{prom}");
         assert!(prom.contains(r#"aa_slo_e2e_micros_count{class="ok"} 2"#), "{prom}");
@@ -1087,16 +981,17 @@ mod tests {
             input.push_str(&stream_request_line(i, i % 6, 6));
             input.push('\n');
         }
-        let registry = aa_obs::Registry::new();
-        let mut output: Vec<u8> = Vec::new();
-        let opts = ServeOpts { shards: 3, queue: 64, ..ServeOpts::default() };
-        let counters = run_serve(input.as_bytes(), &mut output, &opts, &registry).unwrap();
+        let opts = ServeOpts { workers: 3, queue: 64, ..ServeOpts::default() };
+        let (counters, responses) = run(&input, &opts);
         assert_eq!(counters.received, 24);
         assert_eq!(counters.solved, 24);
         assert_eq!(counters.shed, 0);
-        // Per-shard accounting flowed through the shared registry.
-        let prom = aa_obs::export::prometheus_text(&registry);
-        assert!(prom.contains(r#"aa_shard_solves_total{shard="0"}"#), "{prom}");
+        // Each stream answered from its ring owner.
+        let ring = aa_core::Ring::new(3);
+        for r in &responses {
+            let stream = r["id"].as_u64().unwrap() % 6;
+            assert_eq!(r["worker"].as_u64().map(|w| w as usize), ring.owner(stream), "{r:?}");
+        }
     }
 
     #[test]
@@ -1117,50 +1012,36 @@ mod tests {
     }
 
     #[test]
-    fn shard_death_yields_structured_errors_and_serving_continues() {
-        // Kill the only shard on its first solve. The in-flight request
-        // is answered `solve_panic`; anything queued behind it drains as
-        // `internal`; requests arriving after the restart solve normally.
-        // The old loop propagated the panic and died (serve.rs used to
-        // break on worker disconnect) — this is the regression test.
-        let chaos: ChaosHook = Arc::new(|_shard, seq| {
-            if seq == 1 {
-                FaultAction::KillShard
-            } else {
-                FaultAction::None
-            }
-        });
+    fn a_shard_crash_replays_every_request_and_serving_continues() {
+        // Kill the only shard on its first request, outside the caught
+        // solve. The supervisor replays that request and everything
+        // queued behind it on the respawned shard: all six answer ok,
+        // exactly once, and the death shows as one restart.
         let mut input = String::new();
         for i in 0..6u64 {
             input.push_str(&stream_request_line(i, 1, 6));
             input.push('\n');
         }
-        let opts = ServeOpts { chaos: Some(chaos), queue: 64, ..ServeOpts::default() };
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let (counters, responses) = run(&input, &opts);
-        std::panic::set_hook(prev);
-        // The loop survived to EOF and every request was answered once.
-        assert_eq!(counters.received, 6);
-        assert_eq!(responses.len(), 6);
-        assert_eq!(counters.solve_panics, 1, "{counters:?}");
-        assert!(
-            responses.iter().any(|r| r["class"] == "solve_panic"),
-            "{responses:?}"
-        );
-        // Everything not caught in the crash was actually solved or
-        // answered with a retryable internal error.
-        for r in &responses {
-            let ok = r["status"] == "ok"
-                || r["class"] == "solve_panic"
-                || r["class"] == "internal";
-            assert!(ok, "unexpected response {r:?}");
-        }
-        assert_eq!(
-            counters.solved + counters.solve_panics + counters.internal_errors,
-            6,
-            "{counters:?}"
-        );
+        let plan = ProcessChaosPlan { faults: vec![vec![(1, ProcessFault::Kill)]] };
+        let opts = ServeOpts { chaos: Some(plan), queue: 64, ..ServeOpts::default() };
+        let registry = aa_obs::Registry::new();
+        let mut output: Vec<u8> = Vec::new();
+        crate::fleet::quiet_chaos();
+        let counters = run_serve(input.as_bytes(), &mut output, &opts, &registry).unwrap();
+        let responses: Vec<serde_json::Value> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!((counters.received, counters.solved), (6, 6), "{counters:?}");
+        let mut ids: Vec<u64> = responses.iter().map(|r| r["id"].as_u64().unwrap()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..6).collect::<Vec<_>>(), "{responses:?}");
+        assert!(responses.iter().all(|r| r["status"] == "ok"), "{responses:?}");
+        let replayed = responses.iter().find(|r| r["id"].as_u64() == Some(0)).unwrap();
+        assert_eq!(replayed["attempts"].as_u64(), Some(2), "{replayed:?}");
+        let restarts = registry.counter_labeled("aa_fleet_restarts_total", "worker", "0");
+        assert_eq!(restarts.get(), 1);
     }
 
     #[test]

@@ -1,45 +1,42 @@
-//! The hidden `serve-worker` mode: one fleet worker process.
+//! The hidden `serve-worker` mode: one supervised worker process.
 //!
 //! A worker is the same binary as the front-end, re-executed with the
 //! internal `serve-worker` subcommand. It speaks the [`crate::proto`]
-//! frame protocol on stdin/stdout and solves with the same
-//! [`StreamSolver`] a shard thread in [`aa_core::shard`] runs — the
-//! process-level analogue of one shard, with the same structure:
+//! frame protocol on stdin/stdout and is a one-shard [`ShardPool`] — the
+//! thread executor `--shards` runs — behind its pipe:
 //!
-//! * a **reader thread** pulls frames off stdin, answering heartbeat
-//!   pings immediately (even mid-solve), and parses each request's
-//!   problem — the client's JSON text, forwarded verbatim — with
-//!   [`parse_problem`] before queueing it; a problem that fails its
-//!   parse is queued as that failure;
-//! * the **solve loop** pops requests FIFO and answers each through
-//!   [`StreamSolver::answer`], the entry a shard thread calls too: it
-//!   builds the problem against its stream's previous threads
-//!   ([`build_request_problem`]: an unchanged curve keeps last request's
-//!   object, so the warm solve skips it), answers a failed parse or
-//!   build with its class (`parse`, `problem`), and solves the rest with
-//!   the budget counted from worker arrival (queue wait counts, the parse
-//!   and the build do not) behind a `catch_unwind` boundary, on
-//!   per-stream warm state with FIFO eviction. The loop itself only
-//!   packs the outcome into its [`WorkerResult`];
-//! * on stdin **EOF** the worker drains: it keeps solving what it
-//!   already holds for up to `drain_timeout_ms`, answers the remainder
-//!   with retryable `class:"shutdown"` errors, and exits 0.
+//! * the **reader** (the calling thread) pulls frames off stdin,
+//!   answering heartbeat pings at once (even mid-solve), and parses each
+//!   request's problem — the client's JSON text, forwarded verbatim —
+//!   with [`parse_problem`] before queueing it on the shard; a problem
+//!   that fails its parse is queued as that failure;
+//! * the **shard thread** answers each request through
+//!   [`aa_core::StreamSolver::answer`]: it builds the problem against its
+//!   stream's previous threads ([`build_request_problem`]), answers a
+//!   failed parse or build with its class (`parse`, `problem`), and
+//!   solves the rest with the budget counted from worker arrival (queue
+//!   wait counts, the parse and the build do not). Its completion
+//!   writes the answer frame before it takes the next request;
+//! * on stdin **EOF** the worker drains: the shard keeps solving what it
+//!   holds for up to `drain_timeout_ms`, answers the remainder with
+//!   retryable `class:"shutdown"` errors, and the worker exits 0.
 //!
-//! Chaos faults are keyed on the worker's *cumulative* solve sequence
-//! number: the front-end passes `--chaos-offset` on restart so the
-//! counter persists across incarnations and a scheduled storm fires
-//! each fault exactly once, deterministically.
+//! Chaos faults are keyed on the worker's *cumulative* request count:
+//! the front-end passes `--chaos-offset` on restart so the counter
+//! persists across incarnations and a scheduled storm fires each fault
+//! exactly once, deterministically. A fault fires when the shard takes
+//! its request.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::{read_frame, write_frame, MAX_FRAME_BYTES};
+use aa_core::shard::{BuildFn, CompletionFn, ShardConfig, ShardJob, ShardPool};
 use aa_core::tiered::Tier;
-use aa_core::{ShardError, SolveError, StreamSolver};
-use aa_obs::trace::SpanGuard;
+use aa_core::{ShardError, TieredSolve};
 use aa_obs::Collector;
 use aa_sim::ProcessFault;
 
@@ -48,7 +45,6 @@ use crate::proto::{
     WorkerResult,
 };
 use crate::serve::{build_request_problem, parse_problem};
-use crate::ProblemFile;
 
 /// Exit code a worker uses for self-inflicted chaos deaths, distinct
 /// from clean drain (0) so the supervisor logs are unambiguous.
@@ -66,7 +62,7 @@ pub struct WorkerOpts {
     pub ladder: Option<Vec<Tier>>,
     /// Post-EOF drain budget in milliseconds.
     pub drain_timeout_ms: u64,
-    /// Scheduled faults for this worker plus the cumulative solve-seq
+    /// Scheduled faults for this worker plus the cumulative request
     /// offset already consumed by earlier incarnations.
     pub chaos: Option<(Vec<(u64, ProcessFault)>, u64)>,
     /// Install a span collector and ship completed spans back in
@@ -89,57 +85,33 @@ impl Default for WorkerOpts {
     }
 }
 
-/// A queued solve request with its arrival time (budgets are charged
-/// from arrival, so time spent queued inside the worker counts).
-struct QueuedReq {
-    seq: u64,
-    stream: Option<u64>,
-    deadline: Option<Instant>,
-    trace: Option<TraceCtx>,
-    /// The parsed problem, or the class and text it was refused with.
-    problem: Result<ProblemFile, (&'static str, String)>,
-}
-
-/// State shared between the reader thread and the solve loop.
-struct Shared {
-    queue: Mutex<VecDeque<QueuedReq>>,
-    wake: Condvar,
-    /// stdin reached EOF (or became unreadable): drain and exit. Set
-    /// under the `queue` lock, so the solve loop cannot miss the wakeup
-    /// between its empty check and its wait.
-    closed: AtomicBool,
-    /// When EOF happened, as the drain-deadline anchor.
-    eof_at: Mutex<Option<Instant>>,
-    /// While stalled, the reader drops pings so the front-end sees
-    /// missed heartbeats (micros since `epoch`; 0 = not stalled).
-    stall_until_micros: AtomicU64,
+/// Counters the reader reports in every pong, kept by the shard.
+#[derive(Default)]
+struct Stats {
     solves: AtomicU64,
     solve_panics: AtomicU64,
+    /// While stalled, the reader drops pings so the front-end sees
+    /// missed heartbeats (micros since the worker's epoch; 0 = never).
+    stall_until_micros: AtomicU64,
 }
 
 /// Run one worker over arbitrary streams (stdin/stdout in production,
 /// in-memory pipes in tests). Returns when input is exhausted and the
 /// drain is complete.
-pub fn run_worker<R, W>(input: R, output: W, opts: &WorkerOpts) -> std::io::Result<()>
+pub fn run_worker<R, W>(mut input: R, output: W, opts: &WorkerOpts) -> std::io::Result<()>
 where
-    R: Read + Send,
-    W: Write + Send,
+    R: Read,
+    W: Write + Send + 'static,
 {
     let epoch = Instant::now();
-    let out = Mutex::new(output);
-    let shared = Shared {
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
-        closed: AtomicBool::new(false),
-        eof_at: Mutex::new(None),
-        stall_until_micros: AtomicU64::new(0),
-        solves: AtomicU64::new(0),
-        solve_panics: AtomicU64::new(0),
-    };
+    let out = Arc::new(Mutex::new(output));
+    let stats = Arc::new(Stats::default());
+    // Requests' trace contexts, by seq, until their solve root binds.
+    let traces: Arc<Mutex<HashMap<u64, TraceCtx>>> = Arc::default();
+    // Set at EOF: requests the shard takes after it answer `shutdown`.
+    let drain_at: Arc<OnceLock<Instant>> = Arc::default();
 
-    if opts.trace_spans {
-        Collector::install().set_enabled(true);
-    }
+    let obs = Mutex::new(WorkerObsState::new(opts.trace_spans));
     send(
         &out,
         &FromWorker::Hello {
@@ -148,11 +120,122 @@ where
             now_micros: span_clock_micros(epoch),
         },
     )?;
+    let complete: CompletionFn = {
+        let (out, stats, traces) = (Arc::clone(&out), Arc::clone(&stats), Arc::clone(&traces));
+        Arc::new(move |c| {
+            let result = worker_result(c.outcome, c.solve_micros);
+            match &result {
+                WorkerResult::Ok { .. } => stats.solves.fetch_add(1, Ordering::AcqRel),
+                WorkerResult::Err { class, .. } if class == "solve_panic" => {
+                    stats.solve_panics.fetch_add(1, Ordering::AcqRel)
+                }
+                WorkerResult::Err { .. } => 0,
+            };
+            let ctx = traces.lock().unwrap_or_else(|e| e.into_inner()).remove(&c.seq);
+            let mut obs = obs.lock().unwrap_or_else(|e| e.into_inner());
+            if let (Some(span), Some(ctx)) = (c.span, ctx) {
+                let binding = SpanBinding { span, trace_id: ctx.trace_id, parent_span: ctx.parent_span };
+                obs.bindings.push(binding);
+            }
+            obs.observe(&result);
+            // A failed write means the front-end is gone; the reader
+            // sees EOF shortly after.
+            let _ = send(&out, &FromWorker::Resp { seq: c.seq, result });
+            let _ = obs.ship(&out);
+        })
+    };
+    let cfg = ShardConfig {
+        shards: 1,
+        max_streams: opts.max_streams,
+        ladder: opts.ladder.clone(),
+        ..ShardConfig::default()
+    };
+    let pool = ShardPool::new(cfg, aa_obs::global(), complete);
 
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        scope.spawn(|| reader_loop(input, &out, &shared, epoch));
-        solve_loop(&out, &shared, opts, epoch)
-    })
+    let (faults, mut received) = opts.chaos.clone().unwrap_or_default();
+    if !faults.is_empty() {
+        crate::fleet::quiet_chaos();
+    }
+    // A frame whose header the worker cannot read is a front-end bug;
+    // the worker treats it like EOF (drain and exit) rather than guessing.
+    while let Ok(Some(payload)) = read_frame(&mut input, MAX_FRAME_BYTES) {
+        let Some(msg) = std::str::from_utf8(&payload).ok().and_then(decode_to_worker) else {
+            break;
+        };
+        match msg {
+            Inbound::Ping { nonce } => {
+                let stalled_until = stats.stall_until_micros.load(Ordering::Acquire);
+                if epoch.elapsed().as_micros() as u64 >= stalled_until {
+                    // Every pong carries a full registry snapshot: the
+                    // heartbeat cadence *is* the federation cadence.
+                    let _ = send(
+                        &out,
+                        &FromWorker::Pong {
+                            nonce,
+                            solves: stats.solves.load(Ordering::Acquire),
+                            solve_panics: stats.solve_panics.load(Ordering::Acquire),
+                            now_micros: span_clock_micros(epoch),
+                            metrics: Some(MetricsSnapshot::from_registry(aa_obs::global())),
+                        },
+                    );
+                }
+            }
+            Inbound::Req { seq, stream, budget_ms, trace, problem } => {
+                // The budget covers the solve, not the parse.
+                let file = parse_problem(problem);
+                let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+                if let Some(ctx) = trace {
+                    traces.lock().unwrap_or_else(|e| e.into_inner()).insert(seq, ctx);
+                }
+                received += 1;
+                let fault = faults.iter().find(|&&(s, _)| s == received).map(|&(_, f)| f);
+                let (drain_at, stats) = (Arc::clone(&drain_at), Arc::clone(&stats));
+                let build: BuildFn = Arc::new(move |previous| {
+                    if drain_at.get().is_some_and(|&t| Instant::now() >= t) {
+                        return Err(("shutdown", "worker drain timeout; retry elsewhere".to_string()));
+                    }
+                    if let Some(fault) = fault {
+                        inject(fault, &stats, epoch);
+                    }
+                    build_request_problem(file.as_ref().map_err(Clone::clone)?, previous)
+                });
+                let inject_panic = (fault == Some(ProcessFault::PanicSolve))
+                    .then(|| "chaos: injected solve panic".to_string());
+                let job = ShardJob { seq, stream, build, deadline, arrived: Instant::now(), inject_panic };
+                let _ = pool.submit_to(0, job);
+            }
+        }
+    }
+    let _ = drain_at.set(Instant::now() + Duration::from_millis(opts.drain_timeout_ms));
+    pool.shutdown();
+    Ok(())
+}
+
+/// One shard completion as the answer a worker sends back; a thread link
+/// answers its supervisor through it too.
+pub(crate) fn worker_result(
+    outcome: Result<TieredSolve, ShardError>,
+    solve_micros: u64,
+) -> WorkerResult {
+    match outcome {
+        Ok(solved) => WorkerResult::Ok {
+            tier: solved.degradation.tier.name().to_string(),
+            degraded: solved.degradation.degraded,
+            utility: solved.utility,
+            server: solved.assignment.server,
+            allocation: solved.assignment.amount,
+            solve_micros,
+        },
+        Err(e) => WorkerResult::Err {
+            class: e.class().to_string(),
+            queue_expired: matches!(e, ShardError::Expired),
+            error: match e {
+                ShardError::Expired => "budget expired while queued in worker".to_string(),
+                e => e.to_string(),
+            },
+            solve_micros,
+        },
+    }
 }
 
 /// The worker's span clock at call time: the collector's epoch-relative
@@ -173,142 +256,11 @@ fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Pull frames off stdin until EOF or an unrecoverable error. A frame
-/// whose header the worker cannot read is a front-end bug; the worker
-/// treats it like EOF (drain and exit) rather than guessing. A request
-/// whose problem fails to decode is the client's error, and is queued
-/// to be answered like any other.
-fn reader_loop<R: Read, W: Write>(
-    mut input: R,
-    out: &Mutex<W>,
-    shared: &Shared,
-    epoch: Instant,
-) {
-    while let Ok(Some(payload)) = read_frame(&mut input, MAX_FRAME_BYTES) {
-        let Some(msg) = std::str::from_utf8(&payload).ok().and_then(decode_to_worker) else {
-            break;
-        };
-        match msg {
-            Inbound::Ping { nonce } => {
-                let stalled_until = shared.stall_until_micros.load(Ordering::Acquire);
-                let now_micros = epoch.elapsed().as_micros() as u64;
-                if now_micros >= stalled_until {
-                    // A failed pong write means the front-end is gone;
-                    // the solve loop notices via EOF shortly after.
-                    // Every pong carries a full registry snapshot: the
-                    // heartbeat cadence *is* the federation cadence.
-                    let _ = send(
-                        out,
-                        &FromWorker::Pong {
-                            nonce,
-                            solves: shared.solves.load(Ordering::Acquire),
-                            solve_panics: shared.solve_panics.load(Ordering::Acquire),
-                            now_micros: span_clock_micros(epoch),
-                            metrics: Some(MetricsSnapshot::from_registry(aa_obs::global())),
-                        },
-                    );
-                }
-            }
-            Inbound::Req { seq, stream, budget_ms, trace, problem } => {
-                // The budget covers the solve, not the parse.
-                let problem = parse_problem(problem);
-                let deadline =
-                    budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                q.push_back(QueuedReq { seq, stream, deadline, trace, problem });
-                drop(q);
-                shared.wake.notify_all();
-            }
-        }
-    }
-    let mut at = shared.eof_at.lock().unwrap_or_else(|e| e.into_inner());
-    *at = Some(Instant::now());
-    drop(at);
-    let q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    shared.closed.store(true, Ordering::Release);
-    drop(q);
-    shared.wake.notify_all();
-}
-
-fn solve_loop<W: Write>(
-    out: &Mutex<W>,
-    shared: &Shared,
-    opts: &WorkerOpts,
-    epoch: Instant,
-) -> std::io::Result<()> {
-    let mut streams = StreamSolver::new(opts.ladder.clone(), opts.max_streams);
-    let mut solve_seq = 0u64;
-    let mut obs = WorkerObsState::new(opts.trace_spans);
-
-    loop {
-        let popped = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(req) = q.pop_front() {
-                    break Some(req);
-                }
-                if shared.closed.load(Ordering::Acquire) {
-                    break None;
-                }
-                // Blocks until the reader queues a request or closes;
-                // both happen under this lock, then notify.
-                q = shared.wake.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(req) = popped else {
-            obs.ship(out)?;
-            return Ok(());
-        };
-
-        // Past the drain deadline, everything still queued answers
-        // `shutdown` without solving — the front-end (or the client)
-        // retries elsewhere.
-        let drain_expired = shared.closed.load(Ordering::Acquire) && {
-            let at = shared.eof_at.lock().unwrap_or_else(|e| e.into_inner());
-            at.is_some_and(|t| {
-                Instant::now() >= t + Duration::from_millis(opts.drain_timeout_ms)
-            })
-        };
-        if drain_expired {
-            send(
-                out,
-                &FromWorker::Resp {
-                    seq: req.seq,
-                    result: WorkerResult::Err {
-                        class: "shutdown".to_string(),
-                        error: "worker drain timeout; retry elsewhere".to_string(),
-                        solve_micros: 0,
-                        queue_expired: true,
-                    },
-                },
-            )?;
-            continue;
-        }
-
-        solve_seq += 1;
-        if let Some((faults, offset)) = &opts.chaos {
-            let cumulative = offset + solve_seq;
-            if let Some(&(_, fault)) = faults.iter().find(|&&(s, _)| s == cumulative) {
-                inject(fault, out, shared, epoch);
-            }
-        }
-
-        let result = {
-            // The guard must drop before `ship` so the solve root (and
-            // the pipeline spans nested under it) are in the buffer.
-            let _root = obs.enter_solve(req.trace);
-            solve_one(&mut streams, shared, &req)
-        };
-        obs.observe(&result);
-        send(out, &FromWorker::Resp { seq: req.seq, result })?;
-        obs.ship(out)?;
-    }
-}
-
 /// Worker-side observability: the per-solve histogram every worker
 /// federates via `Pong`, and — when `--obs-spans` is set — the span
 /// shipper (cursor-tracked so [`Collector::events_since`] batches are
-/// never re-sent or lost) plus trace bindings for the front-end merge.
+/// never re-sent or lost) plus the bindings of each `fleet_solve` root
+/// to its front-end request span, for the merged trace.
 struct WorkerObsState {
     solve_hist: aa_obs::Histogram,
     errors: aa_obs::Counter,
@@ -340,21 +292,6 @@ impl WorkerObsState {
             collector,
             bindings: Vec::new(),
         }
-    }
-
-    /// Open the solve root span and bind it to the propagated
-    /// front-end parent. Inert when untraced.
-    fn enter_solve(&mut self, trace: Option<TraceCtx>) -> Option<SpanGuard> {
-        let _ = self.collector?;
-        let guard = SpanGuard::enter("fleet_solve");
-        if let (Some(id), Some(ctx)) = (guard.id(), trace) {
-            self.bindings.push(SpanBinding {
-                span: id,
-                trace_id: ctx.trace_id,
-                parent_span: ctx.parent_span,
-            });
-        }
-        Some(guard)
     }
 
     fn observe(&self, result: &WorkerResult) {
@@ -402,8 +339,9 @@ impl WorkerObsState {
     }
 }
 
-/// Fire one scheduled fault. `Kill` and `Garbage` do not return.
-fn inject<W: Write>(fault: ProcessFault, out: &Mutex<W>, shared: &Shared, epoch: Instant) {
+/// Fire one scheduled fault as the shard takes its request. `Kill` and
+/// `Garbage` do not return; `PanicSolve` fires inside the solve instead.
+fn inject(fault: ProcessFault, stats: &Stats, epoch: Instant) {
     match fault {
         ProcessFault::Kill => {
             // No flush, no drain: indistinguishable from SIGKILL as far
@@ -412,52 +350,19 @@ fn inject<W: Write>(fault: ProcessFault, out: &Mutex<W>, shared: &Shared, epoch:
         }
         ProcessFault::Stall { millis } => {
             let until = (epoch.elapsed() + Duration::from_millis(millis)).as_micros() as u64;
-            shared.stall_until_micros.store(until, Ordering::Release);
+            stats.stall_until_micros.store(until, Ordering::Release);
             std::thread::sleep(Duration::from_millis(millis));
         }
         ProcessFault::Garbage => {
             // A length header promising more bytes than follow: the
             // front-end's framing layer must treat this as a crash.
-            let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
+            let mut w = std::io::stdout().lock();
             let _ = w.write_all(&64u32.to_be_bytes());
             let _ = w.write_all(b"not json");
             let _ = w.flush();
-            drop(w);
             std::process::exit(CHAOS_EXIT_CODE);
         }
-    }
-}
-
-fn solve_one(streams: &mut StreamSolver, shared: &Shared, req: &QueuedReq) -> WorkerResult {
-    let err = |class: &str, error: String, solve_micros: u64, queue_expired: bool| {
-        WorkerResult::Err { class: class.to_string(), error, solve_micros, queue_expired }
-    };
-    let build = |previous: &_| match &req.problem {
-        Ok(file) => build_request_problem(file, previous),
-        Err(refused) => Err(refused.clone()),
-    };
-    let (outcome, solve_micros) = streams.answer(req.stream, build, req.deadline, None);
-    match outcome {
-        Ok(solved) => {
-            shared.solves.fetch_add(1, Ordering::AcqRel);
-            WorkerResult::Ok {
-                tier: solved.degradation.tier.name().to_string(),
-                degraded: solved.degradation.degraded,
-                utility: solved.utility,
-                server: solved.assignment.server,
-                allocation: solved.assignment.amount,
-                solve_micros,
-            }
-        }
-        Err(ShardError::Expired) => {
-            err("deadline", "budget expired while queued in worker".to_string(), 0, true)
-        }
-        Err(e) => {
-            if matches!(e, ShardError::Solve(SolveError::Panicked(_))) {
-                shared.solve_panics.fetch_add(1, Ordering::AcqRel);
-            }
-            err(e.class(), e.to_string(), solve_micros, false)
-        }
+        ProcessFault::PanicSolve => {}
     }
 }
 
@@ -482,15 +387,37 @@ mod tests {
         }
     }
 
+    /// An untraced request frame over `problem_file(threads)`.
+    fn req(seq: u64, stream: Option<u64>, budget_ms: Option<u64>, threads: usize) -> Vec<u8> {
+        let problem = problem_file(threads);
+        frame(&ToWorker::Req { seq, stream, budget_ms, trace: None, problem })
+    }
+
     fn frame(msg: &ToWorker) -> Vec<u8> {
         let mut buf = Vec::new();
         write_frame(&mut buf, serde_json::to_string(msg).unwrap().as_bytes()).unwrap();
         buf
     }
 
+    /// The worker's stdout, kept readable after the run.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     fn run(input: Vec<u8>, opts: &WorkerOpts) -> Vec<FromWorker> {
-        let mut output = Vec::new();
-        run_worker(&input[..], &mut output, opts).unwrap();
+        let output = Shared::default();
+        run_worker(&input[..], output.clone(), opts).unwrap();
+        let output = output.0.lock().unwrap().clone();
         let mut cursor = &output[..];
         let mut msgs = Vec::new();
         while let Some(payload) = read_frame(&mut cursor, MAX_FRAME_BYTES).unwrap() {
@@ -504,21 +431,9 @@ mod tests {
     #[test]
     fn worker_hellos_solves_and_answers_pings() {
         let mut input = Vec::new();
-        input.extend(frame(&ToWorker::Req {
-            seq: 0,
-            stream: Some(7),
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(6),
-        }));
+        input.extend(req(0, Some(7), None, 6));
         input.extend(frame(&ToWorker::Ping { nonce: 99 }));
-        input.extend(frame(&ToWorker::Req {
-            seq: 1,
-            stream: Some(7),
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(6),
-        }));
+        input.extend(req(1, Some(7), None, 6));
         let msgs = run(input, &WorkerOpts::default());
         assert!(
             matches!(msgs[0], FromWorker::Hello { worker: 0, .. }),
@@ -549,13 +464,7 @@ mod tests {
     /// hang into a failure.
     #[test]
     fn worker_returns_at_eof_without_polling() {
-        let one_req = frame(&ToWorker::Req {
-            seq: 3,
-            stream: None,
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(2),
-        });
+        let one_req = req(3, None, None, 2);
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             for _ in 0..200 {
@@ -580,13 +489,7 @@ mod tests {
     #[test]
     fn expired_budget_answers_deadline_without_solving() {
         let mut input = Vec::new();
-        input.extend(frame(&ToWorker::Req {
-            seq: 5,
-            stream: None,
-            budget_ms: Some(0),
-            trace: None,
-            problem: problem_file(2000),
-        }));
+        input.extend(req(5, None, Some(0), 2000));
         let msgs = run(input, &WorkerOpts::default());
         let resp = msgs
             .iter()
@@ -614,13 +517,7 @@ mod tests {
             trace: None,
             problem: ProblemFile { servers: 0, capacity: 4.0, threads: vec![] },
         }));
-        input.extend(frame(&ToWorker::Req {
-            seq: 1,
-            stream: None,
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(4),
-        }));
+        input.extend(req(1, None, None, 4));
         let msgs = run(input, &WorkerOpts::default());
         let classes: Vec<String> = msgs
             .iter()
@@ -646,13 +543,7 @@ mod tests {
         let mut input = Vec::new();
         let bad = encode_req(0, None, None, None, r#"{"servers":2,"capacity":8.0,"threads":"x"}"#);
         write_frame(&mut input, bad.as_bytes()).unwrap();
-        input.extend(frame(&ToWorker::Req {
-            seq: 1,
-            stream: None,
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(4),
-        }));
+        input.extend(req(1, None, None, 4));
         let msgs = run(input, &WorkerOpts::default());
         let answers: Vec<(u64, String)> = msgs
             .iter()
@@ -678,13 +569,7 @@ mod tests {
         // deadline and answers `shutdown`.
         let mut input = Vec::new();
         for seq in 0..4 {
-            input.extend(frame(&ToWorker::Req {
-                seq,
-                stream: Some(1),
-                budget_ms: None,
-                trace: None,
-                problem: problem_file(6),
-            }));
+            input.extend(req(seq, Some(1), None, 6));
         }
         let opts = WorkerOpts {
             drain_timeout_ms: 0,
@@ -711,13 +596,7 @@ mod tests {
     #[test]
     fn stall_fault_drops_pings_until_it_passes() {
         let mut input = Vec::new();
-        input.extend(frame(&ToWorker::Req {
-            seq: 0,
-            stream: None,
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(4),
-        }));
+        input.extend(req(0, None, None, 4));
         let opts = WorkerOpts {
             chaos: Some((vec![(1, ProcessFault::Stall { millis: 30 })], 0)),
             ..WorkerOpts::default()
@@ -779,13 +658,7 @@ mod tests {
         // incarnation's *first* solve; a stall (not kill) keeps the
         // test process alive while proving the trigger fired.
         let mut input = Vec::new();
-        input.extend(frame(&ToWorker::Req {
-            seq: 0,
-            stream: None,
-            budget_ms: None,
-            trace: None,
-            problem: problem_file(4),
-        }));
+        input.extend(req(0, None, None, 4));
         let opts = WorkerOpts {
             chaos: Some((vec![(3, ProcessFault::Stall { millis: 20 })], 2)),
             ..WorkerOpts::default()

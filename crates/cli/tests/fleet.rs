@@ -120,12 +120,11 @@ fn fleet_answers_are_bit_identical_to_single_process_serve() {
 /// answers, while the worker builds each request against the stream's
 /// previous threads: the repeats take the identical fast path and the
 /// drifts the warm path, which only carried curves make possible.
-#[test]
-fn drifting_streams_answer_like_cold_solves_and_ride_the_warm_path() {
+fn drifting_streams_ride_the_warm_path(mode: &[&str]) {
     use aa_cli::{build_problem, generate_document, GenerateOpts, ProblemFile};
     use aa_utility::UtilitySpec;
 
-    let dir = tempdir("drift");
+    let dir = tempdir(&format!("drift{}", mode[0]));
     let (trace, dump) = (dir.join("trace.json"), dir.join("metrics.json"));
     let mut files: Vec<ProblemFile> = (0..2)
         .map(|seed| {
@@ -153,14 +152,14 @@ fn drifting_streams_answer_like_cold_solves_and_ride_the_warm_path() {
         lines.push(format!(r#"{{"id":{k},"stream":{stream},"problem":{problem}}}"#));
         sent.push(file.clone());
     }
-    let resps = run_serve(
-        &[
-            "serve", "--fleet", "2", "--ladder", "algo2,uu",
-            "--trace", trace.to_str().unwrap(),
-            "--metrics-dump", dump.to_str().unwrap(),
-        ],
-        &lines,
-    );
+    let mut args = vec!["serve"];
+    args.extend_from_slice(mode);
+    args.extend_from_slice(&[
+        "--ladder", "algo2,uu",
+        "--trace", trace.to_str().unwrap(),
+        "--metrics-dump", dump.to_str().unwrap(),
+    ]);
+    let resps = run_serve(&args, &lines);
     assert_eq!(resps.len(), sent.len());
     for r in &resps {
         let id = r["id"].as_u64().unwrap();
@@ -181,8 +180,9 @@ fn drifting_streams_answer_like_cold_solves_and_ride_the_warm_path() {
             "utility bits diverge for id {id}"
         );
     }
-    // Each worker's registry federates through the trace's per-solve
-    // frames; sum the incremental mode counters over workers.
+    // Worker processes federate their registries through the trace's
+    // per-solve frames (worker= labels); shard threads count in the
+    // front-end's own. Sum the incremental mode counters either way.
     let metrics: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&dump).unwrap()).unwrap();
     let total = |name: &str| -> u64 {
@@ -190,12 +190,22 @@ fn drifting_streams_answer_like_cold_solves_and_ride_the_warm_path() {
             .as_object()
             .unwrap()
             .iter()
-            .filter(|(k, _)| k.starts_with(&format!("{name}{{")))
+            .filter(|(k, _)| *k == name || k.starts_with(&format!("{name}{{")))
             .map(|(_, v)| v.as_u64().unwrap())
             .sum()
     };
     assert!(total("aa_incremental_identical_total") > 0, "no repeat took the identical path");
     assert!(total("aa_incremental_warm_total") > 0, "no drift took the warm path");
+}
+
+#[test]
+fn drifting_streams_answer_like_cold_solves_and_ride_the_warm_path() {
+    drifting_streams_ride_the_warm_path(&["--fleet", "2"]);
+}
+
+#[test]
+fn drifting_shard_streams_answer_like_cold_solves_and_ride_the_warm_path() {
+    drifting_streams_ride_the_warm_path(&["--shards", "2"]);
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! Process-fleet building blocks shared by the `aa serve --fleet`
-//! front-end and the hidden `serve-worker` mode.
+//! Supervisor building blocks shared by `aa serve` (its thread and
+//! process links alike) and the hidden `serve-worker` mode.
 //!
 //! This module is deliberately transport-level and policy-free: it owns
-//! the wire framing, the retry backoff math (shared with the in-process
-//! shard restarts so both tiers back off identically), the front-end's
+//! the wire framing, the retry and respawn backoff math, the front-end's
 //! exactly-once pending map, and the membership-aware stream router. The
-//! process plumbing (spawning, pipes, heartbeat timers) lives in the CLI
-//! crate; everything here is pure data structure and therefore unit- and
-//! property-testable without processes.
+//! links themselves (shard threads, worker processes, pipes, heartbeat
+//! timers) live in the CLI crate; everything here is pure data structure
+//! and therefore unit- and property-testable without threads or
+//! processes.
 //!
 //! ## Framing
 //!
@@ -50,6 +50,30 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::ring::Ring;
+
+/// How a supervised worker runs: a shard thread fed request values over
+/// a channel, or a child process fed frames over pipes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// An in-process shard thread (`serve`, `serve --shards N`).
+    Thread,
+    /// A `serve-worker` child process (`serve --fleet N`).
+    Process,
+}
+
+impl serde::Serialize for Link {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(match self {
+            Link::Thread => "thread",
+            Link::Process => "process",
+        }
+        .to_string())
+    }
+}
+
+/// The widest executor the supervisor runs: `--shards N`, `--fleet N`
+/// and a resize line may ask for at most this many workers.
+pub const MAX_WORKERS: usize = 256;
 
 /// Hard cap on a single frame payload (8 MiB). A length prefix above
 /// this is treated as garbage, not as a request for a huge allocation.
@@ -160,10 +184,8 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
     Ok(Some(buf))
 }
 
-/// Exponential backoff with seeded jitter, shared by the shard pool
-/// (each shard thread's in-place restarts) and the fleet front-end
-/// (request retry and process respawn) so both tiers pace recovery
-/// identically.
+/// Exponential backoff with seeded jitter: the supervisor paces request
+/// replays and worker respawns with it.
 #[derive(Debug, Clone, Copy)]
 pub struct Backoff {
     /// First-attempt delay; doubles per attempt.

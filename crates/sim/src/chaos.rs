@@ -1,41 +1,33 @@
-//! Deterministic chaos harnesses for the shard pool and the process fleet.
+//! Deterministic chaos schedules and verdicts for the serve supervisor.
 //!
 //! Mirrors the scripted-churn approach of [`crate::faults`], but the
 //! target is the *serving tier* rather than the cluster model: a seeded
-//! [`ChaosPlan`] schedules worker kills, contained solve panics, and
-//! stalls against an [`aa_core::ShardPool`], keyed on each shard's solve
-//! sequence number so the same plan produces the same faults regardless
-//! of thread interleaving.
+//! [`ProcessChaosPlan`] schedules faults against each supervised worker
+//! — a shard thread or a worker process — keyed on the worker's
+//! cumulative request count, so the same seed replays the same storm
+//! regardless of thread, pipe and scheduler timing.
 //!
-//! [`run_chaos`] drives the pool through the plan with closed-loop
-//! request rounds (one request per stream per round, then await the
-//! round's completions) and produces a [`ChaosReport`] asserting the
-//! pool's core robustness invariants:
+//! The harness that drives a real supervisor through the plan lives in
+//! the CLI crate, next to the supervisor ([`FleetObservations`] is what
+//! it hands back); [`analyze_fleet`] folds those observations into the
+//! deterministic [`FleetChaosReport`] asserting the robustness
+//! invariants:
 //!
-//! * **liveness** — the pool survives every kill; each shard restarts at
-//!   least as many times as it was killed;
-//! * **exactly-once** — every admitted request gets exactly one
-//!   completion: no losses, no duplicates;
+//! * **liveness** — the supervisor answers every round through the
+//!   storm, each worker restarts at least once per restarting fault, and
+//!   every worker is live at the end;
+//! * **exactly-once** — every admitted request gets exactly one answer:
+//!   no losses, no duplicates;
 //! * **warm recovery** — for each disrupted stream, the trailing-window
-//!   p99 of warm solve latency returns to within
-//!   [`RECOVERY_FACTOR`]× its pre-kill value within
-//!   [`RECOVERY_WINDOW_REQUESTS`] requests of the restart (the first
-//!   post-restart solve is a cold warm-state rebuild and is left out,
-//!   as the stream's cold first solve is before the kill).
+//!   p99 of warm solve latency returns to within [`RECOVERY_FACTOR`]×
+//!   its pre-fault value within [`RECOVERY_WINDOW_REQUESTS`] requests of
+//!   the last disruption (the first solve after it is a cold warm-state
+//!   rebuild and is left out, as the stream's cold first solve is before
+//!   the fault).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-use aa_core::shard::{
-    ChaosHook, CompletionFn, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob,
-    ShardPool,
-};
-use aa_core::tiered::Tier;
-use aa_core::{Problem, SolveError};
-use aa_obs::Registry;
-use aa_utility::{DynUtility, LogUtility, Power};
+use aa_core::fleet::Link;
 use serde::{Deserialize, Serialize};
 
 /// Recovery target: post-restart trailing p99 must come back within this
@@ -56,238 +48,6 @@ const TRAIL: usize = 16;
 /// stream stuck on the cold path (hundreds of microseconds per solve)
 /// — still clears this floor by a wide margin.
 pub const RECOVERY_FLOOR_MICROS: u64 = 100;
-
-/// Configuration for [`run_chaos`].
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosConfig {
-    /// Worker shards in the pool.
-    pub shards: usize,
-    /// Streams pinned to each shard (keys are found by probing the ring).
-    pub streams_per_shard: usize,
-    /// Closed-loop rounds; each round submits one request per stream.
-    pub rounds: usize,
-    /// Times each shard is killed over the run.
-    pub kills_per_shard: usize,
-    /// Inject a contained solve panic every N-th solve on each shard.
-    pub panic_every: Option<u64>,
-    /// Stall every N-th solve on each shard by [`ChaosConfig::stall`].
-    pub stall_every: Option<u64>,
-    /// Stall duration for scheduled stalls, in microseconds.
-    pub stall_micros: u64,
-    /// Seed for problem generation and restart jitter.
-    pub seed: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            shards: 4,
-            streams_per_shard: 2,
-            rounds: 100,
-            kills_per_shard: 3,
-            panic_every: Some(61),
-            stall_every: Some(97),
-            stall_micros: 1000,
-            seed: 2016,
-        }
-    }
-}
-
-/// The deterministic fault schedule derived from a [`ChaosConfig`]:
-/// per-shard solve-sequence numbers at which the worker is killed.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosPlan {
-    /// `kill_seqs[s]` — solve sequence numbers that kill shard `s`.
-    pub kill_seqs: Vec<Vec<u64>>,
-    /// Contained-panic period, if any.
-    pub panic_every: Option<u64>,
-    /// Stall period, if any.
-    pub stall_every: Option<u64>,
-    /// Stall duration in microseconds.
-    pub stall_micros: u64,
-}
-
-impl ChaosPlan {
-    /// Derive the kill schedule: kills are spread evenly across each
-    /// shard's expected solve count (`streams_per_shard × rounds`), so a
-    /// shard is killed mid-traffic with warm streams on both sides.
-    pub fn from_config(cfg: &ChaosConfig) -> Self {
-        let expected = (cfg.streams_per_shard * cfg.rounds) as u64;
-        let kills = cfg.kills_per_shard as u64;
-        let kill_seqs = (0..cfg.shards)
-            .map(|s| {
-                (1..=kills)
-                    .map(|k| {
-                        // Offset per shard so kills don't align across
-                        // shards (a storm, not a synchronized blackout).
-                        (expected * k / (kills + 1)).saturating_add(s as u64) .max(2)
-                    })
-                    .collect()
-            })
-            .collect();
-        ChaosPlan {
-            kill_seqs,
-            panic_every: cfg.panic_every,
-            stall_every: cfg.stall_every,
-            stall_micros: cfg.stall_micros,
-        }
-    }
-
-    /// The plan as a [`ChaosHook`] for [`ShardConfig::chaos`].
-    pub fn hook(&self) -> ChaosHook {
-        let plan = self.clone();
-        Arc::new(move |shard, seq| {
-            if plan.kill_seqs.get(shard).is_some_and(|ks| ks.contains(&seq)) {
-                return FaultAction::KillShard;
-            }
-            if plan.panic_every.is_some_and(|p| p > 0 && seq % p == 0) {
-                return FaultAction::PanicSolve;
-            }
-            if plan.stall_every.is_some_and(|p| p > 0 && seq % p == 0) {
-                return FaultAction::Stall(Duration::from_micros(plan.stall_micros));
-            }
-            FaultAction::None
-        })
-    }
-}
-
-/// Post-kill latency recovery on one disrupted stream.
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamRecovery {
-    /// The stream key.
-    pub stream: u64,
-    /// The shard the stream routes to.
-    pub shard: usize,
-    /// p99 of warm solve latency before the first disruption (µs).
-    pub pre_kill_p99_micros: u64,
-    /// Requests after the post-restart rebuild until the trailing-window
-    /// p99 fell back within [`RECOVERY_FACTOR`]× pre-kill; `None` if it
-    /// never did within the post-disruption tail.
-    pub recovered_after: Option<usize>,
-    /// Whether recovery happened within [`RECOVERY_WINDOW_REQUESTS`].
-    pub recovered: bool,
-}
-
-/// Everything [`run_chaos`] observed, serializable as the CI artifact.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosReport {
-    /// The config that produced this report.
-    pub config: ChaosConfig,
-    /// The derived kill schedule.
-    pub plan: ChaosPlan,
-    /// Requests admitted by the pool (submit returned `Ok`).
-    pub admitted: usize,
-    /// Completions delivered.
-    pub completed: usize,
-    /// Sequence numbers answered more than once (must be empty).
-    pub duplicate_seqs: Vec<u64>,
-    /// Admitted sequence numbers never answered (must be empty).
-    pub missing_seqs: Vec<u64>,
-    /// Requests answered with a solve.
-    pub ok: usize,
-    /// Requests answered `Crashed` (in flight when a shard died).
-    pub crashed: usize,
-    /// Requests answered `Drained` (queued on a shard that died).
-    pub drained: usize,
-    /// Requests answered with a contained solve panic.
-    pub solve_panics: usize,
-    /// Restart count per shard after the run.
-    pub restarts: Vec<u32>,
-    /// Shards still live (breaker closed) after the run.
-    pub live_shards: usize,
-    /// Per-stream recovery measurements for disrupted streams.
-    pub recoveries: Vec<StreamRecovery>,
-    /// True iff no losses and no duplicates.
-    pub exactly_once: bool,
-    /// True iff the pool answered the final round after every kill —
-    /// i.e. the serve tier never exited.
-    pub survived: bool,
-    /// Wall-clock duration of the run (µs).
-    pub elapsed_micros: u64,
-}
-
-impl ChaosReport {
-    /// All robustness invariants at once; the chaos-smoke CI gate.
-    pub fn healthy(&self) -> bool {
-        self.survived
-            && self.exactly_once
-            && self.live_shards == self.config.shards
-            && self
-                .restarts
-                .iter()
-                .all(|&r| r as usize >= self.config.kills_per_shard)
-            && self.recoveries.iter().all(|r| r.recovered)
-            && !self.recoveries.is_empty()
-    }
-}
-
-/// Collects completions and lets the driver await a target count.
-struct Sink {
-    completions: Mutex<Vec<ShardCompletion>>,
-    arrived: Condvar,
-    count: AtomicUsize,
-}
-
-impl Sink {
-    fn new() -> Arc<Self> {
-        Arc::new(Sink {
-            completions: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-            count: AtomicUsize::new(0),
-        })
-    }
-
-    fn hook(self: &Arc<Self>) -> CompletionFn {
-        let me = Arc::clone(self);
-        Arc::new(move |c| {
-            let mut g = me.completions.lock().unwrap_or_else(|e| e.into_inner());
-            g.push(c);
-            me.count.store(g.len(), Ordering::Release);
-            drop(g);
-            me.arrived.notify_all();
-        })
-    }
-
-    /// Wait until `target` completions have arrived; false on timeout.
-    fn await_count(&self, target: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.completions.lock().unwrap_or_else(|e| e.into_inner());
-        while g.len() < target {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .arrived
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = guard;
-        }
-        true
-    }
-
-    fn take(&self) -> Vec<ShardCompletion> {
-        std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-/// A small concave workload for stream `key`: identical across a
-/// stream's requests, so the warm path settles on `SolveMode::Identical`
-/// and the post-restart cold rebuild is the visible latency spike.
-fn stream_problem(key: u64, seed: u64) -> Problem {
-    let n = 18 + (key % 5) as usize;
-    Problem::builder(3, 12.0)
-        .threads((0..n).map(|i| {
-            let s = 1.0 + ((i as u64 * 7 + key * 3 + seed) % 11) as f64 * 0.5;
-            if i % 2 == 0 {
-                Arc::new(Power::new(s, 0.5, 12.0)) as DynUtility
-            } else {
-                Arc::new(LogUtility::new(s, 0.9, 12.0)) as DynUtility
-            }
-        }))
-        .build()
-        .expect("stream problem is well-formed")
-}
 
 /// Stream keys, in key order, that pin `per` streams to each of
 /// `members` shards or workers on the consistent-hash ring both serving
@@ -315,25 +75,6 @@ fn p99(sorted_or_not: &[u64]) -> u64 {
     v.sort_unstable();
     let idx = ((v.len() as f64) * 0.99).ceil() as usize;
     v[idx.saturating_sub(1).min(v.len() - 1)]
-}
-
-/// The exactly-once fold both chaos verdicts use: seqs answered more
-/// than once, and admitted seqs never answered (both sorted).
-fn exactly_once_fold(
-    admitted: impl IntoIterator<Item = u64>,
-    answered: impl IntoIterator<Item = u64>,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut counts: HashMap<u64, usize> = HashMap::new();
-    for seq in answered {
-        *counts.entry(seq).or_default() += 1;
-    }
-    let mut duplicates: Vec<u64> =
-        counts.iter().filter(|&(_, &n)| n > 1).map(|(&s, _)| s).collect();
-    duplicates.sort_unstable();
-    let mut missing: Vec<u64> =
-        admitted.into_iter().filter(|s| !counts.contains_key(s)).collect();
-    missing.sort_unstable();
-    (duplicates, missing)
 }
 
 /// One disrupted stream's warm-latency recovery, as [`recovery`] measures it.
@@ -379,166 +120,46 @@ fn recovery(series: &mut [(u64, bool, Option<u64>)]) -> Option<Recovery> {
     Some(Recovery { pre_p99, recovered_after })
 }
 
-/// Run the seeded chaos script against a real shard pool and measure the
-/// robustness invariants. Deterministic in its fault *schedule* (which
-/// shard dies on which solve); timings naturally vary.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let plan = ChaosPlan::from_config(cfg);
-    let registry = Registry::new();
-    let sink = Sink::new();
-    // Quiet the default panic printer: shard kills are scheduled here,
-    // and a chaos run would otherwise spew dozens of backtraces.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let pool = ShardPool::new(
-        ShardConfig {
-            shards: cfg.shards,
-            queue: (cfg.streams_per_shard * 2).max(16),
-            // Kills must never trip the breaker in this harness; the
-            // breaker path has its own tests.
-            max_restarts: (cfg.kills_per_shard as u32 + 2).max(8),
-            backoff_base: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(50),
-            seed: cfg.seed,
-            ladder: Some(vec![Tier::Algo2, Tier::Uu]),
-            chaos: Some(plan.hook()),
-            ..ShardConfig::default()
-        },
-        &registry,
-        sink.hook(),
-    );
-
-    let keys = balanced_keys(pool.shard_count(), cfg.streams_per_shard);
-    let shard_of: HashMap<u64, usize> =
-        keys.iter().map(|&k| (k, pool.route(k).expect("live shard"))).collect();
-    let problems: HashMap<u64, Problem> =
-        keys.iter().map(|&k| (k, stream_problem(k, cfg.seed))).collect();
-
-    let started = Instant::now();
-    let mut admitted: Vec<u64> = Vec::new();
-    let mut seq = 0u64;
-    let mut lost_round = false;
-    for _round in 0..cfg.rounds {
-        let before = admitted.len();
-        for &key in &keys {
-            // Closed-loop: a transiently full queue (kill storm backlog)
-            // drains within the round timeout.
-            let wait_deadline = Instant::now() + Duration::from_secs(20);
-            loop {
-                match pool.submit(ShardJob::new(seq, Some(key), problems[&key].clone(), None)) {
-                    Ok(()) => {
-                        admitted.push(seq);
-                        break;
-                    }
-                    Err(aa_core::SubmitError::QueueFull { .. })
-                        if Instant::now() < wait_deadline =>
-                    {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(e) => panic!("chaos harness submit failed: {e}"),
-                }
-            }
-            seq += 1;
-        }
-        let target = before + keys.len();
-        if !sink.await_count(target, Duration::from_secs(30)) {
-            lost_round = true;
-            break;
-        }
-    }
-    // The pool survived iff every admitted request of every round —
-    // including rounds straddling kills — was answered.
-    let survived = !lost_round;
-    let restarts = pool.restarts();
-    let live_shards = pool.live_shards();
-    pool.shutdown();
-    std::panic::set_hook(prev_hook);
-    let elapsed = started.elapsed();
-
-    let completions = sink.take();
-    let (duplicate_seqs, missing_seqs) =
-        exactly_once_fold(admitted.iter().copied(), completions.iter().map(|c| c.seq));
-
-    let mut ok = 0;
-    let mut crashed = 0;
-    let mut drained = 0;
-    let mut solve_panics = 0;
-    for c in &completions {
-        match &c.outcome {
-            Ok(_) => ok += 1,
-            Err(ShardError::Crashed) => crashed += 1,
-            Err(ShardError::Drained) => drained += 1,
-            Err(ShardError::Solve(SolveError::Panicked(_))) => solve_panics += 1,
-            Err(_) => {}
-        }
-    }
-
-    // Per-stream latency series; a failed answer marks a disruption.
-    let mut by_stream: HashMap<u64, Vec<(u64, bool, Option<u64>)>> = HashMap::new();
-    for c in &completions {
-        if let Some(s) = c.stream {
-            let us = c.outcome.is_ok().then_some(c.solve_micros);
-            by_stream.entry(s).or_default().push((c.seq, us.is_none(), us));
-        }
-    }
-    let mut recoveries = Vec::new();
-    for (&stream, series) in &mut by_stream {
-        if let Some(r) = recovery(series) {
-            recoveries.push(StreamRecovery {
-                stream,
-                shard: shard_of[&stream],
-                pre_kill_p99_micros: r.pre_p99,
-                recovered_after: r.recovered_after,
-                recovered: r.recovered(),
-            });
-        }
-    }
-    recoveries.sort_by_key(|r| r.stream);
-
-    let exactly_once = duplicate_seqs.is_empty() && missing_seqs.is_empty();
-    ChaosReport {
-        config: cfg.clone(),
-        plan,
-        admitted: admitted.len(),
-        completed: completions.len(),
-        duplicate_seqs,
-        missing_seqs,
-        ok,
-        crashed,
-        drained,
-        solve_panics,
-        restarts,
-        live_shards,
-        recoveries,
-        exactly_once,
-        survived,
-        elapsed_micros: elapsed.as_micros() as u64,
-    }
-}
-
-/// A process-level fault a fleet worker injects against itself, keyed on
-/// the worker's cumulative solve sequence number (1-based, persisting
-/// across restarts via the front-end's replayed offset) so a storm
-/// replays deterministically regardless of pipe and scheduler timing.
+/// A fault a supervised worker injects against itself, keyed on the
+/// worker's cumulative request count (1-based, persisting across
+/// restarts via the supervisor's replayed offset) so a storm replays
+/// deterministically regardless of thread, pipe and scheduler timing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum ProcessFault {
-    /// Exit immediately mid-solve, as if SIGKILLed.
+    /// Die mid-request: a process exits as if SIGKILLed, a shard thread
+    /// panics outside the caught solve.
     Kill,
-    /// Stop answering heartbeats (while still holding the pipe open) for
-    /// this long; a duration past the front-end's heartbeat tolerance
-    /// gets the process killed and restarted from outside.
+    /// Stall this long before solving. A process also stops answering
+    /// heartbeats (while still holding the pipe open), so a duration past
+    /// the supervisor's heartbeat tolerance gets it killed and restarted
+    /// from outside; a thread is not pinged and just runs late.
     Stall {
         /// Stall duration in milliseconds.
         millis: u64,
     },
-    /// Write a truncated garbage frame on stdout and exit: the framing
-    /// violation must be treated exactly like a crash.
+    /// A process writes a truncated garbage frame on stdout and exits:
+    /// the framing violation must be treated exactly like a crash. A
+    /// thread, with no frame to corrupt, dies as on a kill.
     Garbage,
+    /// Panic inside the caught solve: the request is answered
+    /// `class:"solve_panic"` and the worker keeps serving.
+    PanicSolve,
 }
 
-/// The deterministic process-fault schedule for a fleet: per worker, the
-/// `(solve_seq, fault)` pairs at which that worker misbehaves.
+impl ProcessFault {
+    /// Whether the fault ends the worker, so the supervisor restarts it.
+    pub fn restarts(self, link: Link) -> bool {
+        match self {
+            ProcessFault::Kill | ProcessFault::Garbage => true,
+            ProcessFault::Stall { .. } => link == Link::Process,
+            ProcessFault::PanicSolve => false,
+        }
+    }
+}
+
+/// The deterministic fault schedule for a supervised set of workers: per
+/// worker, the `(request count, fault)` pairs at which it misbehaves.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProcessChaosPlan {
     /// `faults[w]` — this worker's schedule, strictly increasing in seq.
@@ -546,12 +167,11 @@ pub struct ProcessChaosPlan {
 }
 
 impl ProcessChaosPlan {
-    /// Derive the storm: kills, then stalls, then garbage faults are
-    /// dealt round-robin over workers, and each worker's faults are
-    /// spread evenly across its expected solve count
-    /// (`streams_per_worker × rounds`) so it dies mid-traffic with warm
-    /// streams on both sides — the same spreading as the in-process
-    /// [`ChaosPlan`].
+    /// Derive the storm: kills, then stalls, then garbage faults, then
+    /// contained panics are dealt round-robin over workers, and each
+    /// worker's faults are spread evenly across its expected request
+    /// count (`streams_per_worker × rounds`) so it dies mid-traffic with
+    /// warm streams on both sides.
     pub fn from_config(cfg: &FleetChaosConfig) -> Self {
         let mut kinds: Vec<Vec<ProcessFault>> = vec![Vec::new(); cfg.workers];
         let storm = std::iter::repeat_n(ProcessFault::Kill, cfg.kills)
@@ -559,7 +179,8 @@ impl ProcessChaosPlan {
                 ProcessFault::Stall { millis: cfg.stall_millis },
                 cfg.stalls,
             ))
-            .chain(std::iter::repeat_n(ProcessFault::Garbage, cfg.garbage));
+            .chain(std::iter::repeat_n(ProcessFault::Garbage, cfg.garbage))
+            .chain(std::iter::repeat_n(ProcessFault::PanicSolve, cfg.panics));
         for (i, fault) in storm.enumerate() {
             kinds[i % cfg.workers.max(1)].push(fault);
         }
@@ -586,30 +207,44 @@ impl ProcessChaosPlan {
         ProcessChaosPlan { faults }
     }
 
-    /// Total scheduled faults across the fleet.
+    /// Total scheduled faults across the workers.
     pub fn total(&self) -> usize {
         self.faults.iter().map(|f| f.len()).sum()
     }
+
+    /// `worker`'s faults that end it on `link`, in schedule order.
+    pub fn restarting(&self, worker: usize, link: Link) -> impl Iterator<Item = u64> + '_ {
+        self.faults
+            .get(worker)
+            .into_iter()
+            .flatten()
+            .filter(move |(_, f)| f.restarts(link))
+            .map(|&(seq, _)| seq)
+    }
 }
 
-/// Configuration for a fleet chaos run (the multi-process analogue of
-/// [`ChaosConfig`], driven by the CLI's `chaos --fleet` mode).
+/// Configuration for a chaos run against the serve supervisor, over
+/// either link (the CLI's `chaos --shards N` and `chaos --fleet`).
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetChaosConfig {
-    /// Worker processes in the fleet.
+    /// How the workers run.
+    pub link: Link,
+    /// Supervised workers (shard threads or processes).
     pub workers: usize,
     /// Streams pinned to each worker (keys found by probing the ring).
     pub streams_per_worker: usize,
     /// Closed-loop rounds; each round submits one request per stream.
     pub rounds: usize,
-    /// Scheduled worker kills across the fleet.
+    /// Scheduled worker kills across the workers.
     pub kills: usize,
-    /// Scheduled heartbeat stalls across the fleet.
+    /// Scheduled stalls across the workers.
     pub stalls: usize,
-    /// Scheduled garbage-frame faults across the fleet.
+    /// Scheduled garbage-frame faults across the workers.
     pub garbage: usize,
-    /// Stall duration in milliseconds (must exceed the front-end's
-    /// heartbeat tolerance to register as a fault at all).
+    /// Scheduled contained solve panics across the workers.
+    pub panics: usize,
+    /// Stall duration in milliseconds (against processes it must exceed
+    /// the supervisor's heartbeat tolerance to register as a fault).
     pub stall_millis: u64,
     /// End-to-end p99 latency objective the front-end's SLO layer runs
     /// against during the storm, microseconds.
@@ -621,12 +256,14 @@ pub struct FleetChaosConfig {
 impl Default for FleetChaosConfig {
     fn default() -> Self {
         FleetChaosConfig {
+            link: Link::Process,
             workers: 4,
             streams_per_worker: 2,
             rounds: 100,
             kills: 3,
             stalls: 1,
             garbage: 0,
+            panics: 0,
             stall_millis: 2000,
             slo_p99_micros: 100_000,
             seed: 2016,
@@ -663,6 +300,8 @@ pub struct FleetObservations {
     pub completions: Vec<FleetObservation>,
     /// Restart count per worker after the run.
     pub restarts: Vec<u64>,
+    /// Workers live (not retired) once the storm was over.
+    pub live: usize,
     /// Whether every round completed (the front-end never wedged).
     pub survived: bool,
     /// Whether every stream routed to its ring owner again after the
@@ -695,16 +334,20 @@ pub struct FleetChaosReport {
     pub missing_seqs: Vec<u64>,
     /// Requests answered with a solve.
     pub ok: u64,
-    /// Requests answered with a front-end internal error.
+    /// Requests answered with a contained solve panic.
+    pub solve_panics: u64,
+    /// Requests answered with any other error.
     pub internal: u64,
     /// Restart count per worker.
     pub restarts: Vec<u64>,
+    /// Workers live (not retired) once the storm was over.
+    pub live: usize,
     /// No losses, no duplicates.
     pub exactly_once: bool,
     /// The front-end answered every round through the whole storm.
     pub survived: bool,
-    /// Every worker restarted at least as many times as it had faults
-    /// scheduled.
+    /// Every worker restarted at least once per scheduled fault that
+    /// ends it on this link.
     pub restarted_on_schedule: bool,
     /// Every stream routed back to its ring owner post-recovery.
     pub rebalanced: bool,
@@ -729,13 +372,19 @@ pub struct FleetChaosReport {
 }
 
 impl FleetChaosReport {
-    /// All fleet robustness invariants at once; the fleet-smoke CI gate.
+    /// All robustness invariants at once; the CI chaos gate. Every
+    /// request is solved except the scheduled contained panics, each of
+    /// which answers exactly once.
     pub fn healthy(&self) -> bool {
+        let panics = self.plan.faults.iter().flatten();
+        let panics = panics.filter(|(_, f)| *f == ProcessFault::PanicSolve).count() as u64;
         self.survived
             && self.exactly_once
             && self.admitted == self.completed
-            && self.ok == self.admitted
+            && self.ok + self.solve_panics == self.admitted
+            && self.solve_panics == panics
             && self.internal == 0
+            && self.live == self.config.workers
             && self.restarted_on_schedule
             && self.rebalanced
             && self.outputs_identical
@@ -745,30 +394,36 @@ impl FleetChaosReport {
     }
 }
 
-/// Pure analysis of a fleet chaos run: fold the driver's observations
-/// into the deterministic [`FleetChaosReport`]. Separated from the
-/// process-driving harness (which lives in the CLI crate, next to the
-/// spawning code) so the verdict logic is unit-testable on synthetic
-/// observations.
+/// Pure analysis of a chaos run: fold the harness's observations into the
+/// deterministic [`FleetChaosReport`]. Separated from the harness (which
+/// lives in the CLI crate, next to the supervisor) so the verdict logic
+/// is unit-testable on synthetic observations.
 pub fn analyze_fleet(
     cfg: &FleetChaosConfig,
     plan: &ProcessChaosPlan,
     obs: &FleetObservations,
 ) -> FleetChaosReport {
-    let (duplicate_seqs, missing_seqs) =
-        exactly_once_fold(0..obs.admitted, obs.completions.iter().map(|c| c.seq));
+    // Exactly-once: seqs answered more than once, and admitted seqs
+    // never answered (both sorted).
+    let mut counts: HashMap<u64, usize> = HashMap::new();
+    for c in &obs.completions {
+        *counts.entry(c.seq).or_default() += 1;
+    }
+    let mut duplicate_seqs: Vec<u64> =
+        counts.iter().filter(|&(_, &n)| n > 1).map(|(&s, _)| s).collect();
+    duplicate_seqs.sort_unstable();
+    let missing_seqs: Vec<u64> = (0..obs.admitted).filter(|s| !counts.contains_key(s)).collect();
 
     let ok = obs.completions.iter().filter(|c| c.ok).count() as u64;
-    let internal = obs.completions.len() as u64 - ok;
+    let solve_panics = obs.completions.iter().filter(|c| c.class == "solve_panic").count() as u64;
+    let internal = obs.completions.len() as u64 - ok - solve_panics;
     let outputs_identical = obs.completions.iter().filter(|c| c.ok).all(|c| {
         obs.reference_bits.get(&c.stream) == Some(&c.utility_bits)
     });
 
-    let restarted_on_schedule = plan
-        .faults
-        .iter()
-        .enumerate()
-        .all(|(w, fs)| obs.restarts.get(w).copied().unwrap_or(0) >= fs.len() as u64);
+    let restarted_on_schedule = (0..plan.faults.len()).all(|w| {
+        obs.restarts.get(w).copied().unwrap_or(0) >= plan.restarting(w, cfg.link).count() as u64
+    });
 
     // A stream is disrupted iff its ring owner had a fault scheduled:
     // pure geometry, so the count is identical across runs.
@@ -785,9 +440,8 @@ pub fn analyze_fleet(
         .count();
 
     // Recovery: per stream, a replayed request (attempts > 1) marks a
-    // disruption — the same trailing-p99 criterion as the in-process
-    // harness. Only the derived count enters the report; raw latencies
-    // never do.
+    // disruption. Only the derived count enters the report; raw
+    // latencies never do.
     let mut by_stream: HashMap<u64, Vec<(u64, bool, Option<u64>)>> = HashMap::new();
     for c in obs.completions.iter().filter(|c| c.ok) {
         by_stream.entry(c.stream).or_default().push((c.seq, c.attempts > 1, Some(c.solve_micros)));
@@ -804,8 +458,10 @@ pub fn analyze_fleet(
         duplicate_seqs,
         missing_seqs,
         ok,
+        solve_panics,
         internal,
         restarts: obs.restarts.clone(),
+        live: obs.live,
         exactly_once,
         survived: obs.survived,
         restarted_on_schedule,
@@ -826,57 +482,28 @@ mod tests {
 
     #[test]
     fn chaos_plan_is_deterministic_and_kills_every_shard() {
-        let cfg = ChaosConfig::default();
-        let a = ChaosPlan::from_config(&cfg);
-        let b = ChaosPlan::from_config(&cfg);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(a.kill_seqs.len(), cfg.shards);
-        for ks in &a.kill_seqs {
-            assert_eq!(ks.len(), cfg.kills_per_shard);
-            let expected = (cfg.streams_per_shard * cfg.rounds) as u64;
-            assert!(ks.iter().all(|&s| s >= 2 && s < expected));
-        }
-    }
-
-    #[test]
-    fn chaos_storm_preserves_every_robustness_invariant() {
-        let cfg = ChaosConfig {
-            shards: 3,
-            streams_per_shard: 2,
-            rounds: 80,
-            kills_per_shard: 3,
-            ..ChaosConfig::default()
+        // The shard storm: every thread link killed 3 times, plus two
+        // contained panics and two stalls each.
+        let cfg = FleetChaosConfig {
+            link: Link::Thread,
+            kills: 12,
+            panics: 8,
+            stalls: 8,
+            stall_millis: 1,
+            ..FleetChaosConfig::default()
         };
-        let report = run_chaos(&cfg);
-        assert!(report.survived, "serve loop exited during the storm");
-        assert!(
-            report.exactly_once,
-            "lost {:?} / duplicated {:?}",
-            report.missing_seqs, report.duplicate_seqs
-        );
-        assert_eq!(report.admitted, report.completed);
-        for (s, &r) in report.restarts.iter().enumerate() {
-            assert!(
-                r as usize >= cfg.kills_per_shard,
-                "shard {s} restarted {r} < {} kills",
-                cfg.kills_per_shard
-            );
+        let a = ProcessChaosPlan::from_config(&cfg);
+        assert_eq!(a, ProcessChaosPlan::from_config(&cfg));
+        assert_eq!(a.faults.len(), cfg.workers);
+        let expected = (cfg.streams_per_worker * cfg.rounds) as u64;
+        for w in 0..cfg.workers {
+            assert_eq!(a.restarting(w, Link::Thread).count(), 3, "worker {w}: {a:?}");
+            // On a thread a stall only runs late; on a process it is a death.
+            assert_eq!(a.restarting(w, Link::Process).count(), 5, "worker {w}: {a:?}");
+            let panics = a.faults[w].iter().filter(|(_, f)| *f == ProcessFault::PanicSolve);
+            assert_eq!(panics.count(), 2);
+            assert!(a.faults[w].iter().all(|&(s, _)| s >= 2 && s < expected));
         }
-        assert_eq!(report.live_shards, cfg.shards, "a breaker tripped");
-        assert!(report.crashed >= 1, "no kill landed on an in-flight job");
-        assert!(report.solve_panics >= 1, "no contained panic was scheduled");
-        assert!(!report.recoveries.is_empty(), "no disrupted stream measured");
-        for r in &report.recoveries {
-            assert!(
-                r.recovered,
-                "stream {} on shard {} never recovered (pre p99 {}µs, after {:?})",
-                r.stream, r.shard, r.pre_kill_p99_micros, r.recovered_after
-            );
-        }
-        assert!(report.healthy());
-        // The report is the CI artifact; it must serialize.
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("\"exactly_once\":true"), "{json}");
     }
 
     #[test]
@@ -942,17 +569,7 @@ mod tests {
         // Synthetic run: 2 streams per worker, every request solved at a
         // flat 40µs except one replayed spike per disrupted stream.
         let ring = aa_core::Ring::new(cfg.workers);
-        let mut keys = Vec::new();
-        let mut per: Vec<usize> = vec![0; cfg.workers];
-        let mut key = 0u64;
-        while per.iter().any(|&n| n < cfg.streams_per_worker) {
-            let w = ring.owner(key).unwrap();
-            if per[w] < cfg.streams_per_worker {
-                per[w] += 1;
-                keys.push(key);
-            }
-            key += 1;
-        }
+        let keys = balanced_keys(cfg.workers, cfg.streams_per_worker);
         let mut completions = Vec::new();
         let mut seq = 0u64;
         for round in 0..cfg.rounds {
@@ -978,6 +595,7 @@ mod tests {
             admitted: seq,
             completions,
             restarts: plan.faults.iter().map(|f| f.len() as u64).collect(),
+            live: cfg.workers,
             survived: true,
             rebalanced: true,
             slo_tracked: seq,
@@ -1026,6 +644,20 @@ mod tests {
         let mut lazy = obs.clone();
         lazy.restarts[0] = 0;
         assert!(!analyze_fleet(&cfg, &plan, &lazy).restarted_on_schedule);
+
+        // A worker retired by the end fails.
+        let mut retired = obs.clone();
+        retired.live -= 1;
+        assert!(!analyze_fleet(&cfg, &plan, &retired).healthy());
+
+        // A contained panic answers `solve_panic` and passes only when
+        // scheduled: unscheduled here, it fails the gate.
+        let mut panicked = obs.clone();
+        panicked.completions[3].ok = false;
+        panicked.completions[3].class = "solve_panic".to_string();
+        let r = analyze_fleet(&cfg, &plan, &panicked);
+        assert_eq!((r.ok + 1, r.solve_panics, r.internal), (r.admitted, 1, 0));
+        assert!(!r.healthy());
 
         // A completion the SLO layer never tracked breaks slo_complete.
         let mut untracked = obs.clone();

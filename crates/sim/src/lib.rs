@@ -24,9 +24,9 @@
 //!   capacity, revenue accounting for an assignment;
 //! * [`controller`] — an epoch-driven online repartitioning controller
 //!   (the §VIII "online measurements" sketch, executable);
-//! * [`chaos`] — seeded kill/stall/panic storms against the shard pool,
-//!   asserting liveness, exactly-once completion, and post-restart
-//!   warm-latency recovery.
+//! * [`chaos`] — seeded kill/stall/panic schedules for the serve
+//!   supervisor and the verdict asserting liveness, exactly-once
+//!   completion, and post-restart warm-latency recovery.
 //!
 //! Everything here is built from scratch; no external simulator is
 //! required (see DESIGN.md's substitution table).
@@ -41,8 +41,8 @@ pub mod multicore;
 pub mod trace;
 
 pub use chaos::{
-    analyze_fleet, balanced_keys, run_chaos, ChaosConfig, ChaosReport, FleetChaosConfig,
-    FleetChaosReport, FleetObservation, FleetObservations, ProcessChaosPlan, ProcessFault,
+    analyze_fleet, balanced_keys, FleetChaosConfig, FleetChaosReport, FleetObservation,
+    FleetObservations, ProcessChaosPlan, ProcessFault,
 };
 pub use controller::{Controller, EpochReport, RepairPolicy};
 pub use multicore::{Multicore, PartitionOutcome};
