@@ -13,6 +13,8 @@
 //! * **one sweep** — [`sweep`] evaluates `x_i(λ)` for every thread of a
 //!   [`Market`] into a caller buffer and sums it in index order, on the
 //!   calling thread or in contiguous chunks over the pool ([`Fan`]);
+//!   [`sweep_inside`] is the same sweep strictly inside a bracket, where
+//!   it visits only the [`LiveRows`];
 //! * **one probe loop** — [`search`] walks from a start bracket
 //!   ([`Bracket`]) to a fresh one, geometrically in either direction,
 //!   then closes it by Illinois false position. The stop rule ([`Stop`])
@@ -38,6 +40,18 @@
 //! Sequential and pooled sweeps write the same per-index values and sum
 //! them in the same order, so [`allocate`], [`allocate_par`] and the
 //! warm path are **bit-identical** for every thread count.
+//!
+//! **The live-row invariant.** Once a search holds a bracket `[lo, hi]`
+//! with `lo > 0` whose edges it swept itself, most rows answer the whole
+//! bracket by a comparison branch with one constant value
+//! ([`DemandTable::pinned`]). Such a row leaves the bracket's
+//! [`LiveRows`] with its value written into all three [`Demands`]
+//! buffers, and every later probe inside the bracket (the close, and the
+//! cold halving once its low edge is positive) evaluates only the rows
+//! still live, adds the rows pinned at nonzero values in place, and
+//! skips those pinned at `+0.0`. The list is in index order, so each
+//! probe's buffers and sum are a full sweep's, bit for bit, whether or
+//! not demand is monotone.
 
 use aa_utility::{DemandTable, Utility};
 use rayon::prelude::*;
@@ -48,17 +62,26 @@ use crate::Allocation;
 /// Cached handles into the global metrics registry, created on the first
 /// *recorded* call so the zero-allocation steady state never sees the
 /// registry lock (the arena test's warmup epochs create them).
-fn obs_counters() -> &'static (aa_obs::Counter, aa_obs::Counter, aa_obs::Counter) {
-    static HANDLES: std::sync::OnceLock<(aa_obs::Counter, aa_obs::Counter, aa_obs::Counter)> =
-        std::sync::OnceLock::new();
+fn obs_counters() -> &'static [aa_obs::Counter; 4] {
+    static HANDLES: std::sync::OnceLock<[aa_obs::Counter; 4]> = std::sync::OnceLock::new();
     HANDLES.get_or_init(|| {
         let r = aa_obs::global();
-        (
+        [
             r.counter("aa_bisection_cold_total"),
             r.counter("aa_bisection_warm_total"),
             r.counter("aa_bisection_demand_maps_total"),
-        )
+            r.counter("aa_bisection_rows_total"),
+        ]
     })
+}
+
+/// Count one allocation's sweeps and kernel evaluations.
+fn record_work(stats: &WarmStats) {
+    if aa_obs::record_enabled() {
+        let c = obs_counters();
+        c[2].add(u64::from(stats.demand_maps));
+        c[3].add(stats.rows);
+    }
 }
 
 /// Number of halvings of the reference search. 128 halvings shrink any
@@ -118,30 +141,243 @@ pub enum Fan<'t> {
 /// at any pool width. `None` means the token fired mid-sweep. The
 /// sequential path allocates nothing once `out` has grown to the market.
 pub fn sweep<U: Utility>(m: &Market<'_, U>, lambda: f64, out: &mut Vec<f64>) -> Option<f64> {
+    sweep_rows(m, lambda, out, None, &mut 0)
+}
+
+/// Tag of a [`LiveRows`] entry whose row is pinned at a nonzero value:
+/// the probe adds it in place instead of evaluating it.
+const PINNED: u32 = 1 << 31;
+
+/// The rows a probe strictly inside a bracket still has to look at.
+///
+/// Once a search holds a bracket `[lo, hi]` with `lo > 0` whose edges it
+/// swept itself, most rows answer by a comparison branch with one
+/// constant value across it ([`DemandTable::pinned`]): a PCHIP price
+/// past its steepest knot slope, a staircase with no step inside, a
+/// linear row on one side of its slope. Such a row leaves the list, its
+/// pinned value written once into all three [`Demands`] buffers, and
+/// later probes inside the bracket skip its kernel. Rows pinned at a
+/// nonzero value stay in the list (tagged) so the probe still adds them
+/// in index order; rows pinned at `+0.0` are dropped, because a `+0.0`
+/// addend never changes a nonnegative index-order sum except the sign
+/// of an all-zero one, which `zeros` restores. The list is kept in index
+/// order, so every probe's sum is the full sweep's, bit for bit, and
+/// nothing here assumes demand is monotone.
+///
+/// Pins hold for every sub-bracket, so the list carries over while the
+/// bracket shrinks and is rebuilt when a probe's bracket is not inside
+/// the one it was pinned for. The pinned values live only in the
+/// buffers they were written into: a list belongs to one [`Demands`],
+/// whose buffers may be swapped and re-swept at edges inside the
+/// bracket between probes, but not replaced. A search starts it afresh
+/// ([`search`], and the cold search inside the allocate entry points);
+/// the buffers retain their capacity, so a warm cache's steady state
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct LiveRows {
+    /// Market positions in index order; [`PINNED`]-tagged entries are
+    /// added, the rest evaluated.
+    list: Vec<u32>,
+    /// The bracket every pin holds on; `None` before the first probe
+    /// inside one.
+    bracket: Option<Bracket>,
+    /// A row pinned at `+0.0` has left the list.
+    zeros: bool,
+}
+
+impl LiveRows {
+    /// Forget the list: the next probe inside a bracket rebuilds it.
+    fn reset(&mut self) {
+        self.bracket = None;
+    }
+
+    /// Make the list valid for a probe inside `bracket` over `n` rows:
+    /// keep it while `bracket` lies inside the one it was pinned for,
+    /// else start over with every row live.
+    fn enter(&mut self, n: usize, bracket: Bracket) {
+        let holds = self
+            .bracket
+            .is_some_and(|b| b.lo <= bracket.lo && bracket.hi <= b.hi);
+        if !holds {
+            self.list.clear();
+            self.list.extend(0..n as u32);
+            self.zeros = false;
+        }
+        self.bracket = Some(bracket);
+    }
+}
+
+/// A probe strictly inside `bracket`: the search's live rows, and the
+/// edge buffers its pins are written into.
+struct Inside<'s> {
+    bracket: Bracket,
+    live: &'s mut LiveRows,
+    lo: &'s mut Vec<f64>,
+    hi: &'s mut Vec<f64>,
+}
+
+/// One contiguous piece of a sweep: the buffers' windows from market
+/// position `base`, and — inside a bracket — the live entries that fall
+/// in that window.
+struct Chunk<'s> {
+    base: usize,
+    out: &'s mut [f64],
+    live: Option<(&'s mut [u32], &'s mut [f64], &'s mut [f64])>,
+}
+
+/// What one [`Chunk`] did: live entries it kept (compacted to the front
+/// of its slice), whether it dropped a row pinned at `+0.0`, and the
+/// kernel evaluations it made.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    kept: usize,
+    zeros: bool,
+    rows: u64,
+}
+
+/// Fill one chunk at `lambda`. Without live entries every position of
+/// the window is evaluated into `out`; with them each unpinned entry is
+/// first tested against `pins` and either pinned (its value written into
+/// all three windows, dropped at `+0.0`) or evaluated.
+fn fill<U: Utility>(m: &Market<'_, U>, lambda: f64, pins: Bracket, c: Chunk<'_>) -> Tally {
+    let Chunk { base, out, live } = c;
+    let row = |k: usize| m.rows.map_or(k, |rows| rows[k]);
+    let Some((list, lo, hi)) = live else {
+        match m.rows {
+            None => m.table.batch_range(m.utils, lambda, base, out),
+            Some(rows) => {
+                for (slot, &i) in out.iter_mut().zip(&rows[base..]) {
+                    *slot = m.table.eval(m.utils, i, lambda);
+                }
+            }
+        }
+        return Tally { rows: out.len() as u64, ..Tally::default() };
+    };
+    let mut t = Tally::default();
+    for r in 0..list.len() {
+        let e = list[r];
+        if e & PINNED == 0 {
+            let k = e as usize;
+            let (i, p) = (row(k), k - base);
+            if let Some(v) = m.table.pinned(i, pins.lo, pins.hi) {
+                (out[p], lo[p], hi[p]) = (v, v, v);
+                if v.to_bits() == 0 {
+                    t.zeros = true;
+                    continue;
+                }
+                list[t.kept] = e | PINNED;
+                t.kept += 1;
+                continue;
+            }
+            out[p] = m.table.eval(m.utils, i, lambda);
+            t.rows += 1;
+        }
+        list[t.kept] = e;
+        t.kept += 1;
+    }
+    t
+}
+
+/// The one sweep behind every probe. Outside a bracket (`inside: None`)
+/// every row is live: `out[k] = x(λ)` for each market position. Inside
+/// one, only the [`LiveRows`] are visited and the sum adds the kept
+/// entries in index order. Either way the buffers and the sum are what
+/// a full sweep makes, bit for bit, at any pool width: the pool splits
+/// the visited entries into contiguous runs at position boundaries,
+/// and the sum is always one sequential pass. Adds the kernel
+/// evaluations to `rows`; `None` means the token fired mid-sweep.
+fn sweep_rows<U: Utility>(
+    m: &Market<'_, U>,
+    lambda: f64,
+    out: &mut Vec<f64>,
+    inside: Option<Inside<'_>>,
+    rows: &mut u64,
+) -> Option<f64> {
     let n = m.rows.map_or(m.utils.len(), <[usize]>::len);
     out.resize(n, 0.0);
-    // Fill `slots`, the chunk of `out` starting at thread `start`.
-    let fill = |start: usize, slots: &mut [f64]| match m.rows {
-        None => m.table.batch_range(m.utils, lambda, start, slots),
-        Some(rows) => {
-            for (slot, &i) in slots.iter_mut().zip(&rows[start..]) {
-                *slot = m.table.eval(m.utils, i, lambda);
+    // Positions are stored in 31 bits; a larger market sweeps in full.
+    let mut inside = inside.filter(|_| n < PINNED as usize);
+    let pins = match &mut inside {
+        Some(s) => {
+            s.lo.resize(n, 0.0);
+            s.hi.resize(n, 0.0);
+            s.live.enter(n, s.bracket);
+            s.bracket
+        }
+        None => Bracket::default(),
+    };
+    let visits = inside.as_ref().map_or(n, |s| s.live.list.len());
+    let tally = match m.fan {
+        Fan::Pool(token) if visits >= par_threshold() => {
+            let parts = rayon::current_num_threads().max(1) * 4;
+            let step = visits.div_ceil(parts).max(1);
+            let chunks = split(out, inside.as_mut(), step);
+            let run = |c: Chunk<'_>| fill(m, lambda, pins, c);
+            let tallies: Vec<Tally> = match token {
+                Some(t) => match chunks.into_par_iter().map(run).collect_cancellable(t) {
+                    Ok(tallies) => tallies,
+                    Err(_) => {
+                        // Some chunks compacted their entries, some did not.
+                        if let Some(s) = &mut inside {
+                            s.live.reset();
+                        }
+                        return None;
+                    }
+                },
+                None => chunks.into_par_iter().map(run).collect(),
+            };
+            let mut total = Tally::default();
+            for (c, t) in tallies.iter().enumerate() {
+                if let Some(s) = &mut inside {
+                    s.live.list.copy_within(c * step..c * step + t.kept, total.kept);
+                }
+                total.kept += t.kept;
+                total.zeros |= t.zeros;
+                total.rows += t.rows;
             }
+            total
+        }
+        _ => {
+            let live = inside.as_mut().map(|s| (&mut s.live.list[..], &mut s.lo[..], &mut s.hi[..]));
+            fill(m, lambda, pins, Chunk { base: 0, out, live })
         }
     };
-    match m.fan {
-        Fan::Pool(token) if n >= par_threshold() => {
-            let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
-            let chunks: Vec<(usize, &mut [f64])> = out.chunks_mut(chunk).enumerate().collect();
-            let run = |(c, slots): (usize, &mut [f64])| fill(c * chunk, slots);
-            match token {
-                Some(t) => chunks.into_par_iter().for_each_cancellable(t, run).ok()?,
-                None => chunks.into_par_iter().for_each(run),
-            }
-        }
-        _ => fill(0, out),
+    *rows += tally.rows;
+    let Some(s) = inside else {
+        return Some(out.iter().sum());
+    };
+    s.live.list.truncate(tally.kept);
+    s.live.zeros |= tally.zeros;
+    // `Iterator::sum` folds from -0.0; so does this, over the kept rows.
+    let sum = s.live.list.iter().fold(-0.0, |acc, &e| acc + out[(e & !PINNED) as usize]);
+    Some(if s.live.zeros && sum == 0.0 { 0.0 } else { sum })
+}
+
+/// Cut a sweep into chunks of `step` visited entries: position windows
+/// of `out` (and, inside a bracket, of the live list and both edge
+/// buffers) that are disjoint and cover the market in order.
+fn split<'s>(out: &'s mut [f64], inside: Option<&'s mut Inside<'_>>, step: usize) -> Vec<Chunk<'s>> {
+    let Some(s) = inside else {
+        return out
+            .chunks_mut(step)
+            .enumerate()
+            .map(|(c, out)| Chunk { base: c * step, out, live: None })
+            .collect();
+    };
+    let mut chunks = Vec::new();
+    let (mut out, mut lo, mut hi) = (out, &mut s.lo[..], &mut s.hi[..]);
+    let mut base = 0;
+    let mut entries = s.live.list.chunks_mut(step).peekable();
+    while let Some(list) = entries.next() {
+        // The window runs to the next chunk's first position, or the end.
+        let end = entries.peek().map_or(base + out.len(), |next| (next[0] & !PINNED) as usize);
+        let (o, o_rest) = std::mem::take(&mut out).split_at_mut(end - base);
+        let (l, l_rest) = std::mem::take(&mut lo).split_at_mut(end - base);
+        let (h, h_rest) = std::mem::take(&mut hi).split_at_mut(end - base);
+        chunks.push(Chunk { base, out: o, live: Some((list, l, h)) });
+        (out, lo, hi, base) = (o_rest, l_rest, h_rest, end);
     }
-    Some(out.iter().sum())
+    chunks
 }
 
 /// How a [`search`] stops.
@@ -198,7 +434,8 @@ pub struct Market<'a, U> {
 
 /// The three sweep buffers of a search: demand at the low edge, at the
 /// high edge, and at the current probe (swapped into an edge as the
-/// bracket moves).
+/// bracket moves) — plus the rows its probes inside a bracket still
+/// evaluate.
 #[derive(Debug)]
 pub struct Demands<'b> {
     /// `D` per thread at the bracket's low edge.
@@ -207,6 +444,19 @@ pub struct Demands<'b> {
     pub hi: &'b mut Vec<f64>,
     /// Scratch for the probe in flight.
     pub probe: &'b mut Vec<f64>,
+    /// The live rows of the current bracket.
+    pub live: &'b mut LiveRows,
+}
+
+/// The work of a search: sweeps made, and kernel evaluations inside
+/// them (a full sweep evaluates every row; a probe inside a bracket
+/// only its live ones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Work {
+    /// Demand sweeps.
+    pub sweeps: u32,
+    /// Kernel evaluations.
+    pub rows: u64,
 }
 
 /// Where a [`search`] ended. `Demands::hi` holds `x_i(price)`.
@@ -235,20 +485,68 @@ fn interrupted<E: From<Interrupted>>(check: &mut dyn FnMut() -> Result<(), E>) -
     }
 }
 
-/// `check`, then one counted sweep of `m` at `lambda` into `out`.
+/// `check`, then one counted full sweep of `m` at `lambda` into `out`.
 fn probe<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     lambda: f64,
     out: &mut Vec<f64>,
-    probes: &mut u32,
+    work: &mut Work,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<f64, E> {
     check()?;
-    *probes += 1;
-    match sweep(m, lambda, out) {
-        Some(d) => Ok(d),
-        None => Err(interrupted(check)),
-    }
+    full(m, lambda, out, work, check)
+}
+
+/// A sweep at `lambda` inside a search's bracket: [`sweep`]'s buffer
+/// and sum, bit for bit, written into `d.probe` — but when `bracket.lo >
+/// 0` and `lambda` lies in the bracket, made over the bracket's
+/// [`LiveRows`]: a row pinned across the bracket has its value written
+/// once into all three buffers of `d` and is not evaluated again while
+/// later brackets stay inside this one. Otherwise every row is swept.
+/// Adds the kernel evaluations to `rows`; `None` means the token fired.
+pub fn sweep_inside<U: Utility>(
+    m: &Market<'_, U>,
+    lambda: f64,
+    bracket: Bracket,
+    d: &mut Demands<'_>,
+    rows: &mut u64,
+) -> Option<f64> {
+    let pinnable = bracket.lo > 0.0 && bracket.lo <= lambda && lambda <= bracket.hi;
+    let inside = pinnable.then_some(Inside {
+        bracket,
+        live: &mut *d.live,
+        lo: &mut *d.lo,
+        hi: &mut *d.hi,
+    });
+    sweep_rows(m, lambda, d.probe, inside, rows)
+}
+
+/// `check`, then one counted [`sweep_inside`] at `lambda`, strictly
+/// inside `bracket` (the edges a search sweeps itself).
+fn probe_inside<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    lambda: f64,
+    bracket: Bracket,
+    d: &mut Demands<'_>,
+    work: &mut Work,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<f64, E> {
+    check()?;
+    work.sweeps += 1;
+    sweep_inside(m, lambda, bracket, d, &mut work.rows).ok_or_else(|| interrupted(check))
+}
+
+/// One full sweep, counted in `work`; a fired token becomes the check's
+/// error.
+fn full<U: Utility, E: From<Interrupted>>(
+    m: &Market<'_, U>,
+    lambda: f64,
+    out: &mut Vec<f64>,
+    work: &mut Work,
+    check: &mut dyn FnMut() -> Result<(), E>,
+) -> Result<f64, E> {
+    work.sweeps += 1;
+    sweep_rows(m, lambda, out, None, &mut work.rows).ok_or_else(|| interrupted(check))
 }
 
 /// `D(lo) > supply ≥ D(hi)`: a bracket with its demand sums, whose
@@ -304,11 +602,12 @@ fn accepted(price: f64, demand: f64, iterations: u32) -> Option<Landing> {
     })
 }
 
-/// Sweep a price into `d.probe`; return from the enclosing search with
-/// it when the stop rule accepts, else evaluate to its demand sum.
-macro_rules! sweep_at {
-    ($m:expr, $stop:expr, $d:expr, $probes:expr, $check:expr, $lambda:expr, $iters:expr) => {{
-        let s = probe($m, $lambda, $d.probe, $probes, $check)?;
+/// `s`, the demand sum of a price swept into `d.probe`: return from the
+/// enclosing search with it when the stop rule accepts, else evaluate
+/// to it.
+macro_rules! accept {
+    ($m:expr, $stop:expr, $d:expr, $s:expr, $lambda:expr, $iters:expr) => {{
+        let s = $s;
         if $stop.accepts(s, $m.supply) {
             std::mem::swap($d.hi, $d.probe);
             return Ok(accepted($lambda, s, $iters));
@@ -318,7 +617,7 @@ macro_rules! sweep_at {
 }
 
 /// The probe loop: from `start`, find `D(lo) > supply ≥ D(hi)` and close
-/// it under `stop`. Every sweep is counted in `probes`; `check` runs
+/// it under `stop`. Every sweep is counted in `work`; `check` runs
 /// before each. `swept = Some(s)` says `d.hi` already holds
 /// `D(start.hi)`, summing to `s`, so the first sweep is skipped.
 ///
@@ -346,14 +645,15 @@ pub fn search<U: Utility, E: From<Interrupted>>(
     swept: Option<f64>,
     stop: Stop,
     d: &mut Demands<'_>,
-    probes: &mut u32,
+    work: &mut Work,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Option<Landing>, E> {
     let supply = m.supply;
-    let first = *probes;
+    let first = work.sweeps;
+    d.live.reset();
     let mut s_hi = match swept {
         Some(s) => s,
-        None => probe(m, start.hi, d.hi, probes, check)?,
+        None => probe(m, start.hi, d.hi, work, check)?,
     };
     if stop.accepts(s_hi, supply) {
         return Ok(accepted(start.hi, s_hi, 0));
@@ -363,7 +663,7 @@ pub fn search<U: Utility, E: From<Interrupted>>(
     let pair = start.lo < start.hi && s_hi <= supply;
     let mut s_lo = s_hi;
     if pair {
-        s_lo = sweep_at!(m, stop, d, probes, check, start.lo, 0);
+        s_lo = accept!(m, stop, d, probe(m, start.lo, d.probe, work, check)?, start.lo, 0);
         std::mem::swap(d.lo, d.probe);
     }
     let mut lo = start.lo;
@@ -391,12 +691,12 @@ pub fn search<U: Utility, E: From<Interrupted>>(
                 }
                 cand = LAMBDA_MAX;
             }
-            if lo >= LAMBDA_MAX || stop.spent(*probes - first, 0) {
+            if lo >= LAMBDA_MAX || stop.spent(work.sweeps - first, 0) {
                 // No feasible price seen: settle for the ceiling.
-                let demand = probe(m, LAMBDA_MAX, d.hi, probes, check)?;
+                let demand = probe(m, LAMBDA_MAX, d.hi, work, check)?;
                 return Ok(stop.give_up(LAMBDA_MAX, LAMBDA_MAX, demand, 0));
             }
-            let s = sweep_at!(m, stop, d, probes, check, cand, 0);
+            let s = accept!(m, stop, d, probe(m, cand, d.probe, work, check)?, cand, 0);
             if s > supply {
                 lo = cand;
                 s_lo = s;
@@ -437,10 +737,10 @@ pub fn search<U: Utility, E: From<Interrupted>>(
                 }
                 break;
             }
-            if stop.spent(*probes - first, 0) {
+            if stop.spent(work.sweeps - first, 0) {
                 return Ok(stop.give_up(lo, hi, s_hi, 0));
             }
-            let s = sweep_at!(m, stop, d, probes, check, cand, 0);
+            let s = accept!(m, stop, d, probe(m, cand, d.probe, work, check)?, cand, 0);
             if s > supply {
                 lo = cand;
                 s_lo = s;
@@ -453,7 +753,7 @@ pub fn search<U: Utility, E: From<Interrupted>>(
             shrink *= 2.0;
         }
     }
-    close(m, Edges { lo, hi, s_lo, s_hi }, stop, d, probes, first, check)
+    close(m, Edges { lo, hi, s_lo, s_hi }, stop, d, work, first, check)
 }
 
 /// Slack of the bounded close, in halvings: after its `k`-th probe an
@@ -479,14 +779,16 @@ const PROJECTION_SLACK: i32 = 4;
 ///   starting width, whatever the demand curve's shape: the close costs
 ///   at most [`PROJECTION_SLACK`] probes more than halving.
 ///
-/// `Relative` keeps the plain sequence. `first` is the probe count when
-/// the search began (the `Relative` probe cap counts from it).
+/// `Relative` keeps the plain sequence. `first` is the sweep count when
+/// the search began (the `Relative` probe cap counts from it). Every
+/// probe lies strictly inside the bracket, so once its low edge is
+/// positive it visits only the [`LiveRows`].
 fn close<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     edges: Edges,
     stop: Stop,
     d: &mut Demands<'_>,
-    probes: &mut u32,
+    work: &mut Work,
     first: u32,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Option<Landing>, E> {
@@ -504,7 +806,7 @@ fn close<U: Utility, E: From<Interrupted>>(
         if mid <= lo || mid >= hi {
             break; // collapsed to the unique adjacent pair
         }
-        if stop.spent(*probes - first, iters) {
+        if stop.spent(work.sweeps - first, iters) {
             return Ok(stop.give_up(lo, hi, s_hi, iters));
         }
         let denom = g_lo - g_hi;
@@ -531,7 +833,8 @@ fn close<U: Utility, E: From<Interrupted>>(
         if !(cand > lo && cand < hi) {
             cand = mid;
         }
-        let s = sweep_at!(m, stop, d, probes, check, cand, iters + 1);
+        let s = probe_inside(m, cand, Bracket { lo, hi }, d, work, check)?;
+        let s = accept!(m, stop, d, s, cand, iters + 1);
         iters += 1;
         if s > supply {
             lo = cand;
@@ -602,7 +905,7 @@ fn next_down(x: f64) -> f64 {
 fn discrete_flip<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     out: &mut Vec<f64>,
-    sweeps: &mut u32,
+    work: &mut Work,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Option<(f64, f64)>, E> {
     let ladder = m.table.ladder();
@@ -612,7 +915,7 @@ fn discrete_flip<U: Utility, E: From<Interrupted>>(
     let budget = m.supply;
     // D is maximal over positive prices at the smallest knot; if even
     // that fits the budget, no positive knot flips the predicate.
-    if probe(m, ladder[0], out, sweeps, check)? <= budget {
+    if probe(m, ladder[0], out, work, check)? <= budget {
         return Ok(None);
     }
     // Largest index with D(ladder[i]) > budget: ladder[0] is known true,
@@ -621,7 +924,7 @@ fn discrete_flip<U: Utility, E: From<Interrupted>>(
     let mut hi_i = ladder.len();
     while hi_i - lo_i > 1 {
         let mid = lo_i + (hi_i - lo_i) / 2;
-        if probe(m, ladder[mid], out, sweeps, check)? > budget {
+        if probe(m, ladder[mid], out, work, check)? > budget {
             lo_i = mid;
         } else {
             hi_i = mid;
@@ -646,7 +949,7 @@ fn discrete_flip<U: Utility, E: From<Interrupted>>(
     // Verification sweep: the flip really is at (t, nextafter(t)). The
     // encodings guarantee it (demand past the top knot is the zero
     // level), but one sweep buys insurance against a miscompiled table.
-    if probe(m, hi, out, sweeps, check)? > budget {
+    if probe(m, hi, out, work, check)? > budget {
         return Ok(None);
     }
     Ok(Some((t, hi)))
@@ -660,22 +963,25 @@ fn discrete_flip<U: Utility, E: From<Interrupted>>(
 /// so the close lands on the same pair in fewer sweeps, with both edges'
 /// demands already in `d`. Below the floor (or should the close stall)
 /// the halving runs to its end and the epilogue re-sweeps its bracket.
+/// Once the halving's low edge is positive its probes, like the
+/// close's, visit only the [`LiveRows`].
 /// `check` runs before each sweep and once before the epilogue. Returns
-/// the bracket the next warm call may start from.
+/// the bracket the next warm call may start from, and the halvings plus
+/// close steps it took.
 fn cold<U: Utility, E: From<Interrupted>>(
     m: &Market<'_, U>,
     ladder: bool,
     d: &mut Demands<'_>,
     caps: &[f64],
-    stats: &mut WarmStats,
+    work: &mut Work,
     amounts: &mut Vec<f64>,
     check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Option<Bracket>, E> {
-    stats.mode = WarmMode::Cold;
+) -> Result<(Option<Bracket>, u32), E> {
     let budget = m.supply;
-    let maps = &mut stats.demand_maps;
+    let mut iterations = 0;
+    d.live.reset();
     let flip = if ladder && m.table.all_discrete() {
-        discrete_flip(m, d.probe, maps, check)?
+        discrete_flip(m, d.probe, work, check)?
     } else {
         None
     };
@@ -689,9 +995,9 @@ fn cold<U: Utility, E: From<Interrupted>>(
             // x > 0, so demand eventually drops below any positive
             // budget — no concave function has an infinite derivative on
             // a set of positive measure.
-            let first = *maps;
+            let first = work.sweeps;
             let mut e = Edges { lo: 0.0, hi: 1.0, s_lo: m.total_cap, s_hi: 0.0 };
-            e.s_hi = probe(m, e.hi, d.hi, maps, check)?;
+            e.s_hi = probe(m, e.hi, d.hi, work, check)?;
             let mut grow = 0;
             while e.s_hi > budget {
                 (e.lo, e.s_lo) = (e.hi, e.s_hi);
@@ -702,17 +1008,16 @@ fn cold<U: Utility, E: From<Interrupted>>(
                     grow < 1100,
                     "could not bracket the marginal price; utility derivatives do not decay"
                 );
-                e.s_hi = probe(m, e.hi, d.hi, maps, check)?;
+                e.s_hi = probe(m, e.hi, d.hi, work, check)?;
             }
             // Invariant: demand(lo) > budget ≥ demand(hi).
             let mut handover = true;
             for _ in 0..MAX_ITERS {
                 if handover && e.lo >= WARM_MIN_PRICE {
-                    if let Some(l) = close(m, e, Stop::Exact, d, maps, first, check)? {
-                        stats.iterations += l.iterations;
+                    if let Some(l) = close(m, e, Stop::Exact, d, work, first, check)? {
                         check()?;
                         finish(amounts, d, l.demand, caps, budget);
-                        return Ok(Some(l.bracket));
+                        return Ok((Some(l.bracket), iterations + l.iterations));
                     }
                     handover = false; // stalled: halve on, re-sweep at the end
                 }
@@ -720,8 +1025,8 @@ fn cold<U: Utility, E: From<Interrupted>>(
                 if mid <= e.lo || mid >= e.hi {
                     break; // bracket collapsed to adjacent floats
                 }
-                stats.iterations += 1;
-                let s = probe(m, mid, d.probe, maps, check)?;
+                iterations += 1;
+                let s = probe_inside(m, mid, Bracket { lo: e.lo, hi: e.hi }, d, work, check)?;
                 if s > budget {
                     (e.lo, e.s_lo) = (mid, s);
                     std::mem::swap(d.lo, d.probe);
@@ -738,19 +1043,14 @@ fn cold<U: Utility, E: From<Interrupted>>(
     // the budget), then the leftover spread over the threads elastic
     // across the bracket.
     check()?;
-    let swept = |lambda: f64, out: &mut Vec<f64>, check: &mut dyn FnMut() -> Result<(), E>| {
-        sweep(m, lambda, out).ok_or_else(|| interrupted(check))
-    };
-    let spent = swept(hi, d.hi, check)?;
-    stats.demand_maps += 1;
+    let spent = full(m, hi, d.hi, work, check)?;
     if budget - spent > 0.0 {
-        swept(lo, d.lo, check)?;
-        stats.demand_maps += 1;
+        full(m, lo, d.lo, work, check)?;
     }
     finish(amounts, d, spent, caps, budget);
     let mid = 0.5 * (lo + hi);
     let collapsed = mid <= lo || mid >= hi;
-    Ok((collapsed && lo >= WARM_MIN_PRICE).then_some(Bracket { lo, hi }))
+    Ok(((collapsed && lo >= WARM_MIN_PRICE).then_some(Bracket { lo, hi }), iterations))
 }
 
 /// The epilogue on a final bracket: the base allocation `x(λ_hi)` from
@@ -846,10 +1146,12 @@ fn exact<U: Utility, E: From<Interrupted>>(
         lo: &mut cache.d_lo,
         hi: &mut cache.d_hi,
         probe: &mut cache.d_probe,
+        live: &mut cache.live,
     };
     let stats = &mut cache.stats;
+    let mut work = Work::default();
     if let Some(start) = carried {
-        let found = search(&m, start, None, Stop::Exact, &mut d, &mut stats.demand_maps, check)?;
+        let found = search(&m, start, None, Stop::Exact, &mut d, &mut work, check)?;
         if let Some(l) = found {
             // The cold epilogue on the same unique boundary pair.
             check()?;
@@ -860,11 +1162,16 @@ fn exact<U: Utility, E: From<Interrupted>>(
                 WarmMode::Refined
             };
             stats.iterations = l.iterations;
+            (stats.demand_maps, stats.rows) = (work.sweeps, work.rows);
             cache.bracket = Some(l.bracket);
             return Ok(*stats);
         }
     }
-    cache.bracket = cold(&m, ladder, &mut d, &cache.caps, stats, amounts, check)?;
+    let (bracket, iterations) = cold(&m, ladder, &mut d, &cache.caps, &mut work, amounts, check)?;
+    cache.bracket = bracket;
+    stats.mode = WarmMode::Cold;
+    stats.iterations = iterations;
+    (stats.demand_maps, stats.rows) = (work.sweeps, work.rows);
     Ok(*stats)
 }
 
@@ -879,15 +1186,12 @@ fn allocate_impl<U: Utility, E: From<Interrupted>>(
 ) -> Result<Allocation, E> {
     let _span = aa_obs::span!("bisection");
     if aa_obs::record_enabled() {
-        obs_counters().0.inc();
+        obs_counters()[0].inc();
     }
     let mut cache = WarmCache::new();
     let mut amounts = Vec::new();
     let stats = exact(utils, budget, &mut cache, &mut amounts, ladder, fan, check)?;
-    // Per-sweep accounting: one increment per whole-slice demand sweep.
-    if aa_obs::record_enabled() {
-        obs_counters().2.add(u64::from(stats.demand_maps));
-    }
+    record_work(&stats);
     let utility = utils.iter().zip(&amounts).map(|(f, &x)| f.value(x)).sum();
     Ok(Allocation { amounts, utility })
 }
@@ -969,7 +1273,7 @@ pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(
         total_cap,
     };
     let mut out = Vec::with_capacity(utils.len());
-    expect_complete(discrete_flip(&m, &mut out, &mut 0, &mut || Ok(())))
+    expect_complete(discrete_flip(&m, &mut out, &mut Work::default(), &mut || Ok(())))
 }
 
 /// [`allocate`] with each demand sweep fanned out over the thread pool
@@ -1081,15 +1385,19 @@ pub enum WarmMode {
 
 /// Telemetry for one warm allocation, kept in the cache and returned by
 /// [`allocate_warm_into`]. The benchmark's cold-vs-warm comparison
-/// reports `demand_maps` — the whole-slice sweeps that dominate the
-/// allocator's running time.
+/// reports `demand_maps` — the demand sweeps of the search — and `rows`,
+/// the kernel evaluations inside them, which dominate the allocator's
+/// running time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
     /// Which path answered the call.
     pub mode: WarmMode,
-    /// Whole-slice demand sweeps evaluated (each is `O(n)`), including
-    /// those of a probe loop that handed over to the cold search.
+    /// Demand sweeps made, including those of a probe loop that handed
+    /// over to the cold search. A sweep outside a bracket evaluates
+    /// every row; one inside it only the [`LiveRows`].
     pub demand_maps: u32,
+    /// Kernel evaluations inside those sweeps.
+    pub rows: u64,
     /// Bracket-refinement iterations: false-position or midpoint steps
     /// of the close, plus — for the cold search — the halvings before
     /// it.
@@ -1109,6 +1417,7 @@ pub struct WarmCache {
     d_lo: Vec<f64>,
     d_hi: Vec<f64>,
     d_probe: Vec<f64>,
+    live: LiveRows,
     /// The compiled demand kernel, recompiled per call (utilities drift
     /// between epochs); its buffers retain capacity, so steady-state
     /// recompiles allocate nothing.
@@ -1152,12 +1461,10 @@ fn warm_impl<U: Utility, E: From<Interrupted>>(
 ) -> Result<WarmStats, E> {
     let _span = aa_obs::span!("bisection_warm");
     if aa_obs::record_enabled() {
-        obs_counters().1.inc();
+        obs_counters()[1].inc();
     }
     let stats = exact(utils, budget, cache, amounts, true, Fan::Seq, check)?;
-    if aa_obs::record_enabled() {
-        obs_counters().2.add(u64::from(stats.demand_maps));
-    }
+    record_work(&stats);
     Ok(stats)
 }
 
@@ -1851,9 +2158,11 @@ mod relative_tests {
             total_cap: utils.iter().map(|u| u.cap()).sum(),
         };
         let (mut lo, mut hi, mut probe) = (Vec::new(), Vec::new(), Vec::new());
-        let mut d = Demands { lo: &mut lo, hi: &mut hi, probe: &mut probe };
+        let mut live = LiveRows::default();
+        let mut d = Demands { lo: &mut lo, hi: &mut hi, probe: &mut probe, live: &mut live };
         let start = Bracket::at(start);
-        let found = search(&m, start, None, Stop::Relative(1e-3), &mut d, &mut 0, &mut || Ok(()));
+        let mut work = Work::default();
+        let found = search(&m, start, None, Stop::Relative(1e-3), &mut d, &mut work, &mut || Ok(()));
         let landing = expect_complete(found).expect("relative searches always land");
         (landing, hi.iter().sum())
     }
@@ -1899,15 +2208,16 @@ mod relative_tests {
         let mut hi = Vec::new();
         let at = sweep(&m, 0.2, &mut hi).expect("no token");
         m.supply = at * (1.0 + 5e-4);
-        let (mut lo, mut probe, mut probes) = (Vec::new(), Vec::new(), 0);
-        let mut d = Demands { lo: &mut lo, hi: &mut hi, probe: &mut probe };
+        let (mut lo, mut probe, mut live) = (Vec::new(), Vec::new(), LiveRows::default());
+        let mut d = Demands { lo: &mut lo, hi: &mut hi, probe: &mut probe, live: &mut live };
         let start = Bracket::at(0.2);
-        let found = search(&m, start, Some(at), Stop::Relative(1e-3), &mut d, &mut probes, &mut || {
+        let mut work = Work::default();
+        let found = search(&m, start, Some(at), Stop::Relative(1e-3), &mut d, &mut work, &mut || {
             Ok::<(), Interrupted>(())
         });
         let l = found.unwrap().expect("relative searches always land");
         assert!(l.converged && l.price == 0.2 && l.demand == at, "{l:?}");
-        assert_eq!(probes, 0);
+        assert_eq!(work, Work::default());
     }
 
     #[test]

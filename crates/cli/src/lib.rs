@@ -459,7 +459,10 @@ pub fn churn_document(
 /// price-discovery backend vs Algorithm 2 on the paper matrix plus
 /// `n ∈ {10⁵, 10⁶}` instances — wall clock, iteration counts, utility
 /// gaps vs the superopt bound and vs Algo2, per-iteration sweep
-/// seq/par timing, and warm-vs-cold drifted re-solve timing.
+/// seq/par timing, and warm-vs-cold drifted re-solve timing. Matrix and
+/// scale entries later gained `superopt_rows` and drift entries
+/// `cold_rows_mean`/`warm_rows_mean`: kernel evaluations of the
+/// λ-search, which a report without them reads as 0.
 pub const BENCH_VERSION: u32 = 5;
 
 /// Which benchmark suites `aa-solve bench` runs.
@@ -548,6 +551,9 @@ pub struct BenchEntry {
     /// Minimum wall time of the same sweep through per-element virtual
     /// `inverse_derivative` dispatch, microseconds.
     pub dispatch_sweep_micros: f64,
+    /// Kernel evaluations of the cold super-optimal λ-search.
+    #[serde(default)]
+    pub superopt_rows: u64,
 }
 
 /// One all-discrete fast-path measurement (schema v4): a constructed
@@ -601,6 +607,12 @@ pub struct IncrementalEntry {
     pub cold_demand_maps_mean: f64,
     /// Mean bisection demand-map evaluations per epoch, warm path.
     pub warm_demand_maps_mean: f64,
+    /// Mean kernel evaluations of the bisection per epoch, cold path.
+    #[serde(default)]
+    pub cold_rows_mean: f64,
+    /// Mean kernel evaluations of the bisection per epoch, warm path.
+    #[serde(default)]
+    pub warm_rows_mean: f64,
     /// Epochs (after the first) the engine solved on the warm path
     /// rather than a structural rebuild.
     pub warm_epochs: usize,
@@ -673,6 +685,9 @@ pub struct ScaleEntry {
     /// Whether the price solve is bit-identical run at 1 pool thread and
     /// at the ambient pool width (the determinism contract).
     pub identical: bool,
+    /// Kernel evaluations of Algo2's cold super-optimal λ-search.
+    #[serde(default)]
+    pub superopt_rows: u64,
 }
 
 /// The benchmark document written to `BENCH_solver.json`.
@@ -765,6 +780,15 @@ fn stage_breakdown(problem: &Problem) -> (u64, u64, u64) {
         }
     }
     sums
+}
+
+/// Kernel evaluations of one cold super-optimal λ-search on `problem`:
+/// the search `superopt::super_optimal` runs, through a fresh cache.
+fn superopt_rows(problem: &Problem) -> u64 {
+    let mut cache = aa_allocator::WarmCache::new();
+    let pool = problem.servers() as f64 * problem.capacity();
+    let views = problem.capped_threads();
+    aa_allocator::bisection::allocate_warm_into(&views, pool, &mut cache, &mut Vec::new()).rows
 }
 
 /// Time one whole-slice demand sweep two ways — through the batched
@@ -924,6 +948,7 @@ fn drift_entry(
     let mut warm_ms = Vec::with_capacity(epochs);
     let mut cold_maps = 0_u64;
     let mut warm_maps = 0_u64;
+    let (mut cold_rows, mut warm_rows) = (0_u64, 0_u64);
     let mut warm_epochs = 0_usize;
     let mut identical = true;
 
@@ -942,6 +967,7 @@ fn drift_entry(
         let mut fresh = WarmState::new();
         algo2::solve_incremental(&problem, &mut fresh);
         cold_maps += u64::from(fresh.last_stats().warm.demand_maps);
+        cold_rows += fresh.last_stats().warm.rows;
 
         let t0 = std::time::Instant::now();
         let cold = algo2::solve(&problem);
@@ -953,6 +979,7 @@ fn drift_entry(
 
         let stats = warm.last_stats();
         warm_maps += u64::from(stats.warm.demand_maps);
+        warm_rows += stats.warm.rows;
         warm_epochs += usize::from(stats.mode == SolveMode::Warm);
         identical &= cold == warm_a;
     }
@@ -972,6 +999,8 @@ fn drift_entry(
         speedup: cold_median_millis / warm_median_millis.max(1e-9),
         cold_demand_maps_mean: cold_maps as f64 / epochs as f64,
         warm_demand_maps_mean: warm_maps as f64 / epochs as f64,
+        cold_rows_mean: cold_rows as f64 / epochs as f64,
+        warm_rows_mean: warm_rows as f64 / epochs as f64,
         warm_epochs,
         identical,
     })
@@ -1141,6 +1170,7 @@ fn scale_entry(
         warm_speedup: cold_millis / warm_millis.max(1e-9),
         warm_iterations,
         identical,
+        superopt_rows: superopt_rows(&problem),
     })
 }
 
@@ -1194,6 +1224,7 @@ pub fn bench_document(opts: &BenchOpts) -> Result<BenchReport, CliError> {
                 assign_micros,
                 kernel_sweep_micros,
                 dispatch_sweep_micros,
+                superopt_rows: superopt_rows(&problem),
             });
         }
     }

@@ -392,10 +392,10 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
         aa_obs::obs_info!(
             "bench",
             "  {:<9} {:<6} n={:<6} seq={:>9.3}ms par={:>9.3}ms speedup={:>5.2}x \
-             ratio={:.4} identical={} stages so={}µs lin={}µs asg={}µs",
+             ratio={:.4} identical={} stages so={}µs lin={}µs asg={}µs so_rows={}",
             e.dist, e.size, e.threads, e.seq_millis, e.par_millis, e.speedup,
             e.ratio_vs_so, e.identical,
-            e.superopt_micros, e.linearize_micros, e.assign_micros
+            e.superopt_micros, e.linearize_micros, e.assign_micros, e.superopt_rows
         );
     }
     for e in &report.discrete_path {
@@ -410,7 +410,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
         aa_obs::obs_info!(
             "bench",
             "  {:<9} {:<12} n={:<6} cold={:>9.3}ms warm={:>9.3}ms speedup={:>5.2}x \
-             maps cold={:.1} warm={:.1} warm_epochs={}/{} identical={}",
+             maps cold={:.1} warm={:.1} rows cold={:.0} warm={:.0} warm_epochs={}/{} identical={}",
             e.dist,
             e.size,
             e.threads,
@@ -419,6 +419,8 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
             e.speedup,
             e.cold_demand_maps_mean,
             e.warm_demand_maps_mean,
+            e.cold_rows_mean,
+            e.warm_rows_mean,
             e.warm_epochs,
             e.epochs,
             e.identical
@@ -429,11 +431,12 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
             "bench",
             "  {:<9} {:<11} n={:<8} algo2={:>10.3}ms price={:>10.3}ms speedup={:>5.2}x \
              gap_bound={:.4} gap_algo2={:.4} iters={}+{} converged={} \
-             sweep seq={:.1}µs par={:.1}µs ({:.2}x) warm={:.3}ms cold={:.3}ms ({:.2}x) identical={}",
+             sweep seq={:.1}µs par={:.1}µs ({:.2}x) warm={:.3}ms cold={:.3}ms ({:.2}x) identical={} \
+             so_rows={}",
             e.dist, e.size, e.threads, e.algo2_millis, e.price_millis, e.speedup_vs_algo2,
             e.gap_vs_bound, e.gap_vs_algo2, e.iterations, e.refine_iterations, e.converged,
             e.sweep_seq_micros, e.sweep_par_micros, e.sweep_speedup,
-            e.warm_millis, e.cold_millis, e.warm_speedup, e.identical
+            e.warm_millis, e.cold_millis, e.warm_speedup, e.identical, e.superopt_rows
         );
     }
     if report.entries.iter().any(|e| !e.identical) {

@@ -164,15 +164,16 @@ fn assign_impl(
     assert_eq!(so.amounts.len(), n, "ĉ must cover every thread");
     assert_eq!(gs.len(), n, "g must cover every thread");
 
-    // Line 1: threads by super-optimal utility, nonincreasing.
+    // Line 1: threads by super-optimal utility, nonincreasing. Keys are
+    // computed once per thread, not per comparison; the stable sort and
+    // its comparator are unchanged, so the order is too.
+    let keys: Vec<f64> = gs.iter().map(|g| g.value(g.c_hat())).collect();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        gs[b].value(gs[b].c_hat())
-            .total_cmp(&gs[a].value(gs[a].c_hat()))
-    });
+    order.sort_by(|&a, &b| keys[b].total_cmp(&keys[a]));
     // Line 2: the tail (threads m+1 … n) by density, nonincreasing.
     if n > m {
-        order[m..].sort_by(|&a, &b| gs[b].density().total_cmp(&gs[a].density()));
+        let density: Vec<f64> = gs.iter().map(Linearized::density).collect();
+        order[m..].sort_by(|&a, &b| density[b].total_cmp(&density[a]));
     }
 
     // Lines 3–4: all servers start with C, kept in a max-heap.

@@ -148,15 +148,29 @@ pub fn allocate_groups_budgeted(
     server: &[usize],
     budget: &Budget,
 ) -> Result<Vec<f64>, SolveError> {
+    let m = problem.servers();
     let mut amount = vec![0.0_f64; server.len()];
+    // Bucket the threads by server in one pass (a counting sort, so each
+    // server's threads stay in index order): `members[start[j]..start[j + 1]]`.
+    let mut start = vec![0_usize; m + 1];
+    for &j in server.iter().filter(|&&j| j < m) {
+        start[j + 1] += 1;
+    }
+    for j in 0..m {
+        start[j + 1] += start[j];
+    }
+    let mut members = vec![0_usize; start[m]];
+    let mut fill = start.clone();
+    for (i, &j) in server.iter().enumerate().filter(|&(_, &j)| j < m) {
+        members[fill[j]] = i;
+        fill[j] += 1;
+    }
     let mut cache = bisection::WarmCache::new();
     let mut split = Vec::new();
-    let mut idx = Vec::new();
     let mut group: Vec<&CappedView> = Vec::new();
-    for j in 0..problem.servers() {
+    for j in 0..m {
         budget.check()?;
-        idx.clear();
-        idx.extend((0..server.len()).filter(|&i| server[i] == j));
+        let idx = &members[start[j]..start[j + 1]];
         if idx.is_empty() {
             continue;
         }

@@ -60,7 +60,7 @@ use rayon::prelude::*;
 use std::sync::Arc;
 
 use aa_allocator::bisection::{
-    search, sweep, Bracket, Demands, Fan, Landing, Market, Stop, WARM_MIN_PRICE,
+    search, sweep, Bracket, Demands, Fan, Landing, LiveRows, Market, Stop, Work, WARM_MIN_PRICE,
 };
 use aa_utility::demand::DemandTable;
 use aa_utility::{DynUtility, Utility};
@@ -222,13 +222,14 @@ fn clear<U: Utility>(
     } else {
         (Bracket::at(1.0), None)
     };
-    let mut probes = 0_u32;
-    let mut d = Demands { lo, hi, probe };
-    let landing = search(m, start, swept, Stop::Relative(TOL), &mut d, &mut probes, &mut || {
+    let mut work = Work::default();
+    let mut live = LiveRows::default();
+    let mut d = Demands { lo, hi, probe, live: &mut live };
+    let landing = search(m, start, swept, Stop::Relative(TOL), &mut d, &mut work, &mut || {
         budget.map_or(Ok(()), Budget::check)
     })?
     .expect("a relative search always lands");
-    Ok((landing, u64::from(probes)))
+    Ok((landing, u64::from(work.sweeps)))
 }
 
 /// Deterministic max-remaining placement: thread `i` (in `order`) goes

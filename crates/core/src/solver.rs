@@ -91,10 +91,14 @@ const FINITE_PROBES: usize = 16;
 /// Thread `i` is skipped when `passed[i]` is its very object (same
 /// [`Arc`](std::sync::Arc)), which the caller vouches already passed
 /// this screen at this problem's capacity ([`incremental::screened`]).
+/// A curve whose parameters prove every value finite
+/// ([`Utility::value_provably_finite`](aa_utility::Utility::value_provably_finite))
+/// needs only its cap checked: the proof covers every probe.
 pub(crate) fn check_finite_utilities(
     problem: &Problem,
     passed: &[aa_utility::DynUtility],
 ) -> Result<(), SolveError> {
+    let _span = aa_obs::span!("screen");
     for (i, u) in problem.threads().iter().enumerate() {
         if passed.get(i).is_some_and(|p| std::sync::Arc::ptr_eq(p, u)) {
             continue;
@@ -102,6 +106,9 @@ pub(crate) fn check_finite_utilities(
         let cap = problem.effective_cap(i);
         if !cap.is_finite() {
             return Err(SolveError::NonFiniteUtility { thread: i });
+        }
+        if u.value_provably_finite() {
+            continue;
         }
         let step = cap / (FINITE_PROBES - 1) as f64;
         for k in 0..FINITE_PROBES {

@@ -377,6 +377,92 @@ impl DemandTable {
         }
     }
 
+    /// The value row `i` answers at **every** price in `[lo, hi]`, when
+    /// its kernel decides that whole interval by a comparison branch
+    /// with one constant result; `None` when it cannot show that (opaque
+    /// rows, a closed-form branch, a threshold inside the interval).
+    ///
+    /// This is the pin interval of the λ-search's live rows: a row
+    /// pinned for a bracket answers the same bits at every probe inside
+    /// it, so the probe need not evaluate it. The test runs on the
+    /// transformed prices `λ' = λ / pre_div`, which are nondecreasing in
+    /// λ for a positive divisor (any other divisor never pins), and
+    /// takes the kernel's own branches in the kernel's own order:
+    ///
+    /// * Power: `λ' ≤ 0` → `cap`; β = 1 → `cap` while `λ' ≤ scale`, `0`
+    ///   past it; scale 0 → `0`;
+    /// * Log: `λ' ≤ 0` → `cap`; rate or scale 0 → `0`;
+    /// * Staircase: no threshold in `[lo', hi')`, so every comparison of
+    ///   its binary search comes out the same;
+    /// * PCHIP: cap ≤ 0 → `0`; `λ' ≤ 0` → `cap`; `λ' > ds[0]` → `0`;
+    ///   `λ' ≤ ds[0]` and `λ' ≤ ds[n−1]` → `cap`.
+    ///
+    /// `post_min` applies to the pinned value as it does in [`eval`](Self::eval).
+    // `!(a > b)` on purpose throughout: a NaN never pins.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn pinned(&self, i: usize, lo: f64, hi: f64) -> Option<f64> {
+        let w = self.pre_div[i];
+        if !(w > 0.0) || self.kinds[i] == Kind::Opaque {
+            return None;
+        }
+        let (l, h) = (lo / w, hi / w);
+        let d = match self.kinds[i] {
+            Kind::Power | Kind::Log if h <= 0.0 => self.p2[i],
+            Kind::Power | Kind::Log if !(l > 0.0) => return None,
+            Kind::Power => {
+                let (scale, beta) = (self.p0[i], self.p1[i]);
+                if beta == 1.0 {
+                    if h <= scale {
+                        self.p2[i]
+                    } else if l > scale {
+                        0.0
+                    } else {
+                        return None;
+                    }
+                } else if scale == 0.0 {
+                    0.0
+                } else {
+                    return None;
+                }
+            }
+            Kind::Log => {
+                if self.p1[i] == 0.0 || self.p0[i] == 0.0 {
+                    0.0
+                } else {
+                    return None;
+                }
+            }
+            Kind::Staircase => {
+                let (o, k, o2) = (self.off[i], self.len[i], self.off2[i]);
+                let ts = &self.stair_thresholds[o..o + k];
+                if ts.iter().any(|&t| l <= t && t < h) {
+                    return None;
+                }
+                staircase_demand(h, ts, &self.stair_levels[o2..o2 + k + 1])
+            }
+            Kind::Pchip => {
+                let (o, k) = (self.off[i], self.len[i]);
+                let cap = self.pchip_xs[o + k - 1];
+                let (first, last) = (self.pchip_ds[o], self.pchip_ds[o + k - 1]);
+                if !(cap > 0.0) {
+                    0.0
+                } else if h <= 0.0 {
+                    cap
+                } else if !(l > 0.0) {
+                    return None;
+                } else if first < l {
+                    0.0
+                } else if h <= first && h <= last {
+                    cap
+                } else {
+                    return None;
+                }
+            }
+            Kind::Opaque => return None,
+        };
+        Some(if self.has_post[i] { d.min(self.post_cap[i]) } else { d })
+    }
+
     /// One batched demand sweep: `out[i] = x_i(λ)` for every element.
     /// `out.len()` must equal [`len`](Self::len).
     pub fn batch_inverse_derivative<U: Utility>(&self, utils: &[U], lambda: f64, out: &mut [f64]) {

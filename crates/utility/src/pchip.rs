@@ -204,6 +204,31 @@ impl Utility for Pchip {
     fn matches_spec(&self, spec: &UtilitySpec) -> bool {
         matches!(spec, UtilitySpec::Pchip { points } if same_points(&self.xs, &self.ys, points))
     }
+
+    // `value` clamps x into [0, cap] and finds the segment with
+    // xs[s] ≤ x ≤ xs[s+1], so t = (x − xs[s])/h lies in [0, 1] (rounding
+    // is monotone) and each computed basis value lies within ±3. Its
+    // four terms are y·basis and (h·d)·basis, so when every |y| and
+    // every |h·d| — computed as `value` computes them — is at most
+    // f64::MAX/16, the sum stays within 3/4 of f64::MAX: finite. The
+    // knots must start at 0 and strictly increase with finite gaps,
+    // which `new` checks but a deserialized curve need not satisfy.
+    fn value_provably_finite(&self) -> bool {
+        const BOUND: f64 = f64::MAX / 16.0;
+        let n = self.xs.len();
+        n >= 2
+            && self.ys.len() == n
+            && self.ds.len() == n
+            && self.xs[0] == 0.0
+            && self.ys.iter().all(|y| y.abs() <= BOUND)
+            && (0..n - 1).all(|s| {
+                let h = self.xs[s + 1] - self.xs[s];
+                h > 0.0
+                    && h.is_finite()
+                    && (h * self.ds[s]).abs() <= BOUND
+                    && (h * self.ds[s + 1]).abs() <= BOUND
+            })
+    }
 }
 
 #[cfg(test)]

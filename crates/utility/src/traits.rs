@@ -106,6 +106,15 @@ pub trait Utility: std::fmt::Debug + Send + Sync {
     fn matches_spec(&self, _spec: &crate::spec::UtilitySpec) -> bool {
         false
     }
+
+    /// Whether [`value`](Utility::value) is provably finite at every
+    /// finite argument, from the stored parameters alone. The solvers'
+    /// finite-utility screen skips its probe grid for a utility that
+    /// proves it, so a proof must never accept a curve the probes would
+    /// reject. The default proves nothing, and the probes run.
+    fn value_provably_finite(&self) -> bool {
+        false
+    }
 }
 
 impl<U: Utility + ?Sized> Utility for Arc<U> {
@@ -129,6 +138,9 @@ impl<U: Utility + ?Sized> Utility for Arc<U> {
     }
     fn matches_spec(&self, spec: &crate::spec::UtilitySpec) -> bool {
         (**self).matches_spec(spec)
+    }
+    fn value_provably_finite(&self) -> bool {
+        (**self).value_provably_finite()
     }
 }
 
@@ -154,6 +166,9 @@ impl<U: Utility + ?Sized> Utility for Box<U> {
     fn matches_spec(&self, spec: &crate::spec::UtilitySpec) -> bool {
         (**self).matches_spec(spec)
     }
+    fn value_provably_finite(&self) -> bool {
+        (**self).value_provably_finite()
+    }
 }
 
 impl<U: Utility + ?Sized> Utility for &U {
@@ -177,6 +192,9 @@ impl<U: Utility + ?Sized> Utility for &U {
     }
     fn matches_spec(&self, spec: &crate::spec::UtilitySpec) -> bool {
         (**self).matches_spec(spec)
+    }
+    fn value_provably_finite(&self) -> bool {
+        (**self).value_provably_finite()
     }
 }
 
