@@ -1067,7 +1067,9 @@ fn finish(amounts: &mut Vec<f64>, d: &Demands<'_>, spent: f64, caps: &[f64], bud
 
 /// Spread `leftover` over the threads whose demand is elastic across the
 /// final bracket (proportionally to their slack), then pour numerical
-/// crumbs into any remaining cap in index order.
+/// crumbs into any remaining cap in index order. `x + (y − x)` can round
+/// one ulp past `y`, so each sum is held to the demand or cap it fills
+/// toward: an amount never exceeds its thread's cap.
 fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut leftover: f64) {
     let mut total_slack = 0.0;
     for (&a, &b) in lo_amounts.iter().zip(amounts.iter()) {
@@ -1078,6 +1080,9 @@ fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut le
         for (amt, &a) in amounts.iter_mut().zip(lo_amounts) {
             let s = (a - *amt).max(0.0);
             *amt += frac * s;
+            if s > 0.0 && *amt > a {
+                *amt = a;
+            }
         }
         leftover -= frac * total_slack;
     }
@@ -1086,7 +1091,7 @@ fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut le
             let room = cap - *amt;
             if room > 0.0 {
                 let add = room.min(leftover);
-                *amt += add;
+                *amt = (*amt + add).min(cap);
                 leftover -= add;
                 if leftover <= 0.0 {
                     break;
@@ -1529,6 +1534,20 @@ pub fn allocate_utility_into<U: Utility>(
 mod tests {
     use super::*;
     use aa_utility::{CappedLinear, LogUtility, PiecewiseLinear, Power, Utility};
+
+    #[test]
+    fn leftover_never_rounds_past_a_cap() {
+        // `x + (c − x)` rounds one ulp above `c` for this pair; both the
+        // proportional pass and the crumb pass must stop at `c`.
+        let (x, c) = (8.217269452136533, 26.940290987191208);
+        assert!(x + (c - x) > c);
+        let mut amounts = [x];
+        spread_leftover(&mut amounts, &[c], &[c], 1e3);
+        assert_eq!(amounts[0].to_bits(), c.to_bits());
+        let mut amounts = [x];
+        spread_leftover(&mut amounts, &[x], &[c], 1e3);
+        assert_eq!(amounts[0].to_bits(), c.to_bits());
+    }
 
     #[test]
     fn empty_input() {

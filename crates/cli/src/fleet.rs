@@ -979,7 +979,10 @@ impl<'a, W: Write> FleetCore<'a, W> {
             let count = slot.chaos_offset + slot.sent;
             let plan = self.opts.chaos.as_ref().and_then(|plan| plan.faults.get(w));
             let fault = plan.into_iter().flatten().find(|&&(s, _)| s == count).map(|&(_, f)| f);
-            let _ = pool.submit_to(w, thread_job(seq, entry, fault));
+            let job = thread_job(seq, entry, fault);
+            #[cfg(test)]
+            let job = ShardJob { fuel: self.opts.fuel, ..job };
+            let _ = pool.submit_to(w, job);
             return;
         }
         #[allow(clippy::cast_possible_truncation)]
@@ -1324,6 +1327,7 @@ fn thread_job(seq: u64, entry: &aa_core::PendingEntry<Admit>, fault: Option<Proc
         arrived: Instant::now(),
         inject_panic: (fault == Some(ProcessFault::PanicSolve))
             .then(|| "chaos: injected solve panic".to_string()),
+        fuel: None,
     }
 }
 

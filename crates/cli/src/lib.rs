@@ -579,7 +579,7 @@ pub struct DiscretePathEntry {
 
 /// One cold-vs-warm drift run: a seeded instance mutated by a small
 /// churn fraction each epoch, solved cold (`algo2::solve` from scratch)
-/// and warm (`algo2::solve_incremental` with a persistent
+/// and warm (`incremental::solve_incremental` with a persistent
 /// [`aa_core::WarmState`]) side by side at every epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalEntry {
@@ -931,6 +931,7 @@ fn drift_entry(
     epochs: usize,
     entry_seed: u64,
 ) -> Result<IncrementalEntry, CliError> {
+    use aa_core::incremental::solve_incremental;
     use aa_core::{SolveMode, WarmState};
 
     let capacity = 1000.0;
@@ -959,13 +960,13 @@ fn drift_entry(
                 threads[at] = g.utility;
             }
         }
-        // Unchanged threads keep their `Arc` identity, which is what the
-        // incremental engine's delta detection keys on.
+        // Unchanged threads keep their `Arc` identity, as a stream's
+        // carried build hands them back.
         let problem =
             Problem::new(servers, capacity, threads.clone()).map_err(CliError::Problem)?;
 
         let mut fresh = WarmState::new();
-        algo2::solve_incremental(&problem, &mut fresh);
+        solve_incremental(&problem, &mut fresh);
         cold_maps += u64::from(fresh.last_stats().warm.demand_maps);
         cold_rows += fresh.last_stats().warm.rows;
 
@@ -974,7 +975,7 @@ fn drift_entry(
         cold_ms.push(t0.elapsed().as_secs_f64() * 1e3);
 
         let t1 = std::time::Instant::now();
-        let warm_a = algo2::solve_incremental(&problem, &mut warm);
+        let warm_a = solve_incremental(&problem, &mut warm);
         warm_ms.push(t1.elapsed().as_secs_f64() * 1e3);
 
         let stats = warm.last_stats();

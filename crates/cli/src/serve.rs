@@ -290,6 +290,11 @@ pub struct ServeOpts {
     pub worker_cmd: Option<PathBuf>,
     /// Scheduled faults per worker. `None` in production.
     pub chaos: Option<ProcessChaosPlan>,
+    /// Tests only: thread links solve every request under
+    /// [`aa_core::Budget::with_fuel`] instead of its deadline, so a
+    /// degraded answer does not hang on the wall clock.
+    #[cfg(test)]
+    pub(crate) fuel: Option<u64>,
 }
 
 impl Default for ServeOpts {
@@ -312,6 +317,8 @@ impl Default for ServeOpts {
             trace: None,
             worker_cmd: None,
             chaos: None,
+            #[cfg(test)]
+            fuel: None,
         }
     }
 }
@@ -906,12 +913,17 @@ mod tests {
 
     #[test]
     fn tight_deadlines_degrade_but_never_fail() {
-        let input = format!("{}\n", request_line(9, Some(1), 3000));
-        let (counters, responses) = run(&input, &ServeOpts::default());
+        // The tight budget is fuel, not a 1 ms wall clock: a wall-clock
+        // deadline can lapse while the request waits for the shard
+        // thread to wake, and the request is then refused unsolved.
+        let input = format!("{}\n", request_line(9, None, 3000));
+        let opts = ServeOpts { fuel: Some(50), ..ServeOpts::default() };
+        let (counters, responses) = run(&input, &opts);
         assert_eq!(counters.solved, 1);
         assert_eq!(counters.solve_errors, 0);
         assert_eq!(responses[0]["status"], "ok");
-        // 1 ms cannot fit the full ladder on 3000 threads: degraded.
+        // 50 budget checks cannot fit the full ladder on 3000 threads:
+        // degraded.
         assert_eq!(responses[0]["degraded"].as_bool(), Some(true), "{:?}", responses[0]);
     }
 

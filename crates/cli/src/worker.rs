@@ -201,7 +201,8 @@ where
                 });
                 let inject_panic = (fault == Some(ProcessFault::PanicSolve))
                     .then(|| "chaos: injected solve panic".to_string());
-                let job = ShardJob { seq, stream, build, deadline, arrived: Instant::now(), inject_panic };
+                let arrived = Instant::now();
+                let job = ShardJob { seq, stream, build, deadline, arrived, inject_panic, fuel: None };
                 let _ = pool.submit_to(0, job);
             }
         }

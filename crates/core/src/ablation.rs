@@ -17,12 +17,9 @@
 //! target demands), so they can run on any instance for side-by-side
 //! comparison (`aa-experiments ablation`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use aa_utility::num::OrdF64;
 use aa_utility::{Linearized, Utility};
 
+use crate::algo2::Placement;
 use crate::linearize::linearize;
 use crate::problem::{Assignment, Problem};
 use crate::superopt::super_optimal;
@@ -32,14 +29,9 @@ use crate::superopt::super_optimal;
 pub fn algo2_single_sort(problem: &Problem) -> Assignment {
     let so = super_optimal(problem);
     let gs = linearize(problem, &so);
-    let n = problem.len();
-
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        gs[b].value(gs[b].c_hat())
-            .total_cmp(&gs[a].value(gs[a].c_hat()))
-    });
-    assign_in_order(problem, &so.amounts, &order)
+    let mut placement = Placement::default();
+    placement.sort_by_value(&gs);
+    walk(problem, &mut placement, &so.amounts)
 }
 
 /// Algorithm 2 with fair-share demands `min(cap_i, mC/n)` instead of the
@@ -59,36 +51,21 @@ pub fn algo2_fair_share(problem: &Problem) -> Assignment {
         .map(|(f, &c)| Linearized::new(c, f.value(c), problem.capacity(), f.value(0.0)))
         .collect();
 
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        gs[b].value(gs[b].c_hat())
-            .total_cmp(&gs[a].value(gs[a].c_hat()))
-    });
-    if n > m {
-        order[m..].sort_by(|&a, &b| gs[b].density().total_cmp(&gs[a].density()));
-    }
-    assign_in_order(problem, &demands, &order)
+    let mut placement = Placement::default();
+    placement.sort_by_value(&gs);
+    placement.sort_tail_by_density(&gs, m);
+    walk(problem, &mut placement, &demands)
 }
 
-/// The heap walk shared by the ablations: place threads in `order` on the
-/// fullest server, allocating `min(demand, remaining)`.
-fn assign_in_order(problem: &Problem, demands: &[f64], order: &[usize]) -> Assignment {
-    let m = problem.servers();
-    let mut heap: BinaryHeap<(OrdF64, Reverse<usize>)> = (0..m)
-        .map(|j| (OrdF64(problem.capacity()), Reverse(j)))
-        .collect();
-    let mut server = vec![0_usize; demands.len()];
-    let mut amount = vec![0.0_f64; demands.len()];
-    for &i in order {
-        // Total even for an (unrepresentable) empty server set: threads
-        // that cannot be placed keep server 0 / amount 0 from the init.
-        let Some((OrdF64(cj), Reverse(j))) = heap.pop() else { break };
-        let c = demands[i].min(cj);
-        server[i] = j;
-        amount[i] = c;
-        heap.push((OrdF64(cj - c), Reverse(j)));
-    }
-    Assignment { server, amount }
+/// Algorithm 2's walk over the ablation's order: each thread takes
+/// `min(demand, remaining)` on the fullest server.
+fn walk(problem: &Problem, placement: &mut Placement, demands: &[f64]) -> Assignment {
+    let caps = std::iter::repeat_n(problem.capacity(), problem.servers());
+    let mut out = Assignment { server: Vec::new(), amount: Vec::new() };
+    placement
+        .walk(caps, None, |i, cj| demands[i].min(cj), &mut out.server, &mut out.amount)
+        .expect("an unbudgeted walk never fails");
+    out
 }
 
 #[cfg(test)]

@@ -16,6 +16,14 @@
 //! `α = 2(√2 − 1)` approximation as Algorithm 1 (Theorem VI.1); the
 //! running time is dominated by the super-optimal allocation
 //! (Theorem VI.2).
+//!
+//! Steps 1–3 live here once, as `Placement` (the two sorts, on buffers
+//! a caller may keep) and `walk` (the fullest-server walk from any list
+//! of server capacities). Every caller places through them: the cold and
+//! budgeted paths below, the warm engine ([`crate::incremental`]), the
+//! ablations ([`crate::ablation`]), the heterogeneous extension
+//! ([`crate::hetero`]), and — the walk alone, in its own order — the
+//! price backend ([`crate::price`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -96,19 +104,6 @@ pub fn solve_par(problem: &Problem) -> Assignment {
     assign_with(problem, &so, &gs)
 }
 
-/// Incremental Algorithm 2: **bit-identical** to [`solve`], but
-/// successive calls through the same [`WarmState`](crate::incremental::WarmState)
-/// pay only for what changed since the previous solve — warm-started
-/// bisection, delta re-linearization, sort repair, and zero steady-state
-/// allocation. See [`crate::incremental`] for the mechanism, the
-/// crossover heuristic, and the budgeted/buffer-reusing variants.
-pub fn solve_incremental(
-    problem: &Problem,
-    state: &mut crate::incremental::WarmState,
-) -> Assignment {
-    crate::incremental::solve_incremental(problem, state)
-}
-
 /// [`solve_par`] under a solve [`Budget`]: the super-optimal bisection
 /// checks the budget per iteration (its pool fan-outs watch the budget's
 /// cancel token and abandon unclaimed chunks when it fires), and the
@@ -130,13 +125,11 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, 
 
 /// The assignment phase of Algorithm 2, given precomputed `ĉ` and `g`.
 ///
-/// Deterministic: both sorts are stable (ties keep index order) and the
-/// heap breaks capacity ties toward the lowest server index.
+/// Deterministic: both sorts are strict total orders (ties keep index
+/// order) and the walk breaks capacity ties toward the lowest server
+/// index.
 pub fn assign_with(problem: &Problem, so: &SuperOptimal, gs: &[Linearized]) -> Assignment {
-    match assign_impl(problem, so, gs, None) {
-        Ok(a) => a,
-        Err(_) => unreachable!("unbudgeted assignment cannot fail"),
-    }
+    assign_impl(problem, so, gs, None).expect("an unbudgeted walk never fails")
 }
 
 /// [`assign_with`] with a per-placement budget check. Bit-identical to
@@ -158,47 +151,151 @@ fn assign_impl(
     gs: &[Linearized],
     budget: Option<&Budget>,
 ) -> Result<Assignment, SolveError> {
-    let _span = aa_obs::span!("assign");
-    let n = problem.len();
-    let m = problem.servers();
-    assert_eq!(so.amounts.len(), n, "ĉ must cover every thread");
-    assert_eq!(gs.len(), n, "g must cover every thread");
+    let mut out = Assignment { server: Vec::new(), amount: Vec::new() };
+    Placement::default().assign(problem, &so.amounts, gs, budget, &mut out.server, &mut out.amount)?;
+    Ok(out)
+}
 
-    // Line 1: threads by super-optimal utility, nonincreasing. Keys are
-    // computed once per thread, not per comparison; the stable sort and
-    // its comparator are unchanged, so the order is too.
-    let keys: Vec<f64> = gs.iter().map(|g| g.value(g.c_hat())).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| keys[b].total_cmp(&keys[a]));
-    // Line 2: the tail (threads m+1 … n) by density, nonincreasing.
-    if n > m {
-        let density: Vec<f64> = gs.iter().map(Linearized::density).collect();
-        order[m..].sort_by(|&a, &b| density[b].total_cmp(&density[a]));
+/// One server's place in the fullest-server walk: remaining capacity,
+/// then the index reversed, so the max-heap breaks capacity ties toward
+/// the lowest server index.
+type Slot = (OrdF64, Reverse<usize>);
+
+/// Algorithm 2's placement (lines 1–10) on buffers reused across
+/// solves: the sort records of the two sorts, the processing order, and
+/// the walk's heap. Every Algorithm 2 variant places through this one
+/// ordering and the one [`walk`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Placement {
+    ranked: Vec<(i64, usize)>,
+    order: Vec<usize>,
+    heap: Vec<Slot>,
+}
+
+impl Placement {
+    /// Line 1: every thread by `g_i(ĉ_i)`, nonincreasing. Ties go to
+    /// the lower index, so this strict total order equals a stable sort
+    /// by the key alone.
+    pub(crate) fn sort_by_value(&mut self, gs: &[Linearized]) {
+        self.ranked.clear();
+        self.ranked.extend(gs.iter().enumerate().map(|(i, g)| (!rank(g.value(g.c_hat())), i)));
+        self.ranked.sort_unstable();
+        self.order.clear();
+        self.order.extend(self.ranked.iter().map(|&(_, i)| i));
     }
 
-    // Lines 3–4: all servers start with C, kept in a max-heap.
-    // Reverse(j) makes capacity ties prefer the lowest server index.
-    let mut heap: BinaryHeap<(OrdF64, Reverse<usize>)> = (0..m)
-        .map(|j| (OrdF64(problem.capacity()), Reverse(j)))
-        .collect();
+    /// Line 2: positions `m..` of line 1's order by density,
+    /// nonincreasing, ties in line 1's order — a stable density re-sort
+    /// of the tail. Call after [`Self::sort_by_value`].
+    pub(crate) fn sort_tail_by_density(&mut self, gs: &[Linearized], m: usize) {
+        let n = self.order.len();
+        if n <= m {
+            return;
+        }
+        // Records carry the position in line 1's order, which breaks
+        // density ties; the positions then map back to threads.
+        let order = &mut self.order;
+        self.ranked.clear();
+        self.ranked.extend((m..n).map(|p| (!rank(gs[order[p]].density()), p)));
+        self.ranked.sort_unstable();
+        for record in &mut self.ranked {
+            record.1 = order[record.1];
+        }
+        for (slot, &(_, i)) in order[m..].iter_mut().zip(&self.ranked) {
+            *slot = i;
+        }
+    }
 
-    // Lines 5–10: place each thread on the fullest server.
-    let mut server = vec![0_usize; n];
-    let mut amount = vec![0.0_f64; n];
-    for &i in &order {
+    /// Lines 3–10 over the current order: [`walk`] from `capacities`,
+    /// each thread taking `take(i, remaining)`.
+    pub(crate) fn walk(
+        &mut self,
+        capacities: impl IntoIterator<Item = f64>,
+        budget: Option<&Budget>,
+        take: impl FnMut(usize, f64) -> f64,
+        server: &mut Vec<usize>,
+        amount: &mut Vec<f64>,
+    ) -> Result<(), SolveError> {
+        walk(&mut self.heap, capacities, &self.order, budget, take, server, amount)
+    }
+
+    /// The whole assignment phase on `m` servers of capacity `C`: both
+    /// sorts, then the walk giving thread `i` `min(ĉ_i, remaining)`. The
+    /// cold [`assign_with`] and the warm engine both place through here.
+    pub(crate) fn assign(
+        &mut self,
+        problem: &Problem,
+        c_hat: &[f64],
+        gs: &[Linearized],
+        budget: Option<&Budget>,
+        server: &mut Vec<usize>,
+        amount: &mut Vec<f64>,
+    ) -> Result<(), SolveError> {
+        let _span = aa_obs::span!("assign");
+        let m = problem.servers();
+        assert_eq!(c_hat.len(), problem.len(), "ĉ must cover every thread");
+        assert_eq!(gs.len(), problem.len(), "g must cover every thread");
+        self.sort_by_value(gs);
+        self.sort_tail_by_density(gs, m);
+        let caps = std::iter::repeat_n(problem.capacity(), m);
+        self.walk(caps, budget, |i, cj| c_hat[i].min(cj), server, amount)
+    }
+}
+
+/// `x`'s rank in [`f64::total_cmp`] order: the integer that method
+/// compares, so `rank(a).cmp(&rank(b)) == a.total_cmp(&b)`. Sorting
+/// `(!rank, index)` records ascending puts the largest value first and
+/// breaks ties toward the lower index, with integer comparisons only.
+fn rank(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The fullest-server walk: servers start at `capacities` (server `j`
+/// at the `j`-th), and each thread `i` of `order` — a permutation of
+/// `0..n` — goes to the server with the most remaining capacity (ties to
+/// the lowest index), which gives up `take(i, remaining)`. `server` and
+/// `amount` are refilled to length `n`. `budget` is checked once per
+/// placement. `heap` is the walk's storage, kept by the caller so a
+/// reused one allocates nothing.
+pub(crate) fn walk(
+    heap: &mut Vec<Slot>,
+    capacities: impl IntoIterator<Item = f64>,
+    order: &[usize],
+    budget: Option<&Budget>,
+    mut take: impl FnMut(usize, f64) -> f64,
+    server: &mut Vec<usize>,
+    amount: &mut Vec<f64>,
+) -> Result<(), SolveError> {
+    let n = order.len();
+    server.clear();
+    server.resize(n, 0);
+    amount.clear();
+    amount.resize(n, 0.0);
+    let mut slots = std::mem::take(heap);
+    slots.clear();
+    slots.extend(capacities.into_iter().enumerate().map(|(j, c)| (OrdF64(c), Reverse(j))));
+    let mut fullest = BinaryHeap::from(slots);
+    let placed = order.iter().try_for_each(|&i| {
         if let Some(b) = budget {
             b.check()?;
         }
         // Total even for an (unrepresentable) empty server set: threads
         // that cannot be placed keep server 0 / amount 0 from the init.
-        let Some((OrdF64(cj), Reverse(j))) = heap.pop() else { break };
-        let c = so.amounts[i].min(cj);
-        server[i] = j;
-        amount[i] = c;
-        heap.push((OrdF64(cj - c), Reverse(j)));
-    }
-
-    Ok(Assignment { server, amount })
+        if let Some(mut top) = fullest.peek_mut() {
+            let (OrdF64(cj), Reverse(j)) = *top;
+            let c = take(i, cj);
+            server[i] = j;
+            amount[i] = c;
+            // One sift down when `top` drops: the root is the unique
+            // maximum of a strict total order, so this matches a pop and
+            // a push exactly.
+            top.0 = OrdF64(cj - c);
+        }
+        Ok(())
+    });
+    *heap = fullest.into_vec();
+    placed
 }
 
 #[cfg(test)]
@@ -368,6 +465,51 @@ mod tests {
             solve_budgeted(&p, &budget),
             Err(SolveError::Cancelled)
         );
+    }
+
+    #[test]
+    fn placement_order_equals_the_stable_sorts() {
+        // Tie-heavy linearizations: equal keys and densities, zero
+        // values (density 0), ĉ = 0 over a positive floor (density ∞),
+        // and equal slopes at different ĉ.
+        let gs: Vec<Linearized> = [
+            (2.0, 4.0, 0.0),
+            (0.0, 0.0, 0.0),
+            (2.0, 4.0, 0.0),
+            (0.0, 1.5, 1.5),
+            (3.0, 6.0, 0.0),
+            (1.0, 2.0, 0.0),
+            (0.0, 0.0, 0.0),
+            (0.0, 1.5, 1.5),
+            (4.0, 4.0, 0.0),
+            (2.0, 4.0, 0.0),
+        ]
+        .iter()
+        .map(|&(c, v, floor)| Linearized::new(c, v, 8.0, floor))
+        .collect();
+        let n = gs.len();
+        let keys: Vec<f64> = gs.iter().map(|g| g.value(g.c_hat())).collect();
+        let density: Vec<f64> = gs.iter().map(Linearized::density).collect();
+        for m in 0..=n + 1 {
+            let mut oracle: Vec<usize> = (0..n).collect();
+            oracle.sort_by(|&a, &b| keys[b].total_cmp(&keys[a]));
+            if n > m {
+                oracle[m..].sort_by(|&a, &b| density[b].total_cmp(&density[a]));
+            }
+            let mut placement = Placement::default();
+            placement.sort_by_value(&gs);
+            placement.sort_tail_by_density(&gs, m);
+            assert_eq!(placement.order, oracle, "m = {m}");
+        }
+        let hostile = [
+            f64::NAN, -f64::NAN, f64::INFINITY, -f64::INFINITY, 0.0, -0.0, 1.0, -1.0,
+            f64::MIN_POSITIVE, -f64::MIN_POSITIVE, 5e-324, -5e-324, f64::MAX, f64::MIN,
+        ];
+        for a in hostile {
+            for b in hostile {
+                assert_eq!(rank(a).cmp(&rank(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

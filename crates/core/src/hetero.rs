@@ -6,8 +6,8 @@
 //!
 //! * the super-optimal budget becomes `Σ_j C_j` with per-thread cap
 //!   `max_j C_j` (a thread can never exceed the largest server);
-//! * the heap is seeded with the individual capacities; everything else
-//!   is unchanged.
+//! * Algorithm 2's fullest-server walk starts from the individual
+//!   capacities; everything else is unchanged.
 //!
 //! No approximation ratio is claimed — the paper's Lemma V.7 counting
 //! argument uses homogeneity — but the solution is always feasible,
@@ -15,14 +15,13 @@
 //! benches show it stays close to the (generalized) super-optimal bound
 //! empirically.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use aa_allocator::bisection;
-use aa_utility::num::{approx_le, clamp, OrdF64};
+use aa_utility::num::{approx_le, clamp};
 use aa_utility::{DynUtility, Linearized, Utility};
 
+use crate::algo2::Placement;
 use crate::EPS;
 
 /// An AA instance with per-server capacities.
@@ -211,8 +210,6 @@ impl Utility for CapTo {
 /// assert_eq!(a.server[0], 0); // valuable thread on the 12-unit server
 /// ```
 pub fn solve(problem: &HeteroProblem) -> HeteroAssignment {
-    let n = problem.len();
-    let m = problem.servers();
     let (c_hat, _) = super_optimal(problem);
     let max_cap = problem.max_capacity();
     let gs: Vec<Linearized> = problem
@@ -222,34 +219,15 @@ pub fn solve(problem: &HeteroProblem) -> HeteroAssignment {
         .map(|(f, &c)| Linearized::new(c, f.value(c), max_cap, f.value(0.0)))
         .collect();
 
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        gs[b].value(gs[b].c_hat())
-            .total_cmp(&gs[a].value(gs[a].c_hat()))
-    });
-    if n > m {
-        order[m..].sort_by(|&a, &b| gs[b].density().total_cmp(&gs[a].density()));
-    }
-
-    let mut heap: BinaryHeap<(OrdF64, Reverse<usize>)> = problem
-        .capacities()
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| (OrdF64(c), Reverse(j)))
-        .collect();
-
-    let mut server = vec![0_usize; n];
-    let mut amount = vec![0.0_f64; n];
-    for &i in &order {
-        // Total even for an (unrepresentable) empty server set: threads
-        // that cannot be placed keep server 0 / amount 0 from the init.
-        let Some((OrdF64(cj), Reverse(j))) = heap.pop() else { break };
-        let c = c_hat[i].min(cj);
-        server[i] = j;
-        amount[i] = c;
-        heap.push((OrdF64(cj - c), Reverse(j)));
-    }
-    HeteroAssignment { server, amount }
+    let mut placement = Placement::default();
+    placement.sort_by_value(&gs);
+    placement.sort_tail_by_density(&gs, problem.servers());
+    let mut out = HeteroAssignment { server: Vec::new(), amount: Vec::new() };
+    let caps = problem.capacities().iter().copied();
+    placement
+        .walk(caps, None, |i, cj| c_hat[i].min(cj), &mut out.server, &mut out.amount)
+        .expect("an unbudgeted walk never fails");
+    out
 }
 
 #[cfg(test)]

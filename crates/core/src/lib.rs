@@ -65,7 +65,7 @@ pub mod tightness;
 
 pub use budget::Budget;
 pub use churn::{ClusterEvent, MigrationBudget, Repair, RepairArena, RepairError, RepairReport};
-pub use incremental::{IncrementalStats, SolveMode, SolverArena, WarmState};
+pub use incremental::{IncrementalStats, SolveMode, WarmState};
 pub use fleet::{
     Backoff, FleetRouter, FrameError, PendingEntry, PendingMap, RouteDecision,
 };

@@ -26,7 +26,7 @@ use crate::superopt::SuperOptimal;
 pub use aa_allocator::tuning::par_threshold;
 
 /// Linearize thread `i` through `c_hat`: the shared per-thread kernel of
-/// [`linearize`], [`linearize_par`] and the incremental delta path
+/// [`linearize`], [`linearize_par`] and the warm engine
 /// ([`crate::incremental`]), so all three agree bit for bit. Evaluates
 /// the *raw* utility (not the capped view) at `c_hat` and `0`, with
 /// domain `[0, C]` — exactly what the batch builders do.
@@ -38,15 +38,22 @@ pub fn linearize_one(problem: &Problem, i: usize, c_hat: f64) -> Linearized {
 /// Build the linearized utilities `g_1 … g_n` from a super-optimal
 /// allocation. `g_i` has domain `[0, C]`.
 pub fn linearize(problem: &Problem, so: &SuperOptimal) -> Vec<Linearized> {
+    let mut gs = Vec::with_capacity(problem.len());
+    linearize_into(problem, &so.amounts, &mut gs);
+    gs
+}
+
+/// [`linearize`] through `amounts` into `gs` (cleared first), so a
+/// caller that keeps `gs` across solves allocates nothing.
+pub(crate) fn linearize_into(problem: &Problem, amounts: &[f64], gs: &mut Vec<Linearized>) {
     let _span = aa_obs::span!("linearize");
     assert_eq!(
-        so.amounts.len(),
+        amounts.len(),
         problem.len(),
         "super-optimal allocation must cover every thread"
     );
-    (0..problem.len())
-        .map(|i| linearize_one(problem, i, so.amounts[i]))
-        .collect()
+    gs.clear();
+    gs.extend(amounts.iter().enumerate().map(|(i, &c_hat)| linearize_one(problem, i, c_hat)));
 }
 
 /// [`linearize`] with the per-thread `g_i` construction fanned out over

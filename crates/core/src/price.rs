@@ -65,6 +65,7 @@ use aa_allocator::bisection::{
 use aa_utility::demand::DemandTable;
 use aa_utility::{DynUtility, Utility};
 
+use crate::algo2;
 use crate::budget::Budget;
 use crate::problem::{Assignment, CappedView, Problem};
 use crate::solver::SolveError;
@@ -234,48 +235,21 @@ fn clear<U: Utility>(
 
 /// Deterministic max-remaining placement: thread `i` (in `order`) goes
 /// to the server with the most remaining capacity (ties to the lowest
-/// server index), clipped to fit. A hand-rolled binary max-heap on
-/// `(remaining, index)` makes each pick O(log m) instead of O(m) — the
-/// sequential scan dominated placement once `n·m` reached 10⁵·16.
+/// server index), clipped to fit — Algorithm 2's fullest-server walk
+/// ([`algo2::walk`]) in price order.
 fn place(
     problem: &Problem,
     amounts: &[f64],
     order: &[usize],
 ) -> (Vec<usize>, Vec<f64>) {
     let _span = aa_obs::span!("price_place");
-    let m = problem.servers();
-    let mut server = vec![0usize; problem.len()];
-    let mut out = vec![0.0f64; problem.len()];
-    // Heap of (remaining, server) ordered by remaining desc, then
-    // server asc — the root is always the argmax the linear scan found.
-    let ahead = |a: (f64, usize), b: (f64, usize)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
-    let mut heap: Vec<(f64, usize)> =
-        (0..m).map(|j| (problem.capacity(), j)).collect();
-    // All entries start equal, so the identity layout is already a
-    // valid heap (parent ties child ⇒ parent index < child index).
-    for &i in order {
-        let (rem, best) = heap[0];
-        let c = amounts[i].min(rem).max(0.0);
-        server[i] = best;
-        out[i] = c;
-        // Sift the shrunken root back down.
-        let mut k = 0usize;
-        heap[0].0 = rem - c;
-        loop {
-            let l = 2 * k + 1;
-            if l >= m {
-                break;
-            }
-            let r = l + 1;
-            let child = if r < m && ahead(heap[r], heap[l]) { r } else { l };
-            if ahead(heap[child], heap[k]) {
-                heap.swap(child, k);
-                k = child;
-            } else {
-                break;
-            }
-        }
-    }
+    let caps = std::iter::repeat_n(problem.capacity(), problem.servers());
+    let (mut server, mut out) = (Vec::new(), Vec::new());
+    // The clamp stays this caller's: a demand below zero (an opaque
+    // curve's) must neither be placed nor free capacity.
+    let take = |i: usize, rem: f64| amounts[i].min(rem).max(0.0);
+    algo2::walk(&mut Vec::new(), caps, order, None, take, &mut server, &mut out)
+        .expect("an unbudgeted walk never fails");
     (server, out)
 }
 

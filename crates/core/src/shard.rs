@@ -99,6 +99,10 @@ pub struct ShardJob {
     /// Chaos only: panic with this message inside the caught solve
     /// region instead of solving.
     pub inject_panic: Option<String>,
+    /// Tests only: solve under [`Budget::with_fuel`] — expiry after
+    /// exactly this many budget checks — instead of the deadline's
+    /// wall clock, so a degraded answer is reproducible.
+    pub fuel: Option<u64>,
 }
 
 impl ShardJob {
@@ -106,7 +110,15 @@ impl ShardJob {
     /// stream's previous threads), stamped with the current time.
     pub fn new(seq: u64, stream: Option<u64>, problem: Problem, deadline: Option<Instant>) -> Self {
         let build: BuildFn = Arc::new(move |_| Ok(problem.clone()));
-        ShardJob { seq, stream, build, deadline, arrived: Instant::now(), inject_panic: None }
+        ShardJob {
+            seq,
+            stream,
+            build,
+            deadline,
+            arrived: Instant::now(),
+            inject_panic: None,
+            fuel: None,
+        }
     }
 }
 
@@ -182,13 +194,16 @@ impl StreamSolver {
     /// empty for a new stream); a refusal answers [`ShardError::Refused`]
     /// whatever the deadline. The build is not charged to the deadline,
     /// which moves out by the build's duration; then the problem is
-    /// solved as [`Self::solve`] does. Returns the outcome and the
-    /// microseconds the solve alone took (0 when refused).
+    /// solved as [`Self::solve`] does — or, given `fuel` (tests only),
+    /// under [`Budget::with_fuel`] whatever the deadline. Returns the
+    /// outcome and the microseconds the solve alone took (0 when
+    /// refused).
     pub fn answer(
         &mut self,
         stream: Option<u64>,
         build: impl FnOnce(&[DynUtility]) -> Result<Problem, (&'static str, String)>,
         deadline: Option<Instant>,
+        fuel: Option<u64>,
         inject_panic: Option<String>,
     ) -> (Result<TieredSolve, ShardError>, u64) {
         let building = Instant::now();
@@ -199,16 +214,17 @@ impl StreamSolver {
         };
         let started = Instant::now();
         let deadline = deadline.map(|d| d + (started - building));
-        let outcome = self.solve(stream, &problem, deadline, started, inject_panic);
+        let outcome = match fuel {
+            Some(checks) => self.solve_within(stream, &problem, &Budget::with_fuel(checks), inject_panic),
+            None => self.solve(stream, &problem, deadline, started, inject_panic),
+        };
         (outcome, started.elapsed().as_micros() as u64)
     }
 
-    /// Solve one built problem on `stream`'s warm state, behind the
-    /// tiered solver's `catch_unwind` boundary. A `deadline` already past
-    /// at `started` answers [`ShardError::Expired`] without solving; a
-    /// live one becomes the solve's budget. `inject_panic` (chaos only)
-    /// panics with that message inside the caught region instead of
-    /// solving.
+    /// Solve one built problem on `stream`'s warm state under its
+    /// deadline: one already past at `started` answers
+    /// [`ShardError::Expired`] without solving; a live one becomes the
+    /// solve's budget.
     fn solve(
         &mut self,
         stream: Option<u64>,
@@ -222,6 +238,20 @@ impl StreamSolver {
             Some(d) => Budget::with_deadline(d - started),
             None => Budget::unlimited(),
         };
+        self.solve_within(stream, problem, &budget, inject_panic)
+    }
+
+    /// Solve one built problem on `stream`'s warm state under `budget`,
+    /// behind the tiered solver's `catch_unwind` boundary.
+    /// `inject_panic` (chaos only) panics with that message inside the
+    /// caught region instead of solving.
+    fn solve_within(
+        &mut self,
+        stream: Option<u64>,
+        problem: &Problem,
+        budget: &Budget,
+        inject_panic: Option<String>,
+    ) -> Result<TieredSolve, ShardError> {
         if self.warm.len() >= self.max_streams.max(1) && !self.warm.contains_key(&stream) {
             if let Some(old) = self.order.pop_front() {
                 self.warm.remove(&old);
@@ -240,7 +270,7 @@ impl StreamSolver {
                 state.invalidate();
                 Err(SolveError::Panicked(panic_message(payload.as_ref())))
             }),
-            None => self.solver.try_solve_within_caught(problem, &budget, Some(state)),
+            None => self.solver.try_solve_within_caught(problem, budget, Some(state)),
         }
         .map_err(ShardError::Solve)
     }
@@ -485,7 +515,7 @@ fn shard_thread(inner: &PoolInner, shard: usize) {
         let (outcome, solve_micros, span) = {
             let root = SpanGuard::enter("fleet_solve");
             let (outcome, micros) =
-                streams.answer(job.stream, &*job.build, job.deadline, job.inject_panic);
+                streams.answer(job.stream, &*job.build, job.deadline, job.fuel, job.inject_panic);
             (outcome, micros, root.id())
         };
         (inner.complete)(ShardCompletion {
@@ -781,6 +811,7 @@ mod tests {
             deadline,
             arrived: Instant::now(),
             inject_panic: None,
+            fuel: None,
         }
     }
 

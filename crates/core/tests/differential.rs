@@ -12,8 +12,9 @@
 use std::sync::Arc;
 
 use aa_core::solver::{solve_batch, Algo2, Rr, Solver};
+use aa_core::hetero::{self, HeteroProblem};
 use aa_core::{algo1, algo2, batch_seed, superopt, Problem};
-use aa_utility::{CappedLinear, DynUtility, LogUtility, Power};
+use aa_utility::{CappedLinear, DynUtility, LogUtility, Offset, Power};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +32,22 @@ fn any_utility(cap: f64) -> impl Strategy<Value = DynUtility> {
             .prop_map(move |(s, r)| Arc::new(LogUtility::new(s, r, cap)) as DynUtility),
         (0.1..10.0f64, 0.05..1.0f64)
             .prop_map(move |(s, k)| Arc::new(CappedLinear::new(s, k * cap, cap)) as DynUtility),
+        tied_utility(cap),
     ]
+}
+
+/// Strategy: curves that tie in Algorithm 2's sorts — `Arc`-distinct
+/// copies of one curve (equal keys and densities), zero-value threads
+/// (density 0), constant-value threads that demand nothing (`ĉ = 0`
+/// over a positive floor: density ∞), and equal-slope capped-linear
+/// threads (equal densities below their knees).
+fn tied_utility(cap: f64) -> impl Strategy<Value = DynUtility> {
+    (0usize..4, 0.05..1.0f64).prop_map(move |(kind, k)| match kind {
+        0 => Arc::new(Power::new(2.0, 0.5, cap)) as DynUtility,
+        1 => Arc::new(Power::new(0.0, 0.5, cap)) as DynUtility,
+        2 => Arc::new(Offset::new(Power::new(0.0, 0.5, cap), 1.5)) as DynUtility,
+        _ => Arc::new(CappedLinear::new(2.0, k * cap, cap)) as DynUtility,
+    })
 }
 
 fn any_problem() -> impl Strategy<Value = Problem> {
@@ -64,6 +80,23 @@ proptest! {
         let u = seq.total_utility(&p);
         let up = rayon::with_threads(8, || algo2::solve_par(&p).total_utility(&p));
         prop_assert_eq!(u.to_bits(), up.to_bits());
+    }
+
+    /// The heterogeneous extension at equal capacities is Algorithm 2:
+    /// whenever its own `ĉ` (the pooled budget summed server by server)
+    /// equals Algorithm 2's bit for bit — most draws — it places
+    /// exactly as `algo2` does. A last-bit difference in `ĉ` can flip
+    /// near-ties in the sorts, so the answers are not compared then.
+    #[test]
+    fn hetero_at_equal_capacities_equals_algo2(p in any_problem()) {
+        let hp = HeteroProblem::new(vec![p.capacity(); p.servers()], p.threads().to_vec()).unwrap();
+        let h = hetero::solve(&hp);
+        h.validate(&hp).map_err(|e| format!("hetero infeasible: {e}"))?;
+        let a = algo2::solve(&p);
+        if hetero::super_optimal(&hp).0 == superopt::super_optimal(&p).amounts {
+            prop_assert_eq!(&h.server, &a.server);
+            prop_assert_eq!(&h.amount, &a.amount);
+        }
     }
 
     #[test]

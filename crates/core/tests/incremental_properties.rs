@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
-use aa_core::incremental::{solve_incremental_budgeted, WarmState};
+use aa_core::incremental::{solve_incremental, solve_incremental_budgeted, WarmState};
 use aa_core::{algo2, Budget, Problem, SolveError};
-use aa_utility::{CappedLinear, DynUtility, LogUtility, Power, Scaled};
+use aa_utility::{CappedLinear, DynUtility, LogUtility, Offset, Power, Scaled};
 use proptest::prelude::*;
 
 /// Strategy: a random concave utility of a random family.
@@ -25,7 +25,22 @@ fn any_utility(cap: f64) -> impl Strategy<Value = DynUtility> {
             .prop_map(move |(s, r)| Arc::new(LogUtility::new(s, r, cap)) as DynUtility),
         (0.1..10.0f64, 0.05..1.0f64)
             .prop_map(move |(s, k)| Arc::new(CappedLinear::new(s, k * cap, cap)) as DynUtility),
+        tied_utility(cap),
     ]
+}
+
+/// Strategy: curves that tie in Algorithm 2's sorts — `Arc`-distinct
+/// copies of one curve (equal keys and densities), zero-value threads
+/// (density 0), constant-value threads that demand nothing (`ĉ = 0`
+/// over a positive floor: density ∞), and equal-slope capped-linear
+/// threads (equal densities below their knees).
+fn tied_utility(cap: f64) -> impl Strategy<Value = DynUtility> {
+    (0usize..4, 0.05..1.0f64).prop_map(move |(kind, k)| match kind {
+        0 => Arc::new(Power::new(2.0, 0.5, cap)) as DynUtility,
+        1 => Arc::new(Power::new(0.0, 0.5, cap)) as DynUtility,
+        2 => Arc::new(Offset::new(Power::new(0.0, 0.5, cap), 1.5)) as DynUtility,
+        _ => Arc::new(CappedLinear::new(2.0, k * cap, cap)) as DynUtility,
+    })
 }
 
 /// One step of a random edit script. Indices are taken modulo the live
@@ -126,7 +141,7 @@ fn check_script(
         }
         let problem = inst.problem();
         let cold = algo2::solve(&problem);
-        let warm = algo2::solve_incremental(&problem, &mut state);
+        let warm = solve_incremental(&problem, &mut state);
         prop_assert_eq!(&cold.server, &warm.server, "step {}: placement diverged", step);
         for (i, (c, w)) in cold.amount.iter().zip(&warm.amount).enumerate() {
             prop_assert_eq!(
@@ -174,14 +189,14 @@ proptest! {
         let problem = inst.problem();
         let mut state = WarmState::new();
         for _ in 0..warmups {
-            algo2::solve_incremental(&problem, &mut state);
+            solve_incremental(&problem, &mut state);
         }
         let err = solve_incremental_budgeted(&problem, &mut state, &Budget::with_fuel(0))
             .unwrap_err();
         prop_assert_eq!(err, SolveError::DeadlineExceeded);
         // Recovery: the expired solve invalidated the warm state, so
         // the next call is a cold build — and must equal algo2 exactly.
-        let recovered = algo2::solve_incremental(&problem, &mut state);
+        let recovered = solve_incremental(&problem, &mut state);
         let cold = algo2::solve(&problem);
         prop_assert_eq!(&recovered.server, &cold.server);
         for (r, c) in recovered.amount.iter().zip(&cold.amount) {

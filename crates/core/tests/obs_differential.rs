@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use aa_core::incremental::WarmState;
+use aa_core::incremental::{solve_incremental, WarmState};
 use aa_core::{algo2, Problem};
 use aa_utility::{CappedLinear, DynUtility, LogUtility, Power};
 use proptest::prelude::*;
@@ -62,8 +62,8 @@ proptest! {
             .map(|&t| rayon::with_threads(t, || algo2::solve_par(&p)))
             .collect();
         let mut warm_off = WarmState::new();
-        let inc = algo2::solve_incremental(&p, &mut warm_off);
-        let inc_again = algo2::solve_incremental(&p, &mut warm_off);
+        let inc = solve_incremental(&p, &mut warm_off);
+        let inc_again = solve_incremental(&p, &mut warm_off);
 
         // Observed pass: identical calls under a live collector.
         collector.set_enabled(true);
@@ -74,8 +74,8 @@ proptest! {
             prop_assert_eq!(par_off, &par_on, "solve_par diverged at {} threads", threads);
         }
         let mut warm_on = WarmState::new();
-        let inc_on = algo2::solve_incremental(&p, &mut warm_on);
-        let inc_on_again = algo2::solve_incremental(&p, &mut warm_on);
+        let inc_on = solve_incremental(&p, &mut warm_on);
+        let inc_on_again = solve_incremental(&p, &mut warm_on);
         collector.set_enabled(false);
 
         prop_assert_eq!(&seq, &seq_on, "algo2::solve diverged under recording");
