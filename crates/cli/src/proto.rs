@@ -21,12 +21,14 @@
 //!
 //! A `Req`'s `problem` is the client's own JSON text: the front-end
 //! splices it into the frame unparsed ([`encode_req`]) and the worker
-//! reads the header first ([`decode_to_worker`]), so a problem that
-//! fails its schema is answered, not a protocol violation. The frame
-//! is still a [`ToWorker::Req`] document.
+//! decodes the header and the problem in one walk over the frame
+//! ([`decode_to_worker`]), so a problem that fails its schema is
+//! answered, not a protocol violation. The frame is still a
+//! [`ToWorker::Req`] document.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
+use crate::serve::parse_problem;
 use crate::ProblemFile;
 
 /// Distributed trace context carried on a [`ToWorker::Req`]: the
@@ -99,26 +101,83 @@ pub(crate) fn encode_req(
     out
 }
 
-/// A [`ToWorker`] frame as the worker reads it: header first, the
-/// problem left as raw JSON text for [`crate::serve::parse_problem`].
+/// A [`ToWorker`] frame as the worker reads it: the header, and the
+/// problem decoded as [`parse_problem`] decodes the client's text.
 #[derive(Debug)]
-pub(crate) enum Inbound<'a> {
+pub(crate) enum Inbound {
     /// [`ToWorker::Ping`].
     Ping { nonce: u64 },
-    /// [`ToWorker::Req`], problem undecoded.
+    /// [`ToWorker::Req`]; a problem that breaks its schema is an `Err`
+    /// to answer, not a protocol violation.
     Req {
         seq: u64,
         stream: Option<u64>,
         budget_ms: Option<u64>,
         trace: Option<TraceCtx>,
-        problem: &'a str,
+        problem: Result<ProblemFile, (&'static str, String)>,
     },
 }
 
-/// Read one frame payload header-first. `None` (bad JSON, an unknown
-/// type, a missing or mistyped header field) is a protocol violation;
-/// a schema-invalid problem is not.
-pub(crate) fn decode_to_worker(payload: &str) -> Option<Inbound<'_>> {
+/// Read one frame payload. `None` (bad JSON, an unknown type, a missing
+/// or mistyped header field) is a protocol violation; a schema-invalid
+/// problem is not.
+///
+/// Every frame the front-end writes is decoded in one walk
+/// ([`decode_in_order`]). A frame that walk declines is read the long
+/// way ([`decode_scanned`]), which decides every violation and error
+/// text, so neither depends on which path ran.
+pub(crate) fn decode_to_worker(payload: &str) -> Option<Inbound> {
+    decode_in_order(payload).or_else(|| decode_scanned(payload))
+}
+
+/// One [`Reader`] walk over a frame whose members come in the order
+/// [`encode_req`] (or the serializer, for a ping) writes them, the
+/// problem decoded by [`ProblemFile`]'s typed `from_json`. `None`
+/// declines: a member out of order, unknown or repeated, a schema or
+/// syntax failure, or bytes after the closing `}`. A `Some` equals
+/// [`decode_scanned`]'s answer: the walk checked every byte with the
+/// lexer the scan uses, and a typed decode that succeeds equals the
+/// tree's.
+fn decode_in_order(payload: &str) -> Option<Inbound> {
+    let mut r = Reader::new(payload);
+    let more = r.enter(b'{').ok()?;
+    let mut m = InOrder { r, more };
+    let msg = match m.next::<String>("type")?.as_str() {
+        "ping" => Inbound::Ping { nonce: m.next("nonce")? },
+        "req" => Inbound::Req {
+            seq: m.next("seq")?,
+            stream: m.next("stream")?,
+            budget_ms: m.next("budget_ms")?,
+            trace: m.next("trace")?,
+            problem: Ok(m.next("problem")?),
+        },
+        _ => return None,
+    };
+    (!m.more && m.r.at_end()).then_some(msg)
+}
+
+/// An entered object whose members are read in a fixed order.
+struct InOrder<'a> {
+    r: Reader<'a>,
+    /// Whether another member follows.
+    more: bool,
+}
+
+impl InOrder<'_> {
+    /// The next member's value, when its key is `key` and it decodes.
+    fn next<T: Deserialize>(&mut self, key: &str) -> Option<T> {
+        if !self.more || self.r.key().ok()? != key {
+            return None;
+        }
+        let value = T::from_json(&mut self.r)?;
+        self.more = self.r.more(b'}').ok()?;
+        Some(value)
+    }
+}
+
+/// The frame read header first from its [`serde_json::scan`], the
+/// problem through [`parse_problem`] on its raw text.
+fn decode_scanned(payload: &str) -> Option<Inbound> {
     let doc = serde_json::scan(payload).ok()?;
     fn field<T: Deserialize>(doc: &serde_json::Scan<'_>, key: &str) -> Option<T> {
         T::from_value(&doc.get(key)?).ok()
@@ -130,7 +189,7 @@ pub(crate) fn decode_to_worker(payload: &str) -> Option<Inbound<'_>> {
             stream: field(&doc, "stream")?,
             budget_ms: field(&doc, "budget_ms")?,
             trace: field(&doc, "trace")?,
-            problem: doc.raw("problem")?,
+            problem: parse_problem(doc.raw("problem")?),
         }),
         _ => None,
     }
@@ -329,10 +388,22 @@ pub enum WorkerResult {
     },
 }
 
+/// The JSON crate's seeded document mutator (reordered, duplicated,
+/// unknown and missing members, odd numbers and escapes, trailing
+/// bytes, truncation), for the decode differential below.
+#[cfg(test)]
+#[path = "../../../vendor/serde_json/tests/support/differential.rs"]
+#[allow(dead_code)] // the typed differential's `agree` is not needed here
+mod differential;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use aa_utility::UtilitySpec;
+    use super::differential::mutated_text;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn round_trip_to(msg: &ToWorker) -> ToWorker {
         serde_json::from_str(&serde_json::to_string(msg).unwrap()).unwrap()
@@ -428,13 +499,13 @@ mod tests {
         .unwrap();
         let decoded: ToWorker = serde_json::from_str(&spliced).unwrap();
         assert_eq!(serde_json::to_string(&decoded).unwrap(), canonical);
-        // The worker's header-first read sees the same header and the
-        // client's text as the problem.
+        // The worker's read sees the same header, and the problem the
+        // client's text decodes to.
         match decode_to_worker(&spliced) {
             Some(Inbound::Req { seq, stream, budget_ms, trace, problem }) => {
                 assert_eq!((seq, stream, budget_ms), (5, Some(6), Some(7)));
                 assert_eq!(trace.map(|t| (t.trace_id, t.parent_span)), Some((3, 4)));
-                assert_eq!(problem, text.trim());
+                assert_eq!(problem, Ok(serde_json::from_str(text).unwrap()));
             }
             other => panic!("wrong frame: {other:?}"),
         }
@@ -447,6 +518,127 @@ mod tests {
         assert!(decode_to_worker(r#"{"type":"req","seq":"x","stream":null,"budget_ms":null,"trace":null,"problem":{}}"#).is_none());
         assert!(decode_to_worker(r#"{"type":"bogus"}"#).is_none());
         assert!(decode_to_worker(r#"{"type":"req","seq":1,"stream":null,"budget_ms":null,"trace":null,"problem":"x"}"#).is_some());
+    }
+
+    /// `decode_to_worker` answers as the scan-then-`parse_problem` read
+    /// does (compared by `Debug`, so a NaN matches itself), and the one
+    /// walk takes the frame exactly when `walks` says.
+    fn decodes_like_the_scan(frame: &str, walks: bool) {
+        let (got, oracle) = (decode_to_worker(frame), decode_scanned(frame));
+        assert_eq!(format!("{got:?}"), format!("{oracle:?}"), "on {frame:?}");
+        assert_eq!(decode_in_order(frame).is_some(), walks, "on {frame:?}");
+    }
+
+    #[test]
+    fn front_end_frames_take_the_one_walk() {
+        let text = serde_json::to_string(&sample_problem()).unwrap();
+        let trace = Some(TraceCtx { trace_id: 9, parent_span: 31 });
+        for (seq, stream, budget_ms, trace) in
+            [(42, Some(7), Some(100), trace), (0, None, None, None)]
+        {
+            decodes_like_the_scan(&encode_req(seq, stream, budget_ms, trace, &text), true);
+        }
+        let ping = serde_json::to_string(&ToWorker::Ping { nonce: 8 }).unwrap();
+        decodes_like_the_scan(&ping, true);
+        // A problem that breaks its schema is answered with the text
+        // `parse_problem` gives, through the scan.
+        let bad = encode_req(1, None, None, None, r#"{"servers":2,"capacity":8.0,"threads":"x"}"#);
+        decodes_like_the_scan(&bad, false);
+        assert!(matches!(
+            decode_to_worker(&bad),
+            Some(Inbound::Req { problem: Err(("parse", e)), .. })
+                if e.starts_with("ServeRequest.problem: ")
+        ));
+    }
+
+    #[test]
+    fn frames_the_walk_declines_decode_through_the_scan() {
+        let p = serde_json::to_string(&sample_problem()).unwrap();
+        let header = r#""seq":1,"stream":null,"budget_ms":5,"trace":null"#;
+        let cases = [
+            // Reordered header keys.
+            format!(r#"{{"seq":1,"type":"req","stream":null,"budget_ms":5,"trace":null,"problem":{p}}}"#),
+            format!(r#"{{"type":"req","stream":null,"seq":1,"budget_ms":5,"trace":null,"problem":{p}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{p},"type":"ping"}}"#),
+            r#"{"nonce":3,"type":"ping"}"#.to_string(),
+            // A duplicate `problem`: the first one counts.
+            format!(r#"{{"type":"req",{header},"problem":{p},"problem":{{}}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":1}},"problem":{p}}}"#),
+            // Unknown and missing members.
+            format!(r#"{{"type":"req",{header},"extra":[1],"problem":{p}}}"#),
+            r#"{"type":"ping","nonce":3,"extra":null}"#.to_string(),
+            format!(r#"{{"type":"req","seq":1,"stream":null,"budget_ms":5,"problem":{p}}}"#),
+            // Garbage after the closing `}`, and frames cut after a `,`.
+            format!(r#"{{"type":"req",{header},"problem":{p}}}x"#),
+            format!(r#"{{"type":"req",{header},"problem":{p}}}{{}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{p},"#),
+            r#"{"type":"ping","nonce":3,"#.to_string(),
+            // A schema-invalid problem, and one whose syntax breaks.
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":-1,"capacity":8,"threads":[]}}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":2,"capacity":8.0,"threads":[}}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":01}}}}"#),
+            // A mistyped header field, an unknown type, not an object.
+            format!(r#"{{"type":"req","seq":"1","stream":null,"budget_ms":5,"trace":null,"problem":{p}}}"#),
+            r#"{"type":"pong","nonce":3}"#.to_string(),
+            "[1]".to_string(),
+            String::new(),
+        ];
+        for frame in &cases {
+            decodes_like_the_scan(frame, false);
+        }
+        let spaced = format!("{{ \"type\" : \"req\" ,{header},\n\"problem\":{p} }}\n");
+        decodes_like_the_scan(&spaced, true);
+    }
+
+    fn random_problem(rng: &mut StdRng) -> ProblemFile {
+        let cap = rng.gen_range(1.0..100.0);
+        let points = |rng: &mut StdRng| {
+            (0..rng.gen_range(2..4usize))
+                .map(|i| (i as f64, i as f64 * rng.gen_range(0.0..3.0)))
+                .collect()
+        };
+        ProblemFile {
+            servers: rng.gen_range(1..5usize),
+            capacity: cap,
+            threads: (0..rng.gen_range(0..5usize))
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => UtilitySpec::Power { scale: rng.gen_range(0.0..5.0), beta: 0.5, cap },
+                    1 => UtilitySpec::Log { scale: 1.0, rate: rng.gen_range(0.0..2.0), cap },
+                    _ => UtilitySpec::Pchip { points: points(rng) },
+                })
+                .collect(),
+        }
+    }
+
+    fn maybe_u64(rng: &mut StdRng) -> Option<u64> {
+        rng.gen_bool(0.5).then(|| rng.gen_range(0..1u64 << 53))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        #[test]
+        fn mutated_frames_decode_like_the_scan(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seq = rng.gen_range(0..1000u64);
+            let (stream, budget_ms) = (maybe_u64(&mut rng), maybe_u64(&mut rng));
+            let trace = rng.gen_bool(0.5).then_some(TraceCtx { trace_id: 7, parent_span: 9 });
+            let problem = random_problem(&mut rng);
+            let frame = match rng.gen_range(0..3u32) {
+                // The whole frame mutated.
+                0 => {
+                    let msg = if rng.gen_bool(0.2) {
+                        ToWorker::Ping { nonce: rng.gen_range(0..1000u64) }
+                    } else {
+                        ToWorker::Req { seq, stream, budget_ms, trace, problem }
+                    };
+                    mutated_text(&msg, &mut rng)
+                }
+                // The front-end's frame around a mutated client problem.
+                _ => encode_req(seq, stream, budget_ms, trace, &mutated_text(&problem, &mut rng)),
+            };
+            let (got, oracle) = (decode_to_worker(&frame), decode_scanned(&frame));
+            prop_assert_eq!(format!("{got:?}"), format!("{oracle:?}"), "on {:?}", frame);
+        }
     }
 
     #[test]

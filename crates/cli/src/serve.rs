@@ -21,7 +21,8 @@
 //!   then [`build_request_problem`] against the stream's previous threads
 //!   inside [`aa_core::StreamSolver::answer`] (a shard thread runs both
 //!   halves in its job's build hook; a worker process parses on its
-//!   reader thread, once the text has crossed the pipe verbatim), and
+//!   reader thread, once the text has crossed the pipe verbatim, in
+//!   the same walk that reads the frame's header), and
 //!   answers every request: a refused parse or build, an expired
 //!   deadline, or a solve — a panicking one answering
 //!   `class:"solve_panic"`;
@@ -125,8 +126,10 @@ fn envelope(
 
 /// The first half of the one decode of a request's problem from the
 /// client's JSON text; a schema error is `class:"parse"`, its text as
-/// [`ServeRequest`] reports it. A thread link runs it in its job's build,
-/// a worker process's reader on the bytes the front-end forwarded.
+/// [`ServeRequest`] reports it. A thread link runs it in its job's build;
+/// a worker process's reader decodes the forwarded bytes in its walk
+/// over the frame and runs this only on a frame that walk declines
+/// ([`crate::proto::decode_to_worker`]), with the same result.
 pub(crate) fn parse_problem(text: &str) -> Result<ProblemFile, (&'static str, String)> {
     serde_json::from_str(text).map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))
 }

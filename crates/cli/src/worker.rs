@@ -6,10 +6,13 @@
 //! thread executor `--shards` runs — behind its pipe:
 //!
 //! * the **reader** (the calling thread) pulls frames off stdin,
-//!   answering heartbeat pings at once (even mid-solve), and parses each
-//!   request's problem — the client's JSON text, forwarded verbatim —
-//!   with [`parse_problem`] before queueing it on the shard; a problem
-//!   that fails its parse is queued as that failure;
+//!   answering heartbeat pings at once (even mid-solve), and decodes
+//!   each request's header and problem — the client's JSON text,
+//!   forwarded verbatim — in one walk over the frame
+//!   ([`decode_to_worker`], which falls back to a scan and
+//!   [`crate::serve::parse_problem`] for a frame the front-end would
+//!   not write) before queueing it on the shard; a problem that fails
+//!   its parse is queued as that failure;
 //! * the **shard thread** answers each request through
 //!   [`aa_core::StreamSolver::answer`]: it builds the problem against its
 //!   stream's previous threads ([`build_request_problem`]), answers a
@@ -44,7 +47,7 @@ use crate::proto::{
     decode_to_worker, FromWorker, Inbound, MetricsSnapshot, SpanBinding, TraceCtx, WireSpan,
     WorkerResult,
 };
-use crate::serve::{build_request_problem, parse_problem};
+use crate::serve::build_request_problem;
 
 /// Exit code a worker uses for self-inflicted chaos deaths, distinct
 /// from clean drain (0) so the supervisor logs are unambiguous.
@@ -180,9 +183,8 @@ where
                     );
                 }
             }
-            Inbound::Req { seq, stream, budget_ms, trace, problem } => {
+            Inbound::Req { seq, stream, budget_ms, trace, problem: file } => {
                 // The budget covers the solve, not the parse.
-                let file = parse_problem(problem);
                 let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
                 if let Some(ctx) = trace {
                     traces.lock().unwrap_or_else(|e| e.into_inner()).insert(seq, ctx);

@@ -11,17 +11,19 @@
 //!
 //! No approximation ratio is claimed — the paper's Lemma V.7 counting
 //! argument uses homogeneity — but the solution is always feasible,
-//! reduces exactly to Algorithm 2 when all capacities are equal, and the
-//! benches show it stays close to the (generalized) super-optimal bound
-//! empirically.
+//! reduces exactly to Algorithm 2 when all capacities are equal (the
+//! same `ĉ` and the same placement, bit for bit: the budget is then
+//! computed as `m·C`), and the benches show it stays close to the
+//! (generalized) super-optimal bound empirically.
 
 use std::sync::Arc;
 
 use aa_allocator::bisection;
-use aa_utility::num::{approx_le, clamp};
+use aa_utility::num::approx_le;
 use aa_utility::{DynUtility, Linearized, Utility};
 
 use crate::algo2::Placement;
+use crate::problem::CappedView;
 use crate::EPS;
 
 /// An AA instance with per-server capacities.
@@ -147,43 +149,25 @@ impl HeteroAssignment {
 
 /// The generalized super-optimal bound: pooled budget `Σ C_j`, per-thread
 /// cap `min(f.cap, max_j C_j)`. Still an upper bound on any feasible
-/// assignment's utility, by the same argument as Lemma V.2.
+/// assignment's utility, by the same argument as Lemma V.2. At equal
+/// capacities the budget is `m·C`, as [`crate::superopt`] rounds it (a
+/// sum of `m` copies of `C` can differ from `m·C` in the last bits), so
+/// `ĉ` is Algorithm 2's bit for bit.
 pub fn super_optimal(problem: &HeteroProblem) -> (Vec<f64>, f64) {
     let max_cap = problem.max_capacity();
-    let views: Vec<CapTo> = problem
+    let views: Vec<CappedView> = problem
         .threads()
         .iter()
-        .map(|f| CapTo {
-            inner: Arc::clone(f),
-            cap: f.cap().min(max_cap),
-        })
+        .map(|f| CappedView::new(Arc::clone(f), f.cap().min(max_cap)))
         .collect();
-    let budget: f64 = problem.capacities().iter().sum();
+    let caps = problem.capacities();
+    let budget: f64 = if caps.iter().all(|&c| c == max_cap) {
+        caps.len() as f64 * max_cap
+    } else {
+        caps.iter().sum()
+    };
     let alloc = bisection::allocate(&views, budget);
     (alloc.amounts, alloc.utility)
-}
-
-/// Utility view capped at a given bound (like `problem::CappedView`, local
-/// to the heterogeneous extension).
-#[derive(Debug, Clone)]
-struct CapTo {
-    inner: DynUtility,
-    cap: f64,
-}
-
-impl Utility for CapTo {
-    fn value(&self, x: f64) -> f64 {
-        self.inner.value(clamp(x, 0.0, self.cap))
-    }
-    fn derivative(&self, x: f64) -> f64 {
-        self.inner.derivative(clamp(x, 0.0, self.cap))
-    }
-    fn cap(&self) -> f64 {
-        self.cap
-    }
-    fn inverse_derivative(&self, lambda: f64) -> f64 {
-        self.inner.inverse_derivative(lambda).min(self.cap)
-    }
 }
 
 /// Algorithm 2 generalized to heterogeneous capacities.

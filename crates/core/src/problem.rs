@@ -109,10 +109,7 @@ impl Problem {
     /// allocation subroutines so per-thread demands never exceed what a
     /// single server can provide.
     pub fn capped_thread(&self, i: usize) -> CappedView {
-        CappedView {
-            inner: Arc::clone(&self.threads[i]),
-            cap: self.effective_cap(i),
-        }
+        CappedView::new(Arc::clone(&self.threads[i]), self.effective_cap(i))
     }
 
     /// All threads as capped views (order preserved).
@@ -173,6 +170,13 @@ impl ProblemBuilder {
 pub struct CappedView {
     inner: DynUtility,
     cap: f64,
+}
+
+impl CappedView {
+    /// `inner` restricted to `[0, cap]`.
+    pub(crate) fn new(inner: DynUtility, cap: f64) -> CappedView {
+        CappedView { inner, cap }
+    }
 }
 
 impl Utility for CappedView {

@@ -82,21 +82,19 @@ proptest! {
         prop_assert_eq!(u.to_bits(), up.to_bits());
     }
 
-    /// The heterogeneous extension at equal capacities is Algorithm 2:
-    /// whenever its own `ĉ` (the pooled budget summed server by server)
-    /// equals Algorithm 2's bit for bit — most draws — it places
-    /// exactly as `algo2` does. A last-bit difference in `ĉ` can flip
-    /// near-ties in the sorts, so the answers are not compared then.
+    /// The heterogeneous extension at equal capacities is Algorithm 2,
+    /// bit for bit on every draw: the same `ĉ` (budget `m·C`, the same
+    /// capped views) and the same placement.
     #[test]
     fn hetero_at_equal_capacities_equals_algo2(p in any_problem()) {
         let hp = HeteroProblem::new(vec![p.capacity(); p.servers()], p.threads().to_vec()).unwrap();
         let h = hetero::solve(&hp);
         h.validate(&hp).map_err(|e| format!("hetero infeasible: {e}"))?;
         let a = algo2::solve(&p);
-        if hetero::super_optimal(&hp).0 == superopt::super_optimal(&p).amounts {
-            prop_assert_eq!(&h.server, &a.server);
-            prop_assert_eq!(&h.amount, &a.amount);
-        }
+        let so = superopt::super_optimal(&p);
+        prop_assert_eq!(hetero::super_optimal(&hp), (so.amounts, so.utility));
+        prop_assert_eq!(&h.server, &a.server);
+        prop_assert_eq!(&h.amount, &a.amount);
     }
 
     #[test]

@@ -113,28 +113,32 @@ impl Pchip {
 /// three-point endpoint formula).
 fn fritsch_carlson_slopes(xs: &[f64], ys: &[f64]) -> Vec<f64> {
     let n = xs.len();
-    let h: Vec<f64> = (0..n - 1).map(|i| xs[i + 1] - xs[i]).collect();
-    let delta: Vec<f64> = (0..n - 1).map(|i| (ys[i + 1] - ys[i]) / h[i]).collect();
+    // Interval widths and secants, computed where they are used.
+    let h = |i: usize| xs[i + 1] - xs[i];
+    let delta = |i: usize| (ys[i + 1] - ys[i]) / h(i);
     if n == 2 {
-        return vec![delta[0], delta[0]];
+        return vec![delta(0), delta(0)];
     }
     let mut d = vec![0.0; n];
     // Interior points: weighted harmonic mean where both secants are
     // positive; zero where either vanishes (flat spot) — this is what
-    // preserves monotonicity.
-    for i in 1..n - 1 {
-        let (d0, d1) = (delta[i - 1], delta[i]);
+    // preserves monotonicity. The left interval's width and secant
+    // carry over from the previous point.
+    let (mut h0, mut d0) = (h(0), delta(0));
+    for (i, slope) in (1..).zip(&mut d[1..n - 1]) {
+        let (h1, d1) = (h(i), delta(i));
         if d0 <= 0.0 || d1 <= 0.0 {
-            d[i] = 0.0;
+            *slope = 0.0;
         } else {
-            let w1 = 2.0 * h[i] + h[i - 1];
-            let w2 = h[i] + 2.0 * h[i - 1];
-            d[i] = (w1 + w2) / (w1 / d0 + w2 / d1);
+            let w1 = 2.0 * h1 + h0;
+            let w2 = h1 + 2.0 * h0;
+            *slope = (w1 + w2) / (w1 / d0 + w2 / d1);
         }
+        (h0, d0) = (h1, d1);
     }
-    d[0] = endpoint_slope(h[0], h[1], delta[0], delta[1]);
+    d[0] = endpoint_slope(h(0), h(1), delta(0), delta(1));
     // n ≥ 3 here (n == 2 returned above), so n − 3 is a valid secant index.
-    d[n - 1] = endpoint_slope(h[n - 2], h[n - 3], delta[n - 2], delta[n - 3]);
+    d[n - 1] = endpoint_slope(h(n - 2), h(n - 3), delta(n - 2), delta(n - 3));
     d
 }
 
@@ -235,6 +239,56 @@ impl Utility for Pchip {
 mod tests {
     use super::*;
     use crate::check::{check_concave_shape, sample_points};
+
+    /// The slope selection as first written, with the widths and
+    /// secants collected into vectors: the oracle for the inline one.
+    fn slopes_from_vectors(xs: &[f64], ys: &[f64]) -> Vec<f64> {
+        let n = xs.len();
+        let h: Vec<f64> = (0..n - 1).map(|i| xs[i + 1] - xs[i]).collect();
+        let delta: Vec<f64> = (0..n - 1).map(|i| (ys[i + 1] - ys[i]) / h[i]).collect();
+        if n == 2 {
+            return vec![delta[0], delta[0]];
+        }
+        let mut d = vec![0.0; n];
+        for i in 1..n - 1 {
+            let (d0, d1) = (delta[i - 1], delta[i]);
+            if d0 <= 0.0 || d1 <= 0.0 {
+                d[i] = 0.0;
+            } else {
+                let w1 = 2.0 * h[i] + h[i - 1];
+                let w2 = h[i] + 2.0 * h[i - 1];
+                d[i] = (w1 + w2) / (w1 / d0 + w2 / d1);
+            }
+        }
+        d[0] = endpoint_slope(h[0], h[1], delta[0], delta[1]);
+        d[n - 1] = endpoint_slope(h[n - 2], h[n - 3], delta[n - 2], delta[n - 3]);
+        d
+    }
+
+    #[test]
+    fn inline_slopes_equal_the_vector_formula_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5107e5);
+        for &n in &[2usize, 3, 5, 8] {
+            for _ in 0..2000 {
+                let mut xs = vec![0.0];
+                let mut ys = vec![rng.gen_range(0.0..2.0)];
+                for _ in 1..n {
+                    // Widths over several binades; a third of the rises
+                    // are zero (flat spots, zero secants).
+                    let width = rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-3..4));
+                    xs.push(xs[xs.len() - 1] + width.max(1e-9));
+                    let flat = rng.gen_range(0..3u32) == 0;
+                    let rise = if flat { 0.0 } else { rng.gen_range(0.0..5.0) };
+                    ys.push(ys[ys.len() - 1] + rise);
+                }
+                let (got, want) = (fritsch_carlson_slopes(&xs, &ys), slopes_from_vectors(&xs, &ys));
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "xs {xs:?}, ys {ys:?}");
+            }
+        }
+    }
 
     /// The paper's generation shape: (0,0), (C/2, v), (C, v+w) with w ≤ v.
     fn paper_points(c: f64, v: f64, w: f64) -> Vec<(f64, f64)> {
