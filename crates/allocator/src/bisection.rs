@@ -7,8 +7,8 @@
 //! is found by search over λ — the `O(n (log B)²)`-flavor algorithm the
 //! paper cites as \[16\] (Galil). Algorithm 2's super-optimal step and
 //! the price-discovery backend (`aa_core::price`) both solve this
-//! equation over the same compiled [`DemandTable`], through the three
-//! pieces below:
+//! equation over each thread's own [`Utility::inverse_derivative`],
+//! through the three pieces below:
 //!
 //! * **one sweep** — [`sweep`] evaluates `x_i(λ)` for every thread of a
 //!   [`Market`] into a caller buffer and sums it in index order, on the
@@ -44,15 +44,16 @@
 //! **The live-row invariant.** Once a search holds a bracket `[lo, hi]`
 //! with `lo > 0` whose edges it swept itself, most rows answer the whole
 //! bracket by a comparison branch with one constant value
-//! ([`DemandTable::pinned`]). Such a row leaves the bracket's
-//! [`LiveRows`] with its value written into all three [`Demands`]
-//! buffers, and every later probe inside the bracket (the close, and the
-//! cold halving once its low edge is positive) evaluates only the rows
-//! still live, adds the rows pinned at nonzero values in place, and
-//! skips those pinned at `+0.0`. The list is in index order, so each
-//! probe's buffers and sum are a full sweep's, bit for bit, whether or
-//! not demand is monotone.
+//! ([`pinned`], read from the row's demand description). Such a row
+//! leaves the bracket's [`LiveRows`] with its value written into all
+//! three [`Demands`] buffers, and every later probe inside the bracket
+//! (the close, and the cold halving once its low edge is positive)
+//! evaluates only the rows still live, adds the rows pinned at nonzero
+//! values in place, and skips those pinned at `+0.0`. The list is in
+//! index order, so each probe's buffers and sum are a full sweep's, bit
+//! for bit, whether or not demand is monotone.
 
+use aa_utility::demand::pinned;
 use aa_utility::{DemandTable, Utility};
 use rayon::prelude::*;
 use rayon::CancelToken;
@@ -75,7 +76,7 @@ fn obs_counters() -> &'static [aa_obs::Counter; 4] {
     })
 }
 
-/// Count one allocation's sweeps and kernel evaluations.
+/// Count one allocation's sweeps and demand evaluations.
 fn record_work(stats: &WarmStats) {
     if aa_obs::record_enabled() {
         let c = obs_counters();
@@ -134,7 +135,7 @@ pub enum Fan<'t> {
 }
 
 /// One demand sweep of a market: `out[k] = x(λ)` of its `k`-th thread
-/// through the compiled kernel, resized to the market, and the
+/// by its own `inverse_derivative`, resized to the market, and the
 /// index-order sum. The pooled path fills contiguous chunks of `out` on
 /// the pool; every slot gets the same value either way and the sum is
 /// the same additions in the same order, so the result is bit-identical
@@ -152,11 +153,11 @@ const PINNED: u32 = 1 << 31;
 ///
 /// Once a search holds a bracket `[lo, hi]` with `lo > 0` whose edges it
 /// swept itself, most rows answer by a comparison branch with one
-/// constant value across it ([`DemandTable::pinned`]): a PCHIP price
+/// constant value across it ([`pinned`]): a PCHIP price
 /// past its steepest knot slope, a staircase with no step inside, a
 /// linear row on one side of its slope. Such a row leaves the list, its
 /// pinned value written once into all three [`Demands`] buffers, and
-/// later probes inside the bracket skip its kernel. Rows pinned at a
+/// later probes inside the bracket skip its evaluation. Rows pinned at a
 /// nonzero value stay in the list (tagged) so the probe still adds them
 /// in index order; rows pinned at `+0.0` are dropped, because a `+0.0`
 /// addend never changes a nonnegative index-order sum except the sign
@@ -227,7 +228,7 @@ struct Chunk<'s> {
 
 /// What one [`Chunk`] did: live entries it kept (compacted to the front
 /// of its slice), whether it dropped a row pinned at `+0.0`, and the
-/// kernel evaluations it made.
+/// demand evaluations it made.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
     kept: usize,
@@ -244,10 +245,14 @@ fn fill<U: Utility>(m: &Market<'_, U>, lambda: f64, pins: Bracket, c: Chunk<'_>)
     let row = |k: usize| m.rows.map_or(k, |rows| rows[k]);
     let Some((list, lo, hi)) = live else {
         match m.rows {
-            None => m.table.batch_range(m.utils, lambda, base, out),
+            None => {
+                for (slot, u) in out.iter_mut().zip(&m.utils[base..]) {
+                    *slot = u.inverse_derivative(lambda);
+                }
+            }
             Some(rows) => {
                 for (slot, &i) in out.iter_mut().zip(&rows[base..]) {
-                    *slot = m.table.eval(m.utils, i, lambda);
+                    *slot = m.utils[i].inverse_derivative(lambda);
                 }
             }
         }
@@ -259,7 +264,7 @@ fn fill<U: Utility>(m: &Market<'_, U>, lambda: f64, pins: Bracket, c: Chunk<'_>)
         if e & PINNED == 0 {
             let k = e as usize;
             let (i, p) = (row(k), k - base);
-            if let Some(v) = m.table.pinned(i, pins.lo, pins.hi) {
+            if let Some(v) = pinned(&m.utils[i], pins.lo, pins.hi) {
                 (out[p], lo[p], hi[p]) = (v, v, v);
                 if v.to_bits() == 0 {
                     t.zeros = true;
@@ -269,7 +274,7 @@ fn fill<U: Utility>(m: &Market<'_, U>, lambda: f64, pins: Bracket, c: Chunk<'_>)
                 t.kept += 1;
                 continue;
             }
-            out[p] = m.table.eval(m.utils, i, lambda);
+            out[p] = m.utils[i].inverse_derivative(lambda);
             t.rows += 1;
         }
         list[t.kept] = e;
@@ -284,7 +289,7 @@ fn fill<U: Utility>(m: &Market<'_, U>, lambda: f64, pins: Bracket, c: Chunk<'_>)
 /// entries in index order. Either way the buffers and the sum are what
 /// a full sweep makes, bit for bit, at any pool width: the pool splits
 /// the visited entries into contiguous runs at position boundaries,
-/// and the sum is always one sequential pass. Adds the kernel
+/// and the sum is always one sequential pass. Adds the demand
 /// evaluations to `rows`; `None` means the token fired mid-sweep.
 fn sweep_rows<U: Utility>(
     m: &Market<'_, U>,
@@ -410,16 +415,19 @@ impl Bracket {
     }
 }
 
-/// One market: its threads in a compiled kernel, where its sweeps run,
-/// and its supply. `total_cap = Σ cap_i = D(0)` must exceed `supply`
+/// One market: its threads, their discrete ladder, where its sweeps
+/// run, and its supply. `total_cap = Σ cap_i = D(0)` must exceed `supply`
 /// for a [`search`] (callers answer the saturated market without one);
 /// it is the λ = 0 low edge a `Relative` walk falls back to without a
 /// sweep.
 #[derive(Debug)]
 pub struct Market<'a, U> {
-    /// The kernel compiled over `utils`.
+    /// `utils` compiled for the ladder flip. Only the cold Exact search
+    /// reads it (through [`DemandTable::all_discrete`] and
+    /// [`DemandTable::ladder`]); a market that never runs one may carry
+    /// an empty table.
     pub table: &'a DemandTable,
-    /// The utilities `table` was compiled from.
+    /// The utilities, which answer every demand value.
     pub utils: &'a [U],
     /// The market's threads as indices into `utils`, in order; `None`
     /// for all of them.
@@ -448,14 +456,14 @@ pub struct Demands<'b> {
     pub live: &'b mut LiveRows,
 }
 
-/// The work of a search: sweeps made, and kernel evaluations inside
+/// The work of a search: sweeps made, and demand evaluations inside
 /// them (a full sweep evaluates every row; a probe inside a bracket
 /// only its live ones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Work {
     /// Demand sweeps.
     pub sweeps: u32,
-    /// Kernel evaluations.
+    /// Demand evaluations.
     pub rows: u64,
 }
 
@@ -503,7 +511,7 @@ fn probe<U: Utility, E: From<Interrupted>>(
 /// [`LiveRows`]: a row pinned across the bracket has its value written
 /// once into all three buffers of `d` and is not evaluated again while
 /// later brackets stay inside this one. Otherwise every row is swept.
-/// Adds the kernel evaluations to `rows`; `None` means the token fired.
+/// Adds the demand evaluations to `rows`; `None` means the token fired.
 pub fn sweep_inside<U: Utility>(
     m: &Market<'_, U>,
     lambda: f64,
@@ -884,7 +892,7 @@ fn next_down(x: f64) -> f64 {
     f64::from_bits(x.to_bits() - 1)
 }
 
-/// All-discrete fast path: when every element compiled to a unit-scale
+/// All-discrete fast path: when every element describes a unit-scale
 /// staircase, total demand `D(λ)` is a finite staircase whose knots all
 /// sit on the table's merged [`ladder`](DemandTable::ladder), and the
 /// predicate `D(λ) > budget` is *exactly* `λ ≤ t` for the largest knot
@@ -948,7 +956,7 @@ fn discrete_flip<U: Utility, E: From<Interrupted>>(
     }
     // Verification sweep: the flip really is at (t, nextafter(t)). The
     // encodings guarantee it (demand past the top knot is the zero
-    // level), but one sweep buys insurance against a miscompiled table.
+    // level), but one sweep buys insurance against a wrong description.
     if probe(m, hi, out, work, check)? > budget {
         return Ok(None);
     }
@@ -1102,7 +1110,7 @@ fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut le
 }
 
 /// Every Exact solve: fresh caps (everyone saturates when the budget
-/// covers them), the table compiled for this slice, then the probe loop
+/// covers them), the ladder compiled for this slice, then the probe loop
 /// from the cache's bracket — or the cold search when there is none or
 /// the loop cannot prove its answer. The bracket is taken out of the
 /// cache up front, so an aborted call leaves none behind.
@@ -1136,8 +1144,9 @@ fn exact<U: Utility, E: From<Interrupted>>(
         return Ok(cache.stats);
     }
 
-    // The table's pools retain their capacity across calls, so
-    // steady-state recompiles are allocation-free scans of the slice.
+    // The ladder retains its capacity across calls, so steady-state
+    // recompiles allocate nothing; off an all-staircase slice they read
+    // one description.
     cache.table.compile(utils);
     let m = Market {
         table: &cache.table,
@@ -1391,7 +1400,7 @@ pub enum WarmMode {
 /// Telemetry for one warm allocation, kept in the cache and returned by
 /// [`allocate_warm_into`]. The benchmark's cold-vs-warm comparison
 /// reports `demand_maps` — the demand sweeps of the search — and `rows`,
-/// the kernel evaluations inside them, which dominate the allocator's
+/// the demand evaluations inside them, which dominate the allocator's
 /// running time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
@@ -1401,7 +1410,7 @@ pub struct WarmStats {
     /// over to the cold search. A sweep outside a bracket evaluates
     /// every row; one inside it only the [`LiveRows`].
     pub demand_maps: u32,
-    /// Kernel evaluations inside those sweeps.
+    /// Demand evaluations inside those sweeps.
     pub rows: u64,
     /// Bracket-refinement iterations: false-position or midpoint steps
     /// of the close, plus — for the cold search — the halvings before
@@ -1423,8 +1432,8 @@ pub struct WarmCache {
     d_hi: Vec<f64>,
     d_probe: Vec<f64>,
     live: LiveRows,
-    /// The compiled demand kernel, recompiled per call (utilities drift
-    /// between epochs); its buffers retain capacity, so steady-state
+    /// The slice's discrete ladder, recompiled per call (utilities drift
+    /// between epochs); its buffer retains capacity, so steady-state
     /// recompiles allocate nothing.
     table: DemandTable,
     stats: WarmStats,

@@ -14,13 +14,12 @@
 /// the thread pool. Below it the sequential path is faster (fork-join
 /// overhead exceeds the work).
 ///
-/// Re-audited with the batched demand kernel (bench schema v4): the
-/// struct-of-arrays sweep cuts per-element cost — most sharply for
-/// PCHIP, whose closed-form inverse replaced an inner per-element
+/// Re-audited once closed-form inverses cut per-element cost — most
+/// sharply for PCHIP, whose closed form replaced an inner per-element
 /// bisection — which *raises* the relative weight of fork-join overhead
 /// and pushes the true crossover up, not down. 4096 therefore remains a
-/// safe floor; the per-sweep `kernel_sweep_micros` bench field exists
-/// to re-measure it on real multi-core hosts.
+/// safe floor; the bench field `kernel_sweep_micros` (one sequential
+/// λ-search sweep) exists to re-measure it on real multi-core hosts.
 pub fn par_threshold() -> usize {
     4096
 }

@@ -451,8 +451,9 @@ pub fn churn_document(
 /// `linearize_micros`, `assign_micros`) measured through the `aa-obs`
 /// span pipeline.
 /// Version 4 added the batched-kernel instrumentation: per-entry
-/// `kernel_sweep_micros`/`dispatch_sweep_micros` (one struct-of-arrays
-/// demand sweep vs one per-element virtual-dispatch sweep) and the
+/// `kernel_sweep_micros`/`dispatch_sweep_micros` (now one λ-search
+/// sweep, sum included, vs one bare per-element virtual-dispatch loop)
+/// and the
 /// `discrete_path` entries timing the all-discrete integer ladder
 /// against the generic bisection on constructed staircase instances.
 /// Version 5 added the `scale` entries (`--mode scale`): the
@@ -461,7 +462,7 @@ pub fn churn_document(
 /// gaps vs the superopt bound and vs Algo2, per-iteration sweep
 /// seq/par timing, and warm-vs-cold drifted re-solve timing. Matrix and
 /// scale entries later gained `superopt_rows` and drift entries
-/// `cold_rows_mean`/`warm_rows_mean`: kernel evaluations of the
+/// `cold_rows_mean`/`warm_rows_mean`: demand evaluations of the
 /// λ-search, which a report without them reads as 0.
 pub const BENCH_VERSION: u32 = 5;
 
@@ -545,13 +546,14 @@ pub struct BenchEntry {
     pub linearize_micros: u64,
     /// Wall time inside the assignment stage, microseconds.
     pub assign_micros: u64,
-    /// Minimum wall time of one batched struct-of-arrays demand sweep
-    /// over this instance's capped views, microseconds (schema v4).
+    /// Minimum wall time of one sequential λ-search sweep
+    /// (`bisection::sweep` over a market of this instance's capped
+    /// views, index-order sum included), microseconds (schema v4).
     pub kernel_sweep_micros: f64,
-    /// Minimum wall time of the same sweep through per-element virtual
-    /// `inverse_derivative` dispatch, microseconds.
+    /// Minimum wall time of the bare per-element virtual
+    /// `inverse_derivative` loop over the same views, microseconds.
     pub dispatch_sweep_micros: f64,
-    /// Kernel evaluations of the cold super-optimal λ-search.
+    /// Demand evaluations of the cold super-optimal λ-search.
     #[serde(default)]
     pub superopt_rows: u64,
 }
@@ -607,10 +609,10 @@ pub struct IncrementalEntry {
     pub cold_demand_maps_mean: f64,
     /// Mean bisection demand-map evaluations per epoch, warm path.
     pub warm_demand_maps_mean: f64,
-    /// Mean kernel evaluations of the bisection per epoch, cold path.
+    /// Mean demand evaluations of the bisection per epoch, cold path.
     #[serde(default)]
     pub cold_rows_mean: f64,
-    /// Mean kernel evaluations of the bisection per epoch, warm path.
+    /// Mean demand evaluations of the bisection per epoch, warm path.
     #[serde(default)]
     pub warm_rows_mean: f64,
     /// Epochs (after the first) the engine solved on the warm path
@@ -685,7 +687,7 @@ pub struct ScaleEntry {
     /// Whether the price solve is bit-identical run at 1 pool thread and
     /// at the ambient pool width (the determinism contract).
     pub identical: bool,
-    /// Kernel evaluations of Algo2's cold super-optimal λ-search.
+    /// Demand evaluations of Algo2's cold super-optimal λ-search.
     #[serde(default)]
     pub superopt_rows: u64,
 }
@@ -782,7 +784,7 @@ fn stage_breakdown(problem: &Problem) -> (u64, u64, u64) {
     sums
 }
 
-/// Kernel evaluations of one cold super-optimal λ-search on `problem`:
+/// Demand evaluations of one cold super-optimal λ-search on `problem`:
 /// the search `superopt::super_optimal` runs, through a fresh cache.
 fn superopt_rows(problem: &Problem) -> u64 {
     let mut cache = aa_allocator::WarmCache::new();
@@ -791,18 +793,25 @@ fn superopt_rows(problem: &Problem) -> u64 {
     aa_allocator::bisection::allocate_warm_into(&views, pool, &mut cache, &mut Vec::new()).rows
 }
 
-/// Time one whole-slice demand sweep two ways — through the batched
-/// struct-of-arrays kernel and through per-element virtual
-/// `inverse_derivative` dispatch — over a spread of probe prices.
-/// Returns the minimum per-sweep wall time of each path in microseconds.
-/// The two paths are bit-identical by contract (the allocator's
-/// differential tests enforce it); this only measures the gap the
-/// kernel closes.
+/// Time one whole-slice demand sweep two ways — the λ-search's own
+/// sequential [`sweep`](aa_allocator::bisection::sweep) over a market
+/// (values and index-order sum), and the bare per-element virtual
+/// `inverse_derivative` loop — over a spread of probe prices. Returns
+/// the minimum per-sweep wall time of each path in microseconds. Both
+/// write the same values; the gap is what the search's sweep adds to
+/// the demand evaluations themselves.
 fn kernel_vs_dispatch(problem: &Problem, reps: usize) -> (f64, f64) {
+    use aa_allocator::bisection::{sweep, Fan, Market};
     use aa_utility::{DemandTable, Utility};
     let utils = problem.capped_threads();
-    let mut table = DemandTable::new();
-    table.compile(&utils);
+    let market = Market {
+        table: &DemandTable::new(),
+        utils: &utils,
+        rows: None,
+        fan: Fan::Seq,
+        supply: 0.0,
+        total_cap: 0.0,
+    };
     let lambdas: [f64; 6] = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0];
     let mut out = vec![0.0; utils.len()];
     let mut best_kernel = f64::INFINITY;
@@ -811,8 +820,7 @@ fn kernel_vs_dispatch(problem: &Problem, reps: usize) -> (f64, f64) {
     for _ in 0..reps.max(1) {
         let t0 = std::time::Instant::now();
         for &l in &lambdas {
-            table.batch_inverse_derivative(&utils, l, &mut out);
-            sink += out[0];
+            sink += sweep(&market, l, &mut out).expect("untokened sweeps complete");
         }
         best_kernel = best_kernel.min(t0.elapsed().as_secs_f64() * 1e6 / lambdas.len() as f64);
         let t1 = std::time::Instant::now();

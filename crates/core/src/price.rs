@@ -5,10 +5,10 @@
 //! matrix. This module trades the exact search for **price discovery**:
 //! set a price, let every thread respond with its demand-at-price, and
 //! move the price toward market clearing. Each probe is one
-//! cache-friendly, pool-parallel sweep over all `n` threads through the
-//! batched SoA demand kernel ([`aa_utility::demand::DemandTable`]) — the
-//! parallelism lands on the *probe*, not the outer loop, which is what
-//! opens the `n = 10⁶` regime.
+//! pool-parallel sweep of [`Utility::inverse_derivative`] over all `n`
+//! threads ([`aa_allocator::bisection::sweep`]) — the parallelism lands
+//! on the *probe*, not the outer loop, which is what opens the
+//! `n = 10⁶` regime.
 //!
 //! # Protocol (three phases)
 //!
@@ -93,25 +93,22 @@ pub struct PriceStats {
     pub warm: bool,
 }
 
-/// The bracket and demand table carried between solves: the warm state
-/// of the price backend. Embedded in [`crate::incremental::WarmState`] so the serve
-/// layer's per-stream warm maps carry prices with no extra plumbing.
+/// The bracket and the demands there carried between solves: the warm
+/// state of the price backend. Embedded in
+/// [`crate::incremental::WarmState`] so the serve layer's per-stream warm
+/// maps carry prices with no extra plumbing.
 #[derive(Debug, Clone, Default)]
 pub struct PriceWarmState {
     valid: bool,
     /// Where the global market's last search ended.
     global: Bracket,
     /// Each thread's demand at `global.hi`, the last solve's price:
-    /// patched with the table, it makes the next warm search's first
-    /// probe cost no sweep.
+    /// re-evaluated on the rows whose utility changed, it makes the next
+    /// warm search's first probe cost no sweep.
     demand: Vec<f64>,
     prev_servers: usize,
     prev_capacity: f64,
-    /// Compiled demand table carried between solves, so a drifted
-    /// re-solve recompiles only the rows whose utility changed instead
-    /// of the whole instance (the single largest fixed cost at scale).
-    table: DemandTable,
-    /// The utility object behind each cached table row. Holding the
+    /// The utility object behind each carried demand. Holding the
     /// `Arc`s keeps those allocations alive, which is what makes the
     /// pointer-identity row check sound: a live address cannot be
     /// reused by a new utility. Costs one `Arc` (16 bytes + a refcount)
@@ -129,7 +126,6 @@ impl PriceWarmState {
     /// Drop the carried prices; the next solve runs cold.
     pub fn invalidate(&mut self) {
         self.valid = false;
-        self.table = DemandTable::new();
         self.cached.clear();
         self.demand.clear();
     }
@@ -149,8 +145,7 @@ impl PriceWarmState {
         self.valid.then_some(self.global.hi)
     }
 
-    /// The utility object behind each carried table row; empty when
-    /// cold.
+    /// The utility object behind each carried demand; empty when cold.
     pub(crate) fn previous_threads(&self) -> &[DynUtility] {
         if self.valid {
             &self.cached
@@ -341,46 +336,28 @@ pub fn solve_with(
     let warm_usable = warm.as_ref().is_some_and(|w| w.usable_for(problem));
     stats.warm = warm_usable;
 
-    // Table acquisition: a warm state carries the previous solve's
-    // compiled table plus the `Arc` behind each row, so only rows whose
-    // utility object changed are recompiled — at 1% drift that turns
-    // the largest O(n) fixed cost into an O(n) pointer scan. The demands
-    // at the carried price are patched on the same rows.
+    // A warm state carries the demands at the previous solve's price
+    // plus the `Arc` behind each of them, so only rows whose utility
+    // object changed are re-evaluated: at 1% drift the first probe
+    // costs an O(n) pointer scan and 1% of a sweep.
     let mut bufs: [Vec<f64>; 3] = Default::default();
     let mut cache_used = false;
-    let table = match warm.as_deref_mut().filter(|w| {
-        warm_usable && w.cached.len() == n && w.table.len() == n && w.demand.len() == n
-    }) {
-        Some(w) => {
-            cache_used = true;
-            let mut t = std::mem::take(&mut w.table);
-            bufs[1] = std::mem::take(&mut w.demand);
-            let mut patched = false;
-            for i in 0..n {
-                if !Arc::ptr_eq(&w.cached[i], &threads[i]) {
-                    t.patch(i, &utils[i]);
-                    bufs[1][i] = t.eval(&utils, i, w.global.hi);
-                    w.cached[i] = threads[i].clone();
-                    patched = true;
-                }
+    if let Some(w) = warm
+        .as_deref_mut()
+        .filter(|w| warm_usable && w.cached.len() == n && w.demand.len() == n)
+    {
+        cache_used = true;
+        bufs[1] = std::mem::take(&mut w.demand);
+        for i in 0..n {
+            if !Arc::ptr_eq(&w.cached[i], &threads[i]) {
+                bufs[1][i] = utils[i].inverse_derivative(w.global.hi);
+                w.cached[i] = threads[i].clone();
             }
-            if patched {
-                // Each patch orphans its row's old pool region; repack
-                // before the orphans outgrow the live rows.
-                if t.fragmented() {
-                    t.compile(&utils);
-                } else {
-                    t.refresh_global();
-                }
-            }
-            t
         }
-        None => {
-            let mut t = DemandTable::new();
-            t.compile(&utils);
-            t
-        }
-    };
+    }
+    // Only the cold Exact search reads a market's ladder, and no market
+    // here runs one.
+    let table = DemandTable::new();
     let start = match warm.as_deref() {
         Some(w) if warm_usable => w.global,
         _ => Bracket::at(1.0),
@@ -469,7 +446,6 @@ pub fn solve_with(
         w.demand = std::mem::take(&mut bufs[1]);
         w.prev_servers = m;
         w.prev_capacity = capacity;
-        w.table = table;
         if !cache_used {
             w.cached = threads.to_vec();
         }
@@ -517,7 +493,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use aa_utility::{LogUtility, Pchip, Power, Scaled};
+    use aa_utility::{LogUtility, Power, Scaled};
 
     fn mixed_problem(n: usize, m: usize, capacity: f64) -> Problem {
         Problem::builder(m, capacity)
@@ -626,43 +602,6 @@ mod tests {
         let mut fresh = vec![0.0; utils.len()];
         table.batch_inverse_derivative(&utils, state.global.hi, &mut fresh);
         assert_eq!(state.demand, fresh);
-    }
-
-    #[test]
-    fn fully_churned_warm_solves_keep_the_table_bounded() {
-        // Every solve brings new PCHIP objects, so every row is patched
-        // and orphans its old knots: without a repack the pool would grow
-        // by n·3 knots per solve.
-        let pchip = |i: usize, k: usize| -> DynUtility {
-            let v = 1.0 + ((i * 7 + k * 3) % 11) as f64;
-            Arc::new(Pchip::new(&[(0.0, 0.0), (5.0, v), (10.0, 1.5 * v)]).unwrap())
-        };
-        let (n, m) = (64, 4);
-        let mut state = PriceWarmState::new();
-        let mut live = 0;
-        for k in 0..12 {
-            let p = Problem::new(m, 10.0, (0..n).map(|i| pchip(i, k)).collect()).unwrap();
-            solve_warm(&p, &mut state).unwrap().validate(&p).unwrap();
-            let utils = p.capped_threads();
-            let mut fresh = DemandTable::new();
-            fresh.compile(&utils);
-            live = fresh.pool_len();
-            assert!(
-                state.table.pool_len() <= 2 * live,
-                "solve {k}: pool {} for {live} live entries",
-                state.table.pool_len()
-            );
-            for lambda in [0.0, 0.1, 0.5, 1.0, 4.0] {
-                for i in 0..n {
-                    assert_eq!(
-                        state.table.eval(&utils, i, lambda).to_bits(),
-                        fresh.eval(&utils, i, lambda).to_bits(),
-                        "solve {k}, row {i}, λ={lambda}"
-                    );
-                }
-            }
-        }
-        assert!(live > 0, "PCHIP rows must be pool-backed");
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl<U: Utility> Utility for Scaled<U> {
         if self.weight == 0.0 {
             sink.staircase(&[0.0], &[0.0, self.inner.cap()]);
         } else {
-            // Registering the divisor first means the table computes
+            // Registering the divisor first means the sink tests
             // inner(λ / w) with exactly the division dispatch performs.
             sink.pre_scale(self.weight);
             self.inner.describe_demand(sink);

@@ -1,47 +1,41 @@
-//! Batched, struct-of-arrays demand-map kernel.
+//! Demand at a price: the closed forms, and the descriptions that prove
+//! pins and ladders.
 //!
-//! The λ-bisection in `aa-allocator` evaluates every thread's **demand
-//! at price λ** — [`Utility::inverse_derivative`] — a hundred-plus
-//! times per solve. Doing that through `&dyn Utility` virtual dispatch
-//! costs an indirect call per element per sweep, and for PCHIP curves
-//! (the workload generator's bread and butter) the old trait-default
-//! fell back to an *inner* bisection of ~40 `derivative` calls per
-//! element per λ. This module flattens a `&[U]` slice into
-//! struct-of-arrays form once per solve so each sweep is a single
-//! cache-friendly pass over contiguous `Vec<f64>`s:
+//! The λ-search in `aa-allocator` evaluates every thread's **demand at
+//! price λ** — [`Utility::inverse_derivative`] — once per probe. Every
+//! such value comes from the thread's own method; the closed forms the
+//! families call live here ([`power_demand`], [`log_demand`],
+//! [`staircase_demand`], [`pchip_inverse_derivative`]).
 //!
-//! * [`DemandTable::compile`] asks each utility to describe its demand
-//!   map through a [`DemandSink`]; the four closed-form families
-//!   (power, log, staircase, PCHIP) land in flat parameter arrays with
-//!   one discriminant per element, everything else stays *opaque* and
-//!   keeps its virtual-dispatch path.
-//! * [`DemandTable::eval`] / [`DemandTable::batch_inverse_derivative`]
-//!   answer demand-at-λ from the compiled form. The contract is
-//!   **bit-identity**: every compiled path must return exactly the bits
-//!   the element's own `inverse_derivative` would — the scalar bodies
-//!   live here ([`power_demand`], [`log_demand`], [`staircase_demand`],
-//!   [`pchip_inverse_derivative`]) and the trait impls call the same
-//!   functions, so the identity holds by construction.
-//!   `crates/allocator/tests/kernel_differential.rs` enforces it over
-//!   random utility mixes anyway.
-//! * When *every* element compiles to a staircase at unit scale, the
-//!   table also merges all step prices into one sorted [`ladder`]
-//!   ([`DemandTable::ladder`]): total demand is then a finite staircase
-//!   in λ, and the bisection can collapse to a binary search over the
-//!   merged knots instead of 128 float halvings (see
+//! Two facts about a thread are not values, and a search asks for them
+//! through the thread's demand description
+//! ([`Utility::describe_demand`] into a [`DemandSink`]), read at the
+//! moment they are needed over the utility's own fields:
+//!
+//! * [`pinned`] — the one value a thread answers across a whole price
+//!   bracket, when a comparison branch of its closed form decides the
+//!   bracket. The search's live rows skip pinned threads. A description
+//!   must agree with `inverse_derivative` bit for bit, so a pinned value
+//!   is the value every probe inside the bracket would compute;
+//!   `crates/utility/tests/pin_sound.rs` checks that over random mixes.
+//! * [`DemandTable::compile`] — when *every* thread describes a
+//!   staircase at unit scale, all step prices merged into one sorted
+//!   [`ladder`](DemandTable::ladder): total demand is then a finite
+//!   staircase in λ, and the search can collapse to a binary search
+//!   over the merged knots instead of 128 float halvings (see
 //!   `aa_allocator::bisection`).
 //!
-//! Buffers are retained across [`DemandTable::compile`] calls, so a
-//! warm-path caller recompiling each epoch allocates nothing once
-//! capacities have grown to fit (the zero-allocation steady state is
-//! proven by `core/tests/arena_alloc.rs`).
+//! The ladder buffer is retained across [`DemandTable::compile`] calls,
+//! so a warm-path caller recompiling each epoch allocates nothing once
+//! it has grown to fit (the zero-allocation steady state is proven by
+//! `core/tests/arena_alloc.rs`).
 
 use crate::traits::{clamp_domain, Utility};
 
 /// Demand of a power-family utility at price `lambda`.
 ///
 /// This is the closed form behind [`crate::Power::inverse_derivative`];
-/// the method delegates here so kernel and dispatch cannot diverge.
+/// the method delegates here, and [`pinned`] reads the same branches.
 #[inline]
 pub fn power_demand(lambda: f64, scale: f64, beta: f64, cap: f64) -> f64 {
     if lambda <= 0.0 {
@@ -165,52 +159,18 @@ pub fn pchip_inverse_derivative(lambda: f64, xs: &[f64], ys: &[f64], ds: &[f64])
     clamp_domain(xs[s] + t * h, cap)
 }
 
-/// One compiled element's demand family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    /// `power_demand(λ, p0, p1, p2)`.
-    Power,
-    /// `log_demand(λ, p0, p1, p2)`.
-    Log,
-    /// `staircase_demand(λ, thresholds[off..off+len], levels[off2..off2+len+1])`.
-    Staircase,
-    /// `pchip_inverse_derivative(λ, xs[off..], ys[off..], ds[off..])`.
-    Pchip,
-    /// No closed form registered: virtual `inverse_derivative` dispatch.
-    Opaque,
-}
-
-/// A `&[U]` slice compiled to struct-of-arrays demand form.
+/// A slice's length and, when every element describes a unit-scale
+/// staircase, its merged ladder of step prices.
 ///
-/// Build one with [`DemandTable::compile`]; query it with
-/// [`DemandTable::eval`] (one element) or
-/// [`DemandTable::batch_inverse_derivative`] (one sweep). All internal
-/// buffers retain capacity across `compile` calls.
+/// Demand values never come from here: [`batch_inverse_derivative`]
+/// is a loop over each element's own [`Utility::inverse_derivative`].
+/// The ladder keeps its capacity across [`compile`](Self::compile)
+/// calls.
+///
+/// [`batch_inverse_derivative`]: Self::batch_inverse_derivative
 #[derive(Debug, Clone, Default)]
 pub struct DemandTable {
-    kinds: Vec<Kind>,
-    /// Scalar parameter lanes; meaning depends on the element's kind.
-    p0: Vec<f64>,
-    p1: Vec<f64>,
-    p2: Vec<f64>,
-    /// λ is divided by this before the family form (1.0 = untouched;
-    /// `λ / 1.0` is bitwise `λ`, so no branch is needed).
-    pre_div: Vec<f64>,
-    /// Post-composition cap: result is `min`-ed with this *only when*
-    /// `has_post` (an unconditional `NaN.min(∞)` would diverge from
-    /// direct dispatch).
-    post_cap: Vec<f64>,
-    has_post: Vec<bool>,
-    /// Pool offsets/lengths: staircase thresholds or PCHIP knots.
-    off: Vec<usize>,
-    len: Vec<usize>,
-    /// Staircase levels offset (levels run one longer than thresholds).
-    off2: Vec<usize>,
-    stair_thresholds: Vec<f64>,
-    stair_levels: Vec<f64>,
-    pchip_xs: Vec<f64>,
-    pchip_ys: Vec<f64>,
-    pchip_ds: Vec<f64>,
+    len: usize,
     /// All elements staircase at unit scale ⇒ total demand is a finite
     /// staircase in λ with knots on `ladder`.
     discrete: bool,
@@ -224,108 +184,38 @@ impl DemandTable {
         Self::default()
     }
 
-    /// Number of compiled elements.
+    /// Number of elements compiled.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.len == 0
     }
 
-    /// Recompile the table for `utils`, reusing every buffer.
+    /// Recompile for `utils`, reusing the ladder buffer. Descriptions
+    /// are read only up to the first element that is not a unit-scale
+    /// staircase: past it the slice has no ladder, so on power, log and
+    /// PCHIP slices this reads one description.
     pub fn compile<U: Utility>(&mut self, utils: &[U]) {
-        self.kinds.clear();
-        self.p0.clear();
-        self.p1.clear();
-        self.p2.clear();
-        self.pre_div.clear();
-        self.post_cap.clear();
-        self.has_post.clear();
-        self.off.clear();
-        self.len.clear();
-        self.off2.clear();
-        self.stair_thresholds.clear();
-        self.stair_levels.clear();
-        self.pchip_xs.clear();
-        self.pchip_ys.clear();
-        self.pchip_ds.clear();
-        // Fresh tables otherwise grow each per-element lane through
-        // ~log₂(n) doubling reallocations; one upfront reserve keeps
-        // compile a single pass.
-        self.kinds.reserve(utils.len());
-        self.p0.reserve(utils.len());
-        self.p1.reserve(utils.len());
-        self.p2.reserve(utils.len());
-        self.pre_div.reserve(utils.len());
-        self.post_cap.reserve(utils.len());
-        self.has_post.reserve(utils.len());
-        self.off.reserve(utils.len());
-        self.len.reserve(utils.len());
-        self.off2.reserve(utils.len());
-        for u in utils {
-            let mut sink = DemandSink::new(self);
-            u.describe_demand(&mut sink);
-            sink.finish();
-        }
-        self.refresh_global();
-    }
-
-    /// Recompile element `i` in place. Pool-backed rows (staircase,
-    /// PCHIP) append fresh pool data and repoint the row's offsets; the
-    /// old region is orphaned, which is harmless for evaluation but
-    /// means a table patched without bound grows — callers that patch
-    /// repeatedly should [`compile`](Self::compile) from scratch once
-    /// [`fragmented`](Self::fragmented) says so. Call
-    /// [`refresh_global`](Self::refresh_global) once after a batch of
-    /// patches to rebuild the discrete-ladder summary.
-    pub fn patch<U: Utility>(&mut self, i: usize, u: &U) {
-        assert!(i < self.kinds.len(), "patch index {i} out of bounds");
-        let mut sink = DemandSink::new(self);
-        u.describe_demand(&mut sink);
-        sink.finish_at(i);
-    }
-
-    /// Pool entries held: staircase thresholds and levels plus PCHIP
-    /// knots, live or orphaned by [`patch`](Self::patch).
-    pub fn pool_len(&self) -> usize {
-        self.stair_thresholds.len() + self.stair_levels.len() + self.pchip_xs.len()
-    }
-
-    /// Whether the pool regions orphaned by [`patch`](Self::patch)
-    /// outgrow the live ones. Recompiling then packs the pool again, so
-    /// a table patched forever stays within twice its live size.
-    pub fn fragmented(&self) -> bool {
-        let live: usize = (0..self.kinds.len())
-            .map(|i| match self.kinds[i] {
-                Kind::Staircase => 2 * self.len[i] + 1,
-                Kind::Pchip => self.len[i],
-                _ => 0,
-            })
-            .sum();
-        self.pool_len() - live > live
-    }
-
-    /// Rebuild the whole-table summary (the `discrete` flag and the
-    /// merged step [`ladder`](Self::ladder)) by walking live rows, so
-    /// pool regions orphaned by [`patch`](Self::patch) are ignored.
-    pub fn refresh_global(&mut self) {
-        self.discrete = !self.kinds.is_empty()
-            && self.kinds.iter().all(|&k| k == Kind::Staircase)
-            && self.pre_div.iter().all(|&d| d == 1.0);
+        self.len = utils.len();
         self.ladder.clear();
+        self.discrete = !utils.is_empty()
+            && utils.iter().all(|u| {
+                let mut sink = DemandSink::new(Question::Ladder(&mut self.ladder));
+                u.describe_demand(&mut sink);
+                sink.unit_staircase()
+            });
         if self.discrete {
-            for i in 0..self.kinds.len() {
-                let ts = &self.stair_thresholds[self.off[i]..self.off[i] + self.len[i]];
-                self.ladder.extend(ts.iter().copied().filter(|&t| t > 0.0));
-            }
             self.ladder.sort_unstable_by(f64::total_cmp);
             self.ladder.dedup();
+        } else {
+            self.ladder.clear();
         }
     }
 
-    /// Whether every element compiled to a unit-scale staircase, making
+    /// Whether every element describes a unit-scale staircase, making
     /// the merged [`ladder`](Self::ladder) exhaustive: total demand is
     /// constant between consecutive ladder prices.
     pub fn all_discrete(&self) -> bool {
@@ -338,175 +228,127 @@ impl DemandTable {
         &self.ladder
     }
 
-    /// Demand of element `i` at price `lambda` — bit-identical to
-    /// `utils[i].inverse_derivative(lambda)`. `utils` must be the slice
-    /// the table was compiled from (opaque elements dispatch into it).
-    #[inline]
-    pub fn eval<U: Utility>(&self, utils: &[U], i: usize, lambda: f64) -> f64 {
-        let kind = self.kinds[i];
-        if kind == Kind::Opaque {
-            return utils[i].inverse_derivative(lambda);
-        }
-        let l = lambda / self.pre_div[i];
-        let d = match kind {
-            Kind::Power => power_demand(l, self.p0[i], self.p1[i], self.p2[i]),
-            Kind::Log => log_demand(l, self.p0[i], self.p1[i], self.p2[i]),
-            Kind::Staircase => {
-                let (o, k, o2) = (self.off[i], self.len[i], self.off2[i]);
-                staircase_demand(
-                    l,
-                    &self.stair_thresholds[o..o + k],
-                    &self.stair_levels[o2..o2 + k + 1],
-                )
-            }
-            Kind::Pchip => {
-                let (o, k) = (self.off[i], self.len[i]);
-                pchip_inverse_derivative(
-                    l,
-                    &self.pchip_xs[o..o + k],
-                    &self.pchip_ys[o..o + k],
-                    &self.pchip_ds[o..o + k],
-                )
-            }
-            Kind::Opaque => unreachable!(),
-        };
-        if self.has_post[i] {
-            d.min(self.post_cap[i])
-        } else {
-            d
-        }
-    }
-
-    /// The value row `i` answers at **every** price in `[lo, hi]`, when
-    /// its kernel decides that whole interval by a comparison branch
-    /// with one constant result; `None` when it cannot show that (opaque
-    /// rows, a closed-form branch, a threshold inside the interval).
-    ///
-    /// This is the pin interval of the λ-search's live rows: a row
-    /// pinned for a bracket answers the same bits at every probe inside
-    /// it, so the probe need not evaluate it. The test runs on the
-    /// transformed prices `λ' = λ / pre_div`, which are nondecreasing in
-    /// λ for a positive divisor (any other divisor never pins), and
-    /// takes the kernel's own branches in the kernel's own order:
-    ///
-    /// * Power: `λ' ≤ 0` → `cap`; β = 1 → `cap` while `λ' ≤ scale`, `0`
-    ///   past it; scale 0 → `0`;
-    /// * Log: `λ' ≤ 0` → `cap`; rate or scale 0 → `0`;
-    /// * Staircase: no threshold in `[lo', hi')`, so every comparison of
-    ///   its binary search comes out the same;
-    /// * PCHIP: cap ≤ 0 → `0`; `λ' ≤ 0` → `cap`; `λ' > ds[0]` → `0`;
-    ///   `λ' ≤ ds[0]` and `λ' ≤ ds[n−1]` → `cap`.
-    ///
-    /// `post_min` applies to the pinned value as it does in [`eval`](Self::eval).
-    // `!(a > b)` on purpose throughout: a NaN never pins.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn pinned(&self, i: usize, lo: f64, hi: f64) -> Option<f64> {
-        let w = self.pre_div[i];
-        if !(w > 0.0) || self.kinds[i] == Kind::Opaque {
-            return None;
-        }
-        let (l, h) = (lo / w, hi / w);
-        let d = match self.kinds[i] {
-            Kind::Power | Kind::Log if h <= 0.0 => self.p2[i],
-            Kind::Power | Kind::Log if !(l > 0.0) => return None,
-            Kind::Power => {
-                let (scale, beta) = (self.p0[i], self.p1[i]);
-                if beta == 1.0 {
-                    if h <= scale {
-                        self.p2[i]
-                    } else if l > scale {
-                        0.0
-                    } else {
-                        return None;
-                    }
-                } else if scale == 0.0 {
-                    0.0
-                } else {
-                    return None;
-                }
-            }
-            Kind::Log => {
-                if self.p1[i] == 0.0 || self.p0[i] == 0.0 {
-                    0.0
-                } else {
-                    return None;
-                }
-            }
-            Kind::Staircase => {
-                let (o, k, o2) = (self.off[i], self.len[i], self.off2[i]);
-                let ts = &self.stair_thresholds[o..o + k];
-                if ts.iter().any(|&t| l <= t && t < h) {
-                    return None;
-                }
-                staircase_demand(h, ts, &self.stair_levels[o2..o2 + k + 1])
-            }
-            Kind::Pchip => {
-                let (o, k) = (self.off[i], self.len[i]);
-                let cap = self.pchip_xs[o + k - 1];
-                let (first, last) = (self.pchip_ds[o], self.pchip_ds[o + k - 1]);
-                if !(cap > 0.0) {
-                    0.0
-                } else if h <= 0.0 {
-                    cap
-                } else if !(l > 0.0) {
-                    return None;
-                } else if first < l {
-                    0.0
-                } else if h <= first && h <= last {
-                    cap
-                } else {
-                    return None;
-                }
-            }
-            Kind::Opaque => return None,
-        };
-        Some(if self.has_post[i] { d.min(self.post_cap[i]) } else { d })
-    }
-
-    /// One batched demand sweep: `out[i] = x_i(λ)` for every element.
+    /// One demand sweep: `out[i] = utils[i].inverse_derivative(lambda)`.
     /// `out.len()` must equal [`len`](Self::len).
     pub fn batch_inverse_derivative<U: Utility>(&self, utils: &[U], lambda: f64, out: &mut [f64]) {
-        assert_eq!(out.len(), self.kinds.len(), "output slice length mismatch");
-        self.batch_range(utils, lambda, 0, out);
-    }
-
-    /// Demand sweep over the contiguous element range
-    /// `start..start + out.len()`: `out[k] = x_{start+k}(λ)`. This is the
-    /// chunk-level kernel callers use to fan one sweep out over a thread
-    /// pool — each worker takes a disjoint `out` chunk, so the combined
-    /// result is bit-identical to one sequential
-    /// [`batch_inverse_derivative`](Self::batch_inverse_derivative) pass
-    /// regardless of how the range was split.
-    pub fn batch_range<U: Utility>(
-        &self,
-        utils: &[U],
-        lambda: f64,
-        start: usize,
-        out: &mut [f64],
-    ) {
-        assert!(
-            start + out.len() <= self.kinds.len(),
-            "range {}..{} exceeds table length {}",
-            start,
-            start + out.len(),
-            self.kinds.len()
-        );
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.eval(utils, start + k, lambda);
+        assert_eq!(out.len(), self.len, "output slice length mismatch");
+        for (slot, u) in out.iter_mut().zip(utils) {
+            *slot = u.inverse_derivative(lambda);
         }
     }
 }
 
-/// Per-element builder handed to [`Utility::describe_demand`].
+/// The value `u` answers at **every** price in `[lo, hi]`, when its
+/// demand description decides that whole interval by a comparison
+/// branch with one constant result; `None` when it cannot show that (an
+/// opaque or poisoned description, a closed-form branch, a threshold
+/// inside the interval, a NaN edge).
+///
+/// This is the pin interval of the λ-search's live rows: a row pinned
+/// for a bracket answers the same bits at every probe inside it, so the
+/// probe need not evaluate it. The test runs on the transformed prices
+/// `λ' = λ / w` of a `pre_scale(w)`, which are nondecreasing in λ for a
+/// positive divisor (any other divisor never pins), and takes each
+/// closed form's own branches in its own order:
+///
+/// * Power: `λ' ≤ 0` → `cap`; β = 1 → `cap` while `λ' ≤ scale`, `0`
+///   past it; scale 0 → `0`;
+/// * Log: `λ' ≤ 0` → `cap`; rate or scale 0 → `0`;
+/// * Staircase: no threshold in `[lo', hi')`, so every comparison of
+///   its binary search comes out the same;
+/// * PCHIP: cap ≤ 0 → `0`; `λ' ≤ 0` → `cap`; `λ' > ds[0]` → `0`;
+///   `λ' ≤ ds[0]` and `λ' ≤ ds[n−1]` → `cap`.
+///
+/// `post_min` caps the pinned value as it caps the demand.
+pub fn pinned<U: Utility + ?Sized>(u: &U, lo: f64, hi: f64) -> Option<f64> {
+    let mut sink = DemandSink::new(Question::Pin { lo, hi });
+    u.describe_demand(&mut sink);
+    sink.pin()
+}
+
+// `!(a > b)` on purpose in the pin rules: a NaN never pins.
+
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn pin_power(l: f64, h: f64, scale: f64, beta: f64, cap: f64) -> Option<f64> {
+    if h <= 0.0 {
+        Some(cap)
+    } else if !(l > 0.0) {
+        None
+    } else if beta == 1.0 {
+        if h <= scale {
+            Some(cap)
+        } else if l > scale {
+            Some(0.0)
+        } else {
+            None
+        }
+    } else if scale == 0.0 {
+        Some(0.0)
+    } else {
+        None
+    }
+}
+
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn pin_log(l: f64, h: f64, scale: f64, rate: f64, cap: f64) -> Option<f64> {
+    if h <= 0.0 {
+        Some(cap)
+    } else if !(l > 0.0) {
+        None
+    } else if rate == 0.0 || scale == 0.0 {
+        Some(0.0)
+    } else {
+        None
+    }
+}
+
+fn pin_staircase(l: f64, h: f64, thresholds: &[f64], levels: &[f64]) -> Option<f64> {
+    let inside = thresholds.iter().any(|&t| l <= t && t < h);
+    (!inside).then(|| staircase_demand(h, thresholds, levels))
+}
+
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn pin_pchip(l: f64, h: f64, xs: &[f64], ds: &[f64]) -> Option<f64> {
+    let cap = xs[xs.len() - 1];
+    let (first, last) = (ds[0], ds[ds.len() - 1]);
+    if !(cap > 0.0) {
+        Some(0.0)
+    } else if h <= 0.0 {
+        Some(cap)
+    } else if !(l > 0.0) {
+        None
+    } else if first < l {
+        Some(0.0)
+    } else if h <= first && h <= last {
+        Some(cap)
+    } else {
+        None
+    }
+}
+
+/// What a [`DemandSink`] asks of the description it receives.
+#[derive(Debug)]
+enum Question<'a> {
+    /// The one value the element answers across `[lo, hi]`, if a
+    /// comparison branch decides it ([`pinned`]).
+    Pin { lo: f64, hi: f64 },
+    /// Whether the element is a unit-scale staircase; its positive step
+    /// prices are appended here ([`DemandTable::compile`]).
+    Ladder(&'a mut Vec<f64>),
+}
+
+/// Per-element visitor handed to [`Utility::describe_demand`].
 ///
 /// An implementation calls exactly one family method ([`power`],
 /// [`log`], [`staircase`], [`pchip`]) — or [`opaque`] to decline —
 /// optionally composed with [`pre_scale`] (λ divided before the family
-/// form; wrapper combinators) and [`post_min`] (result capped after).
-/// Conflicting registrations (two families, two pre-scales) poison the
-/// element back to opaque, which is always correct, never wrong —
-/// opacity costs only the virtual call the element would have paid
-/// anyway.
+/// form; wrapper combinators), registered *before* the family, and
+/// [`post_min`] (result capped after). The sink answers its question
+/// over the slices it is shown, during the call. Conflicting
+/// registrations (two families, two pre-scales, a pre-scale after the
+/// family) poison the element, which is always correct, never wrong: a
+/// poisoned element never pins and has no ladder, so it costs only
+/// evaluations the search would have made anyway.
 ///
 /// [`power`]: Self::power
 /// [`log`]: Self::log
@@ -517,90 +359,95 @@ impl DemandTable {
 /// [`post_min`]: Self::post_min
 #[derive(Debug)]
 pub struct DemandSink<'a> {
-    table: &'a mut DemandTable,
-    kind: Kind,
-    p0: f64,
-    p1: f64,
-    p2: f64,
-    off: usize,
-    len: usize,
-    off2: usize,
-    pre_div: f64,
+    question: Question<'a>,
+    /// λ is divided by this before the family form (1.0 = none).
+    div: f64,
     scaled: bool,
-    post_cap: f64,
-    has_post: bool,
+    /// The `post_min` caps folded by `min`; `None` when none was
+    /// registered (an unconditional `NaN.min(∞)` would diverge from
+    /// dispatch).
+    cap: Option<f64>,
+    /// The family's pinned value, before the cap.
+    pin: Option<f64>,
+    /// A staircase was registered at unit scale.
+    unit_staircase: bool,
     described: bool,
     poisoned: bool,
 }
 
 impl<'a> DemandSink<'a> {
-    fn new(table: &'a mut DemandTable) -> Self {
+    fn new(question: Question<'a>) -> Self {
         DemandSink {
-            table,
-            kind: Kind::Opaque,
-            p0: 0.0,
-            p1: 0.0,
-            p2: 0.0,
-            off: 0,
-            len: 0,
-            off2: 0,
-            pre_div: 1.0,
+            question,
+            div: 1.0,
             scaled: false,
-            post_cap: f64::INFINITY,
-            has_post: false,
+            cap: None,
+            pin: None,
+            unit_staircase: false,
             described: false,
             poisoned: false,
         }
     }
 
-    /// Decline to describe: this element keeps virtual dispatch.
+    /// The answer to [`Question::Pin`].
+    fn pin(self) -> Option<f64> {
+        let d = self.pin.filter(|_| !self.poisoned)?;
+        Some(self.cap.map_or(d, |c| d.min(c)))
+    }
+
+    /// The answer to [`Question::Ladder`].
+    fn unit_staircase(&self) -> bool {
+        self.unit_staircase && !self.poisoned
+    }
+
+    /// Decline to describe: this element never pins and has no ladder.
     pub fn opaque(&mut self) {
         self.poisoned = true;
     }
 
-    /// Claim the family slot, poisoning on double registration.
-    fn claim(&mut self) -> bool {
+    /// Claim the family slot (a second family poisons) and, asked for
+    /// a pin, apply the family's `rule` to the bracket it sees,
+    /// `[lo / w, hi / w]` — only for a positive divisor and no NaN edge.
+    fn register(&mut self, rule: impl FnOnce(f64, f64) -> Option<f64>) {
         if self.described || self.poisoned {
             self.poisoned = true;
-            false
-        } else {
-            self.described = true;
-            true
+            return;
+        }
+        self.described = true;
+        if let Question::Pin { lo, hi } = self.question {
+            let (l, h) = (lo / self.div, hi / self.div);
+            if self.div > 0.0 && !l.is_nan() && !h.is_nan() {
+                self.pin = rule(l, h);
+            }
         }
     }
 
     /// Register `power_demand(λ, scale, beta, cap)`.
     pub fn power(&mut self, scale: f64, beta: f64, cap: f64) {
-        if self.claim() {
-            self.kind = Kind::Power;
-            (self.p0, self.p1, self.p2) = (scale, beta, cap);
-        }
+        self.register(|l, h| pin_power(l, h, scale, beta, cap));
     }
 
     /// Register `log_demand(λ, scale, rate, cap)`.
     pub fn log(&mut self, scale: f64, rate: f64, cap: f64) {
-        if self.claim() {
-            self.kind = Kind::Log;
-            (self.p0, self.p1, self.p2) = (scale, rate, cap);
-        }
+        self.register(|l, h| pin_log(l, h, scale, rate, cap));
     }
 
     /// Register `staircase_demand(λ, thresholds, levels)`. `thresholds`
     /// must be nonincreasing with `levels.len() == thresholds.len() + 1`
-    /// (violations poison to opaque rather than corrupt the table).
+    /// (a length mismatch poisons).
     pub fn staircase(&mut self, thresholds: &[f64], levels: &[f64]) {
         if levels.len() != thresholds.len() + 1 {
             self.poisoned = true;
             return;
         }
-        if self.claim() {
-            self.kind = Kind::Staircase;
-            self.off = self.table.stair_thresholds.len();
-            self.len = thresholds.len();
-            self.off2 = self.table.stair_levels.len();
-            self.table.stair_thresholds.extend_from_slice(thresholds);
-            self.table.stair_levels.extend_from_slice(levels);
+        // Prices a poisoned row appends die with its table's ladder.
+        if let Question::Ladder(ladder) = &mut self.question {
+            if self.div == 1.0 {
+                self.unit_staircase = true;
+                ladder.extend(thresholds.iter().copied().filter(|&t| t > 0.0));
+            }
         }
+        self.register(|l, h| pin_staircase(l, h, thresholds, levels));
     }
 
     /// Register a PCHIP curve by its knots `xs`, values `ys`, and knot
@@ -610,25 +457,20 @@ impl<'a> DemandSink<'a> {
             self.poisoned = true;
             return;
         }
-        if self.claim() {
-            self.kind = Kind::Pchip;
-            self.off = self.table.pchip_xs.len();
-            self.len = xs.len();
-            self.table.pchip_xs.extend_from_slice(xs);
-            self.table.pchip_ys.extend_from_slice(ys);
-            self.table.pchip_ds.extend_from_slice(ds);
-        }
+        self.register(|l, h| pin_pchip(l, h, xs, ds));
     }
 
     /// Compose: the family form is evaluated at `λ / weight`
-    /// (wrapper-combinator semantics, e.g. [`crate::Scaled`]). A second
-    /// pre-scale poisons: `(λ/w₁)/w₂` is not bitwise `λ/(w₁·w₂)`.
+    /// (wrapper-combinator semantics, e.g. [`crate::Scaled`]). It must
+    /// come before the family method, which reads the divisor as it is
+    /// called. A second pre-scale poisons too: `(λ/w₁)/w₂` is not
+    /// bitwise `λ/(w₁·w₂)`.
     pub fn pre_scale(&mut self, weight: f64) {
-        if self.scaled {
+        if self.scaled || self.described {
             self.poisoned = true;
         } else {
             self.scaled = true;
-            self.pre_div = weight;
+            self.div = weight;
         }
     }
 
@@ -636,53 +478,7 @@ impl<'a> DemandSink<'a> {
     /// (capping-wrapper semantics). Multiple caps fold by `min`, which
     /// matches chained `.min(c₁).min(c₂)` bitwise for finite caps.
     pub fn post_min(&mut self, cap: f64) {
-        if self.has_post {
-            self.post_cap = self.post_cap.min(cap);
-        } else {
-            self.has_post = true;
-            self.post_cap = cap;
-        }
-    }
-
-    /// Push the staged element into the table.
-    fn finish(self) {
-        let kind = if self.poisoned || !self.described {
-            Kind::Opaque
-        } else {
-            self.kind
-        };
-        let t = self.table;
-        t.kinds.push(kind);
-        t.p0.push(self.p0);
-        t.p1.push(self.p1);
-        t.p2.push(self.p2);
-        t.pre_div.push(self.pre_div);
-        t.post_cap.push(self.post_cap);
-        t.has_post.push(self.has_post);
-        t.off.push(self.off);
-        t.len.push(self.len);
-        t.off2.push(self.off2);
-    }
-
-    /// Overwrite element `i`'s lanes with the staged element
-    /// ([`DemandTable::patch`]'s write-back).
-    fn finish_at(self, i: usize) {
-        let kind = if self.poisoned || !self.described {
-            Kind::Opaque
-        } else {
-            self.kind
-        };
-        let t = self.table;
-        t.kinds[i] = kind;
-        t.p0[i] = self.p0;
-        t.p1[i] = self.p1;
-        t.p2[i] = self.p2;
-        t.pre_div[i] = self.pre_div;
-        t.post_cap[i] = self.post_cap;
-        t.has_post[i] = self.has_post;
-        t.off[i] = self.off;
-        t.len[i] = self.len;
-        t.off2[i] = self.off2;
+        self.cap = Some(self.cap.map_or(cap, |c| c.min(cap)));
     }
 }
 
@@ -753,62 +549,21 @@ mod tests {
         table.compile(&[CappedLinear::new(2.0, 3.0, 10.0)]);
         assert_eq!(table.len(), 1);
         assert!(table.all_discrete());
+        assert_eq!(table.ladder(), &[2.0]);
+        let buffer = table.ladder().as_ptr();
+        table.compile(&[CappedLinear::new(7.0, 3.0, 10.0)]);
+        assert_eq!(table.ladder(), &[7.0]);
+        assert_eq!(
+            table.ladder().as_ptr(),
+            buffer,
+            "the ladder keeps its buffer"
+        );
         let utils = vec![Power::new(1.0, 0.5, 4.0), Power::new(2.0, 0.25, 4.0)];
         table.compile(&utils);
         assert_eq!(table.len(), 2);
         assert!(!table.all_discrete());
+        assert!(table.ladder().is_empty());
         sweep_identical(&utils, &[0.5, 2.0]);
-    }
-
-    #[test]
-    fn patched_rows_match_a_fresh_compile() {
-        // Mixed families, including pool-backed rows on both sides of
-        // the patch, so offset bookkeeping is exercised.
-        let mut utils: Vec<Box<dyn Utility>> = vec![
-            Box::new(Pchip::new(&[(0.0, 0.0), (5.0, 4.0), (10.0, 6.0)]).unwrap()),
-            Box::new(Power::new(1.0, 0.5, 10.0)),
-            Box::new(CappedLinear::new(2.0, 3.0, 10.0)),
-            Box::new(Pchip::new(&[(0.0, 0.0), (4.0, 3.0), (8.0, 4.0)]).unwrap()),
-        ];
-        let mut patched = DemandTable::new();
-        patched.compile(&utils);
-        // Replace a pool-backed row and a scalar row.
-        utils[0] = Box::new(Pchip::new(&[(0.0, 0.0), (3.0, 5.0), (9.0, 7.0)]).unwrap());
-        utils[1] = Box::new(LogUtility::new(2.0, 1.5, 10.0));
-        patched.patch(0, &utils[0]);
-        patched.patch(1, &utils[1]);
-        patched.refresh_global();
-        let mut fresh = DemandTable::new();
-        fresh.compile(&utils);
-        for &l in &[0.0, 0.2, 0.5, 1.0, 2.0, 5.0, f64::INFINITY] {
-            for i in 0..utils.len() {
-                assert_eq!(
-                    patched.eval(&utils, i, l).to_bits(),
-                    fresh.eval(&utils, i, l).to_bits(),
-                    "element {i} at λ={l}"
-                );
-            }
-        }
-        assert_eq!(patched.all_discrete(), fresh.all_discrete());
-        assert_eq!(patched.ladder(), fresh.ladder());
-    }
-
-    #[test]
-    fn patched_staircase_table_rebuilds_ladder_from_live_rows() {
-        let mut utils = vec![
-            CappedLinear::new(2.0, 3.0, 10.0),
-            CappedLinear::new(5.0, 1.0, 10.0),
-        ];
-        let mut table = DemandTable::new();
-        table.compile(&utils);
-        assert_eq!(table.ladder(), &[2.0, 5.0]);
-        // The orphaned pool region left by the patch must not leak the
-        // old step price 5.0 into the rebuilt ladder.
-        utils[1] = CappedLinear::new(7.0, 1.0, 10.0);
-        table.patch(1, &utils[1]);
-        table.refresh_global();
-        assert!(table.all_discrete());
-        assert_eq!(table.ladder(), &[2.0, 7.0]);
     }
 
     #[test]
@@ -845,39 +600,84 @@ mod tests {
         }
     }
 
+    /// A linear utility (`min(x, 1)`) whose description is written by
+    /// `describe`, to probe how the sink treats ill-formed descriptions.
+    struct Described(fn(&mut DemandSink<'_>));
+
+    impl std::fmt::Debug for Described {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("Described")
+        }
+    }
+
+    impl Utility for Described {
+        fn value(&self, x: f64) -> f64 {
+            x.clamp(0.0, 1.0)
+        }
+        fn derivative(&self, x: f64) -> f64 {
+            if x < 1.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        fn cap(&self) -> f64 {
+            1.0
+        }
+        fn describe_demand(&self, sink: &mut DemandSink<'_>) {
+            (self.0)(sink)
+        }
+    }
+
     #[test]
     fn double_registration_poisons_to_opaque() {
-        struct Weird;
-        impl std::fmt::Debug for Weird {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("Weird")
-            }
-        }
-        impl Utility for Weird {
-            fn value(&self, x: f64) -> f64 {
-                x.min(1.0)
-            }
-            fn derivative(&self, x: f64) -> f64 {
-                if x < 1.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            fn cap(&self) -> f64 {
-                1.0
-            }
-            fn describe_demand(&self, sink: &mut DemandSink<'_>) {
-                sink.power(1.0, 0.5, 1.0);
-                sink.log(1.0, 1.0, 1.0); // conflict → opaque
-            }
-        }
-        let utils = [Weird];
+        // Alone, the power description pins the bracket [-1, 0] at cap.
+        let power = Described(|sink| sink.power(1.0, 0.5, 1.0));
+        assert_eq!(pinned(&power, -1.0, 0.0), Some(1.0));
+        // A second family poisons: no pin, no ladder.
+        let weird = Described(|sink| {
+            sink.power(1.0, 0.5, 1.0);
+            sink.log(1.0, 1.0, 1.0);
+        });
+        assert_eq!(pinned(&weird, -1.0, 0.0), None);
+        let stairs = Described(|sink| {
+            sink.staircase(&[1.0], &[0.0, 1.0]);
+            sink.staircase(&[2.0], &[0.0, 1.0]);
+        });
         let mut table = DemandTable::new();
-        table.compile(&utils);
+        table.compile(&[stairs]);
+        assert!(!table.all_discrete());
+        assert!(table.ladder().is_empty());
+        // Values still come from the utility's own dispatch.
+        let utils = [weird];
         let mut out = [0.0];
-        // Opaque fallback dispatches into the trait default.
+        table.compile(&utils);
         table.batch_inverse_derivative(&utils, 0.5, &mut out);
         assert_eq!(out[0].to_bits(), utils[0].inverse_derivative(0.5).to_bits());
+    }
+
+    #[test]
+    fn pre_scale_after_the_family_poisons() {
+        // Divisor first: the staircase is tested at λ / 2, and [3, 3]
+        // (λ' = 1.5) sits below its step price 2, where it demands 1.
+        let early = Described(|sink| {
+            sink.pre_scale(2.0);
+            sink.staircase(&[2.0], &[0.0, 1.0]);
+        });
+        assert_eq!(pinned(&early, 3.0, 3.0), Some(1.0));
+        // Divisor after: the family was read unscaled, so nothing pins.
+        let late = Described(|sink| {
+            sink.staircase(&[2.0], &[0.0, 1.0]);
+            sink.pre_scale(2.0);
+        });
+        assert_eq!(pinned(&late, 3.0, 3.0), None);
+        assert_eq!(pinned(&late, 0.0, 0.0), None);
+        let mut table = DemandTable::new();
+        table.compile(&[Described(|sink| {
+            sink.staircase(&[2.0], &[0.0, 1.0]);
+            sink.pre_scale(1.0);
+        })]);
+        assert!(!table.all_discrete());
+        assert!(table.ladder().is_empty());
     }
 }

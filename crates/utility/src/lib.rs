@@ -15,10 +15,9 @@
 //!   [`CappedLinear`], [`Linearized`] (the paper's Equation 1 two-segment
 //!   function), and the monotone-cubic [`Pchip`] interpolant the workload
 //!   generator uses in place of Matlab's `pchip`;
-//! * the batched struct-of-arrays demand kernel ([`DemandTable`] /
-//!   [`DemandSink`]) that compiles a utility slice into flat parameter
-//!   arrays so the allocator's λ-bisection sweeps demand-at-price in one
-//!   cache-friendly pass, bit-identical to per-element dispatch;
+//! * the demand closed forms and the demand descriptions
+//!   ([`DemandSink`]) the allocator's λ-search reads for live-row pins
+//!   ([`demand::pinned`]) and the all-staircase ladder ([`DemandTable`]);
 //! * shape validators ([`check`]) and the upper concave envelope
 //!   ([`concave_envelope`]) used to concavify measured curves (e.g. cache
 //!   miss-ratio curves from `aa-sim`);

@@ -62,8 +62,8 @@ impl Utility for LogUtility {
         self.cap
     }
 
-    // ab/(1+bx) = λ  ⇒  x = (ab/λ − 1)/b; the scalar body lives in the
-    // demand kernel so the SoA sweep is identical by construction.
+    // ab/(1+bx) = λ  ⇒  x = (ab/λ − 1)/b; the scalar body lives in
+    // `crate::demand`, beside the pin rules that read the same branches.
     fn inverse_derivative(&self, lambda: f64) -> f64 {
         crate::demand::log_demand(lambda, self.scale, self.rate, self.cap)
     }

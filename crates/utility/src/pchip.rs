@@ -195,8 +195,8 @@ impl Utility for Pchip {
 
     // The derivative of a cubic segment is a quadratic in the local
     // coordinate, so the demand query inverts it in closed form instead of
-    // bisecting `derivative` ~40 times. The scalar body lives in the demand
-    // kernel so the SoA sweep is identical by construction.
+    // bisecting `derivative` ~40 times. The scalar body lives in
+    // `crate::demand`, beside the pin rules that read the same branches.
     fn inverse_derivative(&self, lambda: f64) -> f64 {
         crate::demand::pchip_inverse_derivative(lambda, &self.xs, &self.ys, &self.ds)
     }

@@ -72,7 +72,7 @@ impl Utility for Power {
     }
 
     // aβ·x^(β−1) = λ  ⇒  x = (aβ/λ)^(1/(1−β)); the scalar body lives in
-    // the demand kernel so the SoA sweep is identical by construction.
+    // `crate::demand`, beside the pin rules that read the same branches.
     fn inverse_derivative(&self, lambda: f64) -> f64 {
         crate::demand::power_demand(lambda, self.scale, self.beta, self.cap)
     }

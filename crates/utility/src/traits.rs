@@ -78,18 +78,31 @@ pub trait Utility: std::fmt::Debug + Send + Sync {
         self.value(self.cap())
     }
 
-    /// Describe this utility's demand map to a
-    /// [`DemandTable`](crate::demand::DemandTable) compiler.
+    /// Describe this utility's demand map to a [`DemandSink`].
     ///
-    /// The default declines ([`DemandSink::opaque`]), which keeps the
-    /// always-correct virtual-dispatch path. Implementations that
-    /// register a closed form MUST be bit-identical to their own
-    /// [`inverse_derivative`](Utility::inverse_derivative) at every λ —
-    /// the shared scalar bodies in [`crate::demand`] make that hold by
-    /// construction, and `crates/allocator/tests/kernel_differential.rs`
-    /// enforces it over random mixes.
+    /// Demand values always come from
+    /// [`inverse_derivative`](Utility::inverse_derivative); a
+    /// description is read only for what a value cannot say: the one
+    /// value the utility answers across a price bracket
+    /// ([`pinned`](crate::demand::pinned), which lets the λ-search skip
+    /// it) and whether it is a unit-scale staircase with step prices for
+    /// the discrete ladder ([`DemandTable`](crate::demand::DemandTable)).
     ///
+    /// The default declines ([`DemandSink::opaque`]): the utility never
+    /// pins and has no ladder, which is always correct. A registered
+    /// closed form MUST be bit-identical to this utility's own
+    /// `inverse_derivative` at every λ — the shared scalar bodies in
+    /// [`crate::demand`] make that hold by construction, and
+    /// `crates/utility/tests/pin_sound.rs` checks every pin against
+    /// dispatch over random mixes. A wrapper that divides λ registers
+    /// its divisor ([`DemandSink::pre_scale`]) *before* its inner
+    /// family: the sink reads the divisor when the family is
+    /// registered, so a divisor that comes after poisons the
+    /// description.
+    ///
+    /// [`DemandSink`]: crate::demand::DemandSink
     /// [`DemandSink::opaque`]: crate::demand::DemandSink::opaque
+    /// [`DemandSink::pre_scale`]: crate::demand::DemandSink::pre_scale
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
         sink.opaque();
     }
