@@ -23,8 +23,8 @@
 //!   than a few probes beyond halving; `Relative(tol)` accepts the first
 //!   probe within `tol·supply` (the price backend);
 //! * **one reference, the halving** — bracket growth from `[0, 1]`, then
-//!   up to 128 halvings. The cold Exact search (behind [`allocate`] and
-//!   friends, and every warm call without a provable bracket) runs it
+//!   up to 128 halvings. The cold Exact search (behind [`allocate`], and
+//!   every [`allocate_in`] call without a provable bracket) runs it
 //!   only until its bracket is trusted, then hands the bracket to the
 //!   probe loop's bounded close; it runs to its end only under
 //!   [`WARM_MIN_PRICE`]. All-discrete tables skip it for the ladder flip.
@@ -38,8 +38,10 @@
 //! lands on the halving's pair (see the notes above [`WARM_MIN_PRICE`]).
 //!
 //! Sequential and pooled sweeps write the same per-index values and sum
-//! them in the same order, so [`allocate`], [`allocate_par`] and the
-//! warm path are **bit-identical** for every thread count.
+//! them in the same order, so [`allocate`] and [`allocate_in`], cold or
+//! warm, are **bit-identical** for every thread count. Each search
+//! fans out by size alone ([`crate::tuning::fans_out`]); a caller picks
+//! only its buffers, its [`Fan`] and its check.
 //!
 //! **The live-row invariant.** Once a search holds a bracket `[lo, hi]`
 //! with `lo > 0` whose edges it swept itself, most rows answer the whole
@@ -129,8 +131,9 @@ impl std::error::Error for Interrupted {}
 pub enum Fan<'t> {
     /// On the calling thread.
     Seq,
-    /// Over the pool once the slice reaches [`par_threshold`], abandoning
-    /// unclaimed chunks when the optional token fires.
+    /// Over the pool once [`fans_out`](crate::tuning::fans_out) says the
+    /// sweep is large enough, abandoning unclaimed chunks when the
+    /// optional token fires.
     Pool(Option<&'t CancelToken>),
 }
 
@@ -313,7 +316,7 @@ fn sweep_rows<U: Utility>(
     };
     let visits = inside.as_ref().map_or(n, |s| s.live.list.len());
     let tally = match m.fan {
-        Fan::Pool(token) if visits >= par_threshold() => {
+        Fan::Pool(token) if crate::tuning::fans_out(visits) => {
             let parts = rayon::current_num_threads().max(1) * 4;
             let step = visits.div_ceil(parts).max(1);
             let chunks = split(out, inside.as_mut(), step);
@@ -1189,25 +1192,37 @@ fn exact<U: Utility, E: From<Interrupted>>(
     Ok(*stats)
 }
 
-/// [`exact`] behind the cold entry points: a throwaway cache, then the
-/// index-order utility sum.
-fn allocate_impl<U: Utility, E: From<Interrupted>>(
+/// [`exact`] in its span and counters. The span and counter say what
+/// ran: a search that starts from the cache's bracket records
+/// `bisection_warm`, one that starts with none records `bisection`.
+fn run<U: Utility, E: From<Interrupted>>(
     utils: &[U],
     budget: f64,
+    cache: &mut WarmCache,
+    amounts: &mut Vec<f64>,
     ladder: bool,
     fan: Fan<'_>,
     check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Allocation, E> {
-    let _span = aa_obs::span!("bisection");
+) -> Result<WarmStats, E> {
+    let warm = cache.bracket.is_some();
+    let _span = aa_obs::span!(if warm { "bisection_warm" } else { "bisection" });
     if aa_obs::record_enabled() {
-        obs_counters()[0].inc();
+        obs_counters()[usize::from(warm)].inc();
     }
-    let mut cache = WarmCache::new();
-    let mut amounts = Vec::new();
-    let stats = exact(utils, budget, &mut cache, &mut amounts, ladder, fan, check)?;
+    let stats = exact(utils, budget, cache, amounts, ladder, fan, check)?;
     record_work(&stats);
+    Ok(stats)
+}
+
+/// [`run`] cold over fresh buffers, on the pool past [`par_threshold`],
+/// plus the index-order utility sum.
+fn allocate_fresh<U: Utility>(utils: &[U], budget: f64, ladder: bool) -> Allocation {
+    let mut amounts = Vec::new();
+    let mut cache = WarmCache::new();
+    let fan = Fan::Pool(None);
+    expect_complete(run(utils, budget, &mut cache, &mut amounts, ladder, fan, &mut || Ok(())));
     let utility = utils.iter().zip(&amounts).map(|(f, &x)| f.value(x)).sum();
-    Ok(Allocation { amounts, utility })
+    Allocation { amounts, utility }
 }
 
 /// Unwrap an allocation whose check is infallible and token absent.
@@ -1246,7 +1261,7 @@ fn expect_complete<T>(result: Result<T, Interrupted>) -> T {
 /// assert!((alloc.amounts[1] - 4.0).abs() < 1e-6);
 /// ```
 pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, true, Fan::Seq, &mut || Ok(())))
+    allocate_fresh(utils, budget, true)
 }
 
 /// [`allocate`] with the all-discrete ladder fast path disabled: always
@@ -1256,7 +1271,7 @@ pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
 /// the reference arm for differential tests and benchmarks of the
 /// discrete path.
 pub fn allocate_generic<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, false, Fan::Seq, &mut || Ok(())))
+    allocate_fresh(utils, budget, false)
 }
 
 /// Diagnostic: the adjacent-float bracket the all-discrete ladder fast
@@ -1290,44 +1305,6 @@ pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(
     expect_complete(discrete_flip(&m, &mut out, &mut Work::default(), &mut || Ok(())))
 }
 
-/// [`allocate`] with each demand sweep fanned out over the thread pool
-/// once `utils.len() ≥ `[`par_threshold`]. **Bit-identical** to
-/// [`allocate`] for every thread count (`AA_NUM_THREADS`, or a scoped
-/// `rayon::with_threads`): the two share one implementation, and
-/// [`sweep`] writes the same values and sums them in the same order.
-///
-/// The search performs ~15–60 sweeps, each an independent map over all
-/// threads — embarrassingly parallel at web-scale instance sizes (`n` in
-/// the hundreds of thousands), where the super-optimal allocation is the
-/// entire running time of Algorithm 2.
-pub fn allocate_par<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, true, Fan::Pool(None), &mut || Ok(())))
-}
-
-/// [`allocate_par`] with a cooperative interruption check *and* a
-/// pool-level [`CancelToken`], the building block for deadline-budgeted
-/// solving. `check` is called at iteration granularity (once up front,
-/// before each demand sweep of the search, and before the leftover
-/// spread); its first `Err` aborts the allocation and is returned
-/// verbatim. Between `check` calls, the fanned-out
-/// sweeps themselves watch `token` and abandon unclaimed chunks when it
-/// fires (reported as `Err` via `check`'s diagnosis, or [`Interrupted`]
-/// if `check` still says `Ok`). While neither fires the result is
-/// **bit-identical** to [`allocate_par`] and [`allocate`] for every
-/// thread count.
-pub fn allocate_par_interruptible<U, E>(
-    utils: &[U],
-    budget: f64,
-    token: &CancelToken,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Allocation, E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    allocate_impl(utils, budget, true, Fan::Pool(Some(token)), check)
-}
-
 // ---- warm-started allocation ----
 //
 // The online settings (serve loops, epoch controllers, churn repair)
@@ -1337,7 +1314,7 @@ where
 // or halvings from `[0, 1]` down to λ*'s binade, then a close of a
 // dozen to fifty probes, each a whole-slice demand sweep — wastes most
 // of its work rediscovering a bracket we already hold.
-// [`allocate_warm_into`] keeps the previous collapsed
+// [`allocate_in`] keeps the previous collapsed
 // bracket in a [`WarmCache`] and answers the next call through the
 // probe loop ([`search`] under [`Stop::Exact`]): revalidate the old
 // adjacent-float pair (2 sweeps), or walk from it and collapse by
@@ -1397,8 +1374,8 @@ pub enum WarmMode {
     Refined,
 }
 
-/// Telemetry for one warm allocation, kept in the cache and returned by
-/// [`allocate_warm_into`]. The benchmark's cold-vs-warm comparison
+/// Telemetry for one allocation through a cache, kept in the cache and
+/// returned by [`allocate_in`]. The benchmark's cold-vs-warm comparison
 /// reports `demand_maps` — the demand sweeps of the search — and `rows`,
 /// the demand evaluations inside them, which dominate the allocator's
 /// running time.
@@ -1418,7 +1395,7 @@ pub struct WarmStats {
     pub iterations: u32,
 }
 
-/// Warm-start state for [`allocate_warm_into`]: the previous collapsed
+/// Warm-start state for [`allocate_in`]: the previous collapsed
 /// bracket plus every scratch buffer the search needs, so a steady-state
 /// call performs no heap allocation at all (buffers are cleared and
 /// refilled within their retained capacity).
@@ -1447,8 +1424,7 @@ impl WarmCache {
     }
 
     /// Drop the bracket: the next call runs the cold search. An
-    /// interruptible warm allocation that aborts mid-search leaves the
-    /// cache in this state.
+    /// allocation that aborts mid-search leaves the cache in this state.
     pub fn invalidate(&mut self) {
         self.bracket = None;
     }
@@ -1464,79 +1440,37 @@ impl WarmCache {
     }
 }
 
-/// [`allocate_warm_into_interruptible`] behind the warm span and
-/// counters.
-fn warm_impl<U: Utility, E: From<Interrupted>>(
+/// [`allocate`] into caller-owned buffers, warm-started from `cache`:
+/// the amounts land in `amounts`, the search scratch lives in `cache`,
+/// and the call's telemetry is returned. It runs the probe loop from the
+/// cache's bracket when it holds one, and the cold search after
+/// [`WarmCache::invalidate`] (or on a fresh cache). Either way the
+/// amounts are **bit-identical** to [`allocate`]'s on the same slice and
+/// budget (see the module notes on the unique boundary pair); slow drift
+/// between calls costs near-constant demand sweeps, and once the buffers
+/// have grown to the instance a [`Fan::Seq`] call allocates nothing.
+/// The utility sum is *not* computed.
+///
+/// `check` runs at iteration granularity: up front, before each demand
+/// sweep, and before the leftover spread. Its first `Err` aborts the
+/// allocation and is returned verbatim. A pooled `fan`'s token is
+/// watched between those calls, and abandons unclaimed chunks when it
+/// fires (reported as `check`'s diagnosis, or [`Interrupted`] if `check`
+/// still says `Ok`). An abort leaves the cache without a bracket, so
+/// the next call through it runs the cold search.
+pub fn allocate_in<U, E>(
     utils: &[U],
     budget: f64,
     cache: &mut WarmCache,
     amounts: &mut Vec<f64>,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<WarmStats, E> {
-    let _span = aa_obs::span!("bisection_warm");
-    if aa_obs::record_enabled() {
-        obs_counters()[1].inc();
-    }
-    let stats = exact(utils, budget, cache, amounts, true, Fan::Seq, check)?;
-    record_work(&stats);
-    Ok(stats)
-}
-
-/// [`allocate`], warm-started from `cache` and writing the amounts into
-/// a caller-owned buffer: **bit-identical** to [`allocate`] on the same
-/// slice and budget (see the module notes on the unique boundary pair),
-/// near-constant demand sweeps when successive instances drift slowly,
-/// and zero heap allocation once the buffers have grown to the instance
-/// size. The utility sum is *not* computed — callers on the assignment
-/// hot path only consume the amounts; use [`allocate`] when the pooled
-/// utility value itself is needed.
-pub fn allocate_warm_into<U: Utility>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
-) -> WarmStats {
-    expect_complete(warm_impl(utils, budget, cache, amounts, &mut || Ok(())))
-}
-
-/// [`allocate_warm_into`] with a cooperative interruption check (same
-/// granularity as [`allocate_par_interruptible`]: up front, before each
-/// sweep, before the spread). An abort leaves the cache without a
-/// bracket — it may have been half-updated — so the next call through
-/// it runs the cold search.
-pub fn allocate_warm_into_interruptible<U, E>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
+    fan: Fan<'_>,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<WarmStats, E>
 where
     U: Utility,
     E: From<Interrupted>,
 {
-    warm_impl(utils, budget, cache, amounts, check)
-}
-
-/// [`allocate`], but writing into caller-owned buffers: the amounts land
-/// in `amounts`, the search scratch lives in `cache`, and only the
-/// utility sum is returned. **Bit-identical** to [`allocate`] — the cache
-/// is invalidated first, so this always runs the cold search — with no
-/// per-call heap allocation once the buffers have grown to the working
-/// size. This is the arena building block for repeated independent solves
-/// (e.g. the churn repair's per-server re-splits), where a warm bracket
-/// would never revalidate but the allocation churn still matters.
-pub fn allocate_utility_into<U: Utility>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
-) -> f64 {
-    cache.invalidate();
-    allocate_warm_into(utils, budget, cache, amounts);
-    // Index-order sum of f_i(x_i): the same additions, in the same order,
-    // as `allocate`.
-    utils.iter().zip(amounts.iter()).map(|(f, &x)| f.value(x)).sum()
+    run(utils, budget, cache, amounts, true, fan, check)
 }
 
 #[cfg(test)]
@@ -1707,6 +1641,21 @@ mod tests {
         allocate(&[Power::new(1.0, 0.5, 1.0)], -1.0);
     }
 
+    /// [`allocate_in`] cold over fresh buffers, pooled with `token`,
+    /// plus the index-order utility sum.
+    pub(super) fn allocate_checked<U: Utility, E: From<Interrupted>>(
+        utils: &[U],
+        budget: f64,
+        token: &CancelToken,
+        check: &mut dyn FnMut() -> Result<(), E>,
+    ) -> Result<Allocation, E> {
+        let mut amounts = Vec::new();
+        let fan = Fan::Pool(Some(token));
+        allocate_in(utils, budget, &mut WarmCache::new(), &mut amounts, fan, check)?;
+        let utility = utils.iter().zip(&amounts).map(|(f, &x)| f.value(x)).sum();
+        Ok(Allocation { amounts, utility })
+    }
+
     #[test]
     fn interruptible_with_quiet_check_is_bit_identical_to_allocate() {
         let utils: Vec<Box<dyn Utility>> = vec![
@@ -1717,7 +1666,7 @@ mod tests {
         for budget in [0.0, 0.5, 3.0, 12.0, 29.9, 100.0] {
             let plain = allocate(&utils, budget);
             let interruptible =
-                allocate_par_interruptible(&utils, budget, &CancelToken::new(), &mut || {
+                allocate_checked(&utils, budget, &CancelToken::new(), &mut || {
                     Ok::<(), Interrupted>(())
                 })
                 .expect("quiet check never aborts");
@@ -1744,7 +1693,7 @@ mod tests {
         // Exhaust "fuel" after a handful of checks: the search runs a
         // dozen or more sweeps, so this fires mid-search.
         let mut fuel = 5_u32;
-        let result = allocate_par_interruptible(&utils, 40.0, &CancelToken::new(), &mut || {
+        let result = allocate_checked(&utils, 40.0, &CancelToken::new(), &mut || {
             if fuel == 0 {
                 Err(E::Deadline)
             } else {
@@ -1759,13 +1708,14 @@ mod tests {
     fn immediately_failing_check_aborts_before_any_work() {
         let utils = vec![Power::new(1.0, 0.5, 10.0)];
         let result =
-            allocate_par_interruptible(&utils, 5.0, &CancelToken::new(), &mut || Err(Interrupted));
+            allocate_checked(&utils, 5.0, &CancelToken::new(), &mut || Err(Interrupted));
         assert_eq!(result, Err(Interrupted));
     }
 }
 
 #[cfg(test)]
 mod par_tests {
+    use super::tests::allocate_checked;
     use super::*;
     use aa_utility::{LogUtility, Power, Utility};
 
@@ -1785,8 +1735,8 @@ mod par_tests {
     #[test]
     fn small_inputs_take_the_sequential_path() {
         let utils = vec![Power::new(1.0, 0.5, 10.0), Power::new(2.0, 0.5, 10.0)];
-        let a = allocate(&utils, 10.0);
-        let b = allocate_par(&utils, 10.0);
+        let a = rayon::with_threads(1, || allocate(&utils, 10.0));
+        let b = allocate(&utils, 10.0);
         assert_eq!(a, b); // bit-identical: same code path
     }
 
@@ -1796,8 +1746,8 @@ mod par_tests {
         // determinism contract promises *exact* equality, not closeness.
         let utils = mixed_pool(par_threshold() + 100);
         let budget = 0.3 * 100.0 * utils.len() as f64;
-        let seq = allocate(&utils, budget);
-        let par = allocate_par(&utils, budget);
+        let seq = rayon::with_threads(1, || allocate(&utils, budget));
+        let par = allocate(&utils, budget);
         assert_eq!(seq.utility.to_bits(), par.utility.to_bits());
         assert_eq!(seq.amounts.len(), par.amounts.len());
         for (a, b) in seq.amounts.iter().zip(&par.amounts) {
@@ -1809,9 +1759,9 @@ mod par_tests {
     fn parallel_is_bit_identical_across_thread_counts() {
         let utils = mixed_pool(par_threshold() + 37);
         let budget = 0.2 * 100.0 * utils.len() as f64;
-        let reference = rayon::with_threads(1, || allocate_par(&utils, budget));
+        let reference = rayon::with_threads(1, || allocate(&utils, budget));
         for threads in [2, 4, 8] {
-            let got = rayon::with_threads(threads, || allocate_par(&utils, budget));
+            let got = rayon::with_threads(threads, || allocate(&utils, budget));
             assert_eq!(reference, got, "{threads} threads");
         }
     }
@@ -1822,7 +1772,7 @@ mod par_tests {
             .map(|i| Power::new(1.0 + (i % 5) as f64, 0.5, 50.0))
             .collect();
         let budget = 10_000.0;
-        let a = allocate_par(&utils, budget);
+        let a = allocate(&utils, budget);
         assert!((a.total_allocated() - budget).abs() < 1e-3);
     }
 
@@ -1831,8 +1781,8 @@ mod par_tests {
         // budget ≥ Σ caps takes the early-return branch in both paths.
         let utils = mixed_pool(par_threshold() + 3);
         let budget = 101.0 * utils.len() as f64;
-        let seq = allocate(&utils, budget);
-        let par = allocate_par(&utils, budget);
+        let seq = rayon::with_threads(1, || allocate(&utils, budget));
+        let par = allocate(&utils, budget);
         assert_eq!(seq, par);
     }
 
@@ -1840,11 +1790,11 @@ mod par_tests {
     fn par_interruptible_with_clear_token_is_bit_identical() {
         let utils = mixed_pool(par_threshold() + 51);
         let budget = 0.25 * 100.0 * utils.len() as f64;
-        let plain = allocate_par(&utils, budget);
+        let plain = rayon::with_threads(1, || allocate(&utils, budget));
         let token = rayon::CancelToken::new();
         for threads in [1, 4] {
             let got = rayon::with_threads(threads, || {
-                allocate_par_interruptible(&utils, budget, &token, &mut || {
+                allocate_checked(&utils, budget, &token, &mut || {
                     Ok::<(), Interrupted>(())
                 })
             })
@@ -1864,7 +1814,7 @@ mod par_tests {
         let token = rayon::CancelToken::new();
         token.cancel();
         let result = rayon::with_threads(4, || {
-            allocate_par_interruptible(&utils, 500.0, &token, &mut || {
+            allocate_checked(&utils, 500.0, &token, &mut || {
                 Ok::<(), Interrupted>(())
             })
         });
@@ -1876,6 +1826,16 @@ mod par_tests {
 mod warm_tests {
     use super::*;
     use aa_utility::{CappedLinear, LogUtility, Power, Utility};
+
+    /// [`allocate_in`] on the calling thread, unchecked.
+    fn warm<U: Utility>(
+        utils: &[U],
+        budget: f64,
+        cache: &mut WarmCache,
+        amounts: &mut Vec<f64>,
+    ) -> WarmStats {
+        expect_complete(allocate_in(utils, budget, cache, amounts, Fan::Seq, &mut || Ok(())))
+    }
 
     fn pool(n: usize, scale_shift: f64) -> Vec<Box<dyn Utility>> {
         (0..n)
@@ -1946,7 +1906,7 @@ mod warm_tests {
         for budget in [0.0, 1.0, 37.5, 400.0, 1999.0] {
             let mut cache = WarmCache::new();
             let mut amounts = Vec::new();
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            let stats = warm(&utils, budget, &mut cache, &mut amounts);
             assert_eq!(stats.mode, WarmMode::Cold, "budget {budget}");
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
         }
@@ -1958,7 +1918,7 @@ mod warm_tests {
         let total_cap = 12.0 * 80.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        let stats = allocate_warm_into(&utils, total_cap + 1.0, &mut cache, &mut amounts);
+        let stats = warm(&utils, total_cap + 1.0, &mut cache, &mut amounts);
         assert_eq!(stats.mode, WarmMode::Saturated);
         assert_eq!(stats.demand_maps, 0);
         assert_bits_eq(&allocate(&utils, total_cap + 1.0), &amounts, "saturated");
@@ -1971,8 +1931,8 @@ mod warm_tests {
         let budget = 900.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
-        let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+        warm(&utils, budget, &mut cache, &mut amounts);
+        let stats = warm(&utils, budget, &mut cache, &mut amounts);
         assert_eq!(stats.mode, WarmMode::Revalidated);
         assert_eq!(stats.demand_maps, 2);
         assert_eq!(stats.iterations, 0);
@@ -1990,7 +1950,7 @@ mod warm_tests {
         let mut amounts = Vec::new();
         let halving = {
             let utils = pool(48, 0.0);
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             halving_maps(&utils, budget)
         };
         let mut warm_total = 0;
@@ -1998,7 +1958,7 @@ mod warm_tests {
         for epoch in 1..=epochs {
             // Small multiplicative drift in the utility scales each epoch.
             let utils = pool(48, 0.003 * epoch as f64);
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            let stats = warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert_ne!(stats.mode, WarmMode::Cold, "epoch {epoch}: fell back to cold");
             assert!(
@@ -2038,12 +1998,12 @@ mod warm_tests {
         let budget = 700.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&smooth(0.0), budget, &mut cache, &mut amounts);
+        warm(&smooth(0.0), budget, &mut cache, &mut amounts);
         let halving = halving_maps(&smooth(0.0), budget);
         assert!(halving > 50, "the halving should be expensive ({halving} maps)");
         for epoch in 1..12 {
             let utils = smooth(0.003 * epoch as f64);
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            let stats = warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert!(
                 stats.demand_maps <= 36 && stats.demand_maps * 3 <= halving * 2,
@@ -2058,9 +2018,9 @@ mod warm_tests {
         let utils = pool(32, 0.0);
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, 500.0, &mut cache, &mut amounts);
+        warm(&utils, 500.0, &mut cache, &mut amounts);
         for budget in [520.0, 480.0, 600.0, 300.0, 550.0] {
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            let stats = warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
             assert_ne!(stats.mode, WarmMode::Cold, "budget {budget}");
         }
@@ -2079,7 +2039,7 @@ mod warm_tests {
                 .into_iter()
                 .map(|u| aa_utility::Scaled::new(u, 10f64.powi(k)))
                 .collect();
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("scale 1e{k}"));
         }
     }
@@ -2091,10 +2051,10 @@ mod warm_tests {
         let budget = 420.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&pool(40, 0.0), budget, &mut cache, &mut amounts);
+        warm(&pool(40, 0.0), budget, &mut cache, &mut amounts);
         for n in [41, 39, 44, 36, 40] {
             let utils = pool(n, 0.001);
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("n {n}"));
         }
     }
@@ -2105,11 +2065,11 @@ mod warm_tests {
         let budget = 300.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+        warm(&utils, budget, &mut cache, &mut amounts);
         assert!(cache.bracket().is_some());
 
         let mut fuel = 1_u32;
-        let result = allocate_warm_into_interruptible(&utils, budget, &mut cache, &mut amounts, &mut || {
+        let result = allocate_in(&utils, budget, &mut cache, &mut amounts, Fan::Seq, &mut || {
             if fuel == 0 {
                 Err(Interrupted)
             } else {
@@ -2121,7 +2081,7 @@ mod warm_tests {
         assert!(cache.bracket().is_none(), "abort must invalidate the bracket");
 
         // Recovery: a quiet call replays cold and is still exact.
-        let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+        let stats = warm(&utils, budget, &mut cache, &mut amounts);
         assert_eq!(stats.mode, WarmMode::Cold);
         assert_bits_eq(&allocate(&utils, budget), &amounts, "recovery");
     }
@@ -2132,7 +2092,7 @@ mod warm_tests {
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
         for budget in [200.0, 16.0 * 80.0 + 5.0, 210.0, 205.0] {
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
         }
     }
@@ -2145,7 +2105,7 @@ mod warm_tests {
         let utils = pool(50, 0.0);
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, 444.0, &mut cache, &mut amounts);
+        warm(&utils, 444.0, &mut cache, &mut amounts);
         let caps_before = (
             amounts.capacity(),
             cache.caps.capacity(),
@@ -2154,7 +2114,7 @@ mod warm_tests {
             cache.d_probe.capacity(),
         );
         for budget in [444.0, 450.0, 440.0, 444.0] {
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
         }
         let caps_after = (
             amounts.capacity(),

@@ -23,3 +23,11 @@
 pub fn par_threshold() -> usize {
     4096
 }
+
+/// Whether a per-element sweep over `len` elements fans out over the
+/// pool: at or past [`par_threshold`], and only while the pool is wider
+/// than one thread, so width 1 (`rayon::with_threads(1, …)`) runs the
+/// sequential path itself rather than its chunks inline.
+pub fn fans_out(len: usize) -> bool {
+    len >= par_threshold() && rayon::current_num_threads() > 1
+}

@@ -11,9 +11,9 @@
 //! crumb pour.
 
 use aa_allocator::bisection::{
-    allocate, allocate_generic, allocate_par, allocate_warm_into, discrete_ladder_bracket,
+    allocate, allocate_generic, allocate_in, discrete_ladder_bracket, Fan,
 };
-use aa_allocator::WarmCache;
+use aa_allocator::{Interrupted, WarmCache};
 use aa_utility::{CappedLinear, DynUtility, Linearized, PiecewiseLinear, Power, Scaled, Utility};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -81,23 +81,25 @@ proptest! {
     ) {
         let total_cap: f64 = utils.iter().map(|u| u.cap()).sum();
         let budget = budget_frac * total_cap;
-        let fast = allocate(&utils, budget);
+        let fast = rayon::with_threads(1, || allocate(&utils, budget));
         let generic = allocate_generic(&utils, budget);
         assert_bit_identical(&fast, &generic, "ladder vs generic");
 
         for &threads in &[1usize, 2, 8] {
-            let par = rayon::with_threads(threads, || allocate_par(&utils, budget));
+            let par = rayon::with_threads(threads, || allocate(&utils, budget));
             assert_bit_identical(&fast, &par, &format!("seq vs par@{threads}"));
         }
 
         let mut cache = WarmCache::new();
         let mut warm_amounts = Vec::new();
-        allocate_warm_into(&utils, budget, &mut cache, &mut warm_amounts);
+        let unchecked = &mut || Ok::<_, Interrupted>(());
+        allocate_in(&utils, budget, &mut cache, &mut warm_amounts, Fan::Seq, unchecked).unwrap();
         for (i, (x, y)) in fast.amounts.iter().zip(&warm_amounts).enumerate() {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "warm amounts[{}] diverged", i);
         }
         // And again through the now-primed cache (the warm path proper).
-        allocate_warm_into(&utils, budget, &mut cache, &mut warm_amounts);
+        let unchecked = &mut || Ok::<_, Interrupted>(());
+        allocate_in(&utils, budget, &mut cache, &mut warm_amounts, Fan::Seq, unchecked).unwrap();
         for (i, (x, y)) in fast.amounts.iter().zip(&warm_amounts).enumerate() {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "re-warm amounts[{}] diverged", i);
         }

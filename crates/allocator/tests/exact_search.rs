@@ -24,10 +24,8 @@
 
 use std::sync::Arc;
 
-use aa_allocator::bisection::{
-    allocate, allocate_generic, allocate_par, allocate_warm_into, WARM_MIN_PRICE,
-};
-use aa_allocator::WarmCache;
+use aa_allocator::bisection::{allocate, allocate_generic, allocate_in, Fan, WARM_MIN_PRICE};
+use aa_allocator::{Interrupted, WarmCache};
 use aa_utility::check::{check_concave_shape, sample_points};
 use aa_utility::{
     CappedLinear, Ceiling, DynUtility, Linearized, LogUtility, Offset, Pchip, PiecewiseLinear,
@@ -149,11 +147,12 @@ fn assert_non_monotone<U: Utility>(
 fn check_market<U: Utility + Sync>(utils: &[U], budget: f64) -> Result<(), String> {
     let mut cache = WarmCache::new();
     let mut amounts = Vec::new();
-    let stats = allocate_warm_into(utils, budget, &mut cache, &mut amounts);
+    let unchecked = &mut || Ok::<_, Interrupted>(());
+    let stats = allocate_in(utils, budget, &mut cache, &mut amounts, Fan::Seq, unchecked).unwrap();
     assert_bits(&amounts, &allocate(utils, budget).amounts, "allocate")?;
     assert_bits(&amounts, &allocate_generic(utils, budget).amounts, "allocate_generic")?;
-    let par = rayon::with_threads(2, || allocate_par(utils, budget));
-    assert_bits(&amounts, &par.amounts, "allocate_par")?;
+    let par = rayon::with_threads(2, || allocate(utils, budget));
+    assert_bits(&amounts, &par.amounts, "allocate@2")?;
 
     let want = halving(utils, budget);
     prop_assert!(

@@ -1,31 +1,20 @@
-//! Differential proptest for the batched SoA demand kernel.
+//! Differential proptest for the compiled demand table.
 //!
-//! `DemandTable::batch_inverse_derivative` must be **bit-identical** to
-//! per-element `Utility::inverse_derivative` dispatch — the bisection
-//! allocator's determinism contract rests on the two paths never
-//! diverging, not even in the last ulp. This suite drives the comparison
-//! over random mixes of all four concrete families (power, log,
-//! capped-linear, piecewise-linear) plus PCHIP, linearized, and the
-//! combinator wrappers (`Scaled`, `Offset`, `Ceiling`, `Sum`, smart
-//! pointers), at prices chosen adversarially: exact demand-curve knots,
-//! their adjacent floats, `0`, and `+∞` — and under pool sizes 1/2/8,
-//! which must not change a single bit.
+//! `DemandTable::compile` keeps per-slice state (its length, whether
+//! every row is a unit-scale staircase, and the merged discrete ladder).
+//! Recompiling a table over another slice must leave it exactly as a
+//! fresh compile would, over random mixes of all four concrete families
+//! (power, log, capped-linear, piecewise-linear) plus PCHIP, linearized,
+//! and the combinator wrappers (`Scaled`, `Offset`, `Ceiling`, `Sum`,
+//! smart pointers).
 
 use std::sync::Arc;
 
 use aa_utility::{
     CappedLinear, Ceiling, DemandTable, DynUtility, Linearized, LogUtility, Offset, Pchip,
-    PiecewiseLinear, Power, Scaled, Sum, Utility,
+    PiecewiseLinear, Power, Scaled, Sum,
 };
 use proptest::prelude::*;
-
-fn next_up(x: f64) -> f64 {
-    f64::from_bits(x.to_bits() + 1)
-}
-
-fn next_down(x: f64) -> f64 {
-    f64::from_bits(x.to_bits() - 1)
-}
 
 /// A generated utility plus the λ values where its demand curve has
 /// knots (jumps or kinks) — the adversarial probe prices.
@@ -125,49 +114,6 @@ fn family() -> impl Strategy<Value = Gen> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn batch_kernel_is_bit_identical_to_dispatch(
-        gens in prop::collection::vec(family(), 1..12),
-        extra_lambdas in prop::collection::vec(0.0..40.0f64, 2),
-    ) {
-        let utils: Vec<DynUtility> = gens.iter().map(|g| Arc::clone(&g.0)).collect();
-        let mut table = DemandTable::new();
-        table.compile(&utils);
-        prop_assert_eq!(table.len(), utils.len());
-
-        // Probe prices: 0, +∞, a couple of arbitrary prices, and every
-        // knot with both adjacent floats.
-        let mut lambdas = vec![0.0, f64::INFINITY];
-        lambdas.extend_from_slice(&extra_lambdas);
-        for (_, knots) in &gens {
-            for &k in knots {
-                if k.is_finite() && k > 0.0 {
-                    lambdas.push(next_down(k));
-                    lambdas.push(k);
-                    lambdas.push(next_up(k));
-                }
-            }
-        }
-
-        let mut batch = vec![0.0; utils.len()];
-        for &threads in &[1usize, 2, 8] {
-            for &lambda in &lambdas {
-                rayon::with_threads(threads, || {
-                    table.batch_inverse_derivative(&utils, lambda, &mut batch);
-                });
-                for (i, u) in utils.iter().enumerate() {
-                    let direct = u.inverse_derivative(lambda);
-                    prop_assert_eq!(
-                        batch[i].to_bits(),
-                        direct.to_bits(),
-                        "kernel {} != dispatch {} (elem {}, λ = {:e}, {} threads)",
-                        batch[i], direct, i, lambda, threads
-                    );
-                }
-            }
-        }
-    }
 
     /// Recompiling the same table over a different slice must fully
     /// reset it — no state leaks between instances.

@@ -522,9 +522,11 @@ pub struct BenchEntry {
     pub threads: usize,
     /// Instance seed (derived from the base seed and the entry index).
     pub seed: u64,
-    /// Minimum wall time of the sequential solve, milliseconds.
+    /// Minimum wall time of `algo2::solve` at pool width 1 (the
+    /// sequential path), milliseconds.
     pub seq_millis: f64,
-    /// Minimum wall time of the parallel solve, milliseconds.
+    /// Minimum wall time of `algo2::solve` on the ambient pool,
+    /// milliseconds.
     pub par_millis: f64,
     /// `seq_millis / par_millis`.
     pub speedup: f64,
@@ -788,9 +790,9 @@ fn stage_breakdown(problem: &Problem) -> (u64, u64, u64) {
 /// the search `superopt::super_optimal` runs, through a fresh cache.
 fn superopt_rows(problem: &Problem) -> u64 {
     let mut cache = aa_allocator::WarmCache::new();
-    let pool = problem.servers() as f64 * problem.capacity();
-    let views = problem.capped_threads();
-    aa_allocator::bisection::allocate_warm_into(&views, pool, &mut cache, &mut Vec::new()).rows
+    let (views, amounts) = (&mut Vec::new(), &mut Vec::new());
+    let stats = superopt::super_optimal_warm_into(problem, None, &mut cache, views, amounts);
+    stats.expect("an unbudgeted search never fails").rows
 }
 
 /// Time one whole-slice demand sweep two ways — the λ-search's own
@@ -1054,7 +1056,7 @@ fn scale_entry(
     let n = problem.len();
     let reps = if n >= 500_000 { 1 } else { reps.max(1) };
 
-    let (algo2_millis, a2) = time_best(reps, || algo2::solve_par(&problem));
+    let (algo2_millis, a2) = time_best(reps, || algo2::solve(&problem));
     let mut price_millis = f64::INFINITY;
     let mut price_a = None;
     let mut stats = aa_core::PriceStats::default();
@@ -1069,7 +1071,7 @@ fn scale_entry(
     let price_a = price_a.expect("reps ≥ 1");
     let algo2_utility = a2.total_utility(&problem);
     let price_utility = price_a.total_utility(&problem);
-    let superopt_bound = superopt::super_optimal_par(&problem).utility;
+    let superopt_bound = superopt::super_optimal(&problem).utility;
 
     // Per-iteration sweep timing: one full-width demand sweep,
     // sequential vs through the pool, minimum over reps and probe
@@ -1206,8 +1208,9 @@ pub fn bench_document(opts: &BenchOpts) -> Result<BenchReport, CliError> {
                 .generate(&mut rng)
                 .map_err(CliError::Problem)?;
 
-            let (seq_millis, seq) = time_best(opts.reps, || algo2::solve(&problem));
-            let (par_millis, par) = time_best(opts.reps, || algo2::solve_par(&problem));
+            let (seq_millis, seq) =
+                time_best(opts.reps, || rayon::with_threads(1, || algo2::solve(&problem)));
+            let (par_millis, par) = time_best(opts.reps, || algo2::solve(&problem));
             let seq_utility = seq.total_utility(&problem);
             let par_utility = par.total_utility(&problem);
             let so_bound = superopt::super_optimal(&problem).utility;

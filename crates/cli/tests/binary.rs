@@ -371,9 +371,9 @@ fn bench_small_writes_valid_schema_with_matching_utilities() {
     assert!(e["generic_micros"].as_f64().unwrap() >= 0.0);
 
     // Every matrix entry must hold par ≥ 0.95× seq. Small instances sit
-    // below the parallel threshold, where `solve_par` falls straight
-    // through to the sequential path — identical code, so any shortfall
-    // is pure timing noise. Retry the whole bench before declaring a
+    // below the parallel threshold, where `algo2::solve` runs the
+    // sequential path at any pool width — identical code, so any
+    // shortfall is pure timing noise. Retry the whole bench before declaring a
     // real (systematic) slowdown.
     let all_fast = |r: &serde_json::Value| {
         r["entries"]

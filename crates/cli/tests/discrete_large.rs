@@ -48,9 +48,9 @@ fn discrete_large_bench_instance_is_bit_stable() {
 
     // Solver level: sequential and parallel Algorithm 2 stay identical
     // on the full instance (the bench matrix's `identical` contract).
-    let seq = algo2::solve(&problem);
+    let seq = rayon::with_threads(1, || algo2::solve(&problem));
     for &threads in &[2usize, 8] {
-        let par = rayon::with_threads(threads, || algo2::solve_par(&problem));
+        let par = rayon::with_threads(threads, || algo2::solve(&problem));
         assert_eq!(seq, par, "seq vs par@{threads} diverged");
     }
 }

@@ -15,45 +15,32 @@
 use aa_utility::{Linearized, Utility};
 
 use crate::budget::Budget;
-use crate::linearize::{linearize, linearize_par};
+use crate::linearize::linearize;
 use crate::problem::{Assignment, Problem};
 use crate::solver::SolveError;
-use crate::superopt::{super_optimal, super_optimal_budgeted, super_optimal_par, SuperOptimal};
+use crate::superopt::{super_optimal_budgeted, SuperOptimal};
 
 /// Run the complete Algorithm 1 pipeline: super-optimal allocation →
-/// linearization → greedy assignment.
+/// linearization → greedy assignment. [`solve_budgeted`] under
+/// [`Budget::unlimited`].
 pub fn solve(problem: &Problem) -> Assignment {
-    let _span = aa_obs::span!("algo1");
-    let so = super_optimal(problem);
-    let gs = linearize(problem, &so);
-    assign_with(problem, &so, &gs)
+    solve_budgeted(problem, &Budget::unlimited()).expect("an unlimited budget never expires")
 }
 
-/// [`solve`] with the super-optimal allocation and linearization fanned
-/// out over the thread pool; the `O(mn²)`-flavor greedy itself stays
-/// sequential (it is inherently order-dependent). **Bit-identical** to
-/// [`solve`] for every thread count — the pool materializes per-thread
-/// values in index order and reduces sequentially — which the
-/// differential test suite asserts exactly.
-pub fn solve_par(problem: &Problem) -> Assignment {
-    let _span = aa_obs::span!("algo1");
-    let so = super_optimal_par(problem);
-    let gs = linearize_par(problem, &so);
-    assign_with(problem, &so, &gs)
-}
-
-/// [`solve_par`] under a solve [`Budget`]: the super-optimal bisection
+/// [`solve`] under a solve [`Budget`]: the super-optimal λ-search
 /// checks the budget per iteration (and its pool fan-outs watch the
 /// budget's cancel token), and the greedy assignment checks it once per
-/// round. While the budget holds the result is **bit-identical** to
-/// [`solve_par`] (and hence [`solve`]); expiry surfaces as
-/// [`SolveError::DeadlineExceeded`], external cancellation as
-/// [`SolveError::Cancelled`] — never a half-built assignment.
+/// round. The λ-search and the linearization fan out over the pool past
+/// the allocator's parallel threshold; the `O(mn²)`-flavor greedy is
+/// inherently order-dependent and stays sequential. While the budget
+/// holds the result is **bit-identical** at every pool width; expiry
+/// surfaces as [`SolveError::DeadlineExceeded`], external cancellation
+/// as [`SolveError::Cancelled`] — never a half-built assignment.
 pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
     let _span = aa_obs::span!("algo1");
     let so = super_optimal_budgeted(problem, budget)?;
     budget.check()?;
-    let gs = linearize_par(problem, &so);
+    let gs = linearize(problem, &so);
     assign_with_budgeted(problem, &so, &gs, budget)
 }
 
@@ -263,6 +250,7 @@ mod tests {
 
     use aa_utility::{CappedLinear, LogUtility, Power};
 
+    use crate::superopt::super_optimal;
     use crate::ALPHA;
 
     fn arc<U: Utility + 'static>(u: U) -> aa_utility::DynUtility {
@@ -380,9 +368,9 @@ mod tests {
             .threads((0..40).map(|i| arc(Power::new(1.0 + (i % 5) as f64, 0.6, 6.0))))
             .build()
             .unwrap();
-        let seq = solve(&p);
+        let seq = rayon::with_threads(1, || solve(&p));
         for threads in [1, 2, 8] {
-            let par = rayon::with_threads(threads, || solve_par(&p));
+            let par = rayon::with_threads(threads, || solve(&p));
             assert_eq!(seq, par, "{threads} threads");
         }
     }

@@ -32,13 +32,14 @@ use aa_utility::num::OrdF64;
 use aa_utility::{Linearized, Utility};
 
 use crate::budget::Budget;
-use crate::linearize::{linearize, linearize_par};
+use crate::linearize::linearize;
 use crate::problem::{Assignment, Problem};
 use crate::solver::SolveError;
-use crate::superopt::{super_optimal, super_optimal_budgeted, super_optimal_par, SuperOptimal};
+use crate::superopt::{super_optimal_budgeted, SuperOptimal};
 
 /// Run the complete Algorithm 2 pipeline: super-optimal allocation →
-/// linearization → sorted heap assignment.
+/// linearization → sorted heap assignment. [`solve_budgeted`] under
+/// [`Budget::unlimited`].
 ///
 /// # Example
 ///
@@ -63,13 +64,7 @@ use crate::superopt::{super_optimal, super_optimal_budgeted, super_optimal_par, 
 /// assert!(assignment.total_utility(&problem) >= ALPHA * bound - 1e-9);
 /// ```
 pub fn solve(problem: &Problem) -> Assignment {
-    let _span = aa_obs::span!("algo2");
-    if aa_obs::record_enabled() {
-        solve_counter().inc();
-    }
-    let so = super_optimal(problem);
-    let gs = linearize(problem, &so);
-    assign_with(problem, &so, &gs)
+    solve_budgeted(problem, &Budget::unlimited()).expect("an unlimited budget never expires")
 }
 
 /// Cached handle for the `aa_solve_total{solver="algo2"}` counter.
@@ -78,38 +73,15 @@ fn solve_counter() -> &'static aa_obs::Counter {
     HANDLE.get_or_init(|| aa_obs::global().counter_labeled("aa_solve_total", "solver", "algo2"))
 }
 
-/// [`solve`] with the super-optimal allocation and linearization fanned
-/// out over the thread pool — the assignment phase itself is
-/// `O(n log n)` and stays sequential. Intended for very large instances
-/// (`n` beyond ~10⁴). **Bit-identical** to [`solve`] for every thread
-/// count: the vendored pool materializes per-thread values in index
-/// order and reduces sequentially, so `AA_NUM_THREADS` (or a scoped
-/// `rayon::with_threads`) may change timing, never output. The
-/// differential test suite asserts exact equality.
-///
-/// Below the allocator's parallel threshold this is [`solve`] verbatim:
-/// small instances skip the pool plumbing entirely instead of paying
-/// fan-out overhead for maps that finish in microseconds (the benchmark
-/// suite asserts no small-instance slowdown).
-pub fn solve_par(problem: &Problem) -> Assignment {
-    if problem.len() < aa_allocator::par_threshold() {
-        return solve(problem);
-    }
-    let _span = aa_obs::span!("algo2");
-    if aa_obs::record_enabled() {
-        solve_counter().inc();
-    }
-    let so = super_optimal_par(problem);
-    let gs = linearize_par(problem, &so);
-    assign_with(problem, &so, &gs)
-}
-
-/// [`solve_par`] under a solve [`Budget`]: the super-optimal bisection
+/// [`solve`] under a solve [`Budget`]: the super-optimal λ-search
 /// checks the budget per iteration (its pool fan-outs watch the budget's
 /// cancel token and abandon unclaimed chunks when it fires), and the
-/// placement loop checks it once per heap pop. While the budget holds
-/// the result is **bit-identical** to [`solve_par`] (and hence
-/// [`solve`]); expiry surfaces as [`SolveError::DeadlineExceeded`],
+/// placement loop checks it once per heap pop. The λ-search and the
+/// linearization fan out over the pool past the allocator's parallel
+/// threshold; the placement is `O(n log n)` and stays sequential. While
+/// the budget holds the result is **bit-identical** at every pool width
+/// (`AA_NUM_THREADS`, or a scoped `rayon::with_threads`, changes timing,
+/// never output); expiry surfaces as [`SolveError::DeadlineExceeded`],
 /// external cancellation as [`SolveError::Cancelled`] — never a
 /// half-built assignment.
 pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
@@ -119,7 +91,7 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, 
     }
     let so = super_optimal_budgeted(problem, budget)?;
     budget.check()?;
-    let gs = linearize_par(problem, &so);
+    let gs = linearize(problem, &so);
     assign_with_budgeted(problem, &so, &gs, budget)
 }
 
@@ -305,6 +277,7 @@ mod tests {
 
     use aa_utility::{CappedLinear, LogUtility, Power};
 
+    use crate::superopt::super_optimal;
     use crate::ALPHA;
 
     fn arc<U: Utility + 'static>(u: U) -> aa_utility::DynUtility {
@@ -529,6 +502,7 @@ mod tests {
 #[cfg(test)]
 mod par_tests {
     use super::*;
+    use crate::superopt::super_optimal;
     use std::sync::Arc;
 
     use aa_utility::{LogUtility, Power};
@@ -550,9 +524,9 @@ mod par_tests {
             }))
             .build()
             .unwrap();
-        let seq = solve(&p);
+        let seq = rayon::with_threads(1, || solve(&p));
         for threads in [1, 2, 8] {
-            let par = rayon::with_threads(threads, || solve_par(&p));
+            let par = rayon::with_threads(threads, || solve(&p));
             par.validate(&p).unwrap();
             assert_eq!(seq, par, "{threads} threads diverged from sequential");
         }
@@ -573,7 +547,7 @@ mod par_tests {
             }))
             .build()
             .unwrap();
-        let seq = solve(&p);
+        let seq = rayon::with_threads(1, || solve(&p));
         for threads in [1, 4] {
             let got = rayon::with_threads(threads, || {
                 solve_budgeted(&p, &crate::Budget::unlimited())
@@ -591,6 +565,6 @@ mod par_tests {
             }))
             .build()
             .unwrap();
-        assert_eq!(solve(&p), solve_par(&p));
+        assert_eq!(rayon::with_threads(1, || solve(&p)), solve(&p));
     }
 }

@@ -23,8 +23,8 @@
 //! [`RepairError`]s instead of panics, so a controller can park the
 //! workload and retry on the next recovery.
 
-use aa_allocator::bisection;
-use aa_utility::DynUtility;
+use aa_allocator::bisection::{self, Fan, Interrupted};
+use aa_utility::{DynUtility, Utility};
 
 use crate::online;
 use crate::problem::{Assignment, CappedView, Problem};
@@ -312,9 +312,8 @@ fn lightest(loads: &[f64]) -> usize {
 /// reallocating them per split evaluation — `repair_after` evaluates
 /// `O(m)` optimal splits per evacuee, so the per-split `Vec` churn
 /// dominated its allocator traffic. Results are **bit-identical** to
-/// the arena-free path: the split evaluation goes through
-/// [`bisection::allocate_utility_into`], which replays the exact cold
-/// bisection.
+/// the arena-free path: each split evaluation runs the exact cold
+/// λ-search through [`bisection::allocate_in`] on the arena's buffers.
 #[derive(Debug, Clone, Default)]
 pub struct RepairArena {
     views: Vec<CappedView>,
@@ -455,7 +454,7 @@ fn split_utility(views: &[CappedView], group: &[usize], capacity: f64) -> f64 {
 /// [`split_utility`] into caller-owned buffers: clones the group's
 /// views into `scratch` (an `Arc` clone plus an `f64` each — no heap
 /// traffic once `scratch` has capacity) and runs the exact cold
-/// bisection replay through [`bisection::allocate_utility_into`].
+/// λ-search through [`bisection::allocate_in`].
 /// Bit-identical to the reference: same element order, same budget,
 /// same index-order utility summation.
 fn split_utility_into(
@@ -471,7 +470,14 @@ fn split_utility_into(
     }
     scratch.clear();
     scratch.extend(group.iter().map(|&i| views[i].clone()));
-    bisection::allocate_utility_into(scratch, capacity, cache, amounts)
+    // A fresh cold search per split: a bracket carried from another
+    // group would rarely revalidate.
+    cache.invalidate();
+    let unchecked = &mut || Ok::<_, Interrupted>(());
+    bisection::allocate_in(scratch, capacity, cache, amounts, Fan::Seq, unchecked)
+        .expect("an unchecked sequential search never interrupts");
+    // Index-order sum of f_i(x_i), as `bisection::allocate` sums it.
+    scratch.iter().zip(amounts.iter()).map(|(f, &x)| f.value(x)).sum()
 }
 
 #[cfg(test)]

@@ -176,13 +176,8 @@ pub fn allocate_groups_budgeted(
         }
         group.clear();
         group.extend(idx.iter().map(|&i| &views[i]));
-        bisection::allocate_warm_into_interruptible(
-            &group,
-            problem.capacity(),
-            &mut cache,
-            &mut split,
-            &mut || budget.check(),
-        )?;
+        let (fan, check) = (bisection::Fan::Seq, &mut || budget.check());
+        bisection::allocate_in(&group, problem.capacity(), &mut cache, &mut split, fan, check)?;
         for (&i, &c) in idx.iter().zip(&split) {
             amount[i] = c;
         }

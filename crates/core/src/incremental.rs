@@ -11,10 +11,10 @@
 //! * **Identical problems** — same thread objects (by [`Arc::ptr_eq`]),
 //!   same `m` and `C`: the stored answer is returned without a solve.
 //! * **Warm bisection** — the water-level bracket from the previous solve
-//!   is revalidated with two demand maps and re-refined from the previous
-//!   level ± a delta-derived margin ([`aa_allocator::bisection`]'s
-//!   [`WarmCache`]); the iteration count drops from `O(log mC)` to
-//!   near-constant under slow drift.
+//!   is revalidated with two demand maps, or the probe loop walks
+//!   geometrically out from it and closes the new bracket
+//!   ([`aa_allocator::bisection`]'s [`WarmCache`]); the iteration count
+//!   drops from `O(log mC)` to near-constant under slow drift.
 //! * **Arena reuse** — the linearizations (one `linearize_one` per
 //!   thread), the two sorts and the fullest-server walk run Algorithm 2's
 //!   one placement (`algo2::Placement`) on buffers kept in the state:

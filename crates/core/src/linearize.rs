@@ -17,73 +17,60 @@ use rayon::prelude::*;
 use crate::problem::Problem;
 use crate::superopt::SuperOptimal;
 
-/// Thread-count threshold past which [`linearize_par`] fans the
-/// per-thread `g_i` construction out over the pool. Each element costs a
-/// single `f.value(ĉ_i)` evaluation, so small instances are cheaper
+/// Thread-count threshold past which [`linearize`] fans the per-thread
+/// `g_i` construction out over the pool. Each element costs a single
+/// `f.value(ĉ_i)` evaluation, so small instances are cheaper
 /// sequentially. This is the shared workspace crossover
 /// ([`aa_allocator::tuning`]) — the bisection's demand sweeps gate on the
 /// same value, so the two stages can no longer silently diverge.
 pub use aa_allocator::tuning::par_threshold;
 
-/// Linearize thread `i` through `c_hat`: the shared per-thread kernel of
-/// [`linearize`], [`linearize_par`] and the warm engine
-/// ([`crate::incremental`]), so all three agree bit for bit. Evaluates
+/// Linearize thread `i` through `c_hat`: the one per-thread kernel of
+/// [`linearize`] (sequential or pooled) and the warm engine
+/// ([`crate::incremental`]), so every path agrees bit for bit. Evaluates
 /// the *raw* utility (not the capped view) at `c_hat` and `0`, with
-/// domain `[0, C]` — exactly what the batch builders do.
+/// domain `[0, C]`.
 pub fn linearize_one(problem: &Problem, i: usize, c_hat: f64) -> Linearized {
     let f = &problem.threads()[i];
     Linearized::new(c_hat, f.value(c_hat), problem.capacity(), f.value(0.0))
 }
 
 /// Build the linearized utilities `g_1 … g_n` from a super-optimal
-/// allocation. `g_i` has domain `[0, C]`.
+/// allocation. `g_i` has domain `[0, C]`. Past [`par_threshold`] threads
+/// (on a pool wider than one) the construction fans out over the pool;
+/// **bit-identical** at every width, since each `g_i` depends only on
+/// `(f_i, ĉ_i, C)` and the pool's `collect` writes results into their
+/// input positions.
 pub fn linearize(problem: &Problem, so: &SuperOptimal) -> Vec<Linearized> {
-    let mut gs = Vec::with_capacity(problem.len());
-    linearize_into(problem, &so.amounts, &mut gs);
-    gs
+    let mut gs = Vec::new();
+    if !aa_allocator::tuning::fans_out(problem.len()) {
+        linearize_into(problem, &so.amounts, &mut gs);
+        return gs;
+    }
+    let _span = aa_obs::span!("linearize");
+    assert_covers(problem, &so.amounts);
+    (0..problem.len())
+        .into_par_iter()
+        .map(|i| linearize_one(problem, i, so.amounts[i]))
+        .collect()
 }
 
-/// [`linearize`] through `amounts` into `gs` (cleared first), so a
-/// caller that keeps `gs` across solves allocates nothing.
+/// [`linearize`] through `amounts` into `gs` (cleared first), on the
+/// calling thread, so a caller that keeps `gs` across solves allocates
+/// nothing.
 pub(crate) fn linearize_into(problem: &Problem, amounts: &[f64], gs: &mut Vec<Linearized>) {
     let _span = aa_obs::span!("linearize");
+    assert_covers(problem, amounts);
+    gs.clear();
+    gs.extend(amounts.iter().enumerate().map(|(i, &c_hat)| linearize_one(problem, i, c_hat)));
+}
+
+fn assert_covers(problem: &Problem, amounts: &[f64]) {
     assert_eq!(
         amounts.len(),
         problem.len(),
         "super-optimal allocation must cover every thread"
     );
-    gs.clear();
-    gs.extend(amounts.iter().enumerate().map(|(i, &c_hat)| linearize_one(problem, i, c_hat)));
-}
-
-/// [`linearize`] with the per-thread `g_i` construction fanned out over
-/// the thread pool once the instance has at least [`par_threshold`]
-/// threads. **Bit-identical** to [`linearize`] for every thread count:
-/// each `g_i` depends only on `(f_i, ĉ_i, C)` and the pool's `collect`
-/// writes results into their input positions.
-pub fn linearize_par(problem: &Problem, so: &SuperOptimal) -> Vec<Linearized> {
-    assert_eq!(
-        so.amounts.len(),
-        problem.len(),
-        "super-optimal allocation must cover every thread"
-    );
-    if problem.len() < par_threshold() {
-        return linearize(problem, so);
-    }
-    let _span = aa_obs::span!("linearize");
-    problem
-        .threads()
-        .par_iter()
-        .zip(&so.amounts)
-        .map(|(f, &c_hat)| {
-            Linearized::new(
-                c_hat,
-                f.value(c_hat),
-                problem.capacity(),
-                f.value(0.0),
-            )
-        })
-        .collect()
 }
 
 /// `Σ g_i(ĉ_i)`: the super-optimal utility expressed through the
@@ -160,9 +147,9 @@ mod tests {
             .build()
             .unwrap();
         let so = super_optimal(&p);
-        let seq = linearize(&p, &so);
+        let seq = rayon::with_threads(1, || linearize(&p, &so));
         for threads in [1, 2, 8] {
-            let par = rayon::with_threads(threads, || linearize_par(&p, &so));
+            let par = rayon::with_threads(threads, || linearize(&p, &so));
             assert_eq!(seq, par, "{threads} threads");
         }
     }

@@ -8,7 +8,8 @@
 //! measured against. The allocation `ĉ` itself seeds the linearization
 //! (Equation 1) and both approximation algorithms.
 
-use aa_allocator::bisection;
+use aa_allocator::bisection::{self, Fan};
+use aa_utility::Utility;
 
 use crate::budget::Budget;
 use crate::problem::Problem;
@@ -28,6 +29,7 @@ pub struct SuperOptimal {
 /// from `[0, 1]` down to the water level's binade, then a bounded
 /// false-position close — about 15–30 demand sweeps of `O(n)` each on
 /// the paper's instances, never more than a few beyond plain bisection.
+/// [`super_optimal_budgeted`] under [`Budget::unlimited`].
 ///
 /// # Example
 ///
@@ -47,42 +49,16 @@ pub struct SuperOptimal {
 /// assert!(so.amounts.iter().all(|&c| (c - 3.0).abs() < 1e-6));
 /// ```
 pub fn super_optimal(problem: &Problem) -> SuperOptimal {
-    let _span = aa_obs::span!("superopt");
-    let views = problem.capped_threads();
-    let budget = problem.servers() as f64 * problem.capacity();
-    let alloc = bisection::allocate(&views, budget);
-    SuperOptimal {
-        amounts: alloc.amounts,
-        utility: alloc.utility,
-    }
+    super_optimal_budgeted(problem, &Budget::unlimited())
+        .expect("an unlimited budget never expires")
 }
 
-/// [`super_optimal`] with the demand evaluation fanned out over the
-/// thread pool for very large thread counts — see
-/// [`aa_allocator::bisection::allocate_par`]. **Bit-identical** to
-/// [`super_optimal`] for every thread count: the parallel allocator
-/// shares one implementation with the sequential one and the vendored
-/// pool materializes per-thread values in index order before reducing
-/// sequentially. Falls back to the sequential path below the parallel
-/// threshold, so it is always safe to call.
-pub fn super_optimal_par(problem: &Problem) -> SuperOptimal {
-    let _span = aa_obs::span!("superopt");
-    let views = problem.capped_threads();
-    let budget = problem.servers() as f64 * problem.capacity();
-    let alloc = bisection::allocate_par(&views, budget);
-    SuperOptimal {
-        amounts: alloc.amounts,
-        utility: alloc.utility,
-    }
-}
-
-/// [`super_optimal_par`] under a solve [`Budget`]: the bisection checks
-/// the budget at iteration granularity, and above the allocator's
-/// parallel threshold the fanned-out demand maps additionally watch the
-/// budget's cancel token, abandoning unclaimed chunks the moment it
-/// fires. While the budget holds, the result is **bit-identical** to
-/// [`super_optimal_par`] (and hence [`super_optimal`]) for every thread
-/// count.
+/// [`super_optimal`] under a solve [`Budget`]: the λ-search checks the
+/// budget at iteration granularity, and its demand sweeps fan out over
+/// the pool past the allocator's parallel threshold, watching the
+/// budget's cancel token and abandoning unclaimed chunks the moment it
+/// fires. While the budget holds, the result is **bit-identical** at
+/// every pool width.
 pub fn super_optimal_budgeted(
     problem: &Problem,
     budget: &Budget,
@@ -90,28 +66,26 @@ pub fn super_optimal_budgeted(
     let _span = aa_obs::span!("superopt");
     let views = problem.capped_threads();
     let pool = problem.servers() as f64 * problem.capacity();
-    let alloc = bisection::allocate_par_interruptible(
-        &views,
-        pool,
-        budget.cancel_token(),
-        &mut || budget.check(),
-    )?;
-    Ok(SuperOptimal {
-        amounts: alloc.amounts,
-        utility: alloc.utility,
-    })
+    let mut amounts = Vec::new();
+    let fan = Fan::Pool(Some(budget.cancel_token()));
+    let mut cache = bisection::WarmCache::new();
+    bisection::allocate_in(&views, pool, &mut cache, &mut amounts, fan, &mut || budget.check())?;
+    // Index-order sum of f_i(ĉ_i), as `bisection::allocate` sums it.
+    let utility = views.iter().zip(&amounts).map(|(f, &x)| f.value(x)).sum();
+    Ok(SuperOptimal { amounts, utility })
 }
 
-/// The delta path of [`super_optimal`]: re-run the bisection through a
+/// The delta path of [`super_optimal`]: re-run the λ-search through a
 /// persistent [`bisection::WarmCache`], writing `ĉ` into the caller's
 /// `amounts` buffer. When the cached bracket from the previous solve
 /// still pins the water level (slow drift), this costs two demand maps;
-/// otherwise it re-brackets from the previous level ± a delta-derived
-/// margin, and falls back to the cold search whenever identity cannot
-/// be proven. `views` is scratch the caller retains across solves so
-/// the steady state allocates nothing.
+/// otherwise the probe loop walks geometrically out from the carried
+/// bracket and closes the new one, and falls back to the cold search
+/// whenever identity cannot be proven. Its sweeps run on the calling
+/// thread, and `views` is scratch the caller retains across solves, so
+/// the steady state allocates nothing at any `n`.
 ///
-/// A `solve_budget` is checked at bisection-iteration granularity.
+/// A `solve_budget` is checked at λ-search iteration granularity.
 /// Expiry invalidates the cache (the bracket may be half-updated) and
 /// surfaces as the budget's typed error. While the budget holds (or
 /// with none), the amounts are **bit-identical** to [`super_optimal`]'s
@@ -131,7 +105,7 @@ pub fn super_optimal_warm_into(
     views.clear();
     views.extend((0..problem.len()).map(|i| problem.capped_thread(i)));
     let pool = problem.servers() as f64 * problem.capacity();
-    bisection::allocate_warm_into_interruptible(views, pool, cache, amounts, &mut || {
+    bisection::allocate_in(views, pool, cache, amounts, Fan::Seq, &mut || {
         solve_budget.map_or(Ok(()), Budget::check)
     })
 }
@@ -214,9 +188,9 @@ mod tests {
             .threads((0..64).map(|i| arc(Power::new(1.0 + (i % 9) as f64, 0.6, 7.0))))
             .build()
             .unwrap();
+        let seq = rayon::with_threads(1, || super_optimal(&p));
         for threads in [1, 2, 8] {
-            let seq = super_optimal(&p);
-            let par = rayon::with_threads(threads, || super_optimal_par(&p));
+            let par = rayon::with_threads(threads, || super_optimal(&p));
             assert_eq!(seq, par, "{threads} threads");
         }
     }

@@ -62,23 +62,23 @@ proptest! {
 
     #[test]
     fn algo1_parallel_equals_sequential(p in any_problem()) {
-        let seq = algo1::solve(&p);
+        let seq = rayon::with_threads(1, || algo1::solve(&p));
         for threads in THREAD_COUNTS {
-            let par = rayon::with_threads(threads, || algo1::solve_par(&p));
+            let par = rayon::with_threads(threads, || algo1::solve(&p));
             prop_assert_eq!(&seq, &par, "algo1 diverged at {} threads", threads);
         }
     }
 
     #[test]
     fn algo2_parallel_equals_sequential(p in any_problem()) {
-        let seq = algo2::solve(&p);
+        let seq = rayon::with_threads(1, || algo2::solve(&p));
         for threads in THREAD_COUNTS {
-            let par = rayon::with_threads(threads, || algo2::solve_par(&p));
+            let par = rayon::with_threads(threads, || algo2::solve(&p));
             prop_assert_eq!(&seq, &par, "algo2 diverged at {} threads", threads);
         }
         // Total utility, the headline number, is bit-identical too.
         let u = seq.total_utility(&p);
-        let up = rayon::with_threads(8, || algo2::solve_par(&p).total_utility(&p));
+        let up = rayon::with_threads(8, || algo2::solve(&p).total_utility(&p));
         prop_assert_eq!(u.to_bits(), up.to_bits());
     }
 
@@ -99,9 +99,9 @@ proptest! {
 
     #[test]
     fn superopt_parallel_equals_sequential(p in any_problem()) {
-        let seq = superopt::super_optimal(&p);
+        let seq = rayon::with_threads(1, || superopt::super_optimal(&p));
         for threads in THREAD_COUNTS {
-            let par = rayon::with_threads(threads, || superopt::super_optimal_par(&p));
+            let par = rayon::with_threads(threads, || superopt::super_optimal(&p));
             prop_assert_eq!(&seq, &par, "ĉ diverged at {} threads", threads);
         }
     }
@@ -155,9 +155,9 @@ fn large_instance_is_bit_identical_across_thread_counts() {
         }))
         .build()
         .unwrap();
-    let seq = algo2::solve(&p);
+    let seq = rayon::with_threads(1, || algo2::solve(&p));
     for threads in THREAD_COUNTS {
-        let par = rayon::with_threads(threads, || algo2::solve_par(&p));
+        let par = rayon::with_threads(threads, || algo2::solve(&p));
         assert_eq!(seq, par, "{threads} threads");
     }
 }

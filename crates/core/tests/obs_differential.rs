@@ -56,10 +56,10 @@ proptest! {
 
         // Oracle pass: recording off.
         collector.set_enabled(false);
-        let seq = algo2::solve(&p);
+        let seq = rayon::with_threads(1, || algo2::solve(&p));
         let pars: Vec<_> = THREAD_COUNTS
             .iter()
-            .map(|&t| rayon::with_threads(t, || algo2::solve_par(&p)))
+            .map(|&t| rayon::with_threads(t, || algo2::solve(&p)))
             .collect();
         let mut warm_off = WarmState::new();
         let inc = solve_incremental(&p, &mut warm_off);
@@ -67,11 +67,11 @@ proptest! {
 
         // Observed pass: identical calls under a live collector.
         collector.set_enabled(true);
-        let seq_on = algo2::solve(&p);
+        let seq_on = rayon::with_threads(1, || algo2::solve(&p));
         prop_assert!(aa_obs::record_enabled(), "collector raced off mid-test");
         for (&threads, par_off) in THREAD_COUNTS.iter().zip(&pars) {
-            let par_on = rayon::with_threads(threads, || algo2::solve_par(&p));
-            prop_assert_eq!(par_off, &par_on, "solve_par diverged at {} threads", threads);
+            let par_on = rayon::with_threads(threads, || algo2::solve(&p));
+            prop_assert_eq!(par_off, &par_on, "algo2::solve diverged at {} threads", threads);
         }
         let mut warm_on = WarmState::new();
         let inc_on = solve_incremental(&p, &mut warm_on);
@@ -143,6 +143,87 @@ fn demand_maps_counter_is_per_sweep() {
         (8..64).contains(&first),
         "per-sweep magnitude expected, got {first} (per-element would be ≈64×)"
     );
+
+    collector.set_enabled(false);
+}
+
+/// Every pipeline entry records one span tree and moves its counters
+/// once: `algo2::solve` and `algo2::solve_budgeted` the same tree,
+/// `algo1::solve` its own, and the warm engine a cold `bisection` on its
+/// first solve and a `bisection_warm` once it carries a bracket. The
+/// λ-search's span and counter name what ran, not which entry called it.
+#[test]
+fn each_entry_records_its_span_tree_and_counters() {
+    use aa_core::{algo1, Budget};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = aa_obs::Collector::install();
+    collector.set_enabled(true);
+    let registry = aa_obs::global();
+    let solves = registry.counter_labeled("aa_solve_total", "solver", "algo2");
+    let cold = registry.counter("aa_bisection_cold_total");
+    let warm = registry.counter("aa_bisection_warm_total");
+    // The span tree one call records (each span's name beside its
+    // parent's, `""` for a root, sorted), and how far it moved the
+    // algo2 solve, cold search and warm search counters.
+    let observe = |call: &mut dyn FnMut()| {
+        collector.clear();
+        let before = (solves.get(), cold.get(), warm.get());
+        call();
+        let moved = (solves.get() - before.0, cold.get() - before.1, warm.get() - before.2);
+        let events = collector.events();
+        let parent = |id: u64| events.iter().find(|e| e.id == id).map_or("", |e| e.name);
+        let mut tree: Vec<_> = events.iter().map(|e| (e.name, parent(e.parent_id))).collect();
+        tree.sort_unstable();
+        (tree, moved)
+    };
+
+    let threads = |shift: f64| -> Vec<DynUtility> {
+        (0..12)
+            .map(|i| Arc::new(Power::new(1.0 + i as f64 * 0.3 + shift, 0.5, 10.0)) as DynUtility)
+            .collect()
+    };
+    let p = Problem::new(3, 10.0, threads(0.0)).unwrap();
+
+    let algo2_tree = vec![
+        ("algo2", ""),
+        ("assign", "algo2"),
+        ("bisection", "superopt"),
+        ("linearize", "algo2"),
+        ("superopt", "algo2"),
+    ];
+    let (tree, moved) = observe(&mut || drop(algo2::solve(&p)));
+    assert_eq!(tree, algo2_tree, "algo2::solve");
+    assert_eq!(moved, (1, 1, 0), "algo2::solve counters");
+    let budget = Budget::unlimited();
+    let (tree, moved) = observe(&mut || drop(algo2::solve_budgeted(&p, &budget).unwrap()));
+    assert_eq!(tree, algo2_tree, "algo2::solve_budgeted");
+    assert_eq!(moved, (1, 1, 0), "algo2::solve_budgeted counters");
+
+    let algo1_tree = vec![
+        ("algo1", ""),
+        ("bisection", "superopt"),
+        ("linearize", "algo1"),
+        ("superopt", "algo1"),
+    ];
+    let (tree, moved) = observe(&mut || drop(algo1::solve(&p)));
+    assert_eq!(tree, algo1_tree, "algo1::solve");
+    assert_eq!(moved, (0, 1, 0), "algo1::solve counters");
+
+    // The warm engine's first solve has no bracket to carry: cold.
+    let mut state = WarmState::new();
+    let (tree, moved) = observe(&mut || drop(solve_incremental(&p, &mut state)));
+    assert!(tree.contains(&("warm_bisection", "incremental")), "{tree:?}");
+    assert!(tree.contains(&("bisection", "warm_bisection")), "{tree:?}");
+    assert!(!tree.iter().any(|s| s.0 == "bisection_warm"), "{tree:?}");
+    assert_eq!(moved, (0, 1, 0), "first warm-engine solve counters");
+
+    // A drifted instance starts from the carried bracket.
+    let drifted = Problem::new(3, 10.0, threads(0.01)).unwrap();
+    let (tree, moved) = observe(&mut || drop(solve_incremental(&drifted, &mut state)));
+    assert!(tree.contains(&("bisection_warm", "warm_bisection")), "{tree:?}");
+    assert!(!tree.iter().any(|s| s.0 == "bisection"), "{tree:?}");
+    assert_eq!(moved, (0, 0, 1), "drifted warm-engine solve counters");
 
     collector.set_enabled(false);
 }
