@@ -641,7 +641,7 @@ macro_rules! accept {
 ///    walk halves the price per probe. λ = 0 is a known low edge
 ///    (`D(0) = total_cap`) a `Relative` walk falls back to without a
 ///    sweep.
-/// 3. Close the bracket ([`close`]).
+/// 3. Close the bracket (`close`).
 ///
 /// `Relative(tol)` returns at the first probe within `tol·supply`; with
 /// none, the best feasible price seen (the high edge) or [`LAMBDA_MAX`],

@@ -110,7 +110,7 @@ use crate::proto::{
     WorkerResult,
 };
 use crate::serve::{
-    build_request_problem, ingress, parse_problem, run_serve, Admission, Admit, Answers, Outcome,
+    build_request, ingress, run_serve, Admission, Admit, Answers, Outcome,
     ServeOpts,
 };
 use crate::worker::worker_result;
@@ -473,6 +473,7 @@ impl FleetObs {
     fn write(&self) {
         const LANE_ID_MASK: u64 = (1 << 40) - 1;
         let mut lanes = Vec::with_capacity(self.lanes.len() + 1);
+        let args = self.collector.span_args();
         lanes.push(TraceLane {
             pid: 1,
             label: "front-end".to_string(),
@@ -488,6 +489,12 @@ impl FleetObs {
                     id: e.id,
                     parent_id: e.parent_id,
                     trace_id: self.span_trace.get(&e.id).copied().unwrap_or(0),
+                    args: args
+                        .get(&e.id)
+                        .into_iter()
+                        .flatten()
+                        .map(|&(k, v)| (k.to_string(), v))
+                        .collect(),
                 })
                 .collect(),
         });
@@ -520,6 +527,7 @@ impl FleetObs {
                         id: remap(s.id),
                         parent_id,
                         trace_id,
+                        args: s.args.clone(),
                     }
                 })
                 .collect();
@@ -1317,7 +1325,7 @@ fn thread_job(seq: u64, entry: &aa_core::PendingEntry<Admit>, fault: Option<Proc
             Some(ProcessFault::Stall { millis }) => std::thread::sleep(Duration::from_millis(millis)),
             _ => {}
         }
-        build_request_problem(&parse_problem(&text)?, previous)
+        build_request(&text, previous)
     });
     ShardJob {
         seq,

@@ -20,15 +20,16 @@
 //! the worker exactly as if it had crashed.
 //!
 //! A `Req`'s `problem` is the client's own JSON text: the front-end
-//! splices it into the frame unparsed ([`encode_req`]) and the worker
-//! decodes the header and the problem in one walk over the frame
-//! ([`decode_to_worker`]), so a problem that fails its schema is
-//! answered, not a protocol violation. The frame is still a
-//! [`ToWorker::Req`] document.
+//! splices it into the frame unparsed, as the frame's last member, and
+//! the worker reads the frame's header and passes the problem's text on
+//! to its build without decoding it, so a problem that fails its schema
+//! or its syntax is answered, not a protocol violation. The frame is
+//! still a [`ToWorker::Req`] document.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Reader, Serialize};
 
-use crate::serve::parse_problem;
 use crate::ProblemFile;
 
 /// Distributed trace context carried on a [`ToWorker::Req`]: the
@@ -101,59 +102,63 @@ pub(crate) fn encode_req(
     out
 }
 
-/// A [`ToWorker`] frame as the worker reads it: the header, and the
-/// problem decoded as [`parse_problem`] decodes the client's text.
+/// A [`ToWorker`] frame as the worker reads it: the header, and where
+/// the problem's text sits in the frame, undecoded.
 #[derive(Debug)]
 pub(crate) enum Inbound {
     /// [`ToWorker::Ping`].
     Ping { nonce: u64 },
-    /// [`ToWorker::Req`]; a problem that breaks its schema is an `Err`
-    /// to answer, not a protocol violation.
+    /// [`ToWorker::Req`]; its problem text is decoded by the build, which
+    /// answers a problem that breaks its schema or syntax.
     Req {
         seq: u64,
         stream: Option<u64>,
         budget_ms: Option<u64>,
         trace: Option<TraceCtx>,
-        problem: Result<ProblemFile, (&'static str, String)>,
+        /// The problem's text: these bytes of the frame.
+        problem: Range<usize>,
     },
 }
 
-/// Read one frame payload. `None` (bad JSON, an unknown type, a missing
-/// or mistyped header field) is a protocol violation; a schema-invalid
-/// problem is not.
+/// Read one frame payload. `None` (bad JSON in the header, an unknown
+/// type, a missing or mistyped header field, a `Req` without a problem)
+/// is a protocol violation; a problem the build cannot read is not.
 ///
-/// Every frame the front-end writes is decoded in one walk
-/// ([`decode_in_order`]). A frame that walk declines is read the long
-/// way ([`decode_scanned`]), which decides every violation and error
-/// text, so neither depends on which path ran.
+/// Every frame the front-end writes is read in one walk over its header
+/// ([`decode_in_order`]), which takes the rest of the frame, up to its
+/// closing `}`, as the problem's text. A frame that walk declines is read
+/// the long way ([`decode_scanned`]).
 pub(crate) fn decode_to_worker(payload: &str) -> Option<Inbound> {
     decode_in_order(payload).or_else(|| decode_scanned(payload))
 }
 
 /// One [`Reader`] walk over a frame whose members come in the order
-/// [`encode_req`] (or the serializer, for a ping) writes them, the
-/// problem decoded by [`ProblemFile`]'s typed `from_json`. `None`
-/// declines: a member out of order, unknown or repeated, a schema or
-/// syntax failure, or bytes after the closing `}`. A `Some` equals
-/// [`decode_scanned`]'s answer: the walk checked every byte with the
-/// lexer the scan uses, and a typed decode that succeeds equals the
-/// tree's.
+/// [`encode_req`] (or the serializer, for a ping) writes them. A `Req`'s
+/// `problem` is its last member: its text is every byte after the key's
+/// `:` up to the frame's last byte, which must be `}`, and is not read
+/// here. `None` declines: a header member out of order, unknown, repeated
+/// or mistyped, or a ping with bytes after its closing `}`.
 fn decode_in_order(payload: &str) -> Option<Inbound> {
     let mut r = Reader::new(payload);
     let more = r.enter(b'{').ok()?;
     let mut m = InOrder { r, more };
-    let msg = match m.next::<String>("type")?.as_str() {
-        "ping" => Inbound::Ping { nonce: m.next("nonce")? },
-        "req" => Inbound::Req {
-            seq: m.next("seq")?,
-            stream: m.next("stream")?,
-            budget_ms: m.next("budget_ms")?,
-            trace: m.next("trace")?,
-            problem: Ok(m.next("problem")?),
-        },
-        _ => return None,
-    };
-    (!m.more && m.r.at_end()).then_some(msg)
+    match m.next::<String>("type")?.as_str() {
+        "ping" => {
+            let nonce = m.next("nonce")?;
+            (!m.more && m.r.at_end()).then_some(Inbound::Ping { nonce })
+        }
+        "req" => {
+            let (seq, stream, budget_ms, trace) =
+                (m.next("seq")?, m.next("stream")?, m.next("budget_ms")?, m.next("trace")?);
+            if !m.more || m.r.key().ok()? != "problem" {
+                return None;
+            }
+            let start = m.r.pos();
+            let end = start + payload[start..].strip_suffix('}')?.len();
+            Some(Inbound::Req { seq, stream, budget_ms, trace, problem: start..end })
+        }
+        _ => None,
+    }
 }
 
 /// An entered object whose members are read in a fixed order.
@@ -175,8 +180,8 @@ impl InOrder<'_> {
     }
 }
 
-/// The frame read header first from its [`serde_json::scan`], the
-/// problem through [`parse_problem`] on its raw text.
+/// The frame read from its [`serde_json::scan`]: the header members by
+/// key, the problem as its value's text.
 fn decode_scanned(payload: &str) -> Option<Inbound> {
     let doc = serde_json::scan(payload).ok()?;
     fn field<T: Deserialize>(doc: &serde_json::Scan<'_>, key: &str) -> Option<T> {
@@ -189,7 +194,7 @@ fn decode_scanned(payload: &str) -> Option<Inbound> {
             stream: field(&doc, "stream")?,
             budget_ms: field(&doc, "budget_ms")?,
             trace: field(&doc, "trace")?,
-            problem: parse_problem(doc.raw("problem")?),
+            problem: doc.span("problem")?,
         }),
         _ => None,
     }
@@ -267,6 +272,8 @@ pub struct WireSpan {
     pub id: u64,
     /// Worker-local parent id; 0 for roots.
     pub parent_id: u64,
+    /// The span's named numbers ([`aa_obs::SpanGuard::set_args`]).
+    pub args: Vec<(String, u64)>,
 }
 
 /// Links one worker-local solve-root span to the front-end request
@@ -399,8 +406,13 @@ mod differential;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_utility::UtilitySpec;
+    use std::sync::Arc;
+
+    use aa_core::{Previous, Problem};
+    use aa_utility::{DynUtility, UtilitySpec};
     use super::differential::mutated_text;
+    use crate::build_problem_from;
+    use crate::serve::{build_request, parse_problem};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -499,13 +511,13 @@ mod tests {
         .unwrap();
         let decoded: ToWorker = serde_json::from_str(&spliced).unwrap();
         assert_eq!(serde_json::to_string(&decoded).unwrap(), canonical);
-        // The worker's read sees the same header, and the problem the
-        // client's text decodes to.
+        // The worker's read sees the same header, and passes the
+        // client's text on as it came.
         match decode_to_worker(&spliced) {
             Some(Inbound::Req { seq, stream, budget_ms, trace, problem }) => {
                 assert_eq!((seq, stream, budget_ms), (5, Some(6), Some(7)));
                 assert_eq!(trace.map(|t| (t.trace_id, t.parent_span)), Some((3, 4)));
-                assert_eq!(problem, Ok(serde_json::from_str(text).unwrap()));
+                assert_eq!(&spliced[problem], text.trim());
             }
             other => panic!("wrong frame: {other:?}"),
         }
@@ -513,20 +525,54 @@ mod tests {
             Some(Inbound::Ping { nonce: 8 }) => {}
             other => panic!("wrong frame: {other:?}"),
         }
-        // A broken header is a protocol violation; a broken problem is
-        // not the header's business.
+        // A broken header is a protocol violation, and so is a frame
+        // without its closing `}`; a broken problem is not the header's
+        // business.
         assert!(decode_to_worker(r#"{"type":"req","seq":"x","stream":null,"budget_ms":null,"trace":null,"problem":{}}"#).is_none());
         assert!(decode_to_worker(r#"{"type":"bogus"}"#).is_none());
+        assert!(decode_to_worker(r#"{"type":"req","seq":1,"stream":null,"budget_ms":null,"trace":null,"problem":1"#).is_none());
         assert!(decode_to_worker(r#"{"type":"req","seq":1,"stream":null,"budget_ms":null,"trace":null,"problem":"x"}"#).is_some());
+        assert!(decode_to_worker(r#"{"type":"req","seq":1,"stream":null,"budget_ms":null,"trace":null,"problem":[}"#).is_some());
     }
 
-    /// `decode_to_worker` answers as the scan-then-`parse_problem` read
-    /// does (compared by `Debug`, so a NaN matches itself), and the one
-    /// walk takes the frame exactly when `walks` says.
-    fn decodes_like_the_scan(frame: &str, walks: bool) {
-        let (got, oracle) = (decode_to_worker(frame), decode_scanned(frame));
-        assert_eq!(format!("{got:?}"), format!("{oracle:?}"), "on {frame:?}");
+    /// A frame's header as `Debug` text, its problem left out.
+    fn header(msg: &Option<Inbound>) -> String {
+        match msg {
+            Some(Inbound::Req { seq, stream, budget_ms, trace, .. }) => {
+                let trace = trace.map(|t| (t.trace_id, t.parent_span));
+                format!("req {seq} {stream:?} {budget_ms:?} {trace:?}")
+            }
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The worker's read of `frame` against the scan oracle, and whether
+    /// the one walk takes it (`walks`). A frame the walk declines reads
+    /// as the scan reads it. One it takes has the header the scan gives
+    /// the frame with its problem replaced by `null`, and passes every
+    /// byte after `"problem":` up to the closing `}` on as the problem —
+    /// the scan's own problem text, up to whitespace, when the frame
+    /// scans and its problem is the last member.
+    fn reads_like_the_scan(frame: &str, walks: bool) {
+        let got = decode_to_worker(frame);
         assert_eq!(decode_in_order(frame).is_some(), walks, "on {frame:?}");
+        let scanned = decode_scanned(frame);
+        let Some(Inbound::Req { problem, .. }) = decode_in_order(frame) else {
+            assert_eq!(format!("{got:?}"), format!("{scanned:?}"), "on {frame:?}");
+            return;
+        };
+        assert_eq!(problem.end, frame.len() - 1, "on {frame:?}");
+        let (head, problem) = (&frame[..problem.start], &frame[problem]);
+        let nulled = format!("{head}null}}");
+        let oracle = decode_scanned(&nulled);
+        let null = matches!(&oracle, Some(Inbound::Req { problem, .. }) if &nulled[problem.clone()] == "null");
+        assert!(null, "on {frame:?}");
+        assert_eq!(header(&got), header(&oracle), "on {frame:?}");
+        if let Some(Inbound::Req { problem: raw, .. }) = &scanned {
+            if frame[raw.clone()] == *problem.trim_matches(|c: char| c.is_ascii_whitespace()) {
+                assert_eq!(header(&got), header(&scanned), "on {frame:?}");
+            }
+        }
     }
 
     #[test]
@@ -536,58 +582,63 @@ mod tests {
         for (seq, stream, budget_ms, trace) in
             [(42, Some(7), Some(100), trace), (0, None, None, None)]
         {
-            decodes_like_the_scan(&encode_req(seq, stream, budget_ms, trace, &text), true);
+            reads_like_the_scan(&encode_req(seq, stream, budget_ms, trace, &text), true);
         }
         let ping = serde_json::to_string(&ToWorker::Ping { nonce: 8 }).unwrap();
-        decodes_like_the_scan(&ping, true);
-        // A problem that breaks its schema is answered with the text
-        // `parse_problem` gives, through the scan.
-        let bad = encode_req(1, None, None, None, r#"{"servers":2,"capacity":8.0,"threads":"x"}"#);
-        decodes_like_the_scan(&bad, false);
-        assert!(matches!(
-            decode_to_worker(&bad),
-            Some(Inbound::Req { problem: Err(("parse", e)), .. })
-                if e.starts_with("ServeRequest.problem: ")
-        ));
+        reads_like_the_scan(&ping, true);
+        // A problem that breaks its schema or its syntax crosses as it
+        // came; the build answers it.
+        for bad in [r#"{"servers":2,"capacity":8.0,"threads":"x"}"#, r#"{"servers":2,"#, "", "}"] {
+            let frame = encode_req(1, None, None, None, bad);
+            reads_like_the_scan(&frame, true);
+            let read = decode_to_worker(&frame);
+            let passed = matches!(&read, Some(Inbound::Req { problem, .. }) if &frame[problem.clone()] == bad);
+            assert!(passed, "{read:?}");
+        }
     }
 
     #[test]
     fn frames_the_walk_declines_decode_through_the_scan() {
         let p = serde_json::to_string(&sample_problem()).unwrap();
         let header = r#""seq":1,"stream":null,"budget_ms":5,"trace":null"#;
-        let cases = [
+        let declined = [
             // Reordered header keys.
             format!(r#"{{"seq":1,"type":"req","stream":null,"budget_ms":5,"trace":null,"problem":{p}}}"#),
             format!(r#"{{"type":"req","stream":null,"seq":1,"budget_ms":5,"trace":null,"problem":{p}}}"#),
-            format!(r#"{{"type":"req",{header},"problem":{p},"type":"ping"}}"#),
             r#"{"nonce":3,"type":"ping"}"#.to_string(),
-            // A duplicate `problem`: the first one counts.
-            format!(r#"{{"type":"req",{header},"problem":{p},"problem":{{}}}}"#),
-            format!(r#"{{"type":"req",{header},"problem":{{"servers":1}},"problem":{p}}}"#),
             // Unknown and missing members.
             format!(r#"{{"type":"req",{header},"extra":[1],"problem":{p}}}"#),
             r#"{"type":"ping","nonce":3,"extra":null}"#.to_string(),
             format!(r#"{{"type":"req","seq":1,"stream":null,"budget_ms":5,"problem":{p}}}"#),
+            format!(r#"{{"type":"req",{header}}}"#),
             // Garbage after the closing `}`, and frames cut after a `,`.
             format!(r#"{{"type":"req",{header},"problem":{p}}}x"#),
-            format!(r#"{{"type":"req",{header},"problem":{p}}}{{}}"#),
             format!(r#"{{"type":"req",{header},"problem":{p},"#),
             r#"{"type":"ping","nonce":3,"#.to_string(),
-            // A schema-invalid problem, and one whose syntax breaks.
-            format!(r#"{{"type":"req",{header},"problem":{{"servers":-1,"capacity":8,"threads":[]}}}}"#),
-            format!(r#"{{"type":"req",{header},"problem":{{"servers":2,"capacity":8.0,"threads":[}}}}"#),
-            format!(r#"{{"type":"req",{header},"problem":{{"servers":01}}}}"#),
+            r#"{"type":"ping","nonce":3}{}"#.to_string(),
             // A mistyped header field, an unknown type, not an object.
             format!(r#"{{"type":"req","seq":"1","stream":null,"budget_ms":5,"trace":null,"problem":{p}}}"#),
             r#"{"type":"pong","nonce":3}"#.to_string(),
             "[1]".to_string(),
             String::new(),
         ];
-        for frame in &cases {
-            decodes_like_the_scan(frame, false);
+        for frame in &declined {
+            reads_like_the_scan(frame, false);
         }
-        let spaced = format!("{{ \"type\" : \"req\" ,{header},\n\"problem\":{p} }}\n");
-        decodes_like_the_scan(&spaced, true);
+        // The problem is the last member: whatever follows it up to the
+        // closing `}` is its text, for the build to answer.
+        let taken = [
+            format!(r#"{{"type":"req",{header},"problem":{p},"type":"ping"}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{p},"problem":{{}}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{p}}}{{}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":-1,"capacity":8,"threads":[]}}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":2,"capacity":8.0,"threads":[}}}}"#),
+            format!(r#"{{"type":"req",{header},"problem":{{"servers":01}}}}"#),
+            format!("{{ \"type\" : \"req\" ,{header},\n\"problem\":{p} }}"),
+        ];
+        for frame in &taken {
+            reads_like_the_scan(frame, true);
+        }
     }
 
     fn random_problem(rng: &mut StdRng) -> ProblemFile {
@@ -623,22 +674,56 @@ mod tests {
             let (stream, budget_ms) = (maybe_u64(&mut rng), maybe_u64(&mut rng));
             let trace = rng.gen_bool(0.5).then_some(TraceCtx { trace_id: 7, parent_span: 9 });
             let problem = random_problem(&mut rng);
-            let frame = match rng.gen_range(0..3u32) {
+            if rng.gen_bool(1.0 / 3.0) {
                 // The whole frame mutated.
-                0 => {
-                    let msg = if rng.gen_bool(0.2) {
-                        ToWorker::Ping { nonce: rng.gen_range(0..1000u64) }
-                    } else {
-                        ToWorker::Req { seq, stream, budget_ms, trace, problem }
-                    };
-                    mutated_text(&msg, &mut rng)
+                let msg = if rng.gen_bool(0.2) {
+                    ToWorker::Ping { nonce: rng.gen_range(0..1000u64) }
+                } else {
+                    ToWorker::Req { seq, stream, budget_ms, trace, problem }
+                };
+                let frame = mutated_text(&msg, &mut rng);
+                reads_like_the_scan(&frame, decode_in_order(&frame).is_some());
+            } else {
+                // The front-end's frame around a mutated client problem:
+                // the header as written, the problem as the client sent it.
+                let text = mutated_text(&problem, &mut rng);
+                let frame = encode_req(seq, stream, budget_ms, trace, &text);
+                reads_like_the_scan(&frame, true);
+                let Some(Inbound::Req { problem: got, .. }) = decode_to_worker(&frame) else {
+                    panic!("a front-end frame is a request: {frame:?}");
+                };
+                prop_assert_eq!(&frame[got], text.as_str());
+                // The build answers that text as `parse_problem` then
+                // `build_problem_from` do: for a new stream, and for one
+                // that keeps the unmutated problem's text and threads.
+                let text = Arc::new(text);
+                builds_like_parse_then_build(&text, Previous::default());
+                let clean = Arc::new(serde_json::to_string(&problem).unwrap());
+                if let Ok((built, Some(kept))) = build_request(&clean, Previous::default()) {
+                    let previous = Previous { threads: built.threads(), text: Some(&kept) };
+                    builds_like_parse_then_build(&text, previous);
                 }
-                // The front-end's frame around a mutated client problem.
-                _ => encode_req(seq, stream, budget_ms, trace, &mutated_text(&problem, &mut rng)),
-            };
-            let (got, oracle) = (decode_to_worker(&frame), decode_scanned(&frame));
-            prop_assert_eq!(format!("{got:?}"), format!("{oracle:?}"), "on {:?}", frame);
+            }
         }
+    }
+
+    /// [`build_request`] on `text` against `previous` answers as a parse
+    /// of the whole text then [`build_problem_from`] do: the same class
+    /// and error text, or the same problem (by `Debug`, so a NaN matches
+    /// itself) reusing the same previous thread objects.
+    fn builds_like_parse_then_build(text: &Arc<String>, previous: Previous<'_>) {
+        let reused = |p: &Problem| -> Vec<bool> {
+            let same = |(a, b): (&DynUtility, &DynUtility)| Arc::ptr_eq(a, b);
+            p.threads().iter().zip(previous.threads).map(same).collect()
+        };
+        let read = |r: Result<Problem, (&'static str, String)>| {
+            r.map(|p| (format!("{p:?}"), reused(&p)))
+        };
+        let got = read(build_request(text, previous).map(|(p, _)| p));
+        let oracle = read(parse_problem(text).and_then(|file| {
+            build_problem_from(&file, previous.threads).map_err(|e| ("problem", e.to_string()))
+        }));
+        assert_eq!(got, oracle, "on {text:?}");
     }
 
     #[test]
@@ -708,6 +793,7 @@ mod tests {
                 thread_id: 3,
                 id: 41,
                 parent_id: 0,
+                args: vec![("threads".into(), 512)],
             }],
             bindings: vec![SpanBinding { span: 41, trace_id: 9, parent_span: 31 }],
             dropped: 2,
@@ -719,6 +805,7 @@ mod tests {
                 assert_eq!(spans.len(), 1);
                 assert_eq!(spans[0].name, "fleet_solve");
                 assert_eq!((spans[0].id, spans[0].parent_id), (41, 0));
+                assert_eq!(spans[0].args, vec![("threads".to_string(), 512)]);
                 assert_eq!(bindings[0].parent_span, 31);
                 assert_eq!(dropped, 2);
                 let m = metrics.expect("metrics survive");

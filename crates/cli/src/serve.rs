@@ -17,13 +17,13 @@
 //!   still the client's raw JSON text — to the supervisor;
 //! * the **supervisor** ([`crate::fleet`]) routes, tracks and replays
 //!   each request over its links, and answers it exactly once;
-//! * the **worker** decodes the problem text once: [`parse_problem`],
-//!   then [`build_request_problem`] against the stream's previous threads
-//!   inside [`aa_core::StreamSolver::answer`] (a shard thread runs both
-//!   halves in its job's build hook; a worker process parses on its
-//!   reader thread, once the text has crossed the pipe verbatim, in
-//!   the same walk that reads the frame's header), and
-//!   answers every request: a refused parse or build, an expired
+//! * the **worker** decodes the problem text once, in its job's build
+//!   inside [`aa_core::StreamSolver::answer`]: [`build_request`] decodes
+//!   and builds it against the stream's previous threads and the text
+//!   that built them, carrying each thread whose bytes did not change
+//!   unread (a worker process's reader passes the text on from the
+//!   frame undecoded, once it has crossed the pipe verbatim), and the
+//!   worker answers every request: a refused parse or build, an expired
 //!   deadline, or a solve — a panicking one answering
 //!   `class:"solve_panic"`;
 //! * the **answer path** (`Answers`) turns every outcome — solved,
@@ -48,9 +48,9 @@ use aa_core::fleet::{
     DEFAULT_MAX_RETRIES, DEFAULT_SLO_P99_MS,
 };
 use aa_core::tiered::Tier;
-use aa_core::Problem;
+use aa_core::{Built, Previous, Problem, ThreadText};
 use aa_sim::ProcessChaosPlan;
-use aa_utility::DynUtility;
+use aa_utility::{DynUtility, UtilitySpec};
 use serde::{Deserialize, Serialize};
 
 use crate::{build_problem_from, CliError, ProblemFile};
@@ -100,7 +100,7 @@ fn optional_u64(v: Option<&serde::Value>, field: &str) -> Result<Option<u64>, se
 /// Decode one request line's envelope from its [`serde_json::scan`],
 /// leaving the problem as raw text; the request's clock starts here.
 /// Errors are [`ServeRequest`]'s own, in its order, except a problem
-/// that breaks its schema: that surfaces later, from [`parse_problem`]
+/// that breaks its schema: that surfaces later, from [`build_request`]
 /// in the executor, with the same text.
 fn envelope(
     line: &str,
@@ -120,28 +120,135 @@ fn envelope(
     Ok(Admit {
         ticket: Ticket { id, arrived: Instant::now(), deadline_ms: deadline_ms.or(default_deadline_ms) },
         stream,
-        problem: Arc::from(problem),
+        problem: Arc::new(problem.to_string()),
     })
 }
 
-/// The first half of the one decode of a request's problem from the
-/// client's JSON text; a schema error is `class:"parse"`, its text as
-/// [`ServeRequest`] reports it. A thread link runs it in its job's build;
-/// a worker process's reader decodes the forwarded bytes in its walk
-/// over the frame and runs this only on a frame that walk declines
-/// ([`crate::proto::decode_to_worker`]), with the same result.
+/// The one decode of a request's problem, from the client's JSON text,
+/// against what its stream's last answer left ([`Previous`]): a thread
+/// link and a worker process both run it in their job's build, inside
+/// [`aa_core::StreamSolver::answer`].
+///
+/// One walk reads the text as [`ProblemFile`]'s typed decode does. A
+/// thread value whose bytes are the kept text's value at the same index
+/// takes `previous.threads[i]` unread: a JSON object is self-delimiting,
+/// so the same bytes decode to the same spec, and the stream keeps its
+/// text only while `previous.threads` are what that text built. Every
+/// other thread is decoded and built with
+/// [`UtilitySpec::build_reusing`](aa_utility::UtilitySpec::build_reusing).
+/// Text the walk declines — bad syntax, a schema or build error, a shape
+/// the typed decode does not take — is read the long way (a parse of the
+/// whole text, then [`build_problem_from`]), which decides every error:
+/// a parse error is `class:"parse"` with [`ServeRequest`]'s text, a build
+/// error `class:"problem"`. The walk's problem is also returned with the
+/// span of each thread's value ([`ThreadText`]) for the next request.
+///
+/// Records a `build` span (args `threads`, `carried`, `decoded`) and
+/// counts each thread in `aa_build_threads_total{via}`: `text` (carried
+/// unread), `spec` (decoded; its spec matched `previous.threads[i]`) or
+/// `fresh` (built anew).
+pub fn build_request(
+    text: &Arc<String>,
+    previous: Previous<'_>,
+) -> Result<Built, (&'static str, String)> {
+    let mut span = aa_obs::span!("build");
+    let mut carried = 0;
+    let (problem, kept) = match walk_problem(text, previous, &mut carried) {
+        Some((problem, spans)) => (problem, Some(ThreadText { text: Arc::clone(text), spans })),
+        None => {
+            carried = 0;
+            let file = parse_problem(text)?;
+            let problem = build_problem_from(&file, previous.threads)
+                .map_err(|e| ("problem", e.to_string()))?;
+            (problem, None)
+        }
+    };
+    let n = problem.len() as u64;
+    let reused = problem
+        .threads()
+        .iter()
+        .zip(previous.threads)
+        .filter(|(a, b)| Arc::ptr_eq(a, b))
+        .count() as u64;
+    let [via_text, via_spec, via_fresh] = build_counters();
+    via_text.add(carried);
+    via_spec.add(reused - carried);
+    via_fresh.add(n - reused);
+    span.set_args([("threads", n), ("carried", carried), ("decoded", n - carried)]);
+    Ok((problem, kept))
+}
+
+/// A schema or syntax error in the problem text: `class:"parse"`, its
+/// text as [`ServeRequest`] reports it.
 pub(crate) fn parse_problem(text: &str) -> Result<ProblemFile, (&'static str, String)> {
     serde_json::from_str(text).map_err(|e| ("parse", format!("ServeRequest.problem: {e}")))
 }
 
-/// The second half of the decode: the build against the stream's
-/// `previous` threads ([`build_problem_from`]); a failure is
-/// `class:"problem"`.
-pub(crate) fn build_request_problem(
-    file: &ProblemFile,
-    previous: &[DynUtility],
-) -> Result<Problem, (&'static str, String)> {
-    build_problem_from(file, previous).map_err(|e| ("problem", e.to_string()))
+/// [`build_request`]'s one walk: `None` declines. Members as
+/// [`ProblemFile`]'s derived `from_json` reads them (the first of each
+/// field decoded, any other member skipped), then nothing but
+/// whitespace; `carried` counts the threads taken unread.
+fn walk_problem(
+    text: &str,
+    previous: Previous<'_>,
+    carried: &mut u64,
+) -> Option<(Problem, Vec<(u32, u32)>)> {
+    let mut r = serde::Reader::new(text);
+    let (mut servers, mut capacity, mut threads) = (None, None, None);
+    let mut spans = Vec::new();
+    let mut more = r.enter(b'{').ok()?;
+    while more {
+        match &*r.key().ok()? {
+            "servers" if servers.is_none() => servers = Some(usize::from_json(&mut r)?),
+            "capacity" if capacity.is_none() => capacity = Some(f64::from_json(&mut r)?),
+            "threads" if threads.is_none() => {
+                threads = Some(walk_threads(&mut r, previous, &mut spans, carried)?);
+            }
+            _ => r.skip().ok()?,
+        }
+        more = r.more(b'}').ok()?;
+    }
+    let problem = Problem::new(servers?, capacity?, threads?).ok()?;
+    r.at_end().then_some((problem, spans))
+}
+
+/// The `threads` array, each value's span pushed on `spans`: carried
+/// from `previous` when its bytes are the kept value at its index, else
+/// decoded and built.
+fn walk_threads(
+    r: &mut serde::Reader<'_>,
+    previous: Previous<'_>,
+    spans: &mut Vec<(u32, u32)>,
+    carried: &mut u64,
+) -> Option<Vec<DynUtility>> {
+    let kept = previous.text.filter(|t| t.spans.len() == previous.threads.len());
+    let mut threads = Vec::with_capacity(previous.threads.len());
+    spans.reserve_exact(previous.threads.len());
+    let mut more = r.enter(b'[').ok()?;
+    while more {
+        let i = threads.len();
+        r.skip_ws();
+        let start = u32::try_from(r.pos()).ok()?;
+        if kept.and_then(|t| t.value(i)).is_some_and(|value| r.skip_verbatim(value)) {
+            threads.push(Arc::clone(&previous.threads[i]));
+            *carried += 1;
+        } else {
+            let spec = UtilitySpec::from_json(r)?;
+            threads.push(spec.build_reusing(previous.threads.get(i)).ok()?);
+        }
+        spans.push((start, u32::try_from(r.pos()).ok()?));
+        more = r.more(b']').ok()?;
+    }
+    Some(threads)
+}
+
+/// `aa_build_threads_total{via="text"|"spec"|"fresh"}`, cached.
+fn build_counters() -> &'static [aa_obs::Counter; 3] {
+    static HANDLES: std::sync::OnceLock<[aa_obs::Counter; 3]> = std::sync::OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let r = aa_obs::global();
+        ["text", "spec", "fresh"].map(|via| r.counter_labeled("aa_build_threads_total", "via", via))
+    })
 }
 
 /// One response line.
@@ -454,11 +561,11 @@ impl Ticket {
 
 /// A request on its way to the mode's executor: envelope decoded, the
 /// problem still the client's JSON text (shared, so a fleet replay
-/// resends the same bytes).
+/// resends the same bytes and a thread link keeps them without a copy).
 pub(crate) struct Admit {
     pub(crate) ticket: Ticket,
     pub(crate) stream: Option<u64>,
-    pub(crate) problem: Arc<str>,
+    pub(crate) problem: Arc<String>,
 }
 
 /// How one request ended.

@@ -6,19 +6,17 @@
 //! thread executor `--shards` runs — behind its pipe:
 //!
 //! * the **reader** (the calling thread) pulls frames off stdin,
-//!   answering heartbeat pings at once (even mid-solve), and decodes
-//!   each request's header and problem — the client's JSON text,
-//!   forwarded verbatim — in one walk over the frame
-//!   ([`decode_to_worker`], which falls back to a scan and
-//!   [`crate::serve::parse_problem`] for a frame the front-end would
-//!   not write) before queueing it on the shard; a problem that fails
-//!   its parse is queued as that failure;
+//!   answering heartbeat pings at once (even mid-solve), and reads each
+//!   request's header in one walk over the frame, passing the problem —
+//!   the client's JSON text, forwarded verbatim as the frame's last
+//!   member — on undecoded before queueing the request on the shard;
 //! * the **shard thread** answers each request through
-//!   [`aa_core::StreamSolver::answer`]: it builds the problem against its
-//!   stream's previous threads ([`build_request_problem`]), answers a
+//!   [`aa_core::StreamSolver::answer`]: it decodes and builds the problem
+//!   against its stream's previous threads and kept text
+//!   ([`crate::serve::build_request`], as a thread link does), answers a
 //!   failed parse or build with its class (`parse`, `problem`), and
 //!   solves the rest with the budget counted from worker arrival (queue
-//!   wait counts, the parse and the build do not). Its completion
+//!   wait counts, the decode and the build do not). Its completion
 //!   writes the answer frame before it takes the next request;
 //! * on stdin **EOF** the worker drains: the shard keeps solving what it
 //!   holds for up to `drain_timeout_ms`, answers the remainder with
@@ -47,7 +45,7 @@ use crate::proto::{
     decode_to_worker, FromWorker, Inbound, MetricsSnapshot, SpanBinding, TraceCtx, WireSpan,
     WorkerResult,
 };
-use crate::serve::build_request_problem;
+use crate::serve::build_request;
 
 /// Exit code a worker uses for self-inflicted chaos deaths, distinct
 /// from clean drain (0) so the supervisor logs are unambiguous.
@@ -162,9 +160,8 @@ where
     // A frame whose header the worker cannot read is a front-end bug;
     // the worker treats it like EOF (drain and exit) rather than guessing.
     while let Ok(Some(payload)) = read_frame(&mut input, MAX_FRAME_BYTES) {
-        let Some(msg) = std::str::from_utf8(&payload).ok().and_then(decode_to_worker) else {
-            break;
-        };
+        let Ok(mut frame) = String::from_utf8(payload) else { break };
+        let Some(msg) = decode_to_worker(&frame) else { break };
         match msg {
             Inbound::Ping { nonce } => {
                 let stalled_until = stats.stall_until_micros.load(Ordering::Acquire);
@@ -183,8 +180,13 @@ where
                     );
                 }
             }
-            Inbound::Req { seq, stream, budget_ms, trace, problem: file } => {
-                // The budget covers the solve, not the parse.
+            Inbound::Req { seq, stream, budget_ms, trace, problem } => {
+                // The frame's own buffer, cut down to the problem's text,
+                // is what the build reads and its stream may keep.
+                frame.truncate(problem.end);
+                frame.drain(..problem.start);
+                let text = Arc::new(frame);
+                // The budget covers the solve, not the decode.
                 let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
                 if let Some(ctx) = trace {
                     traces.lock().unwrap_or_else(|e| e.into_inner()).insert(seq, ctx);
@@ -199,7 +201,7 @@ where
                     if let Some(fault) = fault {
                         inject(fault, &stats, epoch);
                     }
-                    build_request_problem(file.as_ref().map_err(Clone::clone)?, previous)
+                    build_request(&text, previous)
                 });
                 let inject_panic = (fault == Some(ProcessFault::PanicSolve))
                     .then(|| "chaos: injected solve panic".to_string());
@@ -310,6 +312,7 @@ impl WorkerObsState {
     fn ship<W: Write>(&mut self, out: &Mutex<W>) -> std::io::Result<()> {
         let Some(c) = self.collector else { return Ok(()) };
         let (events, next) = c.events_since(self.cursor);
+        let args = c.span_args();
         let dropped_now = c.dropped_events();
         if events.is_empty() && self.bindings.is_empty() && dropped_now == self.last_dropped {
             return Ok(());
@@ -327,6 +330,12 @@ impl WorkerObsState {
                 thread_id: e.thread_id,
                 id: e.id,
                 parent_id: e.parent_id,
+                args: args
+                    .get(&e.id)
+                    .into_iter()
+                    .flatten()
+                    .map(|&(k, v)| (k.to_string(), v))
+                    .collect(),
             })
             .collect();
         send(

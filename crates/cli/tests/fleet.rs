@@ -208,6 +208,64 @@ fn drifting_shard_streams_answer_like_cold_solves_and_ride_the_warm_path() {
     drifting_streams_ride_the_warm_path(&["--shards", "2"]);
 }
 
+/// A stream's second request, one curve changed and one respelled,
+/// through `mode`: its `build` span (under the request's `fleet_solve`)
+/// and `aa_build_threads_total` say which threads were carried unread
+/// from the first request's text, which were decoded and matched the
+/// first request's object, and which were built anew.
+fn a_drift_counts_its_carried_threads(mode: &[&str]) {
+    let dir = tempdir(&format!("build{}", mode[0]));
+    let (trace, dump) = (dir.join("trace.json"), dir.join("metrics.json"));
+    let thread = |scale: &str| format!(r#"{{"kind":"power","scale":{scale},"beta":0.5,"cap":64.0}}"#);
+    let line = |id: u64, threads: &[String]| {
+        let threads = threads.join(",");
+        format!(r#"{{"id":{id},"stream":3,"problem":{{"servers":2,"capacity":64.0,"threads":[{threads}]}}}}"#)
+    };
+    let first: Vec<String> = (1..=6).map(|k| thread(&format!("{k}.0"))).collect();
+    let mut second = first.clone();
+    second[0] = thread("1.5");
+    second[1] = thread("2e0");
+    let mut args = vec!["serve"];
+    args.extend_from_slice(mode);
+    args.extend_from_slice(&[
+        "--ladder", "algo2,uu",
+        "--trace", trace.to_str().unwrap(),
+        "--metrics-dump", dump.to_str().unwrap(),
+    ]);
+    let resps = run_serve(&args, &[line(1, &first), line(2, &second)]);
+    assert!(resps.iter().all(|r| r["status"] == "ok"), "{resps:?}");
+
+    let trace: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let events = trace["traceEvents"].as_array().unwrap();
+    let builds: Vec<&serde_json::Value> = events.iter().filter(|e| e["name"] == "build").collect();
+    assert_eq!(builds.len(), 2, "one build per request: {builds:?}");
+    let arg = |e: &serde_json::Value, k: &str| e["args"][k].as_u64().unwrap();
+    for (build, want) in builds.iter().zip([(6, 0, 6), (6, 4, 2)]) {
+        assert_eq!((arg(build, "threads"), arg(build, "carried"), arg(build, "decoded")), want);
+        let parent = events.iter().find(|e| e["args"]["id"] == build["args"]["parent"]);
+        assert_eq!(parent.and_then(|e| e["name"].as_str()), Some("fleet_solve"), "{build:?}");
+    }
+    let metrics: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+    let via = |v: &str| -> u64 {
+        let key = format!(r#"aa_build_threads_total{{via="{v}""#);
+        let counters = metrics["counters"].as_object().unwrap();
+        counters.iter().filter(|(k, _)| k.starts_with(&key)).map(|(_, n)| n.as_u64().unwrap()).sum()
+    };
+    assert_eq!((via("text"), via("spec"), via("fresh")), (4, 1, 7));
+}
+
+#[test]
+fn a_fleet_drift_counts_its_carried_threads() {
+    a_drift_counts_its_carried_threads(&["--fleet", "1"]);
+}
+
+#[test]
+fn a_shard_drift_counts_its_carried_threads() {
+    a_drift_counts_its_carried_threads(&["--shards", "1"]);
+}
+
 #[test]
 fn resize_control_acks_and_fleet_keeps_serving() {
     let lines = vec![

@@ -117,6 +117,7 @@ fn from_worker(rng: &mut StdRng) -> FromWorker {
                 thread_id: 1,
                 id: 2,
                 parent_id: 0,
+                args: vec![("threads".to_string(), rng.gen_range(0..999u64))],
             }],
             bindings: vec![SpanBinding { span: 2, trace_id: 7, parent_span: 9 }],
             dropped: 0,

@@ -22,7 +22,7 @@
 //! | [`exact_bb`] | branch-and-bound exact solver (larger instances) |
 //! | [`reduction`] | Theorem IV.1 — PARTITION → AA NP-hardness reduction |
 //! | [`tightness`] | Theorem V.17 — the 5/6-ratio tight instance |
-//! | [`solver`] | uniform [`Solver`](solver::Solver) interface over all of the above, and the [`Algorithm`] registry |
+//! | [`solver`] | uniform [`Solver`] interface over all of the above, and the [`Algorithm`] registry |
 //! | [`ablation`] | design-choice ablations (not in the paper) |
 //! | [`refine`] | exact per-server re-split post-pass (not in the paper) |
 //! | [`discrete`] | integer-unit allocations with optimal per-server rounding (not in the paper) |
@@ -73,8 +73,8 @@ pub use price::{PriceStats, PriceWarmState};
 pub use problem::{Assignment, AssignmentError, Problem, ProblemBuilder, ProblemError};
 pub use ring::Ring;
 pub use shard::{
-    BuildFn, CompletionFn, ExitFn, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
-    StreamSolver, SubmitError,
+    BuildFn, Built, CompletionFn, ExitFn, Previous, ShardCompletion, ShardConfig, ShardError,
+    ShardJob, ShardPool, StreamSolver, SubmitError, ThreadText,
 };
 pub use solver::{batch_seed, solve_batch, try_solve_batch, Algorithm, SolveError, Solver};
 pub use tiered::{Degradation, Tier, TierOutcome, TierStatus, TieredSolve, TieredSolver};

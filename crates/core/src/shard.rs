@@ -7,9 +7,10 @@
 //! and answers the jobs on its own FIFO queue through
 //! [`StreamSolver::answer`], one at a time. A job carries its problem as
 //! a build hook ([`BuildFn`]), not a built [`Problem`]: the shard builds
-//! it against the stream's previous thread objects (an unchanged curve
-//! keeps its object, so the warm solve skips it), answers a refused build
-//! with [`ShardError::Refused`], and does not charge the build to the
+//! it against the stream's previous thread objects and the request text
+//! they were decoded from ([`Previous`]; an unchanged curve keeps its
+//! object, so the warm solve skips it), answers a refused build with
+//! [`ShardError::Refused`], and does not charge the build to the
 //! deadline.
 //!
 //! A panicking solve is contained ([`TieredSolver::try_solve_within_caught`]
@@ -31,6 +32,7 @@
 //! callback must not panic; it runs on the shard threads.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -53,12 +55,49 @@ pub type CompletionFn = Arc<dyn Fn(ShardCompletion) + Send + Sync>;
 /// outside the caught solve. Must not panic.
 pub type ExitFn = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// A request's problem, built by its executor: called with the thread
-/// objects the stream's last warm solve was given (empty for a new
-/// stream), it returns the problem, or the answer class and text the
-/// request is refused with.
+/// A request's problem, built by its executor: called with what the
+/// stream's last answer left ([`Previous`]), it returns the problem and,
+/// when it can say where each thread's value sits in the request text,
+/// that text ([`ThreadText`]) — or the answer class and text the request
+/// is refused with.
 pub type BuildFn =
-    Arc<dyn Fn(&[DynUtility]) -> Result<Problem, (&'static str, String)> + Send + Sync>;
+    Arc<dyn Fn(Previous<'_>) -> Result<Built, (&'static str, String)> + Send + Sync>;
+
+/// A built problem, and the text that says where each of its threads'
+/// values sits, when the build can tell ([`BuildFn`]).
+pub type Built = (Problem, Option<ThreadText>);
+
+/// What a stream's last answer leaves its next build.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Previous<'a> {
+    /// The thread objects the stream's last warm solve was given
+    /// ([`WarmState::previous_threads`]; empty for a new stream).
+    pub threads: &'a [DynUtility],
+    /// The request text `threads` were decoded from, when the stream
+    /// keeps it: `threads[i]` is what `text`'s value `i` builds.
+    pub text: Option<&'a ThreadText>,
+}
+
+/// A request's text and the byte span of each thread's value in it, by
+/// thread index. A stream keeps the text of its last build only while
+/// its warm state's previous threads are exactly the threads that text
+/// built, so a next request whose thread value `i` has the same bytes
+/// can take `previous[i]` without decoding it.
+#[derive(Debug, Clone)]
+pub struct ThreadText {
+    /// The text the threads were decoded from.
+    pub text: Arc<String>,
+    /// Thread `i`'s value is `text[spans[i].0 as usize..spans[i].1 as usize]`.
+    pub spans: Vec<(u32, u32)>,
+}
+
+impl ThreadText {
+    /// Thread `i`'s value, verbatim.
+    pub fn value(&self, i: usize) -> Option<&str> {
+        let &(start, end) = self.spans.get(i)?;
+        self.text.get(Range { start: start as usize, end: end as usize })
+    }
+}
 
 /// Configuration for a [`ShardPool`].
 #[derive(Debug, Clone)]
@@ -109,7 +148,7 @@ impl ShardJob {
     /// A job for an already built `problem` (its build ignores the
     /// stream's previous threads), stamped with the current time.
     pub fn new(seq: u64, stream: Option<u64>, problem: Problem, deadline: Option<Instant>) -> Self {
-        let build: BuildFn = Arc::new(move |_| Ok(problem.clone()));
+        let build: BuildFn = Arc::new(move |_| Ok((problem.clone(), None)));
         ShardJob {
             seq,
             stream,
@@ -166,14 +205,39 @@ impl ShardError {
 }
 
 /// One executor's solve state, shared by shard threads and fleet worker
-/// processes: a [`TieredSolver`] plus the per-stream [`WarmState`] map
-/// (FIFO eviction beyond `max_streams`; key-less requests share the
-/// `None` entry).
+/// processes: a [`TieredSolver`] plus the per-stream map of [`WarmState`]
+/// and kept [`ThreadText`] (FIFO eviction beyond `max_streams`; key-less
+/// requests share the `None` entry).
 pub struct StreamSolver {
     solver: TieredSolver,
-    warm: HashMap<Option<u64>, WarmState>,
+    warm: HashMap<Option<u64>, Stream>,
     order: VecDeque<Option<u64>>,
     max_streams: usize,
+}
+
+/// One stream's state: its warm solve state, and the text that built its
+/// previous threads while they are exactly that text's threads.
+#[derive(Default)]
+struct Stream {
+    state: WarmState,
+    text: Option<ThreadText>,
+}
+
+impl Stream {
+    /// Keep `text`. When the stream already keeps a text whose buffers
+    /// nothing else shares, `text` is copied into them: each stream then
+    /// holds one long-lived buffer instead of a fresh request's every
+    /// time, which would leave the heap fragmented.
+    fn keep(&mut self, text: Option<ThreadText>) {
+        if let (Some(kept), Some(new)) = (&mut self.text, &text) {
+            if let Some(buf) = Arc::get_mut(&mut kept.text) {
+                buf.clone_from(&new.text);
+                kept.spans.clone_from(&new.spans);
+                return;
+            }
+        }
+        self.text = text;
+    }
 }
 
 impl StreamSolver {
@@ -189,27 +253,36 @@ impl StreamSolver {
     }
 
     /// Answer one request on `stream` — the entry a shard thread and a
-    /// fleet worker both call. `build` gets the thread objects the
-    /// stream's last warm solve was given ([`WarmState::previous_threads`];
-    /// empty for a new stream); a refusal answers [`ShardError::Refused`]
-    /// whatever the deadline. The build is not charged to the deadline,
-    /// which moves out by the build's duration; then the problem is
-    /// solved as [`Self::solve`] does — or, given `fuel` (tests only),
-    /// under [`Budget::with_fuel`] whatever the deadline. Returns the
-    /// outcome and the microseconds the solve alone took (0 when
-    /// refused).
+    /// fleet worker both call. `build` gets what the stream's last answer
+    /// left ([`Previous`]: empty for a new stream); a refusal answers
+    /// [`ShardError::Refused`] whatever the deadline. The build is not
+    /// charged to the deadline, which moves out by the build's duration;
+    /// then the problem is solved under the deadline (one already past
+    /// answers [`ShardError::Expired`] without solving) — or, given
+    /// `fuel` (tests only), under [`Budget::with_fuel`] whatever the
+    /// deadline. Returns the outcome and the microseconds the solve alone
+    /// took (0 when refused).
+    ///
+    /// After the answer the stream keeps the build's [`ThreadText`] when
+    /// its warm state's previous threads are exactly the threads just
+    /// built (the same objects, in order), and keeps nothing when a solve
+    /// ran and left other threads; a request refused or expired before
+    /// its solve leaves the stream as it was.
     pub fn answer(
         &mut self,
         stream: Option<u64>,
-        build: impl FnOnce(&[DynUtility]) -> Result<Problem, (&'static str, String)>,
+        build: impl FnOnce(Previous<'_>) -> Result<Built, (&'static str, String)>,
         deadline: Option<Instant>,
         fuel: Option<u64>,
         inject_panic: Option<String>,
     ) -> (Result<TieredSolve, ShardError>, u64) {
         let building = Instant::now();
-        let previous = self.warm.get(&stream).map_or(&[][..], WarmState::previous_threads);
-        let problem = match build(previous) {
-            Ok(problem) => problem,
+        let previous = self.warm.get(&stream).map_or_else(Previous::default, |s| Previous {
+            threads: s.state.previous_threads(),
+            text: s.text.as_ref(),
+        });
+        let (problem, text) = match build(previous) {
+            Ok(built) => built,
             Err((class, error)) => return (Err(ShardError::Refused { class, error }), 0),
         };
         let started = Instant::now();
@@ -218,7 +291,18 @@ impl StreamSolver {
             Some(checks) => self.solve_within(stream, &problem, &Budget::with_fuel(checks), inject_panic),
             None => self.solve(stream, &problem, deadline, started, inject_panic),
         };
-        (outcome, started.elapsed().as_micros() as u64)
+        let micros = started.elapsed().as_micros() as u64;
+        if let Some(s) = self.warm.get_mut(&stream) {
+            let kept = s.state.previous_threads();
+            if kept.len() == problem.len()
+                && kept.iter().zip(problem.threads()).all(|(a, b)| Arc::ptr_eq(a, b))
+            {
+                s.keep(text);
+            } else if !matches!(outcome, Err(ShardError::Expired)) {
+                s.text = None;
+            }
+        }
+        (outcome, micros)
     }
 
     /// Solve one built problem on `stream`'s warm state under its
@@ -258,10 +342,10 @@ impl StreamSolver {
             }
         }
         let order = &mut self.order;
-        let state = self.warm.entry(stream).or_insert_with(|| {
+        let state = &mut self.warm.entry(stream).or_insert_with(|| {
             order.push_back(stream);
-            WarmState::new()
-        });
+            Stream::default()
+        }).state;
         match inject_panic {
             Some(msg) => std::panic::catch_unwind(|| -> Result<TieredSolve, SolveError> {
                 std::panic::panic_any(msg)
@@ -625,7 +709,7 @@ mod tests {
                 .solve(Some(s), &problems[s as usize], None, Instant::now(), None)
                 .expect("healthy solve");
             assert!(streams.warm.len() <= 2, "cap exceeded");
-            (streams.warm[&Some(s)].last_stats().mode, solved.utility.to_bits())
+            (streams.warm[&Some(s)].state.last_stats().mode, solved.utility.to_bits())
         };
         let (mode, cold0) = solve(&mut streams, 0);
         assert_eq!(mode, SolveMode::Cold);
@@ -748,7 +832,7 @@ mod tests {
         // Slow every build so the queue cannot drain while we fill it.
         let slow: BuildFn = Arc::new(|_| {
             std::thread::sleep(Duration::from_millis(50));
-            Ok(mixed_problem(2, 5, 0))
+            Ok((mixed_problem(2, 5, 0), None))
         });
         let mut shed = 0;
         for seq in 0..16u64 {
@@ -838,11 +922,12 @@ mod tests {
             let threads = hook_specs
                 .iter()
                 .enumerate()
-                .map(|(i, spec)| spec.build_reusing(previous.get(i)))
+                .map(|(i, spec)| spec.build_reusing(previous.threads.get(i)))
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| ("problem", e.to_string()))?;
             hook_built.lock().unwrap().push(threads.clone());
-            Problem::new(2, 12.0, threads).map_err(|e| ("problem", e.to_string()))
+            let problem = Problem::new(2, 12.0, threads).map_err(|e| ("problem", e.to_string()))?;
+            Ok((problem, None))
         });
         let cold =
             Problem::new(2, 12.0, specs.iter().map(|s| s.build().unwrap()).collect()).unwrap();
@@ -908,7 +993,7 @@ mod tests {
         let budget = Duration::from_millis(200);
         let slow: BuildFn = Arc::new(move |_| {
             std::thread::sleep(2 * budget);
-            Ok(mixed_problem(2, 5, 0))
+            Ok((mixed_problem(2, 5, 0), None))
         });
         let c = answer_one(&pool, &sink, hooked(0, None, &slow, Some(Instant::now() + budget)));
         pool.shutdown();

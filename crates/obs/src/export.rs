@@ -143,6 +143,7 @@ pub fn json_snapshot(registry: &Registry) -> String {
 #[must_use]
 pub fn chrome_trace_json(collector: &Collector) -> String {
     let mut events = String::new();
+    let args = collector.span_args();
     for e in collector.events() {
         if !events.is_empty() {
             events.push(',');
@@ -150,7 +151,7 @@ pub fn chrome_trace_json(collector: &Collector) -> String {
         let _ = write!(
             events,
             "{{\"name\":{},\"cat\":\"aa\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}}}}}",
+             \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
             json_string(e.name),
             e.start_micros,
             e.duration_micros,
@@ -158,6 +159,8 @@ pub fn chrome_trace_json(collector: &Collector) -> String {
             e.id,
             e.parent_id,
         );
+        write_args(&mut events, args.get(&e.id).into_iter().flatten().copied());
+        events.push_str("}}");
     }
     format!(
         "{{\"traceEvents\":[{events}],\"displayTimeUnit\":\"ms\",\
@@ -180,7 +183,7 @@ pub struct TraceLane {
     pub events: Vec<LaneEvent>,
 }
 
-/// One span event inside a [`TraceLane`]. Unlike [`SpanEvent`] the name
+/// One span event inside a [`TraceLane`]. Unlike [`crate::SpanEvent`] the name
 /// is owned (it crossed a process boundary) and the event carries the
 /// trace id it belongs to (0 when untraced).
 #[derive(Clone, Debug)]
@@ -199,6 +202,8 @@ pub struct LaneEvent {
     pub parent_id: u64,
     /// The request trace this span belongs to; 0 for untraced spans.
     pub trace_id: u64,
+    /// The span's named numbers ([`crate::SpanGuard::set_args`]).
+    pub args: Vec<(String, u64)>,
 }
 
 /// Render a multi-process fleet trace in the Chrome `trace_event`
@@ -225,7 +230,7 @@ pub fn chrome_trace_merged(lanes: &[TraceLane], dropped_total: u64) -> String {
             let _ = write!(
                 events,
                 ",{{\"name\":{},\"cat\":\"aa\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},\"trace\":{}}}}}",
+                 \"pid\":{},\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},\"trace\":{}",
                 json_string(&e.name),
                 e.start_micros,
                 e.duration_micros,
@@ -235,12 +240,21 @@ pub fn chrome_trace_merged(lanes: &[TraceLane], dropped_total: u64) -> String {
                 e.parent_id,
                 e.trace_id,
             );
+            write_args(&mut events, e.args.iter().map(|(k, v)| (k.as_str(), *v)));
+            events.push_str("}}");
         }
     }
     format!(
         "{{\"traceEvents\":[{events}],\"displayTimeUnit\":\"ms\",\
          \"otherData\":{{\"dropped_events\":{dropped_total}}}}}"
     )
+}
+
+/// Append a span's named numbers to its open `args` object.
+fn write_args<'a>(out: &mut String, args: impl Iterator<Item = (&'a str, u64)>) {
+    for (name, value) in args {
+        let _ = write!(out, ",{}:{value}", json_string(name));
+    }
 }
 
 /// Escape a string as a JSON string literal.
@@ -411,6 +425,7 @@ mod tests {
                     id: 7,
                     parent_id: 0,
                     trace_id: 42,
+                    args: Vec::new(),
                 }],
             },
             TraceLane {
@@ -424,6 +439,7 @@ mod tests {
                     id: (1u64 << 40) | 3,
                     parent_id: 7,
                     trace_id: 42,
+                    args: vec![("threads".into(), 512)],
                 }],
             },
         ];
@@ -433,6 +449,7 @@ mod tests {
         assert!(json.contains("\"pid\":4242"), "{json}");
         assert!(json.contains("\"parent\":7"), "{json}");
         assert!(json.contains("\"trace\":42"), "{json}");
+        assert!(json.contains("\"trace\":42,\"threads\":512}"), "{json}");
         assert!(json.contains("\"dropped_events\":5"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
     }

@@ -48,7 +48,7 @@ pub use log::{init_logger, log_enabled, LogFormat, LogLevel};
 pub use metrics::{
     Counter, FederatedHistogram, FederatedSnapshot, Gauge, Histogram, Metric, Registry, SloTracker,
 };
-pub use trace::{Collector, SpanEvent, SpanGuard};
+pub use trace::{Collector, SpanArgs, SpanEvent, SpanGuard};
 
 use std::sync::OnceLock;
 

@@ -13,9 +13,10 @@
 //! * **collector live**: two `Instant::now()` calls, two thread-local
 //!   `Cell` updates, and one push into a `Mutex`-guarded `Vec` that was
 //!   preallocated at install time. **No heap allocation** on any record
-//!   path (span names are `&'static str`); when the buffer is full new
-//!   events are counted in `dropped_events` and discarded rather than
-//!   growing the buffer.
+//!   path (span names are `&'static str`) but that of a span that sets
+//!   named numbers ([`SpanGuard::set_args`]), which pushes them on a side
+//!   list; when the buffer is full new events are counted in
+//!   `dropped_events` and discarded rather than growing the buffer.
 //!
 //! Parent links are tracked per thread (a thread-local current-span
 //! cell), so spans opened on pool worker threads start a fresh chain on
@@ -23,12 +24,17 @@
 //! thread id).
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default span-buffer capacity (events) for [`Collector::install`].
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
+
+/// A span's named numbers ([`SpanGuard::set_args`]): up to three
+/// `(name, value)` pairs; a pair named `""` is unused.
+pub type SpanArgs = [(&'static str, u64); 3];
 
 /// One completed span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,10 +70,15 @@ pub struct Collector {
 /// or [`Collector::clear`]), so event `events[i]` has the stable global
 /// index `base + i`. Cursors handed out by [`Collector::events_since`]
 /// are global indices and stay valid across drains.
+///
+/// The few spans that set named numbers keep them in `args`, by global
+/// index and in order, rather than in their [`SpanEvent`], so a span
+/// that sets none records no more than it did without them.
 #[derive(Debug)]
 struct EventBuf {
     events: Vec<SpanEvent>,
     base: u64,
+    args: Vec<(u64, SpanArgs)>,
 }
 
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
@@ -94,7 +105,11 @@ impl Collector {
             enabled: AtomicBool::new(true),
             next_span_id: AtomicU64::new(1),
             dropped: AtomicU64::new(0),
-            events: Mutex::new(EventBuf { events: Vec::with_capacity(capacity), base: 0 }),
+            events: Mutex::new(EventBuf {
+                events: Vec::with_capacity(capacity),
+                base: 0,
+                args: Vec::new(),
+            }),
             capacity,
         })
     }
@@ -158,7 +173,25 @@ impl Collector {
         if n > 0 {
             buf.events.drain(..n);
             buf.base += n as u64;
+            let base = buf.base;
+            let gone = buf.args.partition_point(|&(at, _)| at < base);
+            buf.args.drain(..gone);
         }
+    }
+
+    /// The named numbers ([`SpanGuard::set_args`]) of the recorded
+    /// (undrained) spans that set some, by span id, unused slots left
+    /// out.
+    #[must_use]
+    pub fn span_args(&self) -> HashMap<u64, Vec<(&'static str, u64)>> {
+        let buf = self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        buf.args
+            .iter()
+            .map(|(at, args)| {
+                let named = args.iter().copied().filter(|(name, _)| !name.is_empty());
+                (buf.events[(at - buf.base) as usize].id, named.collect())
+            })
+            .collect()
     }
 
     /// Number of recorded (undrained) events.
@@ -179,6 +212,7 @@ impl Collector {
         let mut buf = self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         buf.base += buf.events.len() as u64;
         buf.events.clear();
+        buf.args.clear();
         self.dropped.store(0, Ordering::Relaxed);
     }
 
@@ -219,14 +253,17 @@ impl Collector {
         duration_micros: u64,
         parent_id: u64,
     ) {
-        self.record(SpanEvent {
-            name,
-            start_micros,
-            duration_micros,
-            thread_id: thread_id(),
-            id,
-            parent_id,
-        });
+        self.record(
+            SpanEvent {
+                name,
+                start_micros,
+                duration_micros,
+                thread_id: thread_id(),
+                id,
+                parent_id,
+            },
+            None,
+        );
     }
 
     /// Record a span with explicit timestamps, bypassing the RAII
@@ -246,9 +283,13 @@ impl Collector {
         id
     }
 
-    fn record(&self, event: SpanEvent) {
+    fn record(&self, event: SpanEvent, args: Option<SpanArgs>) {
         let mut buf = self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if buf.events.len() < self.capacity {
+            if let Some(args) = args {
+                let at = buf.base + buf.events.len() as u64;
+                buf.args.push((at, args));
+            }
             buf.events.push(event);
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -293,6 +334,7 @@ struct ActiveSpan {
     start: Instant,
     id: u64,
     parent_id: u64,
+    args: Option<SpanArgs>,
 }
 
 impl SpanGuard {
@@ -320,7 +362,16 @@ impl SpanGuard {
                 start: Instant::now(),
                 id,
                 parent_id,
+                args: None,
             }),
+        }
+    }
+
+    /// Attach named numbers to the span, recorded when it closes. A
+    /// no-op on an inert guard.
+    pub fn set_args(&mut self, args: SpanArgs) {
+        if let Some(active) = &mut self.active {
+            active.args = Some(args);
         }
     }
 }
@@ -332,14 +383,17 @@ impl Drop for SpanGuard {
         CURRENT_SPAN.with(|cur| cur.set(active.parent_id));
         let start_micros = active.collector.micros_since_epoch(active.start);
         let end_micros = active.collector.micros_since_epoch(end);
-        active.collector.record(SpanEvent {
-            name: active.name,
-            start_micros,
-            duration_micros: end_micros.saturating_sub(start_micros),
-            thread_id: thread_id(),
-            id: active.id,
-            parent_id: active.parent_id,
-        });
+        active.collector.record(
+            SpanEvent {
+                name: active.name,
+                start_micros,
+                duration_micros: end_micros.saturating_sub(start_micros),
+                thread_id: thread_id(),
+                id: active.id,
+                parent_id: active.parent_id,
+            },
+            active.args,
+        );
     }
 }
 
@@ -404,13 +458,19 @@ mod tests {
             let _a = crate::span!("ship_a");
         }
         {
-            let _b = crate::span!("ship_b");
+            let mut b = crate::span!("ship_b");
+            b.set_args([("threads", 4), ("carried", 3), ("", 9)]);
         }
         let (batch1, cursor1) = collector.events_since(cursor0);
         assert_eq!(batch1.iter().map(|e| e.name).collect::<Vec<_>>(), ["ship_a", "ship_b"]);
         assert_eq!(cursor1, cursor0 + 2);
+        // Only the span that set numbers has them, unused slots left out.
+        let args = collector.span_args();
+        assert_eq!(args.len(), 1);
+        assert_eq!(args[&batch1[1].id], [("threads", 4), ("carried", 3)]);
         collector.drain_through(cursor1);
         assert!(collector.is_empty(), "drained events leave the buffer");
+        assert!(collector.span_args().is_empty(), "drained args leave with their events");
         let (batch_again, cursor_same) = collector.events_since(cursor1);
         assert!(batch_again.is_empty(), "nothing re-sent after a drain");
         assert_eq!(cursor_same, cursor1);

@@ -53,12 +53,13 @@ impl std::error::Error for PchipError {}
 
 /// A monotone cubic Hermite interpolant through `(x_i, y_i)` control
 /// points, with Fritsch–Carlson derivative selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The knot columns share one allocation, `xs | ys | ds`, each as long
+/// as the others ([`Pchip::xs`], [`Pchip::ys`] and the endpoint
+/// derivatives `ds`).
+#[derive(Clone, PartialEq)]
 pub struct Pchip {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Endpoint derivatives selected per Fritsch–Carlson; len = xs.len().
-    ds: Vec<f64>,
+    knots: Box<[f64]>,
 }
 
 impl Pchip {
@@ -74,52 +75,96 @@ impl Pchip {
         if points[0].0 != 0.0 {
             return Err(PchipError::DomainMustStartAtZero);
         }
-        let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-        if ys.iter().any(|&y| y < 0.0) {
+        if points.iter().any(|&(_, y)| y < 0.0) {
             return Err(PchipError::NegativeValue);
         }
-        for w in xs.windows(2) {
-            if w[1] <= w[0] {
-                return Err(PchipError::NonIncreasingX);
-            }
+        if points.windows(2).any(|w| w[1].0 <= w[0].0) {
+            return Err(PchipError::NonIncreasingX);
         }
-        for w in ys.windows(2) {
-            if w[1] < w[0] {
-                return Err(PchipError::Decreasing);
-            }
+        if points.windows(2).any(|w| w[1].1 < w[0].1) {
+            return Err(PchipError::Decreasing);
         }
-        let ds = fritsch_carlson_slopes(&xs, &ys);
-        Ok(Pchip { xs, ys, ds })
+        let n = points.len();
+        let mut knots = vec![0.0; 3 * n].into_boxed_slice();
+        let (xs, rest) = knots.split_at_mut(n);
+        let (ys, ds) = rest.split_at_mut(n);
+        for ((x, y), &(px, py)) in xs.iter_mut().zip(ys.iter_mut()).zip(points) {
+            (*x, *y) = (px, py);
+        }
+        fritsch_carlson_slopes(xs, ys, ds);
+        Ok(Pchip { knots })
     }
 
     /// Control-point x-coordinates.
     pub fn xs(&self) -> &[f64] {
-        &self.xs
+        self.columns().0
     }
 
     /// Control-point y-values.
     pub fn ys(&self) -> &[f64] {
-        &self.ys
+        self.columns().1
     }
 
-    fn segment_of(&self, x: f64) -> usize {
-        let idx = self.xs.partition_point(|&bx| bx <= x);
-        idx.saturating_sub(1).min(self.xs.len() - 2)
+    /// `(xs, ys, ds)`: the knots, their values and the derivatives
+    /// Fritsch–Carlson selected there.
+    fn columns(&self) -> (&[f64], &[f64], &[f64]) {
+        let n = self.knots.len() / 3;
+        let (xs, rest) = self.knots.split_at(n);
+        let (ys, ds) = rest.split_at(n);
+        (xs, ys, ds)
+    }
+
+    /// The segment `s` with `xs[s] ≤ x ≤ xs[s + 1]` (clamped to the
+    /// first and last).
+    fn segment_of(xs: &[f64], x: f64) -> usize {
+        let idx = xs.partition_point(|&bx| bx <= x);
+        idx.saturating_sub(1).min(xs.len() - 2)
+    }
+}
+
+impl std::fmt::Debug for Pchip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (xs, ys, ds) = self.columns();
+        f.debug_struct("Pchip").field("xs", &xs).field("ys", &ys).field("ds", &ds).finish()
+    }
+}
+
+/// [`Pchip`]'s serialized form: its three columns by name.
+#[derive(Serialize, Deserialize)]
+struct Columns {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    ds: Vec<f64>,
+}
+
+impl Serialize for Pchip {
+    fn to_value(&self) -> serde::Value {
+        let (xs, ys, ds) = self.columns();
+        Columns { xs: xs.to_vec(), ys: ys.to_vec(), ds: ds.to_vec() }.to_value()
+    }
+}
+
+impl Deserialize for Pchip {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let Columns { xs, ys, ds } = Columns::from_value(v)?;
+        if ys.len() != xs.len() || ds.len() != xs.len() {
+            return Err("Pchip: xs, ys and ds must be equally long".to_string());
+        }
+        Ok(Pchip { knots: [xs, ys, ds].concat().into_boxed_slice() })
     }
 }
 
 /// Matlab-compatible PCHIP slope selection (Fritsch–Carlson with the
-/// three-point endpoint formula).
-fn fritsch_carlson_slopes(xs: &[f64], ys: &[f64]) -> Vec<f64> {
+/// three-point endpoint formula), written into `d` (as long as `xs`).
+fn fritsch_carlson_slopes(xs: &[f64], ys: &[f64], d: &mut [f64]) {
     let n = xs.len();
     // Interval widths and secants, computed where they are used.
     let h = |i: usize| xs[i + 1] - xs[i];
     let delta = |i: usize| (ys[i + 1] - ys[i]) / h(i);
     if n == 2 {
-        return vec![delta(0), delta(0)];
+        d.fill(delta(0));
+        return;
     }
-    let mut d = vec![0.0; n];
     // Interior points: weighted harmonic mean where both secants are
     // positive; zero where either vanishes (flat spot) — this is what
     // preserves monotonicity. The left interval's width and secant
@@ -139,7 +184,6 @@ fn fritsch_carlson_slopes(xs: &[f64], ys: &[f64]) -> Vec<f64> {
     d[0] = endpoint_slope(h(0), h(1), delta(0), delta(1));
     // n ≥ 3 here (n == 2 returned above), so n − 3 is a valid secant index.
     d[n - 1] = endpoint_slope(h(n - 2), h(n - 3), delta(n - 2), delta(n - 3));
-    d
 }
 
 /// The shape-preserving three-point endpoint derivative Matlab's `pchip`
@@ -156,41 +200,41 @@ fn endpoint_slope(h0: f64, h1: f64, delta0: f64, delta1: f64) -> f64 {
 
 impl Utility for Pchip {
     fn value(&self, x: f64) -> f64 {
+        let (xs, ys, ds) = self.columns();
         let x = clamp_domain(x, self.cap());
-        let s = self.segment_of(x);
-        let h = self.xs[s + 1] - self.xs[s];
-        let t = (x - self.xs[s]) / h;
+        let s = Self::segment_of(xs, x);
+        let h = xs[s + 1] - xs[s];
+        let t = (x - xs[s]) / h;
         let (t2, t3) = (t * t, t * t * t);
         let h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
         let h10 = t3 - 2.0 * t2 + t;
         let h01 = -2.0 * t3 + 3.0 * t2;
         let h11 = t3 - t2;
-        self.ys[s] * h00 + h * self.ds[s] * h10 + self.ys[s + 1] * h01 + h * self.ds[s + 1] * h11
+        ys[s] * h00 + h * ds[s] * h10 + ys[s + 1] * h01 + h * ds[s + 1] * h11
     }
 
     fn derivative(&self, x: f64) -> f64 {
+        let (xs, ys, ds) = self.columns();
         let x = clamp_domain(x, self.cap());
-        let s = self.segment_of(x);
-        let h = self.xs[s + 1] - self.xs[s];
-        let t = (x - self.xs[s]) / h;
+        let s = Self::segment_of(xs, x);
+        let h = xs[s + 1] - xs[s];
+        let t = (x - xs[s]) / h;
         let t2 = t * t;
         let dh00 = 6.0 * t2 - 6.0 * t;
         let dh10 = 3.0 * t2 - 4.0 * t + 1.0;
         let dh01 = -6.0 * t2 + 6.0 * t;
         let dh11 = 3.0 * t2 - 2.0 * t;
-        (self.ys[s] * dh00 + h * self.ds[s] * dh10 + self.ys[s + 1] * dh01
-            + h * self.ds[s + 1] * dh11)
-            / h
+        (ys[s] * dh00 + h * ds[s] * dh10 + ys[s + 1] * dh01 + h * ds[s + 1] * dh11) / h
     }
 
     fn cap(&self) -> f64 {
-        *self.xs.last().expect("validated: at least 2 points")
+        *self.xs().last().expect("validated: at least 2 points")
     }
 
     fn max_value(&self) -> f64 {
         // PCHIP through nondecreasing data is monotone, so the maximum is
         // at the right endpoint.
-        *self.ys.last().expect("validated: at least 2 points")
+        *self.ys().last().expect("validated: at least 2 points")
     }
 
     // The derivative of a cubic segment is a quadratic in the local
@@ -198,15 +242,17 @@ impl Utility for Pchip {
     // bisecting `derivative` ~40 times. The scalar body lives in
     // `crate::demand`, beside the pin rules that read the same branches.
     fn inverse_derivative(&self, lambda: f64) -> f64 {
-        crate::demand::pchip_inverse_derivative(lambda, &self.xs, &self.ys, &self.ds)
+        let (xs, ys, ds) = self.columns();
+        crate::demand::pchip_inverse_derivative(lambda, xs, ys, ds)
     }
 
     fn describe_demand(&self, sink: &mut crate::demand::DemandSink<'_>) {
-        sink.pchip(&self.xs, &self.ys, &self.ds);
+        let (xs, ys, ds) = self.columns();
+        sink.pchip(xs, ys, ds);
     }
 
     fn matches_spec(&self, spec: &UtilitySpec) -> bool {
-        matches!(spec, UtilitySpec::Pchip { points } if same_points(&self.xs, &self.ys, points))
+        matches!(spec, UtilitySpec::Pchip { points } if same_points(self.xs(), self.ys(), points))
     }
 
     // `value` clamps x into [0, cap] and finds the segment with
@@ -216,21 +262,21 @@ impl Utility for Pchip {
     // every |h·d| — computed as `value` computes them — is at most
     // f64::MAX/16, the sum stays within 3/4 of f64::MAX: finite. The
     // knots must start at 0 and strictly increase with finite gaps,
-    // which `new` checks but a deserialized curve need not satisfy.
+    // which `new` checks but a deserialized curve need not satisfy (its
+    // columns are equally long: deserializing checks that).
     fn value_provably_finite(&self) -> bool {
         const BOUND: f64 = f64::MAX / 16.0;
-        let n = self.xs.len();
+        let (xs, ys, ds) = self.columns();
+        let n = xs.len();
         n >= 2
-            && self.ys.len() == n
-            && self.ds.len() == n
-            && self.xs[0] == 0.0
-            && self.ys.iter().all(|y| y.abs() <= BOUND)
+            && xs[0] == 0.0
+            && ys.iter().all(|y| y.abs() <= BOUND)
             && (0..n - 1).all(|s| {
-                let h = self.xs[s + 1] - self.xs[s];
+                let h = xs[s + 1] - xs[s];
                 h > 0.0
                     && h.is_finite()
-                    && (h * self.ds[s]).abs() <= BOUND
-                    && (h * self.ds[s + 1]).abs() <= BOUND
+                    && (h * ds[s]).abs() <= BOUND
+                    && (h * ds[s + 1]).abs() <= BOUND
             })
     }
 }
@@ -283,7 +329,9 @@ mod tests {
                     let rise = if flat { 0.0 } else { rng.gen_range(0.0..5.0) };
                     ys.push(ys[ys.len() - 1] + rise);
                 }
-                let (got, want) = (fritsch_carlson_slopes(&xs, &ys), slopes_from_vectors(&xs, &ys));
+                let mut got = vec![0.0; n];
+                fritsch_carlson_slopes(&xs, &ys, &mut got);
+                let want = slopes_from_vectors(&xs, &ys);
                 let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "xs {xs:?}, ys {ys:?}");
             }
@@ -419,6 +467,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn serializes_its_columns_by_name() {
+        let p = Pchip::new(&paper_points(1000.0, 4.0, 2.0)).unwrap();
+        let v = p.to_value();
+        let xs = p.xs().iter().map(|&x| serde::Value::Num(x)).collect();
+        assert_eq!(v.get("xs"), Some(&serde::Value::Arr(xs)));
+        assert_eq!(Pchip::from_value(&v), Ok(p));
+        let mut short = Columns::from_value(&v).unwrap();
+        short.ds.pop();
+        assert!(Pchip::from_value(&short.to_value()).is_err());
     }
 
     #[test]
