@@ -88,7 +88,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::{
-    read_frame, write_frame, Backoff, FleetRouter, Link, ParkedQueues, PendingMap, RouteDecision,
+    read_frame, Backoff, FleetRouter, Link, ParkedQueues, PendingMap, RouteDecision,
     DEFAULT_RETRY_BACKOFF_BASE_MS, DEFAULT_RETRY_BACKOFF_MAX_MS, MAX_FRAME_BYTES, MAX_WORKERS,
 };
 use aa_core::ring::{splitmix64, Ring};
@@ -106,14 +106,12 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::proto::{
-    encode_req, FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan,
-    WorkerResult,
+    decode_from_worker, encode_req, Answer, Frame, FromWorker, MetricsSnapshot, Received,
+    SpanBinding, ToWorker, TraceCtx, WireSpan,
 };
 use crate::serve::{
-    build_request, ingress, run_serve, Admission, Admit, Answers, Outcome,
-    ServeOpts,
+    build_request, ingress, run_serve, Admission, Admit, Answers, Outcome, ServeOpts,
 };
-use crate::worker::worker_result;
 use crate::{build_problem, CliError, ProblemFile};
 
 /// The answer for requests stranded when every worker has retired.
@@ -140,12 +138,13 @@ pub fn parse_ladder(s: &str) -> Result<Vec<Tier>, String> {
 /// Everything the event loop reacts to.
 enum Event {
     Resize { workers: usize, id: serde_json::Value },
-    /// A process link's frame.
-    FromWorker { worker: usize, incarnation: u64, msg: FromWorker },
+    /// A process link's frame, and when its reader began reading it and
+    /// for how long (the walk of an answer, a `relay` span's first part).
+    FromWorker { worker: usize, incarnation: u64, msg: Received, read: (Instant, Duration) },
     /// A process link's pipe closed or broke protocol.
     WorkerGone { worker: usize, incarnation: u64 },
-    /// A thread link's answer.
-    Done(aa_core::ShardCompletion),
+    /// A thread link's answer, its body written on the shard thread.
+    Done { shard: usize, seq: u64, answer: Answer },
     /// A thread link's thread died.
     Exited(usize),
     Eof,
@@ -284,29 +283,21 @@ fn worker_args(opts: &ServeOpts, w: usize, chaos_offset: u64) -> Vec<String> {
     args
 }
 
-/// Decode one worker's stdout into events. Any protocol violation —
+/// Read one worker's stdout into events ([`decode_from_worker`]: an
+/// answer's body stays the frame's own bytes). Any protocol violation —
 /// truncated frame, bad trailer, oversized length, unparseable payload
 /// — ends the stream and reports the worker gone, so the front-end
 /// treats it exactly as a crash (restart and replay).
 fn reader_thread(stdout: ChildStdout, worker: usize, incarnation: u64, tx: &Sender<Event>) {
     let mut input = BufReader::new(stdout);
-    loop {
-        match read_frame(&mut input, MAX_FRAME_BYTES) {
-            Ok(None) => break,
-            Ok(Some(payload)) => {
-                let parsed = std::str::from_utf8(&payload)
-                    .ok()
-                    .and_then(|s| serde_json::from_str::<FromWorker>(s).ok());
-                match parsed {
-                    Some(msg) => {
-                        if tx.send(Event::FromWorker { worker, incarnation, msg }).is_err() {
-                            return;
-                        }
-                    }
-                    None => break,
-                }
-            }
-            Err(_) => break,
+    while let Ok(Some(payload)) = read_frame(&mut input, MAX_FRAME_BYTES) {
+        let started = Instant::now();
+        let Some(msg) = String::from_utf8(payload).ok().and_then(decode_from_worker) else {
+            break;
+        };
+        let read = (started, started.elapsed());
+        if tx.send(Event::FromWorker { worker, incarnation, msg, read }).is_err() {
+            return;
         }
     }
     let _ = tx.send(Event::WorkerGone { worker, incarnation });
@@ -434,12 +425,27 @@ impl FleetObs {
         lane.dropped = lane.dropped.max(dropped);
     }
 
+    /// Record a front-end CPU span `name` under `seq`'s request span, if
+    /// its trace is open.
+    fn child(&mut self, seq: u64, name: &'static str, start: Instant, duration: Duration) {
+        let Some(rt) = self.requests.get(&seq) else { return };
+        let micros = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
+        let id = self.collector.record_manual(name, self.collector.micros_at(start), micros, rt.span);
+        self.span_trace.insert(id, rt.trace_id);
+    }
+
     /// Close a request's trace at completion: record the request span
-    /// under its reserved id plus queue-wait and worker-await children
-    /// (the latter only once the request was actually dispatched).
-    fn finish(&mut self, seq: u64, arrived: Instant) {
+    /// under its reserved id, from its line's `scan` to now, plus its
+    /// children — `scan` (syntax scan and envelope, up to `arrived`),
+    /// queue-wait and worker-await (once the request was actually
+    /// dispatched), and `relay`, whose `(start, duration)` the caller
+    /// measured.
+    fn finish(&mut self, seq: u64, scanned: Instant, arrived: Instant, relay: (Instant, Duration)) {
+        self.child(seq, "scan", scanned, arrived.saturating_duration_since(scanned));
+        self.child(seq, "relay", relay.0, relay.1);
         let Some(rt) = self.requests.remove(&seq) else { return };
-        let start = self.collector.micros_at(arrived);
+        let start = self.collector.micros_at(scanned);
+        let arrived = self.collector.micros_at(arrived);
         let end = self.collector.now_micros();
         self.collector
             .record_prealloc(rt.span, "request", start, end.saturating_sub(start), 0);
@@ -448,8 +454,8 @@ impl FleetObs {
             let dispatch = self.collector.micros_at(d);
             let queued = self.collector.record_manual(
                 "queue_wait",
-                start,
-                dispatch.saturating_sub(start),
+                arrived,
+                dispatch.saturating_sub(arrived),
                 rt.span,
             );
             let awaited = self.collector.record_manual(
@@ -622,7 +628,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 cfg,
                 registry,
                 Arc::new(move |c| {
-                    let _ = done.send(Event::Done(c));
+                    let answer = Answer::of(c.outcome, c.solve_micros);
+                    let _ = done.send(Event::Done { shard: c.shard, seq: c.seq, answer });
                 }),
                 Arc::new(move |w| {
                     let _ = exited.send(Event::Exited(w));
@@ -707,12 +714,11 @@ impl<'a, W: Write> FleetCore<'a, W> {
         Ok(())
     }
 
-    /// Best-effort frame write; a dead pipe surfaces via the reader's
-    /// `WorkerGone`, which replays whatever was assigned.
-    fn send_to(&mut self, w: usize, payload: &str) {
+    /// Best-effort frame write, in one write; a dead pipe surfaces via
+    /// the reader's `WorkerGone`, which replays whatever was assigned.
+    fn send_to(&mut self, w: usize, frame: Frame) {
         if let Some(stdin) = self.slots[w].process.as_mut().and_then(|p| p.stdin.as_mut()) {
-            let _ = write_frame(stdin, payload.as_bytes());
-            let _ = stdin.flush();
+            let _ = stdin.write_all(&frame.into_bytes());
         }
     }
 
@@ -757,7 +763,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
         // responses and deaths are moot post-shutdown) so the merged
         // trace and federated metrics cover every solve.
         while let Ok(ev) = rx.try_recv() {
-            if let Event::FromWorker { msg: FromWorker::Obs { .. }, .. } = &ev {
+            if let Event::FromWorker { msg: Received::Frame(FromWorker::Obs { .. }), .. } = &ev {
                 core.handle(ev);
             }
         }
@@ -821,7 +827,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             p.nonce += 1;
             p.unanswered_pings += 1;
             let ping = ToWorker::Ping { nonce: p.nonce };
-            self.send_to(w, &serde_json::to_string(&ping).expect("pings always serialize"));
+            self.send_to(w, Frame::of(&ping));
             self.maybe_close_draining(w);
         }
     }
@@ -838,10 +844,16 @@ impl<'a, W: Write> FleetCore<'a, W> {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::Resize { workers, id } => self.on_resize(workers, id),
-            Event::FromWorker { worker, incarnation, msg } => {
+            Event::FromWorker { worker, incarnation, msg, read } => {
                 if worker >= self.slots.len() || self.slots[worker].incarnation != incarnation {
                     return;
                 }
+                let msg = match msg {
+                    Received::Resp { seq, answer } => {
+                        return self.on_resp(worker, seq, answer, Some(read));
+                    }
+                    Received::Frame(msg) => msg,
+                };
                 match msg {
                     FromWorker::Hello { pid, now_micros, .. } => {
                         if let Some(obs) = &mut self.obs {
@@ -863,7 +875,9 @@ impl<'a, W: Write> FleetCore<'a, W> {
                         }
                         self.federate(worker, metrics);
                     }
-                    FromWorker::Resp { seq, result } => self.on_resp(worker, seq, result),
+                    FromWorker::Resp { seq, result } => {
+                        self.on_resp(worker, seq, result.into(), Some(read));
+                    }
                     FromWorker::Obs { now_micros, spans, bindings, dropped, metrics } => {
                         if let Some(obs) = &mut self.obs {
                             obs.on_worker_clock(worker, incarnation, None, now_micros);
@@ -874,17 +888,16 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 }
             }
             Event::WorkerGone { worker, incarnation } => self.on_gone(worker, incarnation),
-            Event::Done(c) => {
-                let result = worker_result(c.outcome, c.solve_micros);
-                let m = &self.fm.per_worker[c.shard];
-                match &result {
-                    WorkerResult::Ok { .. } => m.solves.set(m.solves.get() + 1.0),
-                    WorkerResult::Err { class, .. } if class == "solve_panic" => {
+            Event::Done { shard, seq, answer } => {
+                let m = &self.fm.per_worker[shard];
+                match &answer {
+                    Answer::Ok { .. } => m.solves.set(m.solves.get() + 1.0),
+                    Answer::Err { class, .. } if class == "solve_panic" => {
                         m.solve_panics.set(m.solve_panics.get() + 1.0);
                     }
-                    WorkerResult::Err { .. } => {}
+                    Answer::Err { .. } => {}
                 }
-                self.on_resp(c.shard, c.seq, result);
+                self.on_resp(shard, seq, answer, None);
             }
             // A thread reports its death after its last answer, and its
             // slot respawns only once this event is handled, so the
@@ -927,13 +940,23 @@ impl<'a, W: Write> FleetCore<'a, W> {
         self.dispatch(seq);
     }
 
-    /// Answer a request that left `pending`: close its trace (when
-    /// tracing) and hand the outcome to the shared answer path.
+    /// Answer a request that left `pending` without a worker's answer.
     fn answer(&mut self, seq: u64, job: Admit, outcome: Outcome) {
-        if let Some(obs) = &mut self.obs {
-            obs.finish(seq, job.ticket.arrived);
-        }
+        self.relay(seq, job, outcome, None);
+    }
+
+    /// Hand a request that left `pending` to the shared answer path and,
+    /// when tracing, close its trace. `read` is when the reader began
+    /// reading the worker's answer frame and for how long, which the
+    /// `relay` span adds to the line write.
+    fn relay(&mut self, seq: u64, job: Admit, outcome: Outcome, read: Option<(Instant, Duration)>) {
+        let (scanned, arrived) = (job.ticket.scanned, job.ticket.arrived);
+        let written = Instant::now();
         self.answers.send(job.ticket, outcome).ok();
+        if let Some(obs) = &mut self.obs {
+            let (start, walked) = read.unwrap_or((written, Duration::ZERO));
+            obs.finish(seq, scanned, arrived, (start, walked + written.elapsed()));
+        }
     }
 
     /// Route and send one pending, unassigned request.
@@ -999,8 +1022,12 @@ impl<'a, W: Write> FleetCore<'a, W> {
             .ticket
             .deadline()
             .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64);
-        let payload = encode_req(seq, entry.stream, budget_ms, trace, &entry.job.problem);
-        self.send_to(w, &payload);
+        let framed = Instant::now();
+        let frame = encode_req(seq, entry.stream, budget_ms, trace, &entry.job.problem);
+        self.send_to(w, frame);
+        if let Some(obs) = &mut self.obs {
+            obs.child(seq, "frame", framed, framed.elapsed());
+        }
     }
 
     /// No routable worker: hold the request unless the whole fleet is
@@ -1033,7 +1060,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
         }
     }
 
-    fn on_resp(&mut self, w: usize, seq: u64, result: WorkerResult) {
+    fn on_resp(&mut self, w: usize, seq: u64, answer: Answer, read: Option<(Instant, Duration)>) {
         self.slots[w].in_flight = self.slots[w].in_flight.saturating_sub(1);
         let Some(entry) = self.pending.complete(seq) else {
             // A completion for a seq no longer pending — replayed and
@@ -1041,19 +1068,11 @@ impl<'a, W: Write> FleetCore<'a, W> {
             self.fm.duplicates.inc();
             return;
         };
-        let outcome = match result {
-            WorkerResult::Ok { tier, degraded, utility, server, allocation, solve_micros } => {
-                Outcome::Ok {
-                    tier,
-                    degraded,
-                    utility,
-                    server,
-                    allocation,
-                    solve_micros,
-                    routed: (w, entry.attempts),
-                }
+        let outcome = match answer {
+            Answer::Ok { tier, body, solve_micros } => {
+                Outcome::Ok { tier, body, solve_micros, routed: (w, entry.attempts) }
             }
-            WorkerResult::Err { class, error, queue_expired, .. } => {
+            Answer::Err { class, error, queue_expired } => {
                 if class == "shutdown" {
                     self.fm.shutdown_answers.inc();
                 }
@@ -1065,7 +1084,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             }
         };
         let stream = entry.stream;
-        self.answer(seq, entry.job, outcome);
+        self.relay(seq, entry.job, outcome, read);
         if let Some(strm) = stream {
             let released = self.router.complete(strm, w);
             self.release(released);

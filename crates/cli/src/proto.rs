@@ -25,9 +25,24 @@
 //! to its build without decoding it, so a problem that fails its schema
 //! or its syntax is answered, not a protocol violation. The frame is
 //! still a [`ToWorker::Req`] document.
+//!
+//! Answers cross the same way in reverse. A worker writes each `Resp`
+//! frame straight from its solve, with the serializer's number and
+//! string writers ([`serde_json::write_num`]) and no tree; the frame
+//! still equals `serde_json::to_string` of the [`FromWorker::Resp`]. The
+//! front-end's reader walks the frame once and keeps a solve's members
+//! from `"tier"` through the `allocation` array as a byte range of the
+//! frame (`Body`), undecoded: the client's `ok` line carries those
+//! bytes as they came, since the line writes the same members with the
+//! same writers. Any frame that walk declines is decoded whole.
+//!
+//! Every frame is assembled in one buffer, length prefix and trailer
+//! included (`Frame`), so it crosses its pipe in one write.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
+use aa_core::fleet::FRAME_TRAILER;
+use aa_core::{ShardError, TieredSolve};
 use serde::{Deserialize, Reader, Serialize};
 
 use crate::ProblemFile;
@@ -80,26 +95,71 @@ struct ReqHeader {
     trace: Option<TraceCtx>,
 }
 
-/// The payload of a [`ToWorker::Req`] frame with `problem` — raw JSON
-/// text — spliced in verbatim. When `problem` is the serializer's own
-/// output, the bytes equal `serde_json::to_string` of the `Req`.
+/// One frame's bytes in one buffer: room for the length prefix, the
+/// payload, and (once [`Frame::into_bytes`] seals it) the trailer, so
+/// the frame crosses its pipe in one write instead of
+/// [`aa_core::fleet::write_frame`]'s three. Derefs to its payload.
+pub(crate) struct Frame(String);
+
+/// Where a [`Frame`]'s length prefix goes until the payload is known.
+const PREFIX: &str = "\0\0\0\0";
+
+impl Frame {
+    /// An empty payload with room for `payload` bytes.
+    fn with_capacity(payload: usize) -> Frame {
+        let mut text = String::with_capacity(PREFIX.len() + payload + 1);
+        text.push_str(PREFIX);
+        Frame(text)
+    }
+
+    /// A frame around the serialized `msg`.
+    pub(crate) fn of<T: Serialize>(msg: &T) -> Frame {
+        let payload = serde_json::to_string(msg).expect("frames always serialize");
+        let mut frame = Frame::with_capacity(payload.len());
+        frame.0.push_str(&payload);
+        frame
+    }
+
+    /// The frame's bytes, as [`aa_core::fleet::write_frame`] writes them.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        let mut bytes = self.0.into_bytes();
+        #[allow(clippy::cast_possible_truncation)]
+        let len = (bytes.len() - PREFIX.len()) as u32;
+        bytes[..PREFIX.len()].copy_from_slice(&len.to_be_bytes());
+        bytes.push(FRAME_TRAILER);
+        bytes
+    }
+}
+
+impl Deref for Frame {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0[PREFIX.len()..]
+    }
+}
+
+/// A [`ToWorker::Req`] frame with `problem` — raw JSON text — spliced in
+/// verbatim. When `problem` is the serializer's own output, the payload
+/// equals `serde_json::to_string` of the `Req`.
 pub(crate) fn encode_req(
     seq: u64,
     stream: Option<u64>,
     budget_ms: Option<u64>,
     trace: Option<TraceCtx>,
     problem: &str,
-) -> String {
+) -> Frame {
     let header = serde_json::to_string(&ReqHeader { seq, stream, budget_ms, trace })
         .expect("headers always serialize");
     let fields = &header[1..header.len() - 1];
-    let mut out = String::with_capacity(fields.len() + problem.len() + 32);
+    let mut frame = Frame::with_capacity(fields.len() + problem.len() + 32);
+    let out = &mut frame.0;
     out.push_str(r#"{"type":"req","#);
     out.push_str(fields);
     out.push_str(r#","problem":"#);
     out.push_str(problem);
     out.push('}');
-    out
+    frame
 }
 
 /// A [`ToWorker`] frame as the worker reads it: the header, and where
@@ -171,12 +231,22 @@ struct InOrder<'a> {
 impl InOrder<'_> {
     /// The next member's value, when its key is `key` and it decodes.
     fn next<T: Deserialize>(&mut self, key: &str) -> Option<T> {
-        if !self.more || self.r.key().ok()? != key {
-            return None;
-        }
+        self.key(key)?;
         let value = T::from_json(&mut self.r)?;
-        self.more = self.r.more(b'}').ok()?;
+        self.after()?;
         Some(value)
+    }
+
+    /// Step past the next member's key, when it is `key`; its value is
+    /// the reader's next.
+    fn key(&mut self, key: &str) -> Option<()> {
+        (self.more && self.r.key().ok()? == key).then_some(())
+    }
+
+    /// After a member's value: whether another follows.
+    fn after(&mut self) -> Option<()> {
+        self.more = self.r.more(b'}').ok()?;
+        Some(())
     }
 }
 
@@ -226,9 +296,11 @@ pub enum FromWorker {
         solve_panics: u64,
         /// Span clock at send time, refreshing the alignment offset.
         now_micros: u64,
-        /// Full registry snapshot for federation (every pong — full
-        /// snapshots, not deltas, so a dropped pong costs staleness of
-        /// one heartbeat, never correctness).
+        /// Full registry snapshot for federation — full snapshots, not
+        /// deltas, so a dropped pong costs staleness of one heartbeat,
+        /// never correctness. `None` when it equals the last one this
+        /// incarnation sent (the front-end keeps that one); a fresh
+        /// incarnation always sends its first.
         metrics: Option<MetricsSnapshot>,
     },
     /// Answer to a [`ToWorker::Req`].
@@ -292,7 +364,7 @@ pub struct SpanBinding {
 /// A full worker registry snapshot for metrics federation: flat export
 /// keys and values, histograms as raw log-linear bucket parts
 /// (boundaries are a protocol constant shared by both sides).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter `(export key, cumulative value)` pairs.
     pub counters: Vec<(String, u64)>,
@@ -303,7 +375,7 @@ pub struct MetricsSnapshot {
 }
 
 /// One histogram inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireHistogram {
     /// The export key (`name` or `name{k="v"}`).
     pub key: String,
@@ -395,6 +467,290 @@ pub enum WorkerResult {
     },
 }
 
+/// A worker's answer as the front-end relays it.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// [`WorkerResult::Ok`], its members from `tier` through `allocation`
+    /// kept as text.
+    Ok {
+        /// Ladder tier that produced the answer.
+        tier: String,
+        /// The members the client's `ok` line carries as they are.
+        body: Body,
+        /// Solve latency in microseconds.
+        solve_micros: u64,
+    },
+    /// [`WorkerResult::Err`].
+    Err { class: String, error: String, queue_expired: bool },
+}
+
+/// A solved answer's members from `"tier"` through the `allocation`
+/// array, as JSON text: `text[range]`, where `text` is the buffer they
+/// were written or read in (a whole `Resp` frame, on a process link).
+#[derive(Debug)]
+pub(crate) struct Body {
+    text: String,
+    range: Range<usize>,
+}
+
+impl Body {
+    /// The members' text.
+    pub(crate) fn as_str(&self) -> &str {
+        &self.text[self.range.clone()]
+    }
+
+    /// A body written by `write` into a buffer of its own.
+    fn written(capacity: usize, write: impl FnOnce(&mut String)) -> Body {
+        let mut text = String::with_capacity(capacity);
+        write(&mut text);
+        Body { range: 0..text.len(), text }
+    }
+}
+
+impl Answer {
+    /// One shard completion's answer; a solve's body is written here, on
+    /// the thread that solved it.
+    pub(crate) fn of(outcome: Result<TieredSolve, ShardError>, solve_micros: u64) -> Answer {
+        match outcome {
+            Ok(solve) => Answer::Ok {
+                tier: solve.degradation.tier.name().to_string(),
+                body: Body::written(body_capacity(solve.assignment.server.len()), |out| {
+                    write_solve(out, &solve);
+                }),
+                solve_micros,
+            },
+            Err(e) => {
+                let (class, error, queue_expired) = failure(&e);
+                Answer::Err { class: class.to_string(), error, queue_expired }
+            }
+        }
+    }
+}
+
+impl From<WorkerResult> for Answer {
+    /// A decoded result's answer: the members written as the worker's
+    /// own frame writes them.
+    fn from(result: WorkerResult) -> Answer {
+        match result {
+            WorkerResult::Ok { tier, degraded, utility, server, allocation, solve_micros } => {
+                let body = Body::written(body_capacity(server.len()), |out| {
+                    write_body(out, &tier, degraded, utility, &server, &allocation);
+                });
+                Answer::Ok { tier, body, solve_micros }
+            }
+            WorkerResult::Err { class, error, queue_expired, .. } => {
+                Answer::Err { class, error, queue_expired }
+            }
+        }
+    }
+}
+
+/// A body's size guess for `n` threads: a server index, an allocation
+/// and two commas each, plus the other members.
+fn body_capacity(n: usize) -> usize {
+    24 * n + 96
+}
+
+/// A failed or refused request's `(class, error, queue_expired)`, as its
+/// [`WorkerResult::Err`] carries them.
+fn failure(e: &ShardError) -> (&'static str, String, bool) {
+    let error = match e {
+        ShardError::Expired => "budget expired while queued in worker".to_string(),
+        e => e.to_string(),
+    };
+    (e.class(), error, matches!(e, ShardError::Expired))
+}
+
+/// [`write_body`] of a solve.
+fn write_solve(out: &mut String, solve: &TieredSolve) {
+    let (tier, degraded) = (solve.degradation.tier.name(), solve.degradation.degraded);
+    let a = &solve.assignment;
+    write_body(out, tier, degraded, solve.utility, &a.server, &a.amount);
+}
+
+/// Append [`WorkerResult::Ok`]'s members from `tier` through
+/// `allocation`, as its serializer writes them.
+fn write_body(
+    out: &mut String,
+    tier: &str,
+    degraded: bool,
+    utility: f64,
+    server: &[usize],
+    allocation: &[f64],
+) {
+    out.push_str(r#""tier":"#);
+    serde_json::write_str(tier, out);
+    out.push_str(r#","degraded":"#);
+    out.push_str(if degraded { "true" } else { "false" });
+    out.push_str(r#","utility":"#);
+    serde_json::write_num(utility, out);
+    out.push_str(r#","server":["#);
+    #[allow(clippy::cast_precision_loss)]
+    write_items(out, server, |&s, out| serde_json::write_num(s as f64, out));
+    out.push_str(r#"],"allocation":["#);
+    write_items(out, allocation, |&x, out| serde_json::write_num(x, out));
+    out.push(']');
+}
+
+/// `items`, comma-separated.
+fn write_items<T>(out: &mut String, items: &[T], write: impl Fn(&T, &mut String)) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
+    }
+}
+
+/// The worker's [`FromWorker::Resp`] frame for one shard completion,
+/// written straight from the solve: its payload equals
+/// `serde_json::to_string` of the `Resp` whose result is the completion's
+/// [`WorkerResult`].
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn resp_frame(
+    seq: u64,
+    outcome: &Result<TieredSolve, ShardError>,
+    solve_micros: u64,
+) -> Frame {
+    let n = outcome.as_ref().map_or(0, |s| s.assignment.server.len());
+    let mut frame = Frame::with_capacity(body_capacity(n) + 96);
+    let out = &mut frame.0;
+    out.push_str(r#"{"type":"resp","seq":"#);
+    serde_json::write_num(seq as f64, out);
+    let micros = |out: &mut String| {
+        out.push_str(r#","solve_micros":"#);
+        serde_json::write_num(solve_micros as f64, out);
+    };
+    match outcome {
+        Ok(solve) => {
+            out.push_str(r#","result":{"kind":"ok","#);
+            write_solve(out, solve);
+            micros(out);
+        }
+        Err(e) => {
+            let (class, error, queue_expired) = failure(e);
+            out.push_str(r#","result":{"kind":"err","class":"#);
+            serde_json::write_str(class, out);
+            out.push_str(r#","error":"#);
+            serde_json::write_str(&error, out);
+            micros(out);
+            out.push_str(r#","queue_expired":"#);
+            out.push_str(if queue_expired { "true" } else { "false" });
+        }
+    }
+    out.push_str("}}");
+    frame
+}
+
+
+/// A [`FromWorker`] frame as the front-end reads it.
+#[derive(Debug)]
+pub(crate) enum Received {
+    /// A `Resp` frame the one walk took, its answer's body kept as the
+    /// frame's own bytes.
+    Resp { seq: u64, answer: Answer },
+    /// Any other frame, or a `Resp` the walk declined, decoded whole.
+    Frame(FromWorker),
+}
+
+/// Read one frame payload from a worker. `None` — bad JSON, an unknown
+/// type, a missing or mistyped field — is a protocol violation.
+///
+/// A `Resp` frame as the worker writes it ([`resp_frame`]) is read in one
+/// walk ([`walk_resp`]); every other frame, and a `Resp` that walk
+/// declines, goes through the typed decode.
+pub(crate) fn decode_from_worker(payload: String) -> Option<Received> {
+    let Some((seq, walked)) = walk_resp(&payload) else {
+        return serde_json::from_str(&payload).ok().map(Received::Frame);
+    };
+    let answer = match walked {
+        Walked::Ok { tier, body, solve_micros } => {
+            Answer::Ok { tier, body: Body { text: payload, range: body }, solve_micros }
+        }
+        Walked::Err { class, error, queue_expired } => Answer::Err { class, error, queue_expired },
+    };
+    Some(Received::Resp { seq, answer })
+}
+
+/// What [`walk_resp`] read: an [`Answer`] whose body is still a range of
+/// the walked text.
+enum Walked {
+    Ok { tier: String, body: Range<usize>, solve_micros: u64 },
+    Err { class: String, error: String, queue_expired: bool },
+}
+
+/// One [`Reader`] walk over a `Resp` frame whose members come in the
+/// order the serializer writes them. Every value is checked as the typed
+/// decode of [`FromWorker`] checks it, but only `seq`, `kind`, `tier` and
+/// `solve_micros` (and an error's members) are decoded: a solve's members
+/// from `"tier"` through the `allocation` array are returned as their
+/// byte range. `None` declines: another frame type, a member out of
+/// order, unknown, repeated or mistyped, bytes after the closing `}`, or
+/// a number in the body whose text would not read back as the value the
+/// typed decode gives it (an infinite value, or a negative zero).
+fn walk_resp(payload: &str) -> Option<(u64, Walked)> {
+    let mut r = Reader::new(payload);
+    let more = r.enter(b'{').ok()?;
+    let mut m = InOrder { r, more };
+    if m.next::<String>("type")? != "resp" {
+        return None;
+    }
+    let seq = m.next("seq")?;
+    m.key("result")?;
+    let more = m.r.enter(b'{').ok()?;
+    let mut m = InOrder { r: m.r, more };
+    let walked = match m.next::<String>("kind")?.as_str() {
+        "ok" => {
+            m.r.skip_ws();
+            let start = m.r.pos();
+            let tier = m.next("tier")?;
+            m.next::<bool>("degraded")?;
+            m.key("utility")?;
+            relayed_number(&mut m.r)?;
+            m.after()?;
+            m.key("server")?;
+            items(&mut m.r, |r| {
+                // A negative zero reads as server 0 but prints as `0`.
+                (r.peek() != Some(b'-')).then_some(())?;
+                usize::from_json(r).map(drop)
+            })?;
+            m.after()?;
+            m.key("allocation")?;
+            items(&mut m.r, relayed_number)?;
+            let end = m.r.pos();
+            m.after()?;
+            Walked::Ok { tier, body: start..end, solve_micros: m.next("solve_micros")? }
+        }
+        "err" => {
+            let (class, error) = (m.next("class")?, m.next("error")?);
+            m.next::<u64>("solve_micros")?;
+            Walked::Err { class, error, queue_expired: m.next("queue_expired")? }
+        }
+        _ => return None,
+    };
+    // Both objects closed, and nothing after them.
+    (!m.more && !m.r.more(b'}').ok()? && m.r.at_end()).then_some((seq, walked))
+}
+
+/// The reader's next value is an array; each item passes `item`.
+fn items(r: &mut Reader<'_>, mut item: impl FnMut(&mut Reader<'_>) -> Option<()>) -> Option<()> {
+    let mut more = r.enter(b'[').ok()?;
+    while more {
+        item(r)?;
+        more = r.more(b']').ok()?;
+    }
+    Some(())
+}
+
+/// The reader's next value decodes as an `f64` whose text reads back as
+/// that value: `null` (NaN, which prints as `null`) or a finite number
+/// other than a negative zero (which prints as `0`).
+fn relayed_number(r: &mut Reader<'_>) -> Option<()> {
+    let x = f64::from_json(r)?;
+    let negative_zero = x == 0.0 && x.is_sign_negative();
+    (!x.is_infinite() && !negative_zero).then_some(())
+}
+
 /// The JSON crate's seeded document mutator (reordered, duplicated,
 /// unknown and missing members, odd numbers and escapes, trailing
 /// bytes, truncation), for the decode differential below.
@@ -416,6 +772,20 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    // The request-frame tests compare a frame's payload with the
+    // serializer's text.
+    impl PartialEq<String> for Frame {
+        fn eq(&self, other: &String) -> bool {
+            **self == **other
+        }
+    }
+
+    impl std::fmt::Debug for Frame {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            std::fmt::Debug::fmt(&**self, f)
+        }
+    }
 
     fn round_trip_to(msg: &ToWorker) -> ToWorker {
         serde_json::from_str(&serde_json::to_string(msg).unwrap()).unwrap()
@@ -840,5 +1210,275 @@ mod tests {
         assert_eq!(fed.counters, vec![("aa_t_total".to_string(), 4)]);
         let back = fed.into_federated();
         assert_eq!(back.histograms[0].count, 1);
+    }
+
+    // ---- answers relayed as bytes ----
+
+    /// A double drawn to hit every branch of the number writer: NaN, ±∞,
+    /// −0.0, integral values on both sides of 2⁵³, subnormals, fractions.
+    fn number(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..9u32) {
+            0 => f64::NAN,
+            1 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)],
+            2 => -0.0,
+            3 => (rng.gen_range(1..1u64 << 40) as f64) * 2f64.powi(rng.gen_range(14..60)),
+            4 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            5 => rng.gen_range(-1e6..1e6f64).round(),
+            6 => f64::from_bits(rng.gen()),
+            _ => rng.gen_range(0.0..100.0),
+        }
+    }
+
+    fn solve(rng: &mut StdRng) -> TieredSolve {
+        let n = rng.gen_range(0..6usize);
+        let server = (0..n)
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(0..1usize << 60),
+                _ => rng.gen_range(0..16usize),
+            })
+            .collect();
+        // A real solve's report, its fields redrawn.
+        let mut solve = solved().clone();
+        solve.assignment = aa_core::Assignment { server, amount: (0..n).map(|_| number(rng)).collect() };
+        solve.utility = number(rng);
+        solve.degradation.tier = aa_core::Tier::ALL[rng.gen_range(0..aa_core::Tier::ALL.len())];
+        solve.degradation.degraded = rng.gen_bool(0.5);
+        solve
+    }
+
+    /// One tiered solve of a one-thread problem.
+    fn solved() -> &'static TieredSolve {
+        static SOLVED: std::sync::OnceLock<TieredSolve> = std::sync::OnceLock::new();
+        SOLVED.get_or_init(|| {
+            let problem = crate::build_problem(&sample_problem()).unwrap();
+            let solver = aa_core::TieredSolver::with_ladder(vec![aa_core::Tier::Uu]);
+            solver.try_solve_within_caught(&problem, &aa_core::Budget::unlimited(), None).unwrap()
+        })
+    }
+
+    fn shard_error(rng: &mut StdRng) -> ShardError {
+        use aa_core::SolveError;
+        let text = ["", "plain", "quote\"back\\slash\nline", "é → 𝄞", "ctl\u{1}"];
+        let text = text[rng.gen_range(0..text.len())].to_string();
+        match rng.gen_range(0..5u32) {
+            0 => ShardError::Expired,
+            1 => ShardError::Refused { class: "parse", error: text },
+            2 => ShardError::Solve(SolveError::Panicked(text)),
+            3 => ShardError::Solve(SolveError::DeadlineExceeded),
+            _ => ShardError::Solve(SolveError::NonFiniteUtility { thread: rng.gen_range(0..9usize) }),
+        }
+    }
+
+    /// A completion's [`WorkerResult`] as the tree path built it: the
+    /// solve's fields, or the error's class and text (an expiry in the
+    /// worker's own words).
+    fn tree_result(outcome: &Result<TieredSolve, ShardError>, solve_micros: u64) -> WorkerResult {
+        match outcome {
+            Ok(s) => WorkerResult::Ok {
+                tier: s.degradation.tier.name().to_string(),
+                degraded: s.degradation.degraded,
+                utility: s.utility,
+                server: s.assignment.server.clone(),
+                allocation: s.assignment.amount.clone(),
+                solve_micros,
+            },
+            Err(e) => WorkerResult::Err {
+                class: e.class().to_string(),
+                error: match e {
+                    ShardError::Expired => "budget expired while queued in worker".to_string(),
+                    e => e.to_string(),
+                },
+                solve_micros,
+                queue_expired: matches!(e, ShardError::Expired),
+            },
+        }
+    }
+
+    /// A client id: a string, an object, `null`, a number or an array.
+    fn client_id(rng: &mut StdRng) -> serde_json::Value {
+        use serde_json::Value;
+        match rng.gen_range(0..5u32) {
+            0 => Value::Str(["req-1", "", "quote\"é\n"][rng.gen_range(0..3usize)].to_string()),
+            1 => Value::Obj(vec![
+                ("k".to_string(), Value::Num(number(rng))),
+                ("nested".to_string(), Value::Arr(vec![Value::Bool(true), Value::Null])),
+            ]),
+            2 => Value::Null,
+            3 => Value::Num(number(rng)),
+            _ => Value::Arr(vec![Value::Str("a".into()), Value::Num(7.0)]),
+        }
+    }
+
+    /// The `ok` line the tree path wrote for `result`: `ServeResponse::Ok`'s
+    /// tree plus `worker`, `attempts` and `solve_micros`, serialized.
+    fn tree_line(id: &serde_json::Value, result: &WorkerResult, latency_ms: f64, routed: (usize, u32)) -> String {
+        use serde_json::Value;
+        let WorkerResult::Ok { tier, degraded, utility, server, allocation, solve_micros } = result else {
+            panic!("only a solve has an ok line");
+        };
+        let line = crate::serve::ServeResponse::Ok {
+            id: id.clone(),
+            tier: tier.clone(),
+            degraded: *degraded,
+            utility: *utility,
+            server: server.clone(),
+            allocation: allocation.clone(),
+            latency_ms,
+        };
+        let mut v = line.to_value();
+        let Value::Obj(fields) = &mut v else { panic!("an ok line is an object") };
+        fields.push(("worker".to_string(), routed.0.to_value()));
+        fields.push(("attempts".to_string(), routed.1.to_value()));
+        fields.push(("solve_micros".to_string(), solve_micros.to_value()));
+        format!("{}\n", serde_json::to_string(&v).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+        #[test]
+        fn answers_cross_as_the_serializer_writes_them(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seq = if rng.gen_bool(0.5) { rng.gen_range(0..1000u64) } else { rng.gen() };
+            let solve_micros = if rng.gen_bool(0.5) { rng.gen_range(0..1u64 << 20) } else { rng.gen() };
+            let outcome = if rng.gen_bool(0.75) { Ok(solve(&mut rng)) } else { Err(shard_error(&mut rng)) };
+            // The worker's frame is the serializer's, and the pipe sees
+            // what `write_frame` writes.
+            let frame = resp_frame(seq, &outcome, solve_micros);
+            let result = tree_result(&outcome, solve_micros);
+            let tree = serde_json::to_string(&FromWorker::Resp { seq, result: result.clone() }).unwrap();
+            prop_assert_eq!(&*frame, tree.as_str());
+            let mut piped = Vec::new();
+            aa_core::fleet::write_frame(&mut piped, tree.as_bytes()).unwrap();
+            prop_assert_eq!(&frame.into_bytes(), &piped);
+            // The front-end's one walk takes it, and the client's line
+            // is the tree path's, byte for byte — over a process link
+            // (the frame's bytes) and a thread link (the completion's).
+            let Some(Received::Resp { seq: got, answer }) = decode_from_worker(tree.clone()) else {
+                panic!("the walk declined the worker's own frame: {tree:?}");
+            };
+            // Over the pipe, the tree path's front-end saw the frame's
+            // decode (a number past 2⁵³ rounded); over a thread, the
+            // completion's own values.
+            let Ok(FromWorker::Resp { seq: sent, result: decoded }) = serde_json::from_str(&tree) else {
+                panic!("the worker's frame decodes: {tree:?}");
+            };
+            prop_assert_eq!(got, sent);
+            let (id, latency_ms) = (client_id(&mut rng), number(&mut rng).abs());
+            let routed = (rng.gen_range(0..300usize), rng.gen_range(1..5u32));
+            let threaded = Answer::of(outcome, solve_micros);
+            for (answer, result) in [(answer, decoded), (threaded, result)] {
+                match (answer, &result) {
+                    (Answer::Ok { tier, body, solve_micros: micros }, WorkerResult::Ok { tier: t, solve_micros: m, .. }) => {
+                        prop_assert_eq!((&tier, micros), (t, *m));
+                        let line = crate::serve::ok_line(&id, body.as_str(), latency_ms, routed, micros);
+                        prop_assert_eq!(line, tree_line(&id, &result, latency_ms, routed));
+                    }
+                    (Answer::Err { class, error, queue_expired }, WorkerResult::Err { class: c, error: e, queue_expired: q, .. }) => {
+                        prop_assert_eq!((&class, &error, queue_expired), (c, e, *q));
+                    }
+                    (answer, result) => panic!("{answer:?} for {result:?}"),
+                }
+            }
+        }
+    }
+
+    /// [`decode_from_worker`] on `frame` against the typed decode: the walk
+    /// takes only frames the typed decode reads as the same `Resp`, and
+    /// any frame it declines reads as the typed decode reads it (`None`,
+    /// a protocol violation, where that fails). A taken solve's `ok` line
+    /// is value-equal to the line of the decoded result, and byte-equal
+    /// when `from_encoder`.
+    fn relays_like_the_typed_decode(frame: &str, from_encoder: bool) {
+        let typed = serde_json::from_str::<FromWorker>(frame);
+        let got = decode_from_worker(frame.to_string());
+        let Some(Received::Resp { seq, answer }) = got else {
+            let expected = typed.ok().map(Received::Frame);
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"), "on {frame:?}");
+            assert!(walk_resp(frame).is_none());
+            return;
+        };
+        let Ok(FromWorker::Resp { seq: typed_seq, result }) = typed else {
+            panic!("the walk took a frame the typed decode reads as {typed:?}: {frame:?}");
+        };
+        assert_eq!(seq, typed_seq, "on {frame:?}");
+        match (answer, Answer::from(result)) {
+            (Answer::Ok { tier, body, solve_micros }, Answer::Ok { tier: t, body: b, solve_micros: s }) => {
+                assert_eq!((tier, solve_micros), (t, s), "on {frame:?}");
+                let id = serde_json::Value::Str("id".into());
+                let line = |body: &Body| crate::serve::ok_line(&id, body.as_str(), 1.5, (0, 1), s);
+                let (relayed, decoded) = (line(&body), line(&b));
+                let value = |l: &str| format!("{:?}", serde_json::from_str::<serde_json::Value>(l));
+                assert_eq!(value(&relayed), value(&decoded), "on {frame:?}");
+                if from_encoder {
+                    assert_eq!(relayed, decoded, "on {frame:?}");
+                }
+            }
+            (walked, typed) => assert_eq!(format!("{walked:?}"), format!("{typed:?}"), "on {frame:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        #[test]
+        fn mutated_resp_frames_relay_like_the_typed_decode(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let solve_micros = rng.gen_range(0..1u64 << 20);
+            let outcome = if rng.gen_bool(0.8) { Ok(solve(&mut rng)) } else { Err(shard_error(&mut rng)) };
+            let seq = rng.gen_range(0..1000u64);
+            let frame = resp_frame(seq, &outcome, solve_micros);
+            relays_like_the_typed_decode(&frame, true);
+            let msg = match rng.gen_range(0..10u32) {
+                0 => FromWorker::Hello { worker: 1, pid: 7, now_micros: 5 },
+                1 => FromWorker::Pong { nonce: 3, solves: 2, solve_panics: 0, now_micros: 9, metrics: None },
+                _ => FromWorker::Resp { seq, result: tree_result(&outcome, solve_micros) },
+            };
+            relays_like_the_typed_decode(&mutated_text(&msg, &mut rng), false);
+        }
+    }
+
+    #[test]
+    fn resp_frames_the_walk_declines_decode_whole() {
+        let ok = |server: &str, allocation: &str, tail: &str| {
+            format!(
+                r#"{{"type":"resp","seq":4,"result":{{"kind":"ok","tier":"algo2","degraded":false,"utility":2.5,"server":{server},"allocation":{allocation},"solve_micros":9{tail}"#
+            )
+        };
+        let taken = ok("[0,1]", "[1.5,2]", "}}");
+        relays_like_the_typed_decode(&taken, true);
+        assert!(walk_resp(&taken).is_some());
+        let declined = [
+            // Reordered members, outside and inside the result.
+            r#"{"seq":4,"type":"resp","result":{"kind":"ok","tier":"algo2","degraded":false,"utility":2.5,"server":[0],"allocation":[1],"solve_micros":9}}"#.to_string(),
+            r#"{"type":"resp","seq":4,"result":{"kind":"ok","degraded":false,"tier":"algo2","utility":2.5,"server":[0],"allocation":[1],"solve_micros":9}}"#.to_string(),
+            // A duplicate `allocation`, and an unknown member.
+            ok("[0]", r#"[1],"allocation":[2]"#, "}}"),
+            ok("[0]", r#"[1],"extra":null"#, "}}"),
+            // A string inside `server`; a truncated array.
+            ok(r#"[0,"1"]"#, "[1,2]", "}}"),
+            ok("[0,1", "", ""),
+            // Bytes after the closing `}`, and a frame cut short of it.
+            ok("[0]", "[1]", "}}x"),
+            ok("[0]", "[1]", "}} {}"),
+            ok("[0]", "[1]", "}"),
+            // Numbers that read back as another value than they decode to.
+            ok("[-0]", "[1]", "}}"),
+            ok("[0]", "[-0.0]", "}}"),
+            ok("[0]", "[1e400]", "}}"),
+            r#"{"type":"resp","seq":4,"result":{"kind":"ok","tier":"algo2","degraded":false,"utility":-1e999,"server":[],"allocation":[],"solve_micros":9}}"#.to_string(),
+            // Another kind, another frame type, not an object.
+            r#"{"type":"resp","seq":4,"result":{"kind":"maybe"}}"#.to_string(),
+            serde_json::to_string(&FromWorker::Hello { worker: 0, pid: 1, now_micros: 2 }).unwrap(),
+            "[1]".to_string(),
+            String::new(),
+        ];
+        for frame in &declined {
+            assert!(walk_resp(frame).is_none(), "took {frame:?}");
+            relays_like_the_typed_decode(frame, false);
+        }
+        // Whitespace, escapes and other spellings inside the body cross
+        // as they came, and read as the same values.
+        let respelled = "{ \"type\" : \"resp\" , \"seq\":4, \"result\":{\"kind\":\"ok\", \"t\\u0069er\" : \"alg\\u006f2\", \"degraded\":true,\"utility\":null,\"server\":[ 1.0 ,1e1],\"allocation\":[null, 2.50e0 ],\"solve_micros\":9 } }\n";
+        assert!(walk_resp(respelled).is_some());
+        relays_like_the_typed_decode(respelled, false);
     }
 }

@@ -29,7 +29,12 @@
 //! * the **answer path** (`Answers`) turns every outcome — solved,
 //!   failed with a class, expired in a queue, or shed at the door with
 //!   `{"status":"overloaded","retry_after_ms":…}` — into its response
-//!   line and all of its `aa_serve_*` accounting.
+//!   line, written in one write, and all of its `aa_serve_*`
+//!   accounting. A solve arrives as bytes: its members from `"tier"`
+//!   through `allocation` were written once, as JSON text, where it was
+//!   solved (a worker process's frame, relayed undecoded, or a shard
+//!   thread's buffer), and the `ok` line splices them in as they are
+//!   ([`crate::proto`] has the relay).
 //!
 //! All accounting flows through an [`aa_obs::Registry`] (the
 //! `aa_serve_*` family, plus the supervisor's `aa_fleet_*` series), so a
@@ -53,6 +58,7 @@ use aa_sim::ProcessChaosPlan;
 use aa_utility::{DynUtility, UtilitySpec};
 use serde::{Deserialize, Serialize};
 
+use crate::proto::Body;
 use crate::{build_problem_from, CliError, ProblemFile};
 
 /// One request line: an optional correlation `id` (echoed back
@@ -98,13 +104,15 @@ fn optional_u64(v: Option<&serde::Value>, field: &str) -> Result<Option<u64>, se
 }
 
 /// Decode one request line's envelope from its [`serde_json::scan`],
-/// leaving the problem as raw text; the request's clock starts here.
+/// begun at `scanned`, leaving the problem as raw text; the request's
+/// clock starts here.
 /// Errors are [`ServeRequest`]'s own, in its order, except a problem
 /// that breaks its schema: that surfaces later, from [`build_request`]
 /// in the executor, with the same text.
 fn envelope(
     line: &str,
     doc: &serde_json::Scan<'_>,
+    scanned: Instant,
     default_deadline_ms: Option<u64>,
 ) -> Result<Admit, serde::DeError> {
     if !doc.is_object() {
@@ -118,7 +126,12 @@ fn envelope(
     let problem = doc.raw("problem").ok_or("ServeRequest: missing field `problem`")?;
     let id = doc.get("id").unwrap_or(serde::Value::Null);
     Ok(Admit {
-        ticket: Ticket { id, arrived: Instant::now(), deadline_ms: deadline_ms.or(default_deadline_ms) },
+        ticket: Ticket {
+            id,
+            scanned,
+            arrived: Instant::now(),
+            deadline_ms: deadline_ms.or(default_deadline_ms),
+        },
         stream,
         problem: Arc::new(problem.to_string()),
     })
@@ -251,7 +264,11 @@ fn build_counters() -> &'static [aa_obs::Counter; 3] {
     })
 }
 
-/// One response line.
+/// One response line. The serve loop writes an `ok` line without
+/// building this value: it splices the solve's members, relayed as the
+/// bytes the worker wrote, between the same envelope members, and the
+/// line equals this variant's serialization followed by `worker`,
+/// `attempts` and `solve_micros`.
 #[derive(Debug, Clone, Serialize)]
 #[serde(tag = "status", rename_all = "snake_case")]
 pub enum ServeResponse {
@@ -548,6 +565,8 @@ impl ServeMetrics {
 /// needs besides the outcome.
 pub(crate) struct Ticket {
     pub(crate) id: serde_json::Value,
+    /// When the line's syntax scan began: a traced request's first span.
+    pub(crate) scanned: Instant,
     pub(crate) arrived: Instant,
     pub(crate) deadline_ms: Option<u64>,
 }
@@ -570,17 +589,10 @@ pub(crate) struct Admit {
 
 /// How one request ended.
 pub(crate) enum Outcome {
-    /// Solved. `routed` is the answering `(worker, attempts)`, which the
-    /// line carries with `solve_micros`.
-    Ok {
-        tier: String,
-        degraded: bool,
-        utility: f64,
-        server: Vec<usize>,
-        allocation: Vec<f64>,
-        solve_micros: u64,
-        routed: (usize, u32),
-    },
+    /// Solved. `body` is the answer's members from `tier` through
+    /// `allocation`, already JSON text; `routed` is the answering
+    /// `(worker, attempts)`, which the line carries with `solve_micros`.
+    Ok { tier: String, body: Body, solve_micros: u64, routed: (usize, u32) },
     /// Failed with a stable error class and its text.
     Error { class: String, error: String },
     /// The deadline lapsed before a solve started.
@@ -595,25 +607,34 @@ impl Outcome {
     }
 }
 
-/// An `ok` line: the [`ServeResponse::Ok`] fields plus `worker`,
-/// `attempts` and `solve_micros`, built in one pass.
-struct RoutedOk {
-    line: ServeResponse,
-    worker: usize,
-    attempts: u32,
+/// An `ok` line, newline included: [`ServeResponse::Ok`]'s members with
+/// the solve's spliced in as `body`'s text, then `worker`, `attempts` and
+/// `solve_micros`. Every member is written with the serializer's own
+/// writers, so the line equals the serializer's for the same answer.
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn ok_line(
+    id: &serde_json::Value,
+    body: &str,
+    latency_ms: f64,
+    (worker, attempts): (usize, u32),
     solve_micros: u64,
-}
-
-impl Serialize for RoutedOk {
-    fn to_value(&self) -> serde::Value {
-        let mut v = self.line.to_value();
-        if let serde::Value::Obj(fields) = &mut v {
-            fields.push(("worker".to_string(), self.worker.to_value()));
-            fields.push(("attempts".to_string(), self.attempts.to_value()));
-            fields.push(("solve_micros".to_string(), self.solve_micros.to_value()));
-        }
-        v
-    }
+) -> String {
+    let id = serde_json::to_string(id).expect("ids always serialize");
+    let mut line = String::with_capacity(body.len() + id.len() + 128);
+    line.push_str(r#"{"status":"ok","id":"#);
+    line.push_str(&id);
+    line.push(',');
+    line.push_str(body);
+    line.push_str(r#","latency_ms":"#);
+    serde_json::write_num(latency_ms, &mut line);
+    line.push_str(r#","worker":"#);
+    serde_json::write_num(worker as f64, &mut line);
+    line.push_str(r#","attempts":"#);
+    serde_json::write_num(f64::from(attempts), &mut line);
+    line.push_str(r#","solve_micros":"#);
+    serde_json::write_num(solve_micros as f64, &mut line);
+    line.push_str("}\n");
+    line
 }
 
 /// Slack added to a deadline before a solved request counts as a
@@ -641,15 +662,7 @@ impl<W: Write> Answers<'_, W> {
         let m = self.metrics;
         let id = ticket.id;
         match outcome {
-            Outcome::Ok {
-                tier,
-                degraded,
-                utility,
-                server,
-                allocation,
-                solve_micros,
-                routed: (worker, attempts),
-            } => {
+            Outcome::Ok { tier, body, solve_micros, routed } => {
                 m.solved.inc();
                 m.latency.record_micros(latency_micros);
                 m.observe_e2e("ok", latency_micros);
@@ -660,9 +673,7 @@ impl<W: Write> Answers<'_, W> {
                 if ticket.deadline_ms.is_some_and(|d| latency_ms > (d + GRACE_MS) as f64) {
                     m.deadline_misses.inc();
                 }
-                let line =
-                    ServeResponse::Ok { id, tier, degraded, utility, server, allocation, latency_ms };
-                self.write(&RoutedOk { line, worker, attempts, solve_micros })
+                self.write_line(ok_line(&id, body.as_str(), latency_ms, routed, solve_micros))
             }
             Outcome::Overloaded => {
                 m.shed.inc();
@@ -709,11 +720,18 @@ impl<W: Write> Answers<'_, W> {
         self.write(&ServeResponse::Error { id, class: class.to_string(), error })
     }
 
-    /// Write one JSON line — the only place response bytes are written.
+    /// Write `line` serialized, as one JSON line.
     pub(crate) fn write<T: Serialize>(&self, line: &T) -> std::io::Result<()> {
-        let line = serde_json::to_string(line).expect("responses always serialize");
+        let mut line = serde_json::to_string(line).expect("responses always serialize");
+        line.push('\n');
+        self.write_line(line)
+    }
+
+    /// Write one line, its newline included, in one write — the only
+    /// place response bytes are written.
+    fn write_line(&self, line: String) -> std::io::Result<()> {
         let mut w = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        writeln!(w, "{line}")?;
+        w.write_all(line.as_bytes())?;
         w.flush()
     }
 }
@@ -764,6 +782,7 @@ pub(crate) fn ingress<R: BufRead, W: Write>(
             continue;
         }
         answers.metrics.received.inc();
+        let scanned = Instant::now();
         let doc = match serde_json::scan(line) {
             Ok(doc) => doc,
             Err(e) => {
@@ -780,7 +799,7 @@ pub(crate) fn ingress<R: BufRead, W: Write>(
             }
             continue;
         }
-        let admit = match envelope(line, &doc, default_deadline_ms) {
+        let admit = match envelope(line, &doc, scanned, default_deadline_ms) {
             Ok(admit) => admit,
             Err(e) => {
                 answers.reject(serde_json::Value::Null, "parse", e)?;

@@ -6,7 +6,9 @@
 //! thread executor `--shards` runs — behind its pipe:
 //!
 //! * the **reader** (the calling thread) pulls frames off stdin,
-//!   answering heartbeat pings at once (even mid-solve), and reads each
+//!   answering heartbeat pings at once (even mid-solve; a pong carries
+//!   the registry snapshot only when it changed since the last one this
+//!   incarnation sent), and reads each
 //!   request's header in one walk over the frame, passing the problem —
 //!   the client's JSON text, forwarded verbatim as the frame's last
 //!   member — on undecoded before queueing the request on the shard;
@@ -17,7 +19,9 @@
 //!   failed parse or build with its class (`parse`, `problem`), and
 //!   solves the rest with the budget counted from worker arrival (queue
 //!   wait counts, the decode and the build do not). Its completion
-//!   writes the answer frame before it takes the next request;
+//!   writes the answer frame straight from the solve, with no JSON tree
+//!   ([`crate::proto`]: the front-end relays the frame's bytes to the
+//!   client as they are), before it takes the next request;
 //! * on stdin **EOF** the worker drains: the shard keeps solving what it
 //!   holds for up to `drain_timeout_ms`, answers the remainder with
 //!   retryable `class:"shutdown"` errors, and the worker exits 0.
@@ -31,19 +35,18 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use aa_core::fleet::{read_frame, write_frame, MAX_FRAME_BYTES};
+use aa_core::fleet::{read_frame, MAX_FRAME_BYTES};
 use aa_core::shard::{BuildFn, CompletionFn, ShardConfig, ShardJob, ShardPool};
 use aa_core::tiered::Tier;
-use aa_core::{ShardError, TieredSolve};
 use aa_obs::Collector;
 use aa_sim::ProcessFault;
 
 use crate::proto::{
-    decode_to_worker, FromWorker, Inbound, MetricsSnapshot, SpanBinding, TraceCtx, WireSpan,
-    WorkerResult,
+    decode_to_worker, resp_frame, Frame, FromWorker, Inbound, MetricsSnapshot, SpanBinding,
+    TraceCtx, WireSpan,
 };
 use crate::serve::build_request;
 
@@ -105,7 +108,7 @@ where
     W: Write + Send + 'static,
 {
     let epoch = Instant::now();
-    let out = Arc::new(Mutex::new(output));
+    let out = Arc::new(Mutex::new(Out { w: output, shipped: None }));
     let stats = Arc::new(Stats::default());
     // Requests' trace contexts, by seq, until their solve root binds.
     let traces: Arc<Mutex<HashMap<u64, TraceCtx>>> = Arc::default();
@@ -113,24 +116,21 @@ where
     let drain_at: Arc<OnceLock<Instant>> = Arc::default();
 
     let obs = Mutex::new(WorkerObsState::new(opts.trace_spans));
-    send(
-        &out,
-        &FromWorker::Hello {
-            worker: opts.index,
-            pid: std::process::id(),
-            now_micros: span_clock_micros(epoch),
-        },
-    )?;
+    let hello = FromWorker::Hello {
+        worker: opts.index,
+        pid: std::process::id(),
+        now_micros: span_clock_micros(epoch),
+    };
+    lock(&out).send(Frame::of(&hello))?;
     let complete: CompletionFn = {
         let (out, stats, traces) = (Arc::clone(&out), Arc::clone(&stats), Arc::clone(&traces));
         Arc::new(move |c| {
-            let result = worker_result(c.outcome, c.solve_micros);
-            match &result {
-                WorkerResult::Ok { .. } => stats.solves.fetch_add(1, Ordering::AcqRel),
-                WorkerResult::Err { class, .. } if class == "solve_panic" => {
+            match &c.outcome {
+                Ok(_) => stats.solves.fetch_add(1, Ordering::AcqRel),
+                Err(e) if e.class() == "solve_panic" => {
                     stats.solve_panics.fetch_add(1, Ordering::AcqRel)
                 }
-                WorkerResult::Err { .. } => 0,
+                Err(_) => 0,
             };
             let ctx = traces.lock().unwrap_or_else(|e| e.into_inner()).remove(&c.seq);
             let mut obs = obs.lock().unwrap_or_else(|e| e.into_inner());
@@ -138,10 +138,10 @@ where
                 let binding = SpanBinding { span, trace_id: ctx.trace_id, parent_span: ctx.parent_span };
                 obs.bindings.push(binding);
             }
-            obs.observe(&result);
+            obs.observe(c.outcome.is_ok(), c.solve_micros);
             // A failed write means the front-end is gone; the reader
             // sees EOF shortly after.
-            let _ = send(&out, &FromWorker::Resp { seq: c.seq, result });
+            let _ = lock(&out).send(resp_frame(c.seq, &c.outcome, c.solve_micros));
             let _ = obs.ship(&out);
         })
     };
@@ -166,18 +166,7 @@ where
             Inbound::Ping { nonce } => {
                 let stalled_until = stats.stall_until_micros.load(Ordering::Acquire);
                 if epoch.elapsed().as_micros() as u64 >= stalled_until {
-                    // Every pong carries a full registry snapshot: the
-                    // heartbeat cadence *is* the federation cadence.
-                    let _ = send(
-                        &out,
-                        &FromWorker::Pong {
-                            nonce,
-                            solves: stats.solves.load(Ordering::Acquire),
-                            solve_panics: stats.solve_panics.load(Ordering::Acquire),
-                            now_micros: span_clock_micros(epoch),
-                            metrics: Some(MetricsSnapshot::from_registry(aa_obs::global())),
-                        },
-                    );
+                    let _ = pong(&out, aa_obs::global(), nonce, &stats, epoch);
                 }
             }
             Inbound::Req { seq, stream, budget_ms, trace, problem } => {
@@ -216,33 +205,6 @@ where
     Ok(())
 }
 
-/// One shard completion as the answer a worker sends back; a thread link
-/// answers its supervisor through it too.
-pub(crate) fn worker_result(
-    outcome: Result<TieredSolve, ShardError>,
-    solve_micros: u64,
-) -> WorkerResult {
-    match outcome {
-        Ok(solved) => WorkerResult::Ok {
-            tier: solved.degradation.tier.name().to_string(),
-            degraded: solved.degradation.degraded,
-            utility: solved.utility,
-            server: solved.assignment.server,
-            allocation: solved.assignment.amount,
-            solve_micros,
-        },
-        Err(e) => WorkerResult::Err {
-            class: e.class().to_string(),
-            queue_expired: matches!(e, ShardError::Expired),
-            error: match e {
-                ShardError::Expired => "budget expired while queued in worker".to_string(),
-                e => e.to_string(),
-            },
-            solve_micros,
-        },
-    }
-}
-
 /// The worker's span clock at call time: the collector's epoch-relative
 /// clock when one is installed (the domain every shipped span timestamp
 /// lives in), else microseconds since worker start. The front-end uses
@@ -254,11 +216,58 @@ fn span_clock_micros(epoch: Instant) -> u64 {
     }
 }
 
-fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) -> std::io::Result<()> {
-    let payload = serde_json::to_string(msg).map_err(std::io::Error::other)?;
-    let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-    write_frame(&mut *w, payload.as_bytes())?;
-    w.flush()
+/// The worker's stdout, and the registry snapshot it last shipped.
+struct Out<W> {
+    w: W,
+    /// The last snapshot a `Pong` or `Obs` frame carried; `None` until
+    /// the first, so each incarnation ships its first.
+    shipped: Option<MetricsSnapshot>,
+}
+
+impl<W: Write> Out<W> {
+    /// Write one frame, in one write, and flush it.
+    fn send(&mut self, frame: Frame) -> std::io::Result<()> {
+        self.w.write_all(&frame.into_bytes())?;
+        self.w.flush()
+    }
+
+    /// `registry`'s snapshot when it differs from the last one shipped
+    /// (and is now the last one shipped); `None` — which the front-end
+    /// reads as "unchanged" — otherwise. Taken under the output lock, so
+    /// frames leave in the order their snapshots were taken.
+    fn snapshot(&mut self, registry: &aa_obs::Registry) -> Option<MetricsSnapshot> {
+        let now = MetricsSnapshot::from_registry(registry);
+        if self.shipped.as_ref() == Some(&now) {
+            return None;
+        }
+        self.shipped = Some(now.clone());
+        Some(now)
+    }
+}
+
+fn lock<W>(out: &Mutex<Out<W>>) -> MutexGuard<'_, Out<W>> {
+    out.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Answer ping `nonce` with this incarnation's counters, its span clock,
+/// and `registry`'s snapshot when it changed since the last one shipped:
+/// the heartbeat cadence is the federation cadence.
+fn pong<W: Write>(
+    out: &Mutex<Out<W>>,
+    registry: &aa_obs::Registry,
+    nonce: u64,
+    stats: &Stats,
+    epoch: Instant,
+) -> std::io::Result<()> {
+    let mut out = lock(out);
+    let msg = FromWorker::Pong {
+        nonce,
+        solves: stats.solves.load(Ordering::Acquire),
+        solve_panics: stats.solve_panics.load(Ordering::Acquire),
+        now_micros: span_clock_micros(epoch),
+        metrics: out.snapshot(registry),
+    };
+    out.send(Frame::of(&msg))
 }
 
 /// Worker-side observability: the per-solve histogram every worker
@@ -299,17 +308,19 @@ impl WorkerObsState {
         }
     }
 
-    fn observe(&self, result: &WorkerResult) {
-        match result {
-            WorkerResult::Ok { solve_micros, .. } => self.solve_hist.record_micros(*solve_micros),
-            WorkerResult::Err { .. } => self.errors.inc(),
+    /// Count one answer: a solve's latency, or an error.
+    fn observe(&self, solved: bool, solve_micros: u64) {
+        if solved {
+            self.solve_hist.record_micros(solve_micros);
+        } else {
+            self.errors.inc();
         }
     }
 
     /// Ship everything new since the last call as one `Obs` frame (and
     /// drain the shipped events so the preallocated buffer never fills
     /// from long-lived workers). No-op when untraced or nothing is new.
-    fn ship<W: Write>(&mut self, out: &Mutex<W>) -> std::io::Result<()> {
+    fn ship<W: Write>(&mut self, out: &Mutex<Out<W>>) -> std::io::Result<()> {
         let Some(c) = self.collector else { return Ok(()) };
         let (events, next) = c.events_since(self.cursor);
         let args = c.span_args();
@@ -338,16 +349,15 @@ impl WorkerObsState {
                     .collect(),
             })
             .collect();
-        send(
-            out,
-            &FromWorker::Obs {
-                now_micros: c.now_micros(),
-                spans,
-                bindings: std::mem::take(&mut self.bindings),
-                dropped: dropped_now,
-                metrics: Some(MetricsSnapshot::from_registry(aa_obs::global())),
-            },
-        )
+        let mut out = lock(out);
+        let msg = FromWorker::Obs {
+            now_micros: c.now_micros(),
+            spans,
+            bindings: std::mem::take(&mut self.bindings),
+            dropped: dropped_now,
+            metrics: out.snapshot(aa_obs::global()),
+        };
+        out.send(Frame::of(&msg))
     }
 }
 
@@ -381,7 +391,8 @@ fn inject(fault: ProcessFault, stats: &Stats, epoch: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{encode_req, ToWorker};
+    use crate::proto::{encode_req, ToWorker, WorkerResult};
+    use aa_core::fleet::write_frame;
     use crate::ProblemFile;
     use aa_utility::UtilitySpec;
 
@@ -429,6 +440,11 @@ mod tests {
     fn run(input: Vec<u8>, opts: &WorkerOpts) -> Vec<FromWorker> {
         let output = Shared::default();
         run_worker(&input[..], output.clone(), opts).unwrap();
+        frames(&output)
+    }
+
+    /// Every frame written to `output`, decoded.
+    fn frames(output: &Shared) -> Vec<FromWorker> {
         let output = output.0.lock().unwrap().clone();
         let mut cursor = &output[..];
         let mut msgs = Vec::new();
@@ -438,6 +454,37 @@ mod tests {
             );
         }
         msgs
+    }
+
+    /// An idle worker's heartbeats carry no snapshot after the first: the
+    /// front-end keeps the last one. (A private registry: the global one
+    /// moves with every other test's builds.)
+    #[test]
+    fn two_pongs_without_a_solve_between_them_carry_one_snapshot() {
+        let registry = aa_obs::Registry::new();
+        let solves = registry.counter("aa_worker_solves_total");
+        let (stats, epoch) = (Stats::default(), Instant::now());
+        let output = Shared::default();
+        let out = Mutex::new(Out { w: output.clone(), shipped: None });
+        for nonce in 0..2 {
+            pong(&out, &registry, nonce, &stats, epoch).unwrap();
+        }
+        solves.inc();
+        pong(&out, &registry, 2, &stats, epoch).unwrap();
+        pong(&out, &registry, 3, &stats, epoch).unwrap();
+        let shipped: Vec<(u64, bool)> = frames(&output)
+            .into_iter()
+            .map(|m| match m {
+                FromWorker::Pong { nonce, metrics, .. } => (nonce, metrics.is_some()),
+                other => panic!("only pongs were sent: {other:?}"),
+            })
+            .collect();
+        assert_eq!(shipped, [(0, true), (1, false), (2, true), (3, false)]);
+        // A fresh incarnation ships its first snapshot, changed or not.
+        let fresh = Shared::default();
+        let out = Mutex::new(Out { w: fresh.clone(), shipped: None });
+        pong(&out, &registry, 0, &stats, epoch).unwrap();
+        assert!(matches!(&frames(&fresh)[..], [FromWorker::Pong { metrics: Some(_), .. }]));
     }
 
     #[test]
