@@ -16,18 +16,19 @@
 //!    never exceed the caller's [`MigrationBudget`].
 //!
 //! Repair is local: evacuees (threads whose server failed, plus fresh
-//! arrivals) are placed greedily by marginal utility gain, every touched
-//! server is re-split optimally, and the remaining budget funds the
+//! arrivals) are placed greedily by marginal utility gain (each
+//! candidate server's gain is one cold [`Resplit::group`]), every server
+//! is re-split optimally, and the remaining budget funds the
 //! `aa_core::online` migration pass. Events that would leave the cluster
 //! unrepresentable (last server down, last thread gone) are reported as
 //! [`RepairError`]s instead of panics, so a controller can park the
 //! workload and retry on the next recovery.
 
-use aa_allocator::bisection::{self, Fan, Interrupted};
-use aa_utility::{DynUtility, Utility};
+use aa_utility::DynUtility;
 
 use crate::online;
-use crate::problem::{Assignment, CappedView, Problem};
+use crate::problem::{Assignment, Problem};
+use crate::refine::Resplit;
 
 /// A cluster membership or capacity event.
 #[derive(Debug, Clone)]
@@ -302,25 +303,19 @@ fn lightest(loads: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Reusable scratch for [`repair_after_with`]: the capped views, the
-/// per-group clone buffer fed to the water-filling allocator, the trial
-/// index buffer, the allocation output buffer, and a warm bisection
-/// cache ([`bisection::WarmCache`]).
+/// Reusable scratch for [`repair_after_with`]: the trial index buffer
+/// and one kept [`Resplit`].
 ///
 /// A controller that repairs every epoch keeps one arena alive so the
 /// steady-state repair path reuses these buffers instead of
 /// reallocating them per split evaluation — `repair_after` evaluates
 /// `O(m)` optimal splits per evacuee, so the per-split `Vec` churn
 /// dominated its allocator traffic. Results are **bit-identical** to
-/// the arena-free path: each split evaluation runs the exact cold
-/// λ-search through [`bisection::allocate_in`] on the arena's buffers.
+/// the arena-free path: every [`Resplit::group`] call starts cold.
 #[derive(Debug, Clone, Default)]
 pub struct RepairArena {
-    views: Vec<CappedView>,
-    group: Vec<CappedView>,
     trial: Vec<usize>,
-    amounts: Vec<f64>,
-    cache: bisection::WarmCache,
+    resplit: Resplit,
 }
 
 impl RepairArena {
@@ -349,8 +344,8 @@ pub fn repair_after(
 }
 
 /// [`repair_after`] with caller-owned scratch: bit-identical output,
-/// but the split-evaluation buffers and the bisection warm cache live
-/// in `arena` and are reused across calls.
+/// but the split-evaluation buffers (a kept [`Resplit`]) live in
+/// `arena` and are reused across calls.
 pub fn repair_after_with(
     problem: &Problem,
     current: &Assignment,
@@ -372,19 +367,14 @@ pub fn repair_after_with(
     let mut amount = sk.amount;
     rescale_to_capacity(&server, &mut amount, &after);
 
-    let RepairArena { views, group, trial, amounts, cache } = arena;
-    views.clear();
-    views.extend((0..after.len()).map(|i| after.capped_thread(i)));
+    let RepairArena { trial, resplit } = arena;
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); after.servers()];
     for (i, &j) in server.iter().enumerate() {
         if !sk.unplaced.contains(&i) {
             groups[j].push(i);
         }
     }
-    let mut group_utility: Vec<f64> = groups
-        .iter()
-        .map(|g| split_utility_into(views, g, after.capacity(), group, cache, amounts))
-        .collect();
+    let mut group_utility: Vec<f64> = groups.iter().map(|g| resplit.group(&after, g)).collect();
 
     // Biggest consumers first: they are the hardest to place well.
     let mut order = sk.unplaced.clone();
@@ -400,17 +390,14 @@ pub fn repair_after_with(
             trial.clear();
             trial.extend_from_slice(&groups[j]);
             trial.push(i);
-            let gain =
-                split_utility_into(views, trial, after.capacity(), group, cache, amounts)
-                    - group_utility[j];
+            let gain = resplit.group(&after, trial) - group_utility[j];
             if gain > best.1 {
                 best = (j, gain);
             }
         }
         let (dest, _) = best;
         groups[dest].push(i);
-        group_utility[dest] =
-            split_utility_into(views, &groups[dest], after.capacity(), group, cache, amounts);
+        group_utility[dest] = resplit.group(&after, &groups[dest]);
         server[i] = dest;
     }
 
@@ -440,54 +427,16 @@ pub fn repair_after_with(
     })
 }
 
-/// Optimal split utility of one server's group (empty group → 0).
-/// The arena-free reference used by the differential test.
-#[cfg(test)]
-fn split_utility(views: &[CappedView], group: &[usize], capacity: f64) -> f64 {
-    if group.is_empty() {
-        return 0.0;
-    }
-    let g: Vec<&CappedView> = group.iter().map(|&i| &views[i]).collect();
-    bisection::allocate(&g, capacity).utility
-}
-
-/// [`split_utility`] into caller-owned buffers: clones the group's
-/// views into `scratch` (an `Arc` clone plus an `f64` each — no heap
-/// traffic once `scratch` has capacity) and runs the exact cold
-/// λ-search through [`bisection::allocate_in`].
-/// Bit-identical to the reference: same element order, same budget,
-/// same index-order utility summation.
-fn split_utility_into(
-    views: &[CappedView],
-    group: &[usize],
-    capacity: f64,
-    scratch: &mut Vec<CappedView>,
-    cache: &mut bisection::WarmCache,
-    amounts: &mut Vec<f64>,
-) -> f64 {
-    if group.is_empty() {
-        return 0.0;
-    }
-    scratch.clear();
-    scratch.extend(group.iter().map(|&i| views[i].clone()));
-    // A fresh cold search per split: a bracket carried from another
-    // group would rarely revalidate.
-    cache.invalidate();
-    let unchecked = &mut || Ok::<_, Interrupted>(());
-    bisection::allocate_in(scratch, capacity, cache, amounts, Fan::Seq, unchecked)
-        .expect("an unchecked sequential search never interrupts");
-    // Index-order sum of f_i(x_i), as `bisection::allocate` sums it.
-    scratch.iter().zip(amounts.iter()).map(|(f, &x)| f.value(x)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use aa_allocator::bisection;
     use aa_utility::{LogUtility, Power, Utility};
 
     use crate::algo2;
+    use crate::problem::CappedView;
 
     fn arc<U: Utility + 'static>(u: U) -> DynUtility {
         Arc::new(u)
@@ -760,15 +709,14 @@ mod tests {
         let mut arena = RepairArena::new();
         let groups: [&[usize]; 5] = [&[], &[0], &[1, 3, 5], &[0, 2, 4, 6], &[6, 4, 2, 0]];
         for group in groups {
-            let reference = split_utility(&views, group, p.capacity());
-            let arena_u = split_utility_into(
-                &views,
-                group,
-                p.capacity(),
-                &mut arena.group,
-                &mut arena.cache,
-                &mut arena.amounts,
-            );
+            // The arena-free reference: a fresh cold allocation.
+            let reference = if group.is_empty() {
+                0.0
+            } else {
+                let g: Vec<&CappedView> = group.iter().map(|&i| &views[i]).collect();
+                bisection::allocate(&g, p.capacity()).utility
+            };
+            let arena_u = arena.resplit.group(&p, group);
             assert_eq!(reference.to_bits(), arena_u.to_bits(), "group {group:?}");
         }
     }

@@ -6,17 +6,19 @@
 //! strings* (thread `i` may open at most one new server beyond those
 //! already used), cutting the space from `mⁿ` to at most the Bell number
 //! `B(n)`. For every grouping, each server's resource is split optimally
-//! among its threads by the continuous bisection allocator — optimal for
-//! concave utilities — so the only discrete choice enumerated is the
-//! placement, exactly the hard part.
+//! among its threads by the per-server re-split ([`Resplit::group`], a
+//! cold λ-search per group) — optimal for concave utilities — so the
+//! only discrete choice enumerated is the placement, exactly the hard
+//! part. The winner's amounts come from [`Resplit::placement`].
 //!
 //! Used by the tests and experiments to certify approximation ratios
 //! ("Algorithm 2 ≥ 99% of optimal"); not intended for `n` beyond ~12.
 
-use aa_allocator::bisection;
+use aa_allocator::Interrupted;
 
 use crate::budget::Budget;
-use crate::problem::{Assignment, CappedView, Problem};
+use crate::problem::{Assignment, Problem};
+use crate::refine::Resplit;
 use crate::solver::SolveError;
 
 /// Hard limit: enumeration beyond this many threads would take minutes.
@@ -54,15 +56,15 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, 
     }
     budget.check()?;
     let m = problem.servers();
-    let views: Vec<CappedView> = problem.capped_threads();
     let mut server = vec![0_usize; n];
 
     struct Search<'a> {
         problem: &'a Problem,
-        views: &'a [CappedView],
         budget: &'a Budget,
         n: usize,
         m: usize,
+        resplit: Resplit,
+        members: Vec<usize>,
         best_utility: f64,
         best_server: Vec<usize>,
     }
@@ -71,7 +73,13 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, 
         fn dfs(&mut self, i: usize, used: usize, server: &mut Vec<usize>) -> Result<(), SolveError> {
             self.budget.check()?;
             if i == self.n {
-                let utility = grouped_utility(self.problem, self.views, server, used);
+                // Each used server's group, in index order, split cold.
+                let mut utility = 0.0;
+                for j in 0..used {
+                    self.members.clear();
+                    self.members.extend((0..self.n).filter(|&t| server[t] == j));
+                    utility += self.resplit.group(self.problem, &self.members);
+                }
                 if utility > self.best_utility {
                     self.best_utility = utility;
                     self.best_server.clone_from(server);
@@ -89,100 +97,21 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, 
 
     let mut search = Search {
         problem,
-        views: &views,
         budget,
         n,
         m,
+        resplit: Resplit::new(),
+        members: Vec::with_capacity(n),
         best_utility: f64::NEG_INFINITY,
         best_server: vec![0_usize; n],
     };
     search.dfs(0, 0, &mut server)?;
-    let best_server = search.best_server;
-    let amount = allocate_groups(problem, &views, &best_server);
-    Ok(Assignment { server: best_server, amount })
-}
-
-/// Total utility of a placement with per-server optimal allocations.
-fn grouped_utility(
-    problem: &Problem,
-    views: &[CappedView],
-    server: &[usize],
-    used: usize,
-) -> f64 {
-    let mut total = 0.0;
-    for j in 0..used {
-        let group: Vec<&CappedView> = server
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == j)
-            .map(|(i, _)| &views[i])
-            .collect();
-        if group.is_empty() {
-            continue;
-        }
-        total += bisection::allocate(&group, problem.capacity()).utility;
-    }
-    total
-}
-
-/// Optimal per-server allocation amounts for a given placement:
-/// [`allocate_groups_budgeted`] at an unlimited budget.
-pub fn allocate_groups(problem: &Problem, views: &[CappedView], server: &[usize]) -> Vec<f64> {
-    allocate_groups_budgeted(problem, views, server, &Budget::unlimited())
-        .expect("an unlimited budget never expires")
-}
-
-/// [`allocate_groups`] under a solve [`Budget`], checked once per server
-/// and at sweep granularity inside each per-server allocation. While the
-/// budget holds the amounts are **bit-identical** to [`allocate_groups`]
-/// — the budgeted search shares the unbudgeted one's code path exactly.
-///
-/// Every server is split through one [`bisection::WarmCache`] and one
-/// amounts buffer, so server `j`'s λ-search starts from server `j − 1`'s
-/// collapsed bracket; by the allocator's unique-boundary-pair contract
-/// each split is bit-identical to a cold [`bisection::allocate`] of that
-/// server's threads.
-pub fn allocate_groups_budgeted(
-    problem: &Problem,
-    views: &[CappedView],
-    server: &[usize],
-    budget: &Budget,
-) -> Result<Vec<f64>, SolveError> {
-    let m = problem.servers();
-    let mut amount = vec![0.0_f64; server.len()];
-    // Bucket the threads by server in one pass (a counting sort, so each
-    // server's threads stay in index order): `members[start[j]..start[j + 1]]`.
-    let mut start = vec![0_usize; m + 1];
-    for &j in server.iter().filter(|&&j| j < m) {
-        start[j + 1] += 1;
-    }
-    for j in 0..m {
-        start[j + 1] += start[j];
-    }
-    let mut members = vec![0_usize; start[m]];
-    let mut fill = start.clone();
-    for (i, &j) in server.iter().enumerate().filter(|&(_, &j)| j < m) {
-        members[fill[j]] = i;
-        fill[j] += 1;
-    }
-    let mut cache = bisection::WarmCache::new();
-    let mut split = Vec::new();
-    let mut group: Vec<&CappedView> = Vec::new();
-    for j in 0..m {
-        budget.check()?;
-        let idx = &members[start[j]..start[j + 1]];
-        if idx.is_empty() {
-            continue;
-        }
-        group.clear();
-        group.extend(idx.iter().map(|&i| &views[i]));
-        let (fan, check) = (bisection::Fan::Seq, &mut || budget.check());
-        bisection::allocate_in(&group, problem.capacity(), &mut cache, &mut split, fan, check)?;
-        for (&i, &c) in idx.iter().zip(&split) {
-            amount[i] = c;
-        }
-    }
-    Ok(amount)
+    let unchecked = &mut || Ok::<_, Interrupted>(());
+    let amount = search
+        .resplit
+        .placement(problem, &search.best_server, unchecked)
+        .expect("an unchecked sequential search never interrupts");
+    Ok(Assignment { server: search.best_server, amount })
 }
 
 #[cfg(test)]
@@ -190,9 +119,16 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use aa_allocator::bisection;
     use aa_utility::{CappedLinear, LogUtility, Power, Utility};
 
+    use crate::problem::CappedView;
     use crate::{algo2, ALPHA};
+
+    /// [`Resplit::placement`] with no budget.
+    fn placement(p: &Problem, server: &[usize]) -> Vec<f64> {
+        Resplit::new().placement(p, server, &mut || Ok::<_, Interrupted>(())).unwrap()
+    }
 
     fn arc<U: Utility + 'static>(u: U) -> aa_utility::DynUtility {
         Arc::new(u)
@@ -267,11 +203,10 @@ mod tests {
         let fast = optimal_utility(&p);
 
         // Brute force over all 3^4 placements.
-        let views = p.capped_threads();
         let mut best = f64::NEG_INFINITY;
         for code in 0..81_usize {
             let server: Vec<usize> = (0..4).map(|i| (code / 3_usize.pow(i as u32)) % 3).collect();
-            let amount = allocate_groups(&p, &views, &server);
+            let amount = placement(&p, &server);
             let a = Assignment { server, amount };
             best = best.max(a.total_utility(&p));
         }
@@ -329,6 +264,7 @@ mod tests {
         // empty are skipped without touching the chain.
         let capacity = 10.0;
         let mut rng = StdRng::seed_from_u64(19);
+        let mut resplit = Resplit::new();
         for case in 0..300 {
             let servers = rng.gen_range(1..7_usize);
             let n = rng.gen_range(1..16_usize);
@@ -348,16 +284,30 @@ mod tests {
             let views = p.capped_threads();
             let server: Vec<usize> = (0..n).map(|_| rng.gen_range(0..servers)).collect();
             let want = per_server_cold(&p, &views, &server);
-            assert_bits_eq(&want, &allocate_groups(&p, &views, &server), &format!("case {case}"));
+            assert_bits_eq(&want, &placement(&p, &server), &format!("case {case}"));
+
+            // One cold `Resplit::group` per server, through one kept
+            // `Resplit`, lands on the same amounts.
+            let mut grouped = vec![0.0; n];
+            for j in 0..servers {
+                let idx: Vec<usize> = (0..n).filter(|&i| server[i] == j).collect();
+                resplit.group(&p, &idx);
+                for (&i, &c) in idx.iter().zip(resplit.amounts()) {
+                    grouped[i] = c;
+                }
+            }
+            assert_bits_eq(&want, &grouped, &format!("case {case}, per group"));
 
             // A budget that expires mid-loop is an error, never a
             // half-split answer; the next clean call is unaffected.
             let fuel = rng.gen_range(0..40_u64);
-            match allocate_groups_budgeted(&p, &views, &server, &Budget::with_fuel(fuel)) {
+            let budget = Budget::with_fuel(fuel);
+            match resplit.placement(&p, &server, &mut || budget.check()) {
                 Ok(got) => assert_bits_eq(&want, &got, &format!("case {case}, fuel {fuel}")),
                 Err(e) => assert_eq!(e, SolveError::DeadlineExceeded, "case {case}"),
             }
-            let again = allocate_groups_budgeted(&p, &views, &server, &Budget::unlimited()).unwrap();
+            let unlimited = &mut || Budget::unlimited().check();
+            let again = resplit.placement(&p, &server, unlimited).unwrap();
             assert_bits_eq(&want, &again, &format!("case {case}, after expiry"));
         }
     }

@@ -15,16 +15,19 @@
 //! will arrive*, unassigned threads each granted a private server. Both
 //! relaxations only increase utility, so the bound is admissible; it
 //! strictly tightens as commitments force sharing, which is where the
-//! pruning power comes from. Per-node cost is one single-pool bisection
-//! on the server that changed.
+//! pruning power comes from. Per-node cost is one cold split of the
+//! server that changed ([`Resplit::group`], through one kept
+//! [`Resplit`]); the incumbent's amounts come from
+//! [`Resplit::placement`].
 //!
 //! [`exact`]: crate::exact
 
-use aa_allocator::bisection;
+use aa_allocator::Interrupted;
 use aa_utility::Utility;
 
 use crate::budget::Budget;
 use crate::problem::{Assignment, CappedView, Problem};
+use crate::refine::Resplit;
 use crate::solver::SolveError;
 
 /// Practical thread limit: beyond this even pruned search can take
@@ -106,7 +109,6 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
 
     struct Search<'a> {
         problem: &'a Problem,
-        views: &'a [CappedView],
         order: &'a [usize],
         unassigned_bound: &'a [f64],
         budget: &'a Budget,
@@ -116,6 +118,7 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
         groups: Vec<Vec<usize>>,
         /// Optimal utility of each server's current group (budget C).
         group_opt: Vec<f64>,
+        resplit: Resplit,
         server_of: Vec<usize>,
         best_utility: f64,
         best_server: Vec<usize>,
@@ -141,10 +144,7 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
             for j in 0..limit {
                 let saved_opt = self.group_opt[j];
                 self.groups[j].push(t);
-                let group: Vec<&CappedView> =
-                    self.groups[j].iter().map(|&i| &self.views[i]).collect();
-                self.group_opt[j] =
-                    bisection::allocate(&group, self.problem.capacity()).utility;
+                self.group_opt[j] = self.resplit.group(self.problem, &self.groups[j]);
                 self.server_of[t] = j;
                 let result = self.dfs(k + 1, used.max(j + 1));
                 self.groups[j].pop();
@@ -157,13 +157,13 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
 
     let mut search = Search {
         problem,
-        views: &views,
         order: &order,
         unassigned_bound: &unassigned_bound,
         budget,
         m,
         groups: vec![Vec::new(); m],
         group_opt: vec![0.0; m],
+        resplit: Resplit::new(),
         server_of: vec![0; n],
         best_utility: seed_utility,
         best_server: seed.server.clone(),
@@ -175,14 +175,17 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<BudgetedSolv
         Err(SolveError::DeadlineExceeded) => false,
         Err(e) => return Err(e),
     };
-    let best_server = search.best_server;
 
     // The incumbent's placement is feasible by construction; rebuild its
-    // allocation with the *unbudgeted* allocator so an expired budget
-    // cannot block materializing the answer we already hold.
-    let amount = crate::exact::allocate_groups(problem, &views, &best_server);
+    // allocation *unchecked* so an expired budget cannot block
+    // materializing the answer we already hold.
+    let unchecked = &mut || Ok::<_, Interrupted>(());
+    let amount = search
+        .resplit
+        .placement(problem, &search.best_server, unchecked)
+        .expect("an unchecked sequential search never interrupts");
     Ok(BudgetedSolve {
-        assignment: Assignment { server: best_server, amount },
+        assignment: Assignment { server: search.best_server, amount },
         optimal,
     })
 }

@@ -24,7 +24,7 @@
 //! | [`tightness`] | Theorem V.17 — the 5/6-ratio tight instance |
 //! | [`solver`] | uniform [`Solver`] interface over all of the above, and the [`Algorithm`] registry |
 //! | [`ablation`] | design-choice ablations (not in the paper) |
-//! | [`refine`] | exact per-server re-split post-pass (not in the paper) |
+//! | [`refine`] | exact per-server re-split post-pass, and [`refine::Resplit`], the one per-server split every placement-fixed caller uses (not in the paper) |
 //! | [`discrete`] | integer-unit allocations with optimal per-server rounding (not in the paper) |
 //! | [`stats`] | fairness / balance diagnostics for assignments |
 //! | [`hetero`] | §VIII future work: heterogeneous capacities |

@@ -7,30 +7,21 @@
 //! real systems (cache warm-up, VM live-migration). This module offers a
 //! middle ground:
 //!
-//! * [`reallocate_in_place`] — keep every thread where it is, re-split
+//! * [`refine_allocation`] — keep every thread where it is, re-split
 //!   each server's resource optimally for the *new* utilities. Zero
 //!   migrations, never decreases utility relative to keeping the stale
 //!   allocation.
 //! * [`improve_with_migrations`] — after in-place reallocation, greedily
 //!   migrate up to `k` threads: each step moves the thread with the
 //!   largest gain between its current marginal utility and what it could
-//!   earn on the most underused server, then re-splits both servers.
+//!   earn on the most underused server, then re-splits both servers
+//!   ([`Resplit::group`]; every other server keeps its amounts).
 //!   Utility is re-evaluated after every step; a step that does not
 //!   improve is rolled back and the loop stops, so the result is
-//!   monotonically at least as good as [`reallocate_in_place`].
+//!   monotonically at least as good as [`refine_allocation`].
 
-use crate::problem::{Assignment, CappedView, Problem};
-
-/// Re-split every server's resource optimally among its current threads
-/// (no migrations). Returns the improved assignment.
-pub fn reallocate_in_place(problem: &Problem, current: &Assignment) -> Assignment {
-    let views: Vec<CappedView> = problem.capped_threads();
-    let amount = crate::exact::allocate_groups(problem, &views, &current.server);
-    Assignment {
-        server: current.server.clone(),
-        amount,
-    }
-}
+use crate::problem::{Assignment, Problem};
+use crate::refine::{refine_allocation, Resplit};
 
 /// In-place reallocation plus up to `max_migrations` greedy migrations.
 ///
@@ -42,9 +33,10 @@ pub fn improve_with_migrations(
     current: &Assignment,
     max_migrations: usize,
 ) -> Assignment {
-    let views: Vec<CappedView> = problem.capped_threads();
-    let mut best = reallocate_in_place(problem, current);
+    let mut best = refine_allocation(problem, current);
     let mut best_utility = best.total_utility(problem);
+    let mut resplit = Resplit::new();
+    let mut members = Vec::new();
 
     for _ in 0..max_migrations {
         // Candidate move: for each thread, consider only the move to the
@@ -63,16 +55,20 @@ pub fn improve_with_migrations(
 
         let mut improved: Option<(Assignment, f64)> = None;
         for i in 0..problem.len() {
-            if best.server[i] == dest {
+            let source = best.server[i];
+            if source == dest {
                 continue;
             }
-            let mut trial_server = best.server.clone();
-            trial_server[i] = dest;
-            let amount = crate::exact::allocate_groups(problem, &views, &trial_server);
-            let trial = Assignment {
-                server: trial_server,
-                amount,
-            };
+            let mut trial = best.clone();
+            trial.server[i] = dest;
+            for j in [source, dest] {
+                members.clear();
+                members.extend((0..problem.len()).filter(|&t| trial.server[t] == j));
+                resplit.group(problem, &members);
+                for (&t, &c) in members.iter().zip(resplit.amounts()) {
+                    trial.amount[t] = c;
+                }
+            }
             let u = trial.total_utility(problem);
             if u > best_utility + 1e-12
                 && improved.as_ref().is_none_or(|&(_, bu)| u > bu)
@@ -128,7 +124,7 @@ mod tests {
         let (before, after) = drifted_pair();
         let stale = algo2::solve(&before);
         let kept = stale.total_utility(&after);
-        let fixed = reallocate_in_place(&after, &stale);
+        let fixed = refine_allocation(&after, &stale);
         fixed.validate(&after).unwrap();
         assert!(fixed.total_utility(&after) >= kept - 1e-9);
     }
@@ -137,7 +133,7 @@ mod tests {
     fn in_place_keeps_placement() {
         let (before, after) = drifted_pair();
         let stale = algo2::solve(&before);
-        let fixed = reallocate_in_place(&after, &stale);
+        let fixed = refine_allocation(&after, &stale);
         assert_eq!(fixed.server, stale.server);
     }
 
@@ -145,7 +141,7 @@ mod tests {
     fn migrations_monotonically_improve() {
         let (before, after) = drifted_pair();
         let stale = algo2::solve(&before);
-        let u0 = reallocate_in_place(&after, &stale).total_utility(&after);
+        let u0 = refine_allocation(&after, &stale).total_utility(&after);
         let mut prev = u0;
         for k in [1, 2, 4, 8] {
             let a = improve_with_migrations(&after, &stale, k);
@@ -170,8 +166,75 @@ mod tests {
         let (before, after) = drifted_pair();
         let stale = algo2::solve(&before);
         let a = improve_with_migrations(&after, &stale, 0);
-        let b = reallocate_in_place(&after, &stale);
+        let b = refine_allocation(&after, &stale);
         assert_eq!(a, b);
+    }
+
+    /// The migrations pass re-splitting every server of each trial
+    /// placement ([`Resplit::placement`]) instead of the two it changed.
+    fn migrations_by_full_resplit(problem: &Problem, current: &Assignment, k: usize) -> Assignment {
+        let full = |server: &[usize]| {
+            let unchecked = &mut || Ok::<_, aa_allocator::Interrupted>(());
+            Resplit::new().placement(problem, server, unchecked).unwrap()
+        };
+        let mut best = Assignment { server: current.server.clone(), amount: full(&current.server) };
+        let mut best_utility = best.total_utility(problem);
+        for _ in 0..k {
+            let loads = best.server_loads(problem);
+            let dest = (0..loads.len())
+                .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then_with(|| a.cmp(&b)))
+                .unwrap();
+            let mut improved: Option<(Assignment, f64)> = None;
+            for i in (0..problem.len()).filter(|&i| best.server[i] != dest) {
+                let mut server = best.server.clone();
+                server[i] = dest;
+                let trial = Assignment { amount: full(&server), server };
+                let u = trial.total_utility(problem);
+                if u > best_utility + 1e-12 && improved.as_ref().is_none_or(|&(_, bu)| u > bu) {
+                    improved = Some((trial, u));
+                }
+            }
+            match improved {
+                Some((a, u)) => (best, best_utility) = (a, u),
+                None => break,
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn two_server_resplit_matches_full_resplit_on_monotone_families() {
+        // Where demand is monotone in λ each server's split does not
+        // depend on where its search starts, so re-splitting only the
+        // source and the destination of a move and carrying every other
+        // server's amounts lands on the full re-split's answer, bit for
+        // bit.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use crate::refine::tests::random_thread;
+
+        let capacity = 10.0;
+        let mut rng = StdRng::seed_from_u64(23);
+        for case in 0..120 {
+            let servers = rng.gen_range(1..6_usize);
+            let n = rng.gen_range(1..12_usize);
+            let p = Problem::builder(servers, capacity)
+                .threads((0..n).map(|_| random_thread(&mut rng, capacity, false)))
+                .build()
+                .unwrap();
+            let current = Assignment {
+                server: (0..n).map(|_| rng.gen_range(0..servers)).collect(),
+                amount: vec![0.0; n],
+            };
+            for k in [1, 4] {
+                let want = migrations_by_full_resplit(&p, &current, k);
+                let got = improve_with_migrations(&p, &current, k);
+                assert_eq!(want.server, got.server, "case {case}, k {k}");
+                let bits = |a: Assignment| a.amount.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(want), bits(got), "case {case}, k {k}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Allocation refinement: a cheap post-pass that Algorithm 1/2's
-//! guarantee leaves on the table (ours, not the paper's).
+//! guarantee leaves on the table (ours, not the paper's), and the home
+//! of the one per-server re-split every placement-fixed caller uses.
 //!
 //! Both algorithms allocate each thread `min(ĉ_i, remaining)` — driven by
 //! the *linearized* utilities and the super-optimal demands. Once the
@@ -14,21 +15,144 @@
 //! * costs one `O(k (log C)²)` allocation per server — asymptotically
 //!   free next to the super-optimal allocation already computed.
 //!
+//! [`Resplit`] is that per-server split, with its buffers kept between
+//! calls. Its start rule is written once: **every call starts cold, and
+//! the servers inside one [`Resplit::placement`] call chain** (server
+//! `j`'s λ-search starts from server `j − 1`'s collapsed bracket). The
+//! refine pass, the online migrations, the exact solvers and churn
+//! repair all split through it.
+//!
 //! The experiments' ablation output quantifies the (typically small but
 //! nonzero) gain; the tightness instance is a case where it provably
 //! cannot help, which the tests pin down.
+
+use aa_allocator::bisection::{self, Fan, Interrupted};
+use aa_utility::Utility;
 
 use crate::budget::Budget;
 use crate::problem::{Assignment, CappedView, Problem};
 use crate::solver::SolveError;
 
+/// The per-server re-split with its buffers kept between calls: a
+/// [`bisection::WarmCache`], the group's capped views and the split
+/// amounts. Once the buffers have grown to the largest group, a
+/// [`Resplit::group`] call allocates nothing.
+///
+/// Every call starts cold ([`bisection::WarmCache::invalidate`]), so no
+/// call inherits a bracket from an earlier one: a reused `Resplit`
+/// answers bit-identically to a fresh one on every utility family. Only
+/// the servers inside one [`Resplit::placement`] call chain, each from
+/// the previous server's bracket; where demand is monotone in λ each
+/// chained split is bit-identical to a cold one (the allocator's
+/// unique-boundary-pair contract).
+#[derive(Debug, Clone, Default)]
+pub struct Resplit {
+    cache: bisection::WarmCache,
+    group: Vec<CappedView>,
+    amounts: Vec<f64>,
+}
+
+impl Resplit {
+    /// Empty buffers; they grow to steady-state size on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Optimal split of one group of `problem`'s threads, given as
+    /// member indices, on one server's capacity: a cold λ-search,
+    /// unchecked. Returns the group's utility, summed in member order as
+    /// [`bisection::allocate`] sums it; the amounts, in member order,
+    /// are [`Resplit::amounts`]. An empty group is worth 0.
+    pub fn group(&mut self, problem: &Problem, members: &[usize]) -> f64 {
+        if members.is_empty() {
+            return 0.0;
+        }
+        self.cache.invalidate();
+        let unchecked = &mut || Ok::<_, Interrupted>(());
+        self.split(problem, members, unchecked)
+            .expect("an unchecked sequential search never interrupts");
+        self.group.iter().zip(&self.amounts).map(|(f, &x)| f.value(x)).sum()
+    }
+
+    /// The amounts of the last [`Resplit::group`] call, in member order.
+    pub fn amounts(&self) -> &[f64] {
+        &self.amounts
+    }
+
+    /// Optimal amounts for a whole placement: each server's threads,
+    /// in index order, split on its capacity, servers in index order
+    /// (threads whose server is `≥ m` get 0). `check` runs once per
+    /// server and at sweep granularity inside each split; its first
+    /// `Err` aborts the call, never returning a half-split answer.
+    pub fn placement<E: From<Interrupted>>(
+        &mut self,
+        problem: &Problem,
+        server: &[usize],
+        check: &mut dyn FnMut() -> Result<(), E>,
+    ) -> Result<Vec<f64>, E> {
+        let m = problem.servers();
+        let mut amount = vec![0.0_f64; server.len()];
+        // Bucket the threads by server in one pass (a counting sort, so
+        // each server's threads stay in index order):
+        // `members[start[j]..start[j + 1]]`.
+        let mut start = vec![0_usize; m + 1];
+        for &j in server.iter().filter(|&&j| j < m) {
+            start[j + 1] += 1;
+        }
+        for j in 0..m {
+            start[j + 1] += start[j];
+        }
+        let mut members = vec![0_usize; start[m]];
+        let mut fill = start.clone();
+        for (i, &j) in server.iter().enumerate().filter(|&(_, &j)| j < m) {
+            members[fill[j]] = i;
+            fill[j] += 1;
+        }
+        self.cache.invalidate();
+        for j in 0..m {
+            check()?;
+            let idx = &members[start[j]..start[j + 1]];
+            if idx.is_empty() {
+                continue;
+            }
+            self.split(problem, idx, check)?;
+            for (&i, &c) in idx.iter().zip(&self.amounts) {
+                amount[i] = c;
+            }
+        }
+        Ok(amount)
+    }
+
+    /// The one body: split `members` (nonempty) through
+    /// [`bisection::allocate_in`] from whatever bracket the cache holds.
+    fn split<E: From<Interrupted>>(
+        &mut self,
+        problem: &Problem,
+        members: &[usize],
+        check: &mut dyn FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.group.clear();
+        self.group.extend(members.iter().map(|&i| problem.capped_thread(i)));
+        let (cache, amounts) = (&mut self.cache, &mut self.amounts);
+        bisection::allocate_in(&self.group, problem.capacity(), cache, amounts, Fan::Seq, check)?;
+        Ok(())
+    }
+}
+
 /// Exactly re-split every server's resource among its assigned threads
-/// using the original concave utilities. Placement is untouched.
+/// using the original concave utilities ([`Resplit::placement`]).
+/// Placement is untouched: this is also the zero-migration drift repair
+/// of [`online`](crate::online).
 pub fn refine_allocation(problem: &Problem, assignment: &Assignment) -> Assignment {
     let _span = aa_obs::span!("refine");
-    // Same computation as the online module's zero-migration repair, but
-    // motivated as a solve-time polish rather than drift recovery.
-    crate::online::reallocate_in_place(problem, assignment)
+    let unchecked = &mut || Ok::<_, Interrupted>(());
+    let amount = Resplit::new()
+        .placement(problem, &assignment.server, unchecked)
+        .expect("an unchecked sequential search never interrupts");
+    Assignment {
+        server: assignment.server.clone(),
+        amount,
+    }
 }
 
 /// [`refine_allocation`] under a solve [`Budget`], checked per server
@@ -41,9 +165,7 @@ pub fn refine_allocation_budgeted(
     budget: &Budget,
 ) -> Result<Assignment, SolveError> {
     let _span = aa_obs::span!("refine");
-    let views: Vec<CappedView> = problem.capped_threads();
-    let amount =
-        crate::exact::allocate_groups_budgeted(problem, &views, &assignment.server, budget)?;
+    let amount = Resplit::new().placement(problem, &assignment.server, &mut || budget.check())?;
     Ok(Assignment {
         server: assignment.server.clone(),
         amount,
@@ -69,16 +191,104 @@ pub fn solve_refined_budgeted(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use aa_utility::{CappedLinear, DynUtility, LogUtility, Power, Utility};
+    use aa_utility::{CappedLinear, DynUtility, LogUtility, Pchip, PiecewiseLinear, Power};
+    use proptest::{prop_assert_eq, proptest, ProptestConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     use crate::{algo2, superopt, tightness, ALPHA};
 
     fn arc<U: Utility + 'static>(u: U) -> DynUtility {
         Arc::new(u)
+    }
+
+    /// A random thread on servers of `capacity`. The first five
+    /// families have demand exactly monotone in λ (power, log,
+    /// capped-linear, a low-cap power that saturates its server, and a
+    /// 1e-21-scaled power that prices its server under
+    /// `WARM_MIN_PRICE`); with `knots` set the draw also takes the
+    /// paper's PCHIP through `(0, 0), (C/2, v), (C, v + w)` and the
+    /// piecewise-linear curve through the same knots (staircase demand).
+    pub(crate) fn random_thread(rng: &mut StdRng, capacity: f64, knots: bool) -> DynUtility {
+        let s = rng.gen_range(0.2..5.0);
+        match rng.gen_range(0..if knots { 7 } else { 5 }) {
+            0 => arc(Power::new(s, rng.gen_range(0.2..0.9), rng.gen_range(1.0..12.0))),
+            1 => arc(LogUtility::new(s, rng.gen_range(0.1..3.0), rng.gen_range(1.0..12.0))),
+            2 => arc(CappedLinear::new(s, rng.gen_range(0.5..6.0), 12.0)),
+            3 => arc(Power::new(s, 0.5, rng.gen_range(0.5..3.0))),
+            4 => arc(Power::new(s * 1e-21, 0.5, 12.0)),
+            family => {
+                let v = s * rng.gen_range(0.5..5.0);
+                let w = v * rng.gen_range(0.05..0.95);
+                let points = [(0.0, 0.0), (capacity / 2.0, v), (capacity, v + w)];
+                if family == 5 {
+                    arc(Pchip::new(&points).unwrap())
+                } else {
+                    arc(PiecewiseLinear::new(&points).unwrap())
+                }
+            }
+        }
+    }
+
+    /// The split's observable output, bit for bit: the group utility
+    /// (or placement amounts) and the last search's telemetry.
+    fn bits(values: &[f64], resplit: &Resplit) -> (Vec<u64>, bisection::WarmStats) {
+        (values.iter().map(|x| x.to_bits()).collect(), resplit.cache.last_stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn a_reused_resplit_answers_as_a_fresh_one(seed in 0..u64::MAX) {
+            // One `Resplit` kept across calls, as `RepairArena` and the
+            // exact searches keep it, must answer every call exactly as
+            // a fresh one does: same amounts, same utility, same search
+            // (a call that inherited a bracket would report a warm mode,
+            // and on PCHIP could land on another flip). Groups come in
+            // any member order, placements with any server vector.
+            let capacity = 10.0;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut kept = Resplit::new();
+            let unchecked = &mut || Ok::<_, Interrupted>(());
+            for problem in 0..2 {
+                let servers = rng.gen_range(1..6_usize);
+                let n = rng.gen_range(1..14_usize);
+                let p = Problem::builder(servers, capacity)
+                    .threads((0..n).map(|_| random_thread(&mut rng, capacity, true)))
+                    .build()
+                    .unwrap();
+                for call in 0..4 {
+                    let ctx = format!("problem {problem}, call {call}");
+                    let mut fresh = Resplit::new();
+                    if rng.gen_bool(0.5) {
+                        let mut members: Vec<usize> =
+                            (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+                        if members.is_empty() {
+                            members.push(rng.gen_range(0..n));
+                        }
+                        if rng.gen_bool(0.3) {
+                            members.reverse();
+                        }
+                        let want = fresh.group(&p, &members);
+                        let got = kept.group(&p, &members);
+                        let (want, got) = (bits(&[want], &fresh), bits(&[got], &kept));
+                        prop_assert_eq!(want, got, "{}", ctx);
+                        let amounts = bits(kept.amounts(), &kept);
+                        prop_assert_eq!(bits(fresh.amounts(), &fresh), amounts, "{}", ctx);
+                    } else {
+                        let server: Vec<usize> =
+                            (0..n).map(|_| rng.gen_range(0..servers)).collect();
+                        let want = fresh.placement(&p, &server, unchecked).unwrap();
+                        let got = kept.placement(&p, &server, unchecked).unwrap();
+                        prop_assert_eq!(bits(&want, &fresh), bits(&got, &kept), "{}", ctx);
+                    }
+                }
+            }
+        }
     }
 
     fn mixed_problem(seed: u64) -> Problem {

@@ -6,7 +6,7 @@
 //! * per-server load never exceeds the live capacity;
 //! * [`churn::repair_after`] never does worse than the naive
 //!   lightest-server evacuation baseline;
-//! * the degraded-mode optimizers ([`online::reallocate_in_place`],
+//! * the degraded-mode optimizers ([`refine::refine_allocation`],
 //!   [`online::improve_with_migrations`]) never decrease utility when a
 //!   thread's curve collapses to a degenerate (all-zero or capped-at-0)
 //!   one.
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use aa_core::churn::{self, ClusterEvent, MigrationBudget};
 use aa_core::solver::{Algo2, Solver};
-use aa_core::{online, Problem};
+use aa_core::{online, refine, Problem};
 use aa_utility::{CappedLinear, DynUtility, LogUtility, Power};
 use proptest::prelude::*;
 
@@ -161,7 +161,7 @@ proptest! {
         let stale = plan.total_utility(&drifted);
         let tol = 1e-9 * stale.abs().max(1.0);
 
-        let in_place = online::reallocate_in_place(&drifted, &plan);
+        let in_place = refine::refine_allocation(&drifted, &plan);
         in_place.validate(&drifted).unwrap();
         let u_in_place = in_place.total_utility(&drifted);
         prop_assert!(

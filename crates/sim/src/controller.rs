@@ -17,7 +17,8 @@
 //! epoch's real accesses, so the report shows causal, end-to-end
 //! throughput — the controller only ever sees the past.
 
-use aa_core::online::{improve_with_migrations, reallocate_in_place};
+use aa_core::online::improve_with_migrations;
+use aa_core::refine::refine_allocation;
 use aa_core::solver::Solver;
 use aa_core::Assignment;
 use serde::{Deserialize, Serialize};
@@ -135,7 +136,7 @@ impl Controller {
                 problem = self.machine.build_problem(epoch_traces);
                 plan = match self.policy {
                     RepairPolicy::Never => plan,
-                    RepairPolicy::InPlace => reallocate_in_place(&problem, &plan),
+                    RepairPolicy::InPlace => refine_allocation(&problem, &plan),
                     RepairPolicy::Migrations(k) => {
                         improve_with_migrations(&problem, &plan, k)
                     }

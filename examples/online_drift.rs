@@ -13,7 +13,8 @@
 
 use std::sync::Arc;
 
-use aa::core::online::{improve_with_migrations, reallocate_in_place};
+use aa::core::online::improve_with_migrations;
+use aa::core::refine::refine_allocation;
 use aa::core::solver::{Algo2, Solver};
 use aa::core::{superopt, Problem};
 use aa::utility::{DynUtility, LogUtility, Power};
@@ -48,7 +49,7 @@ fn main() {
     println!("super-optimal bound (phase 2):  {bound:.3}\n");
 
     println!("{:<36} {:>9} {:>9}", "repair strategy", "utility", "% bound");
-    let inplace = reallocate_in_place(&after, &assignment);
+    let inplace = refine_allocation(&after, &assignment);
     let u0 = inplace.total_utility(&after);
     println!("{:<36} {:>9.3} {:>8.1}%", "re-split in place (0 migrations)", u0, 100.0 * u0 / bound);
 

@@ -103,7 +103,7 @@ fn online_weight_bump_shifts_resources() {
     threads[6] = Arc::new(Scaled::new(Power::new(0.8, 0.6, 16.0), 20.0));
     let after = Problem::new(3, 16.0, threads).unwrap();
 
-    let repaired = aa::core::online::reallocate_in_place(&after, &a0);
+    let repaired = aa::core::refine::refine_allocation(&after, &a0);
     repaired.validate(&after).unwrap();
     assert_eq!(repaired.server, a0.server, "no migrations");
     assert!(

@@ -91,7 +91,7 @@ fn phase_change_recovered_by_online_repair() {
     // End-to-end drift scenario: profile phase 1, partition for it, then
     // the workload enters phase 2. Re-profiling and running the online
     // repair recovers most of the lost throughput without re-solving.
-    use aa::core::online::reallocate_in_place;
+    use aa::core::refine::refine_allocation;
 
     let machine = Multicore { cores: 2, ways_per_cache: 12, lines_per_way: 8 };
     let mut rng = StdRng::seed_from_u64(9);
@@ -114,7 +114,7 @@ fn phase_change_recovered_by_online_repair() {
     let stale_measured = machine.measure(&phase2, &stale.server, &stale_ways);
 
     // Zero-migration repair against the new profiles.
-    let repaired = reallocate_in_place(&p2, &stale);
+    let repaired = refine_allocation(&p2, &stale);
     let repaired_ways = machine.round_ways(&p2, &repaired);
     let repaired_measured = machine.measure(&phase2, &repaired.server, &repaired_ways);
 
